@@ -21,14 +21,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from ..data import storage
 from ..data.columnar import snapshot_dictionary
 from ..data.relation import Relation
-from ..data.storage import DeltaAccumulator
 from ..errors import EvaluationError
-from ..obs import tracing
 from .conditions import decompose
-from .kernels import KernelProgramCache, try_columnar_fixpoint
+from .fixpoint import run_fixpoint
+from .kernels import KernelProgramCache
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
 from .variables import is_constant_in
@@ -179,8 +177,6 @@ class Evaluator:
         return cached
 
     def _warm_index(self, relation: Relation, common: tuple[str, ...]) -> None:
-        if not storage.caching_enabled():
-            return
         if relation.has_index(common):
             self.stats.index_reuses += 1
         else:
@@ -192,76 +188,45 @@ class Evaluator:
     def _eval_fixpoint(self, term: Fixpoint, env: dict[str, Relation]) -> Relation:
         decomposition = decompose(term)
         constant = self._eval(decomposition.constant_part, env)
-        if decomposition.variable_part is None:
+        variable_part = decomposition.variable_part
+        if variable_part is None:
             self.stats.record_fixpoint(iterations=0, result_size=len(constant))
             return constant
-        variable_part = decomposition.variable_part
-        kernel_result = self._try_kernels(term, variable_part, constant, env)
-        if kernel_result is not None:
-            self.stats.index_builds += kernel_result.index_builds
-            self.stats.index_reuses += kernel_result.index_reuses
-            self.stats.record_fixpoint(iterations=kernel_result.iterations,
-                                       result_size=len(kernel_result.relation))
-            return kernel_result.relation
-        # One environment for the whole loop (only the delta binding
-        # changes per iteration) and one schema check (operator output
-        # schemas depend on input schemas only, which are fixed).
+        # One environment for the whole loop: only the delta binding
+        # changes per iteration.
         inner_env = dict(env)
-        accumulator = DeltaAccumulator(constant)
-        new = constant
-        iterations = 0
-        schema_checked = False
-        # Hoisted once: when tracing is off the loop pays one local bool
-        # check per iteration (bench_obs_overhead.py holds this to <= 5%).
-        traced = tracing.tracing_enabled()
-        while new:
-            iterations += 1
-            if iterations > self.max_iterations:
+
+        def row_step(delta: Relation) -> Relation:
+            inner_env[term.var] = delta
+            produced = self._eval(variable_part, inner_env)
+            if produced.columns != constant.columns:
                 raise EvaluationError(
-                    f"fixpoint on {term.var!r} did not converge after "
-                    f"{self.max_iterations} iterations"
+                    f"fixpoint on {term.var!r}: the variable part "
+                    f"produced schema {produced.columns} but the "
+                    f"constant part has schema {constant.columns}"
                 )
-            inner_env[term.var] = new
-            iteration_span = tracing.span(
-                "fixpoint.iteration", var=term.var, iteration=iterations,
-                delta=len(new)) if traced else tracing.NOOP_SPAN
-            with iteration_span:
-                produced = self._eval(variable_part, inner_env)
-                if not schema_checked:
-                    if produced.columns != constant.columns:
-                        raise EvaluationError(
-                            f"fixpoint on {term.var!r}: the variable part "
-                            f"produced schema {produced.columns} but the "
-                            f"constant part has schema {constant.columns}"
-                        )
-                    schema_checked = True
-                new = accumulator.absorb(produced)
-                if traced:
-                    iteration_span.set_attribute("produced", len(produced))
-                    iteration_span.set_attribute("total", len(accumulator))
-        result = accumulator.relation()
-        self.stats.record_fixpoint(iterations=iterations, result_size=len(result))
-        return result
+            return produced
 
-    def _try_kernels(self, term: Fixpoint, variable_part: Term,
-                     constant: Relation, env: dict[str, Relation]):
-        """Run the fixpoint on the columnar kernels; None means row path.
-
-        Recursion-constant subterms that mention *outer* fixpoint variables
-        must resolve under the enclosing environment — and must not be
-        memoized, their value changes per outer iteration.  Pure constants
-        go through the term-keyed cache shared with the distributed plans.
-        """
+        # Recursion-constant subterms that mention *outer* fixpoint
+        # variables must resolve under the enclosing environment — and
+        # must not be memoized, their value changes per outer iteration.
+        # Pure constants go through the term-keyed cache shared with the
+        # distributed plans.
         if env:
             def resolve(t: Term) -> Relation:
                 return self._eval(t, env)
         else:
             resolve = self.evaluate_constant
-        return try_columnar_fixpoint(
+        run = run_fixpoint(
             self._kernel_cache, term.var, variable_part, constant,
-            self._dictionary, resolve, self.max_iterations,
+            self._dictionary, resolve, row_step, self.max_iterations,
             f"fixpoint on {term.var!r} did not converge after "
             f"{self.max_iterations} iterations")
+        self.stats.index_builds += run.index_builds
+        self.stats.index_reuses += run.index_reuses
+        self.stats.record_fixpoint(iterations=run.iterations,
+                                   result_size=len(run.relation))
+        return run.relation
 
 
 def evaluate(term: Term, database: Mapping[str, Relation],

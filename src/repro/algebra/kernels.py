@@ -4,7 +4,8 @@ The generic evaluators interpret the variable part of a fixpoint tuple at
 a time: every iteration re-dispatches on the term tree and pays a Python
 tuple comprehension per row in each join, rename and projection.  This
 module compiles the variable part **once per physical plan** into a chain
-of columnar kernels and runs the semi-naive loop on
+of columnar kernels, so the semi-naive driver
+(:mod:`repro.algebra.fixpoint`) iterates on
 :class:`~repro.data.columnar.ColumnarBatch` columns instead:
 
 * a small **kernel planner** (:func:`compile_program`) walks the term a
@@ -40,22 +41,18 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..data.columnar import (ColumnarBatch, ColumnarDeltaAccumulator,
-                             ValueDictionary, columnar_enabled)
+from ..data.columnar import ColumnarBatch, ValueDictionary, columnar_enabled
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate, _COMPARATORS)
 from ..data.relation import Relation
-from ..errors import EvaluationError
-from ..obs import tracing
 from ..obs.metrics import get_registry
 from .terms import (AntiProject, Antijoin, Filter, Join, Rename, RelVar,
                     Term, Union)
 from .variables import is_constant_in
 
 __all__ = [
-    "BoundKernel", "KernelProgram", "KernelProgramCache", "KernelRunResult",
-    "bind_program", "compile_program", "default_kernel_cache",
-    "try_columnar_fixpoint",
+    "BoundKernel", "KernelProgram", "KernelProgramCache", "bind_program",
+    "compile_program", "default_kernel_cache",
 ]
 
 
@@ -582,18 +579,7 @@ def default_kernel_cache() -> KernelProgramCache:
     return _DEFAULT_CACHE
 
 
-# -- The columnar fixpoint loop ----------------------------------------------
-
-
-@dataclass
-class KernelRunResult:
-    """What one columnar fixpoint run reports back to its caller."""
-
-    relation: Relation
-    iterations: int
-    index_builds: int
-    index_reuses: int
-    probes: int
+# -- Binding ---------------------------------------------------------------
 
 
 def bind_program(cache: KernelProgramCache | None, var: str,
@@ -605,7 +591,7 @@ def bind_program(cache: KernelProgramCache | None, var: str,
     Returns None when the kernels cannot (or must not) run this fixpoint
     — columnar disabled, unsupported shape, output schema differing from
     the seed schema (the row engine owns that error's exact wording) — in
-    which case the caller falls back to its row loop.
+    which case the caller falls back to its row step.
     """
     if not columnar_enabled():
         return None
@@ -629,51 +615,3 @@ def bind_program(cache: KernelProgramCache | None, var: str,
         # Let the row engine raise its own (site-specific) schema error.
         return None
     return bound
-
-
-def try_columnar_fixpoint(cache: KernelProgramCache | None,
-                          var: str, variable_part: Term,
-                          seed: Relation,
-                          dictionary: ValueDictionary,
-                          resolve: Callable[[Term], Relation],
-                          max_iterations: int,
-                          nonconvergence: str) -> KernelRunResult | None:
-    """Run one semi-naive fixpoint on the columnar kernels, if possible.
-
-    Returns None when the kernels cannot run this fixpoint (see
-    :func:`bind_program`), in which case the caller falls back to the row
-    loop.  ``nonconvergence`` is the exact error message the caller's row
-    loop would raise on hitting ``max_iterations``, so the guard behaves
-    identically on both engines.
-    """
-    bound = bind_program(cache, var, variable_part, seed.columns,
-                         dictionary, resolve)
-    if bound is None:
-        return None
-    step = bound.step
-    delta = seed.columnar(dictionary).batch()
-    accumulator = ColumnarDeltaAccumulator(delta)
-    iterations = 0
-    traced = tracing.tracing_enabled()
-    while len(delta):
-        iterations += 1
-        if iterations > max_iterations:
-            raise EvaluationError(nonconvergence)
-        iteration_span = tracing.span(
-            "fixpoint.iteration", var=var, iteration=iterations,
-            delta=len(delta), engine="columnar") if traced else tracing.NOOP_SPAN
-        with iteration_span:
-            produced = step(delta)
-            delta = accumulator.absorb(produced)
-            if traced:
-                iteration_span.set_attribute("produced", len(produced))
-                iteration_span.set_attribute("total", len(accumulator))
-    # The row engine accesses each constant-side index once per iteration
-    # (build on the first touch, reuse after); mirror that accounting so
-    # index-reuse metrics stay comparable across engines.
-    reuses = bound.index_reuses + bound.indexed_ops * max(iterations - 1, 0)
-    return KernelRunResult(relation=accumulator.relation(dictionary),
-                           iterations=iterations,
-                           index_builds=bound.index_builds,
-                           index_reuses=reuses,
-                           probes=bound.probe_counter[0])

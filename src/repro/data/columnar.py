@@ -27,9 +27,8 @@ run on instead:
   (``zip(*arrays)`` runs at C speed), one decode to a ``Relation`` at the
   very end.
 
-A context-local escape hatch mirrors :mod:`repro.data.storage`:
-:func:`row_mode` pins the row engine (the differential harness proves both
-engines agree), and compatibility mode implies it — results returned to
+A context-local escape hatch, :func:`row_mode`, pins the row engine (the
+differential harness proves both engines agree) — results returned to
 callers are plain ``Relation`` objects either way, so cache keys,
 snapshots and maintained views never see codes.
 """
@@ -45,7 +44,6 @@ from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import get_registry
 from ..check.sanitizer import ordered_lock
-from . import storage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (relation.py imports us)
     from .relation import Relation
@@ -55,20 +53,15 @@ SNAPSHOT_DICTIONARY_KEY = "columnar_value_dictionary"
 
 #: Context-local switch for the columnar execution kernels.  ``True`` in
 #: normal operation; :func:`row_mode` flips it so benchmarks and the
-#: differential harness can pin the row engine.  Like the storage switch,
-#: a ContextVar scopes the flip to the flipping context only.
+#: differential harness can pin the row engine.  A ContextVar scopes the
+#: flip to the flipping context only.
 _columnar_enabled: ContextVar[bool] = ContextVar("repro_columnar_enabled",
                                                 default=True)
 
 
 def columnar_enabled() -> bool:
-    """True when fixpoint loops may run on the columnar kernels.
-
-    Compatibility mode (:func:`repro.data.storage.compatibility_mode`)
-    implies the row engine: it measures the seed-era behaviour, and the
-    columnar path is memoization all the way down.
-    """
-    return _columnar_enabled.get() and storage.caching_enabled()
+    """True when fixpoint loops may run on the columnar kernels."""
+    return _columnar_enabled.get()
 
 
 def set_columnar_enabled(enabled: bool) -> bool:
@@ -80,11 +73,7 @@ def set_columnar_enabled(enabled: bool) -> bool:
 
 @contextmanager
 def row_mode():
-    """Run a block on the row engine, columnar kernels disabled.
-
-    Index memoization and delta accumulation stay on — this is "current
-    behaviour exactly", not compatibility mode.
-    """
+    """Run a block on the row engine, columnar kernels disabled."""
     previous = set_columnar_enabled(False)
     try:
         yield
@@ -280,10 +269,9 @@ class ColumnarRelation:
                     index[key] = [row]
                 else:
                     bucket.append(row)
-        if storage.caching_enabled():
-            if cache is None:
-                cache = self._key_index_cache = {}
-            cache[positions] = index
+        if cache is None:
+            cache = self._key_index_cache = {}
+        cache[positions] = index
         return index
 
     def has_index(self, positions: tuple[int, ...]) -> bool:

@@ -32,7 +32,6 @@ from collections.abc import Callable, Iterable, Iterator, Mapping
 from typing import Any
 
 from ..errors import SchemaError
-from . import storage
 from .predicates import Eq, Predicate
 from .storage import HashIndex
 from .tuples import Tup
@@ -239,22 +238,13 @@ class Relation:
         goes stale): the first call builds it, every later call on the same
         columns returns the cached table.  Joins, antijoins and equality
         filters probe these indexes, so a loop-invariant relation is hashed
-        once per key instead of once per iteration.  With caching disabled
-        (:func:`repro.data.storage.compatibility_mode`) a fresh index is
-        built on every call and nothing is retained.
+        once per key instead of once per iteration.
         """
         key = tuple(key_columns)
         missing = set(key) - set(self._columns)
         if missing:
             raise SchemaError(f"cannot index on missing columns {sorted(missing)} "
                               f"(schema is {self._columns})")
-        if not storage.caching_enabled():
-            # Compatibility mode builds from scratch even when a memoized
-            # index exists (warmed before the mode was entered), so the
-            # measured baseline really pays the seed-era costs.
-            position_of = {c: i for i, c in enumerate(self._columns)}
-            return HashIndex(self._rows,
-                             tuple(position_of[c] for c in key))
         cache = self._index_cache
         if cache is not None:
             index = cache.get(key)
@@ -269,14 +259,7 @@ class Relation:
         return index
 
     def has_index(self, key_columns: Iterable[str]) -> bool:
-        """True when an index on ``key_columns`` is already memoized.
-
-        Always False in compatibility mode: the fast paths that key off an
-        existing index (join build-side preference, the equality-filter
-        probe) must not fire while caching is disabled.
-        """
-        if not storage.caching_enabled():
-            return False
+        """True when an index on ``key_columns`` is already memoized."""
         cache = self._index_cache
         return cache is not None and tuple(key_columns) in cache
 
@@ -291,12 +274,9 @@ class Relation:
         the cached columns — which is what makes the loop-invariant
         relations of a semi-naive fixpoint free to re-adopt per iteration.
         The cache holds one entry (the dictionary of the current snapshot);
-        encoding against a different dictionary replaces it.  With caching
-        disabled (compatibility mode) nothing is retained.
+        encoding against a different dictionary replaces it.
         """
         from .columnar import ColumnarRelation
-        if not storage.caching_enabled():
-            return ColumnarRelation.from_relation(self, dictionary)
         cached = self._columnar_cache
         if cached is not None and cached.dictionary is dictionary:
             return cached
@@ -375,13 +355,9 @@ class Relation:
                 self._columns, frozenset())
         position_of = {c: i for i, c in enumerate(self._columns)}
         self_positions = tuple(position_of[c] for c in common)
-        if storage.caching_enabled():
-            # Key membership via the memoized index: shared with joins on
-            # the same columns and reused across iterations.
-            present: HashIndex | set = other.index_on(common)
-        else:
-            other_key = _key_extractor(other._columns, common)
-            present = {other_key(row) for row in other._rows}
+        # Key membership via the memoized index: shared with joins on the
+        # same columns and reused across iterations.
+        present = other.index_on(common)
         return Relation._from_trusted(self._columns, frozenset(
             row for row in self._rows
             if tuple(row[i] for i in self_positions) not in present))

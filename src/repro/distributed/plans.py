@@ -26,24 +26,22 @@ from dataclasses import dataclass
 
 from ..algebra.conditions import decompose
 from ..algebra.evaluate import Evaluator
-from ..algebra.kernels import (KernelProgramCache, bind_program,
-                               try_columnar_fixpoint)
+from ..algebra.fixpoint import run_fixpoint, semi_naive
+from ..algebra.kernels import KernelProgramCache, bind_program
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Rename, RelVar, Term, Union)
 from ..algebra.variables import free_variables, is_constant_in
-from ..data import storage
 from ..data.columnar import ColumnarRelation, snapshot_dictionary
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
-from ..data.storage import DeltaAccumulator
-from ..errors import DistributionError, EvaluationError
+from ..errors import DistributionError
 from ..obs import tracing
 from . import local_engine as local_engine_module
 from .cluster import SparkCluster
 from .local_engine import LocalSQLEngine
 from .partitioner import (PartitioningDecision, plan_partitioning,
                           split_constant_part)
-from .rdd import DistributedRelation, SetRDD
+from .rdd import DistinctAccumulator, DistributedRelation, SetRDD
 
 #: Plan identifiers used in metrics, reports and the selection heuristic.
 PGLD = "pgld"
@@ -107,7 +105,7 @@ class DistributedFixpointPlan:
         index, later calls find it memoized — recorded in the cluster
         metrics so benchmarks can show the reuse.
         """
-        if not common or not storage.caching_enabled():
+        if not common:
             return
         self.cluster.record_index_event(built=not relation.has_index(common))
         relation.index_on(common)
@@ -132,56 +130,43 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
             return constant
         variable_part = decomposition.variable_part
         var = fixpoint.var
+        metrics = self.cluster.metrics
         # Compile-and-bind once on the driver; per iteration each partition
         # runs the kernel chain (encode -> step -> decode) as one task.
         # ``None`` falls back to tuple-at-a-time distributed evaluation.
         bound = bind_program(self.kernel_cache, var, variable_part,
                              constant.columns, self._dictionary,
                              evaluator.evaluate_constant)
-        kernel_step = self._kernel_partition_task(bound) if bound else None
-        accumulated = DistributedRelation.from_relation(self.cluster, constant)
-        delta = accumulated
-        iterations = 0
-        traced = tracing.tracing_enabled()
-        while not delta.is_empty():
-            iterations += 1
-            if iterations > MAX_GLOBAL_ITERATIONS:
-                raise EvaluationError(
-                    f"global loop on {var!r} did not converge "
-                    f"within {MAX_GLOBAL_ITERATIONS} iterations")
-            self.cluster.metrics.global_iterations += 1
-            iteration_span = tracing.span(
-                "fixpoint.iteration", var=var, iteration=iterations,
-                delta=delta.count(),
-                engine="columnar" if kernel_step else "row") \
-                if traced else tracing.NOOP_SPAN
-            with iteration_span:
-                if kernel_step is not None:
-                    # Same communication pattern as the row path: the
-                    # constant operands go out per iteration (broadcast),
-                    # their indexes are built once and reused after.
-                    for size in bound.broadcast_sizes:
-                        self.cluster.record_broadcast(size)
-                    if iterations == 1:
-                        for _ in range(bound.index_builds):
-                            self.cluster.record_index_event(built=True)
-                        for _ in range(bound.index_reuses):
-                            self.cluster.record_index_event(built=False)
-                    else:
-                        for _ in range(bound.indexed_ops):
-                            self.cluster.record_index_event(built=False)
-                    produced = delta.map_partitions(kernel_step)
-                else:
-                    produced = self._evaluate_distributed(variable_part, var,
-                                                          delta, evaluator)
-                # new = phi(new) \ X    (global set difference: shuffle)
-                delta = produced.subtract_distinct(accumulated)
-                # X = X U new           (union + distinct: shuffle)
-                accumulated = accumulated.union_distinct(delta)
-                if traced:
-                    iteration_span.set_attribute("produced", produced.count())
-                    iteration_span.set_attribute("total", accumulated.count())
-        return accumulated.collect()
+        kernel_task = self._kernel_partition_task(bound) if bound else None
+        builds = bound.index_builds if bound else 0
+
+        def step(delta: DistributedRelation) -> DistributedRelation:
+            nonlocal builds
+            metrics.global_iterations += 1
+            if kernel_task is None:
+                return self._evaluate_distributed(variable_part, var, delta,
+                                                  evaluator)
+            # Same communication pattern as the row path: the constant
+            # operands go out per iteration (broadcast), their indexes are
+            # built on the first iteration and reused after.
+            for size in bound.broadcast_sizes:
+                self.cluster.record_broadcast(size)
+            for _ in range(builds):
+                self.cluster.record_index_event(built=True)
+            for _ in range(bound.indexed_ops - builds):
+                self.cluster.record_index_event(built=False)
+            builds = 0
+            return delta.map_partitions(kernel_task)
+
+        seed = DistributedRelation.from_relation(self.cluster, constant)
+        accumulator = DistinctAccumulator(seed)
+        limit = MAX_GLOBAL_ITERATIONS
+        semi_naive(step, accumulator, seed, var=var,
+                   engine="columnar" if kernel_task else "row",
+                   limit=limit,
+                   nonconvergence=f"global loop on {var!r} did not converge "
+                                  f"within {limit} iterations")
+        return accumulator.dataset.collect()
 
     def _kernel_partition_task(self, bound):
         """One partition's iteration step as a shippable closure.
@@ -309,58 +294,30 @@ def run_spark_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
     broadcast relations are shared objects, so one build serves every
     worker's loop.
     """
-    decomposition = decompose(fixpoint)
+    variable_part = decompose(fixpoint).variable_part
+    var = fixpoint.var
     evaluator = Evaluator(database)
-    traced = tracing.tracing_enabled()
-    loop_span = tracing.span("fixpoint.local_loop", var=fixpoint.var,
-                             variant="spark",
-                             seed=len(chunk)) if traced else tracing.NOOP_SPAN
-    with loop_span:
-        # The columnar kernels run the whole local loop when they support
-        # the shape; the process-default program cache gives in-process
-        # task reuse (compile once, bind per chunk).
-        kernel_result = try_columnar_fixpoint(
-            None, fixpoint.var, decomposition.variable_part, chunk,
-            snapshot_dictionary(database), evaluator.evaluate_constant,
-            max_iterations,
-            f"local fixpoint on {fixpoint.var!r} did not converge "
+    env: dict[str, Relation] = {}
+
+    def row_step(delta: Relation) -> Relation:
+        env[var] = delta
+        return evaluator.evaluate(variable_part, env=env)
+
+    with tracing.span("fixpoint.local_loop", var=var, variant="spark",
+                      seed=len(chunk)) as loop_span:
+        # The process-default program cache gives in-process task reuse
+        # (compile once, bind per chunk).
+        run = run_fixpoint(
+            None, var, variable_part, chunk, snapshot_dictionary(database),
+            evaluator.evaluate_constant, row_step, max_iterations,
+            f"local fixpoint on {var!r} did not converge "
             f"within {max_iterations} iterations")
-        if kernel_result is not None:
-            if traced:
-                loop_span.set_attribute("iterations", kernel_result.iterations)
-                loop_span.set_attribute("total", len(kernel_result.relation))
-            return LocalLoopOutcome(relation=kernel_result.relation,
-                                    iterations=kernel_result.iterations,
-                                    index_builds=kernel_result.index_builds,
-                                    index_reuses=kernel_result.index_reuses)
-        accumulator = DeltaAccumulator(chunk)
-        delta = chunk
-        env: dict[str, Relation] = {}
-        iterations = 0
-        while delta:
-            iterations += 1
-            if iterations > max_iterations:
-                raise EvaluationError(
-                    f"local fixpoint on {fixpoint.var!r} did not converge "
-                    f"within {max_iterations} iterations")
-            env[fixpoint.var] = delta
-            iteration_span = tracing.span(
-                "fixpoint.iteration", var=fixpoint.var, iteration=iterations,
-                delta=len(delta)) if traced else tracing.NOOP_SPAN
-            with iteration_span:
-                produced = evaluator.evaluate(decomposition.variable_part,
-                                              env=env)
-                delta = accumulator.absorb(produced)
-                if traced:
-                    iteration_span.set_attribute("produced", len(produced))
-                    iteration_span.set_attribute("total", len(accumulator))
-        if traced:
-            loop_span.set_attribute("iterations", iterations)
-            loop_span.set_attribute("total", len(accumulator))
-    return LocalLoopOutcome(relation=accumulator.relation(),
-                            iterations=iterations,
-                            index_builds=evaluator.stats.index_builds,
-                            index_reuses=evaluator.stats.index_reuses)
+        loop_span.set_attribute("iterations", run.iterations)
+        loop_span.set_attribute("total", len(run.relation))
+    return LocalLoopOutcome(
+        relation=run.relation, iterations=run.iterations,
+        index_builds=run.index_builds + evaluator.stats.index_builds,
+        index_reuses=run.index_reuses + evaluator.stats.index_reuses)
 
 
 def run_postgres_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],

@@ -71,6 +71,8 @@ class DistributedRelation:
     def count(self) -> int:
         return sum(len(partition) for partition in self.partitions)
 
+    __len__ = count
+
     def partition_sizes(self) -> list[int]:
         return [len(partition) for partition in self.partitions]
 
@@ -80,9 +82,6 @@ class DistributedRelation:
         for partition in self.partitions:
             rows.update(partition.rows)
         return Relation._from_trusted(self.columns, rows)
-
-    def is_empty(self) -> bool:
-        return all(len(partition) == 0 for partition in self.partitions)
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(partitions={self.partition_sizes()}, "
@@ -161,6 +160,29 @@ class DistributedRelation:
         if self.columns != other.columns:
             raise DistributionError(
                 f"incompatible schemas {self.columns} and {other.columns}")
+
+
+class DistinctAccumulator:
+    """``Pgld``'s accumulated Dataset, for the semi-naive driver.
+
+    The distributed twin of :class:`~repro.data.storage.DeltaAccumulator`:
+    ``absorb`` is the global set difference followed by the global union,
+    each of which repartitions the data — the per-iteration shuffles that
+    make the plan's communication grow with the recursion depth.
+    """
+
+    def __init__(self, seed: DistributedRelation):
+        self.dataset = seed
+
+    def __len__(self) -> int:
+        return self.dataset.count()
+
+    def absorb(self, produced: DistributedRelation) -> DistributedRelation:
+        # new = phi(new) \ X    (global set difference: shuffle)
+        delta = produced.subtract_distinct(self.dataset)
+        # X = X U new           (union + distinct: shuffle)
+        self.dataset = self.dataset.union_distinct(delta)
+        return delta
 
 
 class SetRDD(DistributedRelation):

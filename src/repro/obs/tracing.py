@@ -355,9 +355,8 @@ def suspended() -> Iterator[None]:
     """Short-circuit even the disabled-path ContextVar reads.
 
     This exists for one caller: ``benchmarks/bench_obs_overhead.py``
-    measures the cost of the *disabled* tracing path against this floor
-    (the same pattern as ``storage.compatibility_mode()``).  It is not a
-    general off switch — it is the measurement baseline.
+    measures the cost of the *disabled* tracing path against this floor.
+    It is not a general off switch — it is the measurement baseline.
     """
     global _suspended
     _suspended = True

@@ -58,12 +58,13 @@ from typing import TYPE_CHECKING
 
 from ..algebra.conditions import decompose
 from ..algebra.evaluate import Evaluator
+from ..algebra.fixpoint import semi_naive
 from ..algebra.terms import Antijoin, Fixpoint, Rename, RelVar, Term
 from ..algebra.visitors import walk
 from ..data.relation import Relation
 from ..data.snapshot import DatabaseSnapshot, RelationDelta
 from ..data.storage import DeltaAccumulator
-from ..errors import FixpointConditionError
+from ..errors import EvaluationError, FixpointConditionError
 from ..obs import tracing
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import get_registry
@@ -100,6 +101,7 @@ FALLBACK = "fallback-recompute"
 SKIPPED_SHAPE = "skipped-shape"
 SKIPPED_NONMONOTONE = "skipped-nonmonotone"
 SKIPPED_STALE = "skipped-stale"
+SKIPPED_UNCONVERGED = "skipped-unconverged"
 
 
 @dataclass(frozen=True)
@@ -277,6 +279,12 @@ class ViewMaintainer:
             # or an Fcond violation the rewriter let through): the
             # maintenance algebra does not apply, recompute on next miss.
             return decide(SKIPPED_SHAPE)
+        except EvaluationError:
+            # The resume or overdeletion loop hit its iteration bound —
+            # the plan itself already evaluated cleanly against the
+            # predecessor snapshot.  Not an Fcond matter: the entry just
+            # goes stale and the next read recomputes.
+            return decide(SKIPPED_UNCONVERGED)
         relation = _rewrap(maintained, renames)
         elapsed = time.perf_counter() - started
         maintained_result = replace(result, relation=relation,
@@ -350,9 +358,8 @@ class ViewMaintainer:
             .union(lost_constant)
         # Propagate: anything derivable *from* an overdeleted row may
         # itself have lost its derivation.  Old rules over-approximate.
-        while frontier:
-            produced = eval_old.evaluate(variable_part, env={var: frontier})
-            frontier = overdeleted.absorb(produced)
+        _converge(eval_old, variable_part, var, overdeleted, frontier,
+                  "overdeletion")
         candidate = old_result.difference(overdeleted.relation())
         # Resume under the new database: re-derives overdeleted rows that
         # still have support and folds in this commit's insertions.
@@ -377,16 +384,20 @@ def _resume(evaluator: Evaluator, variable_part: Term, var: str, *,
     step = evaluator.evaluate(variable_part, env={var: seed}) if seed \
         else Relation.empty(constant.columns)
     frontier = frontier.union(accumulator.absorb(step))
-    iterations = 0
-    while frontier:
-        iterations += 1
-        if iterations > evaluator.max_iterations:
-            raise FixpointConditionError(
-                f"maintenance resume on {var!r} did not converge after "
-                f"{evaluator.max_iterations} iterations")
-        produced = evaluator.evaluate(variable_part, env={var: frontier})
-        frontier = accumulator.absorb(produced)
+    _converge(evaluator, variable_part, var, accumulator, frontier, "resume")
     return accumulator.relation()
+
+
+def _converge(evaluator: Evaluator, variable_part: Term, var: str,
+              accumulator: DeltaAccumulator, frontier: Relation,
+              phase: str) -> None:
+    """Drive ``accumulator`` to convergence from a pre-seeded frontier."""
+    limit = evaluator.max_iterations
+    semi_naive(
+        lambda delta: evaluator.evaluate(variable_part, env={var: delta}),
+        accumulator, frontier, var=var, engine="row", limit=limit,
+        nonconvergence=f"maintenance {phase} on {var!r} did not converge "
+                       f"after {limit} iterations")
 
 
 # -- Plan-shape analysis ---------------------------------------------------

@@ -1,0 +1,172 @@
+"""Contract of the semi-naive driver (``repro.algebra.fixpoint``).
+
+One loop serves every engine, so the contract is stated once and checked
+against both accumulators: same iterations, same result, same guard,
+same spans.  The cluster-counter literals at the bottom were captured at
+the commit before the seven hand-written loops were replaced.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+
+import pytest
+
+from repro import Session
+from repro.algebra import (Evaluator, RelVar, closure, closure_from_seed,
+                           decompose, filter_source, naive_fixpoint,
+                           run_fixpoint)
+from repro.algebra.kernels import KernelProgramCache
+from repro.data import LabeledGraph, Relation, ValueDictionary, row_mode
+from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
+                               make_plan)
+from repro.errors import EvaluationError
+from repro.obs import tracing
+from repro.obs.tracing import Tracer
+
+ENGINES = ("columnar", "row")
+
+CHAIN = Relation.from_pairs([(i, i + 1) for i in range(6)] + [(2, 9)],
+                            columns=("src", "trg"))
+
+#: name -> (fixpoint, iterations both engines must take)
+FIXPOINTS = {
+    "tc": (closure(RelVar("E"), var="X"), 6),
+    "filtered": (closure_from_seed(filter_source(RelVar("E"), 2),
+                                   RelVar("E"), var="X"), 4),
+}
+
+
+def pinned(engine):
+    return row_mode() if engine == "row" else nullcontext()
+
+
+def drive(fixpoint, engine, limit=100, nonconvergence="did not converge"):
+    """Run one fixpoint over ``CHAIN`` through ``run_fixpoint``."""
+    database = {"E": CHAIN}
+    evaluator = Evaluator(database)
+    decomposition = decompose(fixpoint)
+    seed = evaluator.evaluate(decomposition.constant_part)
+
+    def row_step(delta):
+        return evaluator.evaluate(decomposition.variable_part,
+                                  env={fixpoint.var: delta})
+
+    with pinned(engine):
+        return run_fixpoint(
+            KernelProgramCache(), fixpoint.var, decomposition.variable_part,
+            seed, ValueDictionary(), evaluator.evaluate_constant, row_step,
+            limit, nonconvergence)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", sorted(FIXPOINTS))
+def test_same_iterations_and_result_on_both_accumulators(name, engine):
+    fixpoint, iterations = FIXPOINTS[name]
+    run = drive(fixpoint, engine)
+    assert run.iterations == iterations
+    assert run.relation == naive_fixpoint(fixpoint, {"E": CHAIN})
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_limit_raises_the_callers_message_verbatim(engine):
+    fixpoint, iterations = FIXPOINTS["tc"]
+    message = "caller's words, limit 5, verbatim"
+    with pytest.raises(EvaluationError) as raised:
+        drive(fixpoint, engine, limit=iterations - 1, nonconvergence=message)
+    assert str(raised.value) == message
+    # The bound is inclusive: exactly `iterations` rounds are allowed.
+    assert drive(fixpoint, engine, limit=iterations).iterations == iterations
+
+
+def iteration_spans(tracer):
+    return [dict(record.attributes) for record in tracer.records()
+            if record.name == "fixpoint.iteration"]
+
+
+def test_both_engines_emit_the_same_six_span_attributes():
+    fixpoint, iterations = FIXPOINTS["tc"]
+    spans = {}
+    for engine in ENGINES:
+        tracer = Tracer(enabled=True)
+        with tracing.activate(tracer):
+            drive(fixpoint, engine)
+        spans[engine] = iteration_spans(tracer)
+        assert len(spans[engine]) == iterations
+        for attributes in spans[engine]:
+            assert set(attributes) == {"var", "iteration", "delta",
+                                       "produced", "total", "engine"}
+            assert attributes["engine"] == engine
+    # Engines differ in how many duplicates a step emits, never in what
+    # is genuinely new.
+    comparable = ("var", "iteration", "delta", "total")
+    assert [[a[k] for k in comparable] for a in spans["columnar"]] \
+        == [[a[k] for k in comparable] for a in spans["row"]]
+    assert spans["row"][0] == {"var": "X", "iteration": 1, "delta": 7,
+                               "produced": 6, "total": 13, "engine": "row"}
+
+
+def test_postgres_local_loops_trace_iterations_on_the_row_engine(
+        paper_database):
+    """The row fallback of ``LocalSQLEngine`` used to run dark."""
+    tracer = Tracer(enabled=True)
+    with row_mode(), tracing.activate(tracer):
+        plan = make_plan(PPLW_POSTGRES, SparkCluster(num_workers=4),
+                         paper_database)
+        plan.execute(closure(RelVar("E"), var="X"))
+    spans = iteration_spans(tracer)
+    assert len(spans) == 13  # == local_iterations below
+    assert {attributes["engine"] for attributes in spans} == {"row"}
+
+
+def test_sync_insert_resume_traces_its_iterations():
+    """Maintenance loops used to emit no iteration spans (and the DRed
+    overdeletion loop had no bound either)."""
+    graph = LabeledGraph(name="resume-trace")
+    graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(30)])
+    tracer = Tracer(enabled=True)
+    with Session(graph, num_workers=2) as session:
+        session.ucrpq("?x,?y <- ?x knows+ ?y").collect()
+        with tracing.activate(tracer):
+            session.add_edges("knows", [("z0", "n0"), ("n30", "z1")])
+        assert session.last_maintenance.resumed == 1
+    records = tracer.records()
+    entry = next(r for r in records if r.name == "maintenance.entry")
+    spans = [r for r in records if r.name == "fixpoint.iteration"]
+    assert spans and all(r.parent_id == entry.span_id for r in spans)
+    assert {dict(r.attributes)["engine"] for r in spans} == {"row"}
+
+
+#: ClusterMetrics of the closure of E on the paper database (4 workers,
+#: serial executor), captured before the loops were unified.
+_PLW = {"shuffles": 0, "tuples_shuffled": 0, "broadcasts": 1,
+        "tuples_broadcast": 56, "tasks_launched": 4, "task_waves": 1,
+        "global_iterations": 0, "local_iterations": 13, "index_builds": 4,
+        "index_reuses": 9}
+_PGLD = {"shuffles": 8, "tuples_shuffled": 299, "broadcasts": 4,
+         "tuples_broadcast": 224, "global_iterations": 4,
+         "local_iterations": 0, "tuples_marshalled": 0, "index_builds": 1,
+         "index_reuses": 3}
+PARENT_COUNTERS = {
+    (PGLD, "columnar"): dict(_PGLD, tasks_launched=16, task_waves=4),
+    (PGLD, "row"): dict(_PGLD, tasks_launched=48, task_waves=12),
+    (PPLW_SPARK, "columnar"): dict(_PLW, tuples_marshalled=0),
+    (PPLW_SPARK, "row"): dict(_PLW, tuples_marshalled=0),
+    (PPLW_POSTGRES, "columnar"): dict(_PLW, tuples_marshalled=51),
+    (PPLW_POSTGRES, "row"): dict(_PLW, tuples_marshalled=51),
+}
+
+
+@pytest.mark.parametrize("strategy,engine", sorted(PARENT_COUNTERS))
+def test_cluster_counters_match_the_hand_written_loops(paper_database,
+                                                       strategy, engine):
+    cluster = SparkCluster(num_workers=4)
+    with pinned(engine):
+        result = make_plan(strategy, cluster, paper_database).execute(
+            closure(RelVar("E"), var="X"))
+    metrics = cluster.metrics
+    assert len(result) == 37
+    assert metrics.duplicates_eliminated == 0
+    assert {name: getattr(metrics, name)
+            for name in PARENT_COUNTERS[strategy, engine]} \
+        == PARENT_COUNTERS[strategy, engine]

@@ -6,9 +6,10 @@ import pytest
 
 from repro.algebra.builders import closure
 from repro.algebra.conditions import decompose
+from repro.algebra.fixpoint import run_fixpoint
 from repro.algebra.kernels import (KernelProgramCache, KernelUnsupported,
                                    bind_program, compile_program,
-                                   default_kernel_cache, try_columnar_fixpoint)
+                                   default_kernel_cache)
 from repro.algebra.terms import (Antijoin, Filter, Fixpoint, Join, RelVar,
                                  Union)
 from repro.data.columnar import ValueDictionary, row_mode
@@ -36,6 +37,28 @@ def make_resolve(database):
     return Evaluator(database).evaluate_constant
 
 
+def run_closure(database, limit, nonconvergence):
+    """Run the closure of ``E`` through the driver's engine selection.
+
+    Returns the run and the delta sizes the row step saw (empty when the
+    kernels ran the loop).
+    """
+    from repro.algebra.evaluate import Evaluator
+    fixpoint_var, variable_part, _ = closure_parts(database)
+    evaluator = Evaluator(database)
+    row_deltas = []
+
+    def row_step(delta):
+        row_deltas.append(len(delta))
+        return evaluator.evaluate(variable_part, env={fixpoint_var: delta})
+
+    run = run_fixpoint(
+        KernelProgramCache(), fixpoint_var, variable_part, database["E"],
+        ValueDictionary(), evaluator.evaluate_constant, row_step,
+        limit, nonconvergence)
+    return run, row_deltas
+
+
 class TestCompileAndRun:
     def test_closure_matches_row_engine(self):
         database = {"E": edges([(1, 2), (2, 3), (3, 4), (2, 5)])}
@@ -43,12 +66,8 @@ class TestCompileAndRun:
         term = closure(RelVar("E"), var="X")
         with row_mode():
             expected = evaluate(term, database)
-        fixpoint_var, variable_part, _ = closure_parts(database)
-        result = try_columnar_fixpoint(
-            KernelProgramCache(), fixpoint_var, variable_part,
-            database["E"], ValueDictionary(), make_resolve(database),
-            max_iterations=100, nonconvergence="did not converge")
-        assert result is not None
+        result, row_deltas = run_closure(database, 100, "did not converge")
+        assert row_deltas == []
         assert result.relation == expected
         assert result.iterations >= 3
         assert result.index_builds == 1
@@ -56,21 +75,23 @@ class TestCompileAndRun:
 
     def test_nonconvergence_raises_the_callers_message(self):
         database = {"E": edges([(1, 2), (2, 3), (3, 4)])}
-        fixpoint_var, variable_part, _ = closure_parts(database)
         with pytest.raises(EvaluationError, match="my exact message"):
-            try_columnar_fixpoint(
-                KernelProgramCache(), fixpoint_var, variable_part,
-                database["E"], ValueDictionary(), make_resolve(database),
-                max_iterations=1, nonconvergence="my exact message")
+            run_closure(database, 1, "my exact message")
 
     def test_row_mode_returns_none(self):
+        """The binder declines, so the driver runs the caller's row step."""
         database = {"E": edges([(1, 2), (2, 3)])}
         fixpoint_var, variable_part, _ = closure_parts(database)
         with row_mode():
-            assert try_columnar_fixpoint(
+            assert bind_program(
                 KernelProgramCache(), fixpoint_var, variable_part,
-                database["E"], ValueDictionary(), make_resolve(database),
-                max_iterations=10, nonconvergence="unused") is None
+                ("src", "trg"), ValueDictionary(),
+                make_resolve(database)) is None
+            result, row_deltas = run_closure(database, 10, "unused")
+        assert row_deltas == [2, 1]
+        assert result.relation == edges([(1, 2), (2, 3), (1, 3)])
+        assert (result.index_builds, result.index_reuses, result.probes) \
+            == (0, 0, 0)
 
     def test_filter_on_codes_matches_row_engine(self):
         from repro.algebra.evaluate import evaluate

@@ -1,0 +1,43 @@
+"""The repo-invariant lint tool (``tools/lint_invariants.py``)."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[2] / "tools" / "lint_invariants.py"
+
+VIOLATING = '''
+def closure(step, accumulator, frontier):
+    while frontier:
+        frontier = accumulator.absorb(step(frontier))
+'''
+
+CLEAN = '''
+def resume(step, accumulator, constant, frontier):
+    frontier = accumulator.absorb(constant)      # seeding, not a loop
+    while frontier:
+        frontier = step(frontier)
+'''
+
+
+def lint(tmp_path: Path, relative: str, source: str) -> list[str]:
+    spec = importlib.util.spec_from_file_location("lint_invariants", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / relative
+    path.parent.mkdir(parents=True)
+    path.write_text(source, encoding="utf-8")
+    findings = tool._Findings()
+    tool.lint_file(path, findings)
+    return [code for _, _, code, _ in findings.items]
+
+
+def test_inv004_flags_a_hand_written_semi_naive_loop(tmp_path):
+    assert lint(tmp_path, "src/repro/service/maintain.py",
+                VIOLATING) == ["INV004"]
+
+
+def test_inv004_allows_seeding_calls_and_the_driver_module(tmp_path):
+    assert lint(tmp_path, "src/repro/service/maintain.py", CLEAN) == []
+    assert lint(tmp_path, "src/repro/algebra/fixpoint.py", VIOLATING) == []

@@ -1,14 +1,12 @@
 """Unit tests of the storage engine: trusted construction, hash indexes,
-builders, delta accumulators and the compatibility switch."""
+builders and delta accumulators."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.data.relation import Relation
-from repro.data.storage import (DeltaAccumulator, HashIndex, RelationBuilder,
-                                caching_enabled, compatibility_mode,
-                                set_caching_enabled)
+from repro.data.storage import DeltaAccumulator, HashIndex, RelationBuilder
 from repro.errors import SchemaError
 
 
@@ -162,90 +160,10 @@ class TestDeltaAccumulator:
             assert fast.absorb(produced) == delta
         assert fast.relation() == reference
 
-    def test_compatibility_mode_equivalence(self):
-        seed = edges([(1, 2)])
-        with compatibility_mode():
-            compat = DeltaAccumulator(seed)
-            assert compat.absorb(edges([(2, 3)])) == edges([(2, 3)])
-            assert compat.relation() == edges([(1, 2), (2, 3)])
-
-    def test_absorb_rejects_schema_mismatch_in_both_modes(self):
+    def test_absorb_rejects_schema_mismatch(self):
         """Raw row-set mixing across schemas must fail loudly, as the
         seed's produced.difference(result) did."""
         wrong = Relation(("a", "b"), [(1, 2)])
         accumulator = DeltaAccumulator(edges([(1, 2)]))
         with pytest.raises(SchemaError):
             accumulator.absorb(wrong)
-        with compatibility_mode():
-            compat = DeltaAccumulator(edges([(1, 2)]))
-            with pytest.raises(SchemaError):
-                compat.absorb(wrong)
-
-
-class TestCachingSwitch:
-    def test_flag_roundtrip(self):
-        assert caching_enabled()
-        previous = set_caching_enabled(False)
-        assert previous is True
-        assert not caching_enabled()
-        set_caching_enabled(True)
-        assert caching_enabled()
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with compatibility_mode():
-                assert not caching_enabled()
-                raise RuntimeError("boom")
-        assert caching_enabled()
-
-    def test_compatibility_mode_ignores_prewarmed_indexes(self):
-        """An index warmed *before* the switch must not leak into the
-        compatibility baseline (neither via index_on nor the has_index
-        fast paths)."""
-        relation = edges([(1, 2)])
-        warm = relation.index_on(("src",))
-        with compatibility_mode():
-            assert not relation.has_index(("src",))
-            assert relation.index_on(("src",)) is not warm
-        assert relation.has_index(("src",))
-        assert relation.index_on(("src",)) is warm
-
-    def test_results_identical_across_modes(self):
-        """The compatibility mode changes costs, never answers."""
-        from repro.algebra import RelVar, closure, evaluate
-        database = {"E": edges([(1, 2), (2, 3), (3, 4), (4, 2)])}
-        term = closure(RelVar("E"), var="X")
-        fast = evaluate(term, database)
-        with compatibility_mode():
-            slow = evaluate(term, database)
-        assert fast == slow
-
-    def test_switch_is_context_local_not_process_global(self):
-        """Regression: the switch used to be a module-level global, so a
-        benchmark entering compatibility mode flipped the semantics of
-        ``DeltaAccumulator`` under concurrently running service worker
-        threads mid-fixpoint.  As a ``ContextVar`` the flip is scoped:
-        new threads start from the default context and stay enabled."""
-        import threading
-
-        seen_in_worker = []
-        worker_may_run = threading.Event()
-        worker_done = threading.Event()
-
-        def worker():
-            worker_may_run.wait(timeout=10)
-            seen_in_worker.append(caching_enabled())
-            accumulator = DeltaAccumulator(edges([(1, 2)]))
-            # With caching enabled the accumulator takes the mutable-set
-            # fast path (its compat flag is False).
-            seen_in_worker.append(not accumulator._compat)
-            worker_done.set()
-
-        thread = threading.Thread(target=worker)
-        with compatibility_mode():
-            assert not caching_enabled()
-            thread.start()
-            worker_may_run.set()
-            assert worker_done.wait(timeout=10)
-        thread.join(timeout=10)
-        assert seen_in_worker == [True, True]

@@ -10,9 +10,12 @@ deliberately non-converging fixpoint.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.algebra import RelVar, closure
+from repro.data import row_mode
 from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, LocalSQLEngine,
                                SparkCluster, make_plan)
 from repro.distributed import local_engine as local_engine_module
@@ -43,6 +46,34 @@ def test_local_loop_guard_raises_through_executors(
         plan = make_plan(strategy, cluster, paper_database)
         with pytest.raises(EvaluationError, match="did not converge"):
             plan.execute(closure_term)
+
+
+@pytest.mark.parametrize("strategy", (PGLD, PPLW_SPARK, PPLW_POSTGRES))
+def test_guards_fire_on_the_row_engine_too(paper_database, closure_term,
+                                           monkeypatch, strategy):
+    """One driver, one guard: the row steps hit the same patched bounds
+    (read at call time, shipped with the task) as the kernels."""
+    monkeypatch.setattr(plans_module, "MAX_GLOBAL_ITERATIONS", 2)
+    monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 2)
+    with SparkCluster(num_workers=4, executor="threads") as cluster:
+        plan = make_plan(strategy, cluster, paper_database)
+        with row_mode(), pytest.raises(EvaluationError,
+                                       match="within 2 iterations"):
+            plan.execute(closure_term)
+
+
+@pytest.mark.parametrize("engine", ("columnar", "row"))
+def test_global_iterations_count_every_round_that_ran(
+        paper_database, closure_term, monkeypatch, engine):
+    """The guard trips on entering round ``bound + 1``: the rounds that
+    ran are all counted, the one that was refused is not."""
+    monkeypatch.setattr(plans_module, "MAX_GLOBAL_ITERATIONS", 3)
+    cluster = SparkCluster(num_workers=4)
+    plan = make_plan(PGLD, cluster, paper_database)
+    with row_mode() if engine == "row" else nullcontext():
+        with pytest.raises(EvaluationError, match="did not converge"):
+            plan.execute(closure_term)
+    assert cluster.metrics.global_iterations == 3
 
 
 def test_local_engine_guard_raises(paper_database, closure_term):

@@ -17,7 +17,7 @@ import gc
 import pickle
 
 from repro.data.relation import Relation
-from repro.data.storage import HashIndex, compatibility_mode
+from repro.data.storage import HashIndex
 from repro.distributed.local_engine import LocalSQLEngine
 
 
@@ -110,12 +110,3 @@ def test_pickling_drops_the_index_cache():
     assert clone.index_on(("src",)).probe((1,)) == [(1, 2)]
 
 
-def test_compatibility_mode_disables_memoization():
-    relation = edges([(1, 2)])
-    with compatibility_mode():
-        cold = relation.index_on(("src",))
-        assert not relation.has_index(("src",))
-        assert relation.index_on(("src",)) is not cold
-    # Back in normal mode the index is memoized again.
-    warm = relation.index_on(("src",))
-    assert relation.index_on(("src",)) is warm

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 
 import pytest
 
 from repro import QueryService, Session
-from repro.data import LabeledGraph
+from repro.data import LabeledGraph, row_mode
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 
@@ -48,20 +49,31 @@ def _assert_one_connected_trace(records) -> None:
 
 
 class TestExecutorBackends:
-    @pytest.mark.parametrize("executor", ("serial", "threads", "processes"))
-    def test_fixpoint_spans_join_the_query_trace(self, executor):
+    @pytest.mark.parametrize("executor,engine", [
+        pytest.param("serial", "columnar", id="serial"),
+        pytest.param("threads", "columnar", id="threads"),
+        pytest.param("processes", "columnar", id="processes"),
+        # row_mode() is context-local: it reaches task threads (they run
+        # in a copy of the submitting context), not pool processes.
+        pytest.param("serial", "row", id="serial-row"),
+        pytest.param("threads", "row", id="threads-row")])
+    def test_fixpoint_spans_join_the_query_trace(self, executor, engine):
         tracer = Tracer(enabled=True)
         with Session(_chain_graph(), num_workers=2,
                      executor=executor) as session:
             with tracing.activate(tracer):
                 with tracing.span("test.root"):
-                    session.ucrpq(TC_QUERY).run_once(use_result_cache=False)
+                    with row_mode() if engine == "row" else nullcontext():
+                        session.ucrpq(TC_QUERY).run_once(
+                            use_result_cache=False)
         records = tracer.records()
         _assert_one_connected_trace(records)
-        names = {record.name for record in records}
-        assert "fixpoint.iteration" in names, (
+        iterations = [dict(record.attributes) for record in records
+                      if record.name == "fixpoint.iteration"]
+        assert iterations, (
             f"{executor}: worker-side iteration spans did not reach "
             f"the submitting tracer")
+        assert {attributes["engine"] for attributes in iterations} == {engine}
 
     def test_thread_workers_see_the_submitting_span_as_parent(self):
         """A worker-thread task opened under a span nests beneath it."""

@@ -7,14 +7,18 @@ is only allowed to be faster, never different.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from repro import Session
+from repro.algebra.evaluate import Evaluator
 from repro.algebra.terms import Antijoin, Fixpoint, Join, Rename, RelVar, Union
 from repro.data.graph import LabeledGraph
+from repro.service import view_maintenance
 from repro.service.view_maintenance import (
     FALLBACK, REDERIVED, RESUMED, SKIPPED_NONMONOTONE, SKIPPED_SHAPE,
-    SKIPPED_STALE, ViewMaintainer)
+    SKIPPED_STALE, SKIPPED_UNCONVERGED, ViewMaintainer)
 
 TC = "?x,?y <- ?x knows+ ?y"
 
@@ -144,6 +148,32 @@ class TestFallbackAndSkips:
         result = fresh.collect()
         assert fresh.last_result_cache_hit is False
         assert ("s1", "s3") in result.relation.to_pairs("x", "y")
+
+    @pytest.mark.parametrize("commit", ("insert", "remove"))
+    def test_unconverged_maintenance_leaves_the_entry_stale(
+            self, session, monkeypatch, commit):
+        """Hitting the iteration bound in the resume loop (insert) or the
+        DRed overdeletion loop (remove) must not fail the commit, and is
+        not an Fcond violation: the entry goes stale, the next read
+        recomputes."""
+        cached = session.ucrpq(TC).collect()
+        monkeypatch.setattr(view_maintenance, "Evaluator",
+                            partial(Evaluator, max_iterations=2))
+        if commit == "insert":
+            # One edge at each end: whichever way the plan recurses, one
+            # of them takes ~40 rounds to propagate along the chain.
+            session.add_edges("knows", [("z0", "n0"), ("n40", "z1")])
+        else:
+            session.remove_edges("knows", [("n10", "n11")])
+        stats = session.last_maintenance
+        assert stats.summary() == {"examined": 1, "resumed": 0,
+                                   "rederived": 0, "fallbacks": 0,
+                                   "skipped": 1}
+        assert stats.decisions[0].action == SKIPPED_UNCONVERGED
+        fresh = session.ucrpq(TC)
+        result = fresh.collect()
+        assert fresh.last_result_cache_hit is False
+        assert result.relation == recompute(session, cached.selected_plan)
 
     def test_non_fixpoint_plans_are_left_to_the_miss_path(self, session):
         session.ucrpq("?x,?y <- ?x knows ?y").collect()  # no recursion

@@ -3,7 +3,8 @@
 
 Three invariants keep the concurrency and immutability story of the
 codebase honest; each maps to the runtime sanitizer check that would
-catch its violation only when the bad path actually runs:
+catch its violation only when the bad path actually runs.  A fourth
+keeps the semi-naive loop from being written out a second time:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
         only inside ``src/repro/data/`` (the owning package) and
@@ -20,6 +21,10 @@ INV003  No lambdas (or other inline function expressions) handed to the
         ``src/repro/distributed/``.  Task functions must be module-level
         so the process backend can pickle them instead of silently
         degrading to in-process execution.
+INV004  No ``while`` loop whose body calls ``.absorb(`` outside
+        ``src/repro/algebra/fixpoint.py``.  That module holds the one
+        semi-naive loop (guard, iteration span); every other layer
+        passes it a step function and an accumulator.
 
 Usage::
 
@@ -145,6 +150,25 @@ def _check_task_functions(tree: ast.AST, path: Path,
                              f"process backend can pickle them")
 
 
+def _check_fixpoint_loops(tree: ast.AST, path: Path,
+                          findings: _Findings) -> None:
+    """INV004: the semi-naive loop lives in algebra/fixpoint.py only."""
+    if path.name == "fixpoint.py" and "algebra" in path.parts:
+        return
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.While):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "absorb":
+                findings.add(path, node.lineno, "INV004",
+                             "absorb() inside a while loop: pass a step "
+                             "and an accumulator to "
+                             "repro.algebra.fixpoint.semi_naive instead "
+                             "of writing the semi-naive loop out again")
+
+
 def lint_file(path: Path, findings: _Findings) -> None:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -155,6 +179,7 @@ def lint_file(path: Path, findings: _Findings) -> None:
     _check_relation_internals(tree, path, findings)
     _check_bare_locks(tree, path, findings)
     _check_task_functions(tree, path, findings)
+    _check_fixpoint_loops(tree, path, findings)
 
 
 def main(argv: list[str]) -> int:
