@@ -1,7 +1,7 @@
 """Fig. 14 — scalability: Dist-mu-RA vs BigDatalog on growing Uniprot graphs.
 
 The paper evaluates uniprot_1M/5M/10M; the reproduction uses three graphs of
-growing size (documented in EXPERIMENTS.md).  Shape to reproduce:
+growing size.  Shape to reproduce:
 Dist-mu-RA answers every (query, size) combination and its time grows
 moderately with the graph size, while BigDatalog accumulates failures as the
 size grows.

@@ -4,7 +4,6 @@ Datasets are deliberately much smaller than the paper's (which used a
 62M-triple Yago dump and 1M-10M-edge Uniprot graphs on a 4-machine
 cluster): the goal is to reproduce the *shape* of every figure — who wins,
 by roughly what factor, where failures appear — not the absolute numbers.
-The scale of every dataset is recorded in EXPERIMENTS.md.
 
 Each benchmark module collects its :class:`MeasuredRun` records through the
 ``figure_report`` fixture; at teardown the corresponding figure table is

@@ -3,8 +3,7 @@
 Every benchmark prints, in addition to the pytest-benchmark timing table, a
 compact textual table equivalent to the corresponding figure of the paper:
 one row per query (or parameter value), one column per system, each cell a
-time or a failure cross.  ``EXPERIMENTS.md`` records those tables next to
-the paper's reported shapes.
+time or a failure cross.
 
 All tables go through one shared renderer (:func:`render_table`), so the
 figure tables, the parameter sweeps and the serving-layer latency tables

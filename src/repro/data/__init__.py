@@ -1,7 +1,7 @@
 """Relational data model: tuples, relations, predicates, graphs, statistics."""
 
 from .columnar import (ColumnarRelation, ValueDictionary, columnar_enabled,
-                       row_mode, set_columnar_enabled, snapshot_dictionary)
+                       row_mode, snapshot_dictionary)
 from .graph import INVERSE_PREFIX, PRED, SRC, TRG, LabeledGraph
 from .io import (read_graph_tsv, read_relation_tsv, write_graph_tsv,
                  write_relation_tsv)
@@ -42,7 +42,6 @@ __all__ = [
     "columnar_enabled",
     "conjunction",
     "row_mode",
-    "set_columnar_enabled",
     "snapshot_dictionary",
     "read_graph_tsv",
     "read_relation_tsv",

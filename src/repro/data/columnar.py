@@ -54,7 +54,9 @@ SNAPSHOT_DICTIONARY_KEY = "columnar_value_dictionary"
 #: Context-local switch for the columnar execution kernels.  ``True`` in
 #: normal operation; :func:`row_mode` flips it so benchmarks and the
 #: differential harness can pin the row engine.  A ContextVar scopes the
-#: flip to the flipping context only.
+#: flip to the flipping context only — task threads run in a copy of it,
+#: pool processes do not, so a layer that ships work there ships the
+#: choice with the task (see ``plans.run_local_loop``).
 _columnar_enabled: ContextVar[bool] = ContextVar("repro_columnar_enabled",
                                                 default=True)
 
@@ -64,21 +66,14 @@ def columnar_enabled() -> bool:
     return _columnar_enabled.get()
 
 
-def set_columnar_enabled(enabled: bool) -> bool:
-    """Set the columnar switch in this context; returns the previous value."""
-    previous = _columnar_enabled.get()
-    _columnar_enabled.set(bool(enabled))
-    return previous
-
-
 @contextmanager
 def row_mode():
     """Run a block on the row engine, columnar kernels disabled."""
-    previous = set_columnar_enabled(False)
+    token = _columnar_enabled.set(False)
     try:
         yield
     finally:
-        set_columnar_enabled(previous)
+        _columnar_enabled.reset(token)
 
 
 class ValueDictionary:

@@ -15,7 +15,7 @@ comparable degree shapes:
 
 ``uniprot_graph(num_edges=...)`` targets an approximate edge count, which
 is how the paper names its instances (uniprot_1M, uniprot_5M, ...); the
-reproduction uses much smaller instances, documented in EXPERIMENTS.md.
+reproduction uses much smaller instances.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ from .cluster import (DEFAULT_NUM_WORKERS, ClusterMetrics, SparkCluster,
 from .executor import (EXECUTOR_BACKENDS, PROCESSES, SERIAL, THREADS,
                        ExecutorBackend, ProcessExecutor, SerialExecutor,
                        TaskOutcome, ThreadExecutor, make_executor)
-from .local_engine import (LocalExecutionStats, LocalSQLEngine,
-                           fixpoint_to_sql)
+from .local_engine import fixpoint_to_sql
 from .partitioner import (ROUND_ROBIN, STABLE_COLUMN, PartitioningDecision,
                           plan_partitioning, split_constant_part)
 from .physical import (AUTO, DEFAULT_MEMORY_PER_TASK, DistributedQueryExecutor,
@@ -29,8 +28,6 @@ __all__ = [
     "ExecutionOutcome",
     "ExecutorBackend",
     "GlobalLoopOnDriver",
-    "LocalExecutionStats",
-    "LocalSQLEngine",
     "PGLD",
     "PLAN_CLASSES",
     "PPLW_POSTGRES",

@@ -15,30 +15,39 @@ Spark cluster:
   and even that one disappears when the split used a stable column
   (Section III-B).  Two physical variants exist: ``Pplw^s`` runs the local
   loops with Spark operations over a SetRDD and broadcast joins, while
-  ``Pplw^pg`` delegates each local loop to the worker's PostgreSQL-like
-  engine (:class:`~repro.distributed.local_engine.LocalSQLEngine`).
+  ``Pplw^pg`` delegates each local loop to the worker's PostgreSQL
+  instance and pays for marshalling the rows both ways.
+
+The plans differ in *where* the fixpoint step runs and what it
+communicates, not in how a term is evaluated: every step is either the
+bound columnar kernels or, under :func:`~repro.data.columnar.row_mode`,
+an :class:`~repro.algebra.evaluate.Evaluator` — no plan applies a
+relational operator itself.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 from ..algebra.conditions import decompose
 from ..algebra.evaluate import Evaluator
 from ..algebra.fixpoint import run_fixpoint, semi_naive
 from ..algebra.kernels import KernelProgramCache, bind_program
-from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
-                             Rename, RelVar, Term, Union)
+from ..algebra.schema import infer_schema
+from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
 from ..algebra.variables import free_variables, is_constant_in
-from ..data.columnar import ColumnarRelation, snapshot_dictionary
+from ..algebra.visitors import transform_top_down, walk
+from ..data.columnar import (ColumnarRelation, columnar_enabled, row_mode,
+                             snapshot_dictionary)
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
 from ..errors import DistributionError
 from ..obs import tracing
 from . import local_engine as local_engine_module
 from .cluster import SparkCluster
-from .local_engine import LocalSQLEngine
 from .partitioner import (PartitioningDecision, plan_partitioning,
                           split_constant_part)
 from .rdd import DistinctAccumulator, DistributedRelation, SetRDD
@@ -96,20 +105,6 @@ class DistributedFixpointPlan:
         schemas = database_schemas(self.database)
         return plan_partitioning(fixpoint, schemas)
 
-    def _warm_broadcast_index(self, relation: Relation,
-                              common: tuple[str, ...]) -> None:
-        """Index a broadcast relation on the join columns, once.
-
-        The relation comes from the evaluator's constant cache, so it is
-        the same object on every iteration: the first call builds the hash
-        index, later calls find it memoized — recorded in the cluster
-        metrics so benchmarks can show the reuse.
-        """
-        if not common:
-            return
-        self.cluster.record_index_event(built=not relation.has_index(common))
-        relation.index_on(common)
-
 
 class GlobalLoopOnDriver(DistributedFixpointPlan):
     """``Pgld``: the driver iterates, the workers evaluate each step.
@@ -132,37 +127,39 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
         var = fixpoint.var
         metrics = self.cluster.metrics
         # Compile-and-bind once on the driver; per iteration each partition
-        # runs the kernel chain (encode -> step -> decode) as one task.
-        # ``None`` falls back to tuple-at-a-time distributed evaluation.
+        # runs its step (kernel chain, or the evaluator under row_mode) as
+        # one task.  Either way the constant operands go out per iteration
+        # (broadcast), their indexes are built on the first iteration and
+        # reused after.
         bound = bind_program(self.kernel_cache, var, variable_part,
                              constant.columns, self._dictionary,
                              evaluator.evaluate_constant)
-        kernel_task = self._kernel_partition_task(bound) if bound else None
-        builds = bound.index_builds if bound else 0
+        if bound:
+            task = self._kernel_partition_task(bound)
+            broadcast_sizes = bound.broadcast_sizes
+            indexed_ops, builds = bound.indexed_ops, bound.index_builds
+        else:
+            task, broadcast_sizes, indexed_ops, builds = \
+                self._row_partition_task(var, variable_part,
+                                         constant.columns, evaluator)
 
         def step(delta: DistributedRelation) -> DistributedRelation:
             nonlocal builds
             metrics.global_iterations += 1
-            if kernel_task is None:
-                return self._evaluate_distributed(variable_part, var, delta,
-                                                  evaluator)
-            # Same communication pattern as the row path: the constant
-            # operands go out per iteration (broadcast), their indexes are
-            # built on the first iteration and reused after.
-            for size in bound.broadcast_sizes:
+            for size in broadcast_sizes:
                 self.cluster.record_broadcast(size)
             for _ in range(builds):
                 self.cluster.record_index_event(built=True)
-            for _ in range(bound.indexed_ops - builds):
+            for _ in range(indexed_ops - builds):
                 self.cluster.record_index_event(built=False)
             builds = 0
-            return delta.map_partitions(kernel_task)
+            return delta.map_partitions(task)
 
         seed = DistributedRelation.from_relation(self.cluster, constant)
         accumulator = DistinctAccumulator(seed)
         limit = MAX_GLOBAL_ITERATIONS
         semi_naive(step, accumulator, seed, var=var,
-                   engine="columnar" if kernel_task else "row",
+                   engine="columnar" if bound else "row",
                    limit=limit,
                    nonconvergence=f"global loop on {var!r} did not converge "
                                   f"within {limit} iterations")
@@ -187,83 +184,51 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
                                     dictionary).to_relation()
         return run
 
-    # -- Distributed evaluation of the variable part -------------------------------
+    def _row_partition_task(self, var: str, variable_part: Term,
+                            seed_columns: tuple[str, ...],
+                            evaluator: Evaluator):
+        """The ``row_mode()`` twin of :meth:`_kernel_partition_task`.
 
-    def _evaluate_distributed(self, term: Term, var: str,
-                              dataset: DistributedRelation,
-                              evaluator: Evaluator) -> DistributedRelation:
-        """Evaluate a term where ``var`` is bound to a distributed dataset.
-
-        Operators applied to the recursive side become per-partition tasks;
-        joins against recursion-constant relations are broadcast joins; the
-        recursion-constant subterms themselves are evaluated once on the
-        driver.
+        Returns ``(task, broadcast_sizes, indexed_ops, index_builds)``,
+        the four things the kernel path reads off its bound program.  The
+        recursion-constant operands are evaluated once, here on the
+        driver, and travel inside the shipped term as literals; the task
+        is then the reference evaluator applied to one partition.
         """
-        if isinstance(term, RelVar) and term.name == var:
-            return dataset
-        if is_constant_in(term, var):
-            relation = evaluator.evaluate_constant(term)
-            return DistributedRelation.from_relation(self.cluster, relation)
-        if isinstance(term, Filter):
-            child = self._evaluate_distributed(term.child, var, dataset, evaluator)
-            return child.filter(term.predicate)
-        if isinstance(term, Rename):
-            child = self._evaluate_distributed(term.child, var, dataset, evaluator)
-            return child.map_partitions(
-                lambda partition, _: partition.rename(term.old, term.new))
-        if isinstance(term, AntiProject):
-            child = self._evaluate_distributed(term.child, var, dataset, evaluator)
-            return child.map_partitions(
-                lambda partition, _: partition.antiproject(term.columns))
-        if isinstance(term, Join):
-            return self._binary(term, var, dataset, evaluator,
-                                broadcast="join")
-        if isinstance(term, Antijoin):
-            return self._binary(term, var, dataset, evaluator,
-                                broadcast="antijoin")
-        if isinstance(term, Union):
-            left = self._evaluate_distributed(term.left, var, dataset, evaluator)
-            right = self._evaluate_distributed(term.right, var, dataset, evaluator)
-            merged = [mine.union(theirs)
-                      for mine, theirs in zip(left.partitions, right.partitions)]
-            return DistributedRelation(self.cluster, merged)
-        if isinstance(term, Fixpoint):
-            # A nested fixpoint that is not constant in var would be mutual
-            # recursion, which Fcond excludes; reaching this means the term
-            # is malformed.
-            raise DistributionError(
-                "nested fixpoints depending on the outer recursive variable "
-                "are not supported (mutual recursion)")
-        raise DistributionError(
-            f"cannot distribute term of type {type(term).__name__}")
+        def freeze(node: Term) -> Term:
+            if is_constant_in(node, var):
+                return Literal(evaluator.evaluate_constant(node))
+            return node
 
-    def _binary(self, term: Join | Antijoin, var: str,
-                dataset: DistributedRelation, evaluator: Evaluator,
-                broadcast: str) -> DistributedRelation:
-        left_constant = is_constant_in(term.left, var)
-        right_constant = is_constant_in(term.right, var)
-        if left_constant == right_constant:
-            raise DistributionError(
-                "exactly one operand of a join/antijoin may depend on the "
-                "recursive variable (Fcond linearity)")
-        recursive_side = term.right if left_constant else term.left
-        constant_side = term.left if left_constant else term.right
-        recursive_dataset = self._evaluate_distributed(recursive_side, var,
-                                                       dataset, evaluator)
-        # The constant side is memoized on the evaluator: every iteration
-        # broadcasts (and probes the index of) the very same relation.
-        constant_relation = evaluator.evaluate_constant(constant_side)
-        common = tuple(c for c in recursive_dataset.columns
-                       if c in constant_relation.columns)
-        if broadcast == "join":
-            self._warm_broadcast_index(constant_relation, common)
-            return recursive_dataset.join_broadcast(constant_relation)
-        if not left_constant:
-            self._warm_broadcast_index(constant_relation, common)
-            return recursive_dataset.antijoin_broadcast(constant_relation)
-        raise DistributionError(
-            "the recursive variable may not appear on the right of an "
-            "antijoin (Fcond positivity)")
+        shipped = transform_top_down(variable_part, freeze)
+        broadcast_sizes: list[int] = []
+        indexed_ops = builds = 0
+        for node in walk(shipped):
+            if not isinstance(node, (Join, Antijoin)):
+                continue
+            # Fcond linearity: exactly one side is a (frozen) constant.
+            frozen, recursive = ((node.left, node.right)
+                                 if isinstance(node.left, Literal)
+                                 else (node.right, node.left))
+            relation = frozen.relation
+            broadcast_sizes.append(len(relation))
+            recursive_columns = infer_schema(recursive, {},
+                                             {var: seed_columns})
+            common = tuple(c for c in recursive_columns
+                           if c in relation.columns)
+            if common:
+                indexed_ops += 1
+                builds += not relation.has_index(common)
+                # Built here so in-process tasks share the one table.
+                relation.index_on(common)
+        return (partial(_evaluate_partition, shipped, var),
+                tuple(broadcast_sizes), indexed_ops, builds)
+
+
+def _evaluate_partition(term: Term, var: str, partition: Relation,
+                        _worker_id: int) -> Relation:
+    """One partition's row step: ``term`` with ``var`` bound to it."""
+    return Evaluator({}).evaluate(term, env={var: partition})
 
 
 @dataclass(frozen=True)
@@ -283,16 +248,20 @@ class LocalLoopOutcome:
     index_reuses: int = 0
 
 
-def run_spark_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
-                         chunk: Relation, max_iterations: int) -> LocalLoopOutcome:
-    """One worker's ``Pplw^s`` local fixpoint (semi-naive, Spark-style ops).
+def run_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
+                   chunk: Relation, max_iterations: int, variant: str,
+                   columnar: bool) -> LocalLoopOutcome:
+    """One worker's ``Pplw`` local fixpoint over its chunk of the seed.
 
     Module-level so process-pool executors can ship it by name; ``database``
-    holds only the broadcast relations the variable part needs.  The result
-    grows in a delta accumulator and joins against the broadcast relations
-    go through their memoized indexes — under the threads backend the
-    broadcast relations are shared objects, so one build serves every
-    worker's loop.
+    holds only the broadcast relations the variable part needs.  Everything
+    the driver decided travels as data — the iteration bound and the engine
+    choice (``columnar``; a pool process does not see the driver's
+    ``row_mode()``).  ``variant`` (``spark`` / ``postgres``) labels the span;
+    the PostgreSQL variant also pays for marshalling the chunk in and the
+    result back.  Joins against the broadcast relations go through their
+    memoized indexes — under the threads backend the broadcast relations
+    are shared objects, so one build serves every worker's loop.
     """
     variable_part = decompose(fixpoint).variable_part
     var = fixpoint.var
@@ -303,8 +272,9 @@ def run_spark_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
         env[var] = delta
         return evaluator.evaluate(variable_part, env=env)
 
-    with tracing.span("fixpoint.local_loop", var=var, variant="spark",
-                      seed=len(chunk)) as loop_span:
+    engine = nullcontext() if columnar else row_mode()
+    with engine, tracing.span("fixpoint.local_loop", var=var,
+                              variant=variant, seed=len(chunk)) as loop_span:
         # The process-default program cache gives in-process task reuse
         # (compile once, bind per chunk).
         run = run_fixpoint(
@@ -314,27 +284,12 @@ def run_spark_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
             f"within {max_iterations} iterations")
         loop_span.set_attribute("iterations", run.iterations)
         loop_span.set_attribute("total", len(run.relation))
+    marshalled = len(chunk) + len(run.relation) if variant == "postgres" else 0
     return LocalLoopOutcome(
         relation=run.relation, iterations=run.iterations,
+        tuples_marshalled=marshalled,
         index_builds=run.index_builds + evaluator.stats.index_builds,
         index_reuses=run.index_reuses + evaluator.stats.index_reuses)
-
-
-def run_postgres_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
-                            chunk: Relation, max_iterations: int) -> LocalLoopOutcome:
-    """One worker's ``Pplw^pg`` local fixpoint, delegated to the local engine."""
-    engine = LocalSQLEngine(database, max_iterations=max_iterations)
-    marshalled = len(chunk)
-    with tracing.span("fixpoint.local_loop", var=fixpoint.var,
-                      variant="postgres", seed=len(chunk)) as loop_span:
-        result = engine.evaluate_fixpoint(fixpoint, seed_override=chunk)
-        loop_span.set_attribute("iterations", engine.stats.iterations)
-        loop_span.set_attribute("total", len(result))
-    marshalled += len(result)
-    return LocalLoopOutcome(relation=result, iterations=engine.stats.iterations,
-                            tuples_marshalled=marshalled,
-                            index_builds=engine.stats.index_builds,
-                            index_reuses=engine.stats.index_reuses)
 
 
 class ParallelLocalLoops(DistributedFixpointPlan):
@@ -344,11 +299,11 @@ class ParallelLocalLoops(DistributedFixpointPlan):
     the recursion-constant relations of the variable part, and submits one
     local-fixpoint task per worker to the cluster's executor backend — the
     tasks share no state, which is exactly the paper's claim that the local
-    loops run without coordination.  Subclasses pick the task function.
+    loops run without coordination.  Subclasses name the variant.
     """
 
-    #: Module-level function computing one worker's local fixpoint.
-    local_loop_task = None
+    #: ``spark`` or ``postgres``; see :func:`run_local_loop`.
+    variant: str = "abstract"
 
     def execute(self, fixpoint: Fixpoint) -> Relation:
         self._check_closed(fixpoint)
@@ -368,9 +323,11 @@ class ParallelLocalLoops(DistributedFixpointPlan):
         # backend pickles per task).
         shipped = {name: self.database[name] for name in broadcast_names}
         max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
+        columnar = columnar_enabled()
         outcomes = self.cluster.run_tasks(
-            type(self).local_loop_task,
-            [(fixpoint, shipped, chunk, max_iterations) for chunk in chunks])
+            run_local_loop,
+            [(fixpoint, shipped, chunk, max_iterations, self.variant, columnar)
+             for chunk in chunks])
         local_results: list[Relation] = []
         for worker_id, outcome in enumerate(outcomes):
             loop: LocalLoopOutcome = outcome.value
@@ -426,7 +383,7 @@ class ParallelLocalLoopsSpark(ParallelLocalLoops):
     """
 
     name = PPLW_SPARK
-    local_loop_task = staticmethod(run_spark_local_loop)
+    variant = "spark"
 
 
 class ParallelLocalLoopsPostgres(ParallelLocalLoops):
@@ -440,7 +397,7 @@ class ParallelLocalLoopsPostgres(ParallelLocalLoops):
     """
 
     name = PPLW_POSTGRES
-    local_loop_task = staticmethod(run_postgres_local_loop)
+    variant = "postgres"
 
 
 #: Registry used by the physical plan generator and the benchmarks.

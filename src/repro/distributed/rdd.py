@@ -1,25 +1,24 @@
-"""Partitioned datasets: the RDD / Dataset / SetRDD abstractions.
+"""Partitioned datasets: the Dataset / SetRDD abstractions.
 
-Three Spark abstractions matter for the paper's execution plans:
+Two Spark abstractions matter for the paper's execution plans:
 
 * **Dataset** — relational data partitioned across workers, with
-  shuffle-based operators (``distinct``, shuffle unions) used by the
-  ``Pgld`` global-loop plan,
-* **broadcast joins** — joining every partition against a relation copied
-  to every worker, used inside the local loops of ``Pplw``,
-* **SetRDD** — the BigDatalog abstraction reused by ``Pplw^s``: every
-  partition is a *set*, and union / set-difference are computed partition
-  wise, without any shuffle.
+  per-partition task waves (``map_partitions``) and the shuffle-based
+  operators (``distinct``, shuffle union / difference) that the ``Pgld``
+  global-loop plan pays on every iteration,
+* **SetRDD** — the BigDatalog abstraction reused by ``Pplw``: every
+  partition is the *set* one worker's local fixpoint produced, so the
+  final union needs at most one shuffle, and none when the partitions
+  are provably disjoint.
 
-:class:`DistributedRelation` implements the first two and
-:class:`SetRDD` extends it with the partition-wise operators.
+Relational operators are not applied here: a partition task evaluates its
+term with the shared engines (:mod:`repro.distributed.plans`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from ..data.predicates import Predicate
 from ..data.relation import Relation
 from ..errors import DistributionError
 from .cluster import SparkCluster
@@ -106,28 +105,7 @@ class DistributedRelation:
             new_partitions.append(outcome.value)
         return type(self)(self.cluster, new_partitions)
 
-    def filter(self, predicate: Predicate) -> "DistributedRelation":
-        return self.map_partitions(lambda partition, _: partition.filter(predicate))
-
-    def join_broadcast(self, relation: Relation) -> "DistributedRelation":
-        """Natural-join every partition with a broadcast relation."""
-        self.cluster.record_broadcast(len(relation))
-        return self.map_partitions(
-            lambda partition, _: partition.natural_join(relation))
-
-    def antijoin_broadcast(self, relation: Relation) -> "DistributedRelation":
-        self.cluster.record_broadcast(len(relation))
-        return self.map_partitions(
-            lambda partition, _: partition.antijoin(relation))
-
     # -- Wide (shuffle) transformations -------------------------------------------
-
-    def repartition(self, key_columns: Iterable[str] | None = None) -> "DistributedRelation":
-        """Reshuffle the data across workers (a full shuffle)."""
-        collected = self.collect()
-        self.cluster.record_shuffle(collected and len(collected) or 0)
-        return type(self).from_relation(self.cluster, collected,
-                                        key_columns=key_columns)
 
     def distinct(self) -> "DistributedRelation":
         """Global duplicate elimination: requires a shuffle by row hash."""
@@ -186,25 +164,12 @@ class DistinctAccumulator:
 
 
 class SetRDD(DistributedRelation):
-    """An RDD whose partitions are sets, with partition-wise set algebra.
+    """An RDD whose partitions are sets (BigDatalog's abstraction).
 
-    This is the abstraction BigDatalog introduced and that ``Pplw^s``
-    reuses: because every worker runs its own local fixpoint, union and set
-    difference never need to look at other partitions, so they are computed
-    partition by partition without any shuffle.
+    ``Pplw`` holds the workers' local fixpoints in one: every worker ran
+    its own complete loop, so nothing looked at another partition during
+    the recursion and only the final union may need a shuffle.
     """
-
-    def union_partitionwise(self, other: "DistributedRelation") -> "SetRDD":
-        self._require_same_layout(other)
-        merged = [mine.union(theirs)
-                  for mine, theirs in zip(self.partitions, other.partitions)]
-        return SetRDD(self.cluster, merged)
-
-    def difference_partitionwise(self, other: "DistributedRelation") -> "SetRDD":
-        self._require_same_layout(other)
-        reduced = [mine.difference(theirs)
-                   for mine, theirs in zip(self.partitions, other.partitions)]
-        return SetRDD(self.cluster, reduced)
 
     def collect_no_dedup(self) -> Relation:
         """Concatenate partitions assuming they are pairwise disjoint.

@@ -3,7 +3,9 @@
 One loop serves every engine, so the contract is stated once and checked
 against both accumulators: same iterations, same result, same guard,
 same spans.  The cluster-counter literals at the bottom were captured at
-the commit before the seven hand-written loops were replaced.
+the commit before the seven hand-written loops were replaced; ``Pgld``'s
+row entry converged onto its columnar one when the row fallback became
+one task wave per iteration too.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ def test_both_engines_emit_the_same_six_span_attributes():
 
 def test_postgres_local_loops_trace_iterations_on_the_row_engine(
         paper_database):
-    """The row fallback of ``LocalSQLEngine`` used to run dark."""
+    """The ``Pplw^pg`` row fallback used to run dark."""
     tracer = Tracer(enabled=True)
     with row_mode(), tracing.activate(tracer):
         plan = make_plan(PPLW_POSTGRES, SparkCluster(num_workers=4),
@@ -149,7 +151,9 @@ _PGLD = {"shuffles": 8, "tuples_shuffled": 299, "broadcasts": 4,
          "index_reuses": 3}
 PARENT_COUNTERS = {
     (PGLD, "columnar"): dict(_PGLD, tasks_launched=16, task_waves=4),
-    (PGLD, "row"): dict(_PGLD, tasks_launched=48, task_waves=12),
+    # One map_partitions wave per iteration on either engine (the row
+    # fallback used to launch one wave per operator: 48 tasks, 12 waves).
+    (PGLD, "row"): dict(_PGLD, tasks_launched=16, task_waves=4),
     (PPLW_SPARK, "columnar"): dict(_PLW, tuples_marshalled=0),
     (PPLW_SPARK, "row"): dict(_PLW, tuples_marshalled=0),
     (PPLW_POSTGRES, "columnar"): dict(_PLW, tuples_marshalled=51),

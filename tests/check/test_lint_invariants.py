@@ -20,13 +20,23 @@ def resume(step, accumulator, constant, frontier):
         frontier = step(frontier)
 '''
 
+JOINING = '''
+def step(partition, broadcast):
+    return partition.natural_join(broadcast)
+'''
+
+DELEGATING = '''
+def step(term, var, partition):
+    return Evaluator({}).evaluate(term, env={var: partition})
+'''
+
 
 def lint(tmp_path: Path, relative: str, source: str) -> list[str]:
     spec = importlib.util.spec_from_file_location("lint_invariants", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     path = tmp_path / relative
-    path.parent.mkdir(parents=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source, encoding="utf-8")
     findings = tool._Findings()
     tool.lint_file(path, findings)
@@ -41,3 +51,15 @@ def test_inv004_flags_a_hand_written_semi_naive_loop(tmp_path):
 def test_inv004_allows_seeding_calls_and_the_driver_module(tmp_path):
     assert lint(tmp_path, "src/repro/service/maintain.py", CLEAN) == []
     assert lint(tmp_path, "src/repro/algebra/fixpoint.py", VIOLATING) == []
+
+
+def test_inv005_flags_a_row_join_outside_the_evaluator(tmp_path):
+    assert lint(tmp_path, "src/repro/distributed/rdd.py",
+                JOINING) == ["INV005"]
+
+
+def test_inv005_allows_delegation_and_the_operator_homes(tmp_path):
+    assert lint(tmp_path, "src/repro/distributed/rdd.py", DELEGATING) == []
+    for home in ("data/relation.py", "algebra/evaluate.py",
+                 "baselines/datalog/engine.py"):
+        assert lint(tmp_path, f"src/repro/{home}", JOINING) == []

@@ -7,10 +7,12 @@ import pickle
 import threading
 from array import array
 
+import pytest
+
 from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY, ColumnarBatch,
                                  ColumnarDeltaAccumulator, ColumnarRelation,
                                  ValueDictionary, columnar_enabled, row_mode,
-                                 set_columnar_enabled, snapshot_dictionary)
+                                 snapshot_dictionary)
 from repro.data.relation import Relation
 from repro.data.snapshot import DatabaseSnapshot
 
@@ -165,9 +167,10 @@ class TestEngineSwitch:
             assert not columnar_enabled()
         assert columnar_enabled()
 
-    def test_set_columnar_enabled_returns_previous(self):
-        assert set_columnar_enabled(False) is True
-        try:
-            assert not columnar_enabled()
-        finally:
-            set_columnar_enabled(True)
+    def test_row_mode_nests_and_restores_on_error(self):
+        with pytest.raises(RuntimeError), row_mode():
+            with row_mode():
+                pass
+            assert not columnar_enabled()  # leaving the inner block
+            raise RuntimeError("inside row_mode")
+        assert columnar_enabled()

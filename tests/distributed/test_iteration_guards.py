@@ -16,10 +16,11 @@ import pytest
 
 from repro.algebra import RelVar, closure
 from repro.data import row_mode
-from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, LocalSQLEngine,
-                               SparkCluster, make_plan)
+from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
+                               make_plan)
 from repro.distributed import local_engine as local_engine_module
 from repro.distributed import plans as plans_module
+from repro.distributed.plans import run_local_loop
 from repro.errors import EvaluationError
 
 
@@ -77,15 +78,19 @@ def test_global_iterations_count_every_round_that_ran(
 
 
 def test_local_engine_guard_raises(paper_database, closure_term):
-    engine = LocalSQLEngine(paper_database, max_iterations=1)
     with pytest.raises(EvaluationError, match="did not converge"):
-        engine.evaluate_fixpoint(closure_term)
+        run_local_loop(closure_term, paper_database, paper_database["E"],
+                       1, "postgres", True)
 
 
 def test_local_engine_guard_reports_bound(paper_database, closure_term):
-    engine = LocalSQLEngine(paper_database, max_iterations=2)
-    with pytest.raises(EvaluationError, match="within 2 iterations"):
-        engine.evaluate_fixpoint(closure_term)
+    """The bound is an argument of the task, not read inside it."""
+    for columnar in (True, False):
+        with pytest.raises(EvaluationError,
+                           match="local fixpoint on 'X' did not converge "
+                                 "within 2 iterations"):
+            run_local_loop(closure_term, paper_database, paper_database["E"],
+                           2, "postgres", columnar)
 
 
 def test_harness_reports_nonconvergence_as_failed_run(paper_edges, monkeypatch):

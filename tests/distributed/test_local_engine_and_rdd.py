@@ -1,4 +1,4 @@
-"""Tests of the per-worker local engine, the RDD abstractions and the
+"""Tests of the per-worker local loop, the RDD abstractions and the
 physical plan generator/executor."""
 
 from __future__ import annotations
@@ -9,48 +9,84 @@ from repro.algebra import (Filter, RelVar, closure, closure_from_seed,
                            evaluate)
 from repro.data import Eq, Relation
 from repro.distributed import (AUTO, DistributedQueryExecutor,
-                               DistributedRelation, LocalSQLEngine,
-                               PPLW_POSTGRES, PPLW_SPARK,
-                               PhysicalPlanGenerator, SetRDD, SparkCluster,
+                               DistributedRelation, PPLW_POSTGRES, PPLW_SPARK,
+                               PhysicalPlanGenerator, SparkCluster,
                                fixpoint_to_sql)
+from repro.distributed.plans import run_local_loop
 from repro.errors import DistributionError, EvaluationError
+from repro.obs import tracing
+from repro.obs.tracing import Tracer
 
 
-class TestLocalSQLEngine:
+def local_loop(fixpoint, database, chunk, variant="postgres", columnar=True):
+    return run_local_loop(fixpoint, database, chunk, 100, variant, columnar)
+
+
+class TestLocalLoop:
+    """``run_local_loop``: one worker's fixpoint over its chunk of the seed."""
+
     def test_fixpoint_matches_reference_evaluator(self, paper_database):
-        engine = LocalSQLEngine(paper_database)
         term = closure(RelVar("E"), var="X")
-        assert engine.evaluate_fixpoint(term) == evaluate(term, paper_database)
+        for columnar in (True, False):
+            outcome = local_loop(term, paper_database, paper_database["E"],
+                                 columnar=columnar)
+            assert outcome.relation == evaluate(term, paper_database)
 
-    def test_seed_override_restricts_the_recursion(self, paper_database):
-        engine = LocalSQLEngine(paper_database)
+    def test_chunk_restricts_the_recursion(self, paper_database):
         term = closure(RelVar("E"), var="X")
-        seed = Relation.from_pairs([(1, 2)], columns=("src", "trg"))
-        restricted = engine.evaluate_fixpoint(term, seed_override=seed)
-        full = engine.evaluate_fixpoint(term)
+        chunk = Relation.from_pairs([(1, 2)], columns=("src", "trg"))
+        restricted = local_loop(term, paper_database, chunk).relation
+        full = local_loop(term, paper_database, paper_database["E"]).relation
         assert restricted.rows < full.rows
         assert all(row["src"] == 1 for row in restricted.to_dicts())
 
-    def test_indexes_are_built_once_and_reused(self, paper_database):
-        engine = LocalSQLEngine(paper_database)
-        term = closure(RelVar("E"), var="X")
-        engine.evaluate_fixpoint(term)
-        assert engine.stats.index_builds == 1
-        assert engine.stats.indexed_probes > 0
-        assert engine.stats.iterations >= 3
+    def test_indexes_are_built_once_and_reused(self, paper_edges):
+        for columnar in (True, False):
+            # A private copy: the fixture may already carry the index.
+            database = {"E": Relation(paper_edges.columns, paper_edges.rows)}
+            outcome = local_loop(closure(RelVar("E"), var="X"), database,
+                                 database["E"], columnar=columnar)
+            assert outcome.iterations >= 3
+            assert outcome.index_builds == 1
+            assert outcome.index_reuses == outcome.iterations - 1
 
     def test_filtered_seed_term(self, paper_database):
-        engine = LocalSQLEngine(paper_database)
-        term = closure_from_seed(Filter(Eq("src", 1), RelVar("S")), RelVar("E"),
-                                 var="X")
-        assert engine.evaluate_fixpoint(term) == evaluate(term, paper_database)
+        seed = Filter(Eq("src", 1), RelVar("S"))
+        term = closure_from_seed(seed, RelVar("E"), var="X")
+        outcome = local_loop(term, paper_database,
+                             evaluate(seed, paper_database))
+        assert outcome.relation == evaluate(term, paper_database)
 
-    def test_unknown_table_raises(self, paper_database):
-        engine = LocalSQLEngine(paper_database)
-        with pytest.raises(EvaluationError):
-            engine.evaluate(RelVar("missing"))
+    def test_only_the_postgres_variant_marshals(self, paper_database):
+        term = closure(RelVar("E"), var="X")
+        chunk = paper_database["E"]
+        postgres = local_loop(term, paper_database, chunk)
+        spark = local_loop(term, paper_database, chunk, variant="spark")
+        assert spark.relation == postgres.relation
+        assert spark.tuples_marshalled == 0
+        assert postgres.tuples_marshalled == len(chunk) + len(postgres.relation)
 
-    def test_sql_rendering_mentions_recursive_cte(self, paper_database):
+    def test_engine_choice_is_an_argument_not_ambient_state(self,
+                                                            paper_database):
+        """What a pool process sees: no ``row_mode()``, only the flag."""
+        term = closure(RelVar("E"), var="X")
+        engines = {}
+        for columnar in (True, False):
+            tracer = Tracer(enabled=True)
+            with tracing.activate(tracer):
+                local_loop(term, paper_database, paper_database["E"],
+                           columnar=columnar)
+            engines[columnar] = {
+                dict(record.attributes)["engine"]
+                for record in tracer.records()
+                if record.name == "fixpoint.iteration"}
+        assert engines == {True: {"columnar"}, False: {"row"}}
+
+    def test_unknown_table_raises(self, paper_edges):
+        with pytest.raises(EvaluationError, match="unknown relation"):
+            local_loop(closure(RelVar("missing"), var="X"), {}, paper_edges)
+
+    def test_sql_rendering_mentions_recursive_cte(self):
         term = closure(RelVar("E"), var="X")
         sql = fixpoint_to_sql(term)
         assert "WITH RECURSIVE" in sql
@@ -81,15 +117,6 @@ class TestDistributedRelation:
         assert cluster.metrics.shuffles == 1
         assert cluster.metrics.tuples_shuffled == len(paper_edges)
 
-    def test_broadcast_join_matches_local_join(self, paper_edges, paper_start_edges):
-        cluster = SparkCluster(num_workers=2)
-        renamed = paper_start_edges.rename("trg", "mid")
-        dataset = DistributedRelation.from_relation(cluster, renamed)
-        other = paper_edges.rename("src", "mid")
-        joined = dataset.join_broadcast(other)
-        assert joined.collect() == renamed.natural_join(other)
-        assert cluster.metrics.broadcasts == 1
-
     def test_mismatched_schemas_rejected(self, paper_edges, paper_start_edges):
         cluster = SparkCluster(num_workers=2)
         left = DistributedRelation.from_relation(cluster, paper_edges)
@@ -97,15 +124,6 @@ class TestDistributedRelation:
             cluster, paper_start_edges.rename("trg", "other"))
         with pytest.raises(DistributionError):
             left.union_distinct(right)
-
-    def test_setrdd_partitionwise_operations_do_not_shuffle(self, paper_edges):
-        cluster = SparkCluster(num_workers=2)
-        rdd = SetRDD.from_relation(cluster, paper_edges)
-        union = rdd.union_partitionwise(rdd)
-        difference = rdd.difference_partitionwise(rdd)
-        assert union.collect() == paper_edges
-        assert difference.count() == 0
-        assert cluster.metrics.shuffles == 0
 
 
 class TestPhysicalPlanGenerator:

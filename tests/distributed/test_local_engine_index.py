@@ -1,14 +1,14 @@
 """Regression tests for the hash-index cache identity, on the shared layer.
 
-History: the LocalSQLEngine cache was first keyed on ``id(relation)``.
+History: the local engine's index cache was first keyed on ``id(relation)``.
 CPython reuses the addresses of collected objects, so after a relation died
 a *different* relation could land on the same address and silently receive
 the dead relation's index — wrong join results with no error.  PR 2 re-keyed
-the cache on the relation object; this PR moves the index onto the relation
+the cache on the relation object; PR 3 moved the index onto the relation
 itself (``Relation.index_on`` memoizes on the instance), which makes the
 failure mode structurally impossible: an index cannot outlive its relation
 because it *is part of* the relation.  These tests pin that property and
-the engine's build/reuse accounting on top of the shared layer.
+the evaluator's build/reuse accounting on top of the shared layer.
 """
 
 from __future__ import annotations
@@ -16,21 +16,26 @@ from __future__ import annotations
 import gc
 import pickle
 
+from repro.algebra import Evaluator, Join, RelVar
 from repro.data.relation import Relation
 from repro.data.storage import HashIndex
-from repro.distributed.local_engine import LocalSQLEngine
 
 
 def edges(pairs):
     return Relation.from_pairs(pairs, columns=("src", "trg"))
 
 
+def join_with_delta(evaluator, delta):
+    """One recursive step's join: ``X`` (the delta) against constant ``E``."""
+    return evaluator.evaluate(Join(RelVar("X"), RelVar("E")),
+                              env={"X": delta})
+
+
 def test_index_is_correct_after_id_reuse():
     """A new relation allocated at a dead relation's address must not
     inherit the dead relation's index (the original id-keying bug)."""
-    engine = LocalSQLEngine({})
     first = edges([(1, 2), (1, 3)])
-    stale = engine._index_for(first, ("src",))
+    stale = first.index_on(("src",))
     assert set(stale.buckets) == {(1,)}
     dead_id = id(first)
     del first
@@ -45,45 +50,43 @@ def test_index_is_correct_after_id_reuse():
             break
     if fresh is None:  # pragma: no cover - allocator did not cooperate
         fresh = edges([(7, 8), (9, 10)])
-    index = engine._index_for(fresh, ("src",))
+    index = fresh.index_on(("src",))
     assert set(index.buckets) == {(7,), (9,)}
     assert index.probe((1,)) == []
 
 
 def test_engine_uses_the_shared_relation_index():
-    """The engine's index IS the relation's memoized index — one layer."""
-    engine = LocalSQLEngine({})
+    """The evaluator's join index IS the relation's memoized index."""
     relation = edges([(1, 2), (2, 3)])
-    via_engine = engine._index_for(relation, ("src",))
-    assert via_engine is relation.index_on(("src",))
-    assert relation.has_index(("src",))
+    evaluator = Evaluator({"E": relation})
+    assert not relation.has_index(("src", "trg"))
+    join_with_delta(evaluator, edges([(1, 2)]))
+    assert relation.has_index(("src", "trg"))
 
 
 def test_same_relation_reuses_index_per_key_columns():
-    engine = LocalSQLEngine({})
     relation = edges([(1, 2), (2, 3)])
-    first = engine._index_for(relation, ("src",))
-    again = engine._index_for(relation, ("src",))
-    other_columns = engine._index_for(relation, ("trg",))
-    assert again is first
-    assert other_columns is not first
-    assert engine.stats.index_builds == 2
-    assert engine.stats.index_reuses == 1
+    evaluator = Evaluator({"E": relation})
+    join_with_delta(evaluator, edges([(1, 2)]))
+    join_with_delta(evaluator, edges([(2, 3)]))
+    # Another key layout is another table.
+    join_with_delta(evaluator, edges([(1, 2)]).antiproject("trg"))
+    assert relation.index_on(("src",)) is not relation.index_on(("src", "trg"))
+    assert evaluator.stats.index_builds == 2
+    assert evaluator.stats.index_reuses == 1
 
 
 def test_index_cannot_outlive_its_relation():
     """The memoization lives on the relation: no external cache retains it."""
-    engine = LocalSQLEngine({})
-    relation = edges([(1, 2)])
-    engine._index_for(relation, ("src",))
-    # The engine holds no index state of its own anymore.
-    assert not hasattr(engine, "_index_cache")
+    evaluator = Evaluator({"E": edges([(1, 2)])})
+    join_with_delta(evaluator, edges([(1, 2)]))
+    # The evaluator holds no index state of its own.
+    assert not hasattr(evaluator, "_index_cache")
 
 
 def test_distinct_relations_get_distinct_indexes():
-    engine = LocalSQLEngine({})
-    one = engine._index_for(edges([(1, 2)]), ("src",))
-    two = engine._index_for(edges([(5, 6)]), ("src",))
+    one = edges([(1, 2)]).index_on(("src",))
+    two = edges([(5, 6)]).index_on(("src",))
     assert set(one.buckets) == {(1,)}
     assert set(two.buckets) == {(5,)}
 

@@ -53,10 +53,11 @@ class TestExecutorBackends:
         pytest.param("serial", "columnar", id="serial"),
         pytest.param("threads", "columnar", id="threads"),
         pytest.param("processes", "columnar", id="processes"),
-        # row_mode() is context-local: it reaches task threads (they run
-        # in a copy of the submitting context), not pool processes.
+        # row_mode() is context-local: it reaches task threads in a copy
+        # of the submitting context, pool processes as task data.
         pytest.param("serial", "row", id="serial-row"),
-        pytest.param("threads", "row", id="threads-row")])
+        pytest.param("threads", "row", id="threads-row"),
+        pytest.param("processes", "row", id="processes-row")])
     def test_fixpoint_spans_join_the_query_trace(self, executor, engine):
         tracer = Tracer(enabled=True)
         with Session(_chain_graph(), num_workers=2,

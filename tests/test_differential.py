@@ -21,12 +21,17 @@ from repro.data.relation import Relation
 from repro.datasets import uniprot_graph
 from repro.distributed import (EXECUTOR_BACKENDS, PGLD, PPLW_POSTGRES,
                                PPLW_SPARK)
+from repro.obs import tracing
+from repro.obs.tracing import Tracer
 from repro.workloads import uniprot_queries
 
 ALL_PLANS = (PGLD, PPLW_SPARK, PPLW_POSTGRES)
 
 CLOSURE_QUERY = "?x,?y <- ?x edge+ ?y"
 CONCAT_QUERY = "?x,?y <- ?x a+/b+ ?y"
+#: Unoptimized, the outer closure's variable part joins the recursive
+#: variable against a nested recursion-constant fixpoint (``b+``).
+NESTED_QUERY = "?x,?y <- ?x (a/b+)+ ?y"
 
 
 def canonical(relation: Relation) -> tuple:
@@ -51,6 +56,11 @@ def closure_reference(seeded_random_graph):
 @pytest.fixture(scope="module")
 def concat_reference(seeded_two_label_graph):
     return centralized_answer(seeded_two_label_graph, CONCAT_QUERY)
+
+
+@pytest.fixture(scope="module")
+def nested_reference(seeded_two_label_graph):
+    return centralized_answer(seeded_two_label_graph, NESTED_QUERY)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +193,42 @@ class TestColumnarAxis:
         row = run_in_mode("row", run)
         assert (canonical(columnar.relation) == canonical(row.relation)
                 == concat_reference)
+
+    @pytest.mark.parametrize("executor", EXECUTOR_BACKENDS)
+    @pytest.mark.parametrize("strategy", ALL_PLANS)
+    def test_row_engine_every_plan_and_executor(self, seeded_two_label_graph,
+                                                nested_reference, strategy,
+                                                executor):
+        """The row step is one interpreter wherever it runs: on the
+        driver, in a partition task (``Pgld`` ships the nested fixpoint
+        evaluated), in a local loop (``Pplw`` workers evaluate it)."""
+        with row_mode(), Session(seeded_two_label_graph, num_workers=4,
+                                 optimize=False,
+                                 executor=executor) as session:
+            result = session.ucrpq(NESTED_QUERY).collect(strategy=strategy)
+        assert canonical(result.relation) == nested_reference
+
+    @pytest.mark.parametrize("strategy", ALL_PLANS)
+    def test_row_mode_reaches_a_warm_process_pool(self, seeded_random_graph,
+                                                  closure_reference,
+                                                  strategy):
+        """``row_mode()`` is context-local and a pool forked before it was
+        entered never sees it: the engine choice must travel with the
+        task (the ``Pplw`` local loops used to run the kernels here)."""
+        tracer = Tracer(enabled=True)
+        with Session(seeded_random_graph, num_workers=2, optimize=False,
+                     executor="processes") as session:
+            query = session.ucrpq(CLOSURE_QUERY)
+            # Forks the pool, on the default (columnar) engine.
+            query.run_once(strategy=strategy, use_result_cache=False)
+            with row_mode(), tracing.activate(tracer):
+                result, _, _ = query.run_once(strategy=strategy,
+                                              use_result_cache=False)
+        engines = {dict(record.attributes)["engine"]
+                   for record in tracer.records()
+                   if record.name == "fixpoint.iteration"}
+        assert engines == {"row"}
+        assert canonical(result.relation) == closure_reference
 
     @pytest.mark.parametrize("qid", UNIPROT_DIFFERENTIAL_QIDS)
     def test_uniprot_workload_queries(self, uniprot_differential_graph,

@@ -4,7 +4,8 @@
 Three invariants keep the concurrency and immutability story of the
 codebase honest; each maps to the runtime sanitizer check that would
 catch its violation only when the bad path actually runs.  A fourth
-keeps the semi-naive loop from being written out a second time:
+keeps the semi-naive loop from being written out a second time, a fifth
+does the same for the row interpreter:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
         only inside ``src/repro/data/`` (the owning package) and
@@ -25,6 +26,11 @@ INV004  No ``while`` loop whose body calls ``.absorb(`` outside
         ``src/repro/algebra/fixpoint.py``.  That module holds the one
         semi-naive loop (guard, iteration span); every other layer
         passes it a step function and an accumulator.
+INV005  No ``.natural_join(`` call under ``src/repro/`` outside
+        ``data/`` (the operator's home), ``algebra/evaluate.py`` (the
+        one row interpreter) and ``baselines/`` (independent reference
+        systems).  A layer that joins rows itself is a second term
+        interpreter in the making; hand the term to ``Evaluator``.
 
 Usage::
 
@@ -169,6 +175,25 @@ def _check_fixpoint_loops(tree: ast.AST, path: Path,
                              "of writing the semi-naive loop out again")
 
 
+def _check_row_interpreters(tree: ast.AST, path: Path,
+                            findings: _Findings) -> None:
+    """INV005: only the evaluator applies the row join operator."""
+    parts = path.parts
+    if "repro" not in parts or _is_relation_dir(path) \
+            or "baselines" in parts \
+            or (path.name == "evaluate.py" and "algebra" in parts):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "natural_join":
+            findings.add(path, node.lineno, "INV005",
+                         "natural_join() outside data/ and "
+                         "algebra/evaluate.py: build the term and let "
+                         "repro.algebra.evaluate.Evaluator apply the "
+                         "operators instead of interpreting rows here")
+
+
 def lint_file(path: Path, findings: _Findings) -> None:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -180,6 +205,7 @@ def lint_file(path: Path, findings: _Findings) -> None:
     _check_bare_locks(tree, path, findings)
     _check_task_functions(tree, path, findings)
     _check_fixpoint_loops(tree, path, findings)
+    _check_row_interpreters(tree, path, findings)
 
 
 def main(argv: list[str]) -> int:
