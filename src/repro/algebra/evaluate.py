@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from ..data.columnar import snapshot_dictionary
 from ..data.relation import Relation
+from ..data.snapshot import operand_memo
 from ..errors import EvaluationError
 from .conditions import decompose
 from .fixpoint import run_fixpoint
@@ -30,6 +31,7 @@ from .kernels import KernelProgramCache
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
 from .variables import is_constant_in
+from .visitors import walk
 
 #: Safety bound on fixpoint iterations; graph reachability converges in at
 #: most |nodes| steps, so hitting this bound indicates a malformed term.
@@ -50,6 +52,9 @@ class EvaluationStats:
     #: iteration.  Benchmarks surface these through ClusterMetrics.
     index_builds: int = 0
     index_reuses: int = 0
+    #: Recursion-constant operands this evaluator had to compute itself
+    #: (0 when the snapshot's operand memo served them all).
+    operands_evaluated: int = 0
 
     def record_fixpoint(self, iterations: int, result_size: int) -> None:
         self.fixpoints_evaluated += 1
@@ -65,9 +70,11 @@ class Evaluator:
                  max_iterations: int = DEFAULT_MAX_ITERATIONS,
                  stats: EvaluationStats | None = None,
                  kernel_cache: KernelProgramCache | None = None):
-        # The shared per-snapshot value dictionary must be captured before
-        # the defensive dict() copy below discards the snapshot type.
+        # The shared per-snapshot value dictionary and operand memo must be
+        # captured before the defensive dict() copy below discards the
+        # snapshot type.
         self._dictionary = snapshot_dictionary(database)
+        self._operand_memo = operand_memo(database)
         self._kernel_cache = kernel_cache
         self.database = dict(database)
         self.max_iterations = max_iterations
@@ -75,7 +82,8 @@ class Evaluator:
         # Recursion-constant subterms evaluate to the same relation on
         # every fixpoint iteration (the database is a snapshot); caching
         # them keys the join-side hash indexes to one relation object, so
-        # the index built on iteration 1 is probed on every later one.
+        # the index built on iteration 1 is probed on every later one —
+        # even if the snapshot's memo evicts the operand mid-execution.
         self._constant_cache: dict[Term, Relation] = {}
 
     def evaluate(self, term: Term, env: Mapping[str, Relation] | None = None) -> Relation:
@@ -163,18 +171,39 @@ class Evaluator:
         return term.right, term.left
 
     def evaluate_constant(self, term: Term) -> Relation:
-        """Evaluate a recursion-constant term, memoized on the evaluator.
+        """Evaluate a recursion-constant term, memoized.
 
         Sound because the evaluator's database is a snapshot: a term with no
         free recursive variables has the same value on every call.  The
         distributed plans use this so the relation they broadcast (and
         index) on iteration *n* is the same object as on iteration 1.
+
+        When the database *is* a :class:`DatabaseSnapshot` the relation
+        is also kept in the snapshot's :class:`OperandMemo`, so later
+        executions on the same version get the same object — with the
+        columnar encoding and the hash indexes already memoized on it.
+        Operands containing a fixpoint are not admitted there: the memo
+        stays a function of base relations, never a second result cache.
         """
         cached = self._constant_cache.get(term)
         if cached is None:
-            cached = self._eval(term, {})
+            cached = self._resolve_operand(term)
             self._constant_cache[term] = cached
         return cached
+
+    def _resolve_operand(self, term: Term) -> Relation:
+        if isinstance(term, (RelVar, Literal)):
+            # Already a stable object on the snapshot (or in the term).
+            return self._eval(term, {})
+        memo = self._operand_memo
+        relation = memo.lookup(term) if memo is not None else None
+        if relation is None:
+            self.stats.operands_evaluated += 1
+            relation = self._eval(term, {})
+            if memo is not None:
+                relation = memo.offer(term, relation, admissible=not any(
+                    isinstance(node, Fixpoint) for node in walk(term)))
+        return relation
 
     def _warm_index(self, relation: Relation, common: tuple[str, ...]) -> None:
         if relation.has_index(common):

@@ -30,9 +30,12 @@ Compiled programs are cached in a :class:`KernelProgramCache` — one hangs
 off every :class:`~repro.service.plan_cache.CachedPlan` (the
 ``kernel_program`` slot), and a process-wide default serves the layers
 that execute without a plan cache (worker-local loops, ad-hoc
-evaluation).  Programs hold schemas and positions only; constant
-relations are re-resolved at every bind, so a cached program can never
-serve stale data.
+evaluation).  Programs hold schemas and positions only; every bind asks
+its ``resolve`` callback for the constant relations again, so a cached
+program can never serve stale data.  What a bind then *costs* is the
+resolver's business: on a snapshot the evaluator answers from the
+snapshot's operand memo, and the relation it hands back already carries
+its encoding and key indexes after the first execution on that version.
 """
 
 from __future__ import annotations
@@ -153,9 +156,8 @@ def compile_program(var: str, variable_part: Term,
     ``input_schema`` is the fixpoint's (seed) schema — the schema every
     delta batch carries.  ``resolve`` evaluates recursion-constant
     subterms; it is only consulted for their *schemas* here (positions
-    must be bound up front), the relations themselves are re-resolved at
-    every bind.  Raises :class:`KernelUnsupported` for shapes the kernels
-    do not cover.
+    must be bound up front), every bind asks it for the relations again.
+    Raises :class:`KernelUnsupported` for shapes the kernels do not cover.
     """
     if not input_schema:
         raise KernelUnsupported("zero-width fixpoint schema")

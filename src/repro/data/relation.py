@@ -390,7 +390,12 @@ class Relation:
             return self
         if new in self._columns:
             raise SchemaError(f"cannot rename {old!r} to existing column {new!r}")
-        new_columns = tuple(sorted(new if c == old else c for c in self._columns))
+        renamed = tuple(new if c == old else c for c in self._columns)
+        new_columns = tuple(sorted(renamed))
+        if renamed == new_columns:
+            # The new name sorts where the old one did: every row is
+            # already aligned, so the row set is shared, not re-tupled.
+            return Relation._from_trusted(new_columns, self._rows)
         position_of = {c: i for i, c in enumerate(self._columns)}
         mapping = [position_of[c if c != new else old] for c in new_columns]
         return Relation._from_trusted(new_columns, frozenset(
@@ -404,9 +409,11 @@ class Relation:
         if len(set(result_columns)) != len(result_columns):
             raise SchemaError(f"renaming {dict(mapping)} creates duplicate columns")
         ordered = tuple(sorted(result_columns))
-        if ordered == self._columns and all(
-                new == old for old, new in zip(self._columns, result_columns)):
-            return self
+        if ordered == tuple(result_columns):
+            # Order-preserving (the identity included): share the rows.
+            if ordered == self._columns:
+                return self
+            return Relation._from_trusted(ordered, self._rows)
         position_of = {c: i for i, c in enumerate(self._columns)}
         source_for = {new: old for old, new in zip(self._columns, result_columns)}
         indices = [position_of[source_for[c]] for c in ordered]

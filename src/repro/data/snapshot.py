@@ -35,10 +35,13 @@ snapshot unchanged.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections import OrderedDict
+from collections.abc import Hashable, Iterator, Mapping
 from dataclasses import dataclass
 
+from ..check.sanitizer import ordered_lock
 from ..errors import SchemaError
+from ..obs.metrics import get_registry
 from .relation import Relation
 from .stats import StatisticsCatalog
 
@@ -49,6 +52,14 @@ DEFAULT_GRAPH = "default"
 #: (or any falsy artifact) must be cached like any other value instead of
 #: being recomputed on every call.
 _DERIVED_MISS = object()
+
+#: Snapshot ``derived()`` key under which the operand memo lives.
+_OPERAND_MEMO_KEY = "operand_memo"
+
+#: Rows the operand memo of a snapshot may retain, per row the snapshot
+#: itself holds: what is derived from the data (renames, one-step joins
+#: of base relations) never outweighs the data it was derived from.
+OPERAND_MEMO_ROWS_PER_SNAPSHOT_ROW = 1
 
 
 @dataclass(frozen=True)
@@ -294,6 +305,107 @@ class DatabaseSnapshot(Mapping):
     def __repr__(self) -> str:
         return (f"DatabaseSnapshot(graph={self.graph_name!r}, "
                 f"version={self.version}, relations={len(self._relations)})")
+
+
+class OperandMemo:
+    """Row-weighted LRU of the evaluated operands of one snapshot.
+
+    An *operand* is a recursion-constant subterm of a fixpoint's variable
+    part (``rename(E)``, ``hasWonPrize/-hasWonPrize``): a function of the
+    base relations only, so on an immutable snapshot it is an index-like
+    artifact.  Keeping the evaluated :class:`Relation` *object* stable
+    across executions is the point — its columnar encoding and its hash
+    indexes are memoized on the object, so all three are paid once per
+    snapshot version instead of once per execution (or per task).
+
+    The weight of an entry is its row count and the budget is fixed at
+    creation; least-recently-used entries go first.  What the caller
+    marks inadmissible (the evaluator: anything containing a fixpoint) or
+    what alone exceeds the budget is handed back without being retained.
+    Every outcome counts into ``repro_operand_memo_total``.
+    """
+
+    __slots__ = ("budget", "_entries", "_rows", "_lock")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._entries: OrderedDict[Hashable, Relation] = OrderedDict()
+        self._rows = 0
+        self._lock = ordered_lock("snapshot.operand_memo")
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._entries
+
+    @property
+    def retained_rows(self) -> int:
+        """Total rows of the retained operands (never above ``budget``)."""
+        return self._rows
+
+    def lookup(self, key: Hashable) -> Relation | None:
+        """The retained operand under ``key`` (now most recent), or None."""
+        with self._lock:
+            relation = self._entries.get(key)
+            if relation is not None:
+                self._entries.move_to_end(key)
+        if relation is not None:
+            _count_operand("hit")
+        return relation
+
+    def offer(self, key: Hashable, relation: Relation, *,
+              admissible: bool = True) -> Relation:
+        """Retain a freshly evaluated operand if it may and does fit.
+
+        Returns the relation every caller should use from now on: the
+        offered one, or — when another thread retained the same operand
+        first — that earlier object, so indexes keep a single home.
+        """
+        weight = len(relation)
+        if not admissible or weight > self.budget:
+            _count_operand("rejected")
+            return relation
+        evicted = 0
+        with self._lock:
+            existing = self._entries.get(key)
+            if existing is not None:
+                return existing
+            self._entries[key] = relation
+            self._rows += weight
+            while self._rows > self.budget:
+                _, oldest = self._entries.popitem(last=False)
+                self._rows -= len(oldest)
+                evicted += 1
+        _count_operand("miss")
+        if evicted:
+            _count_operand("evicted", evicted)
+        return relation
+
+    def __repr__(self) -> str:
+        return (f"OperandMemo(entries={len(self._entries)}, "
+                f"rows={self._rows}, budget={self.budget})")
+
+
+def _count_operand(outcome: str, amount: int = 1) -> None:
+    get_registry().counter("repro_operand_memo_total",
+                           outcome=outcome).inc(amount)
+
+
+def _new_operand_memo(snapshot: DatabaseSnapshot) -> OperandMemo:
+    rows = sum(len(relation) for relation in snapshot.values())
+    return OperandMemo(OPERAND_MEMO_ROWS_PER_SNAPSHOT_ROW * rows)
+
+
+def operand_memo(database: Mapping[str, Relation]) -> OperandMemo | None:
+    """The operand memo of a snapshot; None for any other mapping.
+
+    A mutable mapping has no version to key derived state on, so its
+    operands live only as long as the evaluator that resolved them.
+    """
+    if isinstance(database, DatabaseSnapshot):
+        return database.derived(_OPERAND_MEMO_KEY, _new_operand_memo)
+    return None
 
 
 def adopt_database(database: Mapping[str, Relation]) -> Mapping[str, Relation]:

@@ -20,9 +20,9 @@ optimised, in the real system) dataset operations.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..algebra.conditions import decompose
+from ..algebra.conditions import Decomposition, decompose
 from ..algebra.evaluate import Evaluator
 from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Fixpoint, Literal, Term
@@ -47,12 +47,18 @@ AUTO = "auto"
 
 @dataclass(frozen=True)
 class PhysicalPlan:
-    """The physical execution decision for one fixpoint."""
+    """The physical execution decision for one fixpoint.
+
+    Carries the whole static analysis of the fixpoint — its
+    ``mu(X = R U phi)`` form beside the partitioning derived from it — so
+    the plan that executes it analyses nothing a second time.
+    """
 
     strategy: str
     fixpoint: Fixpoint
     partitioning: PartitioningDecision
     variable_part_size: int
+    decomposition: Decomposition
 
     def describe(self) -> str:
         return (f"{self.strategy} (partitioning={self.partitioning.strategy}, "
@@ -93,21 +99,32 @@ class PhysicalPlanGenerator:
 
     def generate(self, fixpoint: Fixpoint) -> list[PhysicalPlan]:
         """Generate one physical plan per strategy for a fixpoint."""
-        partitioning = plan_partitioning(fixpoint, self._schemas)
-        size = self.variable_part_size(fixpoint)
-        return [PhysicalPlan(strategy=strategy, fixpoint=fixpoint,
-                             partitioning=partitioning, variable_part_size=size)
+        analysed = self.physical(fixpoint, AUTO)
+        return [replace(analysed, strategy=strategy)
                 for strategy in self.candidate_strategies()]
 
     def select(self, fixpoint: Fixpoint) -> PhysicalPlan:
         """Select the physical plan for one fixpoint (heuristic of §III-D)."""
-        partitioning = plan_partitioning(fixpoint, self._schemas)
-        size = self.variable_part_size(fixpoint)
-        strategy = PPLW_POSTGRES if size > self.memory_per_task else PPLW_SPARK
-        return PhysicalPlan(strategy=strategy, fixpoint=fixpoint,
-                            partitioning=partitioning, variable_part_size=size)
+        return self.physical(fixpoint, AUTO)
 
-    def variable_part_size(self, fixpoint: Fixpoint) -> int:
+    def physical(self, fixpoint: Fixpoint, strategy: str) -> PhysicalPlan:
+        """Analyse ``fixpoint`` once and plan it under ``strategy``.
+
+        :data:`AUTO` applies the selection heuristic: local loops in the
+        per-worker engine when the variable part's datasets exceed the
+        memory of a task, as Spark operations otherwise.
+        """
+        decomposition = decompose(fixpoint)
+        size = self.variable_part_size(decomposition)
+        if strategy == AUTO:
+            strategy = (PPLW_POSTGRES if size > self.memory_per_task
+                        else PPLW_SPARK)
+        return PhysicalPlan(
+            strategy=strategy, fixpoint=fixpoint,
+            partitioning=plan_partitioning(fixpoint, self._schemas),
+            variable_part_size=size, decomposition=decomposition)
+
+    def variable_part_size(self, decomposition: Decomposition) -> int:
         """Total size of the datasets appearing in the variable part.
 
         This is the quantity the selection heuristic compares against the
@@ -115,10 +132,10 @@ class PhysicalPlanGenerator:
         relations that ``Pplw^s`` would broadcast (or ``Pplw^pg`` would
         query from the local engine) at every iteration.
         """
-        decomposition = decompose(fixpoint)
         if decomposition.variable_part is None:
             return 0
-        names = free_variables(decomposition.variable_part) - {fixpoint.var}
+        names = free_variables(decomposition.variable_part) \
+            - {decomposition.var}
         return sum(len(self.database[name]) for name in names
                    if name in self.database)
 
@@ -162,11 +179,11 @@ class DistributedQueryExecutor:
                            physical_plans: list[PhysicalPlan]) -> Term:
         """Replace every outermost fixpoint by the relation it evaluates to."""
         if isinstance(term, Fixpoint):
-            physical = self._decide(term)
+            physical = self.generator.physical(term, self.strategy)
             physical_plans.append(physical)
             plan = self.generator.plan_for(physical.strategy)
             if not tracing.tracing_enabled():
-                relation = plan.execute(term)
+                relation = plan.execute(term, physical)
             else:
                 with tracing.span(
                         "fixpoint", var=term.var, strategy=physical.strategy,
@@ -175,8 +192,16 @@ class DistributedQueryExecutor:
                     estimate = self._estimate_cardinality(term)
                     if estimate is not None:
                         fixpoint_span.set_attribute("estimated_rows", estimate)
-                    relation = plan.execute(term)
+                    relation = plan.execute(term, physical)
                     fixpoint_span.set_attribute("actual_rows", len(relation))
+                    # Whether this execution paid for its operands: those
+                    # not evaluated here came from the snapshot's memo.
+                    fixpoint_span.set_attribute("operands", len(plan.operands))
+                    fixpoint_span.set_attribute(
+                        "operand_rows",
+                        sum(len(r) for r in plan.operands.values()))
+                    fixpoint_span.set_attribute("operands_evaluated",
+                                                plan.operands_evaluated)
                     if estimate:
                         fixpoint_span.set_attribute(
                             "drift", round(len(relation) / estimate, 4))
@@ -202,13 +227,3 @@ class DistributedQueryExecutor:
             return CardinalityEstimator(self.database).cardinality(fixpoint)
         except Exception:
             return None
-
-    def _decide(self, fixpoint: Fixpoint) -> PhysicalPlan:
-        if self.strategy == AUTO:
-            return self.generator.select(fixpoint)
-        partitioning = plan_partitioning(
-            fixpoint, database_schemas(self.database))
-        return PhysicalPlan(strategy=self.strategy, fixpoint=fixpoint,
-                            partitioning=partitioning,
-                            variable_part_size=self.generator.variable_part_size(
-                                fixpoint))

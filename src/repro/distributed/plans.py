@@ -31,17 +31,18 @@ from collections.abc import Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
-from ..algebra.conditions import decompose
+from ..algebra.conditions import Decomposition, decompose
 from ..algebra.evaluate import Evaluator
 from ..algebra.fixpoint import run_fixpoint, semi_naive
-from ..algebra.kernels import KernelProgramCache, bind_program
+from ..algebra.kernels import BoundKernel, KernelProgramCache, bind_program
 from ..algebra.schema import infer_schema
 from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
 from ..algebra.variables import free_variables, is_constant_in
 from ..algebra.visitors import transform_top_down, walk
-from ..data.columnar import (ColumnarRelation, columnar_enabled, row_mode,
-                             snapshot_dictionary)
+from ..data.columnar import (ColumnarRelation, ValueDictionary,
+                             columnar_enabled, row_mode, snapshot_dictionary)
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
 from ..errors import DistributionError
@@ -52,6 +53,9 @@ from .partitioner import (PartitioningDecision, plan_partitioning,
                           split_constant_part)
 from .rdd import DistinctAccumulator, DistributedRelation, SetRDD
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (physical.py imports us)
+    from .physical import PhysicalPlan
+
 #: Plan identifiers used in metrics, reports and the selection heuristic.
 PGLD = "pgld"
 PPLW_SPARK = "plw-spark"
@@ -59,6 +63,34 @@ PPLW_POSTGRES = "plw-postgres"
 
 #: Safety bound on driver-side global iterations.
 MAX_GLOBAL_ITERATIONS = 1_000_000
+
+
+@dataclass
+class DriverBind:
+    """One variable part bound on the driver, once per execution.
+
+    ``kernel`` is None when the row engine runs the step; ``row_term`` is
+    then the variable part with its operands frozen into literals.  The
+    rest is what the accounting reads: one broadcast per entry of
+    ``broadcast_sizes`` and one index access per ``indexed_ops`` on every
+    iteration, ``index_builds`` of which the bind itself had to build.
+    """
+
+    kernel: BoundKernel | None
+    row_term: Term | None
+    broadcast_sizes: tuple[int, ...]
+    indexed_ops: int
+    index_builds: int
+
+
+def _freeze_operands(variable_part: Term, var: str, resolve) -> Term:
+    """``variable_part`` with each recursion-constant operand a literal."""
+    def freeze(node: Term) -> Term:
+        if is_constant_in(node, var):
+            return Literal(resolve(node))
+        return node
+
+    return transform_top_down(variable_part, freeze)
 
 
 class DistributedFixpointPlan:
@@ -83,9 +115,21 @@ class DistributedFixpointPlan:
         #: When set, bypass the stable-column analysis and use this decision
         #: instead (used by the partitioning ablation benchmark).
         self.partitioning_override = partitioning_override
+        #: The operand table of the last :meth:`execute` — every
+        #: recursion-constant operand of the variable part, resolved — and
+        #: how many of them that execution had to evaluate itself (the
+        #: rest came from the snapshot's operand memo).
+        self.operands: dict[Term, Relation] = {}
+        self.operands_evaluated = 0
 
-    def execute(self, fixpoint: Fixpoint) -> Relation:
-        """Evaluate ``fixpoint`` against the plan's database."""
+    def execute(self, fixpoint: Fixpoint,
+                physical: PhysicalPlan | None = None) -> Relation:
+        """Evaluate ``fixpoint`` against the plan's database.
+
+        ``physical`` is the executor's analysis of this fixpoint
+        (decomposition, partitioning); a direct caller leaves it out and
+        the plan derives what it needs, once, here.
+        """
         raise NotImplementedError
 
     # -- Shared helpers ----------------------------------------------------------
@@ -99,11 +143,83 @@ class DistributedFixpointPlan:
             raise DistributionError(
                 f"fixpoint references unknown relations {sorted(unknown)}")
 
-    def _partitioning(self, fixpoint: Fixpoint) -> PartitioningDecision:
+    @staticmethod
+    def _decomposition(fixpoint: Fixpoint,
+                       physical: PhysicalPlan | None) -> Decomposition:
+        return (physical.decomposition if physical is not None
+                else decompose(fixpoint))
+
+    def _partitioning(self, fixpoint: Fixpoint,
+                      physical: PhysicalPlan | None) -> PartitioningDecision:
         if self.partitioning_override is not None:
             return self.partitioning_override
-        schemas = database_schemas(self.database)
-        return plan_partitioning(fixpoint, schemas)
+        if physical is not None:
+            return physical.partitioning
+        return plan_partitioning(fixpoint, database_schemas(self.database))
+
+    def _bind_on_driver(self, cache: KernelProgramCache | None, var: str,
+                        variable_part: Term, seed_columns: tuple[str, ...],
+                        evaluator: Evaluator) -> DriverBind:
+        """Resolve the operands and bind the step, once, on the driver.
+
+        Compile-and-bind the kernels (into ``cache``), or under
+        ``row_mode()`` (and for shapes the kernels refuse) freeze the
+        operands into the term the reference evaluator will run.  Either
+        way every operand is resolved here — through the snapshot's memo,
+        so a repeated execution finds relation, encoding and index
+        already built — and the indexes the step probes exist before any
+        task starts.
+        """
+        operands: dict[Term, Relation] = {}
+
+        def resolve(term: Term) -> Relation:
+            relation = operands[term] = evaluator.evaluate_constant(term)
+            return relation
+
+        evaluated_before = evaluator.stats.operands_evaluated
+        kernel = bind_program(cache, var, variable_part, seed_columns,
+                              self._dictionary, resolve)
+        if kernel:
+            bind = DriverBind(kernel, None, kernel.broadcast_sizes,
+                              kernel.indexed_ops, kernel.index_builds)
+        else:
+            bind = self._bind_rows(var, variable_part, seed_columns, resolve)
+        self.operands = operands
+        self.operands_evaluated = (evaluator.stats.operands_evaluated
+                                   - evaluated_before)
+        return bind
+
+    @staticmethod
+    def _bind_rows(var: str, variable_part: Term,
+                   seed_columns: tuple[str, ...], resolve) -> DriverBind:
+        """The ``row_mode()`` twin of binding the kernels.
+
+        Reads off the frozen join/antijoin operands the four things the
+        kernel path reads off its bound program, and builds the indexes
+        the row engine will probe so in-process tasks share the one table.
+        """
+        row_term = _freeze_operands(variable_part, var, resolve)
+        broadcast_sizes: list[int] = []
+        indexed_ops = builds = 0
+        for node in walk(row_term):
+            if not isinstance(node, (Join, Antijoin)):
+                continue
+            # Fcond linearity: exactly one side is a (frozen) constant.
+            frozen, recursive = ((node.left, node.right)
+                                 if isinstance(node.left, Literal)
+                                 else (node.right, node.left))
+            relation = frozen.relation
+            broadcast_sizes.append(len(relation))
+            recursive_columns = infer_schema(recursive, {},
+                                             {var: seed_columns})
+            common = tuple(c for c in recursive_columns
+                           if c in relation.columns)
+            if common:
+                indexed_ops += 1
+                builds += not relation.has_index(common)
+                relation.index_on(common)
+        return DriverBind(None, row_term, tuple(broadcast_sizes),
+                          indexed_ops, builds)
 
 
 class GlobalLoopOnDriver(DistributedFixpointPlan):
@@ -116,41 +232,37 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
 
     name = PGLD
 
-    def execute(self, fixpoint: Fixpoint) -> Relation:
+    def execute(self, fixpoint: Fixpoint,
+                physical: PhysicalPlan | None = None) -> Relation:
         self._check_closed(fixpoint)
-        decomposition = decompose(fixpoint)
+        decomposition = self._decomposition(fixpoint, physical)
         evaluator = self._central_evaluator()
         constant = evaluator.evaluate(decomposition.constant_part)
         if decomposition.variable_part is None:
             return constant
-        variable_part = decomposition.variable_part
         var = fixpoint.var
         metrics = self.cluster.metrics
-        # Compile-and-bind once on the driver; per iteration each partition
-        # runs its step (kernel chain, or the evaluator under row_mode) as
-        # one task.  Either way the constant operands go out per iteration
-        # (broadcast), their indexes are built on the first iteration and
-        # reused after.
-        bound = bind_program(self.kernel_cache, var, variable_part,
-                             constant.columns, self._dictionary,
-                             evaluator.evaluate_constant)
-        if bound:
-            task = self._kernel_partition_task(bound)
-            broadcast_sizes = bound.broadcast_sizes
-            indexed_ops, builds = bound.indexed_ops, bound.index_builds
+        # Per iteration each partition runs its step (kernel chain, or the
+        # evaluator under row_mode) as one task.  Either way the constant
+        # operands go out per iteration (broadcast), their indexes are
+        # built on the first iteration and reused after.
+        bind = self._bind_on_driver(self.kernel_cache, var,
+                                    decomposition.variable_part,
+                                    constant.columns, evaluator)
+        if bind.kernel:
+            task = self._kernel_partition_task(bind.kernel)
         else:
-            task, broadcast_sizes, indexed_ops, builds = \
-                self._row_partition_task(var, variable_part,
-                                         constant.columns, evaluator)
+            task = partial(_evaluate_partition, bind.row_term, var)
+        builds = bind.index_builds
 
         def step(delta: DistributedRelation) -> DistributedRelation:
             nonlocal builds
             metrics.global_iterations += 1
-            for size in broadcast_sizes:
+            for size in bind.broadcast_sizes:
                 self.cluster.record_broadcast(size)
             for _ in range(builds):
                 self.cluster.record_index_event(built=True)
-            for _ in range(indexed_ops - builds):
+            for _ in range(bind.indexed_ops - builds):
                 self.cluster.record_index_event(built=False)
             builds = 0
             return delta.map_partitions(task)
@@ -159,13 +271,13 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
         accumulator = DistinctAccumulator(seed)
         limit = MAX_GLOBAL_ITERATIONS
         semi_naive(step, accumulator, seed, var=var,
-                   engine="columnar" if bound else "row",
+                   engine="columnar" if bind.kernel else "row",
                    limit=limit,
                    nonconvergence=f"global loop on {var!r} did not converge "
                                   f"within {limit} iterations")
         return accumulator.dataset.collect()
 
-    def _kernel_partition_task(self, bound):
+    def _kernel_partition_task(self, bound: BoundKernel):
         """One partition's iteration step as a shippable closure.
 
         Encode, kernel chain, decode — all inside the task.  Under the
@@ -183,46 +295,6 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
             return ColumnarRelation(batch.columns, batch.arrays,
                                     dictionary).to_relation()
         return run
-
-    def _row_partition_task(self, var: str, variable_part: Term,
-                            seed_columns: tuple[str, ...],
-                            evaluator: Evaluator):
-        """The ``row_mode()`` twin of :meth:`_kernel_partition_task`.
-
-        Returns ``(task, broadcast_sizes, indexed_ops, index_builds)``,
-        the four things the kernel path reads off its bound program.  The
-        recursion-constant operands are evaluated once, here on the
-        driver, and travel inside the shipped term as literals; the task
-        is then the reference evaluator applied to one partition.
-        """
-        def freeze(node: Term) -> Term:
-            if is_constant_in(node, var):
-                return Literal(evaluator.evaluate_constant(node))
-            return node
-
-        shipped = transform_top_down(variable_part, freeze)
-        broadcast_sizes: list[int] = []
-        indexed_ops = builds = 0
-        for node in walk(shipped):
-            if not isinstance(node, (Join, Antijoin)):
-                continue
-            # Fcond linearity: exactly one side is a (frozen) constant.
-            frozen, recursive = ((node.left, node.right)
-                                 if isinstance(node.left, Literal)
-                                 else (node.right, node.left))
-            relation = frozen.relation
-            broadcast_sizes.append(len(relation))
-            recursive_columns = infer_schema(recursive, {},
-                                             {var: seed_columns})
-            common = tuple(c for c in recursive_columns
-                           if c in relation.columns)
-            if common:
-                indexed_ops += 1
-                builds += not relation.has_index(common)
-                # Built here so in-process tasks share the one table.
-                relation.index_on(common)
-        return (partial(_evaluate_partition, shipped, var),
-                tuple(broadcast_sizes), indexed_ops, builds)
 
 
 def _evaluate_partition(term: Term, var: str, partition: Relation,
@@ -248,29 +320,36 @@ class LocalLoopOutcome:
     index_reuses: int = 0
 
 
-def run_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
-                   chunk: Relation, max_iterations: int, variant: str,
+def run_local_loop(var: str, variable_part: Term,
+                   operands: Mapping[Term, Relation],
+                   dictionary: ValueDictionary, chunk: Relation,
+                   max_iterations: int, variant: str,
                    columnar: bool) -> LocalLoopOutcome:
     """One worker's ``Pplw`` local fixpoint over its chunk of the seed.
 
-    Module-level so process-pool executors can ship it by name; ``database``
-    holds only the broadcast relations the variable part needs.  Everything
-    the driver decided travels as data — the iteration bound and the engine
-    choice (``columnar``; a pool process does not see the driver's
-    ``row_mode()``).  ``variant`` (``spark`` / ``postgres``) labels the span;
-    the PostgreSQL variant also pays for marshalling the chunk in and the
-    result back.  Joins against the broadcast relations go through their
-    memoized indexes — under the threads backend the broadcast relations
-    are shared objects, so one build serves every worker's loop.
+    Module-level so process-pool executors can ship it by name.  The task
+    receives results, not recipes: ``operands`` holds every
+    recursion-constant operand of ``variable_part`` already resolved on
+    the driver (the broadcast), ``dictionary`` is the snapshot's.  In
+    process the relations — and the encodings and indexes memoized on
+    them — are the driver's own objects, so a task only reuses; a pool
+    process re-encodes and re-indexes what it unpickles.  Everything
+    else the driver decided travels as data too — the iteration bound
+    and the engine choice (``columnar``; a pool process does not see the
+    driver's ``row_mode()``).  ``variant`` (``spark`` / ``postgres``)
+    labels the span; the PostgreSQL variant also pays for marshalling
+    the chunk in and the result back.
     """
-    variable_part = decompose(fixpoint).variable_part
-    var = fixpoint.var
-    evaluator = Evaluator(database)
-    env: dict[str, Relation] = {}
+    evaluator = Evaluator({})
+    row_term: Term | None = None
 
     def row_step(delta: Relation) -> Relation:
-        env[var] = delta
-        return evaluator.evaluate(variable_part, env=env)
+        nonlocal row_term
+        if row_term is None:
+            # Only the row engine pays for freezing the operands in.
+            row_term = _freeze_operands(variable_part, var,
+                                        operands.__getitem__)
+        return evaluator.evaluate(row_term, env={var: delta})
 
     engine = nullcontext() if columnar else row_mode()
     with engine, tracing.span("fixpoint.local_loop", var=var,
@@ -278,8 +357,8 @@ def run_local_loop(fixpoint: Fixpoint, database: Mapping[str, Relation],
         # The process-default program cache gives in-process task reuse
         # (compile once, bind per chunk).
         run = run_fixpoint(
-            None, var, variable_part, chunk, snapshot_dictionary(database),
-            evaluator.evaluate_constant, row_step, max_iterations,
+            None, var, variable_part, chunk, dictionary,
+            operands.__getitem__, row_step, max_iterations,
             f"local fixpoint on {var!r} did not converge "
             f"within {max_iterations} iterations")
         loop_span.set_attribute("iterations", run.iterations)
@@ -305,56 +384,56 @@ class ParallelLocalLoops(DistributedFixpointPlan):
     #: ``spark`` or ``postgres``; see :func:`run_local_loop`.
     variant: str = "abstract"
 
-    def execute(self, fixpoint: Fixpoint) -> Relation:
+    def execute(self, fixpoint: Fixpoint,
+                physical: PhysicalPlan | None = None) -> Relation:
         self._check_closed(fixpoint)
-        decomposition = decompose(fixpoint)
+        decomposition = self._decomposition(fixpoint, physical)
         evaluator = self._central_evaluator()
         constant = evaluator.evaluate(decomposition.constant_part)
-        if decomposition.variable_part is None:
+        variable_part = decomposition.variable_part
+        if variable_part is None:
             return constant
-        decision = self._partitioning(fixpoint)
-        self.cluster.metrics.partitioning = decision.strategy
+        var = fixpoint.var
+        metrics = self.cluster.metrics
+        decision = self._partitioning(fixpoint, physical)
+        metrics.partitioning = decision.strategy
         chunks = split_constant_part(constant, self.cluster, decision)
-        broadcast_names = self._broadcast_variable_part(
-            decomposition.variable_part, fixpoint.var)
-        # The worker tasks receive exactly the broadcast relations: the
-        # constant part arrives pre-evaluated as the chunk, so this is what
-        # a real cluster would put on the wire (and what the process
-        # backend pickles per task).
-        shipped = {name: self.database[name] for name in broadcast_names}
+        self._broadcast_variable_part(variable_part, var)
+        # Broadcast once: the operands are resolved (and their indexes
+        # built) here, and every task receives the same table.  Bound
+        # through the process-default program cache, the one the tasks
+        # read: in process their binds find the program compiled.
+        bind = self._bind_on_driver(None, var, variable_part,
+                                    constant.columns, evaluator)
         max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
         columnar = columnar_enabled()
         outcomes = self.cluster.run_tasks(
             run_local_loop,
-            [(fixpoint, shipped, chunk, max_iterations, self.variant, columnar)
-             for chunk in chunks])
+            [(var, variable_part, self.operands, self._dictionary, chunk,
+              max_iterations, self.variant, columnar) for chunk in chunks])
         local_results: list[Relation] = []
         for worker_id, outcome in enumerate(outcomes):
             loop: LocalLoopOutcome = outcome.value
             self.cluster.record_worker_tuples(worker_id, len(loop.relation))
-            self.cluster.metrics.local_iterations += loop.iterations
-            self.cluster.metrics.tuples_marshalled += loop.tuples_marshalled
-            self.cluster.metrics.index_builds += loop.index_builds
-            self.cluster.metrics.index_reuses += loop.index_reuses
+            metrics.local_iterations += loop.iterations
+            metrics.tuples_marshalled += loop.tuples_marshalled
+            metrics.index_builds += loop.index_builds
+            metrics.index_reuses += loop.index_reuses
             local_results.append(loop.relation)
+        # The driver's bind was the first access of each index, on the
+        # tasks' behalf: what it built, some task found built and
+        # reported as a reuse.
+        metrics.index_builds += bind.index_builds
+        metrics.index_reuses -= min(bind.index_builds, metrics.index_reuses)
         return self._final_union(local_results, constant.columns, decision)
 
     # -- Shared steps ----------------------------------------------------------------
 
-    def _broadcast_variable_part(self, variable_part: Term,
-                                 var: str) -> list[str]:
-        """Record the broadcast of every base relation used by the recursion.
-
-        Returns the broadcast relation names; the caller ships exactly
-        those to the worker tasks, keeping the communication accounting
-        and the actual task payload in lockstep.
-        """
-        broadcast_names = sorted(name
-                                 for name in free_variables(variable_part) - {var}
-                                 if name in self.database)
-        for name in broadcast_names:
-            self.cluster.record_broadcast(len(self.database[name]))
-        return broadcast_names
+    def _broadcast_variable_part(self, variable_part: Term, var: str) -> None:
+        """Record the broadcast of every base relation used by the recursion."""
+        for name in sorted(free_variables(variable_part) - {var}):
+            if name in self.database:
+                self.cluster.record_broadcast(len(self.database[name]))
 
     def _final_union(self, locals_: list[Relation], columns: tuple[str, ...],
                      decision: PartitioningDecision) -> Relation:

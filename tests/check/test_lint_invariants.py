@@ -30,6 +30,20 @@ def step(term, var, partition):
     return Evaluator({}).evaluate(term, env={var: partition})
 '''
 
+LOOKING_UP = '''
+def run_task(database, chunk):
+    return chunk.columnar(snapshot_dictionary(database))
+'''
+
+RECEIVING = '''
+class Plan:
+    def __init__(self, database):
+        self._dictionary = snapshot_dictionary(database)
+
+def run_task(dictionary, chunk):
+    return chunk.columnar(dictionary)
+'''
+
 
 def lint(tmp_path: Path, relative: str, source: str) -> list[str]:
     spec = importlib.util.spec_from_file_location("lint_invariants", TOOL)
@@ -63,3 +77,13 @@ def test_inv005_allows_delegation_and_the_operator_homes(tmp_path):
     for home in ("data/relation.py", "algebra/evaluate.py",
                  "baselines/datalog/engine.py"):
         assert lint(tmp_path, f"src/repro/{home}", JOINING) == []
+
+
+def test_inv006_flags_a_task_body_looking_the_dictionary_up(tmp_path):
+    assert lint(tmp_path, "src/repro/distributed/plans.py",
+                LOOKING_UP) == ["INV006"]
+
+
+def test_inv006_allows_plans_capturing_it_and_other_packages(tmp_path):
+    assert lint(tmp_path, "src/repro/distributed/plans.py", RECEIVING) == []
+    assert lint(tmp_path, "src/repro/algebra/evaluate.py", LOOKING_UP) == []

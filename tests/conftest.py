@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.data import LabeledGraph, Relation
+from repro.algebra import Evaluator, decompose
+from repro.data import LabeledGraph, Relation, ValueDictionary
 from repro.datasets import erdos_renyi_graph, random_tree
 
 
@@ -29,6 +30,29 @@ def paper_start_edges() -> Relation:
 @pytest.fixture
 def paper_database(paper_edges, paper_start_edges) -> dict:
     return {"E": paper_edges, "S": paper_start_edges}
+
+
+class _OperandsOnDemand(dict):
+    """The operand table of a variable part, resolved when first read."""
+
+    def __init__(self, database):
+        super().__init__()
+        self._resolve = Evaluator(database).evaluate_constant
+
+    def __missing__(self, term):
+        relation = self[term] = self._resolve(term)
+        return relation
+
+
+@pytest.fixture
+def shipped():
+    """``(fixpoint, database) -> (var, variable_part, operands, dictionary)``:
+    what ``ParallelLocalLoops.execute`` ships to ``run_local_loop`` ahead
+    of the chunk, for tests that call the task directly."""
+    def ship(fixpoint, database):
+        return (fixpoint.var, decompose(fixpoint).variable_part,
+                _OperandsOnDemand(database), ValueDictionary())
+    return ship
 
 
 @pytest.fixture(scope="session")

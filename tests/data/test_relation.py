@@ -129,6 +129,35 @@ class TestRelationOperators:
         swapped = relation.rename_many({"a": "b", "b": "a"})
         assert swapped.to_dicts() == [{"a": 2, "b": 1}]
 
+    def test_order_preserving_rename_shares_the_row_set(self):
+        """``src -> _n1`` on ``(src, trg)``: the rewriter's usual rename."""
+        edges = Relation.from_pairs([(1, 2), (2, 3)], columns=("src", "trg"))
+        renamed = edges.rename("src", "_n1")
+        assert renamed.columns == ("_n1", "trg")
+        assert renamed.rows is edges.rows
+        assert renamed.to_dicts() == [{"_n1": 1, "trg": 2},
+                                      {"_n1": 2, "trg": 3}]
+        many = edges.rename_many({"src": "a", "trg": "b"})
+        assert many.columns == ("a", "b")
+        assert many.rows is edges.rows
+        assert edges.rename_many({"src": "src"}) is edges
+
+    def test_reordering_rename_realigns_the_rows(self):
+        edges = Relation.from_pairs([(1, 2), (2, 3)], columns=("src", "trg"))
+        renamed = edges.rename("src", "z")
+        assert renamed.columns == ("trg", "z")
+        assert renamed.rows == {(2, 1), (3, 2)}
+        many = edges.rename_many({"src": "z"})
+        assert many.columns == ("trg", "z")
+        assert many.rows == renamed.rows
+        # Indexes and encodings are keyed by column name: never shared.
+        edges.index_on(("src",))
+        assert not edges.rename("src", "_n1").has_index(("_n1",))
+
+    def test_rename_many_rejects_duplicates(self):
+        with pytest.raises(SchemaError):
+            self.r.rename_many({"a": "b"})
+
     def test_antiproject_deduplicates(self):
         reduced = self.r.antiproject("a")
         assert reduced.columns == ("b",)

@@ -77,20 +77,21 @@ def test_global_iterations_count_every_round_that_ran(
     assert cluster.metrics.global_iterations == 3
 
 
-def test_local_engine_guard_raises(paper_database, closure_term):
+def test_local_engine_guard_raises(paper_database, closure_term, shipped):
     with pytest.raises(EvaluationError, match="did not converge"):
-        run_local_loop(closure_term, paper_database, paper_database["E"],
-                       1, "postgres", True)
+        run_local_loop(*shipped(closure_term, paper_database),
+                       paper_database["E"], 1, "postgres", True)
 
 
-def test_local_engine_guard_reports_bound(paper_database, closure_term):
+def test_local_engine_guard_reports_bound(paper_database, closure_term,
+                                          shipped):
     """The bound is an argument of the task, not read inside it."""
     for columnar in (True, False):
         with pytest.raises(EvaluationError,
                            match="local fixpoint on 'X' did not converge "
                                  "within 2 iterations"):
-            run_local_loop(closure_term, paper_database, paper_database["E"],
-                           2, "postgres", columnar)
+            run_local_loop(*shipped(closure_term, paper_database),
+                           paper_database["E"], 2, "postgres", columnar)
 
 
 def test_harness_reports_nonconvergence_as_failed_run(paper_edges, monkeypatch):

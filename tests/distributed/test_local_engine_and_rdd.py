@@ -18,21 +18,26 @@ from repro.obs import tracing
 from repro.obs.tracing import Tracer
 
 
-def local_loop(fixpoint, database, chunk, variant="postgres", columnar=True):
-    return run_local_loop(fixpoint, database, chunk, 100, variant, columnar)
+@pytest.fixture
+def local_loop(shipped):
+    def run(fixpoint, database, chunk, variant="postgres", columnar=True):
+        return run_local_loop(*shipped(fixpoint, database), chunk, 100,
+                              variant, columnar)
+    return run
 
 
 class TestLocalLoop:
     """``run_local_loop``: one worker's fixpoint over its chunk of the seed."""
 
-    def test_fixpoint_matches_reference_evaluator(self, paper_database):
+    def test_fixpoint_matches_reference_evaluator(self, paper_database,
+                                                  local_loop):
         term = closure(RelVar("E"), var="X")
         for columnar in (True, False):
             outcome = local_loop(term, paper_database, paper_database["E"],
                                  columnar=columnar)
             assert outcome.relation == evaluate(term, paper_database)
 
-    def test_chunk_restricts_the_recursion(self, paper_database):
+    def test_chunk_restricts_the_recursion(self, paper_database, local_loop):
         term = closure(RelVar("E"), var="X")
         chunk = Relation.from_pairs([(1, 2)], columns=("src", "trg"))
         restricted = local_loop(term, paper_database, chunk).relation
@@ -40,7 +45,7 @@ class TestLocalLoop:
         assert restricted.rows < full.rows
         assert all(row["src"] == 1 for row in restricted.to_dicts())
 
-    def test_indexes_are_built_once_and_reused(self, paper_edges):
+    def test_indexes_are_built_once_and_reused(self, paper_edges, local_loop):
         for columnar in (True, False):
             # A private copy: the fixture may already carry the index.
             database = {"E": Relation(paper_edges.columns, paper_edges.rows)}
@@ -50,14 +55,15 @@ class TestLocalLoop:
             assert outcome.index_builds == 1
             assert outcome.index_reuses == outcome.iterations - 1
 
-    def test_filtered_seed_term(self, paper_database):
+    def test_filtered_seed_term(self, paper_database, local_loop):
         seed = Filter(Eq("src", 1), RelVar("S"))
         term = closure_from_seed(seed, RelVar("E"), var="X")
         outcome = local_loop(term, paper_database,
                              evaluate(seed, paper_database))
         assert outcome.relation == evaluate(term, paper_database)
 
-    def test_only_the_postgres_variant_marshals(self, paper_database):
+    def test_only_the_postgres_variant_marshals(self, paper_database,
+                                                local_loop):
         term = closure(RelVar("E"), var="X")
         chunk = paper_database["E"]
         postgres = local_loop(term, paper_database, chunk)
@@ -66,8 +72,8 @@ class TestLocalLoop:
         assert spark.tuples_marshalled == 0
         assert postgres.tuples_marshalled == len(chunk) + len(postgres.relation)
 
-    def test_engine_choice_is_an_argument_not_ambient_state(self,
-                                                            paper_database):
+    def test_engine_choice_is_an_argument_not_ambient_state(
+            self, paper_database, local_loop):
         """What a pool process sees: no ``row_mode()``, only the flag."""
         term = closure(RelVar("E"), var="X")
         engines = {}
@@ -82,7 +88,7 @@ class TestLocalLoop:
                 if record.name == "fixpoint.iteration"}
         assert engines == {True: {"columnar"}, False: {"row"}}
 
-    def test_unknown_table_raises(self, paper_edges):
+    def test_unknown_table_raises(self, paper_edges, local_loop):
         with pytest.raises(EvaluationError, match="unknown relation"):
             local_loop(closure(RelVar("missing"), var="X"), {}, paper_edges)
 

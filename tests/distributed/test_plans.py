@@ -12,6 +12,8 @@ import pytest
 
 from repro.algebra import RelVar, closure, closure_from_seed, evaluate
 from repro.data import Eq
+from repro.data.columnar import ColumnarRelation
+from repro.data.snapshot import DatabaseSnapshot
 from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
                                make_plan, plan_partitioning)
 from repro.algebra import Filter, schemas_of_database
@@ -33,6 +35,53 @@ def seeded_term():
 
 
 ALL_PLANS = [PGLD, PPLW_SPARK, PPLW_POSTGRES]
+
+
+class TestOperandsOncePerSnapshot:
+    """Resolve, encode, index: paid by the first execution on a snapshot
+    version, found by every later one — whichever plan runs it."""
+
+    @pytest.mark.parametrize("strategy", ALL_PLANS)
+    def test_second_execution_rebuilds_nothing(self, strategy, database,
+                                               closure_term, monkeypatch):
+        snapshot = DatabaseSnapshot.from_relations(database)
+        first = SparkCluster(num_workers=4)
+        expected = make_plan(strategy, first, snapshot).execute(closure_term)
+        assert first.metrics.index_builds == 1
+
+        encoded = []
+        encode = ColumnarRelation.from_relation.__func__
+
+        def recording(cls, relation, dictionary):
+            encoded.append(relation)
+            return encode(cls, relation, dictionary)
+
+        monkeypatch.setattr(ColumnarRelation, "from_relation",
+                            classmethod(recording))
+        second = SparkCluster(num_workers=4)
+        plan = make_plan(strategy, second, snapshot)
+        assert plan.execute(closure_term) == expected
+        assert second.metrics.index_builds == 0
+        assert second.metrics.index_reuses \
+            == first.metrics.index_builds + first.metrics.index_reuses
+        assert plan.operands and plan.operands_evaluated == 0
+        # What is still encoded is what is new to this execution: the
+        # seed's chunks (and, for Pgld, each iteration's partitions).
+        operands = list(plan.operands.values())
+        assert encoded
+        assert not any(relation is operand
+                       for relation in encoded for operand in operands)
+        if strategy != PGLD:
+            assert len(encoded) == second.num_workers
+
+    def test_a_plain_mapping_shares_nothing_across_executions(
+            self, database, closure_term):
+        for _ in range(2):
+            cluster = SparkCluster(num_workers=4)
+            plan = make_plan(PPLW_SPARK, cluster, dict(database))
+            plan.execute(closure_term)
+            assert cluster.metrics.index_builds == 1
+            assert plan.operands_evaluated == len(plan.operands) == 1
 
 
 class TestPlanCorrectness:

@@ -87,6 +87,22 @@ class TestExplainAnalyze:
         assert fixpoint.attribute("actual_rows") == report.actual_rows
         assert fixpoint.attribute("drift") is not None
 
+    def test_fixpoint_span_says_whether_operands_were_paid_for(self):
+        graph = LabeledGraph(name="explain-operands")
+        graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(8)])
+        with Session(graph, num_workers=2) as fresh:
+            cold, warm = (
+                fresh.ucrpq(TC_QUERY).explain_analyze(
+                    use_result_cache=False).fixpoints[0]
+                for _ in range(2))
+        assert cold.attribute("operands") == warm.attribute("operands") == 1
+        assert cold.attribute("operand_rows") \
+            == warm.attribute("operand_rows") == 8
+        # First execution on the snapshot evaluates the operand, the
+        # second finds it (encoded and indexed) on the snapshot.
+        assert cold.attribute("operands_evaluated") == 1
+        assert warm.attribute("operands_evaluated") == 0
+
     def test_single_root_covering_every_stage(self, session):
         report = session.ucrpq(TC_QUERY).explain_analyze(
             use_result_cache=False)

@@ -23,7 +23,9 @@ import threading
 
 import pytest
 
-from repro import DatabaseSnapshot, Session
+from repro import DatabaseSnapshot, LabeledGraph, Session
+from repro.data import row_mode
+from repro.data.snapshot import operand_memo
 from repro.errors import DatasetError, SchemaError, TransactionError
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
@@ -153,6 +155,39 @@ class TestDerivedMemo:
         computed = snapshot.derived("empty", lambda snap: {})
         assert computed == {}
         assert snapshot.derived("empty", lambda snap: {"not": "this"}) is computed
+
+
+class TestOperandMemoFollowsTheVersion:
+    """Resolved operands hang off one snapshot version: a commit on a
+    label an operand reads starts from an empty memo, and readers pinned
+    to the old version keep theirs."""
+
+    QUERY = "?x,?y <- ?x (a/-a)+ ?y"   # joins X against the operand a/-a
+
+    def test_commit_on_an_operands_label(self):
+        graph = LabeledGraph(name="operand-versions")
+        graph.add_edges([(f"p{i}", "a", f"t{i // 2}") for i in range(12)])
+        with Session(graph, num_workers=2) as session:
+            pinned = session.read_view()
+            old_answer = session.ucrpq(self.QUERY).collect().relation
+            old_memo = operand_memo(session.snapshot())
+            assert len(old_memo) == 1       # a/-a, evaluated and kept
+
+            session.add_edges("a", [("p0", "t1")])
+            new_answer, _, _ = session.ucrpq(self.QUERY).run_once(
+                use_result_cache=False)
+            with row_mode():
+                oracle = session.evaluate_centralized(
+                    session.ucrpq(self.QUERY).term)
+            assert new_answer.relation == oracle
+            assert new_answer.relation != old_answer
+            new_memo = operand_memo(session.snapshot())
+            assert new_memo is not old_memo and len(new_memo) == 1
+
+            again, _, _ = pinned.ucrpq(self.QUERY).run_once(
+                use_result_cache=False)
+            assert again.relation == old_answer
+            assert again.metrics.index_builds == 0   # old memo, still warm
 
 
 class TestNoOpMutations:

@@ -200,13 +200,36 @@ class TestColumnarAxis:
                                                 nested_reference, strategy,
                                                 executor):
         """The row step is one interpreter wherever it runs: on the
-        driver, in a partition task (``Pgld`` ships the nested fixpoint
-        evaluated), in a local loop (``Pplw`` workers evaluate it)."""
+        driver (which resolves the nested fixpoint for every plan), in a
+        partition task (``Pgld``), in a local loop (``Pplw``)."""
         with row_mode(), Session(seeded_two_label_graph, num_workers=4,
                                  optimize=False,
                                  executor=executor) as session:
             result = session.ucrpq(NESTED_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == nested_reference
+
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("executor", ("threads", "processes"))
+    def test_prepared_bindings_match_serial(self, seeded_two_label_graph,
+                                            executor, mode):
+        """A prepared binding ships resolved operands and the snapshot's
+        dictionary with each local-loop task.  The second pass finds the
+        operands on the snapshot (encoded and indexed in process; a pool
+        process rebuilds both from what it unpickles)."""
+        template = "?y <- :c (a/-a)+ ?y"
+
+        def answers(backend):
+            with Session(seeded_two_label_graph, num_workers=4,
+                         executor=backend) as session:
+                prepared = session.prepare(template)
+                nodes = sorted(session.snapshot()["a"].column_values("src"),
+                               key=repr)[:3]
+                return [canonical(prepared.bind(c=node).run_once(
+                            use_result_cache=False)[0].relation)
+                        for _ in range(2) for node in nodes]
+        serial = run_in_mode(mode, lambda: answers("serial"))
+        assert any(rows for _, rows in serial)
+        assert run_in_mode(mode, lambda: answers(executor)) == serial
 
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_row_mode_reaches_a_warm_process_pool(self, seeded_random_graph,

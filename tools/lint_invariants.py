@@ -5,7 +5,8 @@ Three invariants keep the concurrency and immutability story of the
 codebase honest; each maps to the runtime sanitizer check that would
 catch its violation only when the bad path actually runs.  A fourth
 keeps the semi-naive loop from being written out a second time, a fifth
-does the same for the row interpreter:
+does the same for the row interpreter, a sixth keeps task bodies from
+encoding against a dictionary nobody else shares:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
         only inside ``src/repro/data/`` (the owning package) and
@@ -31,6 +32,13 @@ INV005  No ``.natural_join(`` call under ``src/repro/`` outside
         one row interpreter) and ``baselines/`` (independent reference
         systems).  A layer that joins rows itself is a second term
         interpreter in the making; hand the term to ``Evaluator``.
+INV006  No ``snapshot_dictionary(`` call in a module-level function
+        under ``src/repro/distributed/``.  Module-level functions there
+        are task bodies, and a task sees a plain mapping, for which
+        ``snapshot_dictionary`` hands out a *private* dictionary: every
+        encoding memoized against the snapshot's would silently miss.
+        Tasks take the dictionary as an argument from the plan that
+        captured it.
 
 Usage::
 
@@ -194,6 +202,29 @@ def _check_row_interpreters(tree: ast.AST, path: Path,
                          "operators instead of interpreting rows here")
 
 
+def _check_task_dictionaries(tree: ast.Module, path: Path,
+                             findings: _Findings) -> None:
+    """INV006: task bodies receive the value dictionary, never look it up."""
+    if not _is_distributed_dir(path):
+        return
+    for function in tree.body:
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) \
+                else func.attr if isinstance(func, ast.Attribute) else None
+            if name == "snapshot_dictionary":
+                findings.add(path, node.lineno, "INV006",
+                             f"snapshot_dictionary() in module-level "
+                             f"function {function.name}(): a task gets a "
+                             f"private dictionary for the plain mapping it "
+                             f"sees; take the plan's dictionary as an "
+                             f"argument instead")
+
+
 def lint_file(path: Path, findings: _Findings) -> None:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -206,6 +237,7 @@ def lint_file(path: Path, findings: _Findings) -> None:
     _check_task_functions(tree, path, findings)
     _check_fixpoint_loops(tree, path, findings)
     _check_row_interpreters(tree, path, findings)
+    _check_task_dictionaries(tree, path, findings)
 
 
 def main(argv: list[str]) -> int:
