@@ -1,20 +1,23 @@
-"""Speedup of the columnar execution kernels over the indexed row engine.
+"""Speedup of the fused columnar fixpoint step over the indexed row engine.
 
 The columnar layer (``repro.data.columnar`` + ``repro.algebra.kernels``)
-compiles the variable part of a fixpoint once into a chain of
-operator-at-a-time kernels and runs the semi-naive loop on
-dictionary-encoded integer columns: joins probe code indexes and gather
-with C-speed ``map``, renames and projections are column permutations,
-and dedup happens in one packed-key set per iteration.
+compiles the variable part of a fixpoint once into one fused pipeline
+over packed code tuples: the frontier is a set of dictionary-code tuples,
+a join is one set comprehension probing a key-code -> payload-codes
+index on the constant side, renames and projections are folded into the
+positions that comprehension reads and emits, and the only dedup is the
+accumulator's ``produced - seen``.
 
 This benchmark runs a transitive-closure workload — a long chain with
 shortcut edges — in both modes: the default columnar kernels and the
 indexed row engine (``repro.data.columnar.row_mode``, the optimized row
 path — a deliberately strong baseline).  The
-headline assertion is a >= 2x speedup with bit-identical results.  A
-second pair of runs compares the two modes on one Uniprot workload query
-through the full Session pipeline, and the observed numbers are written
-to ``benchmarks/results/BENCH_columnar.json``.
+headline assertion is a >= 3x speedup with bit-identical results (the
+operator-at-a-time column kernels this replaced measured 2.5x, the fused
+step 4.2-4.4x; what is left of a run is mostly the one decode at the
+end).  A second pair of runs compares the two modes on one Uniprot
+workload query through the full Session pipeline, and the observed
+numbers are written to ``benchmarks/results/BENCH_columnar.json``.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ FIGURE_TITLE = "Columnar kernel speedup - kernels vs indexed row engine"
 CHAIN_LENGTH = 320
 #: Extra forward edges to thicken the deltas a little.
 EXTRA_EDGES = 80
-#: Required speedup of the columnar kernels (acceptance bar of the
-#: columnar-execution work; the stretch goal is 5x).
-SPEEDUP_FLOOR = 2.0
+#: Required speedup of the columnar kernels (the stretch goal is 5x).
+SPEEDUP_FLOOR = 3.0
 #: Uniprot query compared through the full Session pipeline.  Q47 is the
 #: unselective query of the quick subset: its fixpoint produces tens of
 #: thousands of rows, so the semi-naive loop (not parse/optimize

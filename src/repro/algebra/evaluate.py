@@ -106,7 +106,12 @@ class Evaluator:
         if isinstance(term, Filter):
             return self._eval(term.child, env).filter(term.predicate)
         if isinstance(term, Rename):
-            return self._eval(term.child, env).rename(term.old, term.new)
+            # A maximal chain of renames is one relabel of its child.
+            steps = []
+            while isinstance(term, Rename):
+                steps.append((term.old, term.new))
+                term = term.child
+            return self._eval(term, env).rename_chain(reversed(steps))
         if isinstance(term, AntiProject):
             return self._eval(term.child, env).antiproject(term.columns)
         if isinstance(term, Fixpoint):

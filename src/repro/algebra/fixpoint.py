@@ -104,8 +104,11 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
                                 engine="row", limit=limit,
                                 nonconvergence=nonconvergence)
         return FixpointRun(accumulator.relation(), iterations)
-    frontier = seed.columnar(dictionary).batch()
-    columnar = ColumnarDeltaAccumulator(frontier)
+    # The frontier is a set of code tuples from here to the decode: the
+    # step's output goes into the accumulator, and the accumulator's
+    # ``fresh`` set into the next step, as they are.
+    frontier = seed.columnar(dictionary).code_rows()
+    columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
     iterations = semi_naive(bound.step, columnar, frontier, var=var,
                             engine="columnar", limit=limit,
                             nonconvergence=nonconvergence)

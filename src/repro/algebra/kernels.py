@@ -1,30 +1,33 @@
-"""Operator-at-a-time execution kernels over the columnar layout.
+"""Fused fixpoint-step kernels over packed code tuples.
 
-The generic evaluators interpret the variable part of a fixpoint tuple at
-a time: every iteration re-dispatches on the term tree and pays a Python
-tuple comprehension per row in each join, rename and projection.  This
-module compiles the variable part **once per physical plan** into a chain
-of columnar kernels, so the semi-naive driver
-(:mod:`repro.algebra.fixpoint`) iterates on
-:class:`~repro.data.columnar.ColumnarBatch` columns instead:
+The row engine interprets the variable part of a fixpoint operator at a
+time: every iteration re-dispatches on the term tree and materialises a
+relation per join, rename and projection.  This module compiles the
+variable part **once per physical plan** into one fused pipeline, so the
+semi-naive driver (:mod:`repro.algebra.fixpoint`) hands each step the
+accumulator's ``fresh`` set of dictionary-code tuples and gets a set of
+code tuples in the fixpoint's column order back:
 
-* a small **kernel planner** (:func:`compile_program`) walks the term a
-  single time, binds column positions and key layouts up front, and
-  rejects anything it cannot prove it runs identically to the row engine
-  (the caller then falls back — the row engine stays the semantics
-  reference);
-* **hash joins / antijoins** probe a code -> row-positions index memoized
-  on the constant side's :class:`~repro.data.columnar.ColumnarRelation`,
-  then gather output columns with ``array('q', map(col.__getitem__,
-  idx))`` — C-speed, no per-row tuple building;
-* **rename / anti-project** are pure column-list permutations: zero
-  per-row work;
-* **equality filters** compare dictionary codes; only non-equality
-  comparisons decode (codes do not preserve value order);
-* **union** concatenates columns; duplicate elimination happens once per
-  iteration in the packed-key delta accumulator, which is where set
-  semantics are restored (intermediate duplicates cannot change a
-  fixpoint's result, only the final membership does).
+* the **planner** (:func:`compile_program`) walks the term once, infers
+  every schema, and rejects anything it cannot prove it runs identically
+  to the row engine (the caller then falls back — the row engine stays
+  the semantics reference);
+* **rename, anti-project and the final column order** are folded, at
+  compile time, into the positions the next tuple-building operator
+  reads and emits — they do nothing per row;
+* a **join** is one set comprehension probing a key-code -> payload-codes
+  index memoized on the constant side's
+  :class:`~repro.data.columnar.ColumnarRelation` (bare ``int`` keys and
+  payloads in the graph case); an **antijoin** tests key membership;
+* **filters** compare dictionary codes; only order comparisons decode
+  (codes do not preserve value order);
+* intermediate results are sets, and the one place an iteration's output
+  meets the result is the accumulator's ``produced - seen``.
+
+Nothing here is vectorised: in CPython without numpy every materialised
+intermediate — a gathered column as much as a relation — is a pass of
+interpreted bytecode, so fusing operators (Neumann, VLDB 2011) wins over
+running each at "C speed" on columns; DESIGN.md has the measurements.
 
 Compiled programs are cached in a :class:`KernelProgramCache` — one hangs
 off every :class:`~repro.service.plan_cache.CachedPlan` (the
@@ -35,16 +38,16 @@ its ``resolve`` callback for the constant relations again, so a cached
 program can never serve stale data.  What a bind then *costs* is the
 resolver's business: on a snapshot the evaluator answers from the
 snapshot's operand memo, and the relation it hands back already carries
-its encoding and key indexes after the first execution on that version.
+its encoding and its indexes after the first execution on that version.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
-from ..data.columnar import ColumnarBatch, ValueDictionary, columnar_enabled
+from ..data.columnar import ValueDictionary, columnar_enabled
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate, _COMPARATORS)
 from ..data.relation import Relation
@@ -100,12 +103,32 @@ class _BindContext:
                 f"constant schema drifted from {schema} to {relation.columns}")
         return relation, relation.columnar(self.dictionary)
 
+    def index(self, term: Term, schema: tuple[str, ...],
+              key: tuple[int, ...], payload: tuple[int, ...] = ()) -> dict:
+        """The index a join or antijoin probes on its constant side:
+        memoized on the operand's encoding, hence built once per snapshot
+        version for every operand the snapshot's memo keeps."""
+        relation, encoded = self.constant(term, schema)
+        self.indexed_ops += 1
+        self.broadcasts.append(len(relation))
+        if encoded.has_index(key, payload):
+            self.index_reuses += 1
+        else:
+            self.index_builds += 1
+        return encoded.index_on(key, payload)
+
+
+#: One fixpoint step: a set of code tuples in, a set of code tuples out,
+#: both in the fixpoint's schema order.  A step never mutates its input —
+#: the frontier is the accumulator's own ``fresh`` set.
+Step = Callable[[set], set]
+
 
 @dataclass
 class BoundKernel:
     """A program bound to one execution's constants and dictionary."""
 
-    step: Callable[[ColumnarBatch], ColumnarBatch]
+    step: Step
     out_schema: tuple[str, ...]
     index_builds: int
     index_reuses: int
@@ -118,18 +141,17 @@ class BoundKernel:
 
 
 class KernelProgram:
-    """The compiled (schema-level) kernel chain of one variable part.
+    """The compiled (schema-level) pipeline of one variable part.
 
     Holds column positions and key layouts only — binding resolves the
     constant operands, encodes them (memoized on the relation) and builds
-    or reuses their key indexes (memoized on the encoding).
+    or reuses their indexes (memoized on the encoding).
     """
 
     __slots__ = ("out_schema", "_bind")
 
     def __init__(self, out_schema: tuple[str, ...],
-                 bind: Callable[[_BindContext],
-                                Callable[[ColumnarBatch], ColumnarBatch]]):
+                 bind: Callable[[_BindContext], Step]):
         self.out_schema = out_schema
         self._bind = bind
 
@@ -151,231 +173,301 @@ class KernelProgram:
 def compile_program(var: str, variable_part: Term,
                     input_schema: tuple[str, ...],
                     resolve: Callable[[Term], Relation]) -> KernelProgram:
-    """Compile the variable part of ``mu(var = R U phi)`` into kernels.
+    """Compile the variable part of ``mu(var = R U phi)`` into one pipeline.
 
-    ``input_schema`` is the fixpoint's (seed) schema — the schema every
-    delta batch carries.  ``resolve`` evaluates recursion-constant
-    subterms; it is only consulted for their *schemas* here (positions
-    must be bound up front), every bind asks it for the relations again.
-    Raises :class:`KernelUnsupported` for shapes the kernels do not cover.
+    ``input_schema`` is the fixpoint's (seed) schema — the column order of
+    every frontier tuple and of every tuple the step returns.  ``resolve``
+    evaluates recursion-constant subterms; it is only consulted for their
+    *schemas* here (positions must be bound up front), every bind asks it
+    for the relations again.  Raises :class:`KernelUnsupported` for shapes
+    the kernels do not cover.
     """
     if not input_schema:
         raise KernelUnsupported("zero-width fixpoint schema")
-    out_schema, bind = _compile(variable_part, var, input_schema, resolve)
-    return KernelProgram(out_schema, bind)
+    planner = _Planner(var, input_schema, resolve)
+    # Validates the whole tree before any of it is planned.
+    out_schema = planner.schema(variable_part)
+    return KernelProgram(out_schema,
+                         planner.exactly(variable_part, out_schema))
 
 
-def _compile(term: Term, var: str, input_schema: tuple[str, ...],
-             resolve: Callable[[Term], Relation]):
-    """Return ``(out_schema, bind)`` for one node of the variable part."""
-    if isinstance(term, RelVar) and term.name == var:
-        def bind_input(ctx):
-            return lambda batch: batch
-        return input_schema, bind_input
-    if is_constant_in(term, var):
-        return _compile_constant(term, resolve)
-    if isinstance(term, Join):
-        return _compile_join(term, var, input_schema, resolve)
-    if isinstance(term, Antijoin):
-        return _compile_antijoin(term, var, input_schema, resolve)
-    if isinstance(term, Filter):
-        return _compile_filter(term, var, input_schema, resolve)
-    if isinstance(term, Rename):
-        return _compile_rename(term, var, input_schema, resolve)
-    if isinstance(term, AntiProject):
-        return _compile_antiproject(term, var, input_schema, resolve)
-    if isinstance(term, Union):
-        return _compile_union(term, var, input_schema, resolve)
-    # Non-constant nested fixpoints (mutual recursion) and unknown node
-    # types: the row engine owns the error reporting.
-    raise KernelUnsupported(f"unsupported node {type(term).__name__}")
+def _identity(rows):
+    return rows
 
 
-def _compile_constant(term: Term, resolve):
-    schema = resolve(term).columns
-    if not schema:
-        raise KernelUnsupported("zero-width constant operand")
-
-    def bind(ctx):
-        _, encoded = ctx.constant(term, schema)
-        batch = encoded.batch()
-        return lambda _batch: batch
-    return schema, bind
+def _bind_identity(ctx):
+    return _identity
 
 
-def _compile_join(term: Join, var: str, input_schema, resolve,
-                  drop: frozenset = frozenset()):
-    left_constant = is_constant_in(term.left, var)
-    right_constant = is_constant_in(term.right, var)
-    if left_constant == right_constant:
-        # Both variable would violate Fcond linearity; both constant is
-        # handled by the constant case before dispatch reaches here.
-        raise KernelUnsupported("join without a unique constant side")
-    constant_term = term.left if left_constant else term.right
-    variable_term = term.right if left_constant else term.left
-    var_schema, var_bind = _compile(variable_term, var, input_schema, resolve)
-    const_schema = resolve(constant_term).columns
-    common = tuple(c for c in var_schema if c in const_schema)
-    if not common:
-        # Cartesian product: rare inside recursions, row engine handles it.
-        raise KernelUnsupported("join with no common columns")
-    out_all = tuple(sorted(set(var_schema) | set(const_schema)))
-    if drop - set(out_all):
-        raise KernelUnsupported("anti-projected column missing from join")
-    out_schema = tuple(c for c in out_all if c not in drop)
-    if not out_schema:
-        raise KernelUnsupported("join output fully projected away")
-    var_position = {c: i for i, c in enumerate(var_schema)}
-    const_position = {c: i for i, c in enumerate(const_schema)}
-    probe_positions = tuple(var_position[c] for c in common)
-    build_positions = tuple(const_position[c] for c in common)
-    # Project pushdown happens here: only the surviving output columns are
-    # gathered, so an anti-project above this join costs nothing per row.
-    gather = tuple((0, var_position[c]) if c in var_position
-                   else (1, const_position[c]) for c in out_schema)
+def _picker(positions: tuple[int, ...]):
+    """``tuple -> tuple`` keeping ``positions``, in that order."""
+    if len(positions) == 1:
+        position, = positions
+        return lambda row: (row[position],)
+    return itemgetter(*positions)
 
-    def bind(ctx):
-        inner = var_bind(ctx)
-        relation, encoded = ctx.constant(constant_term, const_schema)
-        ctx.indexed_ops += 1
-        ctx.broadcasts.append(len(relation))
-        if encoded.has_index(build_positions):
-            ctx.index_reuses += 1
+
+def _positions(layout: tuple, columns) -> tuple[int, ...]:
+    return tuple(layout.index(c) for c in columns)
+
+
+def _with(want: tuple[str, ...] | None, needed) -> tuple[str, ...] | None:
+    """``want`` extended by the columns an operator reads itself."""
+    if want is None:
+        return None
+    return want + tuple(c for c in needed if c not in want)
+
+
+class _Planner:
+    """One variable part: logical schemas bottom-up, layouts top-down.
+
+    ``schema(term)`` is the sorted schema the row engine would produce.
+    ``plan(term, want)`` returns ``(layout, bind)``: ``layout`` names what
+    each position of the node's *physical* tuples holds (None for a
+    column an anti-project dropped from tuples it did not build),
+    ``bind`` builds the step.  ``want`` — the columns the consumer reads,
+    in the order it would like them, or None for "all, any order" — is
+    honoured exactly by the operators that build tuples anyway (join,
+    union, constant) and ignored by those that pass tuples through (the
+    recursive variable, filter, antijoin).  So rename, anti-project and
+    the fixpoint's own column order do no work per row: they only decide
+    which positions the next tuple-building operator reads and emits.
+    """
+
+    def __init__(self, var: str, input_schema: tuple[str, ...],
+                 resolve: Callable[[Term], Relation]):
+        self.var = var
+        self.input_schema = input_schema
+        self.resolve = resolve
+        self._schemas: dict[Term, tuple[str, ...]] = {}
+
+    def _is_input(self, term: Term) -> bool:
+        return isinstance(term, RelVar) and term.name == self.var
+
+    # -- Logical schemas ---------------------------------------------------
+
+    def schema(self, term: Term) -> tuple[str, ...]:
+        schema = self._schemas.get(term)
+        if schema is None:
+            schema = self._schemas[term] = self._infer(term)
+        return schema
+
+    def _infer(self, term: Term) -> tuple[str, ...]:
+        if self._is_input(term):
+            return self.input_schema
+        if is_constant_in(term, self.var):
+            schema = self.resolve(term).columns
+            if not schema:
+                raise KernelUnsupported("zero-width constant operand")
+            return schema
+        if isinstance(term, Join):
+            return tuple(sorted({*self.schema(term.left),
+                                 *self.schema(term.right)}))
+        if isinstance(term, Antijoin):
+            return self.schema(term.left)
+        if isinstance(term, Filter):
+            child = self.schema(term.child)
+            if term.predicate.columns() - set(child):
+                raise KernelUnsupported("predicate references missing columns")
+            return child
+        if isinstance(term, Rename):
+            child = self.schema(term.child)
+            if term.old not in child or \
+                    (term.new != term.old and term.new in child):
+                raise KernelUnsupported("invalid rename for this schema")
+            return tuple(sorted(term.new if c == term.old else c
+                                for c in child))
+        if isinstance(term, AntiProject):
+            child = self.schema(term.child)
+            kept = tuple(c for c in child if c not in term.columns)
+            if set(term.columns) - set(child) or not kept:
+                raise KernelUnsupported(
+                    "anti-project of a missing column, or of every column")
+            return kept
+        if isinstance(term, Union):
+            left = self.schema(term.left)
+            if left != self.schema(term.right):
+                raise KernelUnsupported("union of different schemas")
+            return left
+        # Non-constant nested fixpoints (mutual recursion) and unknown node
+        # types: the row engine owns the error reporting.
+        raise KernelUnsupported(f"unsupported node {type(term).__name__}")
+
+    # -- Physical plans ----------------------------------------------------
+
+    def plan(self, term: Term, want: tuple[str, ...] | None):
+        if self._is_input(term):
+            return self.input_schema, _bind_identity
+        if is_constant_in(term, self.var):
+            return self._plan_constant(term, want)
+        if isinstance(term, Join):
+            return self._plan_join(term, want)
+        if isinstance(term, Antijoin):
+            return self._plan_antijoin(term, want)
+        if isinstance(term, Filter):
+            return self._plan_filter(term, want)
+        if isinstance(term, Rename):
+            layout, bind = self.plan(term.child, want and tuple(
+                term.old if c == term.new else c for c in want))
+            return tuple(term.new if c == term.old else c
+                         for c in layout), bind
+        if isinstance(term, AntiProject):
+            layout, bind = self.plan(term.child, want or self.schema(term))
+            return tuple(None if c in term.columns else c
+                         for c in layout), bind
+        return self._plan_union(term, want)
+
+    def exactly(self, term: Term, out: tuple[str, ...]):
+        """The bind of ``term`` with its tuples laid out exactly as ``out``."""
+        layout, bind = self.plan(term, out)
+        if layout == out:
+            return bind
+        pick = _picker(_positions(layout, out))
+
+        def bind_projected(ctx):
+            inner = bind(ctx)
+            return lambda rows: set(map(pick, inner(rows)))
+        return bind_projected
+
+    def _plan_constant(self, term: Term, want):
+        schema = self.schema(term)
+        out = want or schema
+        positions = _positions(schema, out)
+
+        def bind(ctx):
+            _, encoded = ctx.constant(term, schema)
+            constant = frozenset(zip(*(encoded.arrays[p] for p in positions)))
+            return lambda _rows: constant
+        return out, bind
+
+    def _sides(self, constant_term: Term, variable_term: Term, want):
+        """What a join or antijoin reads on either side of its key.
+
+        Returns the constant side's schema, the variable side's layout
+        and bind, and the key as positions in each.
+        """
+        const_schema = self.schema(constant_term)
+        common = tuple(c for c in self.schema(variable_term)
+                       if c in const_schema)
+        layout, bind = self.plan(variable_term, _with(want, common))
+        return (const_schema, layout, bind, _positions(layout, common),
+                _positions(const_schema, common))
+
+    def _plan_join(self, term: Join, want):
+        left_constant = is_constant_in(term.left, self.var)
+        if left_constant == is_constant_in(term.right, self.var):
+            # Both variable would violate Fcond linearity; both constant is
+            # the constant case, handled before dispatch reaches here.
+            raise KernelUnsupported("join without a unique constant side")
+        constant_term, variable_term = (
+            (term.left, term.right) if left_constant
+            else (term.right, term.left))
+        const_schema, layout, var_bind, probe, key = self._sides(
+            constant_term, variable_term, None)
+        if not probe:
+            # Cartesian product: rare inside recursions, row engine handles it.
+            raise KernelUnsupported("join with no common columns")
+        out = want or self.schema(term)
+        # Only what the output keeps is copied out of the constant side, so
+        # an anti-project above this join costs nothing per row.
+        payload = tuple(c for c in out if c not in layout)
+        payload_positions = _positions(const_schema, payload)
+        emit = _picker(tuple(layout.index(c) if c in layout
+                             else len(layout) + payload.index(c)
+                             for c in out))
+        read_key = itemgetter(*probe)
+        if len(layout) == len(out) == 2 and len(probe) == len(payload) == 1 \
+                and layout[1 - probe[0]] == out[1 - out.index(payload[0])]:
+            expand = _BINARY_JOINS[probe[0], out.index(payload[0])]
+        elif not payload:         # a semijoin: only membership is read
+            def expand(rows, get):
+                return {emit(r) for r in rows if get(read_key(r))}
+        elif len(payload) == 1:   # bare payload codes
+            def expand(rows, get):
+                return {emit(r + (p,)) for r in rows
+                        for p in get(read_key(r), ())}
         else:
-            ctx.index_builds += 1
-        index = encoded.index_on(build_positions)
-        const_arrays = encoded.arrays
-        get = index.get
-        probe_counter = ctx.probe_counter
-        single = probe_positions[0] if len(probe_positions) == 1 else None
+            def expand(rows, get):
+                return {emit(r + p) for r in rows
+                        for p in get(read_key(r), ())}
 
-        def step(batch):
-            batch = inner(batch)
-            arrays = batch.arrays
-            probe_counter[0] += len(arrays[probe_positions[0]])
-            # One C-speed ``map`` fetches every bucket, then two list
-            # comprehensions expand the matches — measurably faster than
-            # an explicit append loop on large deltas.
-            if single is not None:
-                buckets = list(map(get, arrays[single]))
-            else:
-                buckets = list(map(get,
-                                   zip(*(arrays[p] for p in probe_positions))))
-            probe_rows = [i for i, bucket in enumerate(buckets)
-                          if bucket is not None for _ in bucket]
-            build_rows = [b for bucket in buckets
-                          if bucket is not None for b in bucket]
-            out_arrays = [
-                array("q", map((arrays[pos] if side == 0
-                                else const_arrays[pos]).__getitem__,
-                               probe_rows if side == 0 else build_rows))
-                for side, pos in gather]
-            return ColumnarBatch(out_schema, out_arrays)
-        return step
-    return out_schema, bind
-
-
-def _compile_antijoin(term: Antijoin, var: str, input_schema, resolve):
-    if not is_constant_in(term.right, var):
-        # Positivity violation; decompose() rejects it before we ever run.
-        raise KernelUnsupported("antijoin with a recursive right side")
-    var_schema, var_bind = _compile(term.left, var, input_schema, resolve)
-    const_schema = resolve(term.right).columns
-    common = tuple(c for c in var_schema if c in const_schema)
-    var_position = {c: i for i, c in enumerate(var_schema)}
-
-    if not common:
-        # No common column: any tuple of the right side matches, so the
-        # antijoin is the left side iff the right side is empty.
-        def bind_disjoint(ctx):
+        def bind(ctx):
             inner = var_bind(ctx)
-            relation, _ = ctx.constant(term.right, const_schema)
-            if not relation:
-                return inner
-            empty = ColumnarBatch(var_schema, [array("q") for _ in var_schema])
+            get = ctx.index(constant_term, const_schema, key,
+                            payload_positions).get
+            counter = ctx.probe_counter
 
-            def step(batch):
-                inner(batch)
-                return empty
+            def step(rows):
+                rows = inner(rows)
+                counter[0] += len(rows)
+                return expand(rows, get)
             return step
-        return var_schema, bind_disjoint
+        return out, bind
 
-    const_position = {c: i for i, c in enumerate(const_schema)}
-    probe_positions = tuple(var_position[c] for c in common)
-    build_positions = tuple(const_position[c] for c in common)
+    def _plan_antijoin(self, term: Antijoin, want):
+        if not is_constant_in(term.right, self.var):
+            # Positivity violation; decompose() rejects it before we ever run.
+            raise KernelUnsupported("antijoin with a recursive right side")
+        const_schema, layout, left_bind, probe, key = self._sides(
+            term.right, term.left, want)
 
-    def bind(ctx):
-        inner = var_bind(ctx)
-        relation, encoded = ctx.constant(term.right, const_schema)
-        ctx.indexed_ops += 1
-        ctx.broadcasts.append(len(relation))
-        if encoded.has_index(build_positions):
-            ctx.index_reuses += 1
-        else:
-            ctx.index_builds += 1
-        index = encoded.index_on(build_positions)
-        single = probe_positions[0] if len(probe_positions) == 1 else None
+        def bind(ctx):
+            inner = left_bind(ctx)
+            if not probe:
+                # No common column: any tuple of the right side matches, so
+                # the antijoin is the left side iff the right side is empty.
+                relation, _ = ctx.constant(term.right, const_schema)
+                if not relation:
+                    return inner
 
-        def step(batch):
-            batch = inner(batch)
-            arrays = batch.arrays
-            if single is not None:
-                column = arrays[single]
-                keep = [i for i, code in enumerate(column)
-                        if code not in index]
-            else:
-                key_columns = [arrays[p] for p in probe_positions]
-                keep = [i for i, key in enumerate(zip(*key_columns))
-                        if key not in index]
-            if len(keep) == len(batch):
-                return batch
-            return ColumnarBatch(var_schema, [
-                array("q", map(column.__getitem__, keep))
-                for column in arrays])
-        return step
-    return var_schema, bind
+                def nothing(rows):
+                    inner(rows)
+                    return set()
+                return nothing
+            index = ctx.index(term.right, const_schema, key)
+            read_key = itemgetter(*probe)
+            return lambda rows: {r for r in inner(rows)
+                                 if read_key(r) not in index}
+        return layout, bind
 
+    def _plan_filter(self, term: Filter, want):
+        predicate = term.predicate
+        layout, child_bind = self.plan(
+            term.child, _with(want, sorted(predicate.columns())))
 
-def _compile_filter(term: Filter, var: str, input_schema, resolve):
-    child_schema, child_bind = _compile(term.child, var, input_schema, resolve)
-    predicate = term.predicate
-    missing = predicate.columns() - set(child_schema)
-    if missing:
-        raise KernelUnsupported("predicate references missing columns")
+        def bind(ctx):
+            inner = child_bind(ctx)
+            check = _bind_code_check(predicate, layout, ctx.dictionary)
+            if check is None:  # TruePredicate
+                return inner
+            return lambda rows: set(filter(check, inner(rows)))
+        return layout, bind
 
-    def bind(ctx):
-        inner = child_bind(ctx)
-        check = _bind_code_check(predicate, child_schema, ctx.dictionary)
-        if check is None:  # TruePredicate
-            return inner
-        fast = _bind_eq_scan(predicate, child_schema, ctx.dictionary)
+    def _plan_union(self, term: Union, want):
+        out = want or self.schema(term)
+        left_bind = self.exactly(term.left, out)
+        right_bind = self.exactly(term.right, out)
 
-        def step(batch):
-            batch = inner(batch)
-            arrays = batch.arrays
-            if fast is not None:
-                position, code = fast
-                column = arrays[position]
-                keep = [i for i, c in enumerate(column) if c == code]
-            else:
-                keep = [i for i, row in enumerate(zip(*arrays))
-                        if check(row)]
-            if len(keep) == len(batch):
-                return batch
-            return ColumnarBatch(child_schema, [
-                array("q", map(column.__getitem__, keep))
-                for column in arrays])
-        return step
-    return child_schema, bind
+        def bind(ctx):
+            left = left_bind(ctx)
+            right = right_bind(ctx)
+            return lambda rows: left(rows) | right(rows)
+        return out, bind
 
 
-def _bind_eq_scan(predicate: Predicate, schema, dictionary):
-    """``(position, code)`` for a bare equality filter, else None."""
-    if isinstance(predicate, Eq):
-        return schema.index(predicate.column), dictionary.encode(predicate.value)
-    if isinstance(predicate, Compare) and predicate.op == "==":
-        return schema.index(predicate.column), dictionary.encode(predicate.value)
-    return None
+# The ``compose()`` step, fused: binary tuples probing a one-column key
+# for one kept column of the constant side — the whole body of every
+# closure step.  Unpacking in the comprehension beats a generic
+# ``emit(row, payload)`` call (2.30x against 2.03x over the column
+# kernels on ``a1+``, see DESIGN.md), so its four layouts are written
+# out, keyed by (key position in the frontier tuple, payload position in
+# the output).
+_BINARY_JOINS = {
+    (1, 1): lambda rows, get: {(x, z) for x, y in rows for z in get(y, ())},
+    (1, 0): lambda rows, get: {(z, x) for x, y in rows for z in get(y, ())},
+    (0, 1): lambda rows, get: {(y, z) for x, y in rows for z in get(x, ())},
+    (0, 0): lambda rows, get: {(z, y) for x, y in rows for z in get(x, ())},
+}
 
 
 def _bind_code_check(predicate: Predicate, schema: tuple[str, ...],
@@ -440,82 +532,6 @@ def _bind_code_check(predicate: Predicate, schema: tuple[str, ...],
     def decoded(row):
         return check(tuple(map(values.__getitem__, row)))
     return decoded
-
-
-def _compile_rename(term: Rename, var: str, input_schema, resolve):
-    child_schema, child_bind = _compile(term.child, var, input_schema, resolve)
-    if term.old not in child_schema or \
-            (term.new != term.old and term.new in child_schema):
-        raise KernelUnsupported("invalid rename for this schema")
-    if term.new == term.old:
-        return child_schema, child_bind
-    renamed = [term.new if c == term.old else c for c in child_schema]
-    out_schema = tuple(sorted(renamed))
-    source_of = {new: i for i, new in enumerate(renamed)}
-    permutation = tuple(source_of[c] for c in out_schema)
-
-    def bind(ctx):
-        inner = child_bind(ctx)
-
-        def step(batch):
-            batch = inner(batch)
-            arrays = batch.arrays
-            return ColumnarBatch(out_schema, [arrays[p] for p in permutation])
-        return step
-    return out_schema, bind
-
-
-def _compile_antiproject(term: AntiProject, var: str, input_schema, resolve):
-    dropped = frozenset(term.columns if not isinstance(term.columns, str)
-                        else (term.columns,))
-    child = term.child
-    if isinstance(child, Join) and not is_constant_in(child, var):
-        # The compose() shape — anti-project directly over a join — is the
-        # whole body of every closure step: push the drop into the join so
-        # the dropped column is never gathered at all.
-        return _compile_join(child, var, input_schema, resolve, drop=dropped)
-    child_schema, child_bind = _compile(child, var, input_schema, resolve)
-    if dropped - set(child_schema):
-        raise KernelUnsupported("anti-projected column missing")
-    kept = tuple(c for c in child_schema if c not in dropped)
-    if not kept:
-        raise KernelUnsupported("anti-project drops every column")
-    if kept == child_schema:
-        return child_schema, child_bind
-    positions = tuple(child_schema.index(c) for c in kept)
-
-    def bind(ctx):
-        inner = child_bind(ctx)
-
-        def step(batch):
-            batch = inner(batch)
-            arrays = batch.arrays
-            return ColumnarBatch(kept, [arrays[p] for p in positions])
-        return step
-    return kept, bind
-
-
-def _compile_union(term: Union, var: str, input_schema, resolve):
-    left_schema, left_bind = _compile(term.left, var, input_schema, resolve)
-    right_schema, right_bind = _compile(term.right, var, input_schema, resolve)
-    if left_schema != right_schema:
-        raise KernelUnsupported("union of different schemas")
-
-    def bind(ctx):
-        left = left_bind(ctx)
-        right = right_bind(ctx)
-
-        def step(batch):
-            left_batch = left(batch)
-            right_batch = right(batch)
-            if not len(right_batch):
-                return left_batch
-            if not len(left_batch):
-                return right_batch
-            return ColumnarBatch(left_schema, [
-                a + b for a, b in zip(left_batch.arrays, right_batch.arrays)])
-        return step
-    return left_schema, bind
 
 
 # -- The program cache -------------------------------------------------------

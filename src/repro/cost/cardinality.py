@@ -22,7 +22,7 @@ from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
 from ..data.relation import Relation
 from ..data.stats import RelationStats, StatisticsCatalog
 from ..errors import CostEstimationError
-from ..algebra.conditions import decompose
+from ..algebra.conditions import Decomposition, decompose
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Literal, Rename, RelVar, Term, Union)
 
@@ -41,6 +41,15 @@ class CardinalityEstimator:
             raise CostEstimationError(
                 "the estimator needs a database or a statistics catalog")
         self.catalog = catalog if catalog is not None else StatisticsCatalog(database)
+        #: Sub-term estimates, kept for the lifetime of the estimator (one
+        #: ``rank_plans`` call, whose plans share most of their sub-terms)
+        #: or until the catalog changes.  An estimate depends on the term
+        #: and on the statistics its environment binds, which are
+        #: identified by object: the entry keeps them alive so an ``id()``
+        #: cannot be reused under it.
+        self._estimates: dict[tuple, tuple[tuple, RelationStats]] = {}
+        self._estimates_version = self.catalog.version
+        self._decompositions: dict[Fixpoint, Decomposition] = {}
 
     # -- Public API -----------------------------------------------------------
 
@@ -51,19 +60,37 @@ class CardinalityEstimator:
         ``env`` binds recursive variables to the statistics assumed for them
         (used internally when simulating fixpoint growth).
         """
+        if self._estimates_version != self.catalog.version:
+            self._estimates.clear()
+            self._estimates_version = self.catalog.version
         return self._estimate(term, dict(env or {}))
 
     def cardinality(self, term: Term) -> int:
         """Shortcut returning only the estimated row count."""
         return self.estimate(term).cardinality
 
+    def decomposition(self, term: Fixpoint) -> Decomposition:
+        """``decompose(term)``, computed once per estimator."""
+        decomposition = self._decompositions.get(term)
+        if decomposition is None:
+            decomposition = self._decompositions[term] = decompose(term)
+        return decomposition
+
     # -- Dispatch -------------------------------------------------------------
 
     def _estimate(self, term: Term, env: dict[str, RelationStats]) -> RelationStats:
-        if isinstance(term, RelVar):
+        if isinstance(term, RelVar):  # a lookup already: nothing to memoize
             if term.name in env:
                 return env[term.name]
             return self.catalog.get(term.name)
+        bound = tuple(env.values())
+        key = (term, *env, *map(id, bound))
+        entry = self._estimates.get(key)
+        if entry is None:
+            entry = self._estimates[key] = (bound, self._compute(term, env))
+        return entry[1]
+
+    def _compute(self, term: Term, env: dict[str, RelationStats]) -> RelationStats:
         if isinstance(term, Literal):
             return RelationStats.of(term.relation)
         if isinstance(term, Filter):
@@ -163,7 +190,7 @@ class CardinalityEstimator:
     # -- Fixpoints ---------------------------------------------------------------
 
     def _estimate_fixpoint(self, term: Fixpoint, env) -> RelationStats:
-        decomposition = decompose(term)
+        decomposition = self.decomposition(term)
         seed = self._estimate(decomposition.constant_part, env)
         if decomposition.variable_part is None:
             return seed

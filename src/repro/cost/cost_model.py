@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from ..data.relation import Relation
 from ..data.stats import RelationStats, StatisticsCatalog
 from ..errors import CostEstimationError
-from ..algebra.conditions import decompose
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Literal, Rename, RelVar, Term, Union)
 from .cardinality import MAX_SIMULATED_ITERATIONS, CardinalityEstimator
@@ -111,7 +110,7 @@ class CostModel:
     # -- Fixpoint -------------------------------------------------------------
 
     def _report_fixpoint(self, term: Fixpoint, env: dict[str, RelationStats]) -> CostReport:
-        decomposition = decompose(term)
+        decomposition = self.estimator.decomposition(term)
         seed_report = self._report(decomposition.constant_part, env)
         estimate = self.estimator.estimate(term, env=env)
         if decomposition.variable_part is None:

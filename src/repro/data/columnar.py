@@ -1,31 +1,29 @@
-"""Columnar relation layout: dictionary-encoded ids in integer columns.
+"""Columnar storage: dictionary-encoded ids, code indexes, code-tuple sets.
 
-The row engine stores a relation as a frozenset of value tuples and pays a
-per-row ``tuple(row[i] for i in ...)`` comprehension in every join, rename
-and projection of every semi-naive iteration.  This module provides the
-columnar substrate the execution kernels (:mod:`repro.algebra.kernels`)
-run on instead:
+The row engine stores a relation as a frozenset of value tuples and
+hashes and compares arbitrary node ids in every join of every semi-naive
+iteration.  This module provides what the fused fixpoint step
+(:mod:`repro.algebra.kernels`) works on instead:
 
 * :class:`ValueDictionary` — an interning dictionary mapping arbitrary
   (hashable) node ids to small dense integers.  One dictionary is shared
   per snapshot (via :meth:`DatabaseSnapshot.derived
   <repro.data.snapshot.DatabaseSnapshot.derived>`), so every relation of
   one graph agrees on the codes and joins compare plain ``int``s.
-* :class:`ColumnarRelation` — a relation as parallel :mod:`array`-module
-  integer columns aligned with the sorted schema.  Adoption from a
-  :class:`~repro.data.relation.Relation` is memoized on the relation
-  object exactly like :meth:`Relation.index_on
-  <repro.data.relation.Relation.index_on>` (see
-  :meth:`Relation.columnar <repro.data.relation.Relation.columnar>`), so
-  a loop-invariant relation is encoded once, not once per iteration.
-* :class:`ColumnarBatch` — the transient column set kernels pass between
-  operators; renames and projections on it are column-list permutations
-  with no per-row work at all.
+* :class:`ColumnarRelation` — the *storage* encoding of a relation:
+  parallel :mod:`array`-module integer columns aligned with the sorted
+  schema, memoized on the relation object exactly like
+  :meth:`Relation.index_on <repro.data.relation.Relation.index_on>` (see
+  :meth:`Relation.columnar <repro.data.relation.Relation.columnar>`), and
+  carrying the key -> payload indexes a step probes.  A loop-invariant
+  relation is encoded and indexed once per snapshot version, not once
+  per iteration or execution.
 * :class:`ColumnarDeltaAccumulator` — the
   :class:`~repro.data.storage.DeltaAccumulator`-shaped delta path of the
-  columnar fixpoint loop: dedup via packed code-tuple sets
-  (``zip(*arrays)`` runs at C speed), one decode to a ``Relation`` at the
-  very end.
+  columnar fixpoint loop.  The working representation between encode and
+  decode is a plain ``set`` of code tuples: the step consumes and
+  produces it, the accumulator subtracts and unions it, and one
+  :func:`decode_rows` at the very end turns it back into a ``Relation``.
 
 A context-local escape hatch, :func:`row_mode`, pins the row engine (the
 differential harness proves both engines agree) — results returned to
@@ -164,29 +162,30 @@ def snapshot_dictionary(database) -> ValueDictionary:
     return ValueDictionary()
 
 
-class ColumnarBatch:
-    """A transient set of parallel code columns (kernels' working type)."""
-
-    __slots__ = ("columns", "arrays")
-
-    def __init__(self, columns: tuple[str, ...], arrays: list[array]):
-        self.columns = columns
-        self.arrays = arrays
-
-    def __len__(self) -> int:
-        return len(self.arrays[0]) if self.arrays else 0
-
-    def __repr__(self) -> str:
-        return f"ColumnarBatch(columns={list(self.columns)}, rows={len(self)})"
+def decode_rows(columns: tuple[str, ...], rows, dictionary: ValueDictionary
+                ) -> "Relation":
+    """Decode a collection of distinct code tuples into a row relation."""
+    from .relation import Relation
+    values = dictionary.values
+    if len(columns) == 2:
+        # The common graph case: one pass beats the transposes below.
+        decoded = frozenset((values[x], values[y]) for x, y in rows)
+    else:
+        decoded = frozenset(zip(*(map(values.__getitem__, column)
+                                  for column in zip(*rows))))
+    return Relation._from_trusted(columns, decoded)
 
 
 class ColumnarRelation:
     """A relation as dictionary-encoded integer columns.
 
-    Columns are aligned with the sorted schema, exactly like ``Relation``
-    rows, so adopting and releasing a relation never reorders anything.
-    Key indexes (code -> row positions) are memoized per key layout, the
-    columnar analogue of :class:`~repro.data.storage.HashIndex`.
+    The *storage* encoding of a relation: columns are aligned with the
+    sorted schema, exactly like ``Relation`` rows, so adopting and
+    releasing a relation never reorders anything.  It exists to be
+    memoized (:meth:`Relation.columnar`) and to carry the indexes a
+    fixpoint step probes (:meth:`index_on`), the columnar analogue of
+    :class:`~repro.data.storage.HashIndex`; the step itself works on
+    packed code tuples (:meth:`code_rows`).
     """
 
     __slots__ = ("columns", "arrays", "dictionary", "_key_index_cache")
@@ -196,7 +195,7 @@ class ColumnarRelation:
         self.columns = columns
         self.arrays = arrays
         self.dictionary = dictionary
-        self._key_index_cache: dict[tuple[int, ...], dict] | None = None
+        self._key_index_cache: dict[tuple, dict] | None = None
 
     @classmethod
     def from_relation(cls, relation: "Relation",
@@ -216,62 +215,63 @@ class ColumnarRelation:
     def __len__(self) -> int:
         return len(self.arrays[0]) if self.arrays else 0
 
-    def batch(self) -> ColumnarBatch:
-        """A zero-copy batch view over the same arrays."""
-        return ColumnarBatch(self.columns, self.arrays)
+    def code_rows(self) -> set[tuple[int, ...]]:
+        """The rows as a new set of packed code tuples (schema order)."""
+        return set(zip(*self.arrays))
 
     def to_relation(self) -> "Relation":
-        """Decode back to a row relation (column-wise, mostly C speed)."""
-        from .relation import Relation
-        if not self.arrays or not len(self.arrays[0]):
-            return Relation.empty(self.columns)
-        values = self.dictionary.values
-        if len(self.arrays) == 2:
-            # The common graph case: one pass beats the transposes below.
-            rows = frozenset((values[x], values[y])
-                             for x, y in zip(*self.arrays))
-        else:
-            decoded = [tuple(map(values.__getitem__, column))
-                       for column in self.arrays]
-            rows = frozenset(zip(*decoded))
-        return Relation._from_trusted(self.columns, rows)
+        """Decode back to a row relation."""
+        return decode_rows(self.columns, zip(*self.arrays), self.dictionary)
 
-    def index_on(self, positions: tuple[int, ...]) -> dict:
-        """Code -> row-position index, memoized per key layout.
+    def index_on(self, positions: tuple[int, ...],
+                 payload: tuple[int, ...] = ()) -> dict:
+        """Key code -> matches, memoized per ``(positions, payload)``.
 
-        Single-column keys map the bare ``int`` code (the common case:
-        graph joins are on one node column); wider keys map code tuples.
+        Without ``payload`` a match is a row position, so the index
+        answers membership (antijoins, semijoins).  With it a key maps
+        to the tuple of its distinct payloads — the codes of the
+        ``payload`` columns of every row carrying the key — which is all
+        a fused join reads from the constant side: it never comes back
+        to ``arrays``.  One-column keys and payloads are bare ``int``
+        codes (the common case: graph joins are on one node column and
+        keep one); wider ones are code tuples.
         """
         cache = self._key_index_cache
-        if cache is not None:
-            index = cache.get(positions)
-            if index is not None:
-                return index
-        index: dict = {}
-        if len(positions) == 1:
-            column = self.arrays[positions[0]]
-            for row, code in enumerate(column):
-                bucket = index.get(code)
-                if bucket is None:
-                    index[code] = [row]
-                else:
-                    bucket.append(row)
-        else:
-            key_columns = [self.arrays[p] for p in positions]
-            for row, key in enumerate(zip(*key_columns)):
-                bucket = index.get(key)
-                if bucket is None:
-                    index[key] = [row]
-                else:
-                    bucket.append(row)
         if cache is None:
             cache = self._key_index_cache = {}
-        cache[positions] = index
+        index = cache.get((positions, payload))
+        if index is None:
+            index = cache[positions, payload] = self._build_index(positions,
+                                                                  payload)
         return index
 
-    def has_index(self, positions: tuple[int, ...]) -> bool:
+    def _build_index(self, positions: tuple[int, ...],
+                     payload: tuple[int, ...]) -> dict:
+        def cells(columns):
+            if len(columns) == 1:
+                return self.arrays[columns[0]]
+            return zip(*(self.arrays[p] for p in columns))
+
+        index: dict = {}
+        matches = cells(payload) if payload else range(len(self))
+        for key, match in zip(cells(positions), matches):
+            bucket = index.get(key)
+            if bucket is None:
+                index[key] = [match]
+            else:
+                bucket.append(match)
+        if payload:
+            # Rows are distinct, so payloads under one key are too unless
+            # some column is neither key nor payload.
+            distinct = len({*positions, *payload}) == len(self.arrays)
+            for key, bucket in index.items():
+                index[key] = tuple(bucket if distinct else set(bucket))
+        return index
+
+    def has_index(self, positions: tuple[int, ...],
+                  payload: tuple[int, ...] = ()) -> bool:
         cache = self._key_index_cache
-        return cache is not None and positions in cache
+        return cache is not None and (positions, payload) in cache
 
     # -- Pickling (index caches are derived data) -----------------------------
 
@@ -290,48 +290,30 @@ class ColumnarRelation:
 class ColumnarDeltaAccumulator:
     """The columnar twin of :class:`~repro.data.storage.DeltaAccumulator`.
 
-    Maintains the growing fixpoint result as one set of packed code
-    tuples.  ``absorb`` folds an iteration's output in and returns the
-    genuinely-new delta as a batch; ``relation`` decodes the accumulated
-    set to a row ``Relation`` exactly once, at the end.
+    Holds the growing fixpoint result as one set of packed code tuples —
+    the representation the fused step consumes and produces, so
+    ``absorb`` is a set difference and a set union, both inside the C set
+    implementation, and the delta it returns is handed to the next step
+    as it is.  This is the one place an iteration's output is
+    deduplicated against the result.  ``relation`` decodes the
+    accumulated set to a row ``Relation`` exactly once, at the end.
     """
 
     __slots__ = ("columns", "_seen")
 
-    def __init__(self, seed: ColumnarBatch):
-        self.columns = seed.columns
-        self._seen: set[tuple[int, ...]] = set(zip(*seed.arrays))
+    def __init__(self, columns: tuple[str, ...], seed: set[tuple[int, ...]]):
+        self.columns = columns
+        self._seen = set(seed)
 
     def __len__(self) -> int:
         return len(self._seen)
 
-    def absorb(self, produced: ColumnarBatch) -> ColumnarBatch:
-        """Fold one iteration's output in; return the new delta batch.
-
-        Set construction, difference and union all run inside the C set
-        implementation — the only per-row Python here is the ``zip``
-        transposes in and out of the packed representation.
-        """
-        fresh = set(zip(*produced.arrays))
-        fresh -= self._seen
-        if not fresh:
-            return ColumnarBatch(self.columns,
-                                 [array("q") for _ in self.columns])
+    def absorb(self, produced: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+        """Fold one iteration's output in; return the genuinely new rows."""
+        fresh = produced - self._seen
         self._seen |= fresh
-        return ColumnarBatch(self.columns,
-                             [array("q", column) for column in zip(*fresh)])
+        return fresh
 
     def relation(self, dictionary: ValueDictionary) -> "Relation":
         """Decode the accumulated result into a row relation, once."""
-        from .relation import Relation
-        if not self._seen:
-            return Relation.empty(self.columns)
-        values = dictionary.values
-        if len(self.columns) == 2:
-            # The common graph case: one pass beats the transposes below.
-            rows = frozenset((values[x], values[y]) for x, y in self._seen)
-        else:
-            decoded = [tuple(map(values.__getitem__, column))
-                       for column in zip(*self._seen)]
-            rows = frozenset(zip(*decoded))
-        return Relation._from_trusted(self.columns, rows)
+        return decode_rows(self.columns, self._seen, dictionary)

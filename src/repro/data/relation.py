@@ -420,6 +420,28 @@ class Relation:
         return Relation._from_trusted(ordered, frozenset(
             tuple(row[i] for i in indices) for row in self._rows))
 
+    def rename_chain(self, steps: Iterable[tuple[str, str]]) -> "Relation":
+        """Apply ``(old, new)`` renames in order, as one relabel.
+
+        A chain such as ``src->_a, trg->_b, _a->x, _b->y`` passes through
+        schemas whose sort order differs from both ends, so applying it
+        step by step re-tuples every row several times for a net effect
+        that may not move a column at all.  The chain is validated on the
+        schema alone and composed into one :meth:`rename_many`; a chain
+        with an invalid step is replayed through :meth:`rename` so that
+        step raises exactly what it raises there.
+        """
+        steps = tuple(steps)
+        names = list(self._columns)
+        for old, new in steps:
+            if old not in names or (new != old and new in names):
+                relation = self
+                for step in steps:
+                    relation = relation.rename(*step)
+                return relation
+            names[names.index(old)] = new
+        return self.rename_many(dict(zip(self._columns, names)))
+
     def antiproject(self, columns: Iterable[str] | str) -> "Relation":
         """Drop the given column(s) (pi-tilde operator), deduplicating rows."""
         if isinstance(columns, str):

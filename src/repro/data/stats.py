@@ -53,6 +53,9 @@ class StatisticsCatalog:
 
     def __init__(self, database: dict[str, Relation] | None = None):
         self._stats: dict[str, RelationStats] = {}
+        #: Bumped by every change to an entry, so what was derived from
+        #: the catalog (the estimator's memo) can tell it went stale.
+        self.version = 0
         if database:
             for name, relation in database.items():
                 self.register(name, relation)
@@ -73,12 +76,13 @@ class StatisticsCatalog:
     def register(self, name: str, relation: Relation) -> RelationStats:
         """Compute and store the statistics of ``relation`` under ``name``."""
         stats = RelationStats.of(relation)
-        self._stats[name] = stats
+        self.register_stats(name, stats)
         return stats
 
     def register_stats(self, name: str, stats: RelationStats) -> None:
         """Store externally computed statistics (e.g. sampled estimates)."""
         self._stats[name] = stats
+        self.version += 1
 
     def invalidate(self, name: str) -> bool:
         """Drop the statistics of ``name`` (after the relation changed).
@@ -87,6 +91,7 @@ class StatisticsCatalog:
         the conservative default of :meth:`get`, so stale estimates can
         never survive a mutation.  Returns whether an entry was dropped.
         """
+        self.version += 1
         return self._stats.pop(name, None) is not None
 
     def refresh(self, name: str, relation: Relation) -> RelationStats:

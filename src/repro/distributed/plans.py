@@ -41,8 +41,8 @@ from ..algebra.schema import infer_schema
 from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
 from ..algebra.variables import free_variables, is_constant_in
 from ..algebra.visitors import transform_top_down, walk
-from ..data.columnar import (ColumnarRelation, ValueDictionary,
-                             columnar_enabled, row_mode, snapshot_dictionary)
+from ..data.columnar import (ValueDictionary, columnar_enabled,
+                             decode_rows, row_mode, snapshot_dictionary)
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
 from ..errors import DistributionError
@@ -275,25 +275,26 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
                    limit=limit,
                    nonconvergence=f"global loop on {var!r} did not converge "
                                   f"within {limit} iterations")
-        return accumulator.dataset.collect()
+        return accumulator.relation()
 
     def _kernel_partition_task(self, bound: BoundKernel):
         """One partition's iteration step as a shippable closure.
 
-        Encode, kernel chain, decode — all inside the task.  Under the
-        process backend the closure (dictionary and bound indexes
-        included) travels via cloudpickle; a worker's dictionary copy may
-        intern codes for values the driver has not seen, which is sound
-        because the partition is decoded with that same copy before
-        anything returns.
+        Encode, fused step, decode — all inside the task, on the same
+        bound program the centralized loop runs.  Under the process
+        backend the closure (dictionary and bound indexes included)
+        travels via cloudpickle; a worker's dictionary copy may intern
+        codes for values the driver has not seen, which is sound because
+        the partition is decoded with that same copy before anything
+        returns.
         """
         dictionary = self._dictionary
+        columns = bound.out_schema
         step = bound.step
 
         def run(partition: Relation, _worker_id: int) -> Relation:
-            batch = step(partition.columnar(dictionary).batch())
-            return ColumnarRelation(batch.columns, batch.arrays,
-                                    dictionary).to_relation()
+            produced = step(partition.columnar(dictionary).code_rows())
+            return decode_rows(columns, produced, dictionary)
         return run
 
 

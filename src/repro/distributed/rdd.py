@@ -3,9 +3,9 @@
 Two Spark abstractions matter for the paper's execution plans:
 
 * **Dataset** — relational data partitioned across workers, with
-  per-partition task waves (``map_partitions``) and the shuffle-based
-  operators (``distinct``, shuffle union / difference) that the ``Pgld``
-  global-loop plan pays on every iteration,
+  per-partition task waves (``map_partitions``); the shuffles that the
+  ``Pgld`` global-loop plan pays on every iteration (set difference,
+  union with ``distinct()``) are :class:`DistinctAccumulator`'s,
 * **SetRDD** — the BigDatalog abstraction reused by ``Pplw``: every
   partition is the *set* one worker's local fixpoint produced, so the
   final union needs at most one shuffle, and none when the partitions
@@ -105,62 +105,49 @@ class DistributedRelation:
             new_partitions.append(outcome.value)
         return type(self)(self.cluster, new_partitions)
 
-    # -- Wide (shuffle) transformations -------------------------------------------
-
-    def distinct(self) -> "DistributedRelation":
-        """Global duplicate elimination: requires a shuffle by row hash."""
-        total = self.count()
-        self.cluster.record_shuffle(total)
-        collected = self.collect()
-        self.cluster.metrics.duplicates_eliminated += total - len(collected)
-        return type(self).from_relation(self.cluster, collected)
-
-    def union_distinct(self, other: "DistributedRelation") -> "DistributedRelation":
-        """Spark-style union followed by ``distinct()`` (one shuffle)."""
-        self._require_same_layout(other)
-        merged = [mine.union(theirs)
-                  for mine, theirs in zip(self.partitions, other.partitions)]
-        return type(self)(self.cluster, merged).distinct()
-
-    def subtract_distinct(self, other: "DistributedRelation") -> "DistributedRelation":
-        """Global set difference: shuffles both sides by row hash."""
-        self._require_same_layout(other)
-        self.cluster.record_shuffle(self.count() + other.count())
-        mine = self.collect()
-        theirs = other.collect()
-        return type(self).from_relation(self.cluster, mine.difference(theirs))
-
-    # -- Internal ------------------------------------------------------------------
-
-    def _require_same_layout(self, other: "DistributedRelation") -> None:
-        if self.cluster is not other.cluster:
-            raise DistributionError("datasets live on different clusters")
-        if self.columns != other.columns:
-            raise DistributionError(
-                f"incompatible schemas {self.columns} and {other.columns}")
-
 
 class DistinctAccumulator:
     """``Pgld``'s accumulated Dataset, for the semi-naive driver.
 
     The distributed twin of :class:`~repro.data.storage.DeltaAccumulator`:
-    ``absorb`` is the global set difference followed by the global union,
-    each of which repartitions the data — the per-iteration shuffles that
-    make the plan's communication grow with the recursion depth.
+    ``absorb`` is the global set difference followed by the global union
+    with ``distinct()``, each of which repartitions the data — the
+    per-iteration shuffles that make the plan's communication grow with
+    the recursion depth.  Both shuffles are *recorded* at the size Spark
+    would move; the accumulated ``X`` itself is held once, as one row
+    set, because no task ever reads its partitions — only the delta's,
+    which is the one thing re-split here.
     """
 
     def __init__(self, seed: DistributedRelation):
-        self.dataset = seed
+        self.cluster = seed.cluster
+        self.columns = seed.columns
+        self._seen: set = set(seed.collect().rows)
 
     def __len__(self) -> int:
-        return self.dataset.count()
+        return len(self._seen)
 
     def absorb(self, produced: DistributedRelation) -> DistributedRelation:
-        # new = phi(new) \ X    (global set difference: shuffle)
-        delta = produced.subtract_distinct(self.dataset)
-        # X = X U new           (union + distinct: shuffle)
-        self.dataset = self.dataset.union_distinct(delta)
-        return delta
+        if produced.cluster is not self.cluster:
+            raise DistributionError("datasets live on different clusters")
+        if produced.columns != self.columns:
+            raise DistributionError(
+                f"incompatible schemas {produced.columns} and {self.columns}")
+        # new = phi(new) \ X    (global set difference: both sides shuffle)
+        self.cluster.record_shuffle(produced.count() + len(self._seen))
+        fresh: set = set()
+        for partition in produced.partitions:
+            fresh |= partition.rows - self._seen
+        # X = X U new           (union + distinct: one more shuffle; X and
+        # new are disjoint, so distinct() finds no duplicate to eliminate)
+        self.cluster.record_shuffle(len(self._seen) + len(fresh))
+        self._seen |= fresh
+        return DistributedRelation.from_relation(
+            self.cluster, Relation._from_trusted(self.columns, fresh))
+
+    def relation(self) -> Relation:
+        """The accumulated result, collected on the driver."""
+        return Relation._from_trusted(self.columns, self._seen)
 
 
 class SetRDD(DistributedRelation):

@@ -425,16 +425,13 @@ def _peel_renames(plan: Term) -> tuple[list[tuple[str, str]], Fixpoint] | None:
 
 def _unwrap(relation: Relation, renames: list[tuple[str, str]]) -> Relation:
     """Undo the rename chain: outer cached schema -> fixpoint schema."""
-    for old, new in renames:  # outermost first: invert in peel order
-        relation = relation.rename(new, old)
-    return relation
+    # Outermost first: invert in peel order.
+    return relation.rename_chain((new, old) for old, new in renames)
 
 
 def _rewrap(relation: Relation, renames: list[tuple[str, str]]) -> Relation:
     """Re-apply the rename chain: fixpoint schema -> cached entry schema."""
-    for old, new in reversed(renames):
-        relation = relation.rename(old, new)
-    return relation
+    return relation.rename_chain(reversed(renames))
 
 
 def _touches_nonmonotone_position(fixpoint: Fixpoint,

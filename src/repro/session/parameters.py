@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
+from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Filter, Term
 from ..data.predicates import (And, Compare, Eq, In, Not, Or, Predicate)
 from ..errors import TranslationError
@@ -78,6 +79,10 @@ def bind_plan(plan: CachedPlan, values: Mapping[str, object]) -> CachedPlan:
     """
     if not values:
         return plan
+    # Every binding shares the template's compiled kernels: the slot is
+    # filled here, before ``replace`` copies it, not lazily per binding.
+    if plan.kernel_program is None:
+        plan.kernel_program = KernelProgramCache()
     concrete = substitute_parameters(plan.term, values)
     binding = ", ".join(f"{name}={values[name]!r}" for name in sorted(values))
     return replace(plan, term=concrete,

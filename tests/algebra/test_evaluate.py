@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import (EvaluationStats, Evaluator, Fixpoint, RelVar,
-                           Union, closure, closure_from_seed, compose,
+from repro.algebra import (EvaluationStats, Evaluator, Fixpoint, Literal,
+                           RelVar, Union, closure, closure_from_seed, compose,
                            evaluate, naive_fixpoint)
 from repro.data import Eq, Relation
-from repro.errors import EvaluationError, FixpointConditionError
+from repro.errors import (EvaluationError, FixpointConditionError,
+                          SchemaError)
 
 
 def paths_from_roots(database):
@@ -142,3 +143,40 @@ class TestEvaluatorReuse:
         override = Relation.from_pairs([(7, 8)], columns=("src", "trg"))
         result = evaluator.evaluate(RelVar("E"), env={"E": override})
         assert result == override
+
+
+class TestRenameChains:
+    """``Evaluator`` applies a maximal chain of nested renames as one
+    relabel of the child's value (``Relation.rename_chain``)."""
+
+    def head(self, term, first, second):
+        """What ``query/translate.py`` wraps an atom's answer in."""
+        return (term.rename("src", "_n1").rename("trg", "_n0")
+                .rename("_n1", first).rename("_n0", second))
+
+    def test_head_renames_share_the_fixpoints_row_set(self, paper_database):
+        inner = closure(RelVar("E"), var="X")
+        evaluator = Evaluator(paper_database)
+        fixpoint = evaluator.evaluate(inner)
+        literal = Literal(fixpoint)
+        relabelled = evaluator.evaluate(self.head(literal, "x", "y"))
+        assert relabelled.columns == ("x", "y")
+        assert relabelled.rows is fixpoint.rows
+
+    def test_a_genuine_swap_moves_the_columns(self, paper_database):
+        edges = paper_database["E"]
+        swapped = evaluate(self.head(RelVar("E"), "y", "x"), paper_database)
+        assert swapped.columns == ("x", "y")
+        assert swapped.to_pairs("y", "x") == edges.to_pairs("src", "trg")
+        assert swapped.rows == {(trg, src) for src, trg in edges.rows}
+
+    def test_an_invalid_chain_raises_the_failing_steps_error(
+            self, paper_database):
+        edges = paper_database["E"]
+        term = RelVar("E").rename("src", "a").rename("missing", "b") \
+            .rename("a", "c")
+        with pytest.raises(SchemaError) as raised:
+            evaluate(term, paper_database)
+        with pytest.raises(SchemaError) as expected:
+            edges.rename("src", "a").rename("missing", "b")
+        assert str(raised.value) == str(expected.value)

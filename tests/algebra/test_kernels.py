@@ -1,21 +1,28 @@
-"""Unit tests of the operator-at-a-time kernel planner and its cache."""
+"""Unit tests of the fused fixpoint-step planner and its program cache."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algebra.builders import closure
+from contextlib import nullcontext
+
+from repro.algebra.builders import closure, compose
 from repro.algebra.conditions import decompose
+from repro.algebra.evaluate import Evaluator
 from repro.algebra.fixpoint import run_fixpoint
 from repro.algebra.kernels import (KernelProgramCache, KernelUnsupported,
                                    bind_program, compile_program,
                                    default_kernel_cache)
-from repro.algebra.terms import (Antijoin, Filter, Fixpoint, Join, RelVar,
-                                 Union)
-from repro.data.columnar import ValueDictionary, row_mode
-from repro.data.predicates import Compare, Eq, In
+from repro.algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint,
+                                 Join, Rename, RelVar, Union)
+from repro.data.columnar import (ValueDictionary, row_mode,
+                                 snapshot_dictionary)
+from repro.data.predicates import Compare, Eq, In, TruePredicate
 from repro.data.relation import Relation
+from repro.data.snapshot import DatabaseSnapshot
 from repro.errors import EvaluationError
+from repro.workloads.nonregular import (same_generation_facts_term,
+                                        same_generation_term)
 
 
 def edges(pairs):
@@ -206,3 +213,167 @@ class TestStructuralKernels:
         with row_mode():
             expected = evaluate(term, database)
         assert evaluate(term, database) == expected
+
+
+# -- Every shape the planner accepts ------------------------------------------
+
+SHAPES_DATABASE = {
+    "E": edges([(1, 2), (2, 3), (3, 4), (2, 5), (5, 1), (4, 6), (6, 7)]),
+    "F": edges([(1, 3), (3, 5), (5, 7), (7, 2), (2, 8)]),
+    "Blocked": edges([(1, 4), (2, 7)]),
+    "Allowed": Relation(("trg",), [(2,), (3,), (4,), (5,), (6,)]),
+    "Hop": Relation.from_dicts(
+        [{"m": m, "src": s, "trg": t} for m, s, t in [
+            (2, 8, 9), (3, 8, 2), (9, 1, 5), (5, 9, 9), (7, 7, 3)]]),
+    "Nobody": Relation.empty(("a", "b")),
+    "Somebody": Relation(("a", "b"), [(1, 2)]),
+    "edge": edges([(1, 10), (2, 10), (3, 11), (4, 11), (10, 20), (11, 20),
+                   (5, 12), (12, 21), (20, 30), (21, 30)]),
+    "facts": Relation.from_dicts(
+        [{"src": s, "pred": p, "trg": t} for s, p, t in [
+            (1, "p", 10), (2, "p", 10), (3, "p", 11), (10, "p", 20),
+            (11, "p", 20), (4, "q", 10), (5, "q", 10), (10, "q", 21),
+            (6, "q", 12), (12, "q", 21)]]),
+}
+
+X = RelVar("X")
+E = RelVar("E")
+
+
+def recursion(step, seed=E):
+    return Fixpoint("X", Union(seed, step))
+
+
+#: name -> (fixpoint, (iterations, rows, index_builds, index_reuses,
+#: probes)).  The counters are those of the operator-at-a-time column
+#: kernels this planner replaced, captured at the commit before: fusing
+#: the step may not change what it is seen to do.
+SHAPES = {
+    # The four hand-written layouts of the fused binary join: where the
+    # key sits in the frontier tuple x where the payload lands in the
+    # output.
+    "append: key last, payload last": (
+        closure(E, var="X"), (6, 27, 1, 5, 27)),
+    "prepend: key first, payload first": (
+        closure(E, "right-to-left", var="X"), (6, 27, 1, 5, 27)),
+    "key last, payload first": (
+        recursion(Join(X, E.rename("trg", "a").rename("src", "trg"))
+                  .antiproject("trg").rename("src", "trg")
+                  .rename("a", "src")), (7, 16, 1, 6, 16)),
+    "key first, payload last": (
+        recursion(Join(X, E.rename("trg", "b")).antiproject("src")
+                  .rename("trg", "src").rename("b", "trg")),
+        (9, 33, 1, 8, 33)),
+    # Merged closures (Yago Q8): both directions in one variable part.
+    "union of two joins": (
+        recursion(Union(compose(E, X), compose(X, RelVar("F")))),
+        (5, 36, 2, 8, 72)),
+    "nested join": (same_generation_term("edge"), (3, 38, 2, 4, 59)),
+    "three columns, two-column key": (
+        same_generation_facts_term("facts"), (2, 26, 2, 2, 38)),
+    "filter above and below a join": (
+        recursion(Filter(Compare("trg", "!=", 4), compose(
+            Filter(Compare("src", "<=", 3), X), E))), (3, 14, 1, 2, 11)),
+    "antijoin above a join": (
+        recursion(Antijoin(compose(X, E), RelVar("Blocked"))),
+        (6, 23, 2, 10, 23)),
+    "semijoin: nothing kept from the constant side": (
+        recursion(Join(compose(X, E), RelVar("Allowed"))),
+        (5, 19, 2, 8, 39)),
+    # The filter needs the column the anti-project drops, so the join
+    # emits it and a final projection removes it.
+    "anti-project of a filtered column": (
+        recursion(AntiProject(("m",), Filter(Compare("m", "!=", 5), Join(
+            Rename("trg", "m", X), Rename("src", "m", E))))),
+        (6, 24, 1, 5, 24)),
+    "unary frontier": (
+        Fixpoint("X", Union(
+            Filter(Eq("src", 1), E).antiproject("src"),
+            Join(Rename("trg", "m", X), Rename("src", "m", E))
+            .antiproject("m"))), (5, 7, 1, 4, 7)),
+    "two-column payload": (
+        recursion(Join(X.antiproject("src").rename("trg", "m"),
+                       RelVar("Hop")).antiproject("m")), (3, 12, 1, 2, 12)),
+    "antijoin sharing no column, right side empty": (
+        recursion(Antijoin(compose(X, E), RelVar("Nobody"))),
+        (6, 27, 1, 5, 27)),
+    "antijoin sharing no column, right side not": (
+        recursion(Antijoin(compose(X, E), RelVar("Somebody"))),
+        (1, 7, 1, 0, 7)),
+    "filter on the always-true predicate": (
+        recursion(Filter(TruePredicate(), compose(X, E))),
+        (6, 27, 1, 5, 27)),
+    "join keeping its key": (
+        recursion(Join(X, RelVar("Allowed")).rename("trg", "m")
+                  .join(E.rename("src", "m")).antiproject("m")),
+        (5, 20, 2, 8, 32)),
+}
+
+
+def drive(fixpoint, database, engine="columnar"):
+    """Run ``fixpoint`` through ``run_fixpoint`` with a private program
+    cache and evaluator; a snapshot supplies its own dictionary."""
+    evaluator = Evaluator(database)
+    decomposition = decompose(fixpoint)
+    seed = evaluator.evaluate(decomposition.constant_part)
+
+    def row_step(delta):
+        return evaluator.evaluate(decomposition.variable_part,
+                                  env={fixpoint.var: delta})
+
+    with row_mode() if engine == "row" else nullcontext():
+        return run_fixpoint(
+            KernelProgramCache(), fixpoint.var, decomposition.variable_part,
+            seed, snapshot_dictionary(database),
+            evaluator.evaluate_constant, row_step, 100, "did not converge")
+
+
+class TestEveryAcceptedShape:
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_equals_the_row_engine_and_the_column_kernels_counters(self,
+                                                                   name):
+        fixpoint, counters = SHAPES[name]
+        columnar = drive(fixpoint, SHAPES_DATABASE)
+        row = drive(fixpoint, SHAPES_DATABASE, engine="row")
+        assert columnar.relation == row.relation
+        assert (row.index_builds, row.index_reuses, row.probes) == (0, 0, 0)
+        assert (columnar.iterations, len(columnar.relation),
+                columnar.index_builds, columnar.index_reuses,
+                columnar.probes) == (row.iterations, *counters[1:]) \
+            == counters
+
+    def test_a_constant_under_a_union_is_returned_as_it_is_bound(self):
+        """``decompose`` moves such a branch to the constant part, so
+        only a direct bind reaches it."""
+        dictionary = ValueDictionary()
+        database = {"C": edges([(1, 2), (2, 3)])}
+        swapped = Rename("m", "src", Rename("src", "trg", Rename(
+            "trg", "m", RelVar("C"))))
+        bound = bind_program(
+            KernelProgramCache(), "X", Union(RelVar("X"), swapped),
+            ("src", "trg"), dictionary, make_resolve(database))
+        code = dictionary.encode
+        frontier = {(code(7), code(8))}
+        assert bound.step(frontier) == {
+            (code(7), code(8)), (code(2), code(1)), (code(3), code(2))}
+        assert frontier == {(code(7), code(8))}
+
+
+class TestPayloadIndexLifetime:
+    def test_second_bind_on_a_snapshot_reuses_the_payload_index(self):
+        """The index lives on the operand's memoized encoding: the first
+        execution on a version builds it, every later bind — another
+        program cache, another evaluator — finds it."""
+        snapshot = DatabaseSnapshot({"E": SHAPES_DATABASE["E"]})
+        fixpoint = closure(E, var="X")
+        first = drive(fixpoint, snapshot)
+        second = drive(fixpoint, snapshot)
+        assert first.relation == second.relation
+        assert (first.index_builds, first.index_reuses) == (1, 5)
+        assert (second.index_builds, second.index_reuses) == (0, 6)
+        # compose(X, E) joins rho[trg->m](X) with rho[src->m](E): the
+        # operand, kept (encoded and indexed) by the snapshot's memo.
+        operand = decompose(fixpoint).variable_part.child.right
+        encoded = Evaluator(snapshot).evaluate_constant(operand).columnar(
+            snapshot_dictionary(snapshot))
+        assert encoded.has_index((0,), (1,)) and not encoded.has_index((0,))

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import (Filter, RelVar, closure, compose, evaluate,
-                           schemas_of_database)
+from repro import Session
+from repro.algebra import (Filter, RelVar, closure, compose, decompose,
+                           evaluate, schemas_of_database)
 from repro.cost import (CardinalityEstimator, CostModel, rank_plans,
                         select_best_plan)
+from repro.cost.selection import RankedPlan
 from repro.data import Eq, Relation
+from repro.data.stats import StatisticsCatalog
+from repro.datasets import uniprot_graph, yago_like_graph
 from repro.query import parse_query, translate_query
 from repro.rewriter import explore_plans
+from repro.workloads import uniprot_queries, yago_queries
 
 
 @pytest.fixture
@@ -114,3 +119,88 @@ class TestPlanSelection:
         bad = RelVar("missing-relation").join(RelVar("also-missing"))
         ranked = rank_plans([bad, good], database=database)
         assert ranked[0].term == good
+
+
+class _Unmemoized(CardinalityEstimator):
+    """The estimator as it was before sub-term estimates were memoized:
+    every ``estimate`` re-walks its whole subtree and every fixpoint is
+    decomposed where it is met.  Kept here as the reference only."""
+
+    def _estimate(self, term, env):
+        if isinstance(term, RelVar):
+            return super()._estimate(term, env)
+        return self._compute(term, env)
+
+    def decomposition(self, term):
+        return decompose(term)
+
+
+class TestEstimatesAreMemoizedNotChanged:
+    """``rank_plans`` costs each sub-term once; nothing it returns moves."""
+
+    @pytest.fixture(scope="class")
+    def plan_spaces(self):
+        """Every plan ``explore`` returns for the 25 Yago and the 25
+        Uniprot workload queries, with the catalog it is costed on."""
+        uniprot = uniprot_graph(num_edges=400, seed=3)
+        spaces = []
+        for graph, queries in ((yago_like_graph(scale=60, seed=3),
+                                yago_queries()),
+                               (uniprot, uniprot_queries(uniprot))):
+            with Session(graph) as session:
+                snapshot = session.snapshot()
+                for query in queries:
+                    term = session.translate(session.parse(query.text),
+                                             snapshot=snapshot)
+                    spaces.append((query.qid, snapshot.catalog,
+                                   session.rewriter.explore(
+                                       term, snapshot.schemas)))
+        return spaces
+
+    def test_costs_estimates_and_ranking_are_bit_identical(self, plan_spaces):
+        assert len(plan_spaces) == 50
+        plans_costed = 0
+        for qid, catalog, plans in plan_spaces:
+            reference = CostModel(estimator=_Unmemoized(catalog=catalog))
+            memoized = CostModel(catalog=catalog)   # one per rank_plans call
+            expected_ranking = []
+            for plan in plans:
+                expected = reference.report(plan)
+                # Exact float equality and whole RelationStats (per-column
+                # distinct counts included), not an approximation.
+                assert memoized.report(plan) == expected, f"{qid}: {plan}"
+                expected_ranking.append(RankedPlan(
+                    plan, expected.cost, expected.estimate.cardinality))
+            expected_ranking.sort(key=lambda ranked: ranked.cost)
+            assert rank_plans(plans, catalog=catalog) == expected_ranking, qid
+            plans_costed += len(plans)
+        assert plans_costed > 500
+
+    def test_each_sub_term_is_estimated_once_per_environment(self,
+                                                             plan_spaces):
+        _, catalog, plans = max(plan_spaces, key=lambda space: len(space[2]))
+        model = CostModel(catalog=catalog)
+        computed = []
+        compute = model.estimator._compute
+
+        def counting(term, env):
+            computed.append((term, *env, *map(id, env.values())))
+            return compute(term, env)
+
+        model.estimator._compute = counting
+        for plan in plans:
+            model.report(plan)
+        assert len(computed) == len(set(computed))
+
+    def test_a_catalog_change_drops_the_memo(self, database):
+        """A long-lived model must keep following ``catalog.refresh``."""
+        catalog = StatisticsCatalog(database)
+        model = CostModel(catalog=catalog)
+        term = compose(RelVar("knows"), RelVar("knows"))
+        before = model.report(term)
+        assert model.report(term) == before
+        catalog.refresh("knows", database["knows"].union(Relation(
+            ("src", "trg"), [(f"p{i}", f"p{i + 1}") for i in range(50)])))
+        after = model.report(term)
+        assert after.estimate.cardinality > before.estimate.cardinality
+        assert after == CostModel(catalog=catalog).report(term)

@@ -9,10 +9,10 @@ from array import array
 
 import pytest
 
-from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY, ColumnarBatch,
+from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY,
                                  ColumnarDeltaAccumulator, ColumnarRelation,
-                                 ValueDictionary, columnar_enabled, row_mode,
-                                 snapshot_dictionary)
+                                 ValueDictionary, columnar_enabled,
+                                 decode_rows, row_mode, snapshot_dictionary)
 from repro.data.relation import Relation
 from repro.data.snapshot import DatabaseSnapshot
 
@@ -114,6 +114,33 @@ class TestColumnarRelation:
         rows_of_one = index[dictionary.encode(1)]
         assert len(rows_of_one) == 2
 
+    def test_payload_index_maps_key_codes_to_payload_codes(self):
+        """What a fused join probes: bare ints for one-column keys and
+        payloads, tuples for wider ones, memoized per layout beside the
+        row-position index."""
+        dictionary = ValueDictionary()
+        encoded = edges([(1, 2), (1, 3), (2, 3)]).columnar(dictionary)
+        code = dictionary.encode
+        assert not encoded.has_index((0,), (1,))
+        index = encoded.index_on((0,), (1,))
+        assert encoded.has_index((0,), (1,)) and not encoded.has_index((0,))
+        assert encoded.index_on((0,), (1,)) is index
+        assert {key: sorted(bucket) for key, bucket in index.items()} == {
+            code(1): sorted([code(2), code(3)]), code(2): [code(3)]}
+        assert all(isinstance(bucket, tuple) for bucket in index.values())
+        wide = Relation.from_dicts(
+            [{"a": 1, "b": 2, "c": 3}, {"a": 1, "b": 2, "c": 4},
+             {"a": 1, "b": 5, "c": 3}]).columnar(dictionary)
+        assert {key: sorted(bucket) for key, bucket
+                in wide.index_on((0, 1), (2,)).items()} == {
+            (code(1), code(2)): sorted([code(3), code(4)]),
+            (code(1), code(5)): [code(3)]}
+        assert wide.index_on((2,), (1, 0))[code(4)] == ((code(2), code(1)),)
+        # A column that is neither key nor payload must not multiply the
+        # matches: a=1 carries b in {2, 5}, once each.
+        assert sorted(wide.index_on((0,), (1,))[code(1)]) \
+            == sorted([code(2), code(5)])
+
     def test_pickle_drops_index_cache_but_keeps_columns(self):
         dictionary = ValueDictionary()
         encoded = edges([(1, 2), (2, 3)]).columnar(dictionary)
@@ -124,29 +151,40 @@ class TestColumnarRelation:
 
 
 class TestColumnarDeltaAccumulator:
-    def _batch(self, rows):
-        columns = list(zip(*rows)) if rows else [[], []]
-        return ColumnarBatch(("src", "trg"),
-                             [array("q", column) for column in columns])
+    """The accumulator works on the kernels' own representation: sets of
+    code tuples in, the genuinely new ones out, nothing transposed."""
+
+    COLUMNS = ("src", "trg")
 
     def test_absorb_returns_only_new_rows(self):
-        accumulator = ColumnarDeltaAccumulator(self._batch([(0, 1), (1, 2)]))
-        delta = accumulator.absorb(self._batch([(1, 2), (2, 3), (2, 3)]))
-        assert sorted(zip(*delta.arrays)) == [(2, 3)]
+        accumulator = ColumnarDeltaAccumulator(self.COLUMNS,
+                                               {(0, 1), (1, 2)})
+        delta = accumulator.absorb({(1, 2), (2, 3)})
+        assert delta == {(2, 3)}
         assert len(accumulator) == 3
 
     def test_absorb_of_known_rows_returns_empty_batch(self):
-        accumulator = ColumnarDeltaAccumulator(self._batch([(0, 1)]))
-        delta = accumulator.absorb(self._batch([(0, 1)]))
+        accumulator = ColumnarDeltaAccumulator(self.COLUMNS, {(0, 1)})
+        delta = accumulator.absorb({(0, 1)})
         assert len(delta) == 0
-        assert delta.columns == ("src", "trg")
+        assert len(accumulator) == 1
+
+    def test_the_seed_and_the_produced_sets_are_left_alone(self):
+        """The seed set is also the first frontier, and a step may return
+        a set it holds on to (a constant under a union)."""
+        seed = {(0, 1)}
+        produced = frozenset({(0, 1), (1, 2)})
+        accumulator = ColumnarDeltaAccumulator(self.COLUMNS, seed)
+        fresh = accumulator.absorb(produced)
+        assert seed == {(0, 1)} and len(produced) == 2
+        accumulator.absorb({(5, 6)})
+        assert fresh == {(1, 2)}
 
     def test_relation_decodes_accumulated_rows_once(self):
         dictionary = ValueDictionary()
         seed = edges([(0, 1), (1, 2)]).columnar(dictionary)
-        accumulator = ColumnarDeltaAccumulator(seed.batch())
-        accumulator.absorb(self._batch(
-            [(dictionary.encode(0), dictionary.encode(2))]))
+        accumulator = ColumnarDeltaAccumulator(seed.columns, seed.code_rows())
+        accumulator.absorb({(dictionary.encode(0), dictionary.encode(2))})
         assert accumulator.relation(dictionary) == edges(
             [(0, 1), (1, 2), (0, 2)])
 
@@ -154,8 +192,21 @@ class TestColumnarDeltaAccumulator:
         dictionary = ValueDictionary()
         relation = Relation.from_dicts([{"a": 1, "b": 2, "c": 3}])
         encoded = relation.columnar(dictionary)
-        accumulator = ColumnarDeltaAccumulator(encoded.batch())
+        accumulator = ColumnarDeltaAccumulator(encoded.columns,
+                                               encoded.code_rows())
         assert accumulator.relation(dictionary) == relation
+
+    @pytest.mark.parametrize("columns", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_an_empty_result_decodes_to_the_empty_relation(self, columns):
+        accumulator = ColumnarDeltaAccumulator(columns, set())
+        assert accumulator.relation(ValueDictionary()) \
+            == Relation.empty(columns)
+
+    def test_one_column_rows_decode(self):
+        dictionary = ValueDictionary()
+        rows = {(dictionary.encode("x"),), (dictionary.encode("y"),)}
+        assert decode_rows(("a",), rows, dictionary) \
+            == Relation(("a",), [("x",), ("y",)])
 
 
 class TestEngineSwitch:

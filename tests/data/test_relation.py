@@ -154,6 +154,46 @@ class TestRelationOperators:
         edges.index_on(("src",))
         assert not edges.rename("src", "_n1").has_index(("_n1",))
 
+    def test_rename_chain_is_one_relabel(self):
+        """The translator's head renames go through fresh temporaries
+        (``src->_a, trg->_b, _a->x, _b->y``): step by step the middle
+        schemas sort differently and every row is re-tupled twice; the
+        net ``{src->x, trg->y}`` moves nothing."""
+        edges = Relation.from_pairs([(1, 2), (2, 3)], columns=("src", "trg"))
+        chain = [("src", "_n1"), ("trg", "_n0"), ("_n1", "x"), ("_n0", "y")]
+        relabelled = edges.rename_chain(chain)
+        assert relabelled.columns == ("x", "y")
+        assert relabelled.rows is edges.rows
+        # A genuine swap (a query written ``?y,?x``) still moves columns,
+        # once, and equals the row operators applied in order.
+        swap = [("src", "_n1"), ("trg", "_n0"), ("_n1", "y"), ("_n0", "x")]
+        step_by_step = edges
+        for old, new in swap:
+            step_by_step = step_by_step.rename(old, new)
+        swapped = edges.rename_chain(iter(swap))
+        assert swapped == step_by_step
+        assert swapped.to_dicts() == [{"x": 2, "y": 1}, {"x": 3, "y": 2}]
+        assert edges.rename_chain([]) is edges
+        # A name may be vacated and reused along the way.
+        assert edges.rename_chain([("src", "t"), ("trg", "src"),
+                                   ("t", "trg")]).rows == {(2, 1), (3, 2)}
+
+    @pytest.mark.parametrize("chain", [
+        [("src", "a"), ("missing", "b")],         # old absent at step 2
+        [("src", "a"), ("src", "b")],             # old renamed away
+        [("src", "trg")],                         # new present
+        [("src", "a"), ("trg", "a")],             # new created earlier
+    ])
+    def test_rename_chain_raises_what_the_failing_step_raises(self, chain):
+        edges = Relation.from_pairs([(1, 2)], columns=("src", "trg"))
+        with pytest.raises(SchemaError) as chained:
+            edges.rename_chain(chain)
+        with pytest.raises(SchemaError) as stepped:
+            relation = edges
+            for old, new in chain:
+                relation = relation.rename(old, new)
+        assert str(chained.value) == str(stepped.value)
+
     def test_rename_many_rejects_duplicates(self):
         with pytest.raises(SchemaError):
             self.r.rename_many({"a": "b"})

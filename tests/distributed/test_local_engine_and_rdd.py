@@ -13,6 +13,7 @@ from repro.distributed import (AUTO, DistributedQueryExecutor,
                                PhysicalPlanGenerator, SparkCluster,
                                fixpoint_to_sql)
 from repro.distributed.plans import run_local_loop
+from repro.distributed.rdd import DistinctAccumulator
 from repro.errors import DistributionError, EvaluationError
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
@@ -116,20 +117,41 @@ class TestDistributedRelation:
                        if value in part.column_values("src")]
             assert len(holders) == 1
 
-    def test_distinct_records_a_shuffle(self, paper_edges):
+    def test_distinct_records_a_shuffle(self, paper_edges, paper_start_edges):
+        """One ``absorb`` is Pgld's two shuffles — the set difference
+        moves both sides, the union with ``distinct()`` moves X and the
+        delta — and only the delta comes back partitioned."""
         cluster = SparkCluster(num_workers=2)
-        dataset = DistributedRelation.from_relation(cluster, paper_edges)
-        dataset.distinct()
-        assert cluster.metrics.shuffles == 1
-        assert cluster.metrics.tuples_shuffled == len(paper_edges)
+        seed = DistributedRelation.from_relation(cluster, paper_start_edges)
+        accumulator = DistinctAccumulator(seed)
+        produced = DistributedRelation.from_relation(cluster, paper_edges)
+        fresh = paper_edges.difference(paper_start_edges)
+        delta = accumulator.absorb(produced)
+        assert cluster.metrics.shuffles == 2
+        assert cluster.metrics.tuples_shuffled == (
+            len(paper_edges) + len(paper_start_edges)
+            + len(paper_start_edges) + len(fresh))
+        assert cluster.metrics.duplicates_eliminated == 0
+        assert delta.collect() == fresh
+        assert delta.partitions == fresh.split_round_robin(2)
+        assert accumulator.relation() == paper_edges.union(paper_start_edges)
+        assert len(accumulator) == len(accumulator.relation())
+        # Nothing new: both shuffles are still paid, the delta is empty.
+        assert accumulator.absorb(produced).count() == 0
+        assert cluster.metrics.shuffles == 4
 
     def test_mismatched_schemas_rejected(self, paper_edges, paper_start_edges):
         cluster = SparkCluster(num_workers=2)
-        left = DistributedRelation.from_relation(cluster, paper_edges)
+        accumulator = DistinctAccumulator(
+            DistributedRelation.from_relation(cluster, paper_edges))
         right = DistributedRelation.from_relation(
             cluster, paper_start_edges.rename("trg", "other"))
         with pytest.raises(DistributionError):
-            left.union_distinct(right)
+            accumulator.absorb(right)
+        elsewhere = DistributedRelation.from_relation(
+            SparkCluster(num_workers=2), paper_edges)
+        with pytest.raises(DistributionError):
+            accumulator.absorb(elsewhere)
 
 
 class TestPhysicalPlanGenerator:

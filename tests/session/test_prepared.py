@@ -6,6 +6,7 @@ import pytest
 
 from repro import Session
 from repro.errors import TranslationError
+from repro.obs.metrics import get_registry
 from repro.session.parameters import Parameter, parameters_of
 
 
@@ -48,6 +49,22 @@ class TestValueParameters:
         assert calls == [1]
         stats = session.plan_cache.stats
         assert stats.hits >= 4
+
+    def test_bindings_share_the_templates_compiled_kernels(self, session):
+        """``bind_plan`` used to copy the template's *empty* kernel slot,
+        so every binding executed under Pgld (which binds through the
+        plan's own cache) compiled its kernels again."""
+        compiles = get_registry().counter("repro_kernel_compiles_total")
+        prepared = session.prepare("?y <- :start knows+ ?y")
+        before = compiles.value
+        plans = []
+        for start in ("alice", "bob"):
+            bound = prepared.bind(start=start)
+            bound.run_once(strategy="pgld", use_result_cache=False)
+            plans.append(bound.plan("pgld"))
+        assert compiles.value - before == 1
+        assert plans[0].kernel_program is plans[1].kernel_program
+        assert len(plans[0].kernel_program) == 1
 
     def test_distinct_bindings_do_not_share_results(self, session):
         prepared = session.prepare("?y <- :start knows ?y")
