@@ -8,7 +8,7 @@ the space finite and small in practice.
 
 The exploration is breadth-first and bounded both in the number of rounds
 and in the total number of plans, so it always terminates quickly even on
-the largest workload queries (the paper reports on the order of a hundred
+the largest workload queries (the paper reports on the order of 100
 equivalent plans for the most complex Yago query).
 """
 

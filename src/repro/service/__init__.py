@@ -10,8 +10,8 @@ session's shared staged pipeline:
 * :mod:`repro.service.result_cache` — memoizes whole query results keyed
   by the snapshot fingerprint of their inputs (no eager purges),
 * :mod:`repro.service.view_maintenance` — incrementally maintains cached
-  recursive results across commits (semi-naive resume for insertions,
-  delete-and-rederive for deletions, cost-model fallback),
+  recursive results across commits (semi-naive resume for insertions;
+  removals and oversized deltas fall back to recomputation),
 * :mod:`repro.service.server` — admission control, scheduling, timeouts
   and the mutation pass-through,
 * :mod:`repro.service.metrics` — throughput, latency percentiles and

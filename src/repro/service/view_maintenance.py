@@ -3,11 +3,11 @@
 Result-cache keys are snapshot-qualified, so a commit never *corrupts* a
 cached entry — but it does strand it: the next query against the new
 head misses and pays a full fixpoint recomputation, even when the commit
-touched one edge out of millions.  This module closes that gap.  After a
-commit produces the successor snapshot, :class:`ViewMaintainer` walks
-the graph's result cache and, for every entry whose inputs the commit
-touched, tries to *maintain* the cached result instead of letting it go
-stale:
+added one edge to millions.  This module closes that gap for insertions.
+After a commit produces the successor snapshot, :class:`ViewMaintainer`
+walks the graph's result cache and, for every entry of the pre-commit
+head whose inputs the commit touched, either *maintains* the cached
+result or leaves it to the normal miss path:
 
 * **Insert resume** — when the touched dependencies only gained rows,
   the semi-naive loop is resumed from the cached fixpoint: the
@@ -18,26 +18,21 @@ stale:
   the Fcond conditions make the variable part distribute over unions
   (Proposition 1) and monotone in every touched input — so the old
   result is a subset of the new one and a valid seed.
-* **Delete and re-derive (DRed)** — when rows were removed, maintenance
-  *overdeletes* everything whose derivation may have used a removed row
-  (seeded from the constant-part and one-step rule differences, then
-  propagated through the old rules), subtracts the overdeleted set and
-  resumes the semi-naive loop from the surviving subset under the new
-  database.  The resume pass re-derives overdeleted rows that have
-  surviving alternative derivations and absorbs any insertions of the
-  same commit in one pass (Gupta, Mumick & Subrahmanian's DRed,
-  specialized to one linear fixpoint).
-* **Cost-model fallback** — when the commit's delta is a large fraction
-  of the touched inputs (measured against the snapshot's
-  :class:`~repro.data.stats.StatisticsCatalog` cardinalities),
-  incremental work would approach a full recomputation while paying
-  DRed's overdeletion overhead on top; the entry is skipped and the next
-  query recomputes through the normal miss path.
+* **Cost fallback** — a commit that *removed* rows from a touched input
+  invalidates: the paper's fixpoints are monotone and have no deletion
+  story, so the old result is no longer a subset of the new one and
+  seeds nothing (``DESIGN.md`` has the measured cost of the deletion
+  algebra this replaced).  So does a commit whose delta is a large
+  fraction of the touched inputs (measured against the snapshot's
+  :class:`~repro.data.stats.StatisticsCatalog` cardinalities), where a
+  resume converges in nearly as many rounds as a cold start.  Either
+  way the entry is passed over and the next query recomputes through
+  the normal miss path.
 
 Maintenance is *best effort by construction*: every skip (unsupported
 plan shape, a touched input under an antijoin's right side — a
-nonmonotone position where insertions can shrink the result — or an
-oversized delta) merely leaves the entry stale, which is exactly the
+nonmonotone position where insertions can shrink the result — or a
+fallback) merely leaves the entry stale, which is exactly the
 pre-maintenance behaviour.  A maintained entry is re-registered under
 the successor fingerprint with :meth:`ResultCache.promote`; the old
 entry stays valid for readers pinned to the superseded snapshot.
@@ -78,8 +73,7 @@ logger = get_logger("repro.service")
 
 #: Skip incremental maintenance when the commit changed more than this
 #: fraction of the rows of the entry's touched inputs: past that point a
-#: resume converges in nearly as many rounds as a cold start, and DRed's
-#: overdeletion pass makes it a net loss.
+#: resume converges in nearly as many rounds as a cold start.
 DEFAULT_DELTA_THRESHOLD = 0.25
 
 #: Most-recently-used entries maintained per commit.  Commits are on the
@@ -96,11 +90,9 @@ DEFAULT_DECISION_LOG = 256
 
 #: ``MaintenanceDecision.action`` values.
 RESUMED = "insert-resume"
-REDERIVED = "dred"
 FALLBACK = "fallback-recompute"
 SKIPPED_SHAPE = "skipped-shape"
 SKIPPED_NONMONOTONE = "skipped-nonmonotone"
-SKIPPED_STALE = "skipped-stale"
 SKIPPED_UNCONVERGED = "skipped-unconverged"
 
 
@@ -117,10 +109,6 @@ class MaintenanceDecision:
     base_rows: int = 0
     elapsed_seconds: float = 0.0
 
-    @property
-    def maintained(self) -> bool:
-        return self.action in (RESUMED, REDERIVED)
-
 
 @dataclass
 class MaintenanceStats:
@@ -128,7 +116,6 @@ class MaintenanceStats:
 
     examined: int = 0
     resumed: int = 0
-    rederived: int = 0
     fallbacks: int = 0
     skipped: int = 0
     #: Bounded decision window (oldest evicted first); the counters above
@@ -136,16 +123,10 @@ class MaintenanceStats:
     decisions: deque[MaintenanceDecision] = field(
         default_factory=lambda: deque(maxlen=DEFAULT_DECISION_LOG))
 
-    @property
-    def maintained(self) -> int:
-        return self.resumed + self.rederived
-
     def record(self, decision: MaintenanceDecision) -> None:
         self.decisions.append(decision)
         if decision.action == RESUMED:
             self.resumed += 1
-        elif decision.action == REDERIVED:
-            self.rederived += 1
         elif decision.action == FALLBACK:
             self.fallbacks += 1
         else:
@@ -153,8 +134,7 @@ class MaintenanceStats:
 
     def summary(self) -> dict[str, int]:
         return {"examined": self.examined, "resumed": self.resumed,
-                "rederived": self.rederived, "fallbacks": self.fallbacks,
-                "skipped": self.skipped}
+                "fallbacks": self.fallbacks, "skipped": self.skipped}
 
 
 def _publish_decision(decision: MaintenanceDecision) -> None:
@@ -207,15 +187,9 @@ class ViewMaintainer:
                 # the new head, so it keeps hitting without any work.
                 continue
             if key.fingerprint != old_head.fingerprint(dependencies):
-                # The entry belongs to an older version than the commit's
-                # predecessor; maintaining it across *this* delta would
-                # skip the intermediate commits' changes.
-                stats.examined += 1
-                decision = MaintenanceDecision(
-                    plan_key=key.plan_key, graph=key.graph,
-                    action=SKIPPED_STALE)
-                stats.record(decision)
-                _publish_decision(decision)
+                # Superseded by an earlier commit: maintaining it across
+                # *this* delta would skip the intermediate changes, and
+                # only readers pinned to its own version can reach it.
                 continue
             stats.examined += 1
             entry_span = tracing.span(
@@ -224,7 +198,7 @@ class ViewMaintainer:
                 else tracing.NOOP_SPAN
             with entry_span:
                 decision = self._maintain_entry(cache, key, result, touched,
-                                                old_head, new_head)
+                                                new_head)
                 if entry_span.enabled:
                     entry_span.set_attribute("action", decision.action)
                     entry_span.set_attribute("delta_rows",
@@ -242,7 +216,6 @@ class ViewMaintainer:
     def _maintain_entry(self, cache: ResultCache, key: ResultKey,
                         result: "QueryResult",
                         touched: dict[str, RelationDelta],
-                        old_head: DatabaseSnapshot,
                         new_head: DatabaseSnapshot) -> MaintenanceDecision:
         started = time.perf_counter()
         delta_rows = sum(delta.size for delta in touched.values())
@@ -261,29 +234,22 @@ class ViewMaintainer:
         renames, fixpoint = peeled
         if _touches_nonmonotone_position(fixpoint, touched):
             return decide(SKIPPED_NONMONOTONE)
-        if delta_rows > self.delta_threshold * max(base_rows, 1):
+        if any(delta.removed for delta in touched.values()) \
+                or delta_rows > self.delta_threshold * max(base_rows, 1):
             return decide(FALLBACK)
         try:
-            old_result = _unwrap(result.relation, renames)
-            removing = any(delta.removed for delta in touched.values())
-            if removing:
-                maintained = self._delete_and_rederive(
-                    fixpoint, old_result, touched, old_head, new_head)
-                action = REDERIVED
-            else:
-                maintained = self._insert_resume(
-                    fixpoint, old_result, new_head)
-                action = RESUMED
+            maintained = self._insert_resume(
+                fixpoint, _unwrap(result.relation, renames), new_head)
         except FixpointConditionError:
             # The plan's fixpoint does not decompose (no constant part,
             # or an Fcond violation the rewriter let through): the
             # maintenance algebra does not apply, recompute on next miss.
             return decide(SKIPPED_SHAPE)
         except EvaluationError:
-            # The resume or overdeletion loop hit its iteration bound —
-            # the plan itself already evaluated cleanly against the
-            # predecessor snapshot.  Not an Fcond matter: the entry just
-            # goes stale and the next read recomputes.
+            # The resume loop hit its iteration bound — the plan itself
+            # already evaluated cleanly against the predecessor snapshot.
+            # Not an Fcond matter: the entry just goes stale and the next
+            # read recomputes.
             return decide(SKIPPED_UNCONVERGED)
         relation = _rewrap(maintained, renames)
         elapsed = time.perf_counter() - started
@@ -293,7 +259,7 @@ class ViewMaintainer:
         new_key = replace(key, fingerprint=new_head.fingerprint(
             name for name, _ in key.fingerprint))
         cache.promote(key, new_key, maintained_result)
-        return decide(action)
+        return decide(RESUMED)
 
     # -- Insert resume -------------------------------------------------------
 
@@ -304,100 +270,30 @@ class ViewMaintainer:
         With insert-only deltas on monotone positions the old result is
         a subset of the new one, so seeding the accumulator with it is
         sound; convergence then costs O(new derivations) instead of
-        O(whole fixpoint).
+        O(whole fixpoint).  The initial frontier is everything one step
+        ahead of the seed — the new constant part plus one application
+        of the variable part — minus the seed.
         """
         evaluator = Evaluator(new_head)
         decomposition = decompose(fixpoint)
         constant = evaluator.evaluate(decomposition.constant_part)
-        if decomposition.variable_part is None:
-            return constant
-        return _resume(evaluator, decomposition.variable_part,
-                       decomposition.var, seed=old_result,
-                       constant=constant)
-
-    # -- Delete and re-derive ------------------------------------------------
-
-    def _delete_and_rederive(self, fixpoint: Fixpoint, old_result: Relation,
-                             touched: dict[str, RelationDelta],
-                             old_head: DatabaseSnapshot,
-                             new_head: DatabaseSnapshot) -> Relation:
-        """DRed: overdelete, subtract, then resume under the new database.
-
-        The overdeletion pass works entirely against the *old* database
-        (propagating through the old rules over-approximates, which is
-        the safe direction); the resume pass then runs under the *new*
-        database, re-deriving overdeleted rows with surviving alternative
-        derivations and absorbing the commit's insertions in one loop.
-        """
-        # The old database minus the removed rows (insertions excluded):
-        # the difference between rules over this and over the old
-        # database is exactly what the removals can have broken.
-        minus_db = dict(old_head)
-        for name, delta in touched.items():
-            if delta.removed and name in minus_db:
-                minus_db[name] = minus_db[name].difference(delta.removed)
-        eval_old = Evaluator(old_head)
-        eval_minus = Evaluator(minus_db)
-        decomposition = decompose(fixpoint)
-        constant_old = eval_old.evaluate(decomposition.constant_part)
-        constant_minus = eval_minus.evaluate(decomposition.constant_part)
-        eval_new = Evaluator(new_head)
-        constant_new = eval_new.evaluate(decomposition.constant_part)
-        variable_part = decomposition.variable_part
-        var = decomposition.var
+        variable_part, var = decomposition.variable_part, decomposition.var
         if variable_part is None:
-            return constant_new
-        # Overdeletion seed: rows whose *direct* derivation lost support —
-        # from the constant part, or from one rule application over the
-        # old result whose inputs included a removed row.
-        lost_constant = constant_old.difference(constant_minus)
-        step_old = eval_old.evaluate(variable_part, env={var: old_result})
-        step_minus = eval_minus.evaluate(variable_part, env={var: old_result})
-        overdeleted = DeltaAccumulator(lost_constant)
-        frontier = overdeleted.absorb(step_old.difference(step_minus)) \
-            .union(lost_constant)
-        # Propagate: anything derivable *from* an overdeleted row may
-        # itself have lost its derivation.  Old rules over-approximate.
-        _converge(eval_old, variable_part, var, overdeleted, frontier,
-                  "overdeletion")
-        candidate = old_result.difference(overdeleted.relation())
-        # Resume under the new database: re-derives overdeleted rows that
-        # still have support and folds in this commit's insertions.
-        return _resume(eval_new, variable_part, var, seed=candidate,
-                       constant=constant_new)
+            return constant
 
+        def step(delta: Relation) -> Relation:
+            return evaluator.evaluate(variable_part, env={var: delta})
 
-# -- Shared semi-naive resume loop ----------------------------------------
-
-
-def _resume(evaluator: Evaluator, variable_part: Term, var: str, *,
-            seed: Relation, constant: Relation) -> Relation:
-    """Run the semi-naive loop to convergence from an already-known subset.
-
-    ``seed`` must be a subset of the fixpoint being computed (the insert
-    path's old result; DRed's surviving candidate set).  The initial
-    frontier is everything one step ahead of the seed — the constant
-    part plus one application of the variable part — minus the seed.
-    """
-    accumulator = DeltaAccumulator(seed)
-    frontier = accumulator.absorb(constant)
-    step = evaluator.evaluate(variable_part, env={var: seed}) if seed \
-        else Relation.empty(constant.columns)
-    frontier = frontier.union(accumulator.absorb(step))
-    _converge(evaluator, variable_part, var, accumulator, frontier, "resume")
-    return accumulator.relation()
-
-
-def _converge(evaluator: Evaluator, variable_part: Term, var: str,
-              accumulator: DeltaAccumulator, frontier: Relation,
-              phase: str) -> None:
-    """Drive ``accumulator`` to convergence from a pre-seeded frontier."""
-    limit = evaluator.max_iterations
-    semi_naive(
-        lambda delta: evaluator.evaluate(variable_part, env={var: delta}),
-        accumulator, frontier, var=var, engine="row", limit=limit,
-        nonconvergence=f"maintenance {phase} on {var!r} did not converge "
-                       f"after {limit} iterations")
+        accumulator = DeltaAccumulator(old_result)
+        frontier = accumulator.absorb(constant)
+        if old_result:
+            frontier = frontier.union(accumulator.absorb(step(old_result)))
+        limit = evaluator.max_iterations
+        semi_naive(step, accumulator, frontier, var=var, engine="row",
+                   limit=limit,
+                   nonconvergence=f"maintenance resume on {var!r} did not "
+                                  f"converge after {limit} iterations")
+        return accumulator.relation()
 
 
 # -- Plan-shape analysis ---------------------------------------------------
@@ -440,9 +336,9 @@ def _touches_nonmonotone_position(fixpoint: Fixpoint,
 
     The right side of an antijoin is the one nonmonotone position Fcond
     admits (it must be constant in the recursion variable, but it may
-    read base relations): growing it can *shrink* the result, so neither
-    the insert resume nor DRed's over-approximation argument holds and
-    the entry must fall back to recomputation.
+    read base relations): growing it can *shrink* the result, so
+    the insert resume's subset argument does not hold and the entry
+    must fall back to recomputation.
     """
     for node in walk(fixpoint):
         if isinstance(node, Antijoin):

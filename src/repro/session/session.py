@@ -986,7 +986,7 @@ class Session:
                 stats = maintainer.maintain_commit(cache, old_head, new_head)
                 if pass_span.enabled:
                     pass_span.set_attribute("examined", stats.examined)
-                    pass_span.set_attribute("maintained", stats.maintained)
+                    pass_span.set_attribute("resumed", stats.resumed)
             root._last_maintenance = stats
             return stats
 
@@ -1000,7 +1000,7 @@ class Session:
         """Decision log of the most recent maintenance pass (or ``None``).
 
         Diagnostics only — benchmarks and tests use it to assert which
-        maintenance path (resume, DRed, fallback) a commit exercised.
+        maintenance path (resume, fallback, skip) a commit exercised.
         """
         return self._root._last_maintenance
 

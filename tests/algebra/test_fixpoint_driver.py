@@ -122,8 +122,7 @@ def test_postgres_local_loops_trace_iterations_on_the_row_engine(
 
 
 def test_sync_insert_resume_traces_its_iterations():
-    """Maintenance loops used to emit no iteration spans (and the DRed
-    overdeletion loop had no bound either)."""
+    """The maintenance loop used to emit no iteration spans."""
     graph = LabeledGraph(name="resume-trace")
     graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(30)])
     tracer = Tracer(enabled=True)

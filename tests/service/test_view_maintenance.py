@@ -7,6 +7,7 @@ is only allowed to be faster, never different.
 
 from __future__ import annotations
 
+import random
 from functools import partial
 
 import pytest
@@ -14,11 +15,12 @@ import pytest
 from repro import Session
 from repro.algebra.evaluate import Evaluator
 from repro.algebra.terms import Antijoin, Fixpoint, Join, Rename, RelVar, Union
+from repro.data import row_mode
 from repro.data.graph import LabeledGraph
 from repro.service import view_maintenance
 from repro.service.view_maintenance import (
-    FALLBACK, REDERIVED, RESUMED, SKIPPED_NONMONOTONE, SKIPPED_SHAPE,
-    SKIPPED_STALE, SKIPPED_UNCONVERGED, ViewMaintainer)
+    FALLBACK, RESUMED, SKIPPED_NONMONOTONE, SKIPPED_SHAPE,
+    SKIPPED_UNCONVERGED, ViewMaintainer)
 
 TC = "?x,?y <- ?x knows+ ?y"
 
@@ -53,7 +55,7 @@ class TestInsertResume:
         cached = session.ucrpq(TC).collect()
         session.add_edges("knows", [("n3", "z1"), ("z1", "z2")])
         stats = session.last_maintenance
-        assert stats.resumed == 1 and stats.maintained == 1
+        assert stats.resumed == 1
         fresh = session.ucrpq(TC)
         maintained = fresh.collect().relation
         assert fresh.last_result_cache_hit is True
@@ -81,41 +83,72 @@ class TestInsertResume:
         assert fresh.last_result_cache_hit is True
 
 
-class TestDeleteAndRederive:
-    def test_dred_result_equals_recomputation(self, session):
+class TestRemovalsInvalidate:
+    @staticmethod
+    def assert_fell_back_to_a_correct_recompute(session, cached):
+        stats = session.last_maintenance
+        assert stats.summary() == {"examined": 1, "resumed": 0,
+                                   "fallbacks": 1, "skipped": 0}
+        assert stats.decisions[0].action == FALLBACK
+        fresh = session.ucrpq(TC)
+        result = fresh.collect()
+        assert fresh.last_result_cache_hit is False  # normal miss path
+        assert result.relation == recompute(session, cached.selected_plan)
+        return result.relation
+
+    def test_removal_falls_back_and_the_next_read_recomputes(self, session):
         cached = session.ucrpq(TC).collect()
         session.remove_edges("knows", [("n10", "n11")])
-        stats = session.last_maintenance
-        assert stats.rederived == 1
-        fresh = session.ucrpq(TC)
-        maintained = fresh.collect().relation
-        assert fresh.last_result_cache_hit is True
-        assert maintained == recompute(session, cached.selected_plan)
+        self.assert_fell_back_to_a_correct_recompute(session, cached)
 
-    def test_dred_rederives_alternative_paths(self, session):
-        """Removing a shortcut edge must keep every pair the chain still
-        derives (the re-derivation half of DRed, where overdeletion
-        alone would over-remove)."""
+    def test_removed_shortcut_keeps_alternative_paths(self, session):
         session.add_edges("knows", [("n10", "n13")])  # shortcut over chain
         cached = session.ucrpq(TC).collect()
         session.remove_edges("knows", [("n10", "n13")])
-        assert session.last_maintenance.rederived == 1
-        fresh = session.ucrpq(TC)
-        maintained = fresh.collect().relation
+        relation = self.assert_fell_back_to_a_correct_recompute(
+            session, cached)
         # Still derivable via n10 -> n11 -> n12 -> n13.
-        assert ("n10", "n13") in maintained.to_pairs("x", "y")
-        assert maintained == recompute(session, cached.selected_plan)
+        assert ("n10", "n13") in relation.to_pairs("x", "y")
 
     def test_mixed_insert_and_delete_in_one_transaction(self, session):
         cached = session.ucrpq(TC).collect()
         with session.transaction() as txn:
             txn.add_edges("knows", [("n40", "w1"), ("w1", "w2")])
             txn.remove_edges("knows", [("n0", "n1")])
-        assert session.last_maintenance.rederived == 1
-        fresh = session.ucrpq(TC)
-        maintained = fresh.collect().relation
-        assert fresh.last_result_cache_hit is True
-        assert maintained == recompute(session, cached.selected_plan)
+        self.assert_fell_back_to_a_correct_recompute(session, cached)
+
+    def test_no_stale_rows_after_removing_a_random_edge(self):
+        """The wrong answer the deleted removal arm served: a row with
+        one derivation through the removed edge and another through rows
+        only it kept alive survived."""
+        rng = random.Random(20)
+        nodes = [f"v{i}" for i in range(6)]
+        queries = ["?x,?y <- ?x a+/b+ ?y", "?x,?y <- ?x b+ ?y",
+                   "?x,?y <- ?x (a|b)+ ?y"]
+        stale = []
+        for trial in range(60):
+            edges = set()
+            while len(edges) < 12:
+                edges.add((rng.choice(nodes), rng.choice("ab"),
+                           rng.choice(nodes)))
+            edges = sorted(edges)
+            removed = rng.choice(edges)
+            graph = LabeledGraph(name="random")
+            graph.add_edges(edges)
+            remaining = LabeledGraph(name="remaining")
+            remaining.add_edges([e for e in edges if e != removed])
+            for query in queries:
+                with Session(graph, num_workers=2) as session:
+                    session.ucrpq(query).collect()
+                    src, label, trg = removed
+                    session.remove_edges(label, [(src, trg)])
+                    served = session.ucrpq(query).collect().relation
+                with Session(remaining, num_workers=2,
+                             optimize=False) as oracle, row_mode():
+                    expected = oracle.ucrpq(query).collect().relation
+                if served != expected:
+                    stale.append((trial, query, removed))
+        assert stale == []
 
 
 class TestFallbackAndSkips:
@@ -126,49 +159,57 @@ class TestFallbackAndSkips:
         session.add_edges("knows", [(f"m{i}", f"m{i + 1}")
                                     for i in range(60)])
         stats = session.last_maintenance
-        assert stats.fallbacks == 1 and stats.maintained == 0
+        assert stats.fallbacks == 1 and stats.resumed == 0
         assert stats.decisions[0].action == FALLBACK
         fresh = session.ucrpq(TC)
         result = fresh.collect()
         assert fresh.last_result_cache_hit is False  # normal miss path
         assert ("m0", "m60") in result.relation.to_pairs("x", "y")
 
-    def test_stale_entry_is_skipped_not_mismaintained(self, session):
+    def test_stale_entry_is_passed_over_not_mismaintained(self, session):
         """An entry two commits behind must not be resumed across only
-        the latest delta (it would silently skip the middle commit)."""
+        the latest delta (it would silently skip the middle commit) —
+        and is not worth a decision: no reader of the head can reach it."""
         session.ucrpq(TC).collect()
         session.view_maintenance = "off"
         session.add_edges("knows", [("s1", "s2")])  # entry now 1 behind
         session.view_maintenance = "sync"
         session.add_edges("knows", [("s2", "s3")])
         stats = session.last_maintenance
-        assert stats.skipped == 1
-        assert stats.decisions[0].action == SKIPPED_STALE
+        assert stats.examined == 0 and not stats.decisions
         fresh = session.ucrpq(TC)
         result = fresh.collect()
         assert fresh.last_result_cache_hit is False
         assert ("s1", "s3") in result.relation.to_pairs("x", "y")
 
-    @pytest.mark.parametrize("commit", ("insert", "remove"))
+    def test_examined_counts_only_live_touched_entries(self, session):
+        """Versions an earlier commit superseded stay in the LRU for
+        pinned readers; later commits must not re-examine them (they
+        used to be re-logged forever and eat the per-commit bound)."""
+        touched = [TC, "?x,?y <- ?x knows+/worksAt ?y"]
+        for query in touched + ["?x,?y <- ?x worksAt+ ?y"]:
+            session.ucrpq(query).collect()
+        for k in range(1, 21):
+            session.add_edges("knows", [(f"c{k}", f"d{k}")])
+            stats = session.last_maintenance
+            assert stats.examined == len(stats.decisions) == len(touched), k
+            for query in touched:
+                session.ucrpq(query).collect()
+
     def test_unconverged_maintenance_leaves_the_entry_stale(
-            self, session, monkeypatch, commit):
-        """Hitting the iteration bound in the resume loop (insert) or the
-        DRed overdeletion loop (remove) must not fail the commit, and is
-        not an Fcond violation: the entry goes stale, the next read
-        recomputes."""
+            self, session, monkeypatch):
+        """Hitting the iteration bound in the resume loop must not fail
+        the commit, and is not an Fcond violation: the entry goes stale,
+        the next read recomputes."""
         cached = session.ucrpq(TC).collect()
         monkeypatch.setattr(view_maintenance, "Evaluator",
                             partial(Evaluator, max_iterations=2))
-        if commit == "insert":
-            # One edge at each end: whichever way the plan recurses, one
-            # of them takes ~40 rounds to propagate along the chain.
-            session.add_edges("knows", [("z0", "n0"), ("n40", "z1")])
-        else:
-            session.remove_edges("knows", [("n10", "n11")])
+        # One edge at each end: whichever way the plan recurses, one
+        # of them takes ~40 rounds to propagate along the chain.
+        session.add_edges("knows", [("z0", "n0"), ("n40", "z1")])
         stats = session.last_maintenance
         assert stats.summary() == {"examined": 1, "resumed": 0,
-                                   "rederived": 0, "fallbacks": 0,
-                                   "skipped": 1}
+                                   "fallbacks": 0, "skipped": 1}
         assert stats.decisions[0].action == SKIPPED_UNCONVERGED
         fresh = session.ucrpq(TC)
         result = fresh.collect()
@@ -179,7 +220,7 @@ class TestFallbackAndSkips:
         session.ucrpq("?x,?y <- ?x knows ?y").collect()  # no recursion
         session.add_edges("knows", [("q1", "q2")])
         stats = session.last_maintenance
-        assert stats.maintained == 0
+        assert stats.resumed == 0
         assert all(d.action == SKIPPED_SHAPE for d in stats.decisions)
         fresh = session.ucrpq("?x,?y <- ?x knows ?y")
         result = fresh.collect()
@@ -187,7 +228,7 @@ class TestFallbackAndSkips:
 
     def test_touched_antijoin_right_is_nonmonotone_and_skipped(self):
         """Insertions into an antijoin's right side can *shrink* the
-        fixpoint, so neither resume nor DRed applies: the maintainer
+        fixpoint, so the resume rule does not apply: the maintainer
         must refuse and let the next query recompute."""
         graph = LabeledGraph(name="blocked")
         graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(30)]
@@ -205,7 +246,7 @@ class TestFallbackAndSkips:
             session.term(term).collect()
             session.add_edges("blocked", [("n0", "n2")])
             stats = session.last_maintenance
-            assert stats.maintained == 0
+            assert stats.resumed == 0
             assert any(d.action == SKIPPED_NONMONOTONE
                        for d in stats.decisions)
             fresh = session.term(term)
@@ -253,17 +294,26 @@ class TestModesAndScoping:
         fresh_a.collect()
         assert fresh_a.last_result_cache_hit is True
 
-    def test_custom_maintainer_threshold_is_honoured(self):
+    @pytest.mark.parametrize("threshold,action", [(None, FALLBACK),
+                                                  (1.0, RESUMED)])
+    def test_custom_maintainer_threshold_is_honoured(self, threshold,
+                                                     action):
+        """One edge added to two is past the default threshold (0.25)
+        and within a threshold of 1.0."""
         graph = LabeledGraph(name="tiny")
         graph.add_edges([("a", "knows", "b"), ("b", "knows", "c")])
         with Session(graph, num_workers=2) as session:
-            session.view_maintainer = ViewMaintainer(delta_threshold=1.0)
+            if threshold is not None:
+                session.view_maintainer = ViewMaintainer(
+                    delta_threshold=threshold)
             cached = session.ucrpq(TC).collect()
-            session.remove_edges("knows", [("a", "b")])
-            assert session.last_maintenance.rederived == 1
+            session.add_edges("knows", [("c", "d")])
+            assert [d.action for d in session.last_maintenance.decisions] \
+                == [action]
             fresh = session.ucrpq(TC)
             assert fresh.collect().relation == recompute(
                 session, cached.selected_plan)
+            assert fresh.last_result_cache_hit is (action == RESUMED)
 
 
 class TestPromote:

@@ -350,3 +350,35 @@ class TestEnginesAgreeOnRandomGraphs:
         assert {name: getattr(columnar.metrics, name)
                 for name in TRAFFIC_COUNTERS} \
             == {name: getattr(row.metrics, name) for name in TRAFFIC_COUNTERS}
+
+
+class TestWritesAxis:
+    """add → remove → compare: whatever a commit did to the cached result
+    (resumed it, invalidated it), the next read equals a cold row-engine
+    evaluation of the edited graph."""
+
+    ADDED = ((0, "a", 29), (29, "b", 100), (100, "b", 101))
+
+    @staticmethod
+    def cold(triples, text: str) -> tuple:
+        graph = LabeledGraph(name="edited")
+        graph.add_edges(triples)
+        with row_mode():
+            return centralized_answer(graph, text)
+
+    @pytest.mark.parametrize("text", RECURSIVE_COLD_SHAPES)
+    def test_add_then_remove(self, seeded_two_label_graph, text):
+        triples = set(seeded_two_label_graph.iter_triples())
+        # Two original edges and one of the added ones go again.
+        removed = (min(triples), max(triples), self.ADDED[1])
+        with Session(seeded_two_label_graph, num_workers=3) as session:
+            session.ucrpq(text).collect()
+            for edits, commit in ((self.ADDED, "add_edges"),
+                                  (removed, "remove_edges")):
+                with session.transaction() as txn:
+                    for src, label, trg in edits:
+                        getattr(txn, commit)(label, [(src, trg)])
+                triples = triples | set(edits) if commit == "add_edges" \
+                    else triples - set(edits)
+                served = session.ucrpq(text).collect()
+                assert canonical(served.relation) == self.cold(triples, text)
