@@ -7,7 +7,6 @@ The public API re-exports the pieces most users need:
 * :class:`Query` / :class:`PreparedQuery` — lazy handles and prepared,
   parameterized templates,
 * :class:`QueryService` — concurrent, cached serving on top of a session,
-* :class:`DistMuRA` — the deprecated eager facade (kept for compatibility),
 * the data model (:class:`Relation`, :class:`LabeledGraph`),
 * the mu-RA algebra (term constructors and the centralized evaluator),
 * the simulated cluster and the physical plan names,
@@ -22,7 +21,6 @@ from .data.graph import LabeledGraph
 from .data.relation import Relation
 from .data.snapshot import DatabaseSnapshot
 from .data.tuples import Tup
-from .engine import DistMuRA
 from .session import (Parameter, PathBuilder, PreparedQuery, Query,
                       QueryResult, Session, Transaction)
 from .distributed.cluster import SparkCluster
@@ -47,7 +45,6 @@ if _os.environ.get("REPRO_SANITIZE"):  # pragma: no cover - CI wiring
 
 __all__ = [
     "DatabaseSnapshot",
-    "DistMuRA",
     "EXECUTOR_BACKENDS",
     "ExplainAnalyzeReport",
     "LabeledGraph",

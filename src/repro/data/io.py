@@ -25,7 +25,7 @@ def write_relation_tsv(relation: Relation, path: str | Path) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle, delimiter="\t")
         writer.writerow(relation.columns)
-        for row in sorted(relation.rows, key=repr):
+        for row in relation.sorted_rows():
             writer.writerow(row)
 
 

@@ -50,7 +50,7 @@ class Relation:
     """
 
     __slots__ = ("_columns", "_rows", "_index_cache", "_columnar_cache",
-                 "_frozen")
+                 "_sorted_cache", "_frozen")
 
     def __init__(self, columns: Iterable[str], rows: Iterable[Row] = ()):  # noqa: D107
         ordered = tuple(sorted(columns))
@@ -73,6 +73,7 @@ class Relation:
         self._rows = frozenset(row_set)
         self._index_cache: dict[tuple[str, ...], HashIndex] | None = None
         self._columnar_cache = None
+        self._sorted_cache: tuple[Row, ...] | None = None
 
     # -- Constructors -----------------------------------------------------
 
@@ -92,6 +93,7 @@ class Relation:
         relation._rows = rows if isinstance(rows, frozenset) else frozenset(rows)
         relation._index_cache = None
         relation._columnar_cache = None
+        relation._sorted_cache = None
         return relation
 
     def _freeze(self) -> None:
@@ -101,7 +103,7 @@ class Relation:
         :class:`~repro.data.snapshot.DatabaseSnapshot`; while the
         sanitizer (:mod:`repro.check.sanitizer`) is active, rebinding
         the row/column storage of a frozen relation is poisoned.  The
-        memoized index/columnar caches are exempt — they are
+        memoized index/columnar/sorted-row caches are exempt — they are
         value-idempotent.
         """
         self._frozen = True
@@ -152,15 +154,16 @@ class Relation:
     # -- Pickling ----------------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        # Indexes and columnar encodings are derived data: rebuilt on
-        # demand, never shipped (a process-pool task would pay
-        # serialization for tables it can rebuild in linear time).
+        # Indexes, columnar encodings and the sorted rows are derived
+        # data: rebuilt on demand, never shipped (a process-pool task
+        # would pay serialization for tables it can rebuild itself).
         return (self._columns, self._rows)
 
     def __setstate__(self, state: tuple) -> None:
         self._columns, self._rows = state
         self._index_cache = None
         self._columnar_cache = None
+        self._sorted_cache = None
 
     # -- Basic accessors ---------------------------------------------------
 
@@ -208,10 +211,23 @@ class Relation:
     def __repr__(self) -> str:
         return f"Relation(columns={list(self._columns)}, rows={len(self._rows)})"
 
+    def sorted_rows(self) -> tuple[Row, ...]:
+        """The rows in the canonical order (by ``repr``), computed once.
+
+        The one total order every consumer that needs determinism shares
+        — serialized responses, stream pages, TSV dumps, round-robin
+        splits.  Memoized like :meth:`index_on`: a relation handed out
+        by the result cache is sorted by its first reader only.
+        """
+        ordered = self._sorted_cache
+        if ordered is None:
+            ordered = self._sorted_cache = tuple(sorted(self._rows, key=repr))
+        return ordered
+
     def to_dicts(self) -> list[dict[str, Any]]:
         """Return all rows as dictionaries (sorted for deterministic output)."""
         columns = self._columns
-        return [dict(zip(columns, row)) for row in sorted(self._rows, key=repr)]
+        return [dict(zip(columns, row)) for row in self.sorted_rows()]
 
     def to_pairs(self, first: str, second: str) -> set[tuple[Any, Any]]:
         """Return the rows as ``(first, second)`` value pairs."""
@@ -479,11 +495,10 @@ class Relation:
         """Split the relation into ``parts`` chunks of near-equal size."""
         if parts <= 0:
             raise ValueError("parts must be positive")
-        buckets: list[list[Row]] = [[] for _ in range(parts)]
-        for index, row in enumerate(sorted(self._rows, key=repr)):
-            buckets[index % parts].append(row)
-        return [Relation._from_trusted(self._columns, frozenset(bucket))
-                for bucket in buckets]
+        ordered = self.sorted_rows()
+        return [Relation._from_trusted(self._columns,
+                                       frozenset(ordered[start::parts]))
+                for start in range(parts)]
 
     def split_by_columns(self, columns: Iterable[str], parts: int) -> list["Relation"]:
         """Hash-partition the relation on the given columns.

@@ -17,11 +17,19 @@ GET    ``/healthz``                 :meth:`QueryService.health` + server state
 GET    ``/metrics``                 Prometheus text from the process registry
 ====== ============================ ===========================================
 
-Request handling is fully asynchronous: parsing and dispatch run on the
-event loop, query execution rides the service's worker threads (the
-loop awaits the admission future), and blocking session calls
-(mutations, result materialization, EXPLAIN ANALYZE) run on the loop's
-default thread-pool executor.  Every request runs inside an
+Request handling is fully asynchronous: parsing, dispatch and
+``/healthz`` run on the event loop; every request that returns query
+rows — buffered or streamed — is admitted through
+:meth:`QueryService.submit` and runs on the service's worker threads
+(the loop awaits the admission future), so one queue bound, deadline,
+strict-mode gate and set of service metrics covers both endpoints; the
+remaining blocking session calls (mutations, static analysis, EXPLAIN
+ANALYZE, the ``/metrics`` render) run on the loop's default thread-pool
+executor.  A stream slices the result's canonical row order
+(:meth:`Relation.sorted_rows`, computed once per cached result) on the
+loop, yielding to other connections between batches; a stream that
+fails before its first chunk answers exactly as ``/v1/query`` would.
+Every request runs inside an
 ``http.request`` trace span whose id is echoed in the ``X-Trace-Id``
 response header and in the JSON access log, and publishes
 ``repro_http_*`` metrics into the process registry.
@@ -52,7 +60,7 @@ import signal
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import (AnalysisError, AuthorizationError, DatasetError,
                       NetworkError, ProtocolError, QuotaExceededError,
@@ -120,12 +128,15 @@ class _RequestContext:
 
 @dataclass
 class _Continuation:
-    """One registered cursor: a pinned handle plus its read position."""
+    """One cursor: a result's ordered rows plus the read position.
 
-    handle: Query
+    Holding the (immutable) row tuple is what keeps every page of one
+    stream on one snapshot version, whatever commits in between.
+    """
+
+    rows: tuple[tuple, ...]
     offset: int
-    strategy: str | None
-    graph: str
+    snapshot_version: int | None
     tenant: str
     created: float = field(default_factory=time.monotonic)
 
@@ -383,46 +394,53 @@ class HttpServer:
 
     # -- Query endpoints -------------------------------------------------------
 
+    async def _admit(self, handle, body: dict):
+        """The one read path: every row-returning request enters here.
+
+        Admission (bounded queue), deadline, strict-mode gate and service
+        metrics are :meth:`QueryService.submit`'s; the loop only awaits
+        the :class:`~repro.service.ServedResult`.
+        """
+        return await asyncio.wrap_future(self.service.submit(
+            handle, strategy=body.get("strategy") or None,
+            timeout=_parse_timeout(body.get("timeout"))))
+
     async def _handle_query(self, request, params, context) -> Response:
         body = request.json()
-        handle, graph = self._build_handle(body, context.tenant)
-        timeout = _parse_timeout(body.get("timeout"))
-        future = self.service.submit(handle,
-                                     strategy=body.get("strategy") or None,
-                                     timeout=timeout)
-        served = await asyncio.wrap_future(future)
-        payload = _served_payload(served, handle)
-        return Response(_served_status(served), payload)
+        handle = self._build_handle(body, context.tenant)
+        served = await self._admit(handle, body)
+        return Response(_served_status(served),
+                        _served_payload(served, handle))
 
-    async def _handle_stream(self, request, params, context) -> _Streamed:
+    async def _handle_stream(self, request, params,
+                             context) -> "_Streamed | Response":
         body = request.json()
+        batch_size = _positive_int(body.get("batch_size"),
+                                   self.stream_batch_size, "batch_size")
+        limit = _positive_int(body.get("limit"), None, "limit")
         cursor = body.get("cursor")
         if cursor is not None:
             continuation = self._lookup_continuation(cursor, context.tenant)
-            handle = continuation.handle
-            offset = continuation.offset
-            strategy = continuation.strategy
-            graph = continuation.graph
         else:
-            handle, graph = self._build_handle(body, context.tenant)
+            handle = self._build_handle(body, context.tenant)
             if not isinstance(handle, Query):
                 raise ProtocolError(
                     "the streaming endpoint serves the ucrpq front-end "
                     "only")
-            offset = 0
-            strategy = body.get("strategy") or None
-        batch_size = _positive_int(body.get("batch_size"),
-                                   self.stream_batch_size, "batch_size")
-        limit = body.get("limit")
-        if limit is not None:
-            limit = _positive_int(limit, None, "limit")
-        loop = asyncio.get_running_loop()
-        # Materialize (and pin) before the chunked head goes out, so
-        # planning/execution errors still map to clean error responses.
-        rows, total = await loop.run_in_executor(
-            None, handle.page, offset,
-            min(batch_size, limit) if limit else batch_size, strategy)
-        end = min(total, offset + limit) if limit is not None else total
+            # Admitted before the chunked head goes out: a rejected,
+            # failed or timed-out stream answers as /v1/query does.
+            served = await self._admit(handle, body)
+            if not served.succeeded:
+                return Response(_served_status(served),
+                                _served_payload(served, handle))
+            result = served.result
+            continuation = _Continuation(
+                rows=result.relation.sorted_rows(), offset=0,
+                snapshot_version=result.snapshot_version,
+                tenant=context.tenant.name)
+        rows, offset = continuation.rows, continuation.offset
+        total = len(rows)
+        end = total if limit is None else min(total, offset + limit)
         get_registry().counter("repro_http_streams_total").inc()
         chunked = ChunkedResponseWriter(context.writer,
                                         headers=context.base_headers,
@@ -431,38 +449,31 @@ class HttpServer:
         keep_alive = context.keep_alive
         try:
             index = 0
-            while rows:
+            while offset < end:
+                batch = rows[offset:min(offset + batch_size, end)]
                 await chunked.write_json({
-                    "batch": [list(row) for row in rows],
+                    "batch": [list(row) for row in batch],
                     "index": index,
                     "offset": offset,
                 })
-                offset += len(rows)
+                offset += len(batch)
                 index += 1
-                if offset >= end:
-                    break
-                take = min(batch_size, end - offset)
-                rows, total = await loop.run_in_executor(
-                    None, handle.page, offset, take, strategy)
+                # drain() does not yield below the socket's high-water
+                # mark; other connections get their turn here.
+                await asyncio.sleep(0)
             next_cursor = None
             if offset < total:
-                next_cursor = self._register_continuation(
-                    handle, offset, strategy, graph, context.tenant)
-            snapshot = handle.pinned_snapshot
+                next_cursor = self._register_continuation(continuation,
+                                                          offset)
             await chunked.write_json({
                 "done": True,
                 "row_count": total,
                 "offset": offset,
-                "snapshot_version": (snapshot.version
-                                     if snapshot is not None else None),
+                "snapshot_version": continuation.snapshot_version,
                 "next_cursor": next_cursor,
             })
             await chunked.finish()
         except (ConnectionResetError, BrokenPipeError):
-            keep_alive = False
-        except ReproError:
-            # The chunked head is already on the wire; the truncated
-            # stream (no terminator) is the error signal the client sees.
             keep_alive = False
         return _Streamed(status=200, bytes_written=chunked.bytes_written,
                          keep_alive=keep_alive and chunked.finished)
@@ -556,8 +567,9 @@ class HttpServer:
     # -- Ops endpoints ---------------------------------------------------------
 
     async def _handle_healthz(self, request, params, context) -> Response:
-        loop = asyncio.get_running_loop()
-        health = await loop.run_in_executor(None, self.service.health)
+        # Lock-light by contract (counters and dictionary lookups): no
+        # executor hop, so a probe costs the protocol floor.
+        health = self.service.health()
         health["server_state"] = self._state
         health["open_connections"] = len(self._connections)
         healthy = self._state == SERVING and health["status"] == "ok"
@@ -593,26 +605,25 @@ class HttpServer:
         scope = self._scope(graph)
         frontend = body.get("frontend", "ucrpq")
         if frontend == "datalog":
-            return scope.datalog(query_text), graph
+            return scope.datalog(query_text)
         if frontend == "ucrpq":
-            return scope.ucrpq(query_text), graph
+            return scope.ucrpq(query_text)
         raise ProtocolError(f"unknown frontend {frontend!r} "
                             f"(supported: {', '.join(_FRONTENDS)})")
 
-    def _register_continuation(self, handle: Query, offset: int,
-                               strategy: str | None, graph: str,
-                               tenant: Tenant) -> str:
+    def _register_continuation(self, continuation: _Continuation,
+                               offset: int) -> str:
+        """A fresh token for the rest of ``continuation`` from ``offset``."""
         now = time.monotonic()
-        expired = [token for token, continuation in self._continuations.items()
-                   if now - continuation.created > self.continuation_ttl]
+        expired = [token for token, entry in self._continuations.items()
+                   if now - entry.created > self.continuation_ttl]
         for token in expired:
             del self._continuations[token]
         while len(self._continuations) >= self.continuation_capacity:
             self._continuations.pop(next(iter(self._continuations)))
         token = secrets.token_urlsafe(16)
-        self._continuations[token] = _Continuation(
-            handle=handle, offset=offset, strategy=strategy, graph=graph,
-            tenant=tenant.name)
+        self._continuations[token] = replace(continuation, offset=offset,
+                                              created=now)
         return token
 
     def _lookup_continuation(self, token: str,
@@ -716,7 +727,7 @@ def _served_payload(served, handle) -> dict:
         return payload
     result = served.result
     relation = result.relation
-    rows = sorted(relation.rows, key=repr)
+    rows = relation.sorted_rows()
     cost = getattr(result, "estimated_cost", None)
     if cost is not None and math.isnan(cost):
         cost = None
@@ -784,6 +795,9 @@ class ServerThread:
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._ready = threading.Event()
+        #: Set when the server thread exits, and by :meth:`stop` when its
+        #: shutdown call resolved — whichever comes first.
+        self._settled = threading.Event()
         self._error: BaseException | None = None
 
     @property
@@ -807,6 +821,8 @@ class ServerThread:
         except BaseException as error:  # pragma: no cover - startup failure
             self._error = error
             self._ready.set()
+        finally:
+            self._settled.set()
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
@@ -821,14 +837,33 @@ class ServerThread:
 
     def stop(self, grace: float | None = None,
              timeout: float = 10.0) -> None:
+        """Shut the server down and join its thread; idempotent.
+
+        A shutdown the server started itself (:meth:`signal`) may finish
+        between the liveness check and the call below; the coroutine
+        then lands on a loop that is being torn down and never runs.
+        So this waits for whichever comes first — the shutdown call
+        resolving or the thread exiting — and an already-closed server
+        is not an error.
+        """
         if self._thread is None:
             return
+        shutdown = future = None
         if self._loop is not None and self._thread.is_alive():
-            with contextlib.suppress(RuntimeError):
-                future = asyncio.run_coroutine_threadsafe(
-                    self.server.shutdown(grace), self._loop)
-                future.result(timeout)
+            shutdown = self.server.shutdown(grace)
+            try:
+                future = asyncio.run_coroutine_threadsafe(shutdown,
+                                                          self._loop)
+            except RuntimeError:  # the loop is already closed
+                pass
+            else:
+                future.add_done_callback(lambda _: self._settled.set())
+                self._settled.wait(timeout)
         self._thread.join(timeout)
+        if future is not None and future.done() and not future.cancelled():
+            future.result()
+        elif shutdown is not None and not self._thread.is_alive():
+            shutdown.close()  # never scheduled: nothing is left to await it
 
     def __enter__(self) -> "ServerThread":
         return self.start()

@@ -6,7 +6,10 @@ into a serving subsystem for many concurrent clients:
 * **Admission control** — submissions go through a bounded queue; when it
   is full, :meth:`QueryService.submit` rejects the query
   (:class:`~repro.errors.ServiceOverloadError`) instead of letting work
-  pile up unboundedly.  Blocking entry points apply backpressure instead.
+  pile up unboundedly; ``submit(block=True)`` and :meth:`~QueryService.batch`
+  apply backpressure instead.  :meth:`~QueryService.submit` is the one way
+  in: the HTTP tier routes every request that returns query rows,
+  buffered or streamed, through it.
 * **Scheduling** — a configurable number of worker threads
   (``max_in_flight``) drain the queue.  The *plan phase* (translation,
   rewriting, cost ranking, cache lookups) runs concurrently across
@@ -60,7 +63,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .._compat import warn_once
 from ..check.sanitizer import ordered_lock
 from ..errors import (AnalysisError, ReproError, ServiceError,
                       ServiceOverloadError)
@@ -185,8 +187,6 @@ class QueryService:
         if queue_capacity <= 0:
             raise ServiceError("queue_capacity must be positive")
         self.session = engine
-        #: Legacy alias kept for callers written against the old facade.
-        self.engine = engine
         self.enable_plan_cache = enable_plan_cache
         self.enable_result_cache = enable_result_cache
         self.default_timeout = default_timeout
@@ -274,20 +274,6 @@ class QueryService:
             raise ServiceError("the query service is closed")
         self.metrics.record_submitted()
         return task.future
-
-    def query(self, query: "str | UCRPQ | Term", strategy: str | None = None,
-              timeout: float | None = None) -> ServedResult:
-        """Blocking submission: wait for a queue slot, then for the result.
-
-        .. deprecated:: 1.3
-           Use :meth:`submit` (a future, non-blocking admission) or, for
-           embedded single-caller use, ``session.ucrpq(...).collect()``.
-        """
-        warn_once(
-            "QueryService.query() is deprecated; use submit(...).result() "
-            "for serving, or Session.ucrpq(...).collect() for embedded use")
-        return self.submit(query, strategy=strategy, timeout=timeout,
-                           block=True).result()
 
     def batch(self, queries, strategy: str | None = None,
               timeout: float | None = None) -> list[ServedResult]:

@@ -105,11 +105,10 @@ class Query:
         self._ast = _UNSET
         self._term = _UNSET
         self._normalized = _UNSET
+        self._cache_key = _UNSET
         self._classes = _UNSET
         self._plans: dict[str | None, tuple] = {}
         self._results: dict[str | None, "QueryResult"] = {}
-        #: Deterministically ordered rows per strategy (see :meth:`page`).
-        self._sorted_rows: dict[str | None, list[tuple]] = {}
         #: Memoized static-analysis report (see :meth:`check`).
         self._check = _UNSET
         #: Cache observations of the most recent plan/collect, for
@@ -183,8 +182,14 @@ class Query:
 
     @property
     def cache_key(self) -> str:
-        """Stable string identity of the query (printed canonical form)."""
-        return term_to_string(self.normalized)
+        """Stable string identity of the query (printed canonical form).
+
+        Memoized; a plan-cache lookup of the handle's own term computes
+        the same string for its key, so :meth:`_plan_for` seeds it.
+        """
+        if self._cache_key is _UNSET:
+            self._cache_key = term_to_string(self.normalized)
+        return self._cache_key
 
     @property
     def classes(self) -> frozenset[str]:
@@ -423,25 +428,20 @@ class Query:
              strategy: str | None = None) -> tuple[list[tuple], int]:
         """One page of the result under a stable total order.
 
-        Returns ``(rows, total)``.  The relation's rows live in a
-        frozenset, so pagination needs an explicit order: the rows are
-        sorted (by ``repr``, the same order :meth:`Relation.to_dicts`
-        uses) once per strategy and memoized on the handle.  Because the
-        handle pins its snapshot at the first stage run, every page of
-        one handle — no matter how far apart the calls — covers exactly
-        the same version: this is what the serving tier's continuation
-        tokens lean on.
+        Returns ``(rows, total)``, the slice taken from
+        :meth:`Relation.sorted_rows` — the canonical order, computed once
+        per relation and shared with every other reader of the same
+        (cached) result.  Because the handle pins its snapshot at the
+        first stage run and memoizes its result, every page of one
+        handle — no matter how far apart the calls — covers exactly the
+        same version.
         """
         if offset < 0:
             raise ValueError("offset must be non-negative")
         if limit <= 0:
             raise ValueError("limit must be positive")
-        effective = self._effective(strategy)
-        if effective not in self._sorted_rows:
-            relation = self.collect(strategy).relation
-            self._sorted_rows[effective] = sorted(relation.rows, key=repr)
-        rows = self._sorted_rows[effective]
-        return rows[offset:offset + limit], len(rows)
+        rows = self.collect(strategy).relation.sorted_rows()
+        return list(rows[offset:offset + limit]), len(rows)
 
     def submit(self, strategy: str | None = None) -> Future:
         """Run :meth:`collect` on the session's background worker.
@@ -504,6 +504,8 @@ class Query:
         plan, hit, key = self.session.resolve_plan(base, effective,
                                                    use_cache=use_cache,
                                                    snapshot=snapshot)
+        if key is not None and self._plan_term is None:
+            self._cache_key = key.term_key
         if self._bindings:
             plan = bind_plan(plan, self._bindings)
             key = None

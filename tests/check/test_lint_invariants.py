@@ -44,6 +44,18 @@ def run_task(dictionary, chunk):
     return chunk.columnar(dictionary)
 '''
 
+SORTING = '''
+def payload(relation):
+    return [list(row) for row in sorted(relation.rows, key=repr)]
+'''
+
+READING = '''
+def payload(relation, graph):
+    labels = sorted(graph.labels, key=repr)       # not a relation's rows
+    by_size = sorted(relation.rows, key=len)      # not the canonical order
+    return [list(row) for row in relation.sorted_rows()], labels, by_size
+'''
+
 
 def lint(tmp_path: Path, relative: str, source: str) -> list[str]:
     spec = importlib.util.spec_from_file_location("lint_invariants", TOOL)
@@ -87,3 +99,14 @@ def test_inv006_flags_a_task_body_looking_the_dictionary_up(tmp_path):
 def test_inv006_allows_plans_capturing_it_and_other_packages(tmp_path):
     assert lint(tmp_path, "src/repro/distributed/plans.py", RECEIVING) == []
     assert lint(tmp_path, "src/repro/algebra/evaluate.py", LOOKING_UP) == []
+
+
+def test_inv007_flags_an_inline_canonical_sort(tmp_path):
+    assert lint(tmp_path, "src/repro/net/server.py", SORTING) == ["INV007"]
+    assert lint(tmp_path, "src/repro/data/io.py",
+                SORTING.replace(".rows", "._rows")) == ["INV007"]
+
+
+def test_inv007_allows_the_owner_and_other_sorts(tmp_path):
+    assert lint(tmp_path, "src/repro/net/server.py", READING) == []
+    assert lint(tmp_path, "src/repro/data/relation.py", SORTING) == []

@@ -156,6 +156,7 @@ def test_memoized_caches_stay_writable_under_the_guard():
     with sanitize() as state:
         relation._index_cache = None
         relation._columnar_cache = None
+        assert relation.sorted_rows() is relation.sorted_rows()
         assert state.violations == []
 
 

@@ -237,6 +237,68 @@ class TestPartitioning:
             relation.split_by_columns(("missing",), 2)
 
 
+def seeded_relations():
+    """Three relations whose ``repr`` order differs from their value order
+    (mixed-width integers, strings, a ternary schema)."""
+    import random
+    rng = random.Random(20261003)
+    integers = Relation.from_pairs(
+        [(rng.randrange(2000), rng.randrange(2000)) for _ in range(300)],
+        columns=("src", "trg"))
+    strings = Relation.from_pairs(
+        [(f"n{rng.randrange(150)}", f"N{rng.randrange(150)}")
+         for _ in range(200)], columns=("x", "y"))
+    ternary = Relation(("a", "b", "c"), [
+        (rng.randrange(30), f"l{rng.randrange(4)}", rng.randrange(-9, 120))
+        for _ in range(250)])
+    return [integers, strings, ternary]
+
+
+class TestCanonicalOrder:
+    """``sorted_rows`` owns the order; its consumers only read it."""
+
+    @pytest.mark.parametrize("relation", seeded_relations())
+    def test_sorted_rows_is_the_repr_order_computed_once(self, relation):
+        ordered = relation.sorted_rows()
+        assert ordered == tuple(sorted(relation.rows, key=repr))
+        assert relation.sorted_rows() is ordered
+
+    def test_sorted_rows_are_not_pickled(self):
+        import pickle
+        relation = seeded_relations()[0]
+        unsorted_bytes = pickle.dumps(relation)
+        ordered = relation.sorted_rows()
+        assert pickle.dumps(relation) == unsorted_bytes
+        clone = pickle.loads(unsorted_bytes)
+        assert clone == relation
+        assert clone._sorted_cache is None
+        assert clone.sorted_rows() == ordered
+
+    @pytest.mark.parametrize("relation", seeded_relations())
+    def test_consumers_write_what_an_inline_sort_wrote(self, relation,
+                                                       tmp_path):
+        """The outputs as the per-call ``sorted(rows, key=repr)`` made
+        them, row for row and byte for byte."""
+        import csv
+        from repro.data import write_relation_tsv
+        reference = sorted(relation.rows, key=repr)
+        columns = relation.columns
+        assert relation.to_dicts() == [dict(zip(columns, row))
+                                       for row in reference]
+        for parts in (1, 3, 4):
+            assert relation.split_round_robin(parts) == [
+                Relation(columns, reference[start::parts])
+                for start in range(parts)]
+        expected = tmp_path / "expected.tsv"
+        with expected.open("w", newline="") as handle:
+            writer = csv.writer(handle, delimiter="\t")
+            writer.writerow(columns)
+            writer.writerows(reference)
+        written = tmp_path / "written.tsv"
+        write_relation_tsv(relation, written)
+        assert written.read_bytes() == expected.read_bytes()
+
+
 class TestGraphAndIO:
     def test_graph_relations_include_inverse_and_facts(self, small_labeled_graph):
         database = small_labeled_graph.relations()

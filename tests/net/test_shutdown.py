@@ -149,3 +149,20 @@ def test_streaming_response_completes_during_drain(client, server):
     rows = first["batch"] + [row for event in remaining[:-1]
                              for row in event["batch"]]
     assert len(rows) == remaining[-1]["row_count"]
+
+
+def test_stop_after_a_signalled_shutdown_returns_at_once(net_service):
+    """``stop()`` racing the tail of a shutdown the server began itself:
+    its own shutdown call can land on a loop already being torn down and
+    never run, so ``stop()`` must also return when the thread exits."""
+    for _ in range(50):
+        running = ServerThread(HttpServer(net_service)).start()
+        running.signal()
+        deadline = time.monotonic() + 5.0
+        while running.server.state != CLOSED:
+            assert time.monotonic() < deadline, "the drain never finished"
+            time.sleep(0)  # yield, staying inside the teardown window
+        started = time.perf_counter()
+        running.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not running._thread.is_alive()

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import time
+
 import pytest
 
 from repro.net import HttpServer, ServerThread, ServiceClient, Tenant, \
     TenantRegistry
 from repro.net.client import ResponseError
+from repro.service import QueryService
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
 
@@ -116,3 +120,87 @@ def test_abandoned_stream_leaves_the_client_usable(client):
     next(events)  # read one event, then abandon the generator
     events.close()
     assert client.query(KNOWS)["status"] == "ok"
+
+
+# -- Streams are admitted like buffered queries ---------------------------------
+
+
+@contextlib.contextmanager
+def serving(session, **service_options):
+    """A live server over a service configured by the test."""
+    with QueryService(session, **service_options) as service:
+        running = ServerThread(HttpServer(service)).start()
+        try:
+            with ServiceClient(port=running.port, timeout=30.0) as client:
+                yield service, client
+        finally:
+            running.stop()
+
+
+def test_strict_service_rejects_a_stream_like_a_query(net_session):
+    bad = "?x,?y <- ?x nosuchlabel ?y"
+    with serving(net_session, strict=True) as (_, client):
+        with pytest.raises(ResponseError) as buffered:
+            client.query(bad)
+        with pytest.raises(ResponseError) as streamed:
+            list(client.stream_query(bad))
+    assert streamed.value.status == buffered.value.status == 400
+    assert streamed.value.payload["status"] == "rejected"
+    assert streamed.value.payload["diagnostics"] \
+        == buffered.value.payload["diagnostics"] != []
+
+
+def test_stream_past_its_deadline_is_504(net_session):
+    with serving(net_session, default_timeout=1e-9) as (_, client):
+        with pytest.raises(ResponseError) as excinfo:
+            list(client.stream_query(KNOWS))
+    assert excinfo.value.status == 504
+    assert excinfo.value.payload["status"] == "failed"
+
+
+def test_stream_is_refused_when_the_admission_queue_is_full(net_session):
+    with serving(net_session, max_in_flight=1,
+                 queue_capacity=1) as (service, client):
+        with service.session.execution_lock:
+            blocked = service.submit(KNOWS)  # the one worker waits here
+            time.sleep(0.05)
+            queued = service.submit(KNOWS)   # the one queue slot
+            with pytest.raises(ResponseError) as excinfo:
+                list(client.stream_query(KNOWS))
+        assert excinfo.value.status == 503
+        assert excinfo.value.retry_after is not None
+        assert blocked.result(timeout=10).succeeded
+        assert queued.result(timeout=10).succeeded
+        assert service.metrics.snapshot().rejected == 1
+
+
+def test_streams_are_counted_by_the_service(net_service, client):
+    before = net_service.metrics.snapshot().served
+    list(client.stream_query(KNOWS, batch_size=2))
+    assert net_service.metrics.snapshot().served == before + 1
+    # A cursor page slices rows already served: no second admission.
+    cursor = list(client.stream_query(KNOWS, limit=2))[-1]["next_cursor"]
+    list(client.stream_query(cursor=cursor))
+    assert net_service.metrics.snapshot().served == before + 2
+
+
+def test_hot_queries_and_a_stream_share_one_canonical_order(
+        net_service, client, monkeypatch):
+    from repro.data.relation import Relation
+    observed = []
+    sorted_rows = Relation.sorted_rows
+
+    def recording(relation):
+        ordered = sorted_rows(relation)
+        observed.append(ordered)
+        return ordered
+
+    monkeypatch.setattr(Relation, "sorted_rows", recording)
+    client.query(KNOWS)          # fills the result cache
+    observed.clear()
+    first, second = client.query(KNOWS), client.query(KNOWS)
+    streamed = list(client.stream_rows(KNOWS, batch_size=2))
+    assert first["cache"]["result_hit"] and second["cache"]["result_hit"]
+    assert streamed == first["rows"] == second["rows"]
+    assert len(observed) == 3
+    assert observed[0] is observed[1] is observed[2]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from repro.engine import DistMuRA
+from repro import Session
 from repro.query.parser import parse_query
 from repro.rewriter.normalize import cache_key
 from repro.service import CachedPlan, LRUCache, PlanCache, PlanKey
 from repro.algebra.variables import free_variables
 
 QUERY = "?x,?y <- ?x knows+ ?y"
+
+
+#: Both session caches off: every call plans and executes from scratch.
+UNCACHED = {"enable_plan_cache": False, "enable_result_cache": False}
 
 
 def make_key(engine, text, strategy=None):
@@ -47,7 +51,7 @@ class TestLRUCache:
 
 class TestPlanCache:
     def test_roundtrip_and_hit_miss_counters(self, small_labeled_graph):
-        engine = DistMuRA(small_labeled_graph)
+        engine = Session(small_labeled_graph, **UNCACHED)
         cache = PlanCache(capacity=8)
         key, term = make_key(engine, QUERY)
         assert cache.get(key) is None
@@ -58,7 +62,7 @@ class TestPlanCache:
         assert stats.misses == 1 and stats.hits == 1
 
     def test_key_depends_on_strategy_and_versions(self, small_labeled_graph):
-        engine = DistMuRA(small_labeled_graph)
+        engine = Session(small_labeled_graph, **UNCACHED)
         key_auto, _ = make_key(engine, QUERY)
         key_pgld, _ = make_key(engine, QUERY, strategy="pgld")
         assert key_auto != key_pgld
@@ -73,14 +77,14 @@ class TestPlanCache:
 
     def test_same_query_twice_shares_one_key(self, small_labeled_graph):
         """Fresh generated names must not fragment the cache."""
-        engine = DistMuRA(small_labeled_graph)
+        engine = Session(small_labeled_graph, **UNCACHED)
         first, _ = make_key(engine, QUERY)
         second, _ = make_key(engine, QUERY)
         assert first == second
 
     def test_old_and_new_snapshot_entries_coexist(self, small_labeled_graph):
         """No purge-on-mutation: version-qualified keys simply diverge."""
-        engine = DistMuRA(small_labeled_graph)
+        engine = Session(small_labeled_graph, **UNCACHED)
         cache = PlanCache(capacity=8)
         old_key, old_term = make_key(engine, QUERY)
         cache.put(old_key, make_plan(old_term))
@@ -95,7 +99,7 @@ class TestPlanCache:
         assert cache.get(new_key) is not None
 
     def test_lru_bound_evicts_oldest_plan(self, small_labeled_graph):
-        engine = DistMuRA(small_labeled_graph)
+        engine = Session(small_labeled_graph, **UNCACHED)
         cache = PlanCache(capacity=2)
         texts = [QUERY, "?x <- ?x livesIn ?y", "?x,?y <- ?x worksAt ?y"]
         keys = []
@@ -109,7 +113,7 @@ class TestPlanCache:
 
 
 def test_cached_plan_with_strategies_is_nondestructive(small_labeled_graph):
-    engine = DistMuRA(small_labeled_graph)
+    engine = Session(small_labeled_graph, **UNCACHED)
     _, term = make_key(engine, QUERY)
     plan = make_plan(term)
     updated = plan.with_strategies(("pplw^s",))
@@ -119,7 +123,7 @@ def test_cached_plan_with_strategies_is_nondestructive(small_labeled_graph):
 
 
 def test_cache_key_is_a_plain_stable_string(small_labeled_graph):
-    engine = DistMuRA(small_labeled_graph)
+    engine = Session(small_labeled_graph, **UNCACHED)
     term = engine.translate(parse_query(QUERY))
     key = cache_key(term)
     assert isinstance(key, str) and key

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+from repro import Session
 from repro.algebra.variables import free_variables
-from repro.engine import DistMuRA
 from repro.query.parser import parse_query
 from repro.rewriter.normalize import cache_key
 from repro.service import ResultCache, ResultKey
 
 
 def make_engine(graph):
-    return DistMuRA(graph, num_workers=2)
+    return Session(graph, num_workers=2, enable_plan_cache=False,
+                   enable_result_cache=False)
 
 
 def key_of(engine, result, snapshot=None):

@@ -7,17 +7,24 @@ import time
 
 import pytest
 
-from repro import (DistMuRA, QueryService, ServiceError,
-                   ServiceOverloadError)
+from repro import (QueryService, ServiceError, ServiceOverloadError,
+                   Session)
 from repro.service import FAILED, OK
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
 LIVES = "?x <- ?x livesIn/isLocatedIn+ europe"
+#: Both session caches off: every call plans and executes from scratch.
+UNCACHED = {"enable_plan_cache": False, "enable_result_cache": False}
+
+
+def ask(service, query):
+    """Blocking submission: wait for a queue slot, then for the result."""
+    return service.submit(query, block=True).result()
 
 
 @pytest.fixture
 def engine(small_labeled_graph):
-    with DistMuRA(small_labeled_graph, num_workers=2) as engine:
+    with Session(small_labeled_graph, num_workers=2, **UNCACHED) as engine:
         yield engine
 
 
@@ -29,13 +36,13 @@ def service(engine):
 
 def test_query_matches_engine_and_caches_repeat(service, engine,
                                                 small_labeled_graph):
-    fresh = DistMuRA(small_labeled_graph, num_workers=2)
-    expected = fresh.query(KNOWS).relation
-    first = service.query(KNOWS)
+    fresh = Session(small_labeled_graph, num_workers=2, **UNCACHED)
+    expected = fresh.ucrpq(KNOWS).collect().relation
+    first = ask(service, KNOWS)
     assert first.status == OK
     assert first.result.relation == expected
     assert first.plan_cache_hit is False and first.result_cache_hit is False
-    second = service.query(KNOWS)
+    second = ask(service, KNOWS)
     assert second.result.relation == expected
     assert second.plan_cache_hit is True and second.result_cache_hit is True
     fresh.close()
@@ -56,20 +63,20 @@ def test_batch_preserves_order(service):
 
 
 def test_unknown_label_maps_to_failed_status(service):
-    served = service.query("?x,?y <- ?x nosuchlabel+ ?y")
+    served = ask(service, "?x,?y <- ?x nosuchlabel+ ?y")
     assert served.status == FAILED
     assert "nosuchlabel" in served.detail
     assert served.result is None
 
 
 def test_mutation_maintains_and_refreshes_results(service, engine):
-    before = service.query(KNOWS)
+    before = ask(service, KNOWS)
     touched = service.add_edges("knows", [("dave", "erin")])
     assert "knows" in touched
     # The insert-only commit maintained the cached fixpoint, so the
     # fresh-head query is served from the promoted entry — and it must
     # reflect the new edge, not the pre-commit rows.
-    after = service.query(KNOWS)
+    after = ask(service, KNOWS)
     assert after.result_cache_hit is True
     assert engine.last_maintenance.resumed == 1
     assert after.rows > before.rows
@@ -79,7 +86,7 @@ def test_mutation_maintains_and_refreshes_results(service, engine):
     service.remove_edges("knows", [("dave", "erin")])
     decisions = {d.action for d in engine.last_maintenance.decisions}
     assert "fallback-recompute" in decisions
-    restored = service.query(KNOWS)
+    restored = ask(service, KNOWS)
     assert restored.result.relation == before.result.relation
 
 
@@ -158,7 +165,7 @@ def test_default_timeout_is_applied(engine):
 
 def test_metrics_snapshot_counts_and_percentiles(service):
     for _ in range(4):
-        service.query(KNOWS)
+        ask(service, KNOWS)
     snap = service.metrics.snapshot()
     assert snap.submitted == 4 and snap.served == 4 and snap.failed == 0
     assert snap.throughput_qps > 0
@@ -172,8 +179,8 @@ def test_metrics_snapshot_counts_and_percentiles(service):
 def test_caches_can_be_disabled(engine):
     with QueryService(engine, enable_plan_cache=False,
                       enable_result_cache=False) as service:
-        first = service.query(KNOWS)
-        second = service.query(KNOWS)
+        first = ask(service, KNOWS)
+        second = ask(service, KNOWS)
         assert first.plan_cache_hit is None and first.result_cache_hit is None
         assert second.plan_cache_hit is None and second.result_cache_hit is None
         assert second.result.relation == first.result.relation
@@ -195,11 +202,11 @@ def test_close_drains_queued_queries(engine):
 
 
 def test_non_optimizing_engine_is_served(small_labeled_graph):
-    with DistMuRA(small_labeled_graph, optimize=False) as engine:
+    with Session(small_labeled_graph, optimize=False, **UNCACHED) as engine:
         with QueryService(engine) as service:
-            served = service.query(KNOWS)
+            served = ask(service, KNOWS)
             assert served.status == OK and served.rows > 0
-            again = service.query(KNOWS)
+            again = ask(service, KNOWS)
             # No plan cache without optimization, but results still memoize.
             assert again.plan_cache_hit is None
             assert again.result_cache_hit is True

@@ -6,7 +6,7 @@ Two acceptance properties:
   through one shared :class:`QueryService` with both caches enabled,
   with database mutations interleaved between replay rounds.  Every
   served result must be identical to what a *fresh, single-threaded*
-  :class:`DistMuRA` session computes for the same query on the database
+  :class:`Session` (caches off) computes for the same query on the database
   state of that round.
 * **Per-snapshot differential** — N reader threads run *while* a writer
   commits (no barriers at all), on two graphs of one session.  Every
@@ -23,7 +23,7 @@ import threading
 
 import pytest
 
-from repro import DistMuRA, LabeledGraph, QueryService, Session
+from repro import LabeledGraph, QueryService, Session
 from repro.service import OK
 
 QUERIES = (
@@ -57,7 +57,8 @@ def replay_round(service, rng_seed):
                  for i in range(REPLAYS_PER_CLIENT)]
         try:
             outcomes[client_id] = [
-                (text, service.query(text)) for text in local]
+                (text, service.submit(text, block=True).result())
+                for text in local]
         except BaseException as error:  # pragma: no cover - surfaced below
             errors.append(error)
 
@@ -80,16 +81,18 @@ def reference_answers(database):
     """Fresh single-threaded engine per query on a database snapshot."""
     answers = {}
     for text in QUERIES:
-        with DistMuRA(dict(database), num_workers=2) as fresh:
-            answers[text] = fresh.query(text).relation
+        with Session(dict(database), num_workers=2, enable_plan_cache=False,
+                     enable_result_cache=False) as fresh:
+            answers[text] = fresh.ucrpq(text).collect().relation
     return answers
 
 
 @pytest.mark.parametrize("executor", ["serial", "threads"])
 def test_concurrent_replay_with_mutations_is_differential(
         small_labeled_graph, executor):
-    with DistMuRA(small_labeled_graph, num_workers=2,
-                  executor=executor) as engine:
+    with Session(small_labeled_graph, num_workers=2, executor=executor,
+                 enable_plan_cache=False,
+                 enable_result_cache=False) as engine:
         with QueryService(engine, max_in_flight=NUM_CLIENTS,
                           queue_capacity=NUM_CLIENTS * REPLAYS_PER_CLIENT) \
                 as service:

@@ -84,6 +84,23 @@ class TestStages:
         twin = session.ucrpq(query.ast)
         assert twin.cache_key == query.cache_key
 
+    def test_planning_seeds_the_cache_key(self, session, monkeypatch):
+        """The plan-cache key already holds the printed canonical form of
+        the handle's own term; reading ``cache_key`` afterwards (the HTTP
+        tier's plan digest) must not canonicalize a second time — except
+        for a prepared binding, which planned its *template's* term."""
+        from repro.rewriter.normalize import cache_key
+        from repro.session import query as query_module
+        handle = session.ucrpq(QUERY)
+        bound = session.prepare("?y <- :start knows+ ?y").bind(start="alice")
+        handle.run_once()
+        bound.run_once()
+        assert bound.cache_key == cache_key(bound.term)
+        monkeypatch.setattr(
+            query_module, "canonicalize",
+            lambda term: pytest.fail("canonicalized a second time"))
+        assert handle.cache_key == cache_key(handle.term)
+
     def test_classes_are_reported(self, session):
         assert "C2" in session.ucrpq("?x <- ?x isLocatedIn+ europe").classes
 
@@ -154,11 +171,9 @@ class TestActions:
         result = future.result(timeout=30)
         assert len(result.relation) == session.ucrpq(QUERY).count()
 
-    def test_matches_eager_facade_answer(self, small_labeled_graph, session):
-        import warnings
-        from repro import DistMuRA
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with DistMuRA(small_labeled_graph, num_workers=2) as engine:
-                eager = engine.query(QUERY)
+    def test_matches_an_uncached_session(self, small_labeled_graph, session):
+        with Session(small_labeled_graph, num_workers=2,
+                     enable_plan_cache=False,
+                     enable_result_cache=False) as uncached:
+            eager = uncached.ucrpq(QUERY).collect()
         assert session.ucrpq(QUERY).collect().relation == eager.relation

@@ -1,4 +1,8 @@
-"""End-to-end tests of the DistMuRA session facade."""
+"""End to end through one uncached session: answers, metrics, mutations.
+
+Every query here pays the whole pipeline (both session caches are off),
+so the assertions see what one cold trip reports.
+"""
 
 from __future__ import annotations
 
@@ -6,58 +10,66 @@ import math
 
 import pytest
 
-from repro import DistMuRA, PGLD, PPLW_SPARK
+from repro import PGLD, PPLW_SPARK, Session
 from repro.errors import TranslationError
+
+
+def uncached(database, **options) -> Session:
+    return Session(database, enable_plan_cache=False,
+                   enable_result_cache=False, **options)
 
 
 @pytest.fixture
 def engine(small_labeled_graph):
-    return DistMuRA(small_labeled_graph, num_workers=3)
+    with uncached(small_labeled_graph, num_workers=3) as session:
+        yield session
 
 
 class TestQueryExecution:
     def test_simple_closure_query(self, engine):
-        result = engine.query("?x,?y <- ?x knows+ ?y")
+        result = engine.ucrpq("?x,?y <- ?x knows+ ?y").collect()
         assert ("alice", "dave") in result.relation.to_pairs("x", "y")
         assert result.plans_explored >= 1
         assert not math.isnan(result.estimated_cost)
 
     def test_filtered_query_classes_are_reported(self, engine):
-        result = engine.query("?x <- ?x isLocatedIn+ europe")
+        result = engine.ucrpq("?x <- ?x isLocatedIn+ europe").collect()
         assert "C2" in result.query_classes
         assert result.relation.column_values("x") == {
             "grenoble", "lyon", "france", "inria"}
 
     def test_conjunctive_query(self, engine):
-        result = engine.query("?x,?c <- ?x knows+ ?y, ?y livesIn ?c")
+        result = engine.ucrpq("?x,?c <- ?x knows+ ?y, ?y livesIn ?c").collect()
         assert ("alice", "lyon") in result.relation.to_pairs("x", "c")
 
     def test_strategies_produce_identical_results(self, small_labeled_graph):
         query = "?x,?y <- ?x knows+/livesIn+ ?y"
-        baseline = DistMuRA(small_labeled_graph, strategy=PGLD).query(query)
-        parallel = DistMuRA(small_labeled_graph, strategy=PPLW_SPARK).query(query)
-        automatic = DistMuRA(small_labeled_graph).query(query)
-        assert baseline.relation == parallel.relation == automatic.relation
+        answers = []
+        for options in ({"strategy": PGLD}, {"strategy": PPLW_SPARK}, {}):
+            with uncached(small_labeled_graph, **options) as session:
+                answers.append(session.ucrpq(query).collect().relation)
+        assert answers[0] == answers[1] == answers[2]
 
     def test_optimizer_can_be_disabled(self, small_labeled_graph):
-        optimized = DistMuRA(small_labeled_graph, optimize=True).query(
-            "?x <- grenoble isLocatedIn+ ?x")
-        unoptimized = DistMuRA(small_labeled_graph, optimize=False).query(
-            "?x <- grenoble isLocatedIn+ ?x")
+        query = "?x <- grenoble isLocatedIn+ ?x"
+        with uncached(small_labeled_graph, optimize=True) as session:
+            optimized = session.ucrpq(query).collect()
+        with uncached(small_labeled_graph, optimize=False) as session:
+            unoptimized = session.ucrpq(query).collect()
         assert optimized.relation == unoptimized.relation
         assert unoptimized.plans_explored == 1
 
     def test_unknown_label_raises(self, engine):
         with pytest.raises(TranslationError):
-            engine.query("?x,?y <- ?x unknownLabel+ ?y")
+            engine.ucrpq("?x,?y <- ?x unknownLabel+ ?y").collect()
 
     def test_metrics_are_attached(self, engine):
-        result = engine.query("?x,?y <- ?x knows+ ?y", strategy=PGLD)
+        result = engine.ucrpq("?x,?y <- ?x knows+ ?y").collect(strategy=PGLD)
         assert result.metrics.global_iterations >= 1
         assert result.metrics.shuffles >= 1
 
     def test_summary_is_flat_dictionary(self, engine):
-        result = engine.query("?x,?y <- ?x knows+ ?y")
+        result = engine.ucrpq("?x,?y <- ?x knows+ ?y").collect()
         summary = result.summary()
         assert summary["rows"] == len(result.relation)
         assert "shuffles" in summary
@@ -65,17 +77,12 @@ class TestQueryExecution:
 
 
 class TestIntrospection:
-    def test_explain_mentions_classes_and_plans(self, engine):
-        text = engine.explain("?x <- ?x isLocatedIn+ europe")
-        assert "C2" in text
-        assert "plans explored" in text
-
     def test_repr_is_informative(self, engine):
         assert "workers=3" in repr(engine)
 
     def test_accepts_plain_database_dict(self, small_labeled_graph):
-        engine = DistMuRA(small_labeled_graph.relations())
-        result = engine.query("?x,?y <- ?x knows ?y")
+        with uncached(small_labeled_graph.relations()) as session:
+            result = session.ucrpq("?x,?y <- ?x knows ?y").collect()
         assert len(result.relation) == 3
 
 
@@ -99,8 +106,8 @@ class TestMutations:
 
     def test_new_label_becomes_queryable_with_inverse(self, engine):
         engine.add_edges("mentors", [("alice", "bob")])
-        assert len(engine.query("?x,?y <- ?x mentors ?y").relation) == 1
-        assert len(engine.query("?x,?y <- ?x -mentors ?y").relation) == 1
+        assert len(engine.ucrpq("?x,?y <- ?x mentors ?y").collect().relation) == 1
+        assert len(engine.ucrpq("?x,?y <- ?x -mentors ?y").collect().relation) == 1
 
     def test_mutating_inverse_directly_is_rejected(self, engine):
         with pytest.raises(TranslationError):
@@ -119,9 +126,9 @@ class TestMutations:
             "knows": Relation.from_pairs([("a", "b")], columns=("src", "trg")),
             "-knows": Relation(("x", "y"), [("b", "a")]),
         }
-        engine = DistMuRA(database, num_workers=2)
-        with pytest.raises(SchemaError):
-            engine.add_edges("knows", [("c", "d")])
-        assert len(engine.database["knows"]) == 1
-        assert engine.database_version == 0
-        assert engine.relation_version("knows") == 0
+        with uncached(database, num_workers=2) as engine:
+            with pytest.raises(SchemaError):
+                engine.add_edges("knows", [("c", "d")])
+            assert len(engine.database["knows"]) == 1
+            assert engine.database_version == 0
+            assert engine.relation_version("knows") == 0

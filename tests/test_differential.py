@@ -16,15 +16,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Session
+from repro import QueryService, Session
 from repro.data import LabeledGraph, row_mode
 from repro.data.relation import Relation
-from repro.datasets import uniprot_graph
+from repro.datasets import (erdos_renyi_graph, uniprot_graph,
+                            yago_like_graph)
 from repro.distributed import (EXECUTOR_BACKENDS, PGLD, PPLW_POSTGRES,
                                PPLW_SPARK)
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
-from repro.workloads import uniprot_queries
+from repro.workloads import uniprot_queries, yago_queries
 
 ALL_PLANS = (PGLD, PPLW_SPARK, PPLW_POSTGRES)
 
@@ -382,3 +383,54 @@ class TestWritesAxis:
                     else triples - set(edits)
                 served = session.ucrpq(text).collect()
                 assert canonical(served.relation) == self.cold(triples, text)
+
+
+#: The query shapes of the benchmark's ``recursive-cold`` workload.
+RECURSIVE_COLD_SHAPES = ("YQ8", "YQ9", "YQ15", "UQ26", "UQ43", "UQ46", "TC")
+
+
+class TestServedAxis:
+    """Streamed vs buffered vs the row engine, over the wire.
+
+    Both endpoints take their rows from one admission path and one
+    canonical order, so a stream (forced through cursor pages) must list
+    exactly what ``/v1/query`` lists, in the same order — and both must
+    be the row engine's answer.
+    """
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        from repro.net import HttpServer, ServerThread, ServiceClient
+        uniprot = uniprot_graph(num_edges=400, seed=11)
+        database: dict = {}
+        for graph in (yago_like_graph(scale=40, seed=7), uniprot,
+                      erdos_renyi_graph(40, num_edges=90, seed=8,
+                                        labels=("a1", "a2"))):
+            for name, relation in graph.relations().items():
+                database[name] = (relation if name not in database
+                                  else database[name].union(relation))
+        texts = {f"Y{q.qid}": q.text for q in yago_queries()}
+        texts.update({f"U{q.qid}": q.text for q in uniprot_queries(uniprot)})
+        texts["TC"] = "?x,?y <- ?x a1+ ?y"
+        with QueryService(Session(database, num_workers=3),
+                          own_engine=True) as service:
+            running = ServerThread(HttpServer(service)).start()
+            try:
+                with ServiceClient(port=running.port, timeout=30.0) as client:
+                    yield service.session, client, texts
+            finally:
+                running.stop()
+
+    @pytest.mark.parametrize("shape", RECURSIVE_COLD_SHAPES)
+    def test_streamed_buffered_and_row_engine_rows(self, served, shape):
+        session, client, texts = served
+        text = texts[shape]
+        with row_mode():
+            oracle, _, _ = session.ucrpq(text).run_once(
+                use_plan_cache=False, use_result_cache=False)
+        expected = [list(row)
+                    for row in sorted(oracle.relation.rows, key=repr)]
+        assert expected, "a shape with no answers compares nothing"
+        streamed = list(client.stream_rows(text, batch_size=16,
+                                           page_limit=40))
+        assert streamed == client.query(text)["rows"] == expected

@@ -6,7 +6,8 @@ codebase honest; each maps to the runtime sanitizer check that would
 catch its violation only when the bad path actually runs.  A fourth
 keeps the semi-naive loop from being written out a second time, a fifth
 does the same for the row interpreter, a sixth keeps task bodies from
-encoding against a dictionary nobody else shares:
+encoding against a dictionary nobody else shares, a seventh keeps the
+canonical row order in the one place that computes it once:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
         only inside ``src/repro/data/`` (the owning package) and
@@ -39,6 +40,11 @@ INV006  No ``snapshot_dictionary(`` call in a module-level function
         encoding memoized against the snapshot's would silently miss.
         Tasks take the dictionary as an argument from the plan that
         captured it.
+INV007  No ``sorted(<x>.rows, key=repr)`` (or ``._rows``) under
+        ``src/repro/`` outside ``data/relation.py``.  The canonical row
+        order belongs to ``Relation.sorted_rows()``, which memoizes it
+        on the (immutable, cache-shared) relation; an inline sort pays
+        it again on every call.
 
 Usage::
 
@@ -225,6 +231,28 @@ def _check_task_dictionaries(tree: ast.Module, path: Path,
                              f"argument instead")
 
 
+def _check_canonical_order(tree: ast.AST, path: Path,
+                           findings: _Findings) -> None:
+    """INV007: only Relation.sorted_rows() sorts a relation's rows."""
+    if "repro" not in path.parts \
+            or (path.name == "relation.py" and "data" in path.parts):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Name) \
+                and node.func.id == "sorted" and node.args \
+                and isinstance(node.args[0], ast.Attribute) \
+                and node.args[0].attr in ("rows", "_rows") \
+                and any(keyword.arg == "key"
+                        and isinstance(keyword.value, ast.Name)
+                        and keyword.value.id == "repr"
+                        for keyword in node.keywords):
+            findings.add(path, node.lineno, "INV007",
+                         "sorted(….rows, key=repr): read "
+                         "Relation.sorted_rows(), which computes the "
+                         "canonical order once per relation")
+
+
 def lint_file(path: Path, findings: _Findings) -> None:
     try:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -238,6 +266,7 @@ def lint_file(path: Path, findings: _Findings) -> None:
     _check_fixpoint_loops(tree, path, findings)
     _check_row_interpreters(tree, path, findings)
     _check_task_dictionaries(tree, path, findings)
+    _check_canonical_order(tree, path, findings)
 
 
 def main(argv: list[str]) -> int:
