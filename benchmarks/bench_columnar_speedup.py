@@ -15,9 +15,13 @@ path — a deliberately strong baseline).  The
 headline assertion is a >= 3x speedup with bit-identical results (the
 operator-at-a-time column kernels this replaced measured 2.5x, the fused
 step 4.2-4.4x; what is left of a run is mostly the one decode at the
-end).  A second pair of runs compares the two modes on one Uniprot
-workload query through the full Session pipeline, and the observed
-numbers are written to ``benchmarks/results/BENCH_columnar.json``.
+end).  The chain's seed holds 1.25 rows per source, so its loop runs flat.
+A second pair of runs compares the two modes on one Uniprot workload
+query through the full Session pipeline, and a third case times, on the
+columnar kernels only, a wide-fan-out closure whose local loops run *grouped* on
+their stable column (``GroupedDeltaAccumulator``).  Every case is the
+best of ``ROUNDS`` runs, and both engines' seconds are written to
+``benchmarks/results/BENCH_columnar.json``.
 """
 
 from __future__ import annotations
@@ -28,9 +32,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.algebra.fixpoint as fixpoint_module
 from repro.algebra import RelVar, closure, evaluate
 from repro.bench import MeasuredRun, run_distmura
 from repro.data import Relation, row_mode
+from repro.data.columnar import GroupedDeltaAccumulator
 from repro.obs.metrics import get_registry
 from repro.workloads import uniprot_queries
 
@@ -50,6 +56,13 @@ SPEEDUP_FLOOR = 3.0
 #: thousands of rows, so the semi-naive loop (not parse/optimize
 #: overhead) dominates its runtime.
 UNIPROT_QID = "Q47"
+#: ``(-ref/ref)+``: each protein reaches many through shared references,
+#: so a Pplw chunk holds several seed rows per stable key and its local
+#: loop runs grouped.  Timed on the columnar kernels only.
+GROUPED_QID = "Q43"
+#: Runs per case; the fastest is reported (noise only ever adds time — one
+#: run per mode read TC ratios of 2.85x-3.9x on a 2-core machine).
+ROUNDS = 3
 
 COLUMNAR = "columnar-kernels"
 ROW = "indexed-row"
@@ -73,6 +86,11 @@ def closure_term():
     return closure(RelVar("E"), var="X")
 
 
+def _best(measure) -> MeasuredRun:
+    return min((measure() for _ in range(ROUNDS)),
+               key=lambda run: run.seconds)
+
+
 def _measure(mode: str, database, term) -> MeasuredRun:
     started = time.perf_counter()
     if mode == ROW:
@@ -92,7 +110,7 @@ def test_transitive_closure_both_modes(benchmark, figure_report,
     compiles = get_registry().counter("repro_kernel_compiles_total")
     before = compiles.value
     measured = benchmark.pedantic(
-        lambda: _measure(mode, chain_database, closure_term),
+        lambda: _best(lambda: _measure(mode, chain_database, closure_term)),
         rounds=1, iterations=1)
     figure_report.add(measured)
     _RESULTS[("TC", mode)] = measured
@@ -118,28 +136,54 @@ def test_modes_agree_and_speedup_exceeds_floor(figure_report, chain_database,
         f"indexed row engine (floor {SPEEDUP_FLOOR}x)")
 
 
+def _run_query(graph, query, mode: str) -> MeasuredRun:
+    if mode == ROW:
+        with row_mode():
+            measured = run_distmura(graph, query)
+    else:
+        measured = run_distmura(graph, query)
+    return MeasuredRun(system=mode, query_id=query.qid, dataset=graph.name,
+                       seconds=measured.seconds, rows=measured.rows,
+                       status=measured.status)
+
+
+def _uniprot_query(graph, qid: str):
+    return {q.qid: q for q in uniprot_queries(graph, subset=(qid,))}[qid]
+
+
 @pytest.mark.parametrize("mode", (COLUMNAR, ROW))
 def test_uniprot_query_both_modes(benchmark, figure_report, uniprot_small,
                                   mode):
     """One workload query through the full Session pipeline, both modes."""
-    query = {q.qid: q for q in
-             uniprot_queries(uniprot_small, subset=(UNIPROT_QID,))}[UNIPROT_QID]
-
-    def run() -> MeasuredRun:
-        if mode == ROW:
-            with row_mode():
-                measured = run_distmura(uniprot_small, query)
-        else:
-            measured = run_distmura(uniprot_small, query)
-        return MeasuredRun(system=mode, query_id=UNIPROT_QID,
-                           dataset=uniprot_small.name,
-                           seconds=measured.seconds, rows=measured.rows,
-                           status=measured.status)
-
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    query = _uniprot_query(uniprot_small, UNIPROT_QID)
+    measured = benchmark.pedantic(
+        lambda: _best(lambda: _run_query(uniprot_small, query, mode)),
+        rounds=1, iterations=1)
     figure_report.add(measured)
     _RESULTS[(UNIPROT_QID, mode)] = measured
     assert measured.succeeded
+
+
+def test_grouped_closure_on_the_kernels(benchmark, figure_report,
+                                        uniprot_small, monkeypatch):
+    """The grouped case, through the full Session pipeline."""
+    grouped = []
+
+    class Counting(GroupedDeltaAccumulator):
+        def __init__(self, *args):
+            grouped.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(fixpoint_module, "GroupedDeltaAccumulator", Counting)
+    query = _uniprot_query(uniprot_small, GROUPED_QID)
+    measured = benchmark.pedantic(
+        lambda: _best(lambda: _run_query(uniprot_small, query, COLUMNAR)),
+        rounds=1, iterations=1)
+    figure_report.add(measured)
+    _RESULTS[(GROUPED_QID, COLUMNAR)] = measured
+    assert measured.succeeded
+    # Prove the grouped form actually ran.
+    assert grouped
 
 
 def test_uniprot_modes_agree_and_json_report(figure_report):
@@ -157,6 +201,8 @@ def test_uniprot_modes_agree_and_json_report(figure_report):
         "title": FIGURE_TITLE,
         "chain_length": CHAIN_LENGTH,
         "speedup_floor": SPEEDUP_FLOOR,
+        "rounds": ROUNDS,
+        "grouped_case": GROUPED_QID,
         "runs": [
             {"workload": workload, "mode": mode, "seconds": run.seconds,
              "rows": run.rows}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import FixpointConditionError
-from .terms import Antijoin, Fixpoint, Join, Term, Union
+from .terms import Antijoin, Fixpoint, Join, RelVar, Term, Union
 from .variables import is_constant_in
 from .visitors import walk
 
@@ -63,6 +63,44 @@ def satisfies_fcond(fixpoint: Fixpoint) -> bool:
     return (is_positive(fixpoint)
             and is_linear(fixpoint)
             and is_non_mutually_recursive(fixpoint))
+
+
+def fcond_holds_throughout(term: Term) -> bool:
+    """:func:`satisfies_fcond` on every fixpoint inside ``term`` (binding
+    distinct variables, as in every canonical plan), in one bottom-up
+    pass: cheap enough for every plan the rewriter explores."""
+    return _free_and_breaking(term) is not None
+
+
+_NOTHING: frozenset[str] = frozenset()
+
+
+def _free_and_breaking(term: Term):
+    """``(free, breaking)``: the free variables of ``term`` and those on
+    which a binding fixpoint would break Fcond (free on both sides of a
+    join, right of an antijoin, in a nested fixpoint's body), or None."""
+    children = term.children()
+    if not children:
+        return (frozenset((term.name,)) if isinstance(term, RelVar)
+                else _NOTHING), _NOTHING
+    if len(children) == 1:
+        inner = _free_and_breaking(children[0])
+        if inner is None or not isinstance(term, Fixpoint):
+            return inner
+        free, breaking = inner
+        if term.var in breaking:
+            return None
+        free = free - {term.var}
+        return free, (breaking - {term.var}) | free
+    left, right = map(_free_and_breaking, children)
+    if left is None or right is None:
+        return None
+    breaking = left[1] | right[1]
+    if isinstance(term, Join):
+        breaking |= left[0] & right[0]
+    elif isinstance(term, Antijoin):
+        breaking |= right[0]
+    return left[0] | right[0], breaking
 
 
 def check_fcond(fixpoint: Fixpoint) -> None:

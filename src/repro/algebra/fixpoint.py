@@ -17,7 +17,8 @@ iteration guard and the ``fixpoint.iteration`` span live here.
 
 :func:`run_fixpoint` adds the one engine selection the single-node callers
 share: bind the columnar kernels when they support the shape, otherwise
-run the caller's row step.
+run the caller's row step — and on the kernels, hold ``X`` flat or
+grouped on its stable column.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..data.columnar import ColumnarDeltaAccumulator, ValueDictionary
+from ..data.columnar import (ColumnarDeltaAccumulator, GroupedDeltaAccumulator,
+                             ValueDictionary)
 from ..data.relation import Relation
 from ..data.storage import DeltaAccumulator
 from ..errors import EvaluationError
@@ -34,6 +36,30 @@ from .kernels import KernelProgramCache, bind_program
 from .terms import Term
 
 __all__ = ["FixpointRun", "run_fixpoint", "semi_naive"]
+
+#: Seed rows per distinct stable key from which the kernels run the loop
+#: grouped on the stable column (:class:`GroupedDeltaAccumulator`) rather
+#: than flat.  Grouping costs a pass over the seed and a dict entry and
+#: a few objects per key and iteration; it saves a tuple built and
+#: hashed per derived row.  So it wins where keys are few and their sets
+#: large, and loses on thin closures.  Measured flat against grouped:
+#: time inside ``run_fixpoint`` per execution (bind, encode, loop,
+#: decode; all Pplw chunks), median of 11, the end-to-end benchmark's
+#: database and queries, 2-core x86 container; the seed rows per key are
+#: the range over the chunks:
+#:
+#:   ============================ ============ =================
+#:   query                        rows per key flat -> grouped
+#:   ============================ ============ =================
+#:   ``-hKw/(ref/-ref)+``         117-173      15.6 -> 8.3 ms
+#:   ``(-ref/ref)+/auth``         37-52        9.5 -> 5.3 ms
+#:   ``(actedIn/-actedIn)+``      6.9-8.3      16.9 -> 9.9 ms
+#:   ``(-ref/ref)+``              6.2-6.6      28.7 -> 14.5 ms
+#:   ``a1+``                      1.9-2.1      22.8 -> 21.2 ms
+#:   Yago Q9's union closure      1.4          7.0 -> 7.8 ms
+#:   chain-320 closure (bench)    1.25         35.9 -> 47.7 ms
+#:   ============================ ============ =================
+GROUPED_MIN_ROWS_PER_KEY = 2
 
 
 def semi_naive(step: Callable, accumulator, frontier, *, var: str,
@@ -61,8 +87,10 @@ def semi_naive(step: Callable, accumulator, frontier, *, var: str,
         with tracing.span("fixpoint.iteration", var=var, iteration=iterations,
                           delta=len(frontier), engine=engine) as span:
             produced = step(frontier)
-            frontier = accumulator.absorb(produced)
+            # Read before absorb: a grouped accumulator consumes the
+            # step's sets in place.
             span.set_attribute("produced", len(produced))
+            frontier = accumulator.absorb(produced)
             span.set_attribute("total", len(accumulator))
     return iterations
 
@@ -94,7 +122,9 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
     the shape (``resolve`` evaluates the recursion-constant operands);
     otherwise ``row_step`` — the caller's tuple-at-a-time evaluation of
     the variable part against one delta — does.  Guard and message are
-    identical on both engines.
+    identical on both engines.  The kernels hold ``X`` grouped on its
+    stable column when the step offers it and the seed has
+    :data:`GROUPED_MIN_ROWS_PER_KEY` rows per key, else flat: same deltas.
     """
     bound = bind_program(cache, var, variable_part, seed.columns,
                          dictionary, resolve)
@@ -104,18 +134,33 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
                                 engine="row", limit=limit,
                                 nonconvergence=nonconvergence)
         return FixpointRun(accumulator.relation(), iterations)
-    # The frontier is a set of code tuples from here to the decode: the
-    # step's output goes into the accumulator, and the accumulator's
-    # ``fresh`` set into the next step, as they are.
-    frontier = seed.columnar(dictionary).code_rows()
-    columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
-    iterations = semi_naive(bound.step, columnar, frontier, var=var,
-                            engine="columnar", limit=limit,
-                            nonconvergence=nonconvergence)
+    iterations = 0
+    relation = seed
+    if seed:
+        # From here to the decode the frontier stays encoded: the step's
+        # output goes into the accumulator, and the accumulator's fresh
+        # part into the next step, as they are — grouped on the stable
+        # column where the kernel offers it and the seed has enough rows
+        # per key, otherwise a flat set of code tuples.
+        encoded = seed.columnar(dictionary)
+        stable = bound.stable_position
+        if stable is not None and len(seed) >= GROUPED_MIN_ROWS_PER_KEY \
+                * len(set(encoded.arrays[stable])):
+            step = bound.grouped_step
+            frontier = encoded.code_groups(stable)
+            columnar = GroupedDeltaAccumulator(seed.columns, stable, frontier)
+        else:
+            step = bound.step
+            frontier = encoded.code_rows()
+            columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
+        iterations = semi_naive(step, columnar, frontier, var=var,
+                                engine="columnar", limit=limit,
+                                nonconvergence=nonconvergence)
+        relation = columnar.relation(dictionary)
     # The row engine accesses each constant-side index once per iteration
     # (build on the first touch, reuse after); mirror that accounting so
     # index-reuse metrics stay comparable across engines.
     reuses = bound.index_reuses + bound.indexed_ops * max(iterations - 1, 0)
-    return FixpointRun(columnar.relation(dictionary), iterations,
+    return FixpointRun(relation, iterations,
                        index_builds=bound.index_builds, index_reuses=reuses,
                        probes=bound.probe_counter[0])

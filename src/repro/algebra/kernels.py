@@ -22,7 +22,10 @@ code tuples in the fixpoint's column order back:
 * **filters** compare dictionary codes; only order comparisons decode
   (codes do not preserve value order);
 * intermediate results are sets, and the one place an iteration's output
-  meets the result is the accumulator's ``produced - seen``.
+  meets the result is the accumulator's ``produced - seen``;
+* a closure step that keeps the stable column in place also binds a
+  **grouped** twin over the frontier factorized on that column
+  (:attr:`BoundKernel.grouped_step`).
 
 Nothing here is vectorised: in CPython without numpy every materialised
 intermediate — a gathered column as much as a relation — is a pass of
@@ -45,9 +48,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 
-from ..data.columnar import ValueDictionary, columnar_enabled
+from ..data.columnar import CodeGroups, ValueDictionary, columnar_enabled
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate, _COMPARATORS)
 from ..data.relation import Relation
@@ -79,7 +83,7 @@ class _BindContext:
     """Mutable state threaded through one bind of a program."""
 
     __slots__ = ("dictionary", "resolve", "index_builds", "index_reuses",
-                 "indexed_ops", "broadcasts", "probe_counter")
+                 "indexed_ops", "broadcasts", "probe_counter", "grouped")
 
     def __init__(self, dictionary: ValueDictionary,
                  resolve: Callable[[Term], Relation]):
@@ -94,6 +98,10 @@ class _BindContext:
         #: the row engine's one-probe-per-probe-row accounting at the cost
         #: of a single ``len()`` per operator call.
         self.probe_counter: list[int] = [0]
+        #: Flat step -> (stable position, grouped step), for every join
+        #: that can also run on :class:`CodeGroups`; the program's bind
+        #: reads it only when such a join *is* the whole step.
+        self.grouped: dict[Step, tuple[int, GroupedStep]] = {}
 
     def constant(self, term: Term, schema: tuple[str, ...]):
         """Resolve and encode a constant operand, verifying its schema."""
@@ -122,6 +130,8 @@ class _BindContext:
 #: both in the fixpoint's schema order.  A step never mutates its input —
 #: the frontier is the accumulator's own ``fresh`` set.
 Step = Callable[[set], set]
+#: The same step over the frontier grouped on its stable column.
+GroupedStep = Callable[[CodeGroups], CodeGroups]
 
 
 @dataclass
@@ -138,6 +148,11 @@ class BoundKernel:
     #: the Pgld driver records one broadcast per entry per iteration to
     #: keep its communication accounting identical to the row path.
     broadcast_sizes: tuple[int, ...]
+    #: When the step is a join that carries one frontier position through
+    #: unchanged — the fixpoint's stable column — that position, and the
+    #: step over the frontier grouped on it (same probe accounting).
+    stable_position: int | None = None
+    grouped_step: GroupedStep | None = None
 
 
 class KernelProgram:
@@ -159,12 +174,14 @@ class KernelProgram:
              resolve: Callable[[Term], Relation]) -> BoundKernel:
         ctx = _BindContext(dictionary, resolve)
         step = self._bind(ctx)
+        stable, grouped = ctx.grouped.get(step, (None, None))
         return BoundKernel(step=step, out_schema=self.out_schema,
                            index_builds=ctx.index_builds,
                            index_reuses=ctx.index_reuses,
                            indexed_ops=ctx.indexed_ops,
                            probe_counter=ctx.probe_counter,
-                           broadcast_sizes=tuple(ctx.broadcasts))
+                           broadcast_sizes=tuple(ctx.broadcasts),
+                           stable_position=stable, grouped_step=grouped)
 
 
 # -- The kernel planner ------------------------------------------------------
@@ -376,9 +393,13 @@ class _Planner:
                              else len(layout) + payload.index(c)
                              for c in out))
         read_key = itemgetter(*probe)
+        stable = None
         if len(layout) == len(out) == 2 and len(probe) == len(payload) == 1 \
                 and layout[1 - probe[0]] == out[1 - out.index(payload[0])]:
-            expand = _BINARY_JOINS[probe[0], out.index(payload[0])]
+            shape = probe[0], out.index(payload[0])
+            expand = _BINARY_JOINS[shape]
+            if var_bind is _bind_identity:  # it reads the frontier itself
+                stable = _STABLE_POSITIONS.get(shape)
         elif not payload:         # a semijoin: only membership is read
             def expand(rows, get):
                 return {emit(r) for r in rows if get(read_key(r))}
@@ -401,6 +422,12 @@ class _Planner:
                 rows = inner(rows)
                 counter[0] += len(rows)
                 return expand(rows, get)
+
+            if stable is not None:
+                def grouped(groups):
+                    counter[0] += len(groups)
+                    return _grouped_join(groups, get)
+                ctx.grouped[step] = stable, grouped
             return step
         return out, bind
 
@@ -468,6 +495,21 @@ _BINARY_JOINS = {
     (0, 1): lambda rows, get: {(y, z) for x, y in rows for z in get(x, ())},
     (0, 0): lambda rows, get: {(z, y) for x, y in rows for z in get(x, ())},
 }
+
+# Two of those layouts carry one frontier position through unchanged:
+# ``(1, 1)`` keeps position 0 and ``(0, 0)`` keeps position 1.  That is
+# the fixpoint's stable column (Section III-B), so the frontier can be
+# factorized on it — ``{stable code: set of member codes}`` — and the
+# step becomes one C-level set union per key: nothing is built or hashed
+# per derived row.  One body serves both layouts, since the member is
+# the probe key and the payload the new member either way.
+_STABLE_POSITIONS = {(1, 1): 0, (0, 0): 1}
+
+
+def _grouped_join(groups: CodeGroups, get) -> CodeGroups:
+    return CodeGroups({
+        key: set(chain.from_iterable(map(get, members, repeat(()))))
+        for key, members in groups.items()})
 
 
 def _bind_code_check(predicate: Predicate, schema: tuple[str, ...],

@@ -24,6 +24,9 @@ iteration.  This module provides what the fused fixpoint step
   decode is a plain ``set`` of code tuples: the step consumes and
   produces it, the accumulator subtracts and unions it, and one
   :func:`decode_rows` at the very end turns it back into a ``Relation``.
+* :class:`GroupedDeltaAccumulator` — the same for a binary fixpoint
+  factorized on its stable column (:class:`CodeGroups`, ``{key code: set
+  of member codes}``), deduplicated and decoded per key.
 
 A context-local escape hatch, :func:`row_mode`, pins the row engine (the
 differential harness proves both engines agree) — results returned to
@@ -38,6 +41,7 @@ from array import array
 from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import get_registry
@@ -219,6 +223,19 @@ class ColumnarRelation:
         """The rows as a new set of packed code tuples (schema order)."""
         return set(zip(*self.arrays))
 
+    def code_groups(self, key: int) -> "CodeGroups":
+        """A binary relation's rows grouped on column ``key``: each key
+        code -> the set of codes the other column holds beside it."""
+        groups = CodeGroups()
+        get = groups.get
+        for code, member in zip(self.arrays[key], self.arrays[1 - key]):
+            bucket = get(code)
+            if bucket is None:
+                groups[code] = {member}
+            else:
+                bucket.add(member)
+        return groups
+
     def to_relation(self) -> "Relation":
         """Decode back to a row relation."""
         return decode_rows(self.columns, zip(*self.arrays), self.dictionary)
@@ -317,3 +334,61 @@ class ColumnarDeltaAccumulator:
     def relation(self, dictionary: ValueDictionary) -> "Relation":
         """Decode the accumulated result into a row relation, once."""
         return decode_rows(self.columns, self._seen, dictionary)
+
+
+class CodeGroups(dict):
+    """A binary relation factorized on one column, ``{key code: set of
+    the other column's codes}``, whose ``len()`` counts rows, not keys:
+    the semi-naive driver reads it exactly as it reads a flat set."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return sum(map(len, self.values()))
+
+
+class GroupedDeltaAccumulator:
+    """:class:`ColumnarDeltaAccumulator` for a fixpoint grouped on its
+    stable column (Section III-B), which keeps the seed's value in every
+    derived row: a row is deduplicated against its key's set only, ``out
+    -= seen[key]; seen[key] |= out``, and no tuple is built or hashed per
+    derived row until :meth:`relation` decodes each key once."""
+
+    __slots__ = ("columns", "key", "_seen")
+
+    def __init__(self, columns: tuple[str, ...], key: int, seed: CodeGroups):
+        self.columns = columns
+        #: Position of the stable column in ``columns`` (0 or 1).
+        self.key = key
+        self._seen = CodeGroups({code: set(members)
+                                 for code, members in seed.items()})
+
+    def __len__(self) -> int:
+        return len(self._seen)
+
+    def absorb(self, produced: CodeGroups) -> CodeGroups:
+        """Fold one step's output in (consuming its sets); return the
+        genuinely new rows, keys without any left out."""
+        seen = self._seen
+        fresh = CodeGroups()
+        for code, out in produced.items():
+            known = seen[code]
+            out -= known
+            if out:
+                known |= out
+                fresh[code] = out
+        return fresh
+
+    def relation(self, dictionary: ValueDictionary) -> "Relation":
+        """Decode the accumulated result into a row relation, once."""
+        from .relation import Relation
+        values = dictionary.values
+        decode = values.__getitem__
+        if self.key == 0:
+            rows = (zip(repeat(values[code]), map(decode, members))
+                    for code, members in self._seen.items())
+        else:
+            rows = (zip(map(decode, members), repeat(values[code]))
+                    for code, members in self._seen.items())
+        return Relation._from_trusted(self.columns,
+                                      frozenset(chain.from_iterable(rows)))

@@ -29,6 +29,7 @@ The class implements every operator of the mu-RA grammar except the fixpoint
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from operator import itemgetter
 from typing import Any
 
 from ..errors import SchemaError
@@ -543,16 +544,14 @@ def _row_combiner(left_schema: tuple[str, ...], right_schema: tuple[str, ...],
 
     Columns present in both schemas take their value from the left row; the
     caller guarantees (via the join key) that both sides agree on them.
+    The output row is one ``itemgetter`` over ``left + right``.
     """
-    left_position = {c: i for i, c in enumerate(left_schema)}
-    right_position = {c: i for i, c in enumerate(right_schema)}
-    plan: list[tuple[int, int]] = []
-    for column in out_schema:
-        position = left_position.get(column)
-        if position is not None:
-            plan.append((0, position))
-        else:
-            plan.append((1, right_position[column]))
-    return lambda left, right: tuple(
-        left[i] if side == 0 else right[i] for side, i in plan
-    )
+    position_of = {c: i for i, c in enumerate(left_schema)}
+    for i, column in enumerate(right_schema, len(left_schema)):
+        position_of.setdefault(column, i)
+    positions = [position_of[column] for column in out_schema]
+    if len(positions) > 1:
+        pick = itemgetter(*positions)
+        return lambda left, right: pick(left + right)
+    # ``itemgetter`` returns a bare value for one position, and needs one.
+    return lambda left, right: tuple((left + right)[i] for i in positions)

@@ -163,9 +163,11 @@ class SetRDD(DistributedRelation):
 
         Valid when the data was partitioned on a stable column: the local
         fixpoints are then provably disjoint (Section III-B), so the final
-        union does not need to eliminate duplicates.
+        union does not need to eliminate duplicates: one
+        ``frozenset.union`` builds it.  (It sizes the table for the sum of
+        the partitions, so :meth:`collect`, whose partitions overlap,
+        copies a set instead: an oversized result stays as long as cached.)
         """
-        rows: set = set()
-        for partition in self.partitions:
-            rows.update(partition.rows)
-        return Relation._from_trusted(self.columns, rows)
+        first, *rest = self.partitions
+        return Relation._from_trusted(
+            self.columns, first.rows.union(*(p.rows for p in rest)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
+from ..algebra.conditions import fcond_holds_throughout
 from ..algebra.schema import Schema
 from ..algebra.terms import Fixpoint, Term
 from ..errors import EvaluationError, SchemaError
@@ -64,7 +65,8 @@ class MuRewriter:
             for plan in frontier:
                 for variant in self._variants(plan, context):
                     canonical = canonicalize(variant)
-                    if canonical in plans:
+                    if canonical in plans \
+                            or not fcond_holds_throughout(canonical):
                         continue
                     plans[canonical] = None
                     next_frontier.append(canonical)
@@ -87,7 +89,12 @@ class MuRewriter:
     # -- Exploration internals ------------------------------------------------
 
     def _variants(self, term: Term, context: RewriteContext) -> Iterator[Term]:
-        """Yield terms obtained by one rewrite at any position of ``term``."""
+        """Yield terms obtained by one rewrite at any position of ``term``.
+
+        A rule checks Fcond only where it applies: ``push-join-into-closure``
+        inside ``mu(X0 = ...)`` puts ``X0`` into a nested closure's seed,
+        making the two mutually recursive; :meth:`explore` drops that.
+        """
         # Rewrites at the root.
         for rule in self.rules:
             yield from rule.apply(term, context)

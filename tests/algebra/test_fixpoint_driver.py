@@ -14,6 +14,7 @@ from contextlib import nullcontext
 
 import pytest
 
+import repro.algebra.fixpoint as fixpoint_module
 from repro import Session
 from repro.algebra import (Evaluator, RelVar, closure, closure_from_seed,
                            decompose, filter_source, naive_fixpoint,
@@ -106,6 +107,25 @@ def test_both_engines_emit_the_same_six_span_attributes():
         == [[a[k] for k in comparable] for a in spans["row"]]
     assert spans["row"][0] == {"var": "X", "iteration": 1, "delta": 7,
                                "produced": 6, "total": 13, "engine": "row"}
+
+
+def test_grouped_and_flat_forms_emit_identical_spans(monkeypatch):
+    """The closure of E, grouped on its stable column or flat: the same
+    iterations, deltas, produced and totals, row for row."""
+    fixpoint, iterations = FIXPOINTS["tc"]
+    spans = {}
+    for form, threshold in (("grouped", 0), ("flat", 10 ** 9)):
+        monkeypatch.setattr(fixpoint_module, "GROUPED_MIN_ROWS_PER_KEY",
+                            threshold)
+        tracer = Tracer(enabled=True)
+        with tracing.activate(tracer):
+            drive(fixpoint, "columnar")
+        spans[form] = iteration_spans(tracer)
+    assert len(spans["grouped"]) == iterations
+    assert spans["grouped"] == spans["flat"]
+    assert spans["grouped"][0] == {"var": "X", "iteration": 1, "delta": 7,
+                                   "produced": 6, "total": 13,
+                                   "engine": "columnar"}
 
 
 def test_postgres_local_loops_trace_iterations_on_the_row_engine(

@@ -6,17 +6,20 @@ import pytest
 
 from contextlib import nullcontext
 
+import repro.algebra.fixpoint as fixpoint_module
 from repro.algebra.builders import closure, compose
 from repro.algebra.conditions import decompose
 from repro.algebra.evaluate import Evaluator
-from repro.algebra.fixpoint import run_fixpoint
+from repro.algebra.fixpoint import GROUPED_MIN_ROWS_PER_KEY, run_fixpoint
 from repro.algebra.kernels import (KernelProgramCache, KernelUnsupported,
                                    bind_program, compile_program,
                                    default_kernel_cache)
+from repro.algebra.schema import schemas_of_database
+from repro.algebra.stability import stable_columns
 from repro.algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint,
                                  Join, Rename, RelVar, Union)
-from repro.data.columnar import (ValueDictionary, row_mode,
-                                 snapshot_dictionary)
+from repro.data.columnar import (GroupedDeltaAccumulator, ValueDictionary,
+                                 row_mode, snapshot_dictionary)
 from repro.data.predicates import Compare, Eq, In, TruePredicate
 from repro.data.relation import Relation
 from repro.data.snapshot import DatabaseSnapshot
@@ -219,6 +222,11 @@ class TestStructuralKernels:
 
 SHAPES_DATABASE = {
     "E": edges([(1, 2), (2, 3), (3, 4), (2, 5), (5, 1), (4, 6), (6, 7)]),
+    # Five layers of three nodes, each node linked to two of the next
+    # layer: two rows per source and two per target.
+    "Layers": edges([(3 * layer + j, 3 * (layer + 1) + (j + d) % 3)
+                     for layer in range(4) for j in range(3)
+                     for d in (0, 1)]),
     "F": edges([(1, 3), (3, 5), (5, 7), (7, 2), (2, 8)]),
     "Blocked": edges([(1, 4), (2, 7)]),
     "Allowed": Relation(("trg",), [(2,), (3,), (4,), (5,), (6,)]),
@@ -256,6 +264,12 @@ SHAPES = {
         closure(E, var="X"), (6, 27, 1, 5, 27)),
     "prepend: key first, payload first": (
         closure(E, "right-to-left", var="X"), (6, 27, 1, 5, 27)),
+    # The same two, on a seed with enough rows per stable key to group.
+    "append, seed above the grouping crossover": (
+        closure(RelVar("Layers"), var="X"), (4, 78, 1, 3, 78)),
+    "prepend, seed above the grouping crossover": (
+        closure(RelVar("Layers"), "right-to-left", var="X"),
+        (4, 78, 1, 3, 78)),
     "key last, payload first": (
         recursion(Join(X, E.rename("trg", "a").rename("src", "trg"))
                   .antiproject("trg").rename("src", "trg")
@@ -357,6 +371,72 @@ class TestEveryAcceptedShape:
         assert bound.step(frontier) == {
             (code(7), code(8)), (code(2), code(1)), (code(3), code(2))}
         assert frontier == {(code(7), code(8))}
+
+
+#: The shapes whose bound step also runs grouped, and the frontier
+#: position it is grouped on.  The filter and the antijoin bind to the
+#: join below them as they are (an always-true predicate, an empty right
+#: side sharing no column), so their step is that join's.
+STABLE_POSITIONS = {
+    "append: key last, payload last": 0,
+    "prepend: key first, payload first": 1,
+    "append, seed above the grouping crossover": 0,
+    "prepend, seed above the grouping crossover": 1,
+    "filter on the always-true predicate": 0,
+    "antijoin sharing no column, right side empty": 0,
+}
+
+
+class TestGroupedForm:
+    """A closure step that carries its stable column through unchanged
+    also runs on the frontier grouped by that column; which form runs
+    changes nothing the loop is seen to do."""
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_the_grouped_position_is_a_stable_column(self, name):
+        fixpoint, _ = SHAPES[name]
+        decomposition = decompose(fixpoint)
+        seed = Evaluator(SHAPES_DATABASE).evaluate(
+            decomposition.constant_part)
+        bound = bind_program(KernelProgramCache(), fixpoint.var,
+                             decomposition.variable_part, seed.columns,
+                             ValueDictionary(), make_resolve(SHAPES_DATABASE))
+        assert bound.stable_position == STABLE_POSITIONS.get(name)
+        assert (bound.grouped_step is None) == (bound.stable_position is None)
+        if bound.stable_position is not None:
+            assert seed.columns[bound.stable_position] in stable_columns(
+                fixpoint, schemas_of_database(SHAPES_DATABASE))
+
+    @pytest.mark.parametrize("name,grouped", [
+        ("append: key last, payload last", False),
+        ("prepend: key first, payload first", False),
+        ("append, seed above the grouping crossover", True),
+        ("prepend, seed above the grouping crossover", True)])
+    def test_the_seed_decides_and_both_forms_are_seen_alike(
+            self, name, grouped, monkeypatch):
+        fixpoint, counters = SHAPES[name]
+        built = []
+
+        class Spy(GroupedDeltaAccumulator):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(fixpoint_module, "GroupedDeltaAccumulator", Spy)
+        runs = {}
+        # The module constant, then every seed grouped, then none.
+        for threshold in (GROUPED_MIN_ROWS_PER_KEY, 0, 10 ** 9):
+            built.clear()
+            monkeypatch.setattr(fixpoint_module, "GROUPED_MIN_ROWS_PER_KEY",
+                                threshold)
+            run = drive(fixpoint, SHAPES_DATABASE)
+            runs[threshold] = bool(built), run.relation, (
+                run.iterations, len(run.relation), run.index_builds,
+                run.index_reuses, run.probes)
+        assert [form for form, _, _ in runs.values()] == [grouped, True, False]
+        assert {relation for _, relation, _ in runs.values()} \
+            == {drive(fixpoint, SHAPES_DATABASE, engine="row").relation}
+        assert {seen for _, _, seen in runs.values()} == {counters}
 
 
 class TestPayloadIndexLifetime:

@@ -1,5 +1,5 @@
 """Unit tests of the columnar layer: value dictionaries, encoded
-relations, the delta accumulator and the engine switch."""
+relations, the delta accumulators and the engine switch."""
 
 from __future__ import annotations
 
@@ -9,10 +9,11 @@ from array import array
 
 import pytest
 
-from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY,
+from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY, CodeGroups,
                                  ColumnarDeltaAccumulator, ColumnarRelation,
-                                 ValueDictionary, columnar_enabled,
-                                 decode_rows, row_mode, snapshot_dictionary)
+                                 GroupedDeltaAccumulator, ValueDictionary,
+                                 columnar_enabled, decode_rows, row_mode,
+                                 snapshot_dictionary)
 from repro.data.relation import Relation
 from repro.data.snapshot import DatabaseSnapshot
 
@@ -207,6 +208,62 @@ class TestColumnarDeltaAccumulator:
         rows = {(dictionary.encode("x"),), (dictionary.encode("y"),)}
         assert decode_rows(("a",), rows, dictionary) \
             == Relation(("a",), [("x",), ("y",)])
+
+
+class TestGroupedDeltaAccumulator:
+    """The same contract over a binary relation factorized on its stable
+    column: ``len()`` counts rows, dedup is per key, decode per key."""
+
+    COLUMNS = ("src", "trg")
+
+    def test_code_groups_factorize_on_either_column(self):
+        dictionary = ValueDictionary()
+        encoded = edges([(0, 1), (0, 2), (3, 2)]).columnar(dictionary)
+        code = dictionary.encode
+        assert encoded.code_groups(0) == {code(0): {code(1), code(2)},
+                                          code(3): {code(2)}}
+        assert encoded.code_groups(1) == {code(1): {code(0)},
+                                          code(2): {code(0), code(3)}}
+        assert len(encoded.code_groups(1)) == 3   # rows, not keys
+
+    def test_an_empty_seed(self):
+        dictionary = ValueDictionary()
+        seed = edges([]).columnar(dictionary).code_groups(0)
+        accumulator = GroupedDeltaAccumulator(self.COLUMNS, 0, seed)
+        assert len(seed) == len(accumulator) == 0
+        assert accumulator.relation(dictionary) == Relation.empty(self.COLUMNS)
+
+    def test_a_key_whose_every_derivation_is_already_seen(self):
+        accumulator = GroupedDeltaAccumulator(
+            self.COLUMNS, 0, CodeGroups({0: {1, 2}, 5: {6}}))
+        fresh = accumulator.absorb(CodeGroups({0: {1, 2}, 5: {6, 7}}))
+        assert fresh == {5: {7}} and len(fresh) == 1
+        assert len(accumulator) == 4
+        assert accumulator.absorb(CodeGroups({0: {2}, 5: set()})) == {}
+
+    def test_the_seed_is_left_alone(self):
+        """The seed's groups are also the first frontier."""
+        seed = CodeGroups({0: {1}})
+        accumulator = GroupedDeltaAccumulator(self.COLUMNS, 0, seed)
+        accumulator.absorb(CodeGroups({0: {2}}))
+        assert seed == {0: {1}}
+
+    @pytest.mark.parametrize("key", [0, 1])
+    def test_decode_equals_decode_rows_of_the_flat_set(self, key):
+        dictionary = ValueDictionary()
+        relation = edges([("a", "b"), ("a", "c"), ("d", "b"), (7, "a")])
+        encoded = relation.columnar(dictionary)
+        accumulator = GroupedDeltaAccumulator(self.COLUMNS, key,
+                                              encoded.code_groups(key))
+        code = dictionary.encode
+        produced = CodeGroups({code("a"): {code("e")}} if key == 0
+                              else {code("b"): {code(7)}})
+        accumulator.absorb(produced)
+        flat = encoded.code_rows() | {(code("a"), code("e")) if key == 0
+                                      else (code(7), code("b"))}
+        assert accumulator.relation(dictionary) \
+            == decode_rows(self.COLUMNS, flat, dictionary)
+        assert len(accumulator) == len(flat) == 5
 
 
 class TestEngineSwitch:

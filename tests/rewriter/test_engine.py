@@ -8,10 +8,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra import (Fixpoint, evaluate, schemas_of_database,
-                           subterms_of_type)
+from repro import Session
+from repro.algebra import (Fixpoint, evaluate, satisfies_fcond,
+                           schemas_of_database, subterms_of_type)
+from repro.algebra.conditions import fcond_holds_throughout
+from repro.datasets import uniprot_graph, yago_like_graph
+from repro.errors import FixpointConditionError
 from repro.query import parse_query, translate_query
-from repro.rewriter import MuRewriter, canonicalize, explore_plans
+from repro.rewriter import (MuRewriter, RewriteContext, canonicalize, engine,
+                            explore_plans)
+from repro.workloads import uniprot_queries, yago_queries
 
 
 @pytest.fixture
@@ -109,3 +115,68 @@ class TestRewriterConfiguration:
         rewriter = MuRewriter()
         rewrites = rewriter.rewrites_at_root(term, schemas)
         assert any(isinstance(rewrite, Fixpoint) for rewrite in rewrites)
+
+
+def fcond_everywhere(plan) -> bool:
+    return all(satisfies_fcond(node) for node in subterms_of_type(plan, Fixpoint))
+
+
+def unchecked(monkeypatch):
+    """Explore as if the whole-plan Fcond check were not there."""
+    monkeypatch.setattr(engine, "fcond_holds_throughout", lambda term: True)
+
+
+class TestVariantsBreakingFcondAreDropped:
+    """A rule checks Fcond where it applies; the whole plan is checked
+    before it enters the explored space."""
+
+    NESTED = translate_query(parse_query("?x,?y <- ?x (a/b+)+ ?y"))
+    AB_SCHEMAS = {"a": ("src", "trg"), "b": ("src", "trg")}
+
+    def test_the_nested_closure_explores_only_fcond_plans(self):
+        plans = explore_plans(self.NESTED, self.AB_SCHEMAS)
+        assert len(plans) > 1
+        assert all(fcond_everywhere(plan) for plan in plans)
+
+    def test_the_one_pass_check_agrees_with_satisfies_fcond(self):
+        context = RewriteContext(base_schemas=self.AB_SCHEMAS)
+        variants = [variant
+                    for plan in explore_plans(self.NESTED, self.AB_SCHEMAS)
+                    for variant in MuRewriter()._variants(plan, context)]
+        verdicts = [fcond_holds_throughout(v) for v in variants]
+        assert verdicts == [fcond_everywhere(v) for v in variants]
+        assert set(verdicts) == {True, False}
+
+    def test_unchecked_a_mutually_recursive_variant_gets_in(self,
+                                                            monkeypatch):
+        # ... and the exploration dies on it, as it did before the check.
+        unchecked(monkeypatch)
+        with pytest.raises(FixpointConditionError, match="mutually recursive"):
+            explore_plans(self.NESTED, self.AB_SCHEMAS)
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        """The rewriter a session explores with, and the 25 Yago and 25
+        Uniprot workload queries translated against their graphs."""
+        uniprot = uniprot_graph(num_edges=400, seed=3)
+        terms = []
+        for graph, queries in ((yago_like_graph(scale=60, seed=3),
+                                yago_queries()),
+                               (uniprot, uniprot_queries(uniprot))):
+            with Session(graph) as session:
+                snapshot = session.snapshot()
+                terms += [(session.translate(session.parse(query.text),
+                                             snapshot=snapshot),
+                           snapshot.schemas) for query in queries]
+                rewriter = session.rewriter
+        return rewriter, terms
+
+    def test_the_workload_plan_spaces_are_unchanged(self, workload,
+                                                    monkeypatch):
+        rewriter, terms = workload
+        checked = [rewriter.explore(term, schemas) for term, schemas in terms]
+        unchecked(monkeypatch)
+        assert checked == [rewriter.explore(term, schemas)
+                           for term, schemas in terms]
+        assert len(terms) == 50
+        assert sum(map(len, checked)) == 706
