@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from ..data.relation import Relation
 from ..data.stats import StatisticsCatalog
-from ..errors import PlanSelectionError
+from ..errors import PlanSelectionError, ReproError
 from ..algebra.terms import Term
 from .cost_model import CostModel
 
@@ -27,10 +27,11 @@ def rank_plans(plans: Iterable[Term],
                cost_model: CostModel | None = None) -> list[RankedPlan]:
     """Cost every plan and return them sorted by increasing estimated cost.
 
-    Plans the cost model cannot estimate (which should not happen for terms
-    produced by the rewriter, but may for hand-written ones) are ranked
-    last with an infinite cost rather than dropped, so the caller still
-    sees the full plan space.
+    Plans the cost model rejects with a ``ReproError`` (hand-written
+    terms; rewriter output should not) rank last at infinite cost rather
+    than dropped, so the caller still sees the full plan space.  Any other
+    exception is a cost-model defect, and propagates: cached, it would
+    outlive commits.
     """
     model = cost_model if cost_model is not None else CostModel(
         database=database, catalog=catalog)
@@ -40,7 +41,7 @@ def rank_plans(plans: Iterable[Term],
             report = model.report(plan)
             ranked.append(RankedPlan(term=plan, cost=report.cost,
                                      estimated_cardinality=report.estimate.cardinality))
-        except Exception:
+        except ReproError:
             ranked.append(RankedPlan(term=plan, cost=float("inf"),
                                      estimated_cardinality=0))
     ranked.sort(key=lambda plan: plan.cost)

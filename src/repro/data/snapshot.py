@@ -18,9 +18,11 @@ that assumption explicit and enforceable under concurrent mutation:
   cost is O(touched relations) plus a few dictionary copies.
 * **Version fingerprints** — :meth:`fingerprint` returns the sorted
   ``(name, version)`` tuple of a set of relations, which is the
-  database half of every plan- and result-cache key.  Because keys are
-  version-qualified, mutations never purge caches: entries for old
-  versions simply stop being looked up and age out of the LRU.
+  database half of every result-cache key.  Because those keys are
+  version-qualified, mutations never purge the result cache: entries for
+  old versions stop being looked up by head readers.  (Plan-cache keys
+  name the schemas and ``StatisticsCatalog.signature`` values of the
+  relations instead — see :mod:`repro.service.plan_cache`.)
 * **Snapshot-scoped statistics and schemas** — the cost model's
   :class:`~repro.data.stats.StatisticsCatalog` and the schema mapping
   travel *with* the snapshot, so an unlocked plan phase can never pair a
@@ -164,7 +166,7 @@ class DatabaseSnapshot(Mapping):
 
         Unknown names are included with version 0, so a cache entry built
         before a relation existed stops matching once it appears.  This
-        tuple is the database half of every plan/result cache key.
+        tuple is the database half of every result-cache key.
         """
         return tuple((name, self.relation_version(name))
                      for name in sorted(set(names)))
@@ -175,9 +177,9 @@ class DatabaseSnapshot(Mapping):
     def catalog(self) -> StatisticsCatalog:
         """The statistics this snapshot's data was summarized into.
 
-        Reading versions and statistics from one snapshot object is what
-        lets the plan phase run without the execution lock: both halves
-        of a cached plan's identity are frozen together.
+        Reading schemas and statistics from one snapshot object is what
+        lets the plan phase run without the execution lock: a plan-cache
+        key and the ranking it stands for come from the same frozen data.
         """
         return self._catalog
 

@@ -117,6 +117,13 @@ class StatisticsCatalog:
             return self._stats[name]
         return RelationStats(cardinality=1000, distinct_values={})
 
+    def signature(self, name: str) -> tuple | None:
+        """What :meth:`get` tells the cost model about ``name``, hashable:
+        ``(cardinality, sorted distinct counts)``, or None (the default)."""
+        stats = self._stats.get(name)
+        return None if stats is None else (
+            stats.cardinality, tuple(sorted(stats.distinct_values.items())))
+
     def names(self) -> tuple[str, ...]:
         """Return the registered relation names."""
         return tuple(sorted(self._stats))

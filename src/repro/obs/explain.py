@@ -241,6 +241,9 @@ class ExplainAnalyzeReport:
             f"plan cache: {_cache_label(self.plan_cache_hit)}",
             f"result cache: {_cache_label(self.result_cache_hit)}",
         ]
+        dropped = self._stage_attribute(PLAN, "fcond_dropped")
+        if dropped is not None:
+            summary.append(f"dropped by Fcond: {dropped}")
         iterations = self.iterations
         if iterations:
             summary.append(f"fixpoint iterations: {len(iterations)}")

@@ -36,6 +36,13 @@ def default_rules() -> list[RewriteRule]:
     return classic_rules() + fixpoint_rules()
 
 
+class PlanSpace(list):
+    """The explored plans, in discovery order, and ``fcond_dropped``: how
+    many distinct variants were discarded for violating Fcond."""
+
+    __slots__ = ("fcond_dropped",)
+
+
 class MuRewriter:
     """Explore the space of plans equivalent to a mu-RA term."""
 
@@ -48,7 +55,7 @@ class MuRewriter:
 
     # -- Public API -----------------------------------------------------------
 
-    def explore(self, term: Term, base_schemas: Mapping[str, Schema]) -> list[Term]:
+    def explore(self, term: Term, base_schemas: Mapping[str, Schema]) -> PlanSpace:
         """Return the list of equivalent plans found, starting with ``term``.
 
         The first element is always the canonical form of the input term;
@@ -57,6 +64,7 @@ class MuRewriter:
         context = RewriteContext(base_schemas=base_schemas)
         initial = canonicalize(term)
         plans: dict[Term, None] = {initial: None}
+        dropped: set[Term] = set()
         frontier = [initial]
         for _ in range(self.max_rounds):
             if not frontier or len(plans) >= self.max_plans:
@@ -65,8 +73,10 @@ class MuRewriter:
             for plan in frontier:
                 for variant in self._variants(plan, context):
                     canonical = canonicalize(variant)
-                    if canonical in plans \
-                            or not fcond_holds_throughout(canonical):
+                    if canonical in plans or canonical in dropped:
+                        continue
+                    if not fcond_holds_throughout(canonical):
+                        dropped.add(canonical)
                         continue
                     plans[canonical] = None
                     next_frontier.append(canonical)
@@ -75,7 +85,9 @@ class MuRewriter:
                 if len(plans) >= self.max_plans:
                     break
             frontier = next_frontier
-        return list(plans)
+        space = PlanSpace(plans)
+        space.fcond_dropped = len(dropped)
+        return space
 
     def rewrites_at_root(self, term: Term,
                          base_schemas: Mapping[str, Schema]) -> list[Term]:

@@ -5,8 +5,9 @@ This package wraps a :class:`~repro.session.Session` into a
 session's shared staged pipeline:
 
 * :mod:`repro.service.plan_cache` — memoizes the rewriter + cost-ranking
-  decision per (canonical query, snapshot fingerprint) (owned per graph
-  by the session, shared with embedded use and prepared queries),
+  decision per (canonical query, schemas and statistics of its inputs)
+  (owned per graph by the session, shared with embedded use and
+  prepared queries),
 * :mod:`repro.service.result_cache` — memoizes whole query results keyed
   by the snapshot fingerprint of their inputs (no eager purges),
 * :mod:`repro.service.view_maintenance` — incrementally maintains cached

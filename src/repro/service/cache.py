@@ -104,6 +104,12 @@ class LRUCache:
                 return self._entries[key]
             return default
 
+    def discard(self, key: Hashable) -> None:
+        """Drop one entry if present (counted as an invalidation)."""
+        with self._lock:
+            if self._entries.pop(key, MISS) is not MISS:
+                self._stats.invalidations += 1
+
     def clear(self) -> None:
         with self._lock:
             self._stats.invalidations += len(self._entries)

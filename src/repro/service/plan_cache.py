@@ -2,33 +2,35 @@
 
 Optimizing a query — exploring up to ``max_plans`` equivalent mu-RA terms
 and costing each of them — dominates the latency of small and repeated
-queries.  The plan cache keys that work on
+queries.  The plan cache keys that work on what it reads:
 
 * the **canonical form** of the translated query
   (:func:`repro.rewriter.normalize.cache_key`), which erases the
   session-specific generated names so the same UCRPQ always maps to the
   same key, in any session,
-* a **snapshot fingerprint**: the versions of the relations the query
-  reads, taken from the immutable
-  :class:`~repro.data.snapshot.DatabaseSnapshot` the query is planned
-  against (statistics drive the cost ranking, so a plan selected on one
-  snapshot must not be reused verbatim on another whose inputs changed),
-  and
+* for every relation the query reads, its **columns** (exploration reads
+  the schemas) and its :class:`~repro.data.stats.RelationStats` —
+  cardinality and per-column distinct counts (ranking reads nothing
+  else of the data),
 * the **engine configuration** that shaped the decision (strategy,
-  worker count, memory budget, rewriter bounds).
+  worker count, memory budget, rewriter bounds) and the graph.
 
 A hit skips ``MuRewriter.explore`` and ``rank_plans`` entirely and goes
 straight to execution with the previously selected plan.
 
-Because keys are version-qualified there is **no eager invalidation**: a
-mutation commits a new snapshot, queries planned against it use new keys,
-and entries for superseded snapshots are simply never looked up again and
-age out of the LRU ring.  Handles pinned to an old snapshot keep hitting
-their old entries for as long as the LRU retains them.
+The key names no version.  A commit that leaves the statistics of a
+query's inputs where they were (an edge swapped for another of the same
+shape, an add undone by a remove) keeps hitting the same entry; one that
+moves them misses and re-plans.  Explore and rank are pure functions of
+those values, so reuse is exact, and nothing is ever invalidated:
+entries that no longer describe the head age out of the LRU ring, while
+handles pinned to an old snapshot build their keys from it and keep
+hitting its entries.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -49,13 +51,13 @@ class PlanKey:
     """Identity of one plan-selection decision."""
 
     term_key: str
-    database_fingerprint: tuple[tuple[str, int], ...]
+    #: ``(name, columns, StatisticsCatalog.signature(name))`` of every
+    #: relation the query reads: what explore and rank read of them.
+    statistics: tuple
     config: tuple
-    #: Name of the graph the snapshot belongs to.  Statistics — and
-    #: therefore the selected plan — are per graph, so a fingerprint
-    #: collision between two graphs at the same versions (both freshly
-    #: attached at version 0, say) must not let one graph's plan decision
-    #: answer for the other's whenever a cache is shared across graphs.
+    #: Name of the graph the snapshot belongs to, so two graphs whose
+    #: statistics happen to coincide never answer for each other when a
+    #: cache is shared across graphs.
     graph: str = ""
 
     @classmethod
@@ -66,10 +68,10 @@ class PlanKey:
         """Build the key of ``term`` against one database snapshot.
 
         ``snapshot`` defaults to the engine's current head; pinned query
-        handles pass their own so repeated plans of an old-version handle
-        keep hitting the entry they created.
+        handles pass their own, so they rank on the statistics they read.
         """
         snapshot = snapshot if snapshot is not None else engine.snapshot()
+        schemas, catalog = snapshot.schemas, snapshot.catalog
         config = (
             strategy if strategy is not None else engine.strategy,
             engine.cluster.num_workers,
@@ -78,8 +80,10 @@ class PlanKey:
             engine.rewriter.max_rounds,
             engine.optimize_plans,
         )
-        return cls(term_key=cache_key(term),
-                   database_fingerprint=snapshot.fingerprint(dependencies),
+        return cls(term_key=engine.plan_cache.term_key(term),
+                   statistics=tuple((name, schemas.get(name),
+                                     catalog.signature(name))
+                                    for name in sorted(dependencies)),
                    config=config,
                    graph=snapshot.graph_name)
 
@@ -112,6 +116,8 @@ class CachedPlan:
     #: constants are re-resolved at every bind — so reuse across snapshots
     #: of the same graph is sound.
     kernel_program: "object | None" = None
+    #: Variants the exploration dropped because they violate Fcond.
+    fcond_dropped: int = 0
 
     def __post_init__(self) -> None:
         if not self.term_key:
@@ -126,6 +132,7 @@ class PlanCache:
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE):
         self._cache = LRUCache(capacity)
+        self._term_keys = LRUCache(capacity)
 
     def get(self, key: PlanKey) -> CachedPlan | None:
         return self._cache.get(key)
@@ -133,15 +140,28 @@ class PlanCache:
     def put(self, key: PlanKey, plan: CachedPlan) -> None:
         self._cache.put(key, plan)
 
+    def term_key(self, term: Term) -> str:
+        """``cache_key(term)``, once per term object: the one memo of a
+        term's key (a prepared template plans one object at every
+        binding; ``Query.cache_key`` reads it too).  Keyed by identity
+        through a weak reference: no tree re-hashed, no term kept alive."""
+        entry = self._term_keys.get(id(term))
+        if entry is None or entry[0]() is not term:
+            entry = (weakref.ref(term), cache_key(term))
+            self._term_keys.put(id(term), entry)
+        return entry[1]
+
     def clear(self) -> None:
         self._cache.clear()
+        self._term_keys.clear()
 
     def __contains__(self, key: PlanKey) -> bool:
         """Stats-neutral membership probe (no LRU or counter side effects).
 
         The strict-mode admission gate uses this to decide whether a
-        query was already analyzed-and-planned for the current snapshot
-        and config without distorting the cache's hit-rate statistics.
+        query was already analyzed-and-planned for the same schemas,
+        statistics and config without distorting the cache's hit-rate
+        statistics.
         """
         return key in self._cache
 

@@ -13,8 +13,9 @@ to — is **part of the key**, not a validity check on the entry:
   disturb its hits,
 * a query against the new head uses the new fingerprint and simply
   misses, re-executes and stores a fresh entry alongside the old one,
-* entries of superseded snapshots are never looked up again and age out
-  of the LRU ring — there is no eager purge-on-mutation anywhere.
+* entries of superseded snapshots are never looked up again by head
+  readers; the view maintainer drops each one at the second commit that
+  touches its inputs (:meth:`discard`), and the LRU evicts the rest.
 
 Lookups and stores are plain (thread-safe) LRU operations with no
 version re-validation, which is what lets the serving layer take the
@@ -84,7 +85,8 @@ class ResultCache:
         updated to ``maintained_result``, which now answers lookups under
         ``new_key`` (the successor snapshot's fingerprint).  The old
         entry is deliberately left in place — readers pinned to the
-        superseded snapshot keep hitting it until it ages out of the LRU.
+        superseded snapshot keep hitting it until the next commit that
+        touches its inputs drops it.
         """
         if old_key.plan_key != new_key.plan_key:
             raise ValueError(
@@ -102,6 +104,9 @@ class ResultCache:
         cache = self._cache
         return [(key, value) for key in cache.keys()
                 if (value := cache.peek(key)) is not None]
+
+    def discard(self, key: ResultKey) -> None:
+        self._cache.discard(key)
 
     def clear(self) -> None:
         self._cache.clear()

@@ -26,9 +26,10 @@ into a serving subsystem for many concurrent clients:
 * **Caching** — the session's :class:`~repro.service.plan_cache.PlanCache`
   and :class:`~repro.service.result_cache.ResultCache` (one pair per
   attached graph), gated by the service's ``enable_plan_cache`` /
-  ``enable_result_cache`` flags.  Keys are snapshot-fingerprint-qualified,
-  so result-cache hits are served without the execution lock and
-  mutations never purge anything.
+  ``enable_result_cache`` flags.  Result keys are
+  snapshot-fingerprint-qualified and plan keys name the schemas and
+  statistics they were computed from, so result-cache hits are served
+  without the execution lock and mutations never purge anything.
 * **Mutations** — :meth:`add_edges` / :meth:`remove_edges` forward to the
   session's mutation API, which commits a copy-on-write successor
   snapshot and atomically swaps the graph's head; in-flight queries keep

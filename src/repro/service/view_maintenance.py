@@ -35,7 +35,8 @@ nonmonotone position where insertions can shrink the result — or a
 fallback) merely leaves the entry stale, which is exactly the
 pre-maintenance behaviour.  A maintained entry is re-registered under
 the successor fingerprint with :meth:`ResultCache.promote`; the old
-entry stays valid for readers pinned to the superseded snapshot.
+entry stays valid for readers pinned to the superseded snapshot until
+the next commit that touches its inputs drops it.
 
 Maintenance evaluates with the centralized reference
 :class:`~repro.algebra.evaluate.Evaluator` (deltas are small by the
@@ -187,9 +188,10 @@ class ViewMaintainer:
                 # the new head, so it keeps hitting without any work.
                 continue
             if key.fingerprint != old_head.fingerprint(dependencies):
-                # Superseded by an earlier commit: maintaining it across
-                # *this* delta would skip the intermediate changes, and
-                # only readers pinned to its own version can reach it.
+                # Superseded by an earlier commit: this delta alone cannot
+                # maintain it, and only readers pinned two commits back
+                # could reach it.  They recompute; keeping it strands rows.
+                cache.discard(key)
                 continue
             stats.examined += 1
             entry_span = tracing.span(

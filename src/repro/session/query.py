@@ -37,7 +37,6 @@ from collections.abc import Iterator
 from concurrent.futures import Future
 from typing import TYPE_CHECKING
 
-from ..algebra.printer import term_to_string
 from ..algebra.terms import Term
 from ..check.sanitizer import ordered_lock
 from ..errors import TranslationError
@@ -105,7 +104,6 @@ class Query:
         self._ast = _UNSET
         self._term = _UNSET
         self._normalized = _UNSET
-        self._cache_key = _UNSET
         self._classes = _UNSET
         self._plans: dict[str | None, tuple] = {}
         self._results: dict[str | None, "QueryResult"] = {}
@@ -184,12 +182,13 @@ class Query:
     def cache_key(self) -> str:
         """Stable string identity of the query (printed canonical form).
 
-        Memoized; a plan-cache lookup of the handle's own term computes
-        the same string for its key, so :meth:`_plan_for` seeds it.
+        Read from the plan cache's memo of the term's key, which a plan
+        of the handle's own term has already filled.  An already
+        translated term is used as is: reading :attr:`term` would pin the
+        head on a served handle, which plans on the service's snapshot.
         """
-        if self._cache_key is _UNSET:
-            self._cache_key = term_to_string(self.normalized)
-        return self._cache_key
+        term = self._term if self._term is not _UNSET else self.term
+        return self.session.plan_cache.term_key(term)
 
     @property
     def classes(self) -> frozenset[str]:
@@ -218,7 +217,7 @@ class Query:
             f"classes: {classes}",
             "pipeline: front-end -> term -> normalize -> rank -> "
             "physical plan -> action",
-            f"plans explored: {plan.plans_explored}",
+            f"plans explored: {plan.plans_explored} ({plan.fcond_dropped} dropped by Fcond)",
             f"selected cost: {plan.cost:.1f}",
             f"selected plan: {plan.term}",
         ]
@@ -262,8 +261,9 @@ class Query:
                         use_cache: bool | None) -> None:
         """Strict-mode admission: analyze once per plan-cache fill.
 
-        A cached plan proves this exact (term, snapshot version, config)
-        was admitted before, so hits skip the analysis entirely — strict
+        A cached plan proves this exact term and config were admitted
+        before against relations with the same columns and statistics
+        (hence the same emptiness), so hits skip the analysis entirely — strict
         serving adds no hot-path cost.  On a miss the analysis runs
         *before* the optimizer; errors surface as a structured
         :class:`~repro.errors.AnalysisError` instead of whatever the
@@ -504,8 +504,6 @@ class Query:
         plan, hit, key = self.session.resolve_plan(base, effective,
                                                    use_cache=use_cache,
                                                    snapshot=snapshot)
-        if key is not None and self._plan_term is None:
-            self._cache_key = key.term_key
         if self._bindings:
             plan = bind_plan(plan, self._bindings)
             key = None

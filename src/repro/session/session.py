@@ -31,11 +31,11 @@ unchanged relations, and therefore their memoized hash indexes, are
 shared across versions — and atomically swap the graph's head.  A query
 handle pins the head snapshot the first time one of its stages runs, so
 ``collect()`` / ``stream()`` / a prepared ``bind()`` are repeatable reads
-at a well-defined version even while writers commit.  Plan- and
-result-cache keys carry the snapshot fingerprint, so mutations never
-purge caches, and the plan phase and result-cache hits run entirely
-outside the execution lock — only physical executions still serialize on
-the cluster's executor backend.
+at a well-defined version even while writers commit.  Cache keys name
+what an entry was computed from (versions, schemas, statistics), so
+mutations never purge caches, and the plan phase and result-cache hits
+run entirely outside the execution lock — only physical executions still
+serialize on the cluster's executor backend.
 
 **Multi-graph.**  :meth:`attach` registers additional named graphs and
 :meth:`graph` returns a session view scoped to one of them (own head,
@@ -649,15 +649,18 @@ class Session:
                             plan_span.set_attribute(
                                 "estimated_rows", cached.estimated_cardinality)
                     return cached, True, key
-            best, ranked = self.optimize(term, snapshot=snapshot)
+            plans = self.rewriter.explore(term, snapshot.schemas)
+            best = rank_plans(plans, catalog=snapshot.catalog)[0]
             plan = CachedPlan(term=best.term, cost=best.cost,
-                              plans_explored=len(ranked),
+                              plans_explored=len(plans),
                               dependencies=free_variables(best.term),
-                              estimated_cardinality=best.estimated_cardinality)
+                              estimated_cardinality=best.estimated_cardinality,
+                              fcond_dropped=plans.fcond_dropped)
             if plan_span.enabled:
                 if use_cache:
                     plan_span.set_attribute("cache_hit", False)
-                plan_span.set_attribute("plans_explored", len(ranked))
+                plan_span.set_attribute("plans_explored", len(plans))
+                plan_span.set_attribute("fcond_dropped", plans.fcond_dropped)
                 plan_span.set_attribute("estimated_rows",
                                         best.estimated_cardinality)
             if not use_cache:
@@ -870,8 +873,8 @@ class Session:
         them) are kept consistent, and the successor carries refreshed
         statistics for the touched relations — then atomically swaps the
         graph's head.  In-flight readers keep their pinned snapshots;
-        caches are untouched (keys are version-qualified).  Adding only
-        already-present pairs (or an empty iterable) is a **no-op**: no
+        nothing is purged (keys name what they were computed from).  Adding
+        only already-present pairs (or an empty iterable) is a **no-op**: no
         snapshot is created and no version is bumped.  Returns the names
         of the touched relations (empty for a no-op).
         """

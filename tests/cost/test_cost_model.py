@@ -120,6 +120,27 @@ class TestPlanSelection:
         ranked = rank_plans([bad, good], database=database)
         assert ranked[0].term == good
 
+    def test_only_estimation_errors_rank_last(self, database):
+        from repro.errors import CostEstimationError
+        good, bad = RelVar("knows"), RelVar("livesIn")
+
+        class Model(CostModel):
+            failure = CostEstimationError
+
+            def report(self, term, env=None):
+                if term == bad:
+                    raise self.failure("cannot cost")
+                return super().report(term, env)
+
+        model = Model(database=database)
+        ranked = rank_plans([bad, good], cost_model=model)
+        assert [plan.term for plan in ranked] == [good, bad]
+        assert ranked[1].cost == float("inf")
+        # A defect of the cost model is not ranked away.
+        model.failure = ZeroDivisionError
+        with pytest.raises(ZeroDivisionError):
+            rank_plans([bad, good], cost_model=model)
+
 
 class _Unmemoized(CardinalityEstimator):
     """The estimator as it was before sub-term estimates were memoized:

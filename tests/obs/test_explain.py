@@ -120,11 +120,18 @@ class TestExplainAnalyze:
         with Session(graph, num_workers=2) as fresh:
             cold = fresh.ucrpq(TC_QUERY).explain_analyze()
             hot = fresh.ucrpq(TC_QUERY).explain_analyze()
+            fresh.add_edges("knows", [("c", "d")])
+            replanned = fresh.ucrpq(TC_QUERY).explain_analyze()
         assert cold.plan_cache_hit is False
         assert cold.result_cache_hit is False
         assert hot.plan_cache_hit is True
         assert hot.result_cache_hit is True
         assert hot.iterations == []  # a result-cache hit executes nothing
+        # New statistics: the selection misses and the plan phase reruns.
+        assert replanned.plan_cache_hit is False
+        assert "plan cache: miss" in str(replanned)
+        assert "dropped by Fcond: 0" in str(replanned)
+        assert "dropped by Fcond" not in str(hot)
 
     def test_caches_can_be_bypassed(self, session):
         session.ucrpq(TC_QUERY).collect()  # ensure both caches are warm

@@ -137,6 +137,9 @@ class TestVariantsBreakingFcondAreDropped:
         plans = explore_plans(self.NESTED, self.AB_SCHEMAS)
         assert len(plans) > 1
         assert all(fcond_everywhere(plan) for plan in plans)
+        # Each distinct rejected variant is counted once, however often
+        # the rules regenerate it.
+        assert plans.fcond_dropped == 3
 
     def test_the_one_pass_check_agrees_with_satisfies_fcond(self):
         context = RewriteContext(base_schemas=self.AB_SCHEMAS)
@@ -180,3 +183,4 @@ class TestVariantsBreakingFcondAreDropped:
                            for term, schemas in terms]
         assert len(terms) == 50
         assert sum(map(len, checked)) == 706
+        assert sum(space.fcond_dropped for space in checked) == 0

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Session
+from repro.algebra.terms import RelVar
+from repro.data.relation import Relation
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.query.parser import parse_query
 from repro.rewriter.normalize import cache_key
 from repro.service import CachedPlan, LRUCache, PlanCache, PlanKey
+from repro.session import session as session_module
 from repro.algebra.variables import free_variables
 
 QUERY = "?x,?y <- ?x knows+ ?y"
@@ -110,6 +116,142 @@ class TestPlanCache:
         assert len(cache) == 2
         assert cache.get(keys[0]) is None
         assert cache.stats.evictions == 1
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` with a call counter; returns the live list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.fixture
+def registry():
+    previous = set_registry(MetricsRegistry())
+    try:
+        yield get_registry()
+    finally:
+        set_registry(previous)
+
+
+class TestSelectionsAreKeyedOnStatistics:
+    """A selection is keyed on the schemas and statistics it read, not on
+    relation versions: commits that leave them alone keep hitting it."""
+
+    @pytest.fixture
+    def session(self, small_labeled_graph):
+        with Session(small_labeled_graph, num_workers=2) as session:
+            yield session
+
+    @pytest.fixture
+    def explores(self, session, monkeypatch):
+        return count_calls(monkeypatch, session.rewriter, "explore")
+
+    @pytest.fixture
+    def ranks(self, monkeypatch):
+        return count_calls(monkeypatch, session_module, "rank_plans")
+
+    def test_commit_that_moves_statistics_replans(self, session, explores,
+                                                  ranks, registry):
+        session.ucrpq(QUERY).plan()
+        session.add_edges("knows", [("dave", "erin")])
+        plan = session.ucrpq(QUERY).plan()
+        assert len(explores) == 2 and len(ranks) == 2
+        assert plan.term == session.optimize(session.translate(QUERY))[0].term
+        outcomes = {outcome: registry.counter("repro_plan_cache_total",
+                                              outcome=outcome).value
+                    for outcome in ("miss", "hit")}
+        assert outcomes == {"miss": 2, "hit": 0}
+
+    def test_new_relation_or_schema_misses(self, session, explores):
+        term = RelVar("knows").join(RelVar("cites"))
+        session.resolve_plan(term)
+        session.add_edges("cites", [("bob", "zoe")])  # the relation appears
+        session.resolve_plan(term)
+        assert len(explores) == 2
+        # Other columns for the same name: the rewriter sees a new schema.
+        widened = Relation(("src", "trg", "w"), [("bob", "zoe", 1)])
+        other = session.snapshot().mutate({"cites": widened})
+        session.resolve_plan(term, snapshot=other)
+        assert len(explores) == 3
+
+    def test_equal_statistics_hit_and_add_then_remove_returns(
+            self, session, explores, ranks):
+        base, hit, _ = session.resolve_plan(session.translate(QUERY))
+        session.add_edges("knows", [("dave", "erin")])
+        session.ucrpq(QUERY).plan()
+        # Another edge of the same shape: every count the ranking reads
+        # is unchanged, so the selection is reused.
+        with session.transaction() as txn:
+            txn.remove_edges("knows", [("dave", "erin")])
+            txn.add_edges("knows", [("dave", "fred")])
+        query = session.ucrpq(QUERY)
+        query.plan()
+        assert query.last_plan_cache_hit is True
+        session.remove_edges("knows", [("dave", "fred")])
+        again, hit, _ = session.resolve_plan(session.translate(QUERY))
+        assert hit is True and again is base
+        assert len(explores) == 2 and len(ranks) == 2
+
+    def test_commit_that_flips_the_cheapest_plan_selects_the_new_one(
+            self, session):
+        text = "?x,?y <- ?x livesIn/knows+ ?y"
+        before = session.ucrpq(text).plan()
+        session.add_edges("livesIn", [(f"n{i}", f"city{i % 3}")
+                                      for i in range(300)])
+        after = session.ucrpq(text).plan()
+        expected, _ = session.optimize(session.translate(text))
+        assert after.term == expected.term
+        assert after.term != before.term
+
+    def test_emptying_a_relation_misses_and_the_gate_re_analyzes(
+            self, session, registry):
+        text = "?x,?y <- ?x worksAt ?y"
+        analyzed = registry.counter("repro_analyze_total", frontend="ucrpq")
+        session.ucrpq(text).run_once(check=True)
+        session.ucrpq(text).run_once(check=True)
+        assert analyzed.value == 1
+        session.remove_edges("worksAt", [("alice", "inria")])
+        result, plan_hit, _ = session.ucrpq(text).run_once(check=True)
+        assert plan_hit is False and len(result.relation) == 0
+        assert analyzed.value == 2
+
+    def test_pinned_handles_plan_on_their_own_statistics(self, session,
+                                                         explores):
+        session.ucrpq(QUERY).plan()  # the selection for the first version
+        pinned = session.ucrpq(QUERY)
+        term = pinned.term  # pins the head
+        old = pinned.pinned_snapshot
+        session.add_edges("knows", [("dave", "erin")])
+        head = session.ucrpq(QUERY)
+        head.plan()
+        # The pinned handle plans after the commit, on the statistics of
+        # the snapshot it reads: the first version's selection.
+        plan = pinned.plan()
+        assert len(explores) == 2 and pinned.last_plan_cache_hit is True
+        assert plan.term == session.optimize(term, snapshot=old)[0].term
+        assert pinned.collect().relation == session.evaluate_centralized(
+            term, snapshot=old)
+        assert pinned.collect().relation != head.collect().relation
+
+    def test_uncached_planning_explores_every_time(self, session, explores):
+        for _ in range(2):
+            session.ucrpq(QUERY).run_once(use_plan_cache=False)
+        assert len(explores) == 2
+        assert len(session.plan_cache) == 0
+
+    def test_clear_forgets_every_selection(self, session, explores, ranks):
+        session.ucrpq(QUERY).plan()
+        session.plan_cache.clear()
+        assert len(session.plan_cache) == 0
+        session.ucrpq(QUERY).plan()
+        assert len(explores) == 2 and len(ranks) == 2
 
 
 def test_cached_plan_with_strategies_is_nondestructive(small_labeled_graph):

@@ -337,3 +337,11 @@ class TestPromote:
         old_reader = old_view.ucrpq(TC)
         assert old_reader.collect().relation == before.relation
         assert old_reader.last_result_cache_hit is True
+        # The next commit on its inputs drops it: a reader pinned two
+        # commits back recomputes the same rows instead.
+        session.add_edges("knows", [("n8", "v2")])
+        assert len(session.result_cache) == 2
+        assert session.result_cache.stats.invalidations == 1
+        older_reader = old_view.ucrpq(TC)
+        assert older_reader.collect().relation == before.relation
+        assert older_reader.last_result_cache_hit is False

@@ -50,6 +50,20 @@ class TestValueParameters:
         stats = session.plan_cache.stats
         assert stats.hits >= 4
 
+    def test_the_template_is_keyed_once(self, session, monkeypatch):
+        """Canonicalizing and printing the template is most of a cached
+        bind; the strict gate and the plan lookup share one key."""
+        from repro.service import plan_cache
+        keyed = []
+        original = plan_cache.cache_key
+        monkeypatch.setattr(plan_cache, "cache_key",
+                            lambda term: keyed.append(term) or original(term))
+        prepared = session.prepare("?y <- :start knows+ ?y")
+        for start in ("alice", "bob", "carol"):
+            prepared.bind(start=start).run_once(check=True)
+        template = prepared.bind(start="dave")._plan_term
+        assert [term for term in keyed if term is template] == [template]
+
     def test_bindings_share_the_templates_compiled_kernels(self, session):
         """``bind_plan`` used to copy the template's *empty* kernel slot,
         so every binding executed under Pgld (which binds through the

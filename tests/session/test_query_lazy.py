@@ -99,7 +99,10 @@ class TestStages:
         monkeypatch.setattr(
             query_module, "canonicalize",
             lambda term: pytest.fail("canonicalized a second time"))
-        assert handle.cache_key == cache_key(handle.term)
+        key = handle.cache_key
+        # Reading the key pins nothing: a served handle keeps no snapshot.
+        assert handle.pinned_snapshot is None
+        assert key == cache_key(handle.term)
 
     def test_classes_are_reported(self, session):
         assert "C2" in session.ucrpq("?x <- ?x isLocatedIn+ europe").classes
