@@ -125,7 +125,11 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
     identical on both engines.  The kernels hold ``X`` grouped on its
     stable column when the step offers it and the seed has
     :data:`GROUPED_MIN_ROWS_PER_KEY` rows per key, else flat: same deltas.
+    An empty seed is its own fixpoint: it returns after 0 iterations
+    without binding, so it touches no index on either engine.
     """
+    if not seed:
+        return FixpointRun(seed, 0)
     bound = bind_program(cache, var, variable_part, seed.columns,
                          dictionary, resolve)
     if bound is None:
@@ -134,33 +138,30 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
                                 engine="row", limit=limit,
                                 nonconvergence=nonconvergence)
         return FixpointRun(accumulator.relation(), iterations)
-    iterations = 0
-    relation = seed
-    if seed:
-        # From here to the decode the frontier stays encoded: the step's
-        # output goes into the accumulator, and the accumulator's fresh
-        # part into the next step, as they are — grouped on the stable
-        # column where the kernel offers it and the seed has enough rows
-        # per key, otherwise a flat set of code tuples.
-        encoded = seed.columnar(dictionary)
-        stable = bound.stable_position
-        if stable is not None and len(seed) >= GROUPED_MIN_ROWS_PER_KEY \
-                * len(set(encoded.arrays[stable])):
-            step = bound.grouped_step
-            frontier = encoded.code_groups(stable)
-            columnar = GroupedDeltaAccumulator(seed.columns, stable, frontier)
-        else:
-            step = bound.step
-            frontier = encoded.code_rows()
-            columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
-        iterations = semi_naive(step, columnar, frontier, var=var,
-                                engine="columnar", limit=limit,
-                                nonconvergence=nonconvergence)
-        relation = columnar.relation(dictionary)
+    # From here to the decode the frontier stays encoded: the step's
+    # output goes into the accumulator, and the accumulator's fresh part
+    # into the next step, as they are — grouped on the stable column
+    # where the kernel offers it and the seed has enough rows per key,
+    # otherwise a flat set of code tuples.
+    encoded = seed.columnar(dictionary)
+    stable = bound.stable_position
+    if stable is not None and len(seed) >= GROUPED_MIN_ROWS_PER_KEY \
+            * len(set(encoded.arrays[stable])):
+        step = bound.grouped_step
+        frontier = encoded.code_groups(stable)
+        columnar = GroupedDeltaAccumulator(seed.columns, stable, frontier)
+    else:
+        step = bound.step
+        frontier = encoded.code_rows()
+        columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
+    iterations = semi_naive(step, columnar, frontier, var=var,
+                            engine="columnar", limit=limit,
+                            nonconvergence=nonconvergence)
+    relation = columnar.relation(dictionary)
     # The row engine accesses each constant-side index once per iteration
     # (build on the first touch, reuse after); mirror that accounting so
     # index-reuse metrics stay comparable across engines.
-    reuses = bound.index_reuses + bound.indexed_ops * max(iterations - 1, 0)
+    reuses = bound.index_reuses + bound.indexed_ops * (iterations - 1)
     return FixpointRun(relation, iterations,
                        index_builds=bound.index_builds, index_reuses=reuses,
                        probes=bound.probe_counter[0])

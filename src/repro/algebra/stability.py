@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ..errors import AlgebraError
-from .conditions import decompose
+from .conditions import Decomposition, decompose
 from .schema import Schema, infer_schema
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
@@ -32,13 +32,17 @@ OTHER = "__other__"
 
 def stable_columns(fixpoint: Fixpoint,
                    base_schemas: Mapping[str, Schema],
-                   env: Mapping[str, Schema] | None = None) -> frozenset[str]:
+                   env: Mapping[str, Schema] | None = None,
+                   decomposition: Decomposition | None = None,
+                   ) -> frozenset[str]:
     """Return the set of stable columns of a fixpoint term.
 
     ``base_schemas`` maps database relation names to schemas (as produced by
-    :func:`repro.algebra.schema.schemas_of_database`).
+    :func:`repro.algebra.schema.schemas_of_database`).  A caller that
+    already holds ``decompose(fixpoint)`` passes it as ``decomposition``.
     """
-    decomposition = decompose(fixpoint)
+    if decomposition is None:
+        decomposition = decompose(fixpoint)
     schema = infer_schema(fixpoint, base_schemas, env)
     if decomposition.variable_part is None:
         # No recursive branch: the fixpoint equals its constant part and

@@ -9,6 +9,8 @@ final duplicate-eliminating union can be skipped.
 
 :func:`plan_partitioning` decides, statically from the algebraic term,
 whether a stable column exists and therefore which strategy to use;
+:func:`analyse_fixpoint` pairs that decision with the decomposition it
+reads (a cached plan holds one per fixpoint);
 :func:`split_constant_part` applies the decision to the concrete data.
 """
 
@@ -17,9 +19,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
+from ..algebra.conditions import Decomposition, decompose
 from ..algebra.schema import Schema
 from ..algebra.stability import stable_columns
-from ..algebra.terms import Fixpoint
+from ..algebra.terms import Fixpoint, Term
 from ..data.relation import Relation
 from ..errors import EvaluationError, SchemaError
 from .cluster import SparkCluster
@@ -50,7 +53,9 @@ class PartitioningDecision:
 
 def plan_partitioning(fixpoint: Fixpoint,
                       base_schemas: Mapping[str, Schema],
-                      env: Mapping[str, Schema] | None = None) -> PartitioningDecision:
+                      env: Mapping[str, Schema] | None = None,
+                      decomposition: Decomposition | None = None,
+                      ) -> PartitioningDecision:
     """Choose the partitioning strategy for one fixpoint.
 
     When the stable-column analysis finds at least one stable column, the
@@ -58,14 +63,50 @@ def plan_partitioning(fixpoint: Fixpoint,
     (two tuples agreeing on them always land on the same worker), which
     guarantees disjoint local results.  Otherwise the split falls back to
     round-robin and the final union keeps its duplicate elimination.
+    ``decomposition`` is ``decompose(fixpoint)`` when the caller holds it.
     """
     try:
-        stable = stable_columns(fixpoint, base_schemas, env)
+        stable = stable_columns(fixpoint, base_schemas, env, decomposition)
     except (SchemaError, EvaluationError):
         stable = frozenset()
     if stable:
         return PartitioningDecision.stable(tuple(sorted(stable)))
     return PartitioningDecision.round_robin()
+
+
+@dataclass(frozen=True)
+class FixpointAnalysis:
+    """The static analysis of one fixpoint (§III-B).
+
+    Its ``mu(X = R U phi)`` form beside the partitioning derived from it.
+    Both are pure functions of the term's shape and the schemas — no
+    constant and no row is read — so a cached plan computes them once and
+    every execution, every binding of a template included, reuses them.
+    """
+
+    decomposition: Decomposition
+    partitioning: PartitioningDecision
+
+
+def analyse_fixpoint(fixpoint: Fixpoint,
+                     schemas: Mapping[str, Schema]) -> FixpointAnalysis:
+    """Decompose ``fixpoint`` once and derive its partitioning from that."""
+    decomposition = decompose(fixpoint)
+    return FixpointAnalysis(decomposition, plan_partitioning(
+        fixpoint, schemas, decomposition=decomposition))
+
+
+def analyse_fixpoints(term: Term, schemas: Mapping[str, Schema],
+                      ) -> tuple[FixpointAnalysis, ...]:
+    """The analysis of every outermost fixpoint of ``term``.
+
+    In the order the distributed executor meets them: children left to
+    right, never descending into a fixpoint.
+    """
+    if isinstance(term, Fixpoint):
+        return (analyse_fixpoint(term, schemas),)
+    return tuple(analysis for child in term.children()
+                 for analysis in analyse_fixpoints(child, schemas))
 
 
 def split_constant_part(constant: Relation, cluster: SparkCluster,

@@ -19,20 +19,21 @@ optimised, in the real system) dataset operations.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 
-from ..algebra.conditions import Decomposition, decompose
+from ..algebra.conditions import Decomposition
 from ..algebra.evaluate import Evaluator
 from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Fixpoint, Literal, Term
 from ..algebra.variables import free_variables
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
-from ..errors import PlanSelectionError
+from ..errors import PlanSelectionError, ReproError
 from ..obs import tracing
 from .cluster import SparkCluster
-from .partitioner import PartitioningDecision, plan_partitioning
+from .partitioner import (FixpointAnalysis, PartitioningDecision,
+                          analyse_fixpoint, analyse_fixpoints)
 from .plans import (PGLD, PLAN_CLASSES, PPLW_POSTGRES, PPLW_SPARK,
                     DistributedFixpointPlan, make_plan)
 
@@ -89,7 +90,7 @@ class PhysicalPlanGenerator:
         self.database = adopt_database(database)
         self.memory_per_task = memory_per_task
         self.kernel_cache = kernel_cache
-        self._schemas = database_schemas(self.database)
+        self.schemas = database_schemas(self.database)
 
     # -- Plan generation ---------------------------------------------------------
 
@@ -99,29 +100,32 @@ class PhysicalPlanGenerator:
 
     def generate(self, fixpoint: Fixpoint) -> list[PhysicalPlan]:
         """Generate one physical plan per strategy for a fixpoint."""
-        analysed = self.physical(fixpoint, AUTO)
+        analysed = self.select(fixpoint)
         return [replace(analysed, strategy=strategy)
                 for strategy in self.candidate_strategies()]
 
     def select(self, fixpoint: Fixpoint) -> PhysicalPlan:
         """Select the physical plan for one fixpoint (heuristic of §III-D)."""
-        return self.physical(fixpoint, AUTO)
+        return self.physical(fixpoint, AUTO,
+                             analyse_fixpoint(fixpoint, self.schemas))
 
-    def physical(self, fixpoint: Fixpoint, strategy: str) -> PhysicalPlan:
-        """Analyse ``fixpoint`` once and plan it under ``strategy``.
+    def physical(self, fixpoint: Fixpoint, strategy: str,
+                 analysis: FixpointAnalysis) -> PhysicalPlan:
+        """Plan ``fixpoint``, analysed as ``analysis``, under ``strategy``.
 
         :data:`AUTO` applies the selection heuristic: local loops in the
         per-worker engine when the variable part's datasets exceed the
-        memory of a task, as Spark operations otherwise.
+        memory of a task, as Spark operations otherwise.  The size it
+        compares reads the database, so it is decided per execution.
         """
-        decomposition = decompose(fixpoint)
+        decomposition = analysis.decomposition
         size = self.variable_part_size(decomposition)
         if strategy == AUTO:
             strategy = (PPLW_POSTGRES if size > self.memory_per_task
                         else PPLW_SPARK)
         return PhysicalPlan(
             strategy=strategy, fixpoint=fixpoint,
-            partitioning=plan_partitioning(fixpoint, self._schemas),
+            partitioning=analysis.partitioning,
             variable_part_size=size, decomposition=decomposition)
 
     def variable_part_size(self, decomposition: Decomposition) -> int:
@@ -164,10 +168,20 @@ class DistributedQueryExecutor:
                                                memory_per_task=memory_per_task,
                                                kernel_cache=kernel_cache)
 
-    def execute(self, term: Term) -> ExecutionOutcome:
-        """Execute ``term``: distributed fixpoints, central surrounding ops."""
+    def execute(self, term: Term,
+                analysis: tuple[FixpointAnalysis, ...] | None = None,
+                ) -> ExecutionOutcome:
+        """Execute ``term``: distributed fixpoints, central surrounding ops.
+
+        ``analysis`` is ``analyse_fixpoints(term, schemas)`` when the
+        caller holds it (a cached plan does); otherwise it is derived
+        here, by the same function.
+        """
+        if analysis is None:
+            analysis = analyse_fixpoints(term, self.generator.schemas)
         physical_plans: list[PhysicalPlan] = []
-        rewritten = self._execute_fixpoints(term, physical_plans)
+        rewritten = self._execute_fixpoints(term, iter(analysis),
+                                            physical_plans)
         evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
         relation = evaluator.evaluate(rewritten)
         return ExecutionOutcome(relation=relation, physical_plans=physical_plans,
@@ -176,10 +190,16 @@ class DistributedQueryExecutor:
     # -- Internals ------------------------------------------------------------------
 
     def _execute_fixpoints(self, term: Term,
+                           analyses: Iterator[FixpointAnalysis],
                            physical_plans: list[PhysicalPlan]) -> Term:
         """Replace every outermost fixpoint by the relation it evaluates to."""
         if isinstance(term, Fixpoint):
-            physical = self.generator.physical(term, self.strategy)
+            analysis = next(analyses, None)
+            if analysis is None or analysis.decomposition.var != term.var:
+                raise PlanSelectionError(
+                    f"the fixpoint analysis does not match the term at "
+                    f"fixpoint {term.var!r}")
+            physical = self.generator.physical(term, self.strategy, analysis)
             physical_plans.append(physical)
             plan = self.generator.plan_for(physical.strategy)
             if not tracing.tracing_enabled():
@@ -209,21 +229,24 @@ class DistributedQueryExecutor:
         children = term.children()
         if not children:
             return term
-        new_children = tuple(self._execute_fixpoints(child, physical_plans)
-                             for child in children)
+        new_children = tuple(
+            self._execute_fixpoints(child, analyses, physical_plans)
+            for child in children)
         if new_children != children:
             term = term.with_children(new_children)
         return term
 
     def _estimate_cardinality(self, fixpoint: Fixpoint) -> int | None:
         """Cost-model estimate for one fixpoint, or ``None`` when the
-        estimator cannot price it.
+        estimator rejects it with a :class:`~repro.errors.ReproError`.
 
         Only called when tracing is enabled (EXPLAIN ANALYZE's
         estimate-vs-actual drift) — the disabled path never pays for it.
+        Any other exception is a cost-model defect and propagates, as in
+        :func:`~repro.cost.selection.rank_plans`.
         """
         from ..cost.cardinality import CardinalityEstimator
         try:
             return CardinalityEstimator(self.database).cardinality(fixpoint)
-        except Exception:
+        except ReproError:
             return None

@@ -149,13 +149,14 @@ class DistributedFixpointPlan:
         return (physical.decomposition if physical is not None
                 else decompose(fixpoint))
 
-    def _partitioning(self, fixpoint: Fixpoint,
-                      physical: PhysicalPlan | None) -> PartitioningDecision:
+    def _partitioning(self, fixpoint: Fixpoint, physical: PhysicalPlan | None,
+                      decomposition: Decomposition) -> PartitioningDecision:
         if self.partitioning_override is not None:
             return self.partitioning_override
         if physical is not None:
             return physical.partitioning
-        return plan_partitioning(fixpoint, database_schemas(self.database))
+        return plan_partitioning(fixpoint, database_schemas(self.database),
+                                 decomposition=decomposition)
 
     def _bind_on_driver(self, cache: KernelProgramCache | None, var: str,
                         variable_part: Term, seed_columns: tuple[str, ...],
@@ -341,13 +342,15 @@ def run_local_loop(var: str, variable_part: Term,
     labels the span; the PostgreSQL variant also pays for marshalling
     the chunk in and the result back.
     """
-    evaluator = Evaluator({})
+    evaluator: Evaluator | None = None
     row_term: Term | None = None
 
     def row_step(delta: Relation) -> Relation:
-        nonlocal row_term
-        if row_term is None:
-            # Only the row engine pays for freezing the operands in.
+        nonlocal evaluator, row_term
+        if evaluator is None:
+            # Only the row engine pays for an evaluator and for freezing
+            # the operands in.
+            evaluator = Evaluator({})
             row_term = _freeze_operands(variable_part, var,
                                         operands.__getitem__)
         return evaluator.evaluate(row_term, env={var: delta})
@@ -365,11 +368,14 @@ def run_local_loop(var: str, variable_part: Term,
         loop_span.set_attribute("iterations", run.iterations)
         loop_span.set_attribute("total", len(run.relation))
     marshalled = len(chunk) + len(run.relation) if variant == "postgres" else 0
+    builds, reuses = run.index_builds, run.index_reuses
+    if evaluator is not None:
+        builds += evaluator.stats.index_builds
+        reuses += evaluator.stats.index_reuses
     return LocalLoopOutcome(
         relation=run.relation, iterations=run.iterations,
-        tuples_marshalled=marshalled,
-        index_builds=run.index_builds + evaluator.stats.index_builds,
-        index_reuses=run.index_reuses + evaluator.stats.index_reuses)
+        tuples_marshalled=marshalled, index_builds=builds,
+        index_reuses=reuses)
 
 
 class ParallelLocalLoops(DistributedFixpointPlan):
@@ -396,7 +402,7 @@ class ParallelLocalLoops(DistributedFixpointPlan):
             return constant
         var = fixpoint.var
         metrics = self.cluster.metrics
-        decision = self._partitioning(fixpoint, physical)
+        decision = self._partitioning(fixpoint, physical, decomposition)
         metrics.partitioning = decision.strategy
         chunks = split_constant_part(constant, self.cluster, decision)
         self._broadcast_variable_part(variable_part, var)

@@ -34,12 +34,14 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
+from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Term
 from ..rewriter.normalize import cache_key
 from .cache import CacheStats, LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..data.snapshot import DatabaseSnapshot
+    from ..distributed.partitioner import FixpointAnalysis
     from ..session.session import Session
 
 #: Default number of selected plans kept.
@@ -109,13 +111,22 @@ class CachedPlan:
     #: compares it against the observed row count — the drift signal of
     #: the feedback-driven-optimizer roadmap item.
     estimated_cardinality: int | None = None
-    #: Compiled columnar kernel programs for this plan's fixpoints
-    #: (:class:`~repro.algebra.kernels.KernelProgramCache`).  Created
-    #: lazily at first execution and carried on the entry, so a plan-cache
-    #: hit also hits its compiled kernels.  Entries are schema-level —
-    #: constants are re-resolved at every bind — so reuse across snapshots
-    #: of the same graph is sound.
-    kernel_program: "object | None" = None
+    #: The static analysis of each outermost fixpoint of ``term``
+    #: (:func:`~repro.distributed.partitioner.analyse_fixpoints`): its
+    #: decomposition and partitioning, a pure function of the term and
+    #: the schemas the key names, computed once with the plan and read by
+    #: every execution.  A binding of a prepared template gets the
+    #: template's, with its constants substituted in.  ``None`` when the
+    #: plan was built without schemas: the executor then derives it.
+    analysis: "tuple[FixpointAnalysis, ...] | None" = None
+    #: Compiled columnar kernel programs for this plan's fixpoints.
+    #: Created with the plan and carried on the entry, so a plan-cache
+    #: hit also hits its compiled kernels, and every binding of a
+    #: prepared template shares the template's.  Entries are schema-level
+    #: — constants are re-resolved at every bind — so reuse across
+    #: snapshots of the same graph is sound.
+    kernel_program: KernelProgramCache = field(
+        default_factory=KernelProgramCache)
     #: Variants the exploration dropped because they violate Fcond.
     fcond_dropped: int = 0
 

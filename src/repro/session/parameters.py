@@ -15,9 +15,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
-from ..algebra.kernels import KernelProgramCache
+from ..algebra.conditions import union_of
 from ..algebra.terms import Filter, Term
 from ..data.predicates import (And, Compare, Eq, In, Not, Or, Predicate)
+from ..distributed.partitioner import FixpointAnalysis
 from ..errors import TranslationError
 from ..service.plan_cache import CachedPlan
 
@@ -54,7 +55,8 @@ def substitute_parameters(term: Term, values: Mapping[str, object]) -> Term:
     """Replace every :class:`Parameter` sentinel in filter predicates.
 
     Raises :class:`~repro.errors.TranslationError` if the term mentions a
-    parameter that ``values`` does not bind.
+    parameter that ``values`` does not bind.  A subterm without a
+    parameter comes back as the same object.
     """
     children = term.children()
     if children:
@@ -75,38 +77,71 @@ def bind_plan(plan: CachedPlan, values: Mapping[str, object]) -> CachedPlan:
     The bound plan keeps the template's cost and exploration counters (the
     whole point is that they were paid once) and derives its result-cache
     identity from the template key plus the binding, so different bindings
-    never share a memoized result.
+    never share a memoized result.  It shares the template's compiled
+    kernels, and gets the template's fixpoint analysis with the binding
+    substituted in (see :func:`_bind_analysis`).
     """
     if not values:
         return plan
-    # Every binding shares the template's compiled kernels: the slot is
-    # filled here, before ``replace`` copies it, not lazily per binding.
-    if plan.kernel_program is None:
-        plan.kernel_program = KernelProgramCache()
     concrete = substitute_parameters(plan.term, values)
+    analysis = plan.analysis
+    if analysis is not None:
+        analysis = tuple(_bind_analysis(fixpoint, values)
+                         for fixpoint in analysis)
     binding = ", ".join(f"{name}={values[name]!r}" for name in sorted(values))
-    return replace(plan, term=concrete,
+    return replace(plan, term=concrete, analysis=analysis,
                    term_key=f"{plan.term_key} @ [{binding}]")
+
+
+def _bind_analysis(analysis: FixpointAnalysis,
+                   values: Mapping[str, object]) -> FixpointAnalysis:
+    """The template's fixpoint analysis, specialized to one binding.
+
+    A constant changes neither which union branches mention the
+    recursive variable nor any schema, so the bound fixpoint decomposes
+    into the template's branches with the binding substituted, and its
+    partitioning is the template's.  A part whose branches hold no
+    parameter is kept as is (the same object the kernel cache keys on).
+    """
+    decomposition = analysis.decomposition
+    changes: dict[str, object] = {}
+    for part in ("constant", "variable"):
+        branches = getattr(decomposition, f"{part}_branches")
+        bound = tuple(substitute_parameters(branch, values)
+                      for branch in branches)
+        if any(new is not old for new, old in zip(bound, branches)):
+            changes[f"{part}_branches"] = bound
+            changes[f"{part}_part"] = union_of(list(bound))
+    if not changes:
+        return analysis
+    return replace(analysis, decomposition=replace(decomposition, **changes))
 
 
 def _substitute_predicate(predicate: Predicate,
                           values: Mapping[str, object]) -> Predicate:
+    """``predicate`` with its parameters bound; itself when it has none."""
     if isinstance(predicate, Eq):
-        return Eq(predicate.column, _resolve(predicate.value, values))
+        value = _resolve(predicate.value, values)
+        return (predicate if value is predicate.value
+                else Eq(predicate.column, value))
     if isinstance(predicate, Compare):
-        return Compare(predicate.column, predicate.op,
-                       _resolve(predicate.value, values))
+        value = _resolve(predicate.value, values)
+        return (predicate if value is predicate.value
+                else Compare(predicate.column, predicate.op, value))
     if isinstance(predicate, In):
+        if not any(isinstance(value, Parameter) for value in predicate.values):
+            return predicate
         return In(predicate.column,
                   {_resolve(value, values) for value in predicate.values})
-    if isinstance(predicate, And):
-        return And(_substitute_predicate(predicate.left, values),
-                   _substitute_predicate(predicate.right, values))
-    if isinstance(predicate, Or):
-        return Or(_substitute_predicate(predicate.left, values),
-                  _substitute_predicate(predicate.right, values))
+    if isinstance(predicate, (And, Or)):
+        left = _substitute_predicate(predicate.left, values)
+        right = _substitute_predicate(predicate.right, values)
+        if left is predicate.left and right is predicate.right:
+            return predicate
+        return type(predicate)(left, right)
     if isinstance(predicate, Not):
-        return Not(_substitute_predicate(predicate.inner, values))
+        inner = _substitute_predicate(predicate.inner, values)
+        return predicate if inner is predicate.inner else Not(inner)
     return predicate
 
 

@@ -60,10 +60,13 @@ class PreparedQuery:
         self.label_params = frozenset(label_params)
         self.value_params = frozenset(value_params)
         self.params = tuple(sorted(found))
-        #: label-binding -> translated template term (value sentinels in
-        #: place).  One entry per distinct label combination; purely a
-        #: translation memo — the *plan* memo is the session's plan cache.
-        self._template_terms: dict[tuple, object] = {}
+        #: label-binding -> (translated template term with value
+        #: sentinels in place, its query classes).  One entry per
+        #: distinct label combination; purely a translation memo — the
+        #: *plan* memo is the session's plan cache.  The classes read
+        #: only the path shape and which endpoints are constants, which
+        #: every value binding shares.
+        self._templates: dict[tuple, tuple] = {}
 
     def bind(self, **values: object) -> Query:
         """Bind every parameter; returns a lazy :class:`Query` handle."""
@@ -85,16 +88,17 @@ class PreparedQuery:
         bound_ast = _substitute(self.template, label_values,
                                 dict(values))
         label_key = tuple(sorted(label_values.items()))
-        template_term = self._template_terms.get(label_key)
-        if template_term is None:
+        template = self._templates.get(label_key)
+        if template is None:
             sentinels = {name: Parameter(name) for name in self.value_params}
             template_ast = _substitute(self.template, label_values, sentinels)
-            template_term = self.session.translate(template_ast)
-            self._template_terms[label_key] = template_term
+            template = (self.session.translate(template_ast),
+                        classify_query(template_ast))
+            self._templates[label_key] = template
+        template_term, classes = template
         binding = ", ".join(f"{name}={values[name]!r}"
                             for name in self.params)
-        return Query(self.session, ast=bound_ast,
-                     classes=classify_query(bound_ast),
+        return Query(self.session, ast=bound_ast, classes=classes,
                      plan_term=template_term,
                      bindings=value_values,
                      description=f"{self.template} [{binding}]")

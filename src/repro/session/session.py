@@ -66,6 +66,7 @@ from ..data.relation import Relation
 from ..data.snapshot import DEFAULT_GRAPH, DatabaseSnapshot
 from ..distributed.cluster import ClusterMetrics, SparkCluster
 from ..distributed.executor import SERIAL, ExecutorBackend
+from ..distributed.partitioner import FixpointAnalysis, analyse_fixpoints
 from ..distributed.physical import (AUTO, DEFAULT_MEMORY_PER_TASK,
                                     DistributedQueryExecutor)
 from ..errors import (DatasetError, EvaluationError, SchemaError,
@@ -632,7 +633,9 @@ class Session:
             selected = canonicalize(term)
             return CachedPlan(term=selected, cost=float("nan"),
                               plans_explored=1,
-                              dependencies=free_variables(selected)), None, None
+                              dependencies=free_variables(selected),
+                              analysis=analyse_fixpoints(
+                                  selected, snapshot.schemas)), None, None
         use_cache = self.enable_plan_cache if use_cache is None else use_cache
         with tracing.span("session.resolve_plan",
                           graph=snapshot.graph_name) as plan_span:
@@ -655,7 +658,9 @@ class Session:
                               plans_explored=len(plans),
                               dependencies=free_variables(best.term),
                               estimated_cardinality=best.estimated_cardinality,
-                              fcond_dropped=plans.fcond_dropped)
+                              fcond_dropped=plans.fcond_dropped,
+                              analysis=analyse_fixpoints(best.term,
+                                                         snapshot.schemas))
             if plan_span.enabled:
                 if use_cache:
                     plan_span.set_attribute("cache_hit", False)
@@ -711,14 +716,14 @@ class Session:
                         exec_span.set_attribute("result_cache_hit", True)
                         exec_span.set_attribute("rows", len(cached.relation))
                     return cached, True
-            # The compiled kernel chains ride on the plan entry: a plan
-            # cache hit re-executes with its programs already compiled.
-            if plan.kernel_program is None:
-                plan.kernel_program = KernelProgramCache()
+            # The compiled kernel chains and the fixpoint analysis ride on
+            # the plan entry: a plan cache hit re-executes with its
+            # programs compiled and its fixpoints analysed.
             result = self.execute_term(plan.term, strategy=strategy,
                                        query_classes=classes, optimize=False,
                                        snapshot=snapshot,
-                                       kernel_cache=plan.kernel_program)
+                                       kernel_cache=plan.kernel_program,
+                                       analysis=plan.analysis)
             # Patch in what the plan phase knew and the cache-skipping
             # re-execution did not (plan count, estimated selection cost).
             result.plans_explored = plan.plans_explored
@@ -743,12 +748,15 @@ class Session:
                      optimize: bool | None = None,
                      snapshot: DatabaseSnapshot | None = None,
                      kernel_cache: KernelProgramCache | None = None,
+                     analysis: tuple[FixpointAnalysis, ...] | None = None,
                      ) -> QueryResult:
         """Optimize (optionally) and execute a mu-RA term on one snapshot.
 
         ``optimize`` overrides the session default for this call; the
         staged pipeline passes ``False`` when it executes a plan it
-        already selected (and cached), skipping the rewriter and ranking.
+        already selected (and cached), skipping the rewriter and ranking,
+        and passes that plan's ``analysis`` of its fixpoints.  Without
+        one the executor analyses the term itself.
         Only the physical execution itself holds the execution lock —
         the snapshot is immutable, so concurrent commits never interfere
         with the broadcast data.
@@ -762,6 +770,7 @@ class Session:
         if should_optimize:
             best, ranked = self.optimize(term, snapshot=snapshot)
             term = best.term
+            analysis = None  # it described the term before optimizing
             plans_explored = len(ranked)
             estimated_cost = best.cost
         effective = strategy if strategy is not None else self.strategy
@@ -773,7 +782,7 @@ class Session:
                     self.cluster, snapshot, strategy=effective,
                     memory_per_task=self.memory_per_task,
                     kernel_cache=kernel_cache)
-                outcome = executor.execute(term)
+                outcome = executor.execute(term, analysis)
                 metrics = self.cluster.metrics
             if term_span.enabled:
                 term_span.set_attribute("rows", len(outcome.relation))

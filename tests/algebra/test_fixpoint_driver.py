@@ -25,6 +25,7 @@ from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
                                make_plan)
 from repro.errors import EvaluationError
 from repro.obs import tracing
+from repro.obs.metrics import get_registry
 from repro.obs.tracing import Tracer
 
 ENGINES = ("columnar", "row")
@@ -44,7 +45,8 @@ def pinned(engine):
     return row_mode() if engine == "row" else nullcontext()
 
 
-def drive(fixpoint, engine, limit=100, nonconvergence="did not converge"):
+def drive(fixpoint, engine, limit=100, nonconvergence="did not converge",
+          cache=None):
     """Run one fixpoint over ``CHAIN`` through ``run_fixpoint``."""
     database = {"E": CHAIN}
     evaluator = Evaluator(database)
@@ -57,7 +59,8 @@ def drive(fixpoint, engine, limit=100, nonconvergence="did not converge"):
 
     with pinned(engine):
         return run_fixpoint(
-            KernelProgramCache(), fixpoint.var, decomposition.variable_part,
+            cache if cache is not None else KernelProgramCache(),
+            fixpoint.var, decomposition.variable_part,
             seed, ValueDictionary(), evaluator.evaluate_constant, row_step,
             limit, nonconvergence)
 
@@ -196,3 +199,55 @@ def test_cluster_counters_match_the_hand_written_loops(paper_database,
     assert {name: getattr(metrics, name)
             for name in PARENT_COUNTERS[strategy, engine]} \
         == PARENT_COUNTERS[strategy, engine]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_an_empty_seed_returns_before_binding(engine):
+    """An empty seed is its own fixpoint: 0 iterations, and neither the
+    kernel program nor an operand is looked up for it."""
+    fixpoint, _ = FIXPOINTS["tc"]
+    cache = KernelProgramCache()
+    drive(fixpoint, engine, cache=cache)  # compiled (columnar) and cached
+    reuses = get_registry().counter("repro_kernel_reuses_total")
+    before = reuses.value
+
+    def no_operand(term):
+        raise AssertionError(f"resolved {term} for an empty seed")
+
+    def no_step(delta):
+        raise AssertionError("stepped an empty seed")
+
+    seed = Relation(("src", "trg"), [])
+    with pinned(engine):
+        run = run_fixpoint(cache, fixpoint.var,
+                           decompose(fixpoint).variable_part, seed,
+                           ValueDictionary(), no_operand, no_step, 100,
+                           "did not converge")
+    assert run.iterations == 0 and len(run.relation) == 0
+    assert (run.index_builds, run.index_reuses, run.probes) == (0, 0, 0)
+    assert reuses.value == before
+
+
+@pytest.mark.parametrize("strategy", (PPLW_SPARK, PPLW_POSTGRES))
+def test_local_loops_over_empty_chunks_count_indexes_like_the_row_engine(
+        paper_database, strategy):
+    """Eight workers, a two-row seed: most chunks are empty.  An empty
+    chunk's task used to bind its kernels and count an index reuse the
+    row engine never makes."""
+    fixpoint = closure_from_seed(filter_source(RelVar("S"), 1),
+                                 RelVar("E"), var="X")
+    seen = {}
+    for engine in ENGINES:
+        cluster = SparkCluster(num_workers=8)
+        with pinned(engine):
+            relation = make_plan(strategy, cluster,
+                                 paper_database).execute(fixpoint)
+        metrics = cluster.metrics
+        seen[engine] = (relation, metrics.tasks_launched,
+                        metrics.local_iterations, metrics.index_builds,
+                        metrics.index_reuses)
+    assert seen["columnar"] == seen["row"]
+    relation, tasks, iterations, builds, reuses = seen["row"]
+    assert relation == naive_fixpoint(fixpoint, paper_database)
+    assert tasks == 8
+    assert builds + reuses == iterations

@@ -187,3 +187,55 @@ class TestPhysicalPlanGenerator:
                                             strategy="not-a-plan")
         with pytest.raises(PlanSelectionError):
             executor.execute(closure(RelVar("E"), var="X"))
+
+    def test_executor_rejects_an_analysis_of_another_term(self,
+                                                          paper_database):
+        from repro.distributed.partitioner import analyse_fixpoints
+        from repro.errors import PlanSelectionError
+        executor = DistributedQueryExecutor(SparkCluster(num_workers=2),
+                                            paper_database)
+        schemas = executor.generator.schemas
+        term = closure(RelVar("E"), var="X")
+        other = analyse_fixpoints(closure(RelVar("E"), var="Y"), schemas)
+        with pytest.raises(PlanSelectionError):
+            executor.execute(term, other)
+        with pytest.raises(PlanSelectionError):
+            executor.execute(term, ())
+        assert executor.execute(term, analyse_fixpoints(term, schemas)) \
+            .relation == evaluate(term, paper_database)
+
+
+class TestTracedCardinalityEstimate:
+    """EXPLAIN ANALYZE's estimate: a term the estimator rejects has none,
+    a defect in the estimator propagates instead of losing the drift."""
+
+    def run_traced(self, paper_database):
+        executor = DistributedQueryExecutor(SparkCluster(num_workers=2),
+                                            paper_database)
+        tracer = Tracer(enabled=True)
+        with tracing.activate(tracer):
+            executor.execute(closure(RelVar("E"), var="X"))
+        return next(dict(record.attributes) for record in tracer.records()
+                    if record.name == "fixpoint")
+
+    def test_a_rejected_term_has_no_estimate(self, paper_database,
+                                             monkeypatch):
+        from repro.cost.cardinality import CardinalityEstimator
+        from repro.errors import CostEstimationError
+
+        def reject(self, term):
+            raise CostEstimationError("cannot price this term")
+        monkeypatch.setattr(CardinalityEstimator, "cardinality", reject)
+        attributes = self.run_traced(paper_database)
+        assert attributes["actual_rows"] == 37
+        assert "estimated_rows" not in attributes
+
+    def test_an_estimator_defect_propagates(self, paper_database,
+                                            monkeypatch):
+        from repro.cost.cardinality import CardinalityEstimator
+
+        def defect(self, term):
+            raise RuntimeError("estimator bug")
+        monkeypatch.setattr(CardinalityEstimator, "cardinality", defect)
+        with pytest.raises(RuntimeError, match="estimator bug"):
+            self.run_traced(paper_database)

@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Session
+import repro.algebra.evaluate as evaluate_module
+import repro.algebra.stability as stability_module
+import repro.distributed.partitioner as partitioner_module
+import repro.distributed.physical as physical_module
+import repro.distributed.plans as plans_module
+from repro import LabeledGraph, Session
+from repro.algebra import (Filter, RelVar, closure, closure_from_seed,
+                           schemas_of_database)
+from repro.data import Eq, Relation, row_mode
+from repro.distributed.partitioner import analyse_fixpoints
 from repro.errors import TranslationError
 from repro.obs.metrics import get_registry
-from repro.session.parameters import Parameter, parameters_of
+from repro.query.classes import classify_query
+from repro.service.plan_cache import CachedPlan
+from repro.session.parameters import Parameter, bind_plan, parameters_of
+from repro.session.prepared import PreparedQuery
 
 
 @pytest.fixture
@@ -95,6 +107,135 @@ class TestValueParameters:
         prepared.bind(start="zoe").collect()
         # New statistics, new fingerprint: the template is re-planned once.
         assert calls == [1, 1]
+
+
+def count_analyses(monkeypatch):
+    """Count the fixpoint decompositions and partitionings run through
+    every module of the plan and execution path that calls them."""
+    calls = {"decompose": 0, "plan_partitioning": 0}
+    for module in (evaluate_module, partitioner_module, physical_module,
+                   plans_module, stability_module):
+        for name in calls:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestBindingsReuseTheTemplateAnalysis:
+    """A fixpoint's decomposition and partitioning depend on the term's
+    shape and the schemas, never on a bound constant: the template's
+    plan computes them once, and each binding substitutes its constants
+    into them instead of analysing its own tree."""
+
+    @pytest.fixture
+    def graph(self):
+        graph = LabeledGraph(name="bind-analysis")
+        graph.add_edges([
+            ("alice", "hasWonPrize", "nobel"), ("bob", "hasWonPrize", "nobel"),
+            ("bob", "hasWonPrize", "turing"), ("carol", "hasWonPrize", "turing"),
+            ("dave", "hasWonPrize", "fields"),
+            ("grenoble", "isLocatedIn", "france"),
+            ("lyon", "isLocatedIn", "france"),
+            ("france", "isLocatedIn", "europe"),
+            ("alice", "knows", "bob"), ("bob", "knows", "carol"),
+            ("carol", "knows", "dave"), ("dave", "knows", "bob"),
+        ])
+        return graph
+
+    def test_five_bindings_analyse_once(self, session, monkeypatch):
+        calls = count_analyses(monkeypatch)
+        prepared = session.prepare("?y <- :start knows+ ?y")
+        prepared.bind(start="alice").run_once(use_result_cache=False)
+        # The template's plan: explored (the rewriter decomposes too)
+        # and analysed once.
+        planned = dict(calls)
+        assert planned["plan_partitioning"] == 1
+        for start in ("bob", "carol", "dave", "nobody"):
+            prepared.bind(start=start).run_once(use_result_cache=False)
+        assert calls == planned
+
+    @pytest.mark.parametrize("template,constants", [
+        ("?y <- :c knows+ ?y", ("alice", "dave", "absent")),
+        ("?x <- ?x isLocatedIn+ :c", ("europe", "france", "absent")),
+        ("?x <- :c (hasWonPrize/-hasWonPrize)+ ?x",
+         ("alice", "dave", "absent")),
+    ])
+    def test_bound_results_equal_cold_row_evaluations(self, graph, template,
+                                                      constants):
+        with Session(graph, num_workers=4) as session:
+            prepared = session.prepare(template)
+            schemas = session.snapshot().schemas
+            for constant in constants:
+                bound = prepared.bind(c=constant)
+                result, _, _ = bound.run_once(use_result_cache=False)
+                plan = bound.plan()
+                # The substituted analysis is the one the bound term has.
+                assert plan.analysis == analyse_fixpoints(plan.term, schemas)
+                with row_mode():
+                    cold, _, _ = session.ucrpq(
+                        template.replace(":c", constant)).run_once(
+                            use_plan_cache=False, use_result_cache=False)
+                assert result.relation == cold.relation
+                if constant == "absent":
+                    assert len(result.relation) == 0
+
+    def test_a_parameter_in_the_variable_part_is_bound_there(
+            self, paper_database):
+        """Only the part holding a parameter is rebuilt; the other stays
+        the template's object."""
+        step = Filter(Eq("trg", Parameter("c")), RelVar("E"))
+        template = closure_from_seed(RelVar("S"), step, var="X")
+        schemas = schemas_of_database(paper_database)
+        plan = CachedPlan(term=template, cost=1.0, plans_explored=1,
+                          dependencies=frozenset({"E", "S"}),
+                          analysis=analyse_fixpoints(template, schemas))
+        bound = bind_plan(plan, {"c": 5})
+        assert bound.analysis == analyse_fixpoints(bound.term, schemas)
+        before, after = (p.analysis[0].decomposition for p in (plan, bound))
+        assert after.constant_part is before.constant_part
+        assert parameters_of(before.variable_part) == frozenset({"c"})
+        assert parameters_of(after.variable_part) == frozenset()
+
+    def test_a_schema_change_gives_a_fresh_analysis(self, session):
+        term = closure(RelVar("knows"), var="X")
+        plan, _, _ = session.resolve_plan(term)
+        widened = Relation(("src", "trg", "w"), [("bob", "zoe", 1)])
+        other = session.snapshot().mutate({"knows": widened})
+        fresh, hit, _ = session.resolve_plan(term, snapshot=other)
+        assert hit is False and fresh is not plan
+        assert [a.partitioning.key_columns for a in plan.analysis] \
+            == [("src",)]
+        assert [a.partitioning.key_columns for a in fresh.analysis] \
+            == [("src", "w")]
+        assert session.resolve_plan(term)[0] is plan
+
+    def test_bound_classes_are_the_templates(self, graph):
+        """The classes read the path shape and which endpoints are
+        constants, so one classification serves every binding.  The
+        templates are the end-to-end benchmark's prepared shapes."""
+        templates = ("?y <- :c hasChild+ ?y", "?y <- :c isLocatedIn+ ?y",
+                     "?x <- ?x isLocatedIn+ :c", "?y <- :c isConnectedTo+ ?y",
+                     "?x <- :c influences+ ?x",
+                     "?x <- :c (hasWonPrize/-hasWonPrize)+ ?x",
+                     "?y <- :c (enc/-enc)+ ?y", "?y <- :c int+ ?y")
+        graph.add_edges([("alice", label, "bob") for label in (
+            "hasChild", "isConnectedTo", "influences", "enc", "int")])
+        with Session(graph, num_workers=2) as session:
+            for template in templates:
+                self._check_classes(PreparedQuery(session, template))
+
+    @staticmethod
+    def _check_classes(prepared):
+        for constant in ("alice", "bob"):
+            bound = prepared.bind(c=constant)
+            assert bound.classes == classify_query(bound.ast)
+        assert prepared.bind(c="x").classes is prepared.bind(c="y").classes
 
 
 class TestPreparedAcrossSnapshots:

@@ -312,14 +312,13 @@ RECURSIVE_COLD_SHAPES = (
     "?x,?y <- ?x a+ ?y",
 )
 
-#: What an execution is seen to communicate, launch and iterate.  (The
-#: index counters are not among them: a task over an empty chunk binds,
-#: and counts a reuse, on the columnar engine only.)
+#: What an execution is seen to communicate, launch, iterate and index.
 TRAFFIC_COUNTERS = (
     "shuffles", "tuples_shuffled", "broadcasts", "tuples_broadcast",
     "tasks_launched", "task_waves", "global_iterations", "local_iterations",
     "tuples_marshalled", "duplicates_eliminated", "final_union_skipped",
-    "partitioning", "tuples_processed_per_worker")
+    "partitioning", "tuples_processed_per_worker", "index_builds",
+    "index_reuses")
 
 
 @st.composite
