@@ -28,6 +28,8 @@ The class implements every operator of the mu-RA grammar except the fixpoint
 
 from __future__ import annotations
 
+import json
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from operator import itemgetter
 from typing import Any
@@ -51,7 +53,7 @@ class Relation:
     """
 
     __slots__ = ("_columns", "_rows", "_index_cache", "_columnar_cache",
-                 "_sorted_cache", "_frozen")
+                 "_sorted_cache", "_encoded_cache", "_frozen")
 
     def __init__(self, columns: Iterable[str], rows: Iterable[Row] = ()):  # noqa: D107
         ordered = tuple(sorted(columns))
@@ -75,6 +77,7 @@ class Relation:
         self._index_cache: dict[tuple[str, ...], HashIndex] | None = None
         self._columnar_cache = None
         self._sorted_cache: tuple[Row, ...] | None = None
+        self._encoded_cache: EncodedRows | None = None
 
     # -- Constructors -----------------------------------------------------
 
@@ -95,6 +98,7 @@ class Relation:
         relation._index_cache = None
         relation._columnar_cache = None
         relation._sorted_cache = None
+        relation._encoded_cache = None
         return relation
 
     def _freeze(self) -> None:
@@ -104,8 +108,8 @@ class Relation:
         :class:`~repro.data.snapshot.DatabaseSnapshot`; while the
         sanitizer (:mod:`repro.check.sanitizer`) is active, rebinding
         the row/column storage of a frozen relation is poisoned.  The
-        memoized index/columnar/sorted-row caches are exempt — they are
-        value-idempotent.
+        memoized index/columnar/sorted-row/encoded-row caches are exempt
+        — they are value-idempotent.
         """
         self._frozen = True
 
@@ -155,9 +159,10 @@ class Relation:
     # -- Pickling ----------------------------------------------------------
 
     def __getstate__(self) -> tuple:
-        # Indexes, columnar encodings and the sorted rows are derived
-        # data: rebuilt on demand, never shipped (a process-pool task
-        # would pay serialization for tables it can rebuild itself).
+        # Indexes, columnar encodings, the sorted rows and their JSON
+        # encoding are derived data: rebuilt on demand, never shipped
+        # (a process-pool task would pay serialization for tables it can
+        # rebuild itself).
         return (self._columns, self._rows)
 
     def __setstate__(self, state: tuple) -> None:
@@ -165,6 +170,7 @@ class Relation:
         self._index_cache = None
         self._columnar_cache = None
         self._sorted_cache = None
+        self._encoded_cache = None
 
     # -- Basic accessors ---------------------------------------------------
 
@@ -216,14 +222,23 @@ class Relation:
         """The rows in the canonical order (by ``repr``), computed once.
 
         The one total order every consumer that needs determinism shares
-        — serialized responses, stream pages, TSV dumps, round-robin
-        splits.  Memoized like :meth:`index_on`: a relation handed out
-        by the result cache is sorted by its first reader only.
+        — the JSON encoding served responses and stream pages splice
+        (:meth:`encoded_rows`), TSV dumps, round-robin splits, query
+        pages.  Memoized like :meth:`index_on`: a relation handed out by
+        the result cache is sorted by its first reader only.
         """
         ordered = self._sorted_cache
         if ordered is None:
             ordered = self._sorted_cache = tuple(sorted(self._rows, key=repr))
         return ordered
+
+    def encoded_rows(self) -> "EncodedRows":
+        """:meth:`sorted_rows` as one JSON array, encoded once (memoized:
+        served responses splice it instead of re-serializing rows)."""
+        encoded = self._encoded_cache
+        if encoded is None:
+            encoded = self._encoded_cache = EncodedRows(self.sorted_rows())
+        return encoded
 
     def to_dicts(self) -> list[dict[str, Any]]:
         """Return all rows as dictionaries (sorted for deterministic output)."""
@@ -529,6 +544,55 @@ class Relation:
                 f"{operation} requires identical schemas, got "
                 f"{self._columns} and {other._columns}"
             )
+
+
+def encode_json(value: object) -> bytes:
+    """The one JSON encoding of served values (``net``'s ``json_body``)."""
+    return json.dumps(value, sort_keys=True, default=str).encode("utf-8")
+
+
+class EncodedRows:
+    """Rows as ``data``, the bytes of one bulk :func:`encode_json` call;
+    :meth:`slice` derives row boundaries from per-value encoded widths (the
+    separators are fixed), on first use only."""
+
+    __slots__ = ("data", "_rows", "_bounds")
+
+    def __init__(self, rows: tuple[Row, ...]):
+        self.data = encode_json(rows)
+        self._rows = rows
+        self._bounds = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def slice(self, start: int, stop: int) -> bytes:
+        """``encode_json(rows[start:stop])``, cut out of ``data``."""
+        if start >= stop:
+            return b"[]"
+        bounds = self._bounds
+        if bounds is None:
+            bounds = self._bounds = self._row_bounds()
+        return b"[" + self.data[bounds[start]:bounds[stop] - 2] + b"]"
+
+    def _row_bounds(self) -> array:
+        # Where each row starts in ``data``, and where a next one would.
+        widths: dict[int, int] = {}
+        position = 1
+        bounds = array("q", [position])
+        # "[" + "]" + one ", " between values and one after the row.
+        fixed = 2 * max(len(self._rows[0]), 1) + 2 if self._rows else 0
+        for row in self._rows:
+            position += fixed
+            for value in row:
+                # Keyed by identity: equal values may encode differently
+                # (True == 1, 0.0 == -0.0); the rows keep every id alive.
+                width = widths.get(id(value))
+                if width is None:
+                    width = widths[id(value)] = len(encode_json(value))
+                position += width
+            bounds.append(position)
+        return bounds
 
 
 def _key_extractor(schema: tuple[str, ...], key_columns: tuple[str, ...]):

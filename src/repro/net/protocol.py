@@ -30,6 +30,7 @@ import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from ..data.relation import encode_json
 from ..errors import ProtocolError
 
 #: Default bound on request bodies (JSON queries and edge batches).
@@ -187,8 +188,9 @@ async def read_request(reader: asyncio.StreamReader, *,
 
 
 def json_body(payload: object) -> bytes:
-    """Canonical JSON encoding of a response payload."""
-    return json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
+    """Canonical JSON encoding of a response payload (the encoding of
+    :meth:`Relation.encoded_rows`, so spliced rows read as written here)."""
+    return encode_json(payload)
 
 
 def render_response(status: int, body: bytes = b"", *,
@@ -229,7 +231,9 @@ class ChunkedResponseWriter:
 
         chunked = ChunkedResponseWriter(writer, headers=...)
         await chunked.start()
-        await chunked.write_json({"rows": [...]})
+        await chunked.write(b'{"batch": [["a", "b"]], "index": 0, '
+                            b'"offset": 0}\n')
+        await chunked.write_json({"done": True, "row_count": 1, ...})
         await chunked.finish()
     """
 

@@ -25,10 +25,11 @@ rows — buffered or streamed — is admitted through
 strict-mode gate and set of service metrics covers both endpoints; the
 remaining blocking session calls (mutations, static analysis, EXPLAIN
 ANALYZE, the ``/metrics`` render) run on the loop's default thread-pool
-executor.  A stream slices the result's canonical row order
-(:meth:`Relation.sorted_rows`, computed once per cached result) on the
-loop, yielding to other connections between batches; a stream that
-fails before its first chunk answers exactly as ``/v1/query`` would.
+executor.  A result's rows are JSON-encoded once, in canonical order
+(:meth:`Relation.encoded_rows`); a ``/v1/query`` body splices them in,
+and a stream writes one slice per batch on the loop, yielding between
+batches.  A stream failing before its first chunk answers as
+``/v1/query`` would.
 Every request runs inside an
 ``http.request`` trace span whose id is echoed in the ``X-Trace-Id``
 response header and in the JSON access log, and publishes
@@ -62,6 +63,7 @@ import time
 import uuid
 from dataclasses import dataclass, field, replace
 
+from ..data.relation import EncodedRows
 from ..errors import (AnalysisError, AuthorizationError, DatasetError,
                       NetworkError, ProtocolError, QuotaExceededError,
                       ReproError, ServiceError, ServiceOverloadError)
@@ -102,7 +104,8 @@ class Response:
     payload: object = None
     headers: tuple[tuple[str, str], ...] = ()
     content_type: str = "application/json"
-    #: Pre-encoded body (``/metrics``); wins over ``payload``.
+    #: Pre-encoded body (``/metrics``, a served result's envelope with
+    #: its encoded rows spliced in); wins over ``payload``.
     body: bytes | None = None
 
 
@@ -128,13 +131,13 @@ class _RequestContext:
 
 @dataclass
 class _Continuation:
-    """One cursor: a result's ordered rows plus the read position.
+    """One cursor: a result's encoded rows plus the read position.
 
-    Holding the (immutable) row tuple is what keeps every page of one
+    Holding the (immutable) encoding is what keeps every page of one
     stream on one snapshot version, whatever commits in between.
     """
 
-    rows: tuple[tuple, ...]
+    rows: EncodedRows
     offset: int
     snapshot_version: int | None
     tenant: str
@@ -408,9 +411,7 @@ class HttpServer:
     async def _handle_query(self, request, params, context) -> Response:
         body = request.json()
         handle = self._build_handle(body, context.tenant)
-        served = await self._admit(handle, body)
-        return Response(_served_status(served),
-                        _served_payload(served, handle))
+        return _served_response(await self._admit(handle, body), handle)
 
     async def _handle_stream(self, request, params,
                              context) -> "_Streamed | Response":
@@ -431,11 +432,10 @@ class HttpServer:
             # failed or timed-out stream answers as /v1/query does.
             served = await self._admit(handle, body)
             if not served.succeeded:
-                return Response(_served_status(served),
-                                _served_payload(served, handle))
+                return _served_response(served, handle)
             result = served.result
             continuation = _Continuation(
-                rows=result.relation.sorted_rows(), offset=0,
+                rows=result.relation.encoded_rows(), offset=0,
                 snapshot_version=result.snapshot_version,
                 tenant=context.tenant.name)
         rows, offset = continuation.rows, continuation.offset
@@ -448,19 +448,12 @@ class HttpServer:
         await chunked.start()
         keep_alive = context.keep_alive
         try:
-            index = 0
-            while offset < end:
-                batch = rows[offset:min(offset + batch_size, end)]
-                await chunked.write_json({
-                    "batch": [list(row) for row in batch],
-                    "index": index,
-                    "offset": offset,
-                })
-                offset += len(batch)
-                index += 1
+            for chunk in _batches(rows, offset, end, batch_size):
+                await chunked.write(chunk)
                 # drain() does not yield below the socket's high-water
                 # mark; other connections get their turn here.
                 await asyncio.sleep(0)
+            offset = end
             next_cursor = None
             if offset < total:
                 next_cursor = self._register_continuation(continuation,
@@ -727,14 +720,12 @@ def _served_payload(served, handle) -> dict:
         return payload
     result = served.result
     relation = result.relation
-    rows = relation.sorted_rows()
     cost = getattr(result, "estimated_cost", None)
     if cost is not None and math.isnan(cost):
         cost = None
     payload.update({
         "columns": list(relation.columns),
-        "rows": [list(row) for row in rows],
-        "row_count": len(rows),
+        "row_count": len(relation),
         "snapshot_version": getattr(result, "snapshot_version", None),
         "plan": {
             "digest": _plan_digest(handle),
@@ -748,6 +739,28 @@ def _served_payload(served, handle) -> dict:
         },
     })
     return payload
+
+
+def _served_response(served, handle) -> Response:
+    """``/v1/query``'s answer; a success splices in the encoded rows."""
+    payload = _served_payload(served, handle)
+    if not served.succeeded:
+        return Response(_served_status(served), payload)
+    rows = served.result.relation.encoded_rows().data
+    # Neither half is empty: "cache" sorts before "rows", "status" after.
+    head = json_body({k: v for k, v in payload.items() if k < "rows"})
+    tail = json_body({k: v for k, v in payload.items() if k > "rows"})
+    return Response(200, body=b"".join(
+        (head[:-1], b', "rows": ', rows, b", ", tail[1:])))
+
+
+def _batches(rows: EncodedRows, offset: int, end: int, size: int):
+    """Stream lines, ``json_body({"batch", "index", "offset"}) + b"\\n"``,
+    with ``size`` rows apiece of ``rows[offset:end]`` spliced in."""
+    for index, start in enumerate(range(offset, end, size)):
+        batch = rows.slice(start, min(start + size, end))
+        yield b"".join((b'{"batch": ', batch,
+                        b', "index": %d, "offset": %d}\n' % (index, start)))
 
 
 def _map_error(error: BaseException
