@@ -21,16 +21,16 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from ..data.columnar import snapshot_dictionary
+from ..data.columnar import CodeRows, columnar_enabled, snapshot_dictionary
 from ..data.relation import Relation
-from ..data.snapshot import operand_memo
+from ..data.snapshot import database_schemas, operand_memo
 from ..errors import EvaluationError
 from .conditions import decompose
-from .fixpoint import run_fixpoint
-from .kernels import KernelProgramCache
+from .fixpoint import run_fixpoint, run_seed
+from .kernels import KernelProgramCache, seed_shape
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
-from .variables import is_constant_in
+from .variables import free_variables, is_constant_in
 from .visitors import walk
 
 #: Safety bound on fixpoint iterations; graph reachability converges in at
@@ -76,6 +76,7 @@ class Evaluator:
         self._dictionary = snapshot_dictionary(database)
         self._operand_memo = operand_memo(database)
         self._kernel_cache = kernel_cache
+        self._schemas = database_schemas(database)
         self.database = dict(database)
         self.max_iterations = max_iterations
         self.stats = stats if stats is not None else EvaluationStats()
@@ -221,11 +222,16 @@ class Evaluator:
 
     def _eval_fixpoint(self, term: Fixpoint, env: dict[str, Relation]) -> Relation:
         decomposition = decompose(term)
-        constant = self._eval(decomposition.constant_part, env)
+        constant_part = decomposition.constant_part
         variable_part = decomposition.variable_part
         if variable_part is None:
+            constant = self._eval(constant_part, env)
             self.stats.record_fixpoint(iterations=0, result_size=len(constant))
             return constant
+        constant = self._seed_program(constant_part, env)
+        if constant is None:
+            constant = self._eval(constant_part, env)
+        columns = constant.columns
         # One environment for the whole loop: only the delta binding
         # changes per iteration.
         inner_env = dict(env)
@@ -233,11 +239,11 @@ class Evaluator:
         def row_step(delta: Relation) -> Relation:
             inner_env[term.var] = delta
             produced = self._eval(variable_part, inner_env)
-            if produced.columns != constant.columns:
+            if produced.columns != columns:
                 raise EvaluationError(
                     f"fixpoint on {term.var!r}: the variable part "
                     f"produced schema {produced.columns} but the "
-                    f"constant part has schema {constant.columns}"
+                    f"constant part has schema {columns}"
                 )
             return produced
 
@@ -261,6 +267,20 @@ class Evaluator:
         self.stats.record_fixpoint(iterations=run.iterations,
                                    result_size=len(run.relation))
         return run.relation
+
+    def _seed_program(self, constant_part: Term,
+                      env: dict[str, Relation]) -> CodeRows | None:
+        """The seed computed on the kernels, when its shape allows it and
+        it reads no outer recursive variable (see :func:`seed_shape`)."""
+        if not columnar_enabled() or \
+                not free_variables(constant_part).isdisjoint(env):
+            return None
+        shape = seed_shape(constant_part, self._schemas)
+        if shape is None:
+            return None
+        return run_seed(self._kernel_cache, shape, constant_part,
+                        self.database[shape.leaf], self._dictionary,
+                        self.evaluate_constant)
 
 
 def evaluate(term: Term, database: Mapping[str, Relation],

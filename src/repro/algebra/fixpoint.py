@@ -18,24 +18,28 @@ iteration guard and the ``fixpoint.iteration`` span live here.
 :func:`run_fixpoint` adds the one engine selection the single-node callers
 share: bind the columnar kernels when they support the shape, otherwise
 run the caller's row step — and on the kernels, hold ``X`` flat or
-grouped on its stable column.
+grouped on its stable column.  :func:`run_seed` computes ``R`` itself on
+the kernels when it holds a join (a *seed program*), so such a fixpoint
+is encoded once, where its seed's base relation was, and decoded once,
+at the end.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
-from ..data.columnar import (ColumnarDeltaAccumulator, GroupedDeltaAccumulator,
-                             ValueDictionary)
+from ..data.columnar import (CodeRows, ColumnarDeltaAccumulator,
+                             GroupedDeltaAccumulator, ValueDictionary)
 from ..data.relation import Relation
 from ..data.storage import DeltaAccumulator
 from ..errors import EvaluationError
 from ..obs import tracing
-from .kernels import KernelProgramCache, bind_program
+from .kernels import KernelProgramCache, SeedShape, bind_program, bind_seed
 from .terms import Term
 
-__all__ = ["FixpointRun", "run_fixpoint", "semi_naive"]
+__all__ = ["FixpointRun", "run_fixpoint", "run_seed", "semi_naive"]
 
 #: Seed rows per distinct stable key from which the kernels run the loop
 #: grouped on the stable column (:class:`GroupedDeltaAccumulator`) rather
@@ -110,8 +114,24 @@ class FixpointRun:
     probes: int = 0
 
 
+def run_seed(cache: KernelProgramCache | None, shape: SeedShape,
+             seed: Term, leaf: Relation, dictionary: ValueDictionary,
+             resolve: Callable[[Term], Relation]) -> CodeRows | None:
+    """``seed`` — a fixpoint's constant part of shape ``shape`` — as code
+    tuples: its program, bound, run once over ``leaf``'s memoized
+    encoding.  None when the kernels are off or refuse the shape; the
+    caller then evaluates the seed on rows.  ``resolve`` serves the
+    seed's other operands, as it serves the step's."""
+    bound = bind_seed(cache, shape, seed, leaf.columns, dictionary, resolve)
+    if bound is None:
+        return None
+    return CodeRows(shape.columns,
+                    bound.step(leaf.columnar(dictionary).code_rows()),
+                    dictionary)
+
+
 def run_fixpoint(cache: KernelProgramCache | None, var: str,
-                 variable_part: Term, seed: Relation,
+                 variable_part: Term, seed: Relation | CodeRows,
                  dictionary: ValueDictionary,
                  resolve: Callable[[Term], Relation],
                  row_step: Callable[[Relation], Relation],
@@ -125,14 +145,20 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
     identical on both engines.  The kernels hold ``X`` grouped on its
     stable column when the step offers it and the seed has
     :data:`GROUPED_MIN_ROWS_PER_KEY` rows per key, else flat: same deltas.
-    An empty seed is its own fixpoint: it returns after 0 iterations
-    without binding, so it touches no index on either engine.
+    ``seed`` may come encoded (a seed program's output, a ``Pplw``
+    chunk of it); the row engine decodes it.  An empty seed is its own
+    fixpoint: it returns after 0 iterations without binding, so it
+    touches no index on either engine.
     """
     if not seed:
-        return FixpointRun(seed, 0)
+        return FixpointRun(seed if isinstance(seed, Relation) else
+                           Relation._from_trusted(seed.columns, frozenset()),
+                           0)
     bound = bind_program(cache, var, variable_part, seed.columns,
                          dictionary, resolve)
     if bound is None:
+        if isinstance(seed, CodeRows):
+            seed = seed.to_relation()
         accumulator = DeltaAccumulator(seed)
         iterations = semi_naive(row_step, accumulator, seed, var=var,
                                 engine="row", limit=limit,
@@ -143,16 +169,17 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
     # into the next step, as they are — grouped on the stable column
     # where the kernel offers it and the seed has enough rows per key,
     # otherwise a flat set of code tuples.
-    encoded = seed.columnar(dictionary)
+    if isinstance(seed, Relation):
+        seed = CodeRows.encode(seed, dictionary)
     stable = bound.stable_position
     if stable is not None and len(seed) >= GROUPED_MIN_ROWS_PER_KEY \
-            * len(set(encoded.arrays[stable])):
+            * len(set(map(itemgetter(stable), seed.rows))):
         step = bound.grouped_step
-        frontier = encoded.code_groups(stable)
+        frontier = seed.code_groups(stable)
         columnar = GroupedDeltaAccumulator(seed.columns, stable, frontier)
     else:
         step = bound.step
-        frontier = encoded.code_rows()
+        frontier = seed.rows
         columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
     iterations = semi_naive(step, columnar, frontier, var=var,
                             engine="columnar", limit=limit,

@@ -55,14 +55,17 @@ from ..data.columnar import CodeGroups, ValueDictionary, columnar_enabled
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate, _COMPARATORS)
 from ..data.relation import Relation
+from ..errors import EvaluationError, SchemaError
 from ..obs.metrics import get_registry
-from .terms import (AntiProject, Antijoin, Filter, Join, Rename, RelVar,
-                    Term, Union)
+from .schema import infer_schema
+from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
+                    Rename, RelVar, Term, Union)
 from .variables import is_constant_in
 
 __all__ = [
-    "BoundKernel", "KernelProgram", "KernelProgramCache", "bind_program",
-    "compile_program", "default_kernel_cache",
+    "BoundKernel", "KernelProgram", "KernelProgramCache", "SeedShape",
+    "bind_program", "bind_seed", "compile_program", "default_kernel_cache",
+    "seed_shape",
 ]
 
 
@@ -103,20 +106,23 @@ class _BindContext:
         #: reads it only when such a join *is* the whole step.
         self.grouped: dict[Step, tuple[int, GroupedStep]] = {}
 
-    def constant(self, term: Term, schema: tuple[str, ...]):
+    def constant(self, operand: "_Operand"):
         """Resolve and encode a constant operand, verifying its schema."""
-        relation = self.resolve(term)
-        if relation.columns != schema:
+        relation = self.resolve(operand.term)
+        if relation.columns != operand.schema:
             raise _SchemaDrift(
-                f"constant schema drifted from {schema} to {relation.columns}")
+                f"constant schema drifted from {operand.schema} to "
+                f"{relation.columns}")
         return relation, relation.columnar(self.dictionary)
 
-    def index(self, term: Term, schema: tuple[str, ...],
-              key: tuple[int, ...], payload: tuple[int, ...] = ()) -> dict:
+    def index(self, operand: "_Operand", key: tuple[int, ...],
+              payload: tuple[int, ...] = ()) -> dict:
         """The index a join or antijoin probes on its constant side:
         memoized on the operand's encoding, hence built once per snapshot
-        version for every operand the snapshot's memo keeps."""
-        relation, encoded = self.constant(term, schema)
+        version for every operand the snapshot's memo keeps.  ``key`` and
+        ``payload`` are positions in the resolved operand (see
+        :meth:`_Operand.below`)."""
+        relation, encoded = self.constant(operand)
         self.indexed_ops += 1
         self.broadcasts.append(len(relation))
         if encoded.has_index(key, payload):
@@ -187,21 +193,73 @@ class KernelProgram:
 # -- The kernel planner ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Operand:
+    """A recursion-constant operand as a program resolves it.
+
+    Below its outer renames: they cost a kernel nothing, since they fold
+    into positions, so the seed's ``rho[src->_n2](J)`` and the step's
+    ``rho[src->_n4](J)`` resolve to the one relation ``J`` — one memo
+    entry, one encoding, one index.  A step resolves a renamed *base*
+    relation as written, as the row engine does: that copy is the
+    operand the snapshot's memo keeps per version and EXPLAIN reports.
+    A seed reads a base relation itself, as it reads its input, so it
+    adds no memo entry of its own.
+    """
+
+    #: What ``resolve`` is asked for, and the columns it answers with.
+    term: Term
+    schema: tuple[str, ...]
+    #: Per column of the operand as the term reads it (its sorted,
+    #: renamed schema), that column's position in ``schema``.
+    positions: tuple[int, ...]
+
+    def below(self, positions: tuple[int, ...]) -> tuple[int, ...]:
+        """Positions in the renamed schema, as positions in ``schema``."""
+        return tuple(self.positions[p] for p in positions)
+
+
+def _operand(term: Term, resolve: Callable[[Term], Relation], seed: bool
+             ) -> tuple[_Operand, tuple[str, ...]]:
+    """``term`` below its outer renames, and the schema the term reads."""
+    inner = term
+    renames = []
+    while isinstance(inner, Rename):
+        renames.append((inner.old, inner.new))
+        inner = inner.child
+    if not seed and isinstance(inner, (RelVar, Literal)):
+        inner, renames = term, []
+    schema = resolve(inner).columns
+    if not schema:
+        raise KernelUnsupported("zero-width constant operand")
+    origin = {c: c for c in schema}    # column as read -> column in schema
+    for old, new in reversed(renames):
+        if old not in origin or (new != old and new in origin):
+            raise KernelUnsupported("invalid rename for this schema")
+        origin[new] = origin.pop(old)
+    read = tuple(sorted(origin))
+    return _Operand(inner, schema,
+                    tuple(schema.index(origin[c]) for c in read)), read
+
+
 def compile_program(var: str, variable_part: Term,
                     input_schema: tuple[str, ...],
-                    resolve: Callable[[Term], Relation]) -> KernelProgram:
+                    resolve: Callable[[Term], Relation],
+                    seed: bool = False) -> KernelProgram:
     """Compile the variable part of ``mu(var = R U phi)`` into one pipeline.
 
     ``input_schema`` is the fixpoint's (seed) schema — the column order of
     every frontier tuple and of every tuple the step returns.  ``resolve``
     evaluates recursion-constant subterms; it is only consulted for their
     *schemas* here (positions must be bound up front), every bind asks it
-    for the relations again.  Raises :class:`KernelUnsupported` for shapes
-    the kernels do not cover.
+    for the relations again.  With ``seed``, ``variable_part`` is instead
+    a fixpoint's constant part and ``var`` the base relation it reads as
+    its input (see :class:`SeedShape`).  Raises :class:`KernelUnsupported`
+    for shapes the kernels do not cover.
     """
     if not input_schema:
         raise KernelUnsupported("zero-width fixpoint schema")
-    planner = _Planner(var, input_schema, resolve)
+    planner = _Planner(var, input_schema, resolve, seed)
     # Validates the whole tree before any of it is planned.
     out_schema = planner.schema(variable_part)
     return KernelProgram(out_schema,
@@ -252,11 +310,13 @@ class _Planner:
     """
 
     def __init__(self, var: str, input_schema: tuple[str, ...],
-                 resolve: Callable[[Term], Relation]):
+                 resolve: Callable[[Term], Relation], seed: bool):
         self.var = var
         self.input_schema = input_schema
         self.resolve = resolve
+        self.seed = seed
         self._schemas: dict[Term, tuple[str, ...]] = {}
+        self._operands: dict[Term, _Operand] = {}
 
     def _is_input(self, term: Term) -> bool:
         return isinstance(term, RelVar) and term.name == self.var
@@ -273,9 +333,8 @@ class _Planner:
         if self._is_input(term):
             return self.input_schema
         if is_constant_in(term, self.var):
-            schema = self.resolve(term).columns
-            if not schema:
-                raise KernelUnsupported("zero-width constant operand")
+            self._operands[term], schema = _operand(term, self.resolve,
+                                                    self.seed)
             return schema
         if isinstance(term, Join):
             return tuple(sorted({*self.schema(term.left),
@@ -348,11 +407,12 @@ class _Planner:
 
     def _plan_constant(self, term: Term, want):
         schema = self.schema(term)
+        operand = self._operands[term]
         out = want or schema
-        positions = _positions(schema, out)
+        positions = operand.below(_positions(schema, out))
 
         def bind(ctx):
-            _, encoded = ctx.constant(term, schema)
+            _, encoded = ctx.constant(operand)
             constant = frozenset(zip(*(encoded.arrays[p] for p in positions)))
             return lambda _rows: constant
         return out, bind
@@ -360,15 +420,18 @@ class _Planner:
     def _sides(self, constant_term: Term, variable_term: Term, want):
         """What a join or antijoin reads on either side of its key.
 
-        Returns the constant side's schema, the variable side's layout
-        and bind, and the key as positions in each.
+        Returns the constant side's schema and operand, the variable
+        side's layout and bind, and the key as positions in that layout
+        and in the resolved operand.
         """
         const_schema = self.schema(constant_term)
+        operand = self._operands[constant_term]
         common = tuple(c for c in self.schema(variable_term)
                        if c in const_schema)
         layout, bind = self.plan(variable_term, _with(want, common))
-        return (const_schema, layout, bind, _positions(layout, common),
-                _positions(const_schema, common))
+        return (const_schema, operand, layout, bind,
+                _positions(layout, common),
+                operand.below(_positions(const_schema, common)))
 
     def _plan_join(self, term: Join, want):
         left_constant = is_constant_in(term.left, self.var)
@@ -379,7 +442,7 @@ class _Planner:
         constant_term, variable_term = (
             (term.left, term.right) if left_constant
             else (term.right, term.left))
-        const_schema, layout, var_bind, probe, key = self._sides(
+        const_schema, operand, layout, var_bind, probe, key = self._sides(
             constant_term, variable_term, None)
         if not probe:
             # Cartesian product: rare inside recursions, row engine handles it.
@@ -388,7 +451,7 @@ class _Planner:
         # Only what the output keeps is copied out of the constant side, so
         # an anti-project above this join costs nothing per row.
         payload = tuple(c for c in out if c not in layout)
-        payload_positions = _positions(const_schema, payload)
+        payload_positions = operand.below(_positions(const_schema, payload))
         emit = _picker(tuple(layout.index(c) if c in layout
                              else len(layout) + payload.index(c)
                              for c in out))
@@ -414,8 +477,7 @@ class _Planner:
 
         def bind(ctx):
             inner = var_bind(ctx)
-            get = ctx.index(constant_term, const_schema, key,
-                            payload_positions).get
+            get = ctx.index(operand, key, payload_positions).get
             counter = ctx.probe_counter
 
             def step(rows):
@@ -435,7 +497,7 @@ class _Planner:
         if not is_constant_in(term.right, self.var):
             # Positivity violation; decompose() rejects it before we ever run.
             raise KernelUnsupported("antijoin with a recursive right side")
-        const_schema, layout, left_bind, probe, key = self._sides(
+        _, operand, layout, left_bind, probe, key = self._sides(
             term.right, term.left, want)
 
         def bind(ctx):
@@ -443,7 +505,7 @@ class _Planner:
             if not probe:
                 # No common column: any tuple of the right side matches, so
                 # the antijoin is the left side iff the right side is empty.
-                relation, _ = ctx.constant(term.right, const_schema)
+                relation, _ = ctx.constant(operand)
                 if not relation:
                     return inner
 
@@ -451,7 +513,7 @@ class _Planner:
                     inner(rows)
                     return set()
                 return nothing
-            index = ctx.index(term.right, const_schema, key)
+            index = ctx.index(operand, key)
             read_key = itemgetter(*probe)
             return lambda rows: {r for r in inner(rows)
                                  if read_key(r) not in index}
@@ -609,9 +671,10 @@ class KernelProgramCache:
     def program_for(self, var: str, variable_part: Term,
                     input_schema: tuple[str, ...],
                     resolve: Callable[[Term], Relation],
-                    recompile: bool = False) -> KernelProgram | None:
+                    recompile: bool = False,
+                    seed: bool = False) -> KernelProgram | None:
         """The compiled program, or None when the row engine must run."""
-        key = (var, variable_part, input_schema)
+        key = (var, variable_part, input_schema, seed)
         entry = self._programs.get(key)
         if not recompile:
             if entry is _UNSUPPORTED:
@@ -622,7 +685,8 @@ class KernelProgramCache:
         if len(self._programs) >= _MAX_PROGRAMS:
             self._programs.clear()
         try:
-            program = compile_program(var, variable_part, input_schema, resolve)
+            program = compile_program(var, variable_part, input_schema,
+                                      resolve, seed)
         except KernelUnsupported:
             self._programs[key] = _UNSUPPORTED
             return None
@@ -642,36 +706,123 @@ def default_kernel_cache() -> KernelProgramCache:
 # -- Binding ---------------------------------------------------------------
 
 
+def _bind(cache: KernelProgramCache | None, var: str, term: Term,
+          input_schema: tuple[str, ...], dictionary: ValueDictionary,
+          resolve: Callable[[Term], Relation],
+          seed: bool = False) -> BoundKernel | None:
+    """Compile (or fetch) and bind the program of ``term`` over input
+    ``var``; None when the kernels are off or refuse the shape."""
+    if not columnar_enabled():
+        return None
+    if cache is None:
+        cache = _DEFAULT_CACHE
+    program = cache.program_for(var, term, input_schema, resolve, seed=seed)
+    if program is None:
+        return None
+    try:
+        return program.bind(dictionary, resolve)
+    except _SchemaDrift:
+        program = cache.program_for(var, term, input_schema, resolve,
+                                    recompile=True, seed=seed)
+        if program is None:
+            return None
+        try:
+            return program.bind(dictionary, resolve)
+        except _SchemaDrift:
+            return None
+
+
 def bind_program(cache: KernelProgramCache | None, var: str,
                  variable_part: Term, input_schema: tuple[str, ...],
                  dictionary: ValueDictionary,
                  resolve: Callable[[Term], Relation]) -> BoundKernel | None:
-    """Compile (or fetch) and bind the kernel program for one fixpoint.
+    """Compile (or fetch) and bind the step program of one fixpoint.
 
     Returns None when the kernels cannot (or must not) run this fixpoint
     — columnar disabled, unsupported shape, output schema differing from
     the seed schema (the row engine owns that error's exact wording) — in
     which case the caller falls back to its row step.
     """
-    if not columnar_enabled():
+    bound = _bind(cache, var, variable_part, input_schema, dictionary,
+                  resolve)
+    if bound is None or bound.out_schema != input_schema:
+        # Let the row engine raise its own (site-specific) schema error.
         return None
-    if cache is None:
-        cache = _DEFAULT_CACHE
-    program = cache.program_for(var, variable_part, input_schema, resolve)
-    if program is None:
+    return bound
+
+
+# -- Seed programs -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SeedShape:
+    """How the kernels compute a fixpoint's constant part (its seed).
+
+    The seed is compiled by the step's planner with one of its base
+    relations, ``leaf``, as the input: every other maximal subterm is a
+    constant operand, resolved as the step's are, and one step over the
+    leaf's memoized encoding yields the seed as code tuples in
+    ``columns``, its schema.
+    """
+
+    leaf: str
+    columns: tuple[str, ...]
+
+
+def seed_shape(seed: Term, schemas) -> SeedShape | None:
+    """The :class:`SeedShape` of ``seed``, or None for the row engine.
+
+    A seed qualifies when it is closed over ``schemas`` (every free
+    relation a base relation), contains a join or antijoin — work a
+    fused pipeline saves — and no selection: :meth:`Relation.filter
+    <repro.data.relation.Relation.filter>` answers an equality on an
+    indexed column with one probe, which no scanning kernel beats.  The
+    input is the shallowest base relation that occurs exactly once
+    outside any nested fixpoint (the first such, on a tie), so the
+    deeper subterms become operands the snapshot's memo can keep.  A
+    pure function of the term and the schemas: a cached plan decides it
+    once (:class:`~repro.distributed.partitioner.FixpointAnalysis`).
+    """
+    occurrences: dict[str, int] = {}
+    depths: dict[str, int] = {}
+    joins = False
+    stack = [(seed, 0, False)]
+    while stack:
+        node, depth, nested = stack.pop()
+        if isinstance(node, Filter):
+            return None
+        joins = joins or isinstance(node, (Join, Antijoin))
+        if isinstance(node, RelVar):
+            occurrences[node.name] = occurrences.get(node.name, 0) + 1
+            if not nested:
+                depths.setdefault(node.name, depth)
+        nested = nested or isinstance(node, Fixpoint)
+        stack.extend((child, depth + 1, nested)
+                     for child in reversed(node.children()))
+    leaves = [name for name in depths
+              if occurrences[name] == 1 and name in schemas]
+    if not joins or not leaves:
         return None
     try:
-        bound = program.bind(dictionary, resolve)
-    except _SchemaDrift:
-        program = cache.program_for(var, variable_part, input_schema,
-                                    resolve, recompile=True)
-        if program is None:
-            return None
-        try:
-            bound = program.bind(dictionary, resolve)
-        except _SchemaDrift:
-            return None
-    if bound.out_schema != input_schema:
-        # Let the row engine raise its own (site-specific) schema error.
+        columns = infer_schema(seed, schemas)
+    except (SchemaError, EvaluationError):
+        return None
+    return SeedShape(min(leaves, key=depths.__getitem__), columns)
+
+
+def bind_seed(cache: KernelProgramCache | None, shape: SeedShape,
+              seed: Term, leaf_columns: tuple[str, ...],
+              dictionary: ValueDictionary,
+              resolve: Callable[[Term], Relation]) -> BoundKernel | None:
+    """Compile (or fetch, from the steps' cache) and bind ``seed``'s
+    program; None when the kernels are off or refuse it.
+
+    Unlike a step's, its output schema is not its input's: it is the
+    seed's, ``shape.columns``, which the caller may already have bound
+    the step to.
+    """
+    bound = _bind(cache, shape.leaf, seed, leaf_columns, dictionary,
+                  resolve, seed=True)
+    if bound is None or bound.out_schema != shape.columns:
         return None
     return bound

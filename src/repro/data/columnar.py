@@ -18,12 +18,18 @@ iteration.  This module provides what the fused fixpoint step
   carrying the key -> payload indexes a step probes.  A loop-invariant
   relation is encoded and indexed once per snapshot version, not once
   per iteration or execution.
+* :class:`CodeRows` — a relation as a ``set`` of packed code tuples,
+  the working representation of a fixpoint from its seed to its result:
+  a seed program (:mod:`repro.algebra.kernels`) produces one, the
+  distributed plans split it into ``Pplw`` chunks and ``Pgld``
+  partitions — with exactly the row engine's assignments (round robin
+  over the canonical ``repr`` order, or a hash of the key values) — and
+  the step consumes and produces such sets.
 * :class:`ColumnarDeltaAccumulator` — the
   :class:`~repro.data.storage.DeltaAccumulator`-shaped delta path of the
-  columnar fixpoint loop.  The working representation between encode and
-  decode is a plain ``set`` of code tuples: the step consumes and
-  produces it, the accumulator subtracts and unions it, and one
-  :func:`decode_rows` at the very end turns it back into a ``Relation``.
+  columnar fixpoint loop: it subtracts and unions the step's sets, and
+  one :func:`decode_rows` at the very end — the only decode of a
+  fixpoint's rows — turns the result back into a ``Relation``.
 * :class:`GroupedDeltaAccumulator` — the same for a binary fixpoint
   factorized on its stable column (:class:`CodeGroups`, ``{key code: set
   of member codes}``), deduplicated and decoded per key.
@@ -42,6 +48,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import get_registry
@@ -223,19 +230,6 @@ class ColumnarRelation:
         """The rows as a new set of packed code tuples (schema order)."""
         return set(zip(*self.arrays))
 
-    def code_groups(self, key: int) -> "CodeGroups":
-        """A binary relation's rows grouped on column ``key``: each key
-        code -> the set of codes the other column holds beside it."""
-        groups = CodeGroups()
-        get = groups.get
-        for code, member in zip(self.arrays[key], self.arrays[1 - key]):
-            bucket = get(code)
-            if bucket is None:
-                groups[code] = {member}
-            else:
-                bucket.add(member)
-        return groups
-
     def to_relation(self) -> "Relation":
         """Decode back to a row relation."""
         return decode_rows(self.columns, zip(*self.arrays), self.dictionary)
@@ -304,6 +298,119 @@ class ColumnarRelation:
                 f"rows={len(self)})")
 
 
+class CodeRows:
+    """A relation as a set of packed code tuples, in schema order.
+
+    What a fixpoint holds from its seed to its result: a seed program's
+    output, the chunks and partitions the distributed plans hand their
+    tasks, a step's input.  The splits place every row exactly where
+    :meth:`Relation.split_round_robin
+    <repro.data.relation.Relation.split_round_robin>` and
+    :meth:`Relation.split_by_columns
+    <repro.data.relation.Relation.split_by_columns>` place its decoded
+    row, so the representation never changes which task sees a row.
+    """
+
+    __slots__ = ("columns", "rows", "dictionary")
+
+    def __init__(self, columns: tuple[str, ...], rows: set,
+                 dictionary: ValueDictionary):
+        self.columns = columns
+        self.rows = rows
+        self.dictionary = dictionary
+
+    @classmethod
+    def encode(cls, relation: "Relation",
+               dictionary: ValueDictionary) -> "CodeRows":
+        """``relation``'s rows, from its memoized encoding."""
+        return cls(relation.columns,
+                   relation.columnar(dictionary).code_rows(), dictionary)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def to_relation(self) -> "Relation":
+        return decode_rows(self.columns, self.rows, self.dictionary)
+
+    def code_groups(self, key: int) -> "CodeGroups":
+        """A binary relation's rows grouped on column ``key``: each key
+        code -> the set of codes the other column holds beside it."""
+        groups = CodeGroups()
+        get = groups.get
+        other = 1 - key
+        for row in self.rows:
+            bucket = get(row[key])
+            if bucket is None:
+                groups[row[key]] = {row[other]}
+            else:
+                bucket.add(row[other])
+        return groups
+
+    def split_round_robin(self, parts: int) -> list["CodeRows"]:
+        key = row_repr(self.dictionary, len(self.columns))
+        return [CodeRows(self.columns, part, self.dictionary)
+                for part in split_round_robin(self.rows, parts, key)]
+
+    def split_by_columns(self, columns, parts: int) -> list["CodeRows"]:
+        """Hash-partitioned on ``columns``: part ``hash(key values) %
+        parts``, computed once per distinct key."""
+        if parts <= 0:
+            raise ValueError("parts must be positive")
+        positions = tuple(self.columns.index(c) for c in sorted(columns))
+        extract = itemgetter(*positions)
+        values = self.dictionary.values
+        buckets: list[set] = [set() for _ in range(parts)]
+        part_of: dict = {}
+        for row in self.rows:
+            key = extract(row)
+            part = part_of.get(key)
+            if part is None:
+                decoded = ((values[key],) if len(positions) == 1
+                           else tuple(map(values.__getitem__, key)))
+                part = part_of[key] = hash(decoded) % parts
+            buckets[part].add(row)
+        return [CodeRows(self.columns, bucket, self.dictionary)
+                for bucket in buckets]
+
+    def __repr__(self) -> str:
+        return f"CodeRows(columns={list(self.columns)}, rows={len(self)})"
+
+
+def split_round_robin(rows, parts: int, key=repr) -> list[set]:
+    """``rows`` dealt round robin over their order by ``key``: the split
+    of :meth:`Relation.split_round_robin
+    <repro.data.relation.Relation.split_round_robin>`, whose ``key`` is
+    ``repr`` — on code tuples, :func:`row_repr` of their dictionary."""
+    if parts <= 0:
+        raise ValueError("parts must be positive")
+    ordered = sorted(rows, key=key)
+    return [set(ordered[start::parts]) for start in range(parts)]
+
+
+class _ValueReprs(dict):
+    """code -> ``repr`` of its value, computed on first use."""
+
+    __slots__ = ("values",)
+
+    def __missing__(self, code: int) -> str:
+        text = self[code] = repr(self.values[code])
+        return text
+
+
+def row_repr(dictionary: ValueDictionary, arity: int):
+    """``code tuple -> repr of the decoded row``, each code's ``repr``
+    computed once per function: the canonical order of rows in code
+    space."""
+    reprs = _ValueReprs()
+    reprs.values = dictionary.values
+    if arity == 1:
+        return lambda row: f"({reprs[row[0]]},)"
+    if arity == 2:
+        return lambda row: f"({reprs[row[0]]}, {reprs[row[1]]})"
+    get = reprs.__getitem__
+    return lambda row: "(" + ", ".join(map(get, row)) + ")"
+
+
 class ColumnarDeltaAccumulator:
     """The columnar twin of :class:`~repro.data.storage.DeltaAccumulator`.
 
@@ -316,24 +423,25 @@ class ColumnarDeltaAccumulator:
     accumulated set to a row ``Relation`` exactly once, at the end.
     """
 
-    __slots__ = ("columns", "_seen")
+    __slots__ = ("columns", "rows")
 
     def __init__(self, columns: tuple[str, ...], seed: set[tuple[int, ...]]):
         self.columns = columns
-        self._seen = set(seed)
+        #: Everything absorbed so far, the seed included.
+        self.rows = set(seed)
 
     def __len__(self) -> int:
-        return len(self._seen)
+        return len(self.rows)
 
     def absorb(self, produced: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
         """Fold one iteration's output in; return the genuinely new rows."""
-        fresh = produced - self._seen
-        self._seen |= fresh
+        fresh = produced - self.rows
+        self.rows |= fresh
         return fresh
 
     def relation(self, dictionary: ValueDictionary) -> "Relation":
         """Decode the accumulated result into a row relation, once."""
-        return decode_rows(self.columns, self._seen, dictionary)
+        return decode_rows(self.columns, self.rows, dictionary)
 
 
 class CodeGroups(dict):

@@ -14,7 +14,7 @@ from .plans import (PGLD, PLAN_CLASSES, PPLW_POSTGRES, PPLW_SPARK,
                     DistributedFixpointPlan, GlobalLoopOnDriver,
                     ParallelLocalLoops, ParallelLocalLoopsPostgres,
                     ParallelLocalLoopsSpark, make_plan)
-from .rdd import DistributedRelation, SetRDD
+from .rdd import SetRDD
 
 __all__ = [
     "AUTO",
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_NUM_WORKERS",
     "DistributedFixpointPlan",
     "DistributedQueryExecutor",
-    "DistributedRelation",
     "EXECUTOR_BACKENDS",
     "ExecutionOutcome",
     "ExecutorBackend",

@@ -20,9 +20,11 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from ..algebra.conditions import Decomposition, decompose
+from ..algebra.kernels import SeedShape, seed_shape
 from ..algebra.schema import Schema
 from ..algebra.stability import stable_columns
 from ..algebra.terms import Fixpoint, Term
+from ..data.columnar import CodeRows
 from ..data.relation import Relation
 from ..errors import EvaluationError, SchemaError
 from .cluster import SparkCluster
@@ -78,22 +80,26 @@ def plan_partitioning(fixpoint: Fixpoint,
 class FixpointAnalysis:
     """The static analysis of one fixpoint (§III-B).
 
-    Its ``mu(X = R U phi)`` form beside the partitioning derived from it.
-    Both are pure functions of the term's shape and the schemas — no
-    constant and no row is read — so a cached plan computes them once and
-    every execution, every binding of a template included, reuses them.
+    Its ``mu(X = R U phi)`` form beside the partitioning derived from it,
+    and whether the kernels compute ``R`` (its seed shape, or None).  All
+    are pure functions of the term's shape and the schemas — no constant
+    and no row is read — so a cached plan computes them once and every
+    execution, every binding of a template included, reuses them.
     """
 
     decomposition: Decomposition
     partitioning: PartitioningDecision
+    seed: SeedShape | None
 
 
 def analyse_fixpoint(fixpoint: Fixpoint,
                      schemas: Mapping[str, Schema]) -> FixpointAnalysis:
-    """Decompose ``fixpoint`` once and derive its partitioning from that."""
+    """Decompose ``fixpoint`` once and derive the rest from that."""
     decomposition = decompose(fixpoint)
-    return FixpointAnalysis(decomposition, plan_partitioning(
-        fixpoint, schemas, decomposition=decomposition))
+    return FixpointAnalysis(
+        decomposition,
+        plan_partitioning(fixpoint, schemas, decomposition=decomposition),
+        seed_shape(decomposition.constant_part, schemas))
 
 
 def analyse_fixpoints(term: Term, schemas: Mapping[str, Schema],
@@ -109,9 +115,12 @@ def analyse_fixpoints(term: Term, schemas: Mapping[str, Schema],
                  for analysis in analyse_fixpoints(child, schemas))
 
 
-def split_constant_part(constant: Relation, cluster: SparkCluster,
-                        decision: PartitioningDecision) -> list[Relation]:
-    """Split the evaluated constant part according to a partitioning decision."""
+def split_constant_part(constant: Relation | CodeRows, cluster: SparkCluster,
+                        decision: PartitioningDecision,
+                        ) -> list[Relation] | list[CodeRows]:
+    """Split the evaluated constant part according to a partitioning
+    decision, in the representation it comes in (rows or codes, which
+    place every row alike)."""
     if decision.strategy == STABLE_COLUMN and decision.key_columns:
         usable = [c for c in decision.key_columns if c in constant.columns]
         if usable:

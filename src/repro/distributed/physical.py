@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 from ..algebra.conditions import Decomposition
 from ..algebra.evaluate import Evaluator
-from ..algebra.kernels import KernelProgramCache
+from ..algebra.kernels import KernelProgramCache, SeedShape
 from ..algebra.terms import Fixpoint, Literal, Term
 from ..algebra.variables import free_variables
 from ..data.relation import Relation
@@ -51,8 +51,9 @@ class PhysicalPlan:
     """The physical execution decision for one fixpoint.
 
     Carries the whole static analysis of the fixpoint — its
-    ``mu(X = R U phi)`` form beside the partitioning derived from it — so
-    the plan that executes it analyses nothing a second time.
+    ``mu(X = R U phi)`` form beside the partitioning and the seed shape
+    derived from it — so the plan that executes it analyses nothing a
+    second time.
     """
 
     strategy: str
@@ -60,6 +61,7 @@ class PhysicalPlan:
     partitioning: PartitioningDecision
     variable_part_size: int
     decomposition: Decomposition
+    seed: SeedShape | None
 
     def describe(self) -> str:
         return (f"{self.strategy} (partitioning={self.partitioning.strategy}, "
@@ -126,7 +128,8 @@ class PhysicalPlanGenerator:
         return PhysicalPlan(
             strategy=strategy, fixpoint=fixpoint,
             partitioning=analysis.partitioning,
-            variable_part_size=size, decomposition=decomposition)
+            variable_part_size=size, decomposition=decomposition,
+            seed=analysis.seed)
 
     def variable_part_size(self, decomposition: Decomposition) -> int:
         """Total size of the datasets appearing in the variable part.

@@ -22,7 +22,12 @@ The plans differ in *where* the fixpoint step runs and what it
 communicates, not in how a term is evaluated: every step is either the
 bound columnar kernels or, under :func:`~repro.data.columnar.row_mode`,
 an :class:`~repro.algebra.evaluate.Evaluator` — no plan applies a
-relational operator itself.
+relational operator itself.  On the kernels a fixpoint stays in code
+space from its seed to its result: a seed holding a join is computed by
+a seed program, both plans split it (``Pplw`` into chunks, ``Pgld``'s
+loop its every delta into partitions) as code tuples with exactly the
+row engine's assignments, ``Pgld`` accumulates ``X`` as codes on the
+driver, and each result is decoded once.
 """
 
 from __future__ import annotations
@@ -35,14 +40,17 @@ from typing import TYPE_CHECKING
 
 from ..algebra.conditions import Decomposition, decompose
 from ..algebra.evaluate import Evaluator
-from ..algebra.fixpoint import run_fixpoint, semi_naive
-from ..algebra.kernels import BoundKernel, KernelProgramCache, bind_program
+from ..algebra.fixpoint import run_fixpoint, run_seed, semi_naive
+from ..algebra.kernels import (BoundKernel, KernelProgramCache, bind_program,
+                               seed_shape)
 from ..algebra.schema import infer_schema
 from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
 from ..algebra.variables import free_variables, is_constant_in
 from ..algebra.visitors import transform_top_down, walk
-from ..data.columnar import (ValueDictionary, columnar_enabled,
-                             decode_rows, row_mode, snapshot_dictionary)
+from ..data.columnar import (CodeRows, ColumnarDeltaAccumulator,
+                             ValueDictionary, columnar_enabled, row_mode,
+                             row_repr, snapshot_dictionary,
+                             split_round_robin)
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
 from ..errors import DistributionError
@@ -51,7 +59,7 @@ from . import local_engine as local_engine_module
 from .cluster import SparkCluster
 from .partitioner import (PartitioningDecision, plan_partitioning,
                           split_constant_part)
-from .rdd import DistinctAccumulator, DistributedRelation, SetRDD
+from .rdd import SetRDD
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (physical.py imports us)
     from .physical import PhysicalPlan
@@ -134,9 +142,6 @@ class DistributedFixpointPlan:
 
     # -- Shared helpers ----------------------------------------------------------
 
-    def _central_evaluator(self) -> Evaluator:
-        return Evaluator(self.database, kernel_cache=self.kernel_cache)
-
     def _check_closed(self, fixpoint: Fixpoint) -> None:
         unknown = free_variables(fixpoint) - set(self.database)
         if unknown:
@@ -158,37 +163,65 @@ class DistributedFixpointPlan:
         return plan_partitioning(fixpoint, database_schemas(self.database),
                                  decomposition=decomposition)
 
-    def _bind_on_driver(self, cache: KernelProgramCache | None, var: str,
-                        variable_part: Term, seed_columns: tuple[str, ...],
-                        evaluator: Evaluator) -> DriverBind:
-        """Resolve the operands and bind the step, once, on the driver.
+    def _seed_and_bind(self, cache: KernelProgramCache | None,
+                       fixpoint: Fixpoint, physical: PhysicalPlan | None,
+                       decomposition: Decomposition,
+                       ) -> tuple[Relation | CodeRows, DriverBind | None]:
+        """The seed, and the step bound once on the driver.
 
-        Compile-and-bind the kernels (into ``cache``), or under
+        Compile-and-bind the step's kernels (into ``cache``), or under
         ``row_mode()`` (and for shapes the kernels refuse) freeze the
         operands into the term the reference evaluator will run.  Either
         way every operand is resolved here — through the snapshot's memo,
         so a repeated execution finds relation, encoding and index
         already built — and the indexes the step probes exist before any
-        task starts.
+        task starts.  When the kernels run the step and the seed has a
+        :class:`~repro.algebra.kernels.SeedShape`, the seed is computed
+        on them too, as code tuples, *after* the step's bind: an index
+        the two share is the step's, built (and accounted) as the row
+        engine builds it.  Otherwise the seed is evaluated on rows.  The
+        bind is None for a fixpoint without a variable part.
         """
         operands: dict[Term, Relation] = {}
+        evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
 
         def resolve(term: Term) -> Relation:
             relation = operands[term] = evaluator.evaluate_constant(term)
             return relation
 
-        evaluated_before = evaluator.stats.operands_evaluated
+        self.operands = operands
+        constant_part = decomposition.constant_part
+        variable_part = decomposition.variable_part
+        shape = None
+        if variable_part is not None and columnar_enabled():
+            shape = (physical.seed if physical is not None
+                     else seed_shape(constant_part,
+                                     database_schemas(self.database)))
+        seed = bind = None
+        if shape is not None:
+            bind = self._bind_step(cache, fixpoint.var, variable_part,
+                                   shape.columns, resolve)
+            if bind.kernel:
+                seed = run_seed(self.kernel_cache, shape, constant_part,
+                                self.database[shape.leaf], self._dictionary,
+                                resolve)
+        if seed is None:
+            seed = evaluator.evaluate(constant_part)
+        if bind is None and variable_part is not None:
+            bind = self._bind_step(cache, fixpoint.var, variable_part,
+                                   seed.columns, resolve)
+        self.operands_evaluated = evaluator.stats.operands_evaluated
+        return seed, bind
+
+    def _bind_step(self, cache: KernelProgramCache | None, var: str,
+                   variable_part: Term, seed_columns: tuple[str, ...],
+                   resolve) -> DriverBind:
         kernel = bind_program(cache, var, variable_part, seed_columns,
                               self._dictionary, resolve)
         if kernel:
-            bind = DriverBind(kernel, None, kernel.broadcast_sizes,
+            return DriverBind(kernel, None, kernel.broadcast_sizes,
                               kernel.indexed_ops, kernel.index_builds)
-        else:
-            bind = self._bind_rows(var, variable_part, seed_columns, resolve)
-        self.operands = operands
-        self.operands_evaluated = (evaluator.stats.operands_evaluated
-                                   - evaluated_before)
-        return bind
+        return self._bind_rows(var, variable_part, seed_columns, resolve)
 
     @staticmethod
     def _bind_rows(var: str, variable_part: Term,
@@ -229,6 +262,16 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
     Every iteration ends with a global set difference and a global union,
     both of which repartition the data (``distinct()`` on Spark), so the
     number of shuffles grows linearly with the recursion depth.
+
+    The loop holds its frontier, its partitions and ``X`` as one
+    representation throughout: code tuples when the kernels run the
+    step (the result is decoded once, at the end), value tuples under
+    the row engine.  Either way each iteration deals the fresh delta
+    round robin over the rows' canonical order — exactly
+    :meth:`Relation.split_round_robin
+    <repro.data.relation.Relation.split_round_robin>`'s partitions —
+    runs one wave of one task per partition, and absorbs the union of
+    their outputs into ``X`` on the driver.
     """
 
     name = PGLD
@@ -237,72 +280,100 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
                 physical: PhysicalPlan | None = None) -> Relation:
         self._check_closed(fixpoint)
         decomposition = self._decomposition(fixpoint, physical)
-        evaluator = self._central_evaluator()
-        constant = evaluator.evaluate(decomposition.constant_part)
-        if decomposition.variable_part is None:
-            return constant
-        var = fixpoint.var
-        metrics = self.cluster.metrics
-        # Per iteration each partition runs its step (kernel chain, or the
-        # evaluator under row_mode) as one task.  Either way the constant
-        # operands go out per iteration (broadcast), their indexes are
-        # built on the first iteration and reused after.
-        bind = self._bind_on_driver(self.kernel_cache, var,
-                                    decomposition.variable_part,
-                                    constant.columns, evaluator)
-        if bind.kernel:
-            task = self._kernel_partition_task(bind.kernel)
-        else:
-            task = partial(_evaluate_partition, bind.row_term, var)
-        builds = bind.index_builds
+        seed, bind = self._seed_and_bind(self.kernel_cache, fixpoint,
+                                         physical, decomposition)
+        if bind is None:
+            return seed
+        columns = seed.columns
+        if not bind.kernel:
+            task = partial(_evaluate_partition, bind.row_term, fixpoint.var,
+                           columns)
+            result = self._loop(fixpoint.var, bind, columns, seed.rows,
+                                task, repr)
+            return Relation._from_trusted(columns, frozenset(result.rows))
+        if isinstance(seed, Relation):
+            seed = CodeRows.encode(seed, self._dictionary)
+        result = self._loop(fixpoint.var, bind, columns, seed.rows,
+                            bind.kernel.step,
+                            row_repr(self._dictionary, len(columns)))
+        return result.relation(self._dictionary)
 
-        def step(delta: DistributedRelation) -> DistributedRelation:
+    def _loop(self, var: str, bind: DriverBind, columns: tuple[str, ...],
+              seed: set, task, order) -> "_DistinctUnion":
+        """Algorithm 1 with each step a wave of ``task`` over the
+        partitions of the delta, dealt by ``order``."""
+        cluster = self.cluster
+        metrics = cluster.metrics
+        parts = cluster.num_workers
+        # Per iteration the constant operands go out (broadcast), their
+        # indexes are built on the first iteration and reused after.
+        builds = bind.index_builds
+        accumulator = _DistinctUnion(cluster, columns, seed)
+
+        def step(delta: set) -> set:
             nonlocal builds
             metrics.global_iterations += 1
             for size in bind.broadcast_sizes:
-                self.cluster.record_broadcast(size)
+                cluster.record_broadcast(size)
             for _ in range(builds):
-                self.cluster.record_index_event(built=True)
+                cluster.record_index_event(built=True)
             for _ in range(bind.indexed_ops - builds):
-                self.cluster.record_index_event(built=False)
+                cluster.record_index_event(built=False)
             builds = 0
-            return delta.map_partitions(task)
+            outcomes = cluster.run_tasks(task, [
+                (partition,)
+                for partition in split_round_robin(delta, parts, order)])
+            produced: set = set()
+            moved = 0
+            for worker_id, outcome in enumerate(outcomes):
+                cluster.record_worker_tuples(worker_id, len(outcome.value))
+                moved += len(outcome.value)
+                produced |= outcome.value
+            # new = phi(new) \ X    (global set difference: both sides
+            # shuffle)
+            cluster.record_shuffle(moved + len(accumulator))
+            return produced
 
-        seed = DistributedRelation.from_relation(self.cluster, constant)
-        accumulator = DistinctAccumulator(seed)
         limit = MAX_GLOBAL_ITERATIONS
         semi_naive(step, accumulator, seed, var=var,
-                   engine="columnar" if bind.kernel else "row",
-                   limit=limit,
+                   engine="columnar" if bind.kernel else "row", limit=limit,
                    nonconvergence=f"global loop on {var!r} did not converge "
                                   f"within {limit} iterations")
-        return accumulator.relation()
-
-    def _kernel_partition_task(self, bound: BoundKernel):
-        """One partition's iteration step as a shippable closure.
-
-        Encode, fused step, decode — all inside the task, on the same
-        bound program the centralized loop runs.  Under the process
-        backend the closure (dictionary and bound indexes included)
-        travels via cloudpickle; a worker's dictionary copy may intern
-        codes for values the driver has not seen, which is sound because
-        the partition is decoded with that same copy before anything
-        returns.
-        """
-        dictionary = self._dictionary
-        columns = bound.out_schema
-        step = bound.step
-
-        def run(partition: Relation, _worker_id: int) -> Relation:
-            produced = step(partition.columnar(dictionary).code_rows())
-            return decode_rows(columns, produced, dictionary)
-        return run
+        return accumulator
 
 
-def _evaluate_partition(term: Term, var: str, partition: Relation,
-                        _worker_id: int) -> Relation:
+class _DistinctUnion(ColumnarDeltaAccumulator):
+    """``Pgld``'s ``X``, held once on the driver as one row set (codes or
+    values), because no task ever reads it — only the delta's partitions.
+
+    ``absorb`` is the global union with ``distinct()``, recorded as the
+    second shuffle of an iteration; ``X`` and the new rows are disjoint,
+    so it eliminates no duplicate.
+    """
+
+    __slots__ = ("cluster",)
+
+    def __init__(self, cluster: SparkCluster, columns: tuple[str, ...],
+                 seed: set):
+        super().__init__(columns, seed)
+        self.cluster = cluster
+
+    def absorb(self, produced: set) -> set:
+        known = len(self)
+        fresh = super().absorb(produced)
+        self.cluster.record_shuffle(known + len(fresh))
+        return fresh
+
+
+def _evaluate_partition(term: Term, var: str, columns: tuple[str, ...],
+                        partition: set) -> frozenset:
     """One partition's row step: ``term`` with ``var`` bound to it."""
-    return Evaluator({}).evaluate(term, env={var: partition})
+    produced = Evaluator({}).evaluate(term, env={
+        var: Relation._from_trusted(columns, frozenset(partition))})
+    if produced.columns != columns:
+        raise DistributionError(
+            f"incompatible schemas {produced.columns} and {columns}")
+    return produced.rows
 
 
 @dataclass(frozen=True)
@@ -395,23 +466,25 @@ class ParallelLocalLoops(DistributedFixpointPlan):
                 physical: PhysicalPlan | None = None) -> Relation:
         self._check_closed(fixpoint)
         decomposition = self._decomposition(fixpoint, physical)
-        evaluator = self._central_evaluator()
-        constant = evaluator.evaluate(decomposition.constant_part)
-        variable_part = decomposition.variable_part
-        if variable_part is None:
-            return constant
-        var = fixpoint.var
-        metrics = self.cluster.metrics
-        decision = self._partitioning(fixpoint, physical, decomposition)
-        metrics.partitioning = decision.strategy
-        chunks = split_constant_part(constant, self.cluster, decision)
-        self._broadcast_variable_part(variable_part, var)
         # Broadcast once: the operands are resolved (and their indexes
         # built) here, and every task receives the same table.  Bound
         # through the process-default program cache, the one the tasks
         # read: in process their binds find the program compiled.
-        bind = self._bind_on_driver(None, var, variable_part,
-                                    constant.columns, evaluator)
+        seed, bind = self._seed_and_bind(None, fixpoint, physical,
+                                         decomposition)
+        if bind is None:
+            return seed
+        variable_part = decomposition.variable_part
+        var = fixpoint.var
+        metrics = self.cluster.metrics
+        decision = self._partitioning(fixpoint, physical, decomposition)
+        metrics.partitioning = decision.strategy
+        # On the kernels the chunks are cut from the encoded seed, so no
+        # task encodes its chunk; each decodes its own result once.
+        if bind.kernel and isinstance(seed, Relation):
+            seed = CodeRows.encode(seed, self._dictionary)
+        chunks = split_constant_part(seed, self.cluster, decision)
+        self._broadcast_variable_part(variable_part, var)
         max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
         columnar = columnar_enabled()
         outcomes = self.cluster.run_tasks(
@@ -432,7 +505,7 @@ class ParallelLocalLoops(DistributedFixpointPlan):
         # reported as a reuse.
         metrics.index_builds += bind.index_builds
         metrics.index_reuses -= min(bind.index_builds, metrics.index_reuses)
-        return self._final_union(local_results, constant.columns, decision)
+        return self._final_union(local_results, seed.columns, decision)
 
     # -- Shared steps ----------------------------------------------------------------
 

@@ -9,7 +9,7 @@ from array import array
 
 import pytest
 
-from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY, CodeGroups,
+from repro.data.columnar import (SNAPSHOT_DICTIONARY_KEY, CodeGroups, CodeRows,
                                  ColumnarDeltaAccumulator, ColumnarRelation,
                                  GroupedDeltaAccumulator, ValueDictionary,
                                  columnar_enabled, decode_rows, row_mode,
@@ -218,7 +218,7 @@ class TestGroupedDeltaAccumulator:
 
     def test_code_groups_factorize_on_either_column(self):
         dictionary = ValueDictionary()
-        encoded = edges([(0, 1), (0, 2), (3, 2)]).columnar(dictionary)
+        encoded = CodeRows.encode(edges([(0, 1), (0, 2), (3, 2)]), dictionary)
         code = dictionary.encode
         assert encoded.code_groups(0) == {code(0): {code(1), code(2)},
                                           code(3): {code(2)}}
@@ -228,7 +228,7 @@ class TestGroupedDeltaAccumulator:
 
     def test_an_empty_seed(self):
         dictionary = ValueDictionary()
-        seed = edges([]).columnar(dictionary).code_groups(0)
+        seed = CodeRows.encode(edges([]), dictionary).code_groups(0)
         accumulator = GroupedDeltaAccumulator(self.COLUMNS, 0, seed)
         assert len(seed) == len(accumulator) == 0
         assert accumulator.relation(dictionary) == Relation.empty(self.COLUMNS)
@@ -253,8 +253,9 @@ class TestGroupedDeltaAccumulator:
         dictionary = ValueDictionary()
         relation = edges([("a", "b"), ("a", "c"), ("d", "b"), (7, "a")])
         encoded = relation.columnar(dictionary)
-        accumulator = GroupedDeltaAccumulator(self.COLUMNS, key,
-                                              encoded.code_groups(key))
+        accumulator = GroupedDeltaAccumulator(
+            self.COLUMNS, key, CodeRows.encode(relation, dictionary)
+            .code_groups(key))
         code = dictionary.encode
         produced = CodeGroups({code("a"): {code("e")}} if key == 0
                               else {code("b"): {code(7)}})

@@ -3,17 +3,19 @@ physical plan generator/executor."""
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.algebra import (Filter, RelVar, closure, closure_from_seed,
                            evaluate)
 from repro.data import Eq, Relation
-from repro.distributed import (AUTO, DistributedQueryExecutor,
-                               DistributedRelation, PPLW_POSTGRES, PPLW_SPARK,
-                               PhysicalPlanGenerator, SparkCluster,
-                               fixpoint_to_sql)
+from repro.data.columnar import CodeRows, ValueDictionary, row_mode
+from repro.distributed import (AUTO, PGLD, DistributedQueryExecutor,
+                               PPLW_POSTGRES, PPLW_SPARK,
+                               PhysicalPlanGenerator, SetRDD, SparkCluster,
+                               fixpoint_to_sql, make_plan)
 from repro.distributed.plans import run_local_loop
-from repro.distributed.rdd import DistinctAccumulator
 from repro.errors import DistributionError, EvaluationError
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
@@ -100,58 +102,57 @@ class TestLocalLoop:
         assert "constant_part" in sql
 
 
-class TestDistributedRelation:
+class TestSetRDD:
     def test_partition_count_matches_workers(self, paper_edges):
         cluster = SparkCluster(num_workers=3)
-        dataset = DistributedRelation.from_relation(cluster, paper_edges)
+        dataset = SetRDD(cluster, paper_edges.split_round_robin(3))
         assert len(dataset.partitions) == 3
         assert dataset.count() == len(paper_edges)
         assert dataset.collect() == paper_edges
+        with pytest.raises(DistributionError):
+            SetRDD(cluster, paper_edges.split_round_robin(2))
 
     def test_key_partitioning_is_consistent(self, paper_edges):
-        cluster = SparkCluster(num_workers=4)
-        dataset = DistributedRelation.from_relation(cluster, paper_edges,
-                                                    key_columns=("src",))
+        """Rows or codes, a key's rows land in one partition, the same."""
+        dictionary = ValueDictionary()
+        by_rows = paper_edges.split_by_columns(("src",), 4)
+        by_codes = CodeRows.encode(paper_edges, dictionary) \
+            .split_by_columns(("src",), 4)
+        assert [part.to_relation() for part in by_codes] == by_rows
         for value in paper_edges.column_values("src"):
-            holders = [i for i, part in enumerate(dataset.partitions)
+            holders = [i for i, part in enumerate(by_rows)
                        if value in part.column_values("src")]
             assert len(holders) == 1
 
-    def test_distinct_records_a_shuffle(self, paper_edges, paper_start_edges):
-        """One ``absorb`` is Pgld's two shuffles — the set difference
-        moves both sides, the union with ``distinct()`` moves X and the
-        delta — and only the delta comes back partitioned."""
+    def test_mismatched_schemas_rejected(self, paper_edges,
+                                         paper_start_edges):
         cluster = SparkCluster(num_workers=2)
-        seed = DistributedRelation.from_relation(cluster, paper_start_edges)
-        accumulator = DistinctAccumulator(seed)
-        produced = DistributedRelation.from_relation(cluster, paper_edges)
-        fresh = paper_edges.difference(paper_start_edges)
-        delta = accumulator.absorb(produced)
-        assert cluster.metrics.shuffles == 2
-        assert cluster.metrics.tuples_shuffled == (
-            len(paper_edges) + len(paper_start_edges)
-            + len(paper_start_edges) + len(fresh))
-        assert cluster.metrics.duplicates_eliminated == 0
-        assert delta.collect() == fresh
-        assert delta.partitions == fresh.split_round_robin(2)
-        assert accumulator.relation() == paper_edges.union(paper_start_edges)
-        assert len(accumulator) == len(accumulator.relation())
-        # Nothing new: both shuffles are still paid, the delta is empty.
-        assert accumulator.absorb(produced).count() == 0
-        assert cluster.metrics.shuffles == 4
+        with pytest.raises(DistributionError):
+            SetRDD(cluster, [paper_edges,
+                             paper_start_edges.rename("trg", "other")])
 
-    def test_mismatched_schemas_rejected(self, paper_edges, paper_start_edges):
-        cluster = SparkCluster(num_workers=2)
-        accumulator = DistinctAccumulator(
-            DistributedRelation.from_relation(cluster, paper_edges))
-        right = DistributedRelation.from_relation(
-            cluster, paper_start_edges.rename("trg", "other"))
-        with pytest.raises(DistributionError):
-            accumulator.absorb(right)
-        elsewhere = DistributedRelation.from_relation(
-            SparkCluster(num_workers=2), paper_edges)
-        with pytest.raises(DistributionError):
-            accumulator.absorb(elsewhere)
+
+class TestGlobalLoopAccounting:
+    def test_each_iteration_records_two_shuffles(self, paper_database):
+        """Pgld's ``new = phi(new) \\ X`` moves the step's output and X,
+        and ``X U new`` with ``distinct()`` moves X and the new rows: two
+        shuffles per iteration, of the same rows whichever representation
+        (codes or values) the driver holds them in."""
+        term = closure_from_seed(RelVar("S"), RelVar("E"), var="X")
+        seen = {}
+        for engine in ("columnar", "row"):
+            cluster = SparkCluster(num_workers=2)
+            with (row_mode() if engine == "row" else nullcontext()):
+                result = make_plan(PGLD, cluster,
+                                   paper_database).execute(term)
+            assert result == evaluate(term, paper_database)
+            metrics = cluster.metrics
+            assert metrics.shuffles == 2 * metrics.global_iterations
+            assert metrics.tasks_launched == 2 * metrics.global_iterations
+            assert metrics.duplicates_eliminated == 0
+            seen[engine] = (metrics.shuffles, metrics.tuples_shuffled,
+                            metrics.tuples_processed_per_worker)
+        assert seen["columnar"] == seen["row"]
 
 
 class TestPhysicalPlanGenerator:
