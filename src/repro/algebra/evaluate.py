@@ -27,7 +27,7 @@ from ..data.snapshot import database_schemas, operand_memo
 from ..errors import EvaluationError
 from .conditions import decompose
 from .fixpoint import run_fixpoint, run_seed
-from .kernels import KernelProgramCache, seed_shape
+from .kernels import KernelProgramCache, SeedShape, seed_shape
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
 from .variables import free_variables, is_constant_in
@@ -36,6 +36,12 @@ from .visitors import walk
 #: Safety bound on fixpoint iterations; graph reachability converges in at
 #: most |nodes| steps, so hitting this bound indicates a malformed term.
 DEFAULT_MAX_ITERATIONS = 1_000_000
+
+#: Snapshot ``derived()`` key of the seed shapes decided on it, and the
+#: most it keeps (bound templates give one constant part per binding).
+_SEED_SHAPES_KEY = "seed_shapes"
+_MAX_SEED_SHAPES = 256
+_UNDECIDED = object()
 
 
 @dataclass
@@ -76,7 +82,12 @@ class Evaluator:
         self._dictionary = snapshot_dictionary(database)
         self._operand_memo = operand_memo(database)
         self._kernel_cache = kernel_cache
-        self._schemas = database_schemas(database)
+        # A snapshot's schemas never change, so it keeps the seed shapes
+        # decided on it; a plain mapping gets them per evaluator.
+        derived = getattr(database, "derived", None)
+        self._seed_shapes: dict[Term, SeedShape | None] = (
+            derived(_SEED_SHAPES_KEY, lambda _: {}) if derived is not None
+            else {})
         self.database = dict(database)
         self.max_iterations = max_iterations
         self.stats = stats if stats is not None else EvaluationStats()
@@ -271,11 +282,18 @@ class Evaluator:
     def _seed_program(self, constant_part: Term,
                       env: dict[str, Relation]) -> CodeRows | None:
         """The seed computed on the kernels, when its shape allows it and
-        it reads no outer recursive variable (see :func:`seed_shape`)."""
+        it reads no outer recursive variable (see :func:`seed_shape`,
+        decided once per snapshot and constant part)."""
         if not columnar_enabled() or \
-                not free_variables(constant_part).isdisjoint(env):
+                env and not free_variables(constant_part).isdisjoint(env):
             return None
-        shape = seed_shape(constant_part, self._schemas)
+        shapes = self._seed_shapes
+        shape = shapes.get(constant_part, _UNDECIDED)
+        if shape is _UNDECIDED:
+            if len(shapes) >= _MAX_SEED_SHAPES:
+                shapes.clear()
+            shape = shapes[constant_part] = seed_shape(
+                constant_part, database_schemas(self.database))
         if shape is None:
             return None
         return run_seed(self._kernel_cache, shape, constant_part,

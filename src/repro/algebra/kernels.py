@@ -773,13 +773,11 @@ def seed_shape(seed: Term, schemas) -> SeedShape | None:
     """The :class:`SeedShape` of ``seed``, or None for the row engine.
 
     A seed qualifies when it is closed over ``schemas`` (every free
-    relation a base relation), contains a join or antijoin — work a
-    fused pipeline saves — and no selection: :meth:`Relation.filter
-    <repro.data.relation.Relation.filter>` answers an equality on an
-    indexed column with one probe, which no scanning kernel beats.  The
-    input is the shallowest base relation that occurs exactly once
-    outside any nested fixpoint (the first such, on a tie), so the
-    deeper subterms become operands the snapshot's memo can keep.  A
+    relation a base relation) and contains a join or antijoin — work a
+    fused pipeline saves.  The input is the shallowest base relation
+    that occurs exactly once outside any nested fixpoint (the first
+    such, on a tie), so the deeper subterms — a selection among them —
+    become operands the snapshot's memo can keep.  A
     pure function of the term and the schemas: a cached plan decides it
     once (:class:`~repro.distributed.partitioner.FixpointAnalysis`).
     """
@@ -789,8 +787,6 @@ def seed_shape(seed: Term, schemas) -> SeedShape | None:
     stack = [(seed, 0, False)]
     while stack:
         node, depth, nested = stack.pop()
-        if isinstance(node, Filter):
-            return None
         joins = joins or isinstance(node, (Join, Antijoin))
         if isinstance(node, RelVar):
             occurrences[node.name] = occurrences.get(node.name, 0) + 1

@@ -53,6 +53,7 @@ from typing import TYPE_CHECKING, Any
 
 from ..obs.metrics import get_registry
 from ..check.sanitizer import ordered_lock
+from .relation import deal_round_robin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (relation.py imports us)
     from .relation import Relation
@@ -381,10 +382,8 @@ def split_round_robin(rows, parts: int, key=repr) -> list[set]:
     of :meth:`Relation.split_round_robin
     <repro.data.relation.Relation.split_round_robin>`, whose ``key`` is
     ``repr`` — on code tuples, :func:`row_repr` of their dictionary."""
-    if parts <= 0:
-        raise ValueError("parts must be positive")
-    ordered = sorted(rows, key=key)
-    return [set(ordered[start::parts]) for start in range(parts)]
+    return [set(part)
+            for part in deal_round_robin(sorted(rows, key=key), parts)]
 
 
 class _ValueReprs(dict):

@@ -509,12 +509,8 @@ class Relation:
 
     def split_round_robin(self, parts: int) -> list["Relation"]:
         """Split the relation into ``parts`` chunks of near-equal size."""
-        if parts <= 0:
-            raise ValueError("parts must be positive")
-        ordered = self.sorted_rows()
-        return [Relation._from_trusted(self._columns,
-                                       frozenset(ordered[start::parts]))
-                for start in range(parts)]
+        return [Relation._from_trusted(self._columns, frozenset(part))
+                for part in deal_round_robin(self.sorted_rows(), parts)]
 
     def split_by_columns(self, columns: Iterable[str], parts: int) -> list["Relation"]:
         """Hash-partition the relation on the given columns.
@@ -593,6 +589,16 @@ class EncodedRows:
                 position += width
             bounds.append(position)
         return bounds
+
+
+def deal_round_robin(ordered, parts: int) -> list:
+    """``ordered`` dealt round robin into ``parts`` slices: row ``i``
+    goes to part ``i % parts``.  The one assignment of every round-robin
+    split, over rows (:meth:`Relation.split_round_robin`) and codes
+    (:func:`repro.data.columnar.split_round_robin`) alike."""
+    if parts <= 0:
+        raise ValueError("parts must be positive")
+    return [ordered[start::parts] for start in range(parts)]
 
 
 def _key_extractor(schema: tuple[str, ...], key_columns: tuple[str, ...]):

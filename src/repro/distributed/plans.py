@@ -179,8 +179,10 @@ class DistributedFixpointPlan:
         :class:`~repro.algebra.kernels.SeedShape`, the seed is computed
         on them too, as code tuples, *after* the step's bind: an index
         the two share is the step's, built (and accounted) as the row
-        engine builds it.  Otherwise the seed is evaluated on rows.  The
-        bind is None for a fixpoint without a variable part.
+        engine builds it.  Otherwise the seed is evaluated on rows.
+        Either way the seed's operands stay out of :attr:`operands`,
+        which is what the tasks receive: no step reads them.  The bind
+        is None for a fixpoint without a variable part.
         """
         operands: dict[Term, Relation] = {}
         evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
@@ -204,7 +206,7 @@ class DistributedFixpointPlan:
             if bind.kernel:
                 seed = run_seed(self.kernel_cache, shape, constant_part,
                                 self.database[shape.leaf], self._dictionary,
-                                resolve)
+                                evaluator.evaluate_constant)
         if seed is None:
             seed = evaluator.evaluate(constant_part)
         if bind is None and variable_part is not None:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.algebra import (EvaluationStats, Evaluator, Fixpoint, Literal,
                            RelVar, Union, closure, closure_from_seed, compose,
                            evaluate, naive_fixpoint)
+from repro.algebra.kernels import seed_shape
 from repro.data import Eq, Relation
+from repro.data.columnar import row_mode
+from repro.data.snapshot import DatabaseSnapshot
 from repro.errors import (EvaluationError, FixpointConditionError,
                           SchemaError)
 
@@ -137,6 +142,28 @@ class TestEvaluatorReuse:
         second = evaluator.evaluate(closure(RelVar("S")))
         assert len(first) > len(second)
         assert evaluator.stats.fixpoints_evaluated == 2
+
+    def test_seed_shapes_are_decided_once_per_snapshot(self, paper_database,
+                                                       monkeypatch):
+        """Every evaluator on one snapshot reuses the seed shape decided
+        by the first; its result is unchanged."""
+        decided = []
+
+        def recording(*args):
+            decided.append(seed_shape(*args))
+            return decided[-1]
+
+        # ``repro.algebra.evaluate`` the attribute is the function.
+        monkeypatch.setattr(sys.modules["repro.algebra.evaluate"],
+                            "seed_shape", recording)
+        snapshot = DatabaseSnapshot.from_relations(paper_database)
+        term = closure_from_seed(compose(RelVar("S"), RelVar("E")),
+                                 RelVar("E"), var="X")
+        with row_mode():
+            expected = evaluate(term, paper_database)
+        for _ in range(2):
+            assert Evaluator(snapshot).evaluate(term) == expected
+        assert len(decided) == 1 and decided[0] is not None
 
     def test_env_binding_overrides_database(self, paper_database):
         evaluator = Evaluator(paper_database)

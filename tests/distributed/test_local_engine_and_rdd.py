@@ -7,8 +7,8 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.algebra import (Filter, RelVar, closure, closure_from_seed,
-                           evaluate)
+from repro.algebra import (Filter, Fixpoint, RelVar, Union, closure,
+                           closure_from_seed, evaluate)
 from repro.data import Eq, Relation
 from repro.data.columnar import CodeRows, ValueDictionary, row_mode
 from repro.distributed import (AUTO, PGLD, DistributedQueryExecutor,
@@ -153,6 +153,19 @@ class TestGlobalLoopAccounting:
             seen[engine] = (metrics.shuffles, metrics.tuples_shuffled,
                             metrics.tuples_processed_per_worker)
         assert seen["columnar"] == seen["row"]
+
+    @pytest.mark.parametrize("engine", ["columnar", "row"])
+    def test_a_schema_changing_step_is_rejected(self, paper_database,
+                                                engine):
+        """A step whose output schema is not the seed's is refused by
+        the partition task, on both engines: the kernels decline the
+        shape and leave it to the row step, which raises."""
+        bad = Fixpoint("X", Union(RelVar("S"),
+                                  RelVar("X").rename("trg", "t2")))
+        plan = make_plan(PGLD, SparkCluster(num_workers=2), paper_database)
+        with (row_mode() if engine == "row" else nullcontext()), \
+                pytest.raises(DistributionError, match="incompatible"):
+            plan.execute(bad)
 
 
 class TestPhysicalPlanGenerator:

@@ -19,6 +19,9 @@ from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
                                make_plan, plan_partitioning)
 from repro.distributed.partitioner import analyse_fixpoint
 from repro.algebra import Filter, schemas_of_database
+from repro.algebra.fixpoint import run_seed
+from repro.algebra.variables import free_variables
+from repro.distributed import plans as plans_module
 
 
 @pytest.fixture
@@ -106,6 +109,34 @@ class TestOperandsOncePerSnapshot:
             plan.execute(closure_term)
             assert cluster.metrics.index_builds == 1
             assert plan.operands_evaluated == len(plan.operands) == 1
+
+
+class TestSeedPrograms:
+    @pytest.mark.parametrize("strategy", ALL_PLANS)
+    def test_a_selecting_seed_runs_on_the_kernels(self, strategy, database,
+                                                  monkeypatch):
+        """A seed holding a join takes its seed program whether or not it
+        selects: the selection becomes one of the program's operands.
+        That operand is resolved on the driver but stays off the operand
+        table the tasks receive, because no step reads it."""
+        seed = compose(Filter(Eq("src", 1), RelVar("S")), RelVar("E"))
+        term = closure_from_seed(seed, RelVar("E"), var="X")
+        shape = analyse_fixpoint(term, schemas_of_database(database)).seed
+        assert shape is not None and shape.leaf == "E"
+        seeds = []
+
+        def recording(*args):
+            seeds.append(run_seed(*args))
+            return seeds[-1]
+
+        monkeypatch.setattr(plans_module, "run_seed", recording)
+        plan = make_plan(strategy, SparkCluster(num_workers=4), database)
+        result = plan.execute(term)
+        with row_mode():
+            assert result == evaluate(term, database)
+        assert len(seeds) == 1 and seeds[0] is not None
+        assert plan.operands and all(
+            "S" not in free_variables(operand) for operand in plan.operands)
 
 
 class TestPlanCorrectness:
