@@ -16,14 +16,6 @@ Three acceptance properties of the snapshot-isolated Session API:
    version-keyed snapshots without the execution lock, reader throughput
    while a writer commits must beat the seed discipline, where both the
    cached lookup and the mutation serialized on the execution lock.
-4. **Maintained views under a write workload** — a mixed read/write
-   replay over a transitive closure: with incremental view maintenance
-   every post-commit read is a cache hit served from the promoted entry,
-   which must beat the recompute-on-every-read baseline
-   (``view_maintenance="off"``) by at least
-   :data:`REPLAY_SPEEDUP_FLOOR`.  Removals invalidate: a single-edge
-   removal must record a fallback and the next read must equal a
-   recomputation; the decision lands in the report.
 
 Results are written to ``benchmarks/results/bench_snapshot_overhead.txt``.
 """
@@ -39,7 +31,6 @@ from repro import Session
 from repro.algebra.schema import schemas_of_database
 from repro.data import LabeledGraph, Relation, StatisticsCatalog
 from repro.datasets import erdos_renyi_graph
-from repro.service.view_maintenance import FALLBACK
 
 FIGURE_TITLE = "Snapshot commit overhead and lock-free read throughput"
 
@@ -53,11 +44,6 @@ COMMITS = 60
 OVERHEAD_CEILING = 1.10
 #: Required throughput advantage of lock-free reads under a writer.
 READ_SPEEDUP_FLOOR = 1.3
-#: Required advantage of a maintained-view hit over a full recompute of
-#: the transitive closure in the read/write replay.
-REPLAY_SPEEDUP_FLOOR = 3.0
-#: Alternating write/read rounds in the replay.
-REPLAY_ROUNDS = 6
 
 
 def _median(samples: list[float]) -> float:
@@ -278,95 +264,3 @@ def test_reads_under_writer_beat_lock_serialized_seed(figure_report):
     assert ratio >= READ_SPEEDUP_FLOOR, (
         f"lock-free reads only {ratio:.2f}x the lock-serialized seed path "
         f"(floor {READ_SPEEDUP_FLOOR}x)")
-
-
-TC_QUERY = "?x,?y <- ?x knows+ ?y"
-
-
-def _replay_graph(length: int = 160, extra: int = 40) -> LabeledGraph:
-    """A knows-chain with shortcut edges, the replay's recursion driver.
-
-    The shape matches the view-maintenance test fixture (scaled up):
-    plan selection over it is stable under single-edge deltas, so a
-    maintained entry keyed to the promoted fingerprint is actually the
-    one the post-commit replan asks for.
-    """
-    graph = LabeledGraph(name="replay")
-    triples = [(f"n{i}", "knows", f"n{i + 1}") for i in range(length)]
-    triples += [(f"n{i}", "knows", f"n{i + 5}")
-                for i in range(0, extra * 4, 4)]
-    graph.add_edges(triples)
-    return graph
-
-
-def _replay(mode: str) -> tuple[list[float], list[float], Session]:
-    """Alternate single-edge commits with transitive-closure reads.
-
-    Returns (commit seconds, post-commit read seconds) per round.  With
-    ``mode="sync"`` the commit also pays for maintenance (resuming the
-    cached fixpoint over the delta) and every read is a cache hit; with
-    ``mode="off"`` commits are bare and every read recomputes the
-    closure from scratch.
-    """
-    commit_samples: list[float] = []
-    read_samples: list[float] = []
-    with Session(_replay_graph(), num_workers=2,
-                 view_maintenance=mode) as session:
-        session.ucrpq(TC_QUERY).collect()  # warm plan + result caches
-        for index in range(REPLAY_ROUNDS):
-            pair = (f"r{index}", f"r{index + 1}")
-            started = time.perf_counter()
-            session.add_edges("knows", [pair])
-            commit_samples.append(time.perf_counter() - started)
-            handle = session.ucrpq(TC_QUERY)
-            started = time.perf_counter()
-            result = handle.collect()
-            read_samples.append(time.perf_counter() - started)
-            assert pair in result.relation.to_pairs("x", "y")
-            if mode == "sync":
-                assert session.last_maintenance.resumed == 1
-                assert handle.last_result_cache_hit is True
-            else:
-                assert session.last_maintenance is None
-                assert handle.last_result_cache_hit is False
-    return commit_samples, read_samples
-
-
-def test_maintained_views_beat_recompute_on_replay(figure_report):
-    """Mixed read/write replay: maintained hits vs full recompute."""
-    recompute_commits, recompute_reads = _replay("off")
-    maintained_commits, maintained_reads = _replay("sync")
-    read_ratio = _median(recompute_reads) / max(_median(maintained_reads),
-                                                1e-9)
-    total_off = sum(recompute_commits) + sum(recompute_reads)
-    total_sync = sum(maintained_commits) + sum(maintained_reads)
-    figure_report.add_section(
-        f"read/write replay ({REPLAY_ROUNDS} rounds, transitive closure): "
-        f"post-commit read {_median(recompute_reads) * 1e3:.3f} ms "
-        f"recomputed vs {_median(maintained_reads) * 1e3:.3f} ms maintained "
-        f"-> {read_ratio:.1f}x (floor {REPLAY_SPEEDUP_FLOOR}x); "
-        f"commit {_median(recompute_commits) * 1e3:.3f} ms bare vs "
-        f"{_median(maintained_commits) * 1e3:.3f} ms maintaining; "
-        f"whole replay {total_off * 1e3:.1f} ms -> {total_sync * 1e3:.1f} ms")
-    assert read_ratio >= REPLAY_SPEEDUP_FLOOR, (
-        f"maintained-view hits only {read_ratio:.2f}x faster than full "
-        f"recompute (floor {REPLAY_SPEEDUP_FLOOR}x)")
-
-
-def test_replay_removal_falls_back_to_recompute(figure_report):
-    """A removal invalidates the cached closure, on the same replay graph:
-    the maintainer records a fallback and the next read recomputes."""
-    with Session(_replay_graph(), num_workers=2,
-                 view_maintenance="sync") as session:
-        cached = session.ucrpq(TC_QUERY).collect()
-        session.remove_edges("knows", [("n40", "n41")])
-        decision, = session.last_maintenance.decisions
-        assert decision.action == FALLBACK
-        handle = session.ucrpq(TC_QUERY)
-        assert handle.collect().relation == session.execute_term(
-            cached.selected_plan, optimize=False).relation
-        assert handle.last_result_cache_hit is False
-        figure_report.add_section(
-            f"removal: single-edge removal -> {decision.action} "
-            f"(delta {decision.delta_rows} row vs {decision.base_rows} base "
-            "rows; next read recomputed and equal to a cold run)")

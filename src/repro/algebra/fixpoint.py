@@ -10,8 +10,8 @@ Algorithm 1 of the paper::
     return X
 
 is written out exactly once, in :func:`semi_naive`.  The centralized
-evaluator, the per-worker local loops of ``Pplw``, the driver loop of
-``Pgld`` and view maintenance differ only in *where* ``phi`` runs (the
+evaluator, the per-worker local loops of ``Pplw`` and the driver loop of
+``Pgld`` differ only in *where* ``phi`` runs (the
 ``step`` callable) and *how* ``X`` is held (the accumulator); the
 iteration guard and the ``fixpoint.iteration`` span live here.
 

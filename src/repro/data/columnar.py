@@ -36,8 +36,8 @@ iteration.  This module provides what the fused fixpoint step
 
 A context-local escape hatch, :func:`row_mode`, pins the row engine (the
 differential harness proves both engines agree) — results returned to
-callers are plain ``Relation`` objects either way, so cache keys,
-snapshots and maintained views never see codes.
+callers are plain ``Relation`` objects either way, so cache keys and
+snapshots never see codes.
 """
 
 from __future__ import annotations

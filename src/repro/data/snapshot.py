@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Hashable, Iterator, Mapping
-from dataclasses import dataclass
 
 from ..check.sanitizer import ordered_lock
 from ..errors import SchemaError
@@ -64,22 +63,6 @@ _OPERAND_MEMO_KEY = "operand_memo"
 OPERAND_MEMO_ROWS_PER_SNAPSHOT_ROW = 1
 
 
-@dataclass(frozen=True)
-class RelationDelta:
-    """Row-level difference of one relation across a single commit."""
-
-    added: Relation
-    removed: Relation
-
-    def __bool__(self) -> bool:
-        return bool(self.added) or bool(self.removed)
-
-    @property
-    def size(self) -> int:
-        """Total changed rows (insertions plus deletions)."""
-        return len(self.added) + len(self.removed)
-
-
 class DatabaseSnapshot(Mapping):
     """A frozen, versioned ``name -> Relation`` database.
 
@@ -90,8 +73,7 @@ class DatabaseSnapshot(Mapping):
     """
 
     __slots__ = ("graph_name", "version", "_relations", "_versions",
-                 "_schemas", "_catalog", "_derived", "_parent_touched",
-                 "_deltas")
+                 "_schemas", "_catalog", "_derived")
 
     def __init__(self, relations: Mapping[str, Relation], *,
                  graph_name: str = DEFAULT_GRAPH):
@@ -113,12 +95,6 @@ class DatabaseSnapshot(Mapping):
         #: (e.g. the Datalog EDB).  Immutable data, so entries never go
         #: stale; concurrent writers race benignly to identical values.
         self._derived: dict[str, object] = {}
-        #: ``name -> predecessor relation`` of the relations the commit
-        #: that produced this snapshot touched (empty for version-0
-        #: roots).  Kept so :meth:`deltas` can be computed lazily — the
-        #: commit itself stays O(touched) dictionary work.
-        self._parent_touched: dict[str, Relation | None] = {}
-        self._deltas: dict[str, RelationDelta] | None = None
 
     # -- Constructors ------------------------------------------------------
 
@@ -210,15 +186,6 @@ class DatabaseSnapshot(Mapping):
         successor._schemas = dict(self._schemas)
         successor._catalog = self._catalog.copy()
         successor._derived = {}
-        # Remember the predecessor value of every touched relation so the
-        # maintenance layer can ask for row-level deltas.  The old
-        # Relation objects are immutable and (for the touched names)
-        # about to be superseded anyway, so this holds no extra data the
-        # old snapshot does not hold already — and the actual set
-        # differences are computed lazily, off the commit path.
-        successor._parent_touched = {
-            name: self._relations.get(name) for name in changes}
-        successor._deltas = None
         for name, relation in changes.items():
             relation._freeze()
             successor._versions[name] = successor.version
@@ -243,47 +210,7 @@ class DatabaseSnapshot(Mapping):
         twin._schemas = self._schemas
         twin._catalog = self._catalog
         twin._derived = {}
-        # A relabel starts a new lineage (it is what attach() does), so
-        # the twin carries no commit delta of its own.
-        twin._parent_touched = {}
-        twin._deltas = None
         return twin
-
-    # -- Commit deltas -------------------------------------------------------
-
-    @property
-    def touched(self) -> tuple[str, ...]:
-        """Names the commit that produced this snapshot replaced.
-
-        Empty for version-0 roots (and relabeled attachments), which have
-        no predecessor to differ from.
-        """
-        return tuple(sorted(self._parent_touched))
-
-    def deltas(self) -> Mapping[str, RelationDelta]:
-        """Per-relation added/removed rows of the commit behind this snapshot.
-
-        Computed lazily from the predecessor relations remembered by
-        :meth:`mutate` and memoized; the commit itself never pays for the
-        set differences.  Only the touched relations appear.  Safe
-        without a lock: concurrent callers race benignly to identical
-        values (both inputs are immutable).
-        """
-        if self._deltas is None:
-            deltas: dict[str, RelationDelta] = {}
-            for name, previous in self._parent_touched.items():
-                current = self._relations[name]
-                if previous is None:
-                    previous = Relation.empty(current.columns)
-                added = current.rows - previous.rows
-                removed = previous.rows - current.rows
-                deltas[name] = RelationDelta(
-                    added=Relation._from_trusted(current.columns,
-                                                 frozenset(added)),
-                    removed=Relation._from_trusted(previous.columns,
-                                                   frozenset(removed)))
-            self._deltas = deltas
-        return self._deltas
 
     # -- Derived-artifact memo ---------------------------------------------
 

@@ -13,7 +13,7 @@ estimates against.
 
 The renderer is deliberately dumb: it only reads
 :class:`~repro.obs.tracing.SpanRecord` data, so anything that shows up
-in a trace (maintenance decisions, commits, service requests) renders
+in a trace (commits, service requests) renders
 the same way, and tests can assert on the structured report rather than
 on screen-scraped text.
 """
@@ -41,8 +41,6 @@ FIXPOINT = "fixpoint"
 ITERATION = "fixpoint.iteration"
 LOCAL_LOOP = "fixpoint.local_loop"
 COMMIT = "session.commit"
-MAINTENANCE = "maintenance.pass"
-MAINTENANCE_ENTRY = "maintenance.entry"
 SERVICE_REQUEST = "service.request"
 HTTP_REQUEST = "http.request"
 

@@ -1,12 +1,10 @@
 """One metrics registry for the whole pipeline.
 
-Before this module the system's telemetry was three disjoint islands —
-:class:`~repro.service.metrics.ServiceMetrics` (serving counters),
+Before this module the system's telemetry was disjoint islands —
+:class:`~repro.service.metrics.ServiceMetrics` (serving counters) and
 :class:`~repro.distributed.cluster.ClusterMetrics` (per-execution
-communication counters) and
-:class:`~repro.service.view_maintenance.MaintenanceStats` (per-commit
-decisions) — each with its own ``summary()`` and no shared read surface.
-They all still exist (their shapes are load-bearing for benchmarks and
+communication counters) — each with its own ``summary()`` and no shared
+read surface.  Both still exist (their shapes are load-bearing for benchmarks and
 tests), but they now additionally *publish* into a
 :class:`MetricsRegistry` of named instruments:
 

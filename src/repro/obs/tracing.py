@@ -1,8 +1,8 @@
 """Low-overhead hierarchical tracing for the query pipeline.
 
 One query through the session is a *trip*: parse, translate, plan,
-execute, fixpoint loops, per-iteration deltas, cache lookups, commits and
-maintenance decisions.  This module records that trip as a tree of
+execute, fixpoint loops, per-iteration deltas, cache lookups and
+commits.  This module records that trip as a tree of
 **spans** — named, timed intervals with attributes — so the operator of a
 long-running service (and :meth:`Query.explain_analyze`) can see where a
 query's time went and what each stage observed.

@@ -10,9 +10,6 @@ session's shared staged pipeline:
   prepared queries),
 * :mod:`repro.service.result_cache` — memoizes whole query results keyed
   by the snapshot fingerprint of their inputs (no eager purges),
-* :mod:`repro.service.view_maintenance` — incrementally maintains cached
-  recursive results across commits (semi-naive resume for insertions;
-  removals and oversized deltas fall back to recomputation),
 * :mod:`repro.service.server` — admission control, scheduling, timeouts
   and the mutation pass-through,
 * :mod:`repro.service.metrics` — throughput, latency percentiles and
@@ -28,8 +25,6 @@ from .plan_cache import CachedPlan, PlanCache, PlanKey
 from .result_cache import ResultCache, ResultKey
 from .server import (DEFAULT_MAX_IN_FLIGHT, DEFAULT_QUEUE_CAPACITY, FAILED,
                      OK, REJECTED, UNBOUNDED, QueryService, ServedResult)
-from .view_maintenance import (MaintenanceDecision, MaintenanceStats,
-                               ViewMaintainer)
 
 __all__ = [
     "CacheStats",
@@ -39,8 +34,6 @@ __all__ = [
     "FAILED",
     "LRUCache",
     "MISS",
-    "MaintenanceDecision",
-    "MaintenanceStats",
     "MetricsSnapshot",
     "OK",
     "PlanCache",
@@ -52,6 +45,5 @@ __all__ = [
     "ServedResult",
     "ServiceMetrics",
     "UNBOUNDED",
-    "ViewMaintainer",
     "percentile",
 ]

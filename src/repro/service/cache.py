@@ -30,9 +30,9 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Entries dropped by an explicit ``clear()`` (there is no other
-    #: invalidation left: keys are snapshot-qualified, so stale entries
-    #: miss naturally and leave through LRU eviction).
+    #: Entries dropped by ``discard()`` or ``clear()`` rather than by LRU
+    #: eviction (keys are snapshot-qualified, so stale entries miss
+    #: naturally; the result cache's retention rule discards them).
     invalidations: int = 0
 
     @property
@@ -93,17 +93,6 @@ class LRUCache:
                 self._stats.evictions += 1
             self._entries[key] = value
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Return the cached value without touching LRU order or counters.
-
-        Maintenance-style scans use this so observing the cache does not
-        distort its recency ordering or its hit-rate statistics.
-        """
-        with self._lock:
-            if key in self._entries:
-                return self._entries[key]
-            return default
-
     def discard(self, key: Hashable) -> None:
         """Drop one entry if present (counted as an invalidation)."""
         with self._lock:
@@ -124,7 +113,7 @@ class LRUCache:
             return key in self._entries
 
     def keys(self) -> list[Hashable]:
-        """Snapshot of the keys, LRU first (mostly for tests/debugging)."""
+        """Snapshot of the keys, LRU first (an independent copy)."""
         with self._lock:
             return list(self._entries)
 

@@ -14,8 +14,9 @@ to — is **part of the key**, not a validity check on the entry:
 * a query against the new head uses the new fingerprint and simply
   misses, re-executes and stores a fresh entry alongside the old one,
 * entries of superseded snapshots are never looked up again by head
-  readers; the view maintainer drops each one at the second commit that
-  touches its inputs (:meth:`discard`), and the LRU evicts the rest.
+  readers; after each commit :meth:`retain_after_commit` keeps only the
+  entries current at the old head or the new one, so a reader pinned one
+  commit back still hits and nothing older is kept.
 
 Lookups and stores are plain (thread-safe) LRU operations with no
 version re-validation, which is what lets the serving layer take the
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING
 from .cache import CacheStats, LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
+    from ..data.snapshot import DatabaseSnapshot
     from ..session.session import QueryResult
 
 #: Default number of memoized results kept.
@@ -53,8 +55,7 @@ class ResultKey:
     #: same relation names at the same versions (e.g. both freshly
     #: attached at version 0) would otherwise produce identical keys, and
     #: any deployment sharing one cache across graphs (a single memory
-    #: budget, or the maintenance layer promoting entries) would serve
-    #: graph A's rows to a query on graph B.
+    #: budget) would serve graph A's rows to a query on graph B.
     graph: str = ""
 
 
@@ -76,34 +77,24 @@ class ResultCache:
         """Memoize ``result`` under its snapshot-qualified key."""
         self._cache.put(key, result)
 
-    def promote(self, old_key: ResultKey, new_key: ResultKey,
-                maintained_result: "QueryResult") -> None:
-        """Re-register a maintained entry under its successor fingerprint.
+    def retain_after_commit(self, old_head: "DatabaseSnapshot",
+                            new_head: "DatabaseSnapshot") -> None:
+        """Apply the retention rule after a commit swapped ``old_head`` out.
 
-        The view-maintenance layer calls this after a commit: the entry
-        under ``old_key`` (the pre-commit fingerprint) was incrementally
-        updated to ``maintained_result``, which now answers lookups under
-        ``new_key`` (the successor snapshot's fingerprint).  The old
-        entry is deliberately left in place — readers pinned to the
-        superseded snapshot keep hitting it until the next commit that
-        touches its inputs drops it.
+        An entry of the committed graph survives only if its fingerprint
+        equals its inputs' fingerprint at ``old_head`` or at ``new_head``:
+        head readers and readers pinned one commit back keep hitting, and
+        no older version of a result outlives the commit.  One comparison
+        per entry; nothing is recomputed.
         """
-        if old_key.plan_key != new_key.plan_key:
-            raise ValueError(
-                "promote() must keep the plan identity: "
-                f"{old_key.plan_key!r} != {new_key.plan_key!r}")
-        self._cache.put(new_key, maintained_result)
-
-    def entries(self) -> list[tuple[ResultKey, "QueryResult"]]:
-        """Snapshot of ``(key, result)`` pairs, least recently used first.
-
-        Used by the maintenance layer to find the entries a commit made
-        stale; the list is an independent copy, so iterating it races
-        with nothing.
-        """
-        cache = self._cache
-        return [(key, value) for key in cache.keys()
-                if (value := cache.peek(key)) is not None]
+        graph = new_head.graph_name
+        for key in self._cache.keys():
+            if key.graph != graph:
+                continue
+            names = [name for name, _ in key.fingerprint]
+            if key.fingerprint not in (old_head.fingerprint(names),
+                                       new_head.fingerprint(names)):
+                self._cache.discard(key)
 
     def discard(self, key: ResultKey) -> None:
         self._cache.discard(key)

@@ -290,9 +290,8 @@ class QueryService:
         """Operational health of the service (the future ``/health`` body).
 
         Reports admission-queue depth and capacity, how many requests the
-        workers are serving right now, the last committed snapshot
-        version of every attached graph, and the view-maintenance
-        backlog (queued async passes).  Cheap enough to poll: every
+        workers are serving right now and the last committed snapshot
+        version of every attached graph.  Cheap enough to poll: every
         field is a counter or a dictionary lookup — no locks that
         queries contend on.
         """
@@ -315,7 +314,6 @@ class QueryService:
             "in_flight": in_flight,
             "workers": len(self._workers),
             "last_commit_version": versions,
-            "maintenance_backlog": session.maintenance_backlog(),
         }
 
     # -- Mutations ------------------------------------------------------------

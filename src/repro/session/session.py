@@ -83,7 +83,6 @@ from ..service.plan_cache import (DEFAULT_PLAN_CACHE_SIZE, CachedPlan,
                                   PlanCache, PlanKey)
 from ..service.result_cache import (DEFAULT_RESULT_CACHE_SIZE, ResultCache,
                                     ResultKey)
-from ..service.view_maintenance import MaintenanceStats, ViewMaintainer
 from .builder import PathBuilder
 from .prepared import PreparedQuery
 from .query import DatalogQuery, Query
@@ -273,11 +272,13 @@ class Session:
                  result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
                  enable_plan_cache: bool = True,
                  enable_result_cache: bool = True,
-                 view_maintenance: str = "sync"):
-        if view_maintenance not in ("sync", "async", "off"):
-            raise DatasetError(
-                f"view_maintenance must be 'sync', 'async' or 'off', "
-                f"got {view_maintenance!r}")
+                 view_maintenance: str = "off"):
+        # Compatibility shim: commits invalidate and nothing maintains, so
+        # "off" is the keyword's only value.  ROADMAP item 1(c)'s
+        # benchmark change retires it with the harness calls that pass it.
+        if view_maintenance != "off":
+            raise ValueError(
+                f"view_maintenance must be 'off', got {view_maintenance!r}")
         self.cluster = SparkCluster(num_workers=num_workers, executor=executor)
         self.optimize_plans = optimize
         self.strategy = strategy
@@ -287,14 +288,6 @@ class Session:
         self.enable_result_cache = enable_result_cache
         self._plan_cache_size = plan_cache_size
         self._result_cache_size = result_cache_size
-        #: How cached results are maintained across commits: "sync" runs
-        #: the :class:`~repro.service.view_maintenance.ViewMaintainer`
-        #: under the commit lock (callers observe maintained entries as
-        #: soon as the commit returns), "async" runs it on the background
-        #: worker, "off" restores the stale-until-recomputed behaviour.
-        self.view_maintenance = view_maintenance
-        self.view_maintainer = ViewMaintainer()
-        self._last_maintenance: MaintenanceStats | None = None
         #: Serializes physical cluster executions: the cluster's executor
         #: backend and metrics are single-caller by design.  The plan
         #: phase, result-cache hits and mutations all run outside it.
@@ -881,8 +874,9 @@ class Session:
         ``-label`` and the ``facts`` triple table (when the graph has
         them) are kept consistent, and the successor carries refreshed
         statistics for the touched relations — then atomically swaps the
-        graph's head.  In-flight readers keep their pinned snapshots;
-        nothing is purged (keys name what they were computed from).  Adding
+        graph's head.  In-flight readers keep their pinned snapshots; the
+        result cache keeps the entries current at the old or the new head
+        (:meth:`ResultCache.retain_after_commit`) and drops the rest.  Adding
         only already-present pairs (or an empty iterable) is a **no-op**: no
         snapshot is created and no version is bumped.  Returns the names
         of the touched relations (empty for a no-op).
@@ -962,73 +956,20 @@ class Session:
                 log_event(_LOGGER, "commit",
                           graph=state.name, version=successor.version,
                           relations=sorted(changes))
-                # Maintain cached recursive results across the swap (still
-                # under the commit lock in "sync" mode, so the next writer
-                # sees a settled cache and readers of the new head can hit
-                # maintained entries immediately).
-                self._maintain_after_commit(state, head, successor)
+                # Under the commit lock, so the next writer sees a settled
+                # cache.  The session-level ``enable_result_cache`` flag is
+                # not consulted: the serving layer opts in per call.
+                state.result_cache.retain_after_commit(head, successor)
             return tuple(changes)
 
-    def _maintain_after_commit(self, state: GraphState,
-                               old_head: DatabaseSnapshot,
-                               new_head: DatabaseSnapshot) -> None:
-        """Run (or schedule) view maintenance for one committed mutation.
-
-        Dispatches on the root session's :attr:`view_maintenance` mode;
-        an empty result cache costs nothing — commits on a cold graph
-        stay pure dictionary work.
-        """
-        root = self._root
-        if root.view_maintenance == "off":
-            return
-        # An empty cache makes the pass free, so the only gate needed is
-        # the mode switch — note the session-level ``enable_result_cache``
-        # flag is *not* consulted: the serving layer disables the session
-        # flag and opts in per call, yet its cached entries still want
-        # maintaining.
-        cache = state.result_cache
-        if len(cache) == 0:
-            return
-        maintainer = root.view_maintainer
-        graph = state.name
-
-        def run() -> MaintenanceStats:
-            with tracing.span("maintenance.pass", graph=graph,
-                              mode=root.view_maintenance) as pass_span:
-                stats = maintainer.maintain_commit(cache, old_head, new_head)
-                if pass_span.enabled:
-                    pass_span.set_attribute("examined", stats.examined)
-                    pass_span.set_attribute("resumed", stats.resumed)
-            root._last_maintenance = stats
-            return stats
-
-        if root.view_maintenance == "async":
-            root.submit_action(run)
-        else:
-            run()
-
     @property
-    def last_maintenance(self) -> "MaintenanceStats | None":
-        """Decision log of the most recent maintenance pass (or ``None``).
+    def last_maintenance(self) -> None:
+        """Always ``None``: commits maintain nothing.
 
-        Diagnostics only — benchmarks and tests use it to assert which
-        maintenance path (resume, fallback, skip) a commit exercised.
+        Compatibility shim for callers that read the old decision log;
+        ROADMAP item 1(c)'s benchmark change retires it.
         """
-        return self._root._last_maintenance
-
-    def maintenance_backlog(self) -> int:
-        """Background actions still queued on the session's worker.
-
-        In ``async`` view-maintenance mode each commit queues one
-        maintenance pass here; the service's health surface reports the
-        depth so an operator can see maintenance falling behind writes.
-        """
-        root = self._root
-        with root._background_lock:
-            if root._background is None:
-                return 0
-            work_queue = getattr(root._background, "_work_queue", None)
-            return work_queue.qsize() if work_queue is not None else 0
+        return None
 
     @staticmethod
     def _plan_mutation(database: Mapping[str, Relation], label: str,

@@ -15,12 +15,11 @@ from contextlib import nullcontext
 import pytest
 
 import repro.algebra.fixpoint as fixpoint_module
-from repro import Session
 from repro.algebra import (Evaluator, RelVar, closure, closure_from_seed,
                            decompose, filter_source, naive_fixpoint,
                            run_fixpoint)
 from repro.algebra.kernels import KernelProgramCache
-from repro.data import LabeledGraph, Relation, ValueDictionary, row_mode
+from repro.data import Relation, ValueDictionary, row_mode
 from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
                                make_plan)
 from repro.errors import EvaluationError
@@ -142,23 +141,6 @@ def test_postgres_local_loops_trace_iterations_on_the_row_engine(
     spans = iteration_spans(tracer)
     assert len(spans) == 13  # == local_iterations below
     assert {attributes["engine"] for attributes in spans} == {"row"}
-
-
-def test_sync_insert_resume_traces_its_iterations():
-    """The maintenance loop used to emit no iteration spans."""
-    graph = LabeledGraph(name="resume-trace")
-    graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(30)])
-    tracer = Tracer(enabled=True)
-    with Session(graph, num_workers=2) as session:
-        session.ucrpq("?x,?y <- ?x knows+ ?y").collect()
-        with tracing.activate(tracer):
-            session.add_edges("knows", [("z0", "n0"), ("n30", "z1")])
-        assert session.last_maintenance.resumed == 1
-    records = tracer.records()
-    entry = next(r for r in records if r.name == "maintenance.entry")
-    spans = [r for r in records if r.name == "fixpoint.iteration"]
-    assert spans and all(r.parent_id == entry.span_id for r in spans)
-    assert {dict(r.attributes)["engine"] for r in spans} == {"row"}
 
 
 #: ClusterMetrics of the closure of E on the paper database (4 workers,

@@ -15,7 +15,6 @@ trustworthy:
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import nullcontext
 
 import pytest
@@ -112,26 +111,6 @@ class TestExecutorBackends:
 
 
 class TestBackgroundWorker:
-    def test_async_view_maintenance_joins_the_committing_trace(self):
-        tracer = Tracer(enabled=True)
-        with Session(_chain_graph(), num_workers=2,
-                     view_maintenance="async") as session:
-            session.ucrpq(TC_QUERY).collect()  # a cache entry to maintain
-            with tracing.activate(tracer):
-                with tracing.span("test.commit") as commit_root:
-                    session.add_edges("knows", [("n10", "n11")])
-                    deadline = time.time() + 5.0
-                    while (session.last_maintenance is None
-                           and time.time() < deadline):
-                        time.sleep(0.01)
-        assert session.last_maintenance is not None, \
-            "async maintenance never ran"
-        passes = [record for record in tracer.records()
-                  if record.name == "maintenance.pass"]
-        assert len(passes) == 1
-        assert passes[0].trace_id == commit_root.trace_id
-        assert passes[0].attribute("mode") == "async"
-
     def test_submitted_actions_inherit_the_submitting_context(self):
         tracer = Tracer(enabled=True)
 

@@ -31,19 +31,3 @@ def test_default_is_returned_on_miss():
     cache = LRUCache(capacity=2)
     assert cache.get("nope") is None
     assert cache.get("nope", default="fallback") == "fallback"
-
-
-def test_peek_does_not_disturb_lru_order_or_counters():
-    cache = LRUCache(capacity=2)
-    cache.put("old", 1)
-    cache.put("new", 2)
-    before = cache.stats
-    # A get() would refresh "old"; peek must not, so "old" is still the
-    # eviction victim when a third entry arrives.
-    assert cache.peek("old") == 1
-    assert cache.peek("absent", default=MISS) is MISS
-    cache.put("third", 3)
-    assert "old" not in cache
-    assert "new" in cache and "third" in cache
-    after = cache.stats
-    assert (after.hits, after.misses) == (before.hits, before.misses)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro import Session
 from repro.algebra.variables import free_variables
+from repro.data.graph import LabeledGraph
 from repro.query.parser import parse_query
 from repro.rewriter.normalize import cache_key
 from repro.service import ResultCache, ResultKey
@@ -142,3 +143,59 @@ def test_superseded_entries_age_out_of_the_lru(small_labeled_graph):
     assert len(cache) == 2
     assert cache.lookup(first_key) is None
     assert cache.stats.evictions == 1
+
+
+# -- The retention rule a commit applies ------------------------------------
+
+KNOWS = "?x,?y <- ?x knows+ ?y"
+
+
+def test_reader_pinned_one_commit_back_is_a_pure_hit(small_labeled_graph):
+    with Session(small_labeled_graph, num_workers=2) as session:
+        before = session.ucrpq(KNOWS).collect()
+        old_view = session.read_view()
+        session.add_edges("knows", [("dave", "erin")])
+        reader = old_view.ucrpq(KNOWS)
+        assert reader.collect().relation == before.relation
+        assert reader.last_plan_cache_hit is True
+        assert reader.last_result_cache_hit is True
+        # Two commits back the entry is gone: the reader recomputes the
+        # same rows through the normal miss path.
+        session.add_edges("knows", [("erin", "frank")])
+        older = old_view.ucrpq(KNOWS)
+        assert older.collect().relation == before.relation
+        assert older.last_result_cache_hit is False
+
+
+def test_commits_keep_at_most_two_versions_of_a_query(small_labeled_graph):
+    """Every commit to a cached query's input, each followed by a read,
+    leaves that query's entries at the old and the new head only."""
+    touched = [KNOWS, "?x,?y <- ?x knows+/worksAt ?y"]
+    untouched = "?x,?y <- ?x isLocatedIn+ ?y"
+    with Session(small_labeled_graph, num_workers=2) as session:
+        for query in touched + [untouched]:
+            session.ucrpq(query).collect()
+        for k in range(1, 21):
+            session.add_edges("knows", [(f"c{k}", f"d{k}")])
+            for query in touched:
+                session.ucrpq(query).collect()
+            assert len(session.result_cache) == 2 * len(touched) + 1, k
+
+
+def test_commit_drops_nothing_outside_its_inputs_and_graph(
+        small_labeled_graph):
+    """Commits to an unrelated relation, or to another graph sharing the
+    cache, leave every other entry hitting."""
+    other = LabeledGraph(name="other")
+    other.add_edges([("x1", "knows", "x2"), ("x2", "knows", "x3")])
+    with Session(small_labeled_graph, num_workers=2) as session:
+        session.attach("other", other)
+        view = session.graph("other")
+        view.result_cache = session.result_cache
+        session.ucrpq(KNOWS).collect()
+        for k in range(3):
+            session.add_edges("worksAt", [(f"w{k}", "inria")])
+            view.add_edges("knows", [(f"x{k + 3}", f"x{k + 4}")])
+        fresh = session.ucrpq(KNOWS)
+        fresh.collect()
+        assert fresh.last_result_cache_hit is True

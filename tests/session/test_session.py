@@ -49,48 +49,29 @@ class TestSessionCaches:
         second.collect()
         assert second.last_result_cache_hit is True
 
-    def test_mutation_maintains_caches_instead_of_purging(self, session):
-        """Keys are snapshot-qualified and commits *maintain* cached
-        recursive results: the old entry survives for pinned readers and
-        a maintained twin appears under the successor fingerprint, so a
-        fresh handle hits without re-running the fixpoint."""
+    def test_commit_invalidates_what_it_touched(self, session):
+        """A commit maintains nothing: the head read after an add misses
+        and recomputes through the normal path, and a removal restores
+        the earlier rows."""
         text = "?x,?y <- ?x knows+ ?y"
         before = session.ucrpq(text).collect()
-        assert len(session.plan_cache) == 1
-        assert len(session.result_cache) == 1
-        old_view = session.read_view()  # pinned to the pre-commit head
         session.add_edges("knows", [("dave", "erin")])
-        # No eager purge — and the insert-only commit resumed the cached
-        # fixpoint, promoting a second entry keyed to the new head.
-        assert len(session.plan_cache) == 1
-        assert len(session.result_cache) == 2
-        stats = session.last_maintenance
-        assert stats is not None and stats.resumed == 1
-        fresh = session.ucrpq(text)
-        assert ("alice", "erin") in fresh.collect().relation.to_pairs("x", "y")
-        assert fresh.last_result_cache_hit is True
-        # A reader pinned to the superseded snapshot is a pure cache hit.
-        old_reader = old_view.ucrpq(text)
-        assert old_reader.collect().relation == before.relation
-        assert old_reader.last_plan_cache_hit is True
-        assert old_reader.last_result_cache_hit is True
+        added = session.ucrpq(text)
+        assert ("alice", "erin") in added.collect().relation.to_pairs("x", "y")
+        assert added.last_result_cache_hit is False
+        session.remove_edges("knows", [("dave", "erin")])
+        removed = session.ucrpq(text)
+        assert removed.collect().relation == before.relation
+        assert removed.last_result_cache_hit is False
 
-    def test_maintenance_off_restores_stale_miss_contract(
-            self, small_labeled_graph):
-        """With maintenance off, the pre-maintenance behaviour holds:
-        the commit leaves the cache verbatim and a fresh handle misses
-        (then recomputes correctly through the normal path)."""
+    def test_view_maintenance_accepts_only_off(self, small_labeled_graph):
+        """The keyword is a one-value compatibility shim."""
         with Session(small_labeled_graph, num_workers=2,
                      view_maintenance="off") as session:
-            text = "?x,?y <- ?x knows+ ?y"
-            session.ucrpq(text).collect()
-            session.add_edges("knows", [("dave", "erin")])
-            assert len(session.result_cache) == 1
             assert session.last_maintenance is None
-            fresh = session.ucrpq(text)
-            pairs = fresh.collect().relation.to_pairs("x", "y")
-            assert ("alice", "erin") in pairs
-            assert fresh.last_result_cache_hit is False
+        for mode in ("sync", "async"):
+            with pytest.raises(ValueError):
+                Session(small_labeled_graph, view_maintenance=mode)
 
     def test_caches_can_be_disabled_per_session(self, small_labeled_graph):
         with Session(small_labeled_graph, num_workers=2,

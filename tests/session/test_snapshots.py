@@ -97,43 +97,6 @@ class TestSnapshotType:
         assert new.catalog.get("livesIn") is old.catalog.get("livesIn")
 
 
-class TestCommitDeltas:
-    def test_deltas_report_added_and_removed_rows(self, session):
-        session.add_edges("knows", [("dave", "erin")])
-        successor = session.snapshot()
-        assert "knows" in successor.touched
-        delta = successor.deltas()["knows"]
-        assert set(delta.added.rows) == {("dave", "erin")}
-        assert not delta.removed
-        assert delta.size == 1 and bool(delta)
-        session.remove_edges("knows", [("alice", "bob")])
-        removal = session.snapshot().deltas()["knows"]
-        assert set(removal.removed.rows) == {("alice", "bob")}
-        assert not removal.added
-
-    def test_version_zero_roots_have_no_deltas(self, session):
-        root = session.snapshot()
-        assert root.touched == ()
-        assert dict(root.deltas()) == {}
-
-    def test_relabeled_snapshots_start_a_fresh_lineage(self, session):
-        session.add_edges("knows", [("dave", "erin")])
-        twin = session.snapshot().relabeled("twin")
-        assert twin.touched == ()
-        assert dict(twin.deltas()) == {}
-
-    def test_deltas_are_memoized(self, session):
-        session.add_edges("knows", [("dave", "erin")])
-        successor = session.snapshot()
-        assert successor.deltas() is successor.deltas()
-
-    def test_new_relation_delta_is_all_added(self, session):
-        session.add_edges("mentors", [("alice", "bob")])
-        delta = session.snapshot().deltas()["mentors"]
-        assert set(delta.added.rows) == {("alice", "bob")}
-        assert not delta.removed
-
-
 class TestDerivedMemo:
     def test_none_artifacts_are_computed_once(self, session):
         """Regression: ``derived()`` used ``None`` as its miss marker,
