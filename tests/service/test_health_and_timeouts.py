@@ -70,6 +70,16 @@ class TestHealthFields:
                 future.result(timeout=30)
             assert service.health()["queue_high_water"] >= 1
 
+    def test_health_reports_exactly_its_documented_fields(self, session):
+        """Commits run no background work, so there is no backlog field."""
+        with QueryService(session) as service:
+            service.add_edges("knows", [("dave", "erin")])
+            health = service.health()
+        assert set(health) == {
+            "status", "uptime_seconds", "queue_depth", "queue_capacity",
+            "queue_high_water", "in_flight", "workers",
+            "last_commit_version"}
+
     def test_health_publishes_prometheus_gauges(self, session):
         from repro.obs.metrics import get_registry
         with QueryService(session) as service:

@@ -1,5 +1,5 @@
 """LRU cache mechanics that the key-level tests don't cover: falsy
-values vs misses, the public MISS sentinel and order-preserving peeks."""
+values vs misses, the public MISS sentinel and explicit discards."""
 
 from __future__ import annotations
 
@@ -31,3 +31,27 @@ def test_default_is_returned_on_miss():
     cache = LRUCache(capacity=2)
     assert cache.get("nope") is None
     assert cache.get("nope", default="fallback") == "fallback"
+
+
+def test_discard_counts_an_invalidation_not_an_eviction():
+    cache = LRUCache(capacity=4)
+    cache.put("a", 1)
+    cache.discard("a")
+    cache.discard("absent")  # not present: nothing to count
+    assert "a" not in cache
+    stats = cache.stats
+    assert stats.invalidations == 1 and stats.evictions == 0
+
+
+def test_keys_is_a_copy_safe_to_discard_while_iterating():
+    """The result cache's retention rule discards while walking keys()."""
+    cache = LRUCache(capacity=8)
+    for key in "abcd":
+        cache.put(key, key)
+    cache.get("a")  # now most recently used
+    keys = cache.keys()
+    assert keys == ["b", "c", "d", "a"]
+    for key in keys:
+        if key != "c":
+            cache.discard(key)
+    assert cache.keys() == ["c"] and keys == ["b", "c", "d", "a"]

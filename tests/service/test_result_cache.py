@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 from repro import Session
+from repro.algebra.terms import (AntiProject, Antijoin, Fixpoint, Join,
+                                 Rename, RelVar, Union)
 from repro.algebra.variables import free_variables
+from repro.data import Relation, row_mode
 from repro.data.graph import LabeledGraph
+from repro.data.snapshot import DatabaseSnapshot
 from repro.query.parser import parse_query
 from repro.rewriter.normalize import cache_key
 from repro.service import ResultCache, ResultKey
@@ -182,10 +190,20 @@ def test_commits_keep_at_most_two_versions_of_a_query(small_labeled_graph):
             assert len(session.result_cache) == 2 * len(touched) + 1, k
 
 
-def test_commit_drops_nothing_outside_its_inputs_and_graph(
-        small_labeled_graph):
-    """Commits to an unrelated relation, or to another graph sharing the
-    cache, leave every other entry hitting."""
+def test_commit_to_an_unrelated_relation_drops_nothing(small_labeled_graph):
+    """A commit that does not touch an entry's inputs leaves it hitting."""
+    with Session(small_labeled_graph, num_workers=2) as session:
+        session.ucrpq(KNOWS).collect()
+        for k in range(3):
+            session.add_edges("worksAt", [(f"w{k}", "inria")])
+        fresh = session.ucrpq(KNOWS)
+        fresh.collect()
+        assert fresh.last_result_cache_hit is True
+
+
+def test_commit_to_another_graph_drops_nothing(small_labeled_graph):
+    """Commits on one graph leave another graph's entries hitting, even
+    when both graphs share one result cache and the same relation names."""
     other = LabeledGraph(name="other")
     other.add_edges([("x1", "knows", "x2"), ("x2", "knows", "x3")])
     with Session(small_labeled_graph, num_workers=2) as session:
@@ -194,8 +212,263 @@ def test_commit_drops_nothing_outside_its_inputs_and_graph(
         view.result_cache = session.result_cache
         session.ucrpq(KNOWS).collect()
         for k in range(3):
-            session.add_edges("worksAt", [(f"w{k}", "inria")])
             view.add_edges("knows", [(f"x{k + 3}", f"x{k + 4}")])
         fresh = session.ucrpq(KNOWS)
         fresh.collect()
         assert fresh.last_result_cache_hit is True
+
+
+# -- The retention rule on hand-built snapshots ------------------------------
+
+def edges(*pairs):
+    return Relation.from_pairs(pairs, columns=("src", "trg"))
+
+
+def snapshot_key(snapshot, names, plan="p"):
+    return ResultKey(plan_key=plan, strategy="s", num_workers=1,
+                     memory_per_task=0,
+                     fingerprint=snapshot.fingerprint(names),
+                     graph=snapshot.graph_name)
+
+
+def commit_chain(graph_name="g"):
+    """Three successive versions of one graph, each changing ``knows``."""
+    v0 = DatabaseSnapshot({"knows": edges(("a", "b")),
+                           "livesIn": edges(("a", "x"))},
+                          graph_name=graph_name)
+    v1 = v0.mutate({"knows": edges(("a", "b"), ("b", "c"))})
+    v2 = v1.mutate({"knows": edges(("a", "b"), ("b", "c"), ("c", "d"))})
+    return v0, v1, v2
+
+
+def test_retention_keeps_entries_current_at_either_head():
+    _, v1, v2 = commit_chain()
+    cache = ResultCache(capacity=8)
+    old, new = snapshot_key(v1, ["knows"]), snapshot_key(v2, ["knows"])
+    cache.store(old, "rows@v1")
+    cache.store(new, "rows@v2")
+    cache.retain_after_commit(v1, v2)
+    assert cache.lookup(old) == "rows@v1"
+    assert cache.lookup(new) == "rows@v2"
+    assert cache.stats.invalidations == 0
+
+
+def test_retention_drops_entries_older_than_the_old_head():
+    v0, v1, v2 = commit_chain()
+    cache = ResultCache(capacity=8)
+    stale = snapshot_key(v0, ["knows"])
+    cache.store(stale, "rows@v0")
+    cache.retain_after_commit(v0, v1)
+    assert len(cache) == 1  # current at the old head: kept
+    cache.retain_after_commit(v1, v2)
+    assert len(cache) == 0
+    assert cache.lookup(stale) is None
+    # Dropped by the rule, not pushed out by LRU pressure.
+    assert cache.stats.invalidations == 1 and cache.stats.evictions == 0
+
+
+def test_retention_keeps_entries_that_do_not_read_the_commit():
+    v0, v1, v2 = commit_chain()
+    cache = ResultCache(capacity=8)
+    lives = snapshot_key(v0, ["livesIn"])
+    cache.store(lives, "lives@v0")
+    cache.retain_after_commit(v0, v1)
+    cache.retain_after_commit(v1, v2)
+    assert cache.lookup(lives) == "lives@v0"
+    assert snapshot_key(v2, ["livesIn"]) == lives
+
+
+def test_retention_leaves_other_graphs_alone():
+    v0, _, _ = commit_chain("g")
+    w0, w1, w2 = commit_chain("h")
+    cache = ResultCache(capacity=8)
+    mine = snapshot_key(v0, ["knows"])
+    cache.store(mine, "g@v0")
+    # Two commits on graph "h" at the same relation names and versions
+    # graph "g" has been through: "g"'s entry is not even compared.
+    cache.retain_after_commit(w0, w1)
+    cache.retain_after_commit(w1, w2)
+    assert cache.lookup(mine) == "g@v0"
+
+
+def test_retention_of_an_entry_read_before_its_relation_existed():
+    """Unknown names fingerprint at version 0: the commit that creates
+    the relation leaves the entry to old-head readers, and the head's key
+    no longer matches it."""
+    v0, _, _ = commit_chain()
+    v1 = v0.mutate({"mentors": edges(("a", "b"))})
+    cache = ResultCache(capacity=8)
+    before = snapshot_key(v0, ["mentors"])
+    cache.store(before, "empty")
+    cache.retain_after_commit(v0, v1)
+    assert cache.lookup(before) == "empty"
+    assert snapshot_key(v1, ["mentors"]) != before
+
+
+# -- Reads after a commit equal a cold recomputation -------------------------
+
+def chain_graph(length: int = 40, extra: int = 10) -> LabeledGraph:
+    """A knows-chain with some shortcut edges and an unrelated label."""
+    graph = LabeledGraph(name="chain")
+    triples = [(f"n{i}", "knows", f"n{i + 1}") for i in range(length)]
+    triples += [(f"n{i}", "knows", f"n{i + 5}")
+                for i in range(0, extra * 4, 4)]
+    triples += [("n0", "worksAt", "lab")]
+    graph.add_edges(triples)
+    return graph
+
+
+@pytest.fixture
+def chain():
+    with Session(chain_graph(), num_workers=2) as session:
+        yield session
+
+
+def recompute(session, plan_term):
+    """Cold evaluation of the cached plan's term on the current head."""
+    return session.execute_term(plan_term, optimize=False).relation
+
+
+def assert_head_read_recomputes(session, cached):
+    """The head read after a commit misses and equals a cold run."""
+    fresh = session.ucrpq(KNOWS)
+    result = fresh.collect()
+    assert fresh.last_result_cache_hit is False
+    assert result.relation == recompute(session, cached.selected_plan)
+    return result.relation
+
+
+def test_read_after_insert_equals_recomputation(chain):
+    cached = chain.ucrpq(KNOWS).collect()
+    chain.add_edges("knows", [("n3", "z1"), ("z1", "z2")])
+    relation = assert_head_read_recomputes(chain, cached)
+    assert ("n0", "z2") in relation.to_pairs("x", "y")
+
+
+def test_repeated_commits_keep_reads_correct(chain):
+    cached = chain.ucrpq(KNOWS).collect()
+    for i in range(3):
+        chain.add_edges("knows", [(f"a{i}", f"b{i}")])
+        assert_head_read_recomputes(chain, cached)
+    again = chain.ucrpq(KNOWS)
+    again.collect()
+    assert again.last_result_cache_hit is True
+
+
+def test_large_commit_is_read_through_the_miss_path(chain):
+    chain.ucrpq(KNOWS).collect()
+    chain.add_edges("knows", [(f"m{i}", f"m{i + 1}") for i in range(60)])
+    fresh = chain.ucrpq(KNOWS)
+    result = fresh.collect()
+    assert fresh.last_result_cache_hit is False
+    assert ("m0", "m60") in result.relation.to_pairs("x", "y")
+
+
+def test_read_after_removal_recomputes(chain):
+    cached = chain.ucrpq(KNOWS).collect()
+    chain.remove_edges("knows", [("n10", "n11")])
+    relation = assert_head_read_recomputes(chain, cached)
+    assert ("n10", "n11") not in relation.to_pairs("x", "y")
+
+
+def test_removed_shortcut_keeps_alternative_paths(chain):
+    chain.add_edges("knows", [("n10", "n13")])  # shortcut over the chain
+    cached = chain.ucrpq(KNOWS).collect()
+    chain.remove_edges("knows", [("n10", "n13")])
+    relation = assert_head_read_recomputes(chain, cached)
+    # Still derivable via n10 -> n11 -> n12 -> n13.
+    assert ("n10", "n13") in relation.to_pairs("x", "y")
+
+
+def test_mixed_insert_and_delete_in_one_transaction(chain):
+    cached = chain.ucrpq(KNOWS).collect()
+    with chain.transaction() as txn:
+        txn.add_edges("knows", [("n40", "w1"), ("w1", "w2")])
+        txn.remove_edges("knows", [("n0", "n1")])
+    relation = assert_head_read_recomputes(chain, cached)
+    pairs = relation.to_pairs("x", "y")
+    assert ("n39", "w2") in pairs and ("n0", "n1") not in pairs
+
+
+def test_entry_two_commits_behind_is_not_served(chain):
+    """The rule keeps one superseded version: after a second commit the
+    first entry is gone, and the head read sees both commits."""
+    chain.ucrpq(KNOWS).collect()
+    chain.add_edges("knows", [("s1", "s2")])
+    assert len(chain.result_cache) == 1  # current at the old head
+    chain.add_edges("knows", [("s2", "s3")])
+    assert len(chain.result_cache) == 0
+    fresh = chain.ucrpq(KNOWS)
+    result = fresh.collect()
+    assert fresh.last_result_cache_hit is False
+    assert ("s1", "s3") in result.relation.to_pairs("x", "y")
+
+
+def test_non_recursive_plans_follow_the_same_rule(chain):
+    text = "?x,?y <- ?x knows ?y"
+    before = chain.ucrpq(text).collect()
+    old_view = chain.read_view()
+    chain.add_edges("knows", [("q1", "q2")])
+    fresh = chain.ucrpq(text)
+    assert ("q1", "q2") in fresh.collect().relation.to_pairs("x", "y")
+    assert fresh.last_result_cache_hit is False
+    pinned = old_view.ucrpq(text)
+    assert pinned.collect().relation == before.relation
+    assert pinned.last_result_cache_hit is True
+
+
+def test_commit_to_an_antijoin_right_side_shrinks_the_next_read():
+    """Insertions into an antijoin's right side can shrink a fixpoint;
+    the head read recomputes and loses the newly blocked rows."""
+    graph = LabeledGraph(name="blocked")
+    graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(30)]
+                    + [("x", "blocked", "y")])
+    # mu(X = knows U (antiproj_mid(rho(X) join rho(knows)) |> blocked)):
+    # reachable pairs whose endpoints are not directly "blocked".
+    step = Rename("trg", "mid", RelVar("X"))
+    via = Rename("src", "mid", RelVar("knows"))
+    recurse = AntiProject(("mid",), Join(step, via))
+    term = Fixpoint("X", Union(RelVar("knows"),
+                               Antijoin(recurse, RelVar("blocked"))))
+    with Session(graph, num_workers=2, optimize=False) as session:
+        before = session.term(term).collect().relation
+        assert ("n0", "n2") in before.to_pairs("src", "trg")
+        session.add_edges("blocked", [("n0", "n2")])
+        fresh = session.term(term)
+        after = fresh.collect().relation
+        assert fresh.last_result_cache_hit is False
+        assert ("n0", "n2") not in after.to_pairs("src", "trg")
+        assert after == session.execute_term(term, optimize=False).relation
+
+
+@pytest.mark.parametrize("query", ["?x,?y <- ?x a+/b+ ?y",
+                                   "?x,?y <- ?x b+ ?y",
+                                   "?x,?y <- ?x (a|b)+ ?y"])
+def test_no_stale_rows_after_removing_a_random_edge(query):
+    """A row with one derivation through the removed edge and another
+    through rows only that edge kept alive must not survive the removal."""
+    rng = random.Random(20)
+    nodes = [f"v{i}" for i in range(6)]
+    stale = []
+    for trial in range(60):
+        triples = set()
+        while len(triples) < 12:
+            triples.add((rng.choice(nodes), rng.choice("ab"),
+                         rng.choice(nodes)))
+        triples = sorted(triples)
+        removed = rng.choice(triples)
+        graph = LabeledGraph(name="random")
+        graph.add_edges(triples)
+        remaining = LabeledGraph(name="remaining")
+        remaining.add_edges([t for t in triples if t != removed])
+        with Session(graph, num_workers=2) as session:
+            session.ucrpq(query).collect()
+            src, label, trg = removed
+            session.remove_edges(label, [(src, trg)])
+            served = session.ucrpq(query).collect().relation
+        with Session(remaining, num_workers=2,
+                     optimize=False) as oracle, row_mode():
+            expected = oracle.ucrpq(query).collect().relation
+        if served != expected:
+            stale.append((trial, removed))
+    assert stale == []

@@ -65,13 +65,44 @@ class TestSessionCaches:
         assert removed.last_result_cache_hit is False
 
     def test_view_maintenance_accepts_only_off(self, small_labeled_graph):
-        """The keyword is a one-value compatibility shim."""
+        """The keyword is a one-value compatibility shim, and commits log
+        no maintenance decisions."""
         with Session(small_labeled_graph, num_workers=2,
                      view_maintenance="off") as session:
+            session.ucrpq("?x,?y <- ?x knows+ ?y").collect()
+            session.add_edges("knows", [("dave", "erin")])
             assert session.last_maintenance is None
-        for mode in ("sync", "async"):
-            with pytest.raises(ValueError):
-                Session(small_labeled_graph, view_maintenance=mode)
+
+    @pytest.mark.parametrize("mode", ["sync", "async", "eager"])
+    def test_view_maintenance_rejects_every_other_mode(
+            self, small_labeled_graph, mode):
+        with pytest.raises(ValueError):
+            Session(small_labeled_graph, view_maintenance=mode)
+
+    def test_pinned_reader_one_transaction_back_hits(self, session):
+        """A transaction is one commit: the rule runs once, so a reader
+        pinned just before it still hits."""
+        text = "?x,?y <- ?x knows+ ?y"
+        before = session.ucrpq(text).collect()
+        old_view = session.read_view()
+        with session.transaction() as txn:
+            txn.add_edges("knows", [("dave", "erin")])
+            txn.add_edges("knows", [("erin", "frank")])
+            txn.remove_edges("knows", [("alice", "bob")])
+        reader = old_view.ucrpq(text)
+        assert reader.collect().relation == before.relation
+        assert reader.last_result_cache_hit is True
+
+    def test_rolled_back_transaction_drops_no_entry(self, session):
+        text = "?x,?y <- ?x knows+ ?y"
+        session.ucrpq(text).collect()
+        txn = session.transaction()
+        txn.add_edges("knows", [("dave", "erin")])
+        txn.rollback()
+        assert len(session.result_cache) == 1
+        again = session.ucrpq(text)
+        again.collect()
+        assert again.last_result_cache_hit is True
 
     def test_caches_can_be_disabled_per_session(self, small_labeled_graph):
         with Session(small_labeled_graph, num_workers=2,

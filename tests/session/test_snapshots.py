@@ -19,11 +19,13 @@ The acceptance contract of the snapshot redesign:
 
 from __future__ import annotations
 
+import gc
 import threading
+import types
 
 import pytest
 
-from repro import DatabaseSnapshot, LabeledGraph, Session
+from repro import DatabaseSnapshot, LabeledGraph, Relation, Session
 from repro.data import row_mode
 from repro.data.snapshot import operand_memo
 from repro.errors import DatasetError, SchemaError, TransactionError
@@ -95,6 +97,36 @@ class TestSnapshotType:
         assert old.catalog.get("knows").cardinality == before
         # Untouched statistics objects are shared (copy-on-write catalog).
         assert new.catalog.get("livesIn") is old.catalog.get("livesIn")
+
+
+    def test_successor_keeps_no_relation_it_replaced(self, session):
+        """A commit holds the new head only: the relations it replaced
+        stay reachable through older snapshots alone, so they are freed
+        once no reader pins those."""
+        old = session.snapshot()
+        replaced = [old["knows"], old["-knows"]]
+        session.remove_edges("knows", [("alice", "bob")])
+        reachable = _reachable_relations(session.snapshot())
+        assert old["livesIn"] in reachable  # untouched: shared
+        assert not any(relation in reachable for relation in replaced)
+
+
+def _reachable_relations(root) -> list:
+    """Every ``Relation`` reachable from ``root`` without passing through
+    another ``Relation``, a type, a module or a function."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Relation):
+            found.append(obj)
+            continue
+        if isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        stack.extend(gc.get_referents(obj))
+    return found
 
 
 class TestDerivedMemo:
