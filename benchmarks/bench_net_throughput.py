@@ -89,7 +89,7 @@ def trace(merged_database):
 @pytest.fixture(scope="module")
 def hot_server(merged_database, trace):
     """A served, cache-warmed service plus its HTTP front end."""
-    session = Session(merged_database, num_workers=4, executor="threads")
+    session = Session(merged_database, num_workers=4)
     service = QueryService(session, max_in_flight=NUM_CLIENTS,
                            queue_capacity=REQUESTS, own_engine=True)
     for text in sorted(set(trace)):  # warm the plan + result caches

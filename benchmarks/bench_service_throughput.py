@@ -126,7 +126,7 @@ def test_replay_matrix(figure_report, merged_database, trace, mode):
                           "service": service}
         service.close()
         return
-    engine = Session(merged_database, num_workers=4, executor="threads")
+    engine = Session(merged_database, num_workers=4)
     service = QueryService(engine, max_in_flight=NUM_CLIENTS,
                            queue_capacity=REQUESTS, own_engine=True,
                            enable_plan_cache=caching,
@@ -192,7 +192,7 @@ def test_prepared_query_plan_cache(figure_report, merged_database):
     substitutes its constant into the selected plan, so the rewriter and
     the cost ranking run exactly once for the whole batch.
     """
-    with Session(merged_database, num_workers=4, executor="threads") as session:
+    with Session(merged_database, num_workers=4) as session:
         explores = []
         original = session.rewriter.explore
         session.rewriter.explore = lambda *args, **kw: (

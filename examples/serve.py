@@ -79,7 +79,7 @@ def replay(port: int) -> None:
 
 
 def main() -> None:
-    session = Session(build_graph(), num_workers=4, executor="threads")
+    session = Session(build_graph(), num_workers=4)
     tiny = LabeledGraph(name="tiny")
     tiny.add_edge("a", "knows", "b")
     tiny.add_edge("b", "knows", "c")

@@ -33,7 +33,7 @@ def build_graph() -> LabeledGraph:
 
 
 def main() -> None:
-    session = Session(build_graph(), num_workers=4, executor="threads")
+    session = Session(build_graph(), num_workers=4)
 
     print("== 1. Lazy stages: nothing runs until you look ==")
     query = session.ucrpq("?x,?y <- ?x knows+ ?y")

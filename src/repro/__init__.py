@@ -24,7 +24,6 @@ from .data.tuples import Tup
 from .session import (Parameter, PathBuilder, PreparedQuery, Query,
                       QueryResult, Session, Transaction)
 from .distributed.cluster import SparkCluster
-from .distributed.executor import EXECUTOR_BACKENDS, PROCESSES, SERIAL, THREADS
 from .distributed.plans import PGLD, PPLW_POSTGRES, PPLW_SPARK
 from .errors import ReproError, ServiceError, ServiceOverloadError
 from .obs import (ExplainAnalyzeReport, MetricsRegistry, Tracer,
@@ -34,8 +33,8 @@ from .service import UNBOUNDED, QueryService, ServedResult, ServiceMetrics
 __version__ = "1.4.0"
 
 # The sanitizer CI job runs the whole suite under the runtime invariant
-# guards; activating from the environment here means worker threads and
-# subprocesses spawned anywhere in the library are covered too.
+# guards; activating from the environment here means worker threads
+# started anywhere in the library are covered too.
 import os as _os
 
 if _os.environ.get("REPRO_SANITIZE"):  # pragma: no cover - CI wiring
@@ -45,14 +44,12 @@ if _os.environ.get("REPRO_SANITIZE"):  # pragma: no cover - CI wiring
 
 __all__ = [
     "DatabaseSnapshot",
-    "EXECUTOR_BACKENDS",
     "ExplainAnalyzeReport",
     "LabeledGraph",
     "MetricsRegistry",
     "PGLD",
     "PPLW_POSTGRES",
     "PPLW_SPARK",
-    "PROCESSES",
     "Parameter",
     "PathBuilder",
     "PreparedQuery",
@@ -61,14 +58,12 @@ __all__ = [
     "QueryService",
     "Relation",
     "ReproError",
-    "SERIAL",
     "ServedResult",
     "ServiceError",
     "ServiceMetrics",
     "ServiceOverloadError",
     "Session",
     "SparkCluster",
-    "THREADS",
     "Tracer",
     "Transaction",
     "Tup",

@@ -64,21 +64,18 @@ class MeasuredRun:
 def run_distmura(graph: LabeledGraph, query: WorkloadQuery,
                  strategy: str | None = None, num_workers: int = 4,
                  optimize: bool = True, dataset: str | None = None,
-                 executor: str = "serial",
                  engine: Session | None = None) -> MeasuredRun:
     """Run one workload query with Dist-mu-RA.
 
-    ``executor`` selects the cluster's task backend (``serial``, ``threads``
-    or ``processes``); it is ignored when a prebuilt ``engine`` (any
-    :class:`Session`) is passed.  Every run goes through the lazy Session
-    pipeline with the plan/result caches forced off *per call* — even on a
-    prebuilt session whose caches are enabled — so measured times always
+    Every run goes through the lazy Session pipeline (a prebuilt
+    ``engine``, any :class:`Session`, or a fresh one) with the plan/result
+    caches forced off *per call* — even on a prebuilt session whose caches are enabled — so measured times always
     include the full parse + explore + rank + execute path.
     """
     dataset = dataset or graph.name
     owns_engine = engine is None
     engine = engine if engine is not None else Session(
-        graph, num_workers=num_workers, optimize=optimize, executor=executor,
+        graph, num_workers=num_workers, optimize=optimize,
         enable_plan_cache=False, enable_result_cache=False)
     started = time.perf_counter()
     try:
@@ -87,9 +84,9 @@ def run_distmura(graph: LabeledGraph, query: WorkloadQuery,
         # Reported time = wall clock of the simulation + the modelled network
         # delay of the shuffles/broadcasts the plan performed + the simulated
         # task-schedule adjustment (the cluster only accounts both, it never
-        # sleeps; the adjustment replaces the host's task timing by the
-        # cluster's parallel makespan — see SparkCluster.record_task_wave).
-        # Measured inside the try block so pool shutdown stays out of it.
+        # sleeps; the adjustment replaces the host's wave timing by the
+        # summed task seconds — see SparkCluster.record_task_wave).
+        # Measured inside the try block so session shutdown stays out of it.
         elapsed = max(time.perf_counter() - started
                       + engine.cluster.reported_time_adjustment, 1e-9)
     except ReproError as error:

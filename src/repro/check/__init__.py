@@ -8,7 +8,7 @@ Two halves:
   strict mode, ``POST /v1/analyze`` and the ``python -m repro.check``
   CLI.
 * :mod:`repro.check.sanitizer` — runtime invariant checking (lock
-  ordering, snapshot immutability, task picklability), enabled with
+  ordering, snapshot immutability), enabled with
   ``with sanitize():`` or process-wide via ``REPRO_SANITIZE=1``.
 
 The analyzer half is imported lazily (PEP 562): the sanitizer is pulled

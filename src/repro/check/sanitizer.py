@@ -1,4 +1,4 @@
-"""Runtime sanitizer: lock ordering, snapshot immutability, picklability.
+"""Runtime sanitizer: lock ordering and snapshot immutability.
 
 The static analyzer checks *programs*; this module checks the *runtime
 invariants* the architecture silently depends on:
@@ -14,9 +14,6 @@ invariants* the architecture silently depends on:
   while the sanitizer is active a guard is patched into
   ``Relation.__setattr__`` that poisons any post-freeze rebinding of
   the row/column storage (memoized caches stay writable).
-* **Task picklability** — the process executor backend silently degrades
-  to in-process execution for payloads that cannot cross a process
-  boundary; under the sanitizer that degradation is a violation.
 
 Activation is ContextVar-gated like :func:`repro.data.columnar.row_mode`
 — ``with sanitize():`` covers the current context only — plus a
@@ -38,7 +35,7 @@ from ..errors import SanitizerError
 
 __all__ = ["OrderedLock", "SanitizerState", "disable_sanitizer",
            "enable_sanitizer", "ordered_lock", "ordered_rlock",
-           "report_unpicklable_task", "sanitize", "sanitizer_enabled"]
+           "sanitize", "sanitizer_enabled"]
 
 
 class SanitizerState:
@@ -46,16 +43,11 @@ class SanitizerState:
 
     ``strict`` raises :class:`SanitizerError` at the violation site;
     otherwise violations are only recorded (and can be asserted on via
-    :attr:`violations`).  The picklability check never raises unless
-    ``strict_picklability`` is set: in-process fallback is documented
-    behaviour that process-wide CI runs must tolerate.
+    :attr:`violations`).
     """
 
-    def __init__(self, *, strict: bool = True,
-                 strict_picklability: bool | None = None):
+    def __init__(self, *, strict: bool = True):
         self.strict = strict
-        self.strict_picklability = (strict if strict_picklability is None
-                                    else strict_picklability)
         self.violations: list[tuple[str, str]] = []
         # Guards the sanitizer's own state; deliberately a bare primitive
         # (tracking the tracker would recurse).
@@ -65,11 +57,10 @@ class SanitizerState:
 
     # -- Violations ------------------------------------------------------------
 
-    def record(self, kind: str, message: str, *,
-               raising: bool | None = None) -> None:
+    def record(self, kind: str, message: str) -> None:
         with self._mutex:
             self.violations.append((kind, message))
-        if self.strict if raising is None else raising:
+        if self.strict:
             raise SanitizerError(message)
 
     def violation_kinds(self) -> tuple[str, ...]:
@@ -238,29 +229,12 @@ def _uninstall_guards() -> None:
             del Relation.__setattr__
 
 
-# -- Picklability --------------------------------------------------------------
-
-def report_unpicklable_task(fn, tasks: int) -> None:
-    """Called by the process executor before its in-process fallback."""
-    state = _state()
-    if state is None:
-        return
-    name = getattr(fn, "__qualname__", repr(fn))
-    state.record(
-        "picklability",
-        f"process-backend task {name} is not picklable; {tasks} task(s) "
-        f"would silently degrade to in-process execution",
-        raising=state.strict_picklability)
-
-
 # -- Activation ----------------------------------------------------------------
 
 @contextmanager
-def sanitize(*, strict: bool = True,
-             strict_picklability: bool | None = None):
+def sanitize(*, strict: bool = True):
     """Enable the sanitizer for the current context (like ``row_mode``)."""
-    state = SanitizerState(strict=strict,
-                           strict_picklability=strict_picklability)
+    state = SanitizerState(strict=strict)
     token = _local_state.set(state)
     _install_guards()
     try:
@@ -270,19 +244,15 @@ def sanitize(*, strict: bool = True,
         _uninstall_guards()
 
 
-def enable_sanitizer(*, strict: bool = True,
-                     strict_picklability: bool = False) -> SanitizerState:
+def enable_sanitizer(*, strict: bool = True) -> SanitizerState:
     """Enable the sanitizer process-wide (all threads, all contexts).
 
-    Used by the sanitizer CI job via ``REPRO_SANITIZE=1``.  Picklability
-    violations default to record-only here because in-process fallback
-    is documented behaviour some tests exercise on purpose.
+    Used by the sanitizer CI job via ``REPRO_SANITIZE=1``.
     """
     global _global_state
     if _global_state is not None:
         return _global_state
-    _global_state = SanitizerState(strict=strict,
-                                   strict_picklability=strict_picklability)
+    _global_state = SanitizerState(strict=strict)
     _install_guards()
     return _global_state
 

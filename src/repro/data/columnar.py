@@ -64,9 +64,8 @@ SNAPSHOT_DICTIONARY_KEY = "columnar_value_dictionary"
 #: Context-local switch for the columnar execution kernels.  ``True`` in
 #: normal operation; :func:`row_mode` flips it so benchmarks and the
 #: differential harness can pin the row engine.  A ContextVar scopes the
-#: flip to the flipping context only — task threads run in a copy of it,
-#: pool processes do not, so a layer that ships work there ships the
-#: choice with the task (see ``plans.run_local_loop``).
+#: flip to the flipping context only; cluster tasks run on the calling
+#: thread, so they see the caller's choice.
 _columnar_enabled: ContextVar[bool] = ContextVar("repro_columnar_enabled",
                                                 default=True)
 
@@ -144,16 +143,6 @@ class ValueDictionary:
 
     def decode(self, code: int) -> Any:
         return self.values[code]
-
-    # -- Pickling (locks do not travel) --------------------------------------
-
-    def __getstate__(self) -> list[Any]:
-        return self.values
-
-    def __setstate__(self, values: list[Any]) -> None:
-        self.values = values
-        self._codes = {value: code for code, value in enumerate(values)}
-        self._lock = ordered_lock("columnar.dictionary")
 
     def __repr__(self) -> str:
         return f"ValueDictionary(values={len(self.values)})"
@@ -284,15 +273,6 @@ class ColumnarRelation:
                   payload: tuple[int, ...] = ()) -> bool:
         cache = self._key_index_cache
         return cache is not None and (positions, payload) in cache
-
-    # -- Pickling (index caches are derived data) -----------------------------
-
-    def __getstate__(self) -> tuple:
-        return (self.columns, self.arrays, self.dictionary)
-
-    def __setstate__(self, state: tuple) -> None:
-        self.columns, self.arrays, self.dictionary = state
-        self._key_index_cache = None
 
     def __repr__(self) -> str:
         return (f"ColumnarRelation(columns={list(self.columns)}, "

@@ -156,22 +156,6 @@ class Relation:
         """Return the empty relation over the given schema."""
         return cls(columns, ())
 
-    # -- Pickling ----------------------------------------------------------
-
-    def __getstate__(self) -> tuple:
-        # Indexes, columnar encodings, the sorted rows and their JSON
-        # encoding are derived data: rebuilt on demand, never shipped
-        # (a process-pool task would pay serialization for tables it can
-        # rebuild itself).
-        return (self._columns, self._rows)
-
-    def __setstate__(self, state: tuple) -> None:
-        self._columns, self._rows = state
-        self._index_cache = None
-        self._columnar_cache = None
-        self._sorted_cache = None
-        self._encoded_cache = None
-
     # -- Basic accessors ---------------------------------------------------
 
     @property

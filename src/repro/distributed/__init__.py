@@ -2,9 +2,6 @@
 
 from .cluster import (DEFAULT_NUM_WORKERS, ClusterMetrics, SparkCluster,
                       Worker)
-from .executor import (EXECUTOR_BACKENDS, PROCESSES, SERIAL, THREADS,
-                       ExecutorBackend, ProcessExecutor, SerialExecutor,
-                       TaskOutcome, ThreadExecutor, make_executor)
 from .local_engine import fixpoint_to_sql
 from .partitioner import (ROUND_ROBIN, STABLE_COLUMN, PartitioningDecision,
                           plan_partitioning, split_constant_part)
@@ -23,34 +20,24 @@ __all__ = [
     "DEFAULT_NUM_WORKERS",
     "DistributedFixpointPlan",
     "DistributedQueryExecutor",
-    "EXECUTOR_BACKENDS",
     "ExecutionOutcome",
-    "ExecutorBackend",
     "GlobalLoopOnDriver",
     "PGLD",
     "PLAN_CLASSES",
     "PPLW_POSTGRES",
     "PPLW_SPARK",
-    "PROCESSES",
     "ParallelLocalLoops",
     "ParallelLocalLoopsPostgres",
     "ParallelLocalLoopsSpark",
     "PartitioningDecision",
     "PhysicalPlan",
     "PhysicalPlanGenerator",
-    "ProcessExecutor",
     "ROUND_ROBIN",
-    "SERIAL",
     "STABLE_COLUMN",
-    "SerialExecutor",
     "SetRDD",
     "SparkCluster",
-    "THREADS",
-    "TaskOutcome",
-    "ThreadExecutor",
     "Worker",
     "fixpoint_to_sql",
-    "make_executor",
     "make_plan",
     "plan_partitioning",
     "split_constant_part",

@@ -17,15 +17,16 @@ The execution itself is faithful to the dataflow: work is performed
 partition by partition, and any operation that would need a repartition on
 Spark goes through :meth:`SparkCluster.record_shuffle`.
 
-Per-partition work is submitted to a pluggable
-:class:`~repro.distributed.executor.ExecutorBackend` (``serial``,
-``threads`` or ``processes``) through :meth:`SparkCluster.run_tasks`.
-Every task wave is accounted the same way shuffles are: each task reports
-the CPU time it consumed, the cluster packs those times onto the available
-worker slots, and the difference between that simulated makespan and the
-wave's measured wall time becomes :attr:`SparkCluster.simulated_executor_adjustment`
-— so reported times reflect the parallel schedule of a real cluster even
-when the host offers less physical parallelism than the simulation.
+Per-partition work goes through :meth:`SparkCluster.run_tasks`, which
+runs one wave of tasks in submission order on the calling thread and
+times each task with :func:`time.thread_time`.  Every task wave is
+accounted the same way shuffles are: the task seconds are attributed to
+worker slots round robin (task *i* on worker ``i % num_workers``), so
+:attr:`ClusterMetrics.max_worker_seconds` is the busiest worker of the
+simulated schedule and :meth:`ClusterMetrics.compute_skew` its straggler
+factor.  The in-order wave costs the sum of its tasks; the wall time
+measured beyond that (loop overhead, waiting for the CPU) is taken back
+out through :attr:`SparkCluster.simulated_executor_adjustment`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 
 from ..check.sanitizer import ordered_lock
 from ..errors import DistributionError
-from .executor import SERIAL, ExecutorBackend, TaskOutcome, make_executor
 
 #: Default number of workers, mirroring the 4-machine cluster of the paper.
 DEFAULT_NUM_WORKERS = 4
@@ -79,8 +79,6 @@ class ClusterMetrics:
     #: Tuples exchanged between the Spark worker and its local PostgreSQL
     #: instance (Pplw^pg only): constant part sent + results iterated back.
     tuples_marshalled: int = 0
-    #: Name of the executor backend the cluster ran tasks on.
-    executor: str = SERIAL
     #: Number of task waves (one wave = one batch of per-partition tasks).
     task_waves: int = 0
     #: CPU seconds of task work accumulated per worker slot.
@@ -171,7 +169,6 @@ class ClusterMetrics:
             "tuples_marshalled": self.tuples_marshalled,
             "total_tuples_processed": self.total_tuples_processed,
             "skew": round(self.skew(), 3),
-            "executor": self.executor,
             "task_waves": self.task_waves,
             "max_worker_seconds": round(self.max_worker_seconds, 6),
             "total_task_seconds": round(self.total_task_seconds, 6),
@@ -197,16 +194,14 @@ class SparkCluster:
 
     def __init__(self, num_workers: int = DEFAULT_NUM_WORKERS,
                  shuffle_cost_per_tuple: float = DEFAULT_SHUFFLE_COST_PER_TUPLE,
-                 shuffle_latency: float = DEFAULT_SHUFFLE_LATENCY,
-                 executor: str | ExecutorBackend = SERIAL):
+                 shuffle_latency: float = DEFAULT_SHUFFLE_LATENCY):
         if num_workers <= 0:
             raise DistributionError("a cluster needs at least one worker")
         self.num_workers = num_workers
         self.workers = tuple(Worker(worker_id) for worker_id in range(num_workers))
         self.shuffle_cost_per_tuple = shuffle_cost_per_tuple
         self.shuffle_latency = shuffle_latency
-        self.executor = make_executor(executor, max_workers=num_workers)
-        self.metrics = ClusterMetrics(executor=self.executor.name)
+        self.metrics = ClusterMetrics()
         self._simulated_delay = 0.0
         self._executor_adjustment = 0.0
         # Metrics are normally mutated on the driver thread only (tasks are
@@ -216,50 +211,30 @@ class SparkCluster:
 
     # -- Task execution --------------------------------------------------------
 
-    def run_tasks(self, fn: Callable, args_list: Sequence[tuple]) -> list[TaskOutcome]:
-        """Run one wave of independent tasks on the executor backend.
+    def run_tasks(self, fn: Callable, args_list: Sequence[tuple]) -> list:
+        """Run one wave of independent tasks, in order, on this thread.
 
-        Returns the per-task outcomes in submission order and accounts the
-        wave in the metrics (task count, per-worker seconds, straggler, and
-        the simulated-makespan adjustment).
+        Returns ``fn(*args)`` for every args tuple in submission order (the
+        first exception propagates) and accounts the wave in the metrics
+        (task count, per-worker seconds, straggler).
         """
+        values = []
+        task_seconds = []
         wave_started = time.perf_counter()
-        outcomes = self.executor.map_tasks(fn, args_list)
-        wave_elapsed = time.perf_counter() - wave_started
-        self.record_task_wave([outcome.seconds for outcome in outcomes],
-                              wave_elapsed)
-        return outcomes
-
-    def _wave_makespan(self, task_seconds: Sequence[float]) -> float:
-        """Simulated completion time of a task wave on this cluster.
-
-        With one execution lane per worker (the usual configuration) task
-        *i* runs on worker ``i % num_workers`` — the same attribution
-        :meth:`record_task_wave` uses — and the wave ends when the busiest
-        worker finishes.  An executor narrower than the cluster (custom
-        backends) packs the queue greedily onto its lanes instead; a serial
-        executor is a single lane, so the wave costs the sum of its tasks.
-        """
-        lanes = min(self.num_workers, max(1, self.executor.parallelism))
-        if lanes <= 1:
-            return sum(task_seconds)
-        if self.executor.parallelism >= self.num_workers:
-            bins = [0.0] * self.num_workers
-            for index, seconds in enumerate(task_seconds):
-                bins[index % self.num_workers] += seconds
-            return max(bins)
-        loads = [0.0] * lanes
-        for seconds in task_seconds:
-            index = loads.index(min(loads))
-            loads[index] += seconds
-        return max(loads)
+        for args in args_list:
+            started = time.thread_time()
+            values.append(fn(*args))
+            task_seconds.append(time.thread_time() - started)
+        self.record_task_wave(task_seconds,
+                              time.perf_counter() - wave_started)
+        return values
 
     # -- Metric recording ------------------------------------------------------
 
     def reset_metrics(self) -> None:
         """Clear the metrics before a new execution."""
         with self._lock:
-            self.metrics = ClusterMetrics(executor=self.executor.name)
+            self.metrics = ClusterMetrics()
             self._simulated_delay = 0.0
             self._executor_adjustment = 0.0
 
@@ -285,14 +260,13 @@ class SparkCluster:
 
     def record_task_wave(self, task_seconds: Sequence[float],
                          wave_elapsed: float | None = None) -> None:
-        """Account one wave of tasks: counters, per-worker time, makespan.
+        """Account one wave of tasks: counters, per-worker time, straggler.
 
         ``wave_elapsed`` is the wall time the wave actually took on the host;
-        the difference between the simulated makespan and that measurement is
-        accumulated into :attr:`simulated_executor_adjustment` so reported
-        times reflect the cluster's schedule rather than the host's.
+        the in-order wave's makespan is the sum of its tasks, and the
+        difference between the two is accumulated into
+        :attr:`simulated_executor_adjustment`.
         """
-        makespan = self._wave_makespan(task_seconds)
         with self._lock:
             self.metrics.tasks_launched += len(task_seconds)
             self.metrics.task_waves += 1
@@ -302,9 +276,8 @@ class SparkCluster:
                 self.metrics.task_seconds_per_worker[slot] = current + seconds
                 if seconds > self.metrics.slowest_task_seconds:
                     self.metrics.slowest_task_seconds = seconds
-            measured = (wave_elapsed if wave_elapsed is not None
-                        else sum(task_seconds))
-            self._executor_adjustment += makespan - measured
+            if wave_elapsed is not None:
+                self._executor_adjustment += sum(task_seconds) - wave_elapsed
 
     def record_worker_tuples(self, worker_id: int, count: int) -> None:
         with self._lock:
@@ -327,9 +300,9 @@ class SparkCluster:
     def simulated_executor_adjustment(self) -> float:
         """Simulated-makespan correction for the task waves run so far.
 
-        Negative when the executor (or the cost model) packed the tasks
-        tighter than the host machine could physically run them; roughly
-        zero when the host's parallelism matched the simulated cluster's.
+        The summed task seconds minus the waves' measured wall time:
+        negative in practice, since a wave's wall time also covers the
+        loop around its tasks and any time the thread waited for the CPU.
         """
         return self._executor_adjustment
 
@@ -338,16 +311,5 @@ class SparkCluster:
         """What the benchmark harness adds to the measured wall time."""
         return self._simulated_delay + self._executor_adjustment
 
-    def close(self) -> None:
-        """Shut down the executor backend (pools hold OS resources)."""
-        self.executor.close()
-
-    def __enter__(self) -> "SparkCluster":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     def __repr__(self) -> str:
-        return (f"SparkCluster(num_workers={self.num_workers}, "
-                f"executor={self.executor.name!r})")
+        return f"SparkCluster(num_workers={self.num_workers})"

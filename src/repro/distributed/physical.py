@@ -74,8 +74,6 @@ class ExecutionOutcome:
 
     relation: Relation
     physical_plans: list[PhysicalPlan] = field(default_factory=list)
-    #: Name of the executor backend the cluster ran the plan's tasks on.
-    executor: str = "serial"
 
     @property
     def strategies(self) -> tuple[str, ...]:
@@ -187,8 +185,7 @@ class DistributedQueryExecutor:
                                             physical_plans)
         evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
         relation = evaluator.evaluate(rewritten)
-        return ExecutionOutcome(relation=relation, physical_plans=physical_plans,
-                                executor=self.cluster.executor.name)
+        return ExecutionOutcome(relation=relation, physical_plans=physical_plans)
 
     # -- Internals ------------------------------------------------------------------
 

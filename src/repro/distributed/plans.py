@@ -33,7 +33,6 @@ driver, and each result is decoded once.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
@@ -48,7 +47,7 @@ from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
 from ..algebra.variables import free_variables, is_constant_in
 from ..algebra.visitors import transform_top_down, walk
 from ..data.columnar import (CodeRows, ColumnarDeltaAccumulator,
-                             ValueDictionary, columnar_enabled, row_mode,
+                             ValueDictionary, columnar_enabled,
                              row_repr, snapshot_dictionary,
                              split_round_robin)
 from ..data.relation import Relation
@@ -322,15 +321,15 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
             for _ in range(bind.indexed_ops - builds):
                 cluster.record_index_event(built=False)
             builds = 0
-            outcomes = cluster.run_tasks(task, [
+            values = cluster.run_tasks(task, [
                 (partition,)
                 for partition in split_round_robin(delta, parts, order)])
             produced: set = set()
             moved = 0
-            for worker_id, outcome in enumerate(outcomes):
-                cluster.record_worker_tuples(worker_id, len(outcome.value))
-                moved += len(outcome.value)
-                produced |= outcome.value
+            for worker_id, value in enumerate(values):
+                cluster.record_worker_tuples(worker_id, len(value))
+                moved += len(value)
+                produced |= value
             # new = phi(new) \ X    (global set difference: both sides
             # shuffle)
             cluster.record_shuffle(moved + len(accumulator))
@@ -382,9 +381,9 @@ def _evaluate_partition(term: Term, var: str, columns: tuple[str, ...],
 class LocalLoopOutcome:
     """What one worker's local fixpoint task reports back to the driver.
 
-    The tasks run on the executor backend — possibly in another thread or
-    process — so everything they observe (iteration counts, marshalled
-    tuples) travels back as data instead of being written into the shared
+    A task is a worker's share of the plan: everything it observes
+    (iteration counts, marshalled tuples) travels back as data instead of
+    being written into the shared
     :class:`~repro.distributed.cluster.ClusterMetrics` mid-flight.
     """
 
@@ -398,22 +397,19 @@ class LocalLoopOutcome:
 def run_local_loop(var: str, variable_part: Term,
                    operands: Mapping[Term, Relation],
                    dictionary: ValueDictionary, chunk: Relation,
-                   max_iterations: int, variant: str,
-                   columnar: bool) -> LocalLoopOutcome:
+                   variant: str) -> LocalLoopOutcome:
     """One worker's ``Pplw`` local fixpoint over its chunk of the seed.
 
-    Module-level so process-pool executors can ship it by name.  The task
-    receives results, not recipes: ``operands`` holds every
+    The task receives results, not recipes: ``operands`` holds every
     recursion-constant operand of ``variable_part`` already resolved on
-    the driver (the broadcast), ``dictionary`` is the snapshot's.  In
-    process the relations — and the encodings and indexes memoized on
-    them — are the driver's own objects, so a task only reuses; a pool
-    process re-encodes and re-indexes what it unpickles.  Everything
-    else the driver decided travels as data too — the iteration bound
-    and the engine choice (``columnar``; a pool process does not see the
-    driver's ``row_mode()``).  ``variant`` (``spark`` / ``postgres``)
-    labels the span; the PostgreSQL variant also pays for marshalling
-    the chunk in and the result back.
+    the driver (the broadcast), ``dictionary`` is the snapshot's.  The
+    relations — and the encodings and indexes memoized on them — are the
+    driver's own objects, so a task only reuses.  The engine is the
+    caller's (``row_mode()`` is a context variable), and the iteration
+    bound is :data:`~repro.distributed.local_engine.MAX_LOCAL_ITERATIONS`.
+    ``variant`` (``spark`` / ``postgres``) labels the span; the
+    PostgreSQL variant also pays for marshalling the chunk in and the
+    result back.
     """
     evaluator: Evaluator | None = None
     row_term: Term | None = None
@@ -428,9 +424,9 @@ def run_local_loop(var: str, variable_part: Term,
                                         operands.__getitem__)
         return evaluator.evaluate(row_term, env={var: delta})
 
-    engine = nullcontext() if columnar else row_mode()
-    with engine, tracing.span("fixpoint.local_loop", var=var,
-                              variant=variant, seed=len(chunk)) as loop_span:
+    max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
+    with tracing.span("fixpoint.local_loop", var=var, variant=variant,
+                      seed=len(chunk)) as loop_span:
         # The process-default program cache gives in-process task reuse
         # (compile once, bind per chunk).
         run = run_fixpoint(
@@ -455,10 +451,12 @@ class ParallelLocalLoops(DistributedFixpointPlan):
     """Common machinery of the two ``Pplw`` variants.
 
     Splits the constant part (by stable column when possible), broadcasts
-    the recursion-constant relations of the variable part, and submits one
-    local-fixpoint task per worker to the cluster's executor backend — the
-    tasks share no state, which is exactly the paper's claim that the local
-    loops run without coordination.  Subclasses name the variant.
+    the recursion-constant relations of the variable part, and runs one
+    wave of one local-fixpoint task per worker on the cluster — the tasks
+    share no state, which is exactly the paper's claim that the local
+    loops run without coordination, and the cluster accounts each task's
+    seconds to its worker as the simulated schedule.  Subclasses name the
+    variant.
     """
 
     #: ``spark`` or ``postgres``; see :func:`run_local_loop`.
@@ -487,15 +485,12 @@ class ParallelLocalLoops(DistributedFixpointPlan):
             seed = CodeRows.encode(seed, self._dictionary)
         chunks = split_constant_part(seed, self.cluster, decision)
         self._broadcast_variable_part(variable_part, var)
-        max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
-        columnar = columnar_enabled()
-        outcomes = self.cluster.run_tasks(
+        loops: list[LocalLoopOutcome] = self.cluster.run_tasks(
             run_local_loop,
             [(var, variable_part, self.operands, self._dictionary, chunk,
-              max_iterations, self.variant, columnar) for chunk in chunks])
+              self.variant) for chunk in chunks])
         local_results: list[Relation] = []
-        for worker_id, outcome in enumerate(outcomes):
-            loop: LocalLoopOutcome = outcome.value
+        for worker_id, loop in enumerate(loops):
             self.cluster.record_worker_tuples(worker_id, len(loop.relation))
             metrics.local_iterations += loop.iterations
             metrics.tuples_marshalled += loop.tuples_marshalled

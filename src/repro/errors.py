@@ -131,9 +131,8 @@ class SanitizerError(ReproError):
     """The runtime sanitizer detected an invariant violation.
 
     Raised by :mod:`repro.check.sanitizer` when it observes a potential
-    lock-order deadlock cycle, a mutation of a snapshot-frozen
-    :class:`~repro.data.relation.Relation`, or an unpicklable task
-    submitted to the process executor backend.
+    lock-order deadlock cycle or a mutation of a snapshot-frozen
+    :class:`~repro.data.relation.Relation`.
     """
 
 

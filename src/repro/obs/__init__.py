@@ -3,8 +3,7 @@
 The operational layer of the system (ROADMAP item 5's substrate):
 
 * :mod:`repro.obs.tracing` — hierarchical spans, ContextVar-propagated
-  across threads, picklable handoff across processes; off by default
-  with near-zero cost,
+  across threads; off by default with near-zero cost,
 * :mod:`repro.obs.metrics` — one registry of named counters / gauges /
   histograms with Prometheus-text and JSON-lines exports,
 * :mod:`repro.obs.logs` — JSON-lines structured logging with trace
@@ -33,15 +32,12 @@ from .tracing import (
     NOOP_SPAN,
     Span,
     SpanRecord,
-    TraceHandoff,
     Tracer,
     activate,
     configure_tracing,
-    current_handoff,
     current_span_id,
     current_trace_id,
     current_tracer,
-    run_traced_task,
     span,
     suspended,
     tracing_enabled,
@@ -58,13 +54,11 @@ __all__ = [
     "Span",
     "SpanNode",
     "SpanRecord",
-    "TraceHandoff",
     "Tracer",
     "activate",
     "build_tree",
     "configure_logging",
     "configure_tracing",
-    "current_handoff",
     "current_span_id",
     "current_trace_id",
     "current_tracer",
@@ -72,7 +66,6 @@ __all__ = [
     "get_registry",
     "log_event",
     "render_tree",
-    "run_traced_task",
     "set_registry",
     "span",
     "span_exporter",

@@ -18,17 +18,14 @@ Design constraints, in order:
 2. **Spans nest across threads.**  The active tracer and the current
    span travel in :class:`~contextvars.ContextVar`\\ s.  Thread hand-offs
    inside the system (the session's background worker, the service's
-   request workers, the ``threads`` executor backend) copy the submitting
-   context with :func:`contextvars.copy_context`, so a span opened by the
-   submitter is the parent of everything the worker does — and two
-   concurrent queries never adopt each other's spans, because each task
-   runs in its own context copy.
-3. **Process boundaries hand off span ids.**  A ``processes`` executor
-   cannot share the tracer object.  The task payload carries a
-   :class:`TraceHandoff` (trace id + parent span id); the child process
-   records into a fresh local tracer and returns the finished
-   :class:`SpanRecord`\\ s with the task outcome, which the driver adopts
-   into the live tracer (:meth:`Tracer.adopt`).
+   request workers) copy the submitting context with
+   :func:`contextvars.copy_context`, so a span opened by the submitter is
+   the parent of everything the worker does — and two concurrent queries
+   never adopt each other's spans, because each task runs in its own
+   context copy.
+3. **Cluster tasks are in-process calls.**  A task wave runs on the
+   calling thread (:meth:`~repro.distributed.cluster.SparkCluster.run_tasks`),
+   so a worker's spans nest under the driver's open span directly.
 
 A :class:`Tracer` owns a bounded buffer of finished span records; the
 buffer (not live ``Span`` objects) is the read surface — renderers build
@@ -41,12 +38,12 @@ import itertools
 import os
 import time
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from contextvars import ContextVar
 
 from ..check.sanitizer import ordered_lock
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Default bound on buffered finished spans per tracer: a forgotten
 #: enabled tracer must not grow without limit on a busy service.
@@ -59,15 +56,15 @@ _ids = itertools.count(1)
 def _new_span_id() -> str:
     """A span id unique across the processes of one execution.
 
-    The pid prefix keeps ids from a ``processes`` executor's children
-    disjoint from the driver's without any cross-process coordination.
+    The pid prefix keeps ids from separate processes (two servers
+    logging to one sink) disjoint without any coordination.
     """
     return f"{os.getpid():x}-{next(_ids):x}"
 
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span: picklable, immutable, renderer-friendly."""
+    """One finished span: immutable, renderer-friendly."""
 
     trace_id: str
     span_id: str
@@ -82,24 +79,6 @@ class SpanRecord:
             if name == key:
                 return value
         return default
-
-    def reparented(self, parent_id: str | None,
-                   trace_id: str | None = None) -> "SpanRecord":
-        """A copy grafted under another parent (process-boundary adoption)."""
-        return SpanRecord(
-            trace_id=trace_id if trace_id is not None else self.trace_id,
-            span_id=self.span_id, parent_id=parent_id, name=self.name,
-            started_at=self.started_at,
-            duration_seconds=self.duration_seconds,
-            attributes=self.attributes)
-
-
-@dataclass(frozen=True)
-class TraceHandoff:
-    """What crosses a process boundary: enough to re-join the trace."""
-
-    trace_id: str
-    parent_span_id: str | None
 
 
 class Span:
@@ -213,28 +192,6 @@ class Tracer:
         if self.exporter is not None:
             self.exporter(record)
 
-    def adopt(self, records: Iterable[SpanRecord],
-              handoff: TraceHandoff | None = None) -> None:
-        """Graft records produced elsewhere (another process) into this
-        tracer.
-
-        Records whose parent is missing from the batch are re-rooted under
-        ``handoff.parent_span_id`` and every record takes the handoff's
-        trace id, so the driver's renderer sees one tree.
-        """
-        records = list(records)
-        if handoff is not None:
-            local_ids = {record.span_id for record in records}
-            records = [
-                record.reparented(
-                    record.parent_id if record.parent_id in local_ids
-                    else handoff.parent_span_id,
-                    trace_id=handoff.trace_id)
-                for record in records
-            ]
-        with self._lock:
-            self._records.extend(records)
-
     def records(self) -> list[SpanRecord]:
         """Finished spans, oldest first (an independent copy)."""
         with self._lock:
@@ -305,21 +262,6 @@ def current_trace_id() -> str | None:
     return current.trace_id if current is not None else None
 
 
-def current_handoff() -> TraceHandoff | None:
-    """The handoff a process-boundary task should ship, or ``None``.
-
-    ``None`` whenever tracing is off — shipping nothing keeps the
-    disabled pickle payload identical to the pre-tracing one.
-    """
-    if _suspended or not current_tracer().enabled:
-        return None
-    current = _current_span.get()
-    if current is None or not current.enabled:
-        return None
-    return TraceHandoff(trace_id=current.trace_id,
-                        parent_span_id=current.span_id)
-
-
 @contextmanager
 def activate(tracer: Tracer) -> Iterator[Tracer]:
     """Make ``tracer`` the ambient tracer of this context.
@@ -364,19 +306,3 @@ def suspended() -> Iterator[None]:
         yield
     finally:
         _suspended = False
-
-
-def run_traced_task(fn, args: tuple, handoff: TraceHandoff | None):
-    """Run one task under a handed-off trace context (worker side).
-
-    With no handoff the call is direct.  With one — a traced task landed
-    in another process — a fresh enabled tracer collects the task's
-    spans, and the caller gets ``(value, records)`` so the records can
-    travel back to the driver as data (see :meth:`Tracer.adopt`).
-    """
-    if handoff is None:
-        return fn(*args), ()
-    local = Tracer(enabled=True)
-    with activate(local):
-        value = fn(*args)
-    return value, tuple(local.records())

@@ -14,8 +14,8 @@ into a serving subsystem for many concurrent clients:
   (``max_in_flight``) drain the queue.  The *plan phase* (translation,
   rewriting, cost ranking, cache lookups) runs concurrently across
   workers; the *execution phase* serializes on the session's execution
-  lock so all queries share the cluster's one
-  :class:`~repro.distributed.executor.ExecutorBackend` instead of
+  lock so all queries share the session's one
+  :class:`~repro.distributed.cluster.SparkCluster` instead of
   oversubscribing it (mirroring a Spark driver scheduling jobs onto one
   fixed pool of executors).
 * **One pipeline** — every request is coerced into a lazy
@@ -47,7 +47,7 @@ Typical use::
 
     from repro import Session, QueryService
 
-    session = Session(graph, num_workers=4, executor="threads")
+    session = Session(graph, num_workers=4)
     with QueryService(session, max_in_flight=4) as service:
         future = service.submit("?x,?y <- ?x knows+ ?y")
         served = future.result()
@@ -167,8 +167,8 @@ class QueryService:
     """A concurrent, cached, admission-controlled front end to one session.
 
     The service does not own the session unless ``own_engine=True``;
-    closing the service then also closes the session (releasing executor
-    pools).  At construction the service installs fresh plan/result
+    closing the service then also closes the session (releasing its
+    background worker).  At construction the service installs fresh plan/result
     caches of the requested sizes on the session — the serving layer owns
     the caching configuration of the session it fronts.
     """

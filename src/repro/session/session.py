@@ -19,7 +19,7 @@ terminal action (``collect()``, ``count()``, ``exists()``, ``stream()``,
 ``submit()``) is invoked::
 
     from repro import Session
-    session = Session(graph, num_workers=4, executor="threads")
+    session = Session(graph, num_workers=4)
     query = session.ucrpq("?x,?y <- ?x knows+ ?y")   # nothing runs yet
     print(query.plan().cost)                          # parse+translate+rank
     rows = query.collect().relation                   # execute
@@ -35,7 +35,7 @@ at a well-defined version even while writers commit.  Cache keys name
 what an entry was computed from (versions, schemas, statistics), so
 mutations never purge caches, and the plan phase and result-cache hits
 run entirely outside the execution lock — only physical executions still
-serialize on the cluster's executor backend.
+serialize on the cluster.
 
 **Multi-graph.**  :meth:`attach` registers additional named graphs and
 :meth:`graph` returns a session view scoped to one of them (own head,
@@ -65,7 +65,6 @@ from ..data.graph import INVERSE_PREFIX, PRED, SRC, TRG, LabeledGraph
 from ..data.relation import Relation
 from ..data.snapshot import DEFAULT_GRAPH, DatabaseSnapshot
 from ..distributed.cluster import ClusterMetrics, SparkCluster
-from ..distributed.executor import SERIAL, ExecutorBackend
 from ..distributed.partitioner import FixpointAnalysis, analyse_fixpoints
 from ..distributed.physical import (AUTO, DEFAULT_MEMORY_PER_TASK,
                                     DistributedQueryExecutor)
@@ -263,7 +262,6 @@ class Session:
                  num_workers: int = 4,
                  optimize: bool = True,
                  strategy: str = AUTO,
-                 executor: str | ExecutorBackend = SERIAL,
                  memory_per_task: int = DEFAULT_MEMORY_PER_TASK,
                  max_plans: int = 64,
                  max_rounds: int = 8,
@@ -279,7 +277,7 @@ class Session:
         if view_maintenance != "off":
             raise ValueError(
                 f"view_maintenance must be 'off', got {view_maintenance!r}")
-        self.cluster = SparkCluster(num_workers=num_workers, executor=executor)
+        self.cluster = SparkCluster(num_workers=num_workers)
         self.optimize_plans = optimize
         self.strategy = strategy
         self.memory_per_task = memory_per_task
@@ -288,8 +286,8 @@ class Session:
         self.enable_result_cache = enable_result_cache
         self._plan_cache_size = plan_cache_size
         self._result_cache_size = result_cache_size
-        #: Serializes physical cluster executions: the cluster's executor
-        #: backend and metrics are single-caller by design.  The plan
+        #: Serializes physical cluster executions: the cluster's task
+        #: waves and metrics are single-caller by design.  The plan
         #: phase, result-cache hits and mutations all run outside it.
         self.execution_lock = ordered_rlock("session.execution")
         self._background: ThreadPoolExecutor | None = None
@@ -1019,12 +1017,11 @@ class Session:
     # -- Lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the cluster's executor pools and the background worker."""
+        """Shut down the background worker."""
         with self._background_lock:
             if self._background is not None:
                 self._background.shutdown(wait=True)
                 self._background = None
-        self.cluster.close()
 
     def __enter__(self) -> "Session":
         return self
@@ -1045,7 +1042,6 @@ class Session:
                 f"version={snapshot.version}{pinned}, "
                 f"relations={len(snapshot)}, "
                 f"workers={self.cluster.num_workers}, "
-                f"executor={self.cluster.executor.name!r}, "
                 f"optimize={self.optimize_plans}, strategy={self.strategy!r})")
 
 
@@ -1078,4 +1074,4 @@ class _SessionView(Session):
         return getattr(self._root, name)
 
     def close(self) -> None:
-        """No-op: the root session owns the cluster and worker pools."""
+        """No-op: the root session owns the background worker."""

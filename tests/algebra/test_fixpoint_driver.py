@@ -143,8 +143,8 @@ def test_postgres_local_loops_trace_iterations_on_the_row_engine(
     assert {attributes["engine"] for attributes in spans} == {"row"}
 
 
-#: ClusterMetrics of the closure of E on the paper database (4 workers,
-#: serial executor), captured before the loops were unified.  Since the
+#: ClusterMetrics of the closure of E on the paper database (4 workers),
+#: captured before the loops were unified.  Since the
 #: driver resolves and indexes the broadcast operand once for all four
 #: tasks, ``Pplw`` builds one index where every task used to build its
 #: own (4 builds / 9 reuses); one access per local iteration either way.

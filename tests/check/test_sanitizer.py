@@ -1,5 +1,5 @@
-"""Runtime sanitizer regressions: lock ordering, snapshot immutability,
-task picklability, and the activation plumbing.
+"""Runtime sanitizer regressions: lock ordering, snapshot immutability
+and the activation plumbing.
 
 The two seeded regressions the CI sanitizer job exists for — an AB/BA
 lock-order inversion and a post-freeze relation mutation — are asserted
@@ -17,7 +17,6 @@ import pytest
 from repro.check import (disable_sanitizer, enable_sanitizer, ordered_lock,
                          ordered_rlock, sanitize, sanitizer_enabled)
 from repro.check import sanitizer as sanitizer_module
-from repro.check.sanitizer import report_unpicklable_task
 from repro.data import LabeledGraph
 from repro.data.relation import Relation
 from repro.errors import SanitizerError
@@ -176,33 +175,6 @@ def test_mutation_guard_uninstalls_after_the_context():
     assert "__setattr__" not in vars(Relation)
     relation._rows = frozenset()  # off again: a plain (unwise) assignment
     object.__setattr__(relation, "_rows", original)
-
-
-# -- Picklability --------------------------------------------------------------
-
-def test_unpicklable_task_reporting_defaults_to_strict_inline():
-    def closure():
-        pass
-    with sanitize():
-        with pytest.raises(SanitizerError, match="not picklable"):
-            report_unpicklable_task(closure, 4)
-
-
-def test_unpicklable_task_report_only_under_ci_style_activation():
-    """Process-wide activations tolerate the documented in-process
-    fallback: picklability violations record instead of raising."""
-    def closure():
-        pass
-    with process_wide_state() as state:
-        report_unpicklable_task(closure, 2)
-        assert "picklability" in state.violation_kinds()
-        message = dict(state.violations)["picklability"]
-        assert "2 task(s)" in message
-
-
-@only_without_global_sanitizer
-def test_unpicklable_task_report_is_a_no_op_when_off():
-    report_unpicklable_task(lambda: None, 1)  # must not raise or record
 
 
 # -- Activation plumbing -------------------------------------------------------

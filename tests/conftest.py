@@ -58,7 +58,7 @@ def shipped():
 @pytest.fixture(scope="session")
 def seeded_random_graph() -> LabeledGraph:
     """Session-scoped seeded Erdos-Renyi graph shared by the differential
-    tests (building it once keeps the plan x executor matrix fast)."""
+    tests (building it once keeps the plan x engine matrix fast)."""
     return erdos_renyi_graph(36, num_edges=85, seed=20260728,
                              name="differential-er")
 

@@ -3,7 +3,6 @@ relations, the delta accumulators and the engine switch."""
 
 from __future__ import annotations
 
-import pickle
 import threading
 from array import array
 
@@ -56,14 +55,6 @@ class TestValueDictionary:
         assert len(dictionary) == 50
         first = results[0]
         assert all(results[w] == first for w in results)
-
-    def test_pickle_round_trip_keeps_codes(self):
-        dictionary = ValueDictionary()
-        codes = {v: dictionary.encode(v) for v in ("a", "b", "c")}
-        clone = pickle.loads(pickle.dumps(dictionary))
-        assert all(clone.encode(v) == code for v, code in codes.items())
-        # And the clone can keep interning new values.
-        assert clone.encode("d") == len(codes)
 
 
 class TestSnapshotDictionary:
@@ -141,14 +132,6 @@ class TestColumnarRelation:
         # matches: a=1 carries b in {2, 5}, once each.
         assert sorted(wide.index_on((0,), (1,))[code(1)]) \
             == sorted([code(2), code(5)])
-
-    def test_pickle_drops_index_cache_but_keeps_columns(self):
-        dictionary = ValueDictionary()
-        encoded = edges([(1, 2), (2, 3)]).columnar(dictionary)
-        encoded.index_on((0,))
-        clone = pickle.loads(pickle.dumps(encoded))
-        assert not clone.has_index((0,))
-        assert clone.to_relation() == encoded.to_relation()
 
 
 class TestColumnarDeltaAccumulator:

@@ -263,35 +263,15 @@ class TestCanonicalOrder:
         assert ordered == tuple(sorted(relation.rows, key=repr))
         assert relation.sorted_rows() is ordered
 
-    def test_sorted_rows_are_not_pickled(self):
-        import pickle
-        relation = seeded_relations()[0]
-        unsorted_bytes = pickle.dumps(relation)
-        ordered = relation.sorted_rows()
-        assert pickle.dumps(relation) == unsorted_bytes
-        clone = pickle.loads(unsorted_bytes)
-        assert clone == relation
-        assert clone._sorted_cache is None
-        assert clone.sorted_rows() == ordered
-
     def test_encoded_rows_are_derived_data(self):
         """The JSON encoding is a memo like the sorted rows: computed
-        once, never pickled or copied, absent from a fresh relation."""
-        import copy
+        once, absent from a fresh relation."""
         import json
-        import pickle
         relation = seeded_relations()[2]
-        plain_bytes = pickle.dumps(relation)
         encoded = relation.encoded_rows()
         assert relation.encoded_rows() is encoded
         assert json.loads(encoded.data) == [
             list(row) for row in relation.sorted_rows()]
-        assert pickle.dumps(relation) == plain_bytes
-        for clone in (pickle.loads(plain_bytes), copy.copy(relation),
-                      copy.deepcopy(relation)):
-            assert clone == relation
-            assert clone._encoded_cache is None
-            assert clone.encoded_rows().data == encoded.data
         derived = relation.union(relation)
         assert derived._encoded_cache is None
         assert Relation(relation.columns)._encoded_cache is None

@@ -1,9 +1,9 @@
 """Regression tests: iteration guards fail cleanly instead of hanging.
 
 A fixpoint that does not converge within the configured bound must raise
-:class:`~repro.errors.EvaluationError` — from every plan, through every
-executor backend, and through the benchmark harness (which converts it into
-a ``failed`` run, the paper's red cross).  The bounds are monkeypatched to
+:class:`~repro.errors.EvaluationError` — from every plan, on either
+engine, and through the benchmark harness (which converts it into a
+``failed`` run, the paper's red cross).  The bounds are monkeypatched to
 tiny values so an ordinary multi-iteration closure plays the role of the
 deliberately non-converging fixpoint.
 """
@@ -36,31 +36,30 @@ def test_global_loop_guard_raises(paper_database, closure_term, monkeypatch):
         plan.execute(closure_term)
 
 
-@pytest.mark.parametrize("executor", ("serial", "threads", "processes"))
+@pytest.mark.parametrize("num_workers", (1, 2, 4))
 @pytest.mark.parametrize("strategy", (PPLW_SPARK, PPLW_POSTGRES))
-def test_local_loop_guard_raises_through_executors(
-        paper_database, closure_term, monkeypatch, strategy, executor):
-    # The bound is read at submission time and shipped with the task, so the
-    # guard fires identically on in-process and out-of-process backends.
+def test_local_loop_guard_raises_through_the_plans(
+        paper_database, closure_term, monkeypatch, strategy, num_workers):
+    # Every local loop reads the patched bound, however many partitions
+    # the fixpoint is split into.
     monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 1)
-    with SparkCluster(num_workers=4, executor=executor) as cluster:
-        plan = make_plan(strategy, cluster, paper_database)
-        with pytest.raises(EvaluationError, match="did not converge"):
-            plan.execute(closure_term)
+    plan = make_plan(strategy, SparkCluster(num_workers=num_workers),
+                     paper_database)
+    with pytest.raises(EvaluationError, match="did not converge"):
+        plan.execute(closure_term)
 
 
 @pytest.mark.parametrize("strategy", (PGLD, PPLW_SPARK, PPLW_POSTGRES))
 def test_guards_fire_on_the_row_engine_too(paper_database, closure_term,
                                            monkeypatch, strategy):
     """One driver, one guard: the row steps hit the same patched bounds
-    (read at call time, shipped with the task) as the kernels."""
+    (read at call time) as the kernels."""
     monkeypatch.setattr(plans_module, "MAX_GLOBAL_ITERATIONS", 2)
     monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 2)
-    with SparkCluster(num_workers=4, executor="threads") as cluster:
-        plan = make_plan(strategy, cluster, paper_database)
-        with row_mode(), pytest.raises(EvaluationError,
-                                       match="within 2 iterations"):
-            plan.execute(closure_term)
+    plan = make_plan(strategy, SparkCluster(num_workers=4), paper_database)
+    with row_mode(), pytest.raises(EvaluationError,
+                                   match="within 2 iterations"):
+        plan.execute(closure_term)
 
 
 @pytest.mark.parametrize("engine", ("columnar", "row"))
@@ -77,21 +76,24 @@ def test_global_iterations_count_every_round_that_ran(
     assert cluster.metrics.global_iterations == 3
 
 
-def test_local_engine_guard_raises(paper_database, closure_term, shipped):
+def test_local_engine_guard_raises(paper_database, closure_term, shipped,
+                                   monkeypatch):
+    monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 1)
     with pytest.raises(EvaluationError, match="did not converge"):
         run_local_loop(*shipped(closure_term, paper_database),
-                       paper_database["E"], 1, "postgres", True)
+                       paper_database["E"], "postgres")
 
 
 def test_local_engine_guard_reports_bound(paper_database, closure_term,
-                                          shipped):
-    """The bound is an argument of the task, not read inside it."""
-    for columnar in (True, False):
-        with pytest.raises(EvaluationError,
-                           match="local fixpoint on 'X' did not converge "
-                                 "within 2 iterations"):
+                                          shipped, monkeypatch):
+    """The task reads the bound at call time, on either engine."""
+    monkeypatch.setattr(local_engine_module, "MAX_LOCAL_ITERATIONS", 2)
+    for engine in (nullcontext, row_mode):
+        with engine(), pytest.raises(
+                EvaluationError, match="local fixpoint on 'X' did not "
+                                       "converge within 2 iterations"):
             run_local_loop(*shipped(closure_term, paper_database),
-                           paper_database["E"], 2, "postgres", columnar)
+                           paper_database["E"], "postgres")
 
 
 def test_harness_reports_nonconvergence_as_failed_run(paper_edges, monkeypatch):
@@ -105,6 +107,6 @@ def test_harness_reports_nonconvergence_as_failed_run(paper_edges, monkeypatch):
     graph.add_edges([(row[0], "edge", row[1]) for row in paper_edges.rows])
     query = ucrpq_query("GUARD", "?x,?y <- ?x edge+ ?y")
     measured = run_distmura(graph, query, strategy=PPLW_SPARK,
-                            optimize=False, executor="threads")
+                            optimize=False)
     assert measured.status == "failed"
     assert "did not converge" in measured.detail

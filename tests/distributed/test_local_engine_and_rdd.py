@@ -24,8 +24,9 @@ from repro.obs.tracing import Tracer
 @pytest.fixture
 def local_loop(shipped):
     def run(fixpoint, database, chunk, variant="postgres", columnar=True):
-        return run_local_loop(*shipped(fixpoint, database), chunk, 100,
-                              variant, columnar)
+        with nullcontext() if columnar else row_mode():
+            return run_local_loop(*shipped(fixpoint, database), chunk,
+                                  variant)
     return run
 
 
@@ -75,16 +76,18 @@ class TestLocalLoop:
         assert spark.tuples_marshalled == 0
         assert postgres.tuples_marshalled == len(chunk) + len(postgres.relation)
 
-    def test_engine_choice_is_an_argument_not_ambient_state(
-            self, paper_database, local_loop):
-        """What a pool process sees: no ``row_mode()``, only the flag."""
+    @pytest.mark.parametrize("variant", ("spark", "postgres"))
+    def test_engine_choice_is_the_calling_context(self, paper_database,
+                                                  local_loop, variant):
+        """The task iterates on the engine its caller's ``row_mode()``
+        chose (it runs on the caller's thread), in either local loop."""
         term = closure(RelVar("E"), var="X")
         engines = {}
         for columnar in (True, False):
             tracer = Tracer(enabled=True)
             with tracing.activate(tracer):
                 local_loop(term, paper_database, paper_database["E"],
-                           columnar=columnar)
+                           variant=variant, columnar=columnar)
             engines[columnar] = {
                 dict(record.attributes)["engine"]
                 for record in tracer.records()

@@ -14,7 +14,6 @@ the evaluator's build/reuse accounting on top of the shared layer.
 from __future__ import annotations
 
 import gc
-import pickle
 
 from repro.algebra import Evaluator, Join, RelVar
 from repro.data.relation import Relation
@@ -100,16 +99,3 @@ def test_hash_index_probe_semantics():
     assert (4,) in index
     assert (99,) not in index
     assert len(index) == 3
-
-
-def test_pickling_drops_the_index_cache():
-    """Indexes are derived data: never shipped to process-pool workers."""
-    relation = edges([(1, 2), (2, 3)])
-    relation.index_on(("src",))
-    clone = pickle.loads(pickle.dumps(relation))
-    assert clone == relation
-    assert not clone.has_index(("src",))
-    # The clone can rebuild an equivalent index on demand.
-    assert clone.index_on(("src",)).probe((1,)) == [(1, 2)]
-
-

@@ -1,14 +1,13 @@
 """Trace-context propagation across every concurrency boundary.
 
-The tracer and current span live in ContextVars; every internal thread
-hand-off (the ``threads`` executor backend, the session's background
-worker, the service's request workers) copies the submitting context, and
-the ``processes`` backend ships a :class:`TraceHandoff` and adopts the
-child's records.  These tests pin the two properties that make traces
+The tracer and current span live in ContextVars; cluster tasks run on the
+submitting thread, and every internal thread hand-off (the session's
+background worker, the service's request workers) copies the submitting
+context.  These tests pin the two properties that make traces
 trustworthy:
 
-* **continuity** — spans produced on worker threads / processes attach
-  under the submitting query's root (one connected tree per query),
+* **continuity** — spans produced by cluster tasks and on worker threads
+  attach under the submitting query's root (one connected tree per query),
 * **isolation** — concurrent queries never adopt each other's spans.
 """
 
@@ -19,7 +18,8 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro import QueryService, Session
+from repro import (PGLD, PPLW_POSTGRES, PPLW_SPARK, QueryService, Session,
+                   SparkCluster)
 from repro.data import LabeledGraph, row_mode
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
@@ -47,67 +47,47 @@ def _assert_one_connected_trace(records) -> None:
                 f"{record.name} parented under a span outside the trace")
 
 
-class TestExecutorBackends:
-    @pytest.mark.parametrize("executor,engine", [
-        pytest.param("serial", "columnar", id="serial"),
-        pytest.param("threads", "columnar", id="threads"),
-        pytest.param("processes", "columnar", id="processes"),
-        # row_mode() is context-local: it reaches task threads in a copy
-        # of the submitting context, pool processes as task data.
-        pytest.param("serial", "row", id="serial-row"),
-        pytest.param("threads", "row", id="threads-row"),
-        pytest.param("processes", "row", id="processes-row")])
-    def test_fixpoint_spans_join_the_query_trace(self, executor, engine):
+class TestClusterTasks:
+    # row_mode() is context-local: the tasks run in the submitting
+    # context, so they iterate on the engine it chose — in the Pgld
+    # partition tasks and the Pplw local loops alike.
+    @pytest.mark.parametrize("strategy", (PGLD, PPLW_SPARK, PPLW_POSTGRES))
+    @pytest.mark.parametrize("engine", ("columnar", "row"))
+    def test_fixpoint_spans_join_the_query_trace(self, engine, strategy):
         tracer = Tracer(enabled=True)
-        with Session(_chain_graph(), num_workers=2,
-                     executor=executor) as session:
+        with Session(_chain_graph(), num_workers=2) as session:
             with tracing.activate(tracer):
                 with tracing.span("test.root"):
                     with row_mode() if engine == "row" else nullcontext():
                         session.ucrpq(TC_QUERY).run_once(
-                            use_result_cache=False)
+                            strategy=strategy, use_result_cache=False)
         records = tracer.records()
         _assert_one_connected_trace(records)
         iterations = [dict(record.attributes) for record in records
                       if record.name == "fixpoint.iteration"]
         assert iterations, (
-            f"{executor}: worker-side iteration spans did not reach "
-            f"the submitting tracer")
+            "worker-side iteration spans did not reach the submitting "
+            "tracer")
         assert {attributes["engine"] for attributes in iterations} == {engine}
 
-    def test_thread_workers_see_the_submitting_span_as_parent(self):
-        """A worker-thread task opened under a span nests beneath it."""
-        from repro.distributed.executor import ThreadExecutor
-
+    def test_tasks_see_the_submitting_span_as_parent(self):
+        """A task of a wave run under a span nests beneath it."""
         def task(index: int) -> str | None:
             with tracing.span("worker.task", index=index):
                 return tracing.current_span_id()
 
         tracer = Tracer(enabled=True)
-        backend = ThreadExecutor(max_workers=2)
-        try:
-            with tracing.activate(tracer):
-                with tracing.span("driver") as driver:
-                    outcomes = backend.map_tasks(task, [(0,), (1,)])
-        finally:
-            backend.close()
-        assert all(outcome.value is not None for outcome in outcomes)
+        with tracing.activate(tracer):
+            with tracing.span("driver") as driver:
+                values = SparkCluster(num_workers=2).run_tasks(
+                    task, [(0,), (1,)])
+        assert all(value is not None for value in values)
         task_records = [record for record in tracer.records()
                         if record.name == "worker.task"]
         assert len(task_records) == 2
         for record in task_records:
             assert record.parent_id == driver.span_id
             assert record.trace_id == driver.trace_id
-
-    def test_process_workers_hand_spans_back_for_adoption(self):
-        """The pickled handoff re-joins child-process spans to the trace."""
-        tracer = Tracer(enabled=True)
-        with Session(_chain_graph(), num_workers=2,
-                     executor="processes") as session:
-            with tracing.activate(tracer):
-                with tracing.span("test.root"):
-                    session.ucrpq(TC_QUERY).run_once(use_result_cache=False)
-        _assert_one_connected_trace(tracer.records())
 
 
 class TestBackgroundWorker:
@@ -151,7 +131,7 @@ class TestServiceIsolation:
             except Exception as error:  # pragma: no cover - surfaced below
                 errors.append(error)
 
-        session = Session(_chain_graph(), num_workers=2, executor="threads")
+        session = Session(_chain_graph(), num_workers=2)
         with QueryService(session, max_in_flight=len(queries),
                           own_engine=True) as service:
             threads = [threading.Thread(target=client, args=(index,))

@@ -1,14 +1,13 @@
-"""Tracer mechanics: spans, nesting, scoping, adoption, the off switch."""
+"""Tracer mechanics: spans, nesting, scoping, the off switch."""
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
 from repro.obs import tracing
-from repro.obs.tracing import NOOP_SPAN, SpanRecord, TraceHandoff, Tracer
+from repro.obs.tracing import NOOP_SPAN, SpanRecord, Tracer
 
 
 class TestDisabledPath:
@@ -27,7 +26,6 @@ class TestDisabledPath:
     def test_ambient_default_is_disabled(self):
         assert tracing.tracing_enabled() is False
         assert tracing.span("anything") is NOOP_SPAN
-        assert tracing.current_handoff() is None
 
     def test_suspended_short_circuits_to_the_disabled_tracer(self):
         with tracing.activate(Tracer(enabled=True)):
@@ -126,54 +124,7 @@ class TestActivation:
         assert tracing.tracing_enabled() is False
 
 
-class TestHandoff:
-    def test_handoff_is_none_without_an_open_span(self):
-        with tracing.activate(Tracer(enabled=True)):
-            assert tracing.current_handoff() is None
-
-    def test_handoff_carries_the_open_span(self):
-        tracer = Tracer(enabled=True)
-        with tracing.activate(tracer):
-            with tracer.span("driver") as span:
-                handoff = tracing.current_handoff()
-        assert handoff == TraceHandoff(trace_id=span.trace_id,
-                                       parent_span_id=span.span_id)
-        assert pickle.loads(pickle.dumps(handoff)) == handoff
-
-    def test_run_traced_task_without_handoff_is_direct(self):
-        value, records = tracing.run_traced_task(lambda x: x + 1, (41,), None)
-        assert value == 42
-        assert records == ()
-
-    def test_run_traced_task_collects_spans_under_a_handoff(self):
-        handoff = TraceHandoff(trace_id="t-1", parent_span_id="p-1")
-
-        def task() -> int:
-            with tracing.span("child-work"):
-                pass
-            return 7
-
-        value, records = tracing.run_traced_task(task, (), handoff)
-        assert value == 7
-        assert [record.name for record in records] == ["child-work"]
-
-    def test_adopt_grafts_orphans_under_the_handoff_parent(self):
-        handoff = TraceHandoff(trace_id="driver-trace",
-                               parent_span_id="driver-span")
-        child = SpanRecord(trace_id="child-trace", span_id="c-1",
-                           parent_id=None, name="remote", started_at=0.0,
-                           duration_seconds=0.1)
-        grandchild = SpanRecord(trace_id="child-trace", span_id="c-2",
-                                parent_id="c-1", name="remote-inner",
-                                started_at=0.0, duration_seconds=0.05)
-        tracer = Tracer(enabled=True)
-        tracer.adopt([child, grandchild], handoff)
-        adopted = {record.span_id: record for record in tracer.records()}
-        assert adopted["c-1"].parent_id == "driver-span"
-        assert adopted["c-1"].trace_id == "driver-trace"
-        assert adopted["c-2"].parent_id == "c-1"
-        assert adopted["c-2"].trace_id == "driver-trace"
-
+class TestSpanIds:
     def test_span_ids_are_pid_prefixed(self):
         tracer = Tracer(enabled=True)
         with tracer.span("here") as span:
@@ -186,13 +137,3 @@ class TestRecordImmutability:
                             name="n", started_at=0.0, duration_seconds=0.0)
         with pytest.raises(AttributeError):
             record.name = "other"
-
-    def test_reparented_copies(self):
-        record = SpanRecord(trace_id="t", span_id="s", parent_id="old",
-                            name="n", started_at=1.0, duration_seconds=2.0,
-                            attributes=(("k", "v"),))
-        moved = record.reparented("new", trace_id="t2")
-        assert moved.parent_id == "new"
-        assert moved.trace_id == "t2"
-        assert moved.attributes == record.attributes
-        assert record.parent_id == "old"

@@ -87,10 +87,10 @@ def reference_answers(database):
     return answers
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
+@pytest.mark.parametrize("num_workers", (1, 2))
 def test_concurrent_replay_with_mutations_is_differential(
-        small_labeled_graph, executor):
-    with Session(small_labeled_graph, num_workers=2, executor=executor,
+        small_labeled_graph, num_workers):
+    with Session(small_labeled_graph, num_workers=num_workers,
                  enable_plan_cache=False,
                  enable_result_cache=False) as engine:
         with QueryService(engine, max_in_flight=NUM_CLIENTS,
@@ -136,8 +136,7 @@ def test_concurrent_mutations_match_per_snapshot_replays(small_labeled_graph):
     reader_queries = QUERIES[:4]
     records: dict[int, list] = {}
     errors: list[BaseException] = []
-    with Session(small_labeled_graph, num_workers=2,
-                 executor="threads") as session:
+    with Session(small_labeled_graph, num_workers=2) as session:
         session.attach("second", second_graph())
         scopes = {"default": session, "second": session.graph("second")}
 

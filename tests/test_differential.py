@@ -1,13 +1,13 @@
 """Cross-front-end differential tests on seeded random graphs.
 
 One query, many ways to answer it — all through one :class:`Session`: the
-three distributed fixpoint plans (Pgld, Pplw^s, Pplw^pg), each on the
-three executor backends (serial, threads, processes), the centralized
-mu-RA evaluator, and the Datalog front-end (``session.datalog``, the same
+three distributed fixpoint plans (Pgld, Pplw^s, Pplw^pg), the two
+execution engines (columnar kernels, row engine), the centralized mu-RA
+evaluator, and the Datalog front-end (``session.datalog``, the same
 left-linear translation the BigDatalog baseline uses).  Every combination
 must produce exactly the same relation — any divergence is either a
 distribution bug (fixpoint splitting, final union), a concurrency bug
-(task isolation, metrics races), or a semantics bug in one of the
+(snapshot isolation, metrics races), or a semantics bug in one of the
 front-end compilers.
 """
 
@@ -22,13 +22,16 @@ from repro.data.columnar import CodeRows, ValueDictionary
 from repro.data.relation import Relation
 from repro.datasets import (erdos_renyi_graph, uniprot_graph,
                             yago_like_graph)
-from repro.distributed import (EXECUTOR_BACKENDS, PGLD, PPLW_POSTGRES,
-                               PPLW_SPARK)
+from repro.distributed import PGLD, PPLW_POSTGRES, PPLW_SPARK
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 from repro.workloads import uniprot_queries, yago_queries
 
 ALL_PLANS = (PGLD, PPLW_SPARK, PPLW_POSTGRES)
+
+#: Worker-count axis: one partition (no split), an odd split, and a split
+#: wide enough that some partitions hold only a few nodes.
+WORKER_COUNTS = (1, 3, 8)
 
 CLOSURE_QUERY = "?x,?y <- ?x edge+ ?y"
 CONCAT_QUERY = "?x,?y <- ?x a+/b+ ?y"
@@ -71,45 +74,46 @@ def tree_reference(seeded_tree_graph):
     return centralized_answer(seeded_tree_graph, CLOSURE_QUERY)
 
 
-class TestPlanExecutorMatrix:
-    """Every plan x executor combination equals the centralized answer."""
+class TestPlanMatrix:
+    """Every plan equals the centralized answer."""
 
-    @pytest.mark.parametrize("executor", EXECUTOR_BACKENDS)
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_closure(self, seeded_random_graph, closure_reference,
-                     strategy, executor):
-        with Session(seeded_random_graph, num_workers=4, optimize=False,
-                     executor=executor) as session:
+                     strategy):
+        with Session(seeded_random_graph, num_workers=4,
+                     optimize=False) as session:
             result = session.ucrpq(CLOSURE_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == closure_reference
-        assert result.metrics.executor == executor
         assert result.metrics.tasks_launched > 0
 
-    @pytest.mark.parametrize("executor", ("serial", "threads"))
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_concatenated_closures(self, seeded_two_label_graph,
-                                   concat_reference, strategy, executor):
-        with Session(seeded_two_label_graph, num_workers=4, optimize=False,
-                     executor=executor) as session:
+                                   concat_reference, strategy, num_workers):
+        with Session(seeded_two_label_graph, num_workers=num_workers,
+                     optimize=False) as session:
             result = session.ucrpq(CONCAT_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == concat_reference
 
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_tree_closure(self, seeded_tree_graph, tree_reference, strategy):
-        with Session(seeded_tree_graph, num_workers=3, optimize=False,
-                     executor="threads") as session:
+    def test_tree_closure(self, seeded_tree_graph, tree_reference, strategy,
+                          num_workers):
+        with Session(seeded_tree_graph, num_workers=num_workers,
+                     optimize=False) as session:
             result = session.ucrpq(CLOSURE_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == tree_reference
 
 
 class TestOptimizedPlansStillAgree:
-    """The rewriter must not change the answer, whatever the backend."""
+    """The rewriter must not change the answer, whatever the plan."""
 
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_closure_with_optimizer(self, seeded_random_graph,
-                                    closure_reference, strategy):
-        with Session(seeded_random_graph, num_workers=4, optimize=True,
-                     executor="threads") as session:
+                                    closure_reference, strategy, num_workers):
+        with Session(seeded_random_graph, num_workers=num_workers,
+                     optimize=True) as session:
             result = session.ucrpq(CLOSURE_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == closure_reference
 
@@ -124,15 +128,19 @@ class TestOptimizedPlansStillAgree:
 class TestCrossFrontEnd:
     """The UCRPQ and Datalog front-ends agree over one shared session."""
 
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     def test_closure_matches_datalog(self, seeded_random_graph,
-                                     closure_reference):
-        with Session(seeded_random_graph, num_workers=4) as session:
+                                     closure_reference, num_workers):
+        with Session(seeded_random_graph,
+                     num_workers=num_workers) as session:
             result = session.datalog(CLOSURE_QUERY).collect()
         assert canonical(result.relation) == closure_reference
 
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     def test_concat_matches_datalog(self, seeded_two_label_graph,
-                                    concat_reference):
-        with Session(seeded_two_label_graph, num_workers=4) as session:
+                                    concat_reference, num_workers):
+        with Session(seeded_two_label_graph,
+                     num_workers=num_workers) as session:
             result = session.datalog(CONCAT_QUERY).collect()
         assert canonical(result.relation) == concat_reference
 
@@ -174,11 +182,8 @@ class TestColumnarAxis:
     """Columnar kernels vs row engine.
 
     The default-on columnar path is already exercised by every other test
-    in this module; this class pins the *comparisons*: whatever the plan,
-    executor or workload query, flipping the engine must not change one
-    row.  The ``processes`` executor additionally proves that kernel
-    closures and value dictionaries pickle (or rebuild) cleanly across
-    process boundaries.
+    in this module; this class pins the *comparisons*: whatever the plan
+    or workload query, flipping the engine must not change one row.
     """
 
     @pytest.mark.parametrize("mode", ENGINE_MODES)
@@ -192,67 +197,73 @@ class TestColumnarAxis:
         result = run_in_mode(mode, run)
         assert canonical(result.relation) == closure_reference
 
-    @pytest.mark.parametrize("executor", EXECUTOR_BACKENDS)
-    def test_concat_columnar_vs_row_per_executor(self, seeded_two_label_graph,
-                                                 concat_reference, executor):
+    @pytest.mark.parametrize("strategy", ALL_PLANS)
+    def test_concat_columnar_vs_row(self, seeded_two_label_graph,
+                                    concat_reference, strategy):
         def run():
             with Session(seeded_two_label_graph, num_workers=4,
-                         optimize=False, executor=executor) as session:
-                return session.ucrpq(CONCAT_QUERY).collect(strategy=PGLD)
+                         optimize=False) as session:
+                return session.ucrpq(CONCAT_QUERY).collect(strategy=strategy)
         columnar = run_in_mode("columnar", run)
         row = run_in_mode("row", run)
         assert (canonical(columnar.relation) == canonical(row.relation)
                 == concat_reference)
 
-    @pytest.mark.parametrize("executor", EXECUTOR_BACKENDS)
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_row_engine_every_plan_and_executor(self, seeded_two_label_graph,
-                                                nested_reference, strategy,
-                                                executor):
+    def test_row_engine_every_plan(self, seeded_two_label_graph,
+                                   nested_reference, strategy, num_workers):
         """The row step is one interpreter wherever it runs: on the
         driver (which resolves the nested fixpoint for every plan), in a
         partition task (``Pgld``), in a local loop (``Pplw``)."""
-        with row_mode(), Session(seeded_two_label_graph, num_workers=4,
-                                 optimize=False,
-                                 executor=executor) as session:
+        with row_mode(), Session(seeded_two_label_graph,
+                                 num_workers=num_workers,
+                                 optimize=False) as session:
             result = session.ucrpq(NESTED_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == nested_reference
 
+    @pytest.mark.parametrize("num_workers", WORKER_COUNTS)
     @pytest.mark.parametrize("mode", ENGINE_MODES)
-    @pytest.mark.parametrize("executor", ("threads", "processes"))
-    def test_prepared_bindings_match_serial(self, seeded_two_label_graph,
-                                            executor, mode):
-        """A prepared binding ships resolved operands and the snapshot's
-        dictionary with each local-loop task.  The second pass finds the
-        operands on the snapshot (encoded and indexed in process; a pool
-        process rebuilds both from what it unpickles)."""
+    def test_prepared_bindings_match_centralized(self, seeded_two_label_graph,
+                                                 mode, num_workers):
+        """A prepared binding hands resolved operands and the snapshot's
+        dictionary to each local-loop task.  The second pass finds the
+        operands on the snapshot, encoded and indexed; both passes answer
+        what the centralized evaluator answers for the bound query."""
         template = "?y <- :c (a/-a)+ ?y"
 
-        def answers(backend):
-            with Session(seeded_two_label_graph, num_workers=4,
-                         executor=backend) as session:
+        def answers():
+            with Session(seeded_two_label_graph,
+                         num_workers=num_workers) as session:
                 prepared = session.prepare(template)
                 nodes = sorted(session.snapshot()["a"].column_values("src"),
                                key=repr)[:3]
-                return [canonical(prepared.bind(c=node).run_once(
-                            use_result_cache=False)[0].relation)
-                        for _ in range(2) for node in nodes]
-        serial = run_in_mode(mode, lambda: answers("serial"))
-        assert any(rows for _, rows in serial)
-        assert run_in_mode(mode, lambda: answers(executor)) == serial
+                served, expected = [], []
+                for _ in range(2):
+                    for node in nodes:
+                        bound = prepared.bind(c=node)
+                        served.append(canonical(bound.run_once(
+                            use_result_cache=False)[0].relation))
+                        expected.append(canonical(
+                            session.evaluate_centralized(bound.term)))
+                return served, expected
+        served, expected = run_in_mode(mode, answers)
+        assert any(rows for _, rows in served)
+        assert served == expected
 
+    @pytest.mark.parametrize("num_workers", (1, 2))
     @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_row_mode_reaches_a_warm_process_pool(self, seeded_random_graph,
-                                                  closure_reference,
-                                                  strategy):
-        """``row_mode()`` is context-local and a pool forked before it was
-        entered never sees it: the engine choice must travel with the
-        task (the ``Pplw`` local loops used to run the kernels here)."""
+    def test_row_mode_reaches_every_task(self, seeded_random_graph,
+                                         closure_reference, strategy,
+                                         num_workers):
+        """``row_mode()`` is context-local and the tasks run on the
+        calling thread, so a run under it iterates on the row engine
+        only — in the ``Pgld`` partition tasks and the ``Pplw`` local
+        loops alike — even after a run on the kernels."""
         tracer = Tracer(enabled=True)
-        with Session(seeded_random_graph, num_workers=2, optimize=False,
-                     executor="processes") as session:
+        with Session(seeded_random_graph, num_workers=num_workers,
+                     optimize=False) as session:
             query = session.ucrpq(CLOSURE_QUERY)
-            # Forks the pool, on the default (columnar) engine.
             query.run_once(strategy=strategy, use_result_cache=False)
             with row_mode(), tracing.activate(tracer):
                 result, _, _ = query.run_once(strategy=strategy,
@@ -272,30 +283,22 @@ class TestColumnarAxis:
 
         def run():
             with Session(uniprot_differential_graph, num_workers=3,
-                         optimize=True, executor="threads") as session:
+                         optimize=True) as session:
                 return session.ucrpq(query.text).collect()
         results = {mode: canonical(run_in_mode(mode, run).relation)
                    for mode in ENGINE_MODES}
         assert results["columnar"] == results["row"]
-
-    @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_processes_executor_pickles_kernels(self, seeded_random_graph,
-                                                closure_reference, strategy):
-        with Session(seeded_random_graph, num_workers=2, optimize=False,
-                     executor="processes") as session:
-            result = session.ucrpq(CLOSURE_QUERY).collect(strategy=strategy)
-        assert canonical(result.relation) == closure_reference
 
 
 class TestWorkerCountInvariance:
     """The answer must not depend on how many workers split the fixpoint."""
 
     @pytest.mark.parametrize("num_workers", (1, 2, 5))
-    @pytest.mark.parametrize("strategy", (PPLW_SPARK, PPLW_POSTGRES))
+    @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_closure(self, seeded_random_graph, closure_reference,
                      strategy, num_workers):
         with Session(seeded_random_graph, num_workers=num_workers,
-                     optimize=False, executor="threads") as session:
+                     optimize=False) as session:
             result = session.ucrpq(CLOSURE_QUERY).collect(strategy=strategy)
         assert canonical(result.relation) == closure_reference
 
@@ -351,19 +354,16 @@ def two_label_graphs(draw, max_edges: int = 10):
 
 class TestEnginesAgreeOnRandomGraphs:
     """The fused step is bound by what the row engine answers *and* by
-    what it is seen to do: same rows, same traffic, on every plan and
-    executor."""
+    what it is seen to do: same rows, same traffic, on every plan."""
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(graph=two_label_graphs(),
            text=st.sampled_from(RECURSIVE_COLD_SHAPES),
-           strategy=st.sampled_from(ALL_PLANS),
-           executor=st.sampled_from(EXECUTOR_BACKENDS))
-    def test_same_answer_and_same_traffic(self, graph, text, strategy,
-                                          executor):
+           strategy=st.sampled_from(ALL_PLANS))
+    def test_same_answer_and_same_traffic(self, graph, text, strategy):
         def run():
-            with Session(graph, num_workers=3, executor=executor) as session:
+            with Session(graph, num_workers=3) as session:
                 return session.ucrpq(text).run_once(
                     strategy=strategy, use_result_cache=False)[0]
         columnar = run()

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Repo-invariant lints the generic linters cannot express.
 
-Three invariants keep the concurrency and immutability story of the
+Two invariants keep the concurrency and immutability story of the
 codebase honest; each maps to the runtime sanitizer check that would
-catch its violation only when the bad path actually runs.  A fourth
-keeps the semi-naive loop from being written out a second time, a fifth
-does the same for the row interpreter, a sixth keeps task bodies from
-encoding against a dictionary nobody else shares, a seventh keeps the
+catch its violation only when the bad path actually runs.  INV004 keeps
+the semi-naive loop from being written out a second time, INV005 does
+the same for the row interpreter, INV006 keeps task bodies from
+encoding against a dictionary nobody else shares, INV007 keeps the
 canonical row order in the one place that computes it once:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
@@ -19,11 +19,6 @@ INV002  No bare ``threading.Lock()`` / ``threading.RLock()`` outside
         ``src/repro/check/sanitizer.py``.  Locks must be created with
         ``ordered_lock(name)`` / ``ordered_rlock(name)`` so the
         sanitizer's lock-order tracker sees every acquisition site.
-INV003  No lambdas (or other inline function expressions) handed to the
-        executor submission points (``map_tasks`` / ``submit``) inside
-        ``src/repro/distributed/``.  Task functions must be module-level
-        so the process backend can pickle them instead of silently
-        degrading to in-process execution.
 INV004  No ``while`` loop whose body calls ``.absorb(`` outside
         ``src/repro/algebra/fixpoint.py``.  That module holds the one
         semi-naive loop (guard, iteration span); every other layer
@@ -62,8 +57,6 @@ from pathlib import Path
 
 #: Attributes of Relation that only its owning package may assign.
 RELATION_INTERNALS = frozenset({"_columns", "_rows"})
-#: Executor entry points whose task argument must be picklable.
-TASK_ENTRY_POINTS = frozenset({"map_tasks", "submit"})
 
 
 def _is_relation_dir(path: Path) -> bool:
@@ -148,26 +141,6 @@ def _check_bare_locks(tree: ast.AST, path: Path,
                          f"bare {name}() — use ordered_lock(name) / "
                          f"ordered_rlock(name) from repro.check.sanitizer "
                          f"so the lock-order tracker covers it")
-
-
-def _check_task_functions(tree: ast.AST, path: Path,
-                          findings: _Findings) -> None:
-    """INV003: executor task payloads must not be inline lambdas."""
-    if not _is_distributed_dir(path):
-        return
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in TASK_ENTRY_POINTS):
-            continue
-        for arg in node.args[:1]:
-            if isinstance(arg, ast.Lambda):
-                findings.add(path, arg.lineno, "INV003",
-                             f"lambda passed to {func.attr}(): task "
-                             f"functions must be module-level so the "
-                             f"process backend can pickle them")
 
 
 def _check_fixpoint_loops(tree: ast.AST, path: Path,
@@ -262,7 +235,6 @@ def lint_file(path: Path, findings: _Findings) -> None:
         return
     _check_relation_internals(tree, path, findings)
     _check_bare_locks(tree, path, findings)
-    _check_task_functions(tree, path, findings)
     _check_fixpoint_loops(tree, path, findings)
     _check_row_interpreters(tree, path, findings)
     _check_task_dictionaries(tree, path, findings)
