@@ -17,7 +17,7 @@ from repro.algebra import RelVar, closure
 from repro.bench import MeasuredRun
 from repro.distributed import (PPLW_SPARK, PartitioningDecision, SparkCluster,
                                make_plan)
-from repro.distributed.plans import ParallelLocalLoopsSpark
+from repro.distributed.plans import ParallelLocalLoops
 
 FIGURE_TITLE = "Ablation - stable-column partitioning vs round-robin splitting"
 
@@ -30,8 +30,8 @@ def _run(graph, variant: str) -> MeasuredRun:
     cluster = SparkCluster(num_workers=4)
     override = PartitioningDecision.round_robin() if variant == "round-robin" \
         else None
-    plan = ParallelLocalLoopsSpark(cluster, database,
-                                   partitioning_override=override)
+    plan = ParallelLocalLoops(cluster, database,
+                              partitioning_override=override)
     started = time.perf_counter()
     result = plan.execute(term)
     elapsed = time.perf_counter() - started
@@ -59,7 +59,7 @@ def test_both_variants_agree(benchmark, figure_report, transitive_closure_graph)
         database = transitive_closure_graph.relations()
         term = closure(RelVar("edge"))
         stable = make_plan(PPLW_SPARK, SparkCluster(4), database).execute(term)
-        round_robin = ParallelLocalLoopsSpark(
+        round_robin = ParallelLocalLoops(
             SparkCluster(4), database,
             partitioning_override=PartitioningDecision.round_robin()).execute(term)
         return stable == round_robin

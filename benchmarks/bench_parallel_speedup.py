@@ -1,4 +1,4 @@
-"""Simulated parallel speedup of the Pplw local loops on 4 workers.
+"""Simulated parallel speedup of the Pplw^s local loops on 4 workers.
 
 The paper's central claim is that ``Pplw`` runs one complete fixpoint per
 worker *without coordination*; this benchmark verifies that the claim buys
@@ -7,7 +7,7 @@ transitive closure of the ``int`` (protein interaction) relation on a
 generated Uniprot graph, the recursion that dominates the paper's
 scalability sweep.
 
-Each Pplw variant runs once on a 4-worker cluster.  Its local loops form
+Pplw^s runs once on a 4-worker cluster.  Its local loops form
 one task wave; the cluster times every task (CPU seconds) and attributes
 task *i* to worker ``i % 4``, so the busiest worker's seconds are the
 wave's makespan on a real 4-machine cluster.  The simulated speedup
@@ -27,18 +27,17 @@ import pytest
 from repro.algebra import RelVar, closure
 from repro.bench import MeasuredRun, run_distmura
 from repro.datasets import uniprot_graph
-from repro.distributed import PPLW_POSTGRES, PPLW_SPARK
+from repro.distributed import PPLW_SPARK
 from repro.workloads.common import mu_ra_query
 
 FIGURE_TITLE = "Parallel speedup - Pplw local loops on the simulated cluster"
 
-STRATEGIES = (PPLW_SPARK, PPLW_POSTGRES)
 NUM_WORKERS = 4
 #: Minimum acceptable simulated speedup for Pplw^s.
 SPEEDUP_FLOOR = 1.5
 
-#: strategy -> MeasuredRun, filled by the per-variant test below and
-#: consumed by the speedup assertions.
+#: strategy -> MeasuredRun, filled by the run below and consumed by the
+#: speedup assertion.
 _RESULTS: dict[str, MeasuredRun] = {}
 
 
@@ -63,19 +62,17 @@ def closure_query():
                        description="transitive closure of int")
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_local_loops(benchmark, figure_report, speedup_graph, closure_query,
-                     strategy):
+def test_local_loops(benchmark, figure_report, speedup_graph, closure_query):
     def run():
         measured = run_distmura(speedup_graph, closure_query,
-                                strategy=strategy, num_workers=NUM_WORKERS,
+                                strategy=PPLW_SPARK, num_workers=NUM_WORKERS,
                                 optimize=False)
-        measured.query_id = f"{closure_query.qid}[{strategy}]"
+        measured.query_id = f"{closure_query.qid}[{PPLW_SPARK}]"
         return measured
 
     measured = benchmark.pedantic(run, rounds=1, iterations=1)
     figure_report.add(measured)
-    _RESULTS[strategy] = measured
+    _RESULTS[PPLW_SPARK] = measured
     assert measured.succeeded
     assert measured.metrics["task_waves"] == 1
 
@@ -83,7 +80,7 @@ def test_local_loops(benchmark, figure_report, speedup_graph, closure_query,
 def test_simulated_speedup_exceeds_floor(figure_report):
     """Pplw^s on 4 simulated workers must be >1.5x faster than in order."""
     if PPLW_SPARK not in _RESULTS:
-        pytest.skip("variant runs were deselected")
+        pytest.skip("the Pplw^s run was deselected")
     lines = [f"simulated speedup ({NUM_WORKERS} workers):"]
     for strategy, run in _RESULTS.items():
         lines.append(f"  {strategy:12s} {simulated_speedup(run):5.2f}x "
@@ -94,12 +91,3 @@ def test_simulated_speedup_exceeds_floor(figure_report):
     assert speedup > SPEEDUP_FLOOR, (
         f"Pplw^s simulated speedup {speedup:.2f}x below the "
         f"{SPEEDUP_FLOOR}x floor")
-
-
-def test_variants_agree(figure_report):
-    """Both Pplw variants return the same row count."""
-    row_counts = {strategy: run.rows for strategy, run in _RESULTS.items()
-                  if run.succeeded}
-    if len(row_counts) < 2:
-        pytest.skip("variant runs were deselected")
-    assert len(set(row_counts.values())) == 1, row_counts

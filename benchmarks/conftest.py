@@ -59,7 +59,7 @@ def labeled_random_graph():
 
 @pytest.fixture(scope="session")
 def transitive_closure_graph():
-    """Erdos-Renyi graph for the Fig. 5 constant-part sweep."""
+    """Erdos-Renyi graph for the partitioning ablation's transitive closure."""
     return erdos_renyi_graph(1_500, num_edges=6_000, seed=5, name="rnd_tc")
 
 

@@ -2,8 +2,7 @@
 
 The second motivating domain of the paper: biological graphs, where
 recursive queries follow chains of protein interactions, shared tissues and
-shared keywords.  The example also shows how the physical plan selection
-reacts to the size of the relations involved in the recursion.
+shared keywords.
 
 Run with::
 
@@ -43,15 +42,6 @@ def main() -> None:
     print(f"  physical strategies: {result.physical_strategies}")
     print(f"  partitioning: {result.metrics.partitioning}, "
           f"final union skipped: {result.metrics.final_union_skipped}")
-
-    print("\n== Physical plan selection heuristic ==")
-    # Forcing a tiny per-task memory budget pushes the local loops to the
-    # per-worker PostgreSQL-like engine (Pplw^pg) instead of Spark (Pplw^s).
-    small_memory = Session(graph, num_workers=4, memory_per_task=100)
-    forced = small_memory.ucrpq(f"?y <- {protein} int+ ?y").collect()
-    default = session.ucrpq(f"?y <- {protein} int+ ?y").collect()
-    print(f"  default memory budget -> {default.physical_strategies}")
-    print(f"  tiny memory budget    -> {forced.physical_strategies}")
 
 
 if __name__ == "__main__":

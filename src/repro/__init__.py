@@ -24,7 +24,7 @@ from .data.tuples import Tup
 from .session import (Parameter, PathBuilder, PreparedQuery, Query,
                       QueryResult, Session, Transaction)
 from .distributed.cluster import SparkCluster
-from .distributed.plans import PGLD, PPLW_POSTGRES, PPLW_SPARK
+from .distributed.plans import PGLD, PPLW_SPARK
 from .errors import ReproError, ServiceError, ServiceOverloadError
 from .obs import (ExplainAnalyzeReport, MetricsRegistry, Tracer,
                   configure_logging, configure_tracing, get_registry)
@@ -48,7 +48,6 @@ __all__ = [
     "LabeledGraph",
     "MetricsRegistry",
     "PGLD",
-    "PPLW_POSTGRES",
     "PPLW_SPARK",
     "Parameter",
     "PathBuilder",

@@ -76,9 +76,6 @@ class ClusterMetrics:
     duplicates_eliminated: int = 0
     final_union_skipped: bool = False
     partitioning: str = "none"
-    #: Tuples exchanged between the Spark worker and its local PostgreSQL
-    #: instance (Pplw^pg only): constant part sent + results iterated back.
-    tuples_marshalled: int = 0
     #: Number of task waves (one wave = one batch of per-partition tasks).
     task_waves: int = 0
     #: CPU seconds of task work accumulated per worker slot.
@@ -111,7 +108,6 @@ class ClusterMetrics:
             ("repro_tasks_launched_total", self.tasks_launched),
             ("repro_fixpoint_global_iterations_total", self.global_iterations),
             ("repro_fixpoint_local_iterations_total", self.local_iterations),
-            ("repro_tuples_marshalled_total", self.tuples_marshalled),
             ("repro_index_builds_total", self.index_builds),
             ("repro_index_reuses_total", self.index_reuses),
         ):
@@ -166,7 +162,6 @@ class ClusterMetrics:
             "duplicates_eliminated": self.duplicates_eliminated,
             "final_union_skipped": self.final_union_skipped,
             "partitioning": self.partitioning,
-            "tuples_marshalled": self.tuples_marshalled,
             "total_tuples_processed": self.total_tuples_processed,
             "skew": round(self.skew(), 3),
             "task_waves": self.task_waves,

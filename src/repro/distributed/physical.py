@@ -1,157 +1,51 @@
-"""Physical plan generation, selection and distributed query execution.
+"""Distributed query execution: the physical plan of every fixpoint.
 
-The ``PhysicalPlanGenerator`` of Dist-mu-RA takes the selected logical plan
-and decides how its fixpoints will be executed on the cluster:
-
-* ``Pgld`` is generated as the baseline,
-* the two ``Pplw`` variants are generated, and the choice between them
-  follows the heuristic of Section III-D: when the datasets appearing in
-  the variable part of the fixpoint exceed the memory available to a task,
-  delegate the local loops to the per-worker PostgreSQL-like engine
-  (``Pplw^pg``); otherwise keep them as Spark operations over broadcast
-  relations (``Pplw^s``).
-
-:class:`DistributedQueryExecutor` evaluates a full mu-RA term: its
-outermost fixpoints are executed with the selected distributed plan, the
-surrounding non-recursive operators are evaluated as ordinary (Catalyst-
-optimised, in the real system) dataset operations.
+:class:`DistributedQueryExecutor` evaluates a full mu-RA term: each of
+its outermost fixpoints is executed with a distributed plan — ``Pgld``,
+or ``Pplw^s``, which :data:`AUTO` resolves to — and the surrounding
+non-recursive operators are evaluated as ordinary (Catalyst-optimised,
+in the real system) dataset operations.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from ..algebra.conditions import Decomposition
 from ..algebra.evaluate import Evaluator
-from ..algebra.kernels import KernelProgramCache, SeedShape
+from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Fixpoint, Literal, Term
-from ..algebra.variables import free_variables
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
 from ..errors import PlanSelectionError, ReproError
 from ..obs import tracing
 from .cluster import SparkCluster
-from .partitioner import (FixpointAnalysis, PartitioningDecision,
-                          analyse_fixpoint, analyse_fixpoints)
-from .plans import (PGLD, PLAN_CLASSES, PPLW_POSTGRES, PPLW_SPARK,
-                    DistributedFixpointPlan, make_plan)
+from .partitioner import FixpointAnalysis, analyse_fixpoints
+from .plans import PLAN_CLASSES, PPLW_SPARK, make_plan
 
-#: Default per-task memory budget, expressed in tuples (the simulation's
-#: unit of data volume).  Mirrors the "memory available for a task" of the
-#: selection heuristic.
-DEFAULT_MEMORY_PER_TASK = 200_000
-
-#: Strategy name meaning "let the heuristic decide".
+#: Strategy name meaning "let the executor choose"; it resolves to Pplw^s.
 AUTO = "auto"
+
+#: Every strategy name a session, a query handle or an executor accepts.
+STRATEGIES = (AUTO, *PLAN_CLASSES)
+
+
+def check_strategy(strategy: str) -> str:
+    """``strategy``, or :class:`~repro.errors.PlanSelectionError` when it
+    names no strategy of :data:`STRATEGIES`."""
+    if strategy not in STRATEGIES:
+        raise PlanSelectionError(
+            f"unknown strategy {strategy!r}; known: {', '.join(STRATEGIES)}")
+    return strategy
 
 
 @dataclass(frozen=True)
-class PhysicalPlan:
-    """The physical execution decision for one fixpoint.
-
-    Carries the whole static analysis of the fixpoint — its
-    ``mu(X = R U phi)`` form beside the partitioning and the seed shape
-    derived from it — so the plan that executes it analyses nothing a
-    second time.
-    """
-
-    strategy: str
-    fixpoint: Fixpoint
-    partitioning: PartitioningDecision
-    variable_part_size: int
-    decomposition: Decomposition
-    seed: SeedShape | None
-
-    def describe(self) -> str:
-        return (f"{self.strategy} (partitioning={self.partitioning.strategy}, "
-                f"variable-part size={self.variable_part_size})")
-
-
-@dataclass
 class ExecutionOutcome:
-    """Result of one distributed execution, with its physical decisions."""
+    """Result of one distributed execution, with the strategy each
+    outermost fixpoint ran under."""
 
     relation: Relation
-    physical_plans: list[PhysicalPlan] = field(default_factory=list)
-
-    @property
-    def strategies(self) -> tuple[str, ...]:
-        return tuple(plan.strategy for plan in self.physical_plans)
-
-
-class PhysicalPlanGenerator:
-    """Generate and select physical plans for the fixpoints of a term."""
-
-    def __init__(self, cluster: SparkCluster, database: Mapping[str, Relation],
-                 memory_per_task: int = DEFAULT_MEMORY_PER_TASK,
-                 kernel_cache: KernelProgramCache | None = None):
-        self.cluster = cluster
-        self.database = adopt_database(database)
-        self.memory_per_task = memory_per_task
-        self.kernel_cache = kernel_cache
-        self.schemas = database_schemas(self.database)
-
-    # -- Plan generation ---------------------------------------------------------
-
-    def candidate_strategies(self) -> tuple[str, ...]:
-        """All physical strategies the generator can emit."""
-        return (PGLD, PPLW_SPARK, PPLW_POSTGRES)
-
-    def generate(self, fixpoint: Fixpoint) -> list[PhysicalPlan]:
-        """Generate one physical plan per strategy for a fixpoint."""
-        analysed = self.select(fixpoint)
-        return [replace(analysed, strategy=strategy)
-                for strategy in self.candidate_strategies()]
-
-    def select(self, fixpoint: Fixpoint) -> PhysicalPlan:
-        """Select the physical plan for one fixpoint (heuristic of §III-D)."""
-        return self.physical(fixpoint, AUTO,
-                             analyse_fixpoint(fixpoint, self.schemas))
-
-    def physical(self, fixpoint: Fixpoint, strategy: str,
-                 analysis: FixpointAnalysis) -> PhysicalPlan:
-        """Plan ``fixpoint``, analysed as ``analysis``, under ``strategy``.
-
-        :data:`AUTO` applies the selection heuristic: local loops in the
-        per-worker engine when the variable part's datasets exceed the
-        memory of a task, as Spark operations otherwise.  The size it
-        compares reads the database, so it is decided per execution.
-        """
-        decomposition = analysis.decomposition
-        size = self.variable_part_size(decomposition)
-        if strategy == AUTO:
-            strategy = (PPLW_POSTGRES if size > self.memory_per_task
-                        else PPLW_SPARK)
-        return PhysicalPlan(
-            strategy=strategy, fixpoint=fixpoint,
-            partitioning=analysis.partitioning,
-            variable_part_size=size, decomposition=decomposition,
-            seed=analysis.seed)
-
-    def variable_part_size(self, decomposition: Decomposition) -> int:
-        """Total size of the datasets appearing in the variable part.
-
-        This is the quantity the selection heuristic compares against the
-        per-task memory: the constant subterms of the variable part are the
-        relations that ``Pplw^s`` would broadcast (or ``Pplw^pg`` would
-        query from the local engine) at every iteration.
-        """
-        if decomposition.variable_part is None:
-            return 0
-        names = free_variables(decomposition.variable_part) \
-            - {decomposition.var}
-        return sum(len(self.database[name]) for name in names
-                   if name in self.database)
-
-    # -- Execution ----------------------------------------------------------------
-
-    def plan_for(self, strategy: str) -> DistributedFixpointPlan:
-        if strategy not in PLAN_CLASSES:
-            raise PlanSelectionError(
-                f"unknown strategy {strategy!r}; known: {sorted(PLAN_CLASSES)}")
-        return make_plan(strategy, self.cluster, self.database,
-                         kernel_cache=self.kernel_cache)
+    strategies: tuple[str, ...] = ()
 
 
 class DistributedQueryExecutor:
@@ -159,15 +53,12 @@ class DistributedQueryExecutor:
 
     def __init__(self, cluster: SparkCluster, database: Mapping[str, Relation],
                  strategy: str = AUTO,
-                 memory_per_task: int = DEFAULT_MEMORY_PER_TASK,
                  kernel_cache: KernelProgramCache | None = None):
+        check_strategy(strategy)
         self.cluster = cluster
         self.database = adopt_database(database)
-        self.strategy = strategy
+        self.strategy = PPLW_SPARK if strategy == AUTO else strategy
         self.kernel_cache = kernel_cache
-        self.generator = PhysicalPlanGenerator(cluster, self.database,
-                                               memory_per_task=memory_per_task,
-                                               kernel_cache=kernel_cache)
 
     def execute(self, term: Term,
                 analysis: tuple[FixpointAnalysis, ...] | None = None,
@@ -179,19 +70,20 @@ class DistributedQueryExecutor:
         here, by the same function.
         """
         if analysis is None:
-            analysis = analyse_fixpoints(term, self.generator.schemas)
-        physical_plans: list[PhysicalPlan] = []
-        rewritten = self._execute_fixpoints(term, iter(analysis),
-                                            physical_plans)
+            analysis = analyse_fixpoints(term,
+                                         database_schemas(self.database))
+        strategies: list[str] = []
+        rewritten = self._execute_fixpoints(term, iter(analysis), strategies)
         evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
         relation = evaluator.evaluate(rewritten)
-        return ExecutionOutcome(relation=relation, physical_plans=physical_plans)
+        return ExecutionOutcome(relation=relation,
+                                strategies=tuple(strategies))
 
     # -- Internals ------------------------------------------------------------------
 
     def _execute_fixpoints(self, term: Term,
                            analyses: Iterator[FixpointAnalysis],
-                           physical_plans: list[PhysicalPlan]) -> Term:
+                           strategies: list[str]) -> Term:
         """Replace every outermost fixpoint by the relation it evaluates to."""
         if isinstance(term, Fixpoint):
             analysis = next(analyses, None)
@@ -199,20 +91,20 @@ class DistributedQueryExecutor:
                 raise PlanSelectionError(
                     f"the fixpoint analysis does not match the term at "
                     f"fixpoint {term.var!r}")
-            physical = self.generator.physical(term, self.strategy, analysis)
-            physical_plans.append(physical)
-            plan = self.generator.plan_for(physical.strategy)
+            strategies.append(self.strategy)
+            plan = make_plan(self.strategy, self.cluster, self.database,
+                             kernel_cache=self.kernel_cache)
             if not tracing.tracing_enabled():
-                relation = plan.execute(term, physical)
+                relation = plan.execute(term, analysis)
             else:
                 with tracing.span(
-                        "fixpoint", var=term.var, strategy=physical.strategy,
-                        partitioning=physical.partitioning.strategy,
+                        "fixpoint", var=term.var, strategy=self.strategy,
+                        partitioning=analysis.partitioning.strategy,
                         ) as fixpoint_span:
                     estimate = self._estimate_cardinality(term)
                     if estimate is not None:
                         fixpoint_span.set_attribute("estimated_rows", estimate)
-                    relation = plan.execute(term, physical)
+                    relation = plan.execute(term, analysis)
                     fixpoint_span.set_attribute("actual_rows", len(relation))
                     # Whether this execution paid for its operands: those
                     # not evaluated here came from the snapshot's memo.
@@ -225,12 +117,12 @@ class DistributedQueryExecutor:
                     if estimate:
                         fixpoint_span.set_attribute(
                             "drift", round(len(relation) / estimate, 4))
-            return Literal(relation, name=f"fixpoint[{physical.strategy}]")
+            return Literal(relation, name=f"fixpoint[{self.strategy}]")
         children = term.children()
         if not children:
             return term
         new_children = tuple(
-            self._execute_fixpoints(child, analyses, physical_plans)
+            self._execute_fixpoints(child, analyses, strategies)
             for child in children)
         if new_children != children:
             term = term.with_children(new_children)

@@ -1,4 +1,4 @@
-"""The distributed fixpoint execution plans: Pgld, Pplw^s and Pplw^pg.
+"""The distributed fixpoint execution plans: Pgld and Pplw.
 
 Section III of the paper contrasts two ways of distributing a fixpoint on a
 Spark cluster:
@@ -13,10 +13,10 @@ Spark cluster:
   worker runs its *own complete fixpoint locally*, with no data exchange
   during the recursion.  A single shuffle may remain for the final union,
   and even that one disappears when the split used a stable column
-  (Section III-B).  Two physical variants exist: ``Pplw^s`` runs the local
-  loops with Spark operations over a SetRDD and broadcast joins, while
-  ``Pplw^pg`` delegates each local loop to the worker's PostgreSQL
-  instance and pays for marshalling the rows both ways.
+  (Section III-B).  The paper runs the local loops either as Spark
+  operations over broadcast relations (``Pplw^s``) or in a per-worker
+  PostgreSQL (``Pplw^pg``); here every local loop runs on the shared
+  engines, so there is one ``Pplw`` plan, ``Pplw^s``.
 
 The plans differ in *where* the fixpoint step runs and what it
 communicates, not in how a term is evaluated: every step is either the
@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
 
 from ..algebra.conditions import Decomposition, decompose
 from ..algebra.evaluate import Evaluator
@@ -54,22 +53,18 @@ from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
 from ..errors import DistributionError
 from ..obs import tracing
-from . import local_engine as local_engine_module
 from .cluster import SparkCluster
-from .partitioner import (PartitioningDecision, plan_partitioning,
-                          split_constant_part)
-from .rdd import SetRDD
+from .partitioner import (FixpointAnalysis, PartitioningDecision,
+                          plan_partitioning, split_constant_part)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (physical.py imports us)
-    from .physical import PhysicalPlan
-
-#: Plan identifiers used in metrics, reports and the selection heuristic.
+#: Plan identifiers used in metrics, reports and strategy names.
 PGLD = "pgld"
 PPLW_SPARK = "plw-spark"
-PPLW_POSTGRES = "plw-postgres"
 
 #: Safety bound on driver-side global iterations.
 MAX_GLOBAL_ITERATIONS = 1_000_000
+#: Safety bound on the iterations of one worker's local fixpoint.
+MAX_LOCAL_ITERATIONS = 1_000_000
 
 
 @dataclass
@@ -101,7 +96,7 @@ def _freeze_operands(variable_part: Term, var: str, resolve) -> Term:
 
 
 class DistributedFixpointPlan:
-    """Base class of the three physical fixpoint plans."""
+    """Base class of the two physical fixpoint plans."""
 
     name: str = "abstract"
 
@@ -130,12 +125,12 @@ class DistributedFixpointPlan:
         self.operands_evaluated = 0
 
     def execute(self, fixpoint: Fixpoint,
-                physical: PhysicalPlan | None = None) -> Relation:
+                analysis: FixpointAnalysis | None = None) -> Relation:
         """Evaluate ``fixpoint`` against the plan's database.
 
-        ``physical`` is the executor's analysis of this fixpoint
-        (decomposition, partitioning); a direct caller leaves it out and
-        the plan derives what it needs, once, here.
+        ``analysis`` is the executor's analysis of this fixpoint
+        (decomposition, partitioning, seed shape); a direct caller leaves
+        it out and the plan derives what it needs, once, here.
         """
         raise NotImplementedError
 
@@ -149,21 +144,21 @@ class DistributedFixpointPlan:
 
     @staticmethod
     def _decomposition(fixpoint: Fixpoint,
-                       physical: PhysicalPlan | None) -> Decomposition:
-        return (physical.decomposition if physical is not None
+                       analysis: FixpointAnalysis | None) -> Decomposition:
+        return (analysis.decomposition if analysis is not None
                 else decompose(fixpoint))
 
-    def _partitioning(self, fixpoint: Fixpoint, physical: PhysicalPlan | None,
+    def _partitioning(self, fixpoint: Fixpoint, analysis: FixpointAnalysis | None,
                       decomposition: Decomposition) -> PartitioningDecision:
         if self.partitioning_override is not None:
             return self.partitioning_override
-        if physical is not None:
-            return physical.partitioning
+        if analysis is not None:
+            return analysis.partitioning
         return plan_partitioning(fixpoint, database_schemas(self.database),
                                  decomposition=decomposition)
 
     def _seed_and_bind(self, cache: KernelProgramCache | None,
-                       fixpoint: Fixpoint, physical: PhysicalPlan | None,
+                       fixpoint: Fixpoint, analysis: FixpointAnalysis | None,
                        decomposition: Decomposition,
                        ) -> tuple[Relation | CodeRows, DriverBind | None]:
         """The seed, and the step bound once on the driver.
@@ -195,7 +190,7 @@ class DistributedFixpointPlan:
         variable_part = decomposition.variable_part
         shape = None
         if variable_part is not None and columnar_enabled():
-            shape = (physical.seed if physical is not None
+            shape = (analysis.seed if analysis is not None
                      else seed_shape(constant_part,
                                      database_schemas(self.database)))
         seed = bind = None
@@ -278,11 +273,11 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
     name = PGLD
 
     def execute(self, fixpoint: Fixpoint,
-                physical: PhysicalPlan | None = None) -> Relation:
+                analysis: FixpointAnalysis | None = None) -> Relation:
         self._check_closed(fixpoint)
-        decomposition = self._decomposition(fixpoint, physical)
+        decomposition = self._decomposition(fixpoint, analysis)
         seed, bind = self._seed_and_bind(self.kernel_cache, fixpoint,
-                                         physical, decomposition)
+                                         analysis, decomposition)
         if bind is None:
             return seed
         columns = seed.columns
@@ -382,22 +377,21 @@ class LocalLoopOutcome:
     """What one worker's local fixpoint task reports back to the driver.
 
     A task is a worker's share of the plan: everything it observes
-    (iteration counts, marshalled tuples) travels back as data instead of
+    (iteration count, index accesses) travels back as data instead of
     being written into the shared
     :class:`~repro.distributed.cluster.ClusterMetrics` mid-flight.
     """
 
     relation: Relation
     iterations: int
-    tuples_marshalled: int = 0
     index_builds: int = 0
     index_reuses: int = 0
 
 
 def run_local_loop(var: str, variable_part: Term,
                    operands: Mapping[Term, Relation],
-                   dictionary: ValueDictionary, chunk: Relation,
-                   variant: str) -> LocalLoopOutcome:
+                   dictionary: ValueDictionary,
+                   chunk: Relation) -> LocalLoopOutcome:
     """One worker's ``Pplw`` local fixpoint over its chunk of the seed.
 
     The task receives results, not recipes: ``operands`` holds every
@@ -406,10 +400,7 @@ def run_local_loop(var: str, variable_part: Term,
     relations — and the encodings and indexes memoized on them — are the
     driver's own objects, so a task only reuses.  The engine is the
     caller's (``row_mode()`` is a context variable), and the iteration
-    bound is :data:`~repro.distributed.local_engine.MAX_LOCAL_ITERATIONS`.
-    ``variant`` (``spark`` / ``postgres``) labels the span; the
-    PostgreSQL variant also pays for marshalling the chunk in and the
-    result back.
+    bound is :data:`MAX_LOCAL_ITERATIONS`.
     """
     evaluator: Evaluator | None = None
     row_term: Term | None = None
@@ -424,8 +415,8 @@ def run_local_loop(var: str, variable_part: Term,
                                         operands.__getitem__)
         return evaluator.evaluate(row_term, env={var: delta})
 
-    max_iterations = local_engine_module.MAX_LOCAL_ITERATIONS
-    with tracing.span("fixpoint.local_loop", var=var, variant=variant,
+    max_iterations = MAX_LOCAL_ITERATIONS
+    with tracing.span("fixpoint.local_loop", var=var,
                       seed=len(chunk)) as loop_span:
         # The process-default program cache gives in-process task reuse
         # (compile once, bind per chunk).
@@ -436,48 +427,46 @@ def run_local_loop(var: str, variable_part: Term,
             f"within {max_iterations} iterations")
         loop_span.set_attribute("iterations", run.iterations)
         loop_span.set_attribute("total", len(run.relation))
-    marshalled = len(chunk) + len(run.relation) if variant == "postgres" else 0
     builds, reuses = run.index_builds, run.index_reuses
     if evaluator is not None:
         builds += evaluator.stats.index_builds
         reuses += evaluator.stats.index_reuses
     return LocalLoopOutcome(
         relation=run.relation, iterations=run.iterations,
-        tuples_marshalled=marshalled, index_builds=builds,
-        index_reuses=reuses)
+        index_builds=builds, index_reuses=reuses)
 
 
 class ParallelLocalLoops(DistributedFixpointPlan):
-    """Common machinery of the two ``Pplw`` variants.
+    """``Pplw^s``: every worker runs its own local fixpoint.
 
     Splits the constant part (by stable column when possible), broadcasts
     the recursion-constant relations of the variable part, and runs one
     wave of one local-fixpoint task per worker on the cluster — the tasks
     share no state, which is exactly the paper's claim that the local
     loops run without coordination, and the cluster accounts each task's
-    seconds to its worker as the simulated schedule.  Subclasses name the
-    variant.
+    seconds to its worker as the simulated schedule.  Joins against the
+    broadcast relations and the task's own union / set-difference never
+    exchange data with other workers.
     """
 
-    #: ``spark`` or ``postgres``; see :func:`run_local_loop`.
-    variant: str = "abstract"
+    name = PPLW_SPARK
 
     def execute(self, fixpoint: Fixpoint,
-                physical: PhysicalPlan | None = None) -> Relation:
+                analysis: FixpointAnalysis | None = None) -> Relation:
         self._check_closed(fixpoint)
-        decomposition = self._decomposition(fixpoint, physical)
+        decomposition = self._decomposition(fixpoint, analysis)
         # Broadcast once: the operands are resolved (and their indexes
         # built) here, and every task receives the same table.  Bound
         # through the process-default program cache, the one the tasks
         # read: in process their binds find the program compiled.
-        seed, bind = self._seed_and_bind(None, fixpoint, physical,
+        seed, bind = self._seed_and_bind(None, fixpoint, analysis,
                                          decomposition)
         if bind is None:
             return seed
         variable_part = decomposition.variable_part
         var = fixpoint.var
         metrics = self.cluster.metrics
-        decision = self._partitioning(fixpoint, physical, decomposition)
+        decision = self._partitioning(fixpoint, analysis, decomposition)
         metrics.partitioning = decision.strategy
         # On the kernels the chunks are cut from the encoded seed, so no
         # task encodes its chunk; each decodes its own result once.
@@ -487,13 +476,12 @@ class ParallelLocalLoops(DistributedFixpointPlan):
         self._broadcast_variable_part(variable_part, var)
         loops: list[LocalLoopOutcome] = self.cluster.run_tasks(
             run_local_loop,
-            [(var, variable_part, self.operands, self._dictionary, chunk,
-              self.variant) for chunk in chunks])
+            [(var, variable_part, self.operands, self._dictionary, chunk)
+             for chunk in chunks])
         local_results: list[Relation] = []
         for worker_id, loop in enumerate(loops):
             self.cluster.record_worker_tuples(worker_id, len(loop.relation))
             metrics.local_iterations += loop.iterations
-            metrics.tuples_marshalled += loop.tuples_marshalled
             metrics.index_builds += loop.index_builds
             metrics.index_reuses += loop.index_reuses
             local_results.append(loop.relation)
@@ -514,53 +502,36 @@ class ParallelLocalLoops(DistributedFixpointPlan):
 
     def _final_union(self, locals_: list[Relation], columns: tuple[str, ...],
                      decision: PartitioningDecision) -> Relation:
-        set_rdd = SetRDD(self.cluster, [
-            chunk if chunk.columns == columns else Relation(columns, chunk.rows)
-            for chunk in locals_
-        ])
+        """Union the workers' local fixpoints, one row set per worker
+        (BigDatalog's set-valued RDD).
+
+        Every worker ran its own complete loop, so nothing looked at
+        another partition during the recursion and only this union may
+        need a shuffle.  After a stable-column split the local fixpoints
+        are provably pairwise disjoint (Section III-B): one
+        ``frozenset.union`` builds the result, with no duplicate
+        elimination and no shuffle.  (It sizes the table for the sum of
+        the partitions, so overlapping partitions are copied into one set
+        instead: an oversized result stays as long as cached.)  Otherwise
+        every row is shuffled once and the duplicates are eliminated.
+        """
+        first, *rest = (local.rows for local in locals_)
         if decision.disjoint:
-            # Stable-column partitioning: the local fixpoints are pairwise
-            # disjoint, no duplicate elimination (and no shuffle) is needed.
             self.cluster.metrics.final_union_skipped = True
-            return set_rdd.collect_no_dedup()
-        total = set_rdd.count()
+            return Relation._from_trusted(columns, first.union(*rest))
+        rows = set(first)
+        for partition in rest:
+            rows.update(partition)
+        total = len(first) + sum(len(partition) for partition in rest)
         self.cluster.record_shuffle(total)
-        collected = set_rdd.collect()
-        self.cluster.metrics.duplicates_eliminated += total - len(collected)
-        return collected
+        self.cluster.metrics.duplicates_eliminated += total - len(rows)
+        return Relation._from_trusted(columns, rows)
 
 
-class ParallelLocalLoopsSpark(ParallelLocalLoops):
-    """``Pplw^s``: local loops implemented with Spark operations.
-
-    Each worker iterates on its own SetRDD partition; joins against the
-    broadcast relations and partition-wise union / set-difference never
-    exchange data with other workers.
-    """
-
-    name = PPLW_SPARK
-    variant = "spark"
-
-
-class ParallelLocalLoopsPostgres(ParallelLocalLoops):
-    """``Pplw^pg``: each worker delegates its local loop to PostgreSQL.
-
-    The worker's chunk becomes a view in the local engine, the fixpoint is
-    executed there (benefitting from prebuilt indexes), and the result is
-    iterated back — the marshalling in both directions is accounted for in
-    the metrics, because it is what penalises this plan when intermediate
-    data is small (Fig. 5).
-    """
-
-    name = PPLW_POSTGRES
-    variant = "postgres"
-
-
-#: Registry used by the physical plan generator and the benchmarks.
+#: Registry of the plans by name, read by the executor and the benchmarks.
 PLAN_CLASSES = {
     PGLD: GlobalLoopOnDriver,
-    PPLW_SPARK: ParallelLocalLoopsSpark,
-    PPLW_POSTGRES: ParallelLocalLoopsPostgres,
+    PPLW_SPARK: ParallelLocalLoops,
 }
 
 
@@ -568,7 +539,7 @@ def make_plan(name: str, cluster: SparkCluster,
               database: Mapping[str, Relation],
               kernel_cache: KernelProgramCache | None = None,
               ) -> DistributedFixpointPlan:
-    """Instantiate a fixpoint plan by name (``pgld``, ``plw-spark``, ``plw-postgres``)."""
+    """Instantiate a fixpoint plan by name (``pgld`` or ``plw-spark``)."""
     try:
         plan_class = PLAN_CLASSES[name]
     except KeyError as exc:

@@ -13,7 +13,7 @@ queries.  The plan cache keys that work on what it reads:
   cardinality and per-column distinct counts (ranking reads nothing
   else of the data),
 * the **engine configuration** that shaped the decision (strategy,
-  worker count, memory budget, rewriter bounds) and the graph.
+  worker count, rewriter bounds) and the graph.
 
 A hit skips ``MuRewriter.explore`` and ``rank_plans`` entirely and goes
 straight to execution with the previously selected plan.
@@ -77,7 +77,6 @@ class PlanKey:
         config = (
             strategy if strategy is not None else engine.strategy,
             engine.cluster.num_workers,
-            engine.memory_per_task,
             engine.rewriter.max_plans,
             engine.rewriter.max_rounds,
             engine.optimize_plans,

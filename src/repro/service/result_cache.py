@@ -45,7 +45,6 @@ class ResultKey:
     plan_key: str
     strategy: str
     num_workers: int
-    memory_per_task: int
     #: ``snapshot.fingerprint(plan.dependencies)`` — the versions of the
     #: relations the plan reads.  Version-qualifying the key replaces the
     #: old store-time/lookup-time version comparison.

@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING
 
 from ..algebra.terms import Term
 from ..check.sanitizer import ordered_lock
+from ..distributed.physical import check_strategy
 from ..errors import TranslationError
 from ..obs.metrics import get_registry
 from ..query.ast import UCRPQ
@@ -91,7 +92,7 @@ class Query:
         self._given_ast = ast
         self._given_term = term
         self._given_classes = classes
-        self._strategy = strategy
+        self._strategy = None if strategy is None else check_strategy(strategy)
         #: Term the plan phase runs on when it differs from :attr:`term`
         #: (prepared queries plan their shared parameterized template).
         self._plan_term = plan_term
@@ -476,7 +477,11 @@ class Query:
     # -- Internal --------------------------------------------------------------
 
     def _effective(self, strategy: str | None) -> str | None:
-        return strategy if strategy is not None else self._strategy
+        """The strategy an action runs under: its own, checked, or the
+        handle's default (``None``: the session's)."""
+        if strategy is None:
+            return self._strategy
+        return check_strategy(strategy)
 
     def _resolve(self, strategy: str | None) -> tuple:
         effective = self._effective(strategy)

@@ -66,8 +66,8 @@ from ..data.relation import Relation
 from ..data.snapshot import DEFAULT_GRAPH, DatabaseSnapshot
 from ..distributed.cluster import ClusterMetrics, SparkCluster
 from ..distributed.partitioner import FixpointAnalysis, analyse_fixpoints
-from ..distributed.physical import (AUTO, DEFAULT_MEMORY_PER_TASK,
-                                    DistributedQueryExecutor)
+from ..distributed.physical import (AUTO, DistributedQueryExecutor,
+                                    check_strategy)
 from ..errors import (DatasetError, EvaluationError, SchemaError,
                       TransactionError, TranslationError)
 from ..obs import tracing
@@ -262,7 +262,6 @@ class Session:
                  num_workers: int = 4,
                  optimize: bool = True,
                  strategy: str = AUTO,
-                 memory_per_task: int = DEFAULT_MEMORY_PER_TASK,
                  max_plans: int = 64,
                  max_rounds: int = 8,
                  *,
@@ -279,8 +278,7 @@ class Session:
                 f"view_maintenance must be 'off', got {view_maintenance!r}")
         self.cluster = SparkCluster(num_workers=num_workers)
         self.optimize_plans = optimize
-        self.strategy = strategy
-        self.memory_per_task = memory_per_task
+        self.strategy = check_strategy(strategy)
         self.rewriter = MuRewriter(max_plans=max_plans, max_rounds=max_rounds)
         self.enable_plan_cache = enable_plan_cache
         self.enable_result_cache = enable_result_cache
@@ -695,7 +693,6 @@ class Session:
             result_key = ResultKey(
                 plan_key=plan.term_key, strategy=effective,
                 num_workers=self.cluster.num_workers,
-                memory_per_task=self.memory_per_task,
                 fingerprint=snapshot.fingerprint(plan.dependencies),
                 graph=snapshot.graph_name)
             if use_cache:
@@ -771,7 +768,6 @@ class Session:
                 self.cluster.reset_metrics()
                 executor = DistributedQueryExecutor(
                     self.cluster, snapshot, strategy=effective,
-                    memory_per_task=self.memory_per_task,
                     kernel_cache=kernel_cache)
                 outcome = executor.execute(term, analysis)
                 metrics = self.cluster.metrics
@@ -1051,8 +1047,8 @@ class _SessionView(Session):
     A view owns only its scope (which graph it addresses, and — for read
     views — the snapshot it is pinned to); *every other attribute read
     falls through to the root session live*, so configuration changed on
-    the root after the view was created (strategy, cache flags, memory
-    budget) is always observed.  Views are what :meth:`Session.graph`
+    the root after the view was created (strategy, cache flags, rewriter
+    bounds) is always observed.  Views are what :meth:`Session.graph`
     and :meth:`Session.read_view` return; the root session owns the
     shared resources, so closing a view is deliberately a no-op.
     """

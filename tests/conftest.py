@@ -7,6 +7,13 @@ import pytest
 from repro.algebra import Evaluator, decompose
 from repro.data import LabeledGraph, Relation, ValueDictionary
 from repro.datasets import erdos_renyi_graph, random_tree
+from repro.distributed import (ParallelLocalLoops, PartitioningDecision,
+                               make_plan)
+
+#: The plan-level test matrices' name for ``Pplw^s`` split round robin
+#: whatever its stable columns: the one way a fixpoint with a stable
+#: column reaches the deduplicating final union (see ``build_plan``).
+PPLW_ROUND_ROBIN = "plw-spark-round-robin"
 
 
 @pytest.fixture
@@ -53,6 +60,20 @@ def shipped():
         return (fixpoint.var, decompose(fixpoint).variable_part,
                 _OperandsOnDemand(database), ValueDictionary())
     return ship
+
+
+@pytest.fixture
+def build_plan():
+    """``(strategy, cluster, database) -> plan``: :func:`make_plan`, and
+    ``Pplw^s`` with a round-robin partitioning override for
+    ``"plw-spark-round-robin"``."""
+    def build(strategy, cluster, database):
+        if strategy == PPLW_ROUND_ROBIN:
+            return ParallelLocalLoops(
+                cluster, database,
+                partitioning_override=PartitioningDecision.round_robin())
+        return make_plan(strategy, cluster, database)
+    return build
 
 
 @pytest.fixture(scope="session")

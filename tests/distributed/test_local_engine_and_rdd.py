@@ -1,5 +1,5 @@
-"""Tests of the per-worker local loop, the RDD abstractions and the
-physical plan generator/executor."""
+"""Tests of the per-worker local loop, the final union of ``Pplw``'s
+local fixpoints and the distributed query executor."""
 
 from __future__ import annotations
 
@@ -8,25 +8,23 @@ from contextlib import nullcontext
 import pytest
 
 from repro.algebra import (Filter, Fixpoint, RelVar, Union, closure,
-                           closure_from_seed, evaluate)
+                           closure_from_seed, evaluate, schemas_of_database)
 from repro.data import Eq, Relation
 from repro.data.columnar import CodeRows, ValueDictionary, row_mode
 from repro.distributed import (AUTO, PGLD, DistributedQueryExecutor,
-                               PPLW_POSTGRES, PPLW_SPARK,
-                               PhysicalPlanGenerator, SetRDD, SparkCluster,
-                               fixpoint_to_sql, make_plan)
+                               PPLW_SPARK, ParallelLocalLoops,
+                               PartitioningDecision, SparkCluster, make_plan)
 from repro.distributed.plans import run_local_loop
-from repro.errors import DistributionError, EvaluationError
+from repro.errors import DistributionError, EvaluationError, PlanSelectionError
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 
 
 @pytest.fixture
 def local_loop(shipped):
-    def run(fixpoint, database, chunk, variant="postgres", columnar=True):
+    def run(fixpoint, database, chunk, columnar=True):
         with nullcontext() if columnar else row_mode():
-            return run_local_loop(*shipped(fixpoint, database), chunk,
-                                  variant)
+            return run_local_loop(*shipped(fixpoint, database), chunk)
     return run
 
 
@@ -66,28 +64,27 @@ class TestLocalLoop:
                              evaluate(seed, paper_database))
         assert outcome.relation == evaluate(term, paper_database)
 
-    def test_only_the_postgres_variant_marshals(self, paper_database,
-                                                local_loop):
-        term = closure(RelVar("E"), var="X")
-        chunk = paper_database["E"]
-        postgres = local_loop(term, paper_database, chunk)
-        spark = local_loop(term, paper_database, chunk, variant="spark")
-        assert spark.relation == postgres.relation
-        assert spark.tuples_marshalled == 0
-        assert postgres.tuples_marshalled == len(chunk) + len(postgres.relation)
-
-    @pytest.mark.parametrize("variant", ("spark", "postgres"))
+    @pytest.mark.parametrize("chunk_form", ("rows", "codes"))
     def test_engine_choice_is_the_calling_context(self, paper_database,
-                                                  local_loop, variant):
+                                                  shipped, chunk_form):
         """The task iterates on the engine its caller's ``row_mode()``
-        chose (it runs on the caller's thread), in either local loop."""
+        chose (it runs on the caller's thread), whether its chunk comes
+        as rows or, as the plan cuts it on the kernels, as code tuples
+        (the row engine then decodes it)."""
         term = closure(RelVar("E"), var="X")
         engines = {}
         for columnar in (True, False):
+            var, variable_part, operands, dictionary = shipped(
+                term, paper_database)
+            chunk = paper_database["E"]
+            if chunk_form == "codes":
+                chunk = CodeRows.encode(chunk, dictionary)
             tracer = Tracer(enabled=True)
-            with tracing.activate(tracer):
-                local_loop(term, paper_database, paper_database["E"],
-                           variant=variant, columnar=columnar)
+            with tracing.activate(tracer), \
+                    nullcontext() if columnar else row_mode():
+                outcome = run_local_loop(var, variable_part, operands,
+                                         dictionary, chunk)
+            assert outcome.relation == evaluate(term, paper_database)
             engines[columnar] = {
                 dict(record.attributes)["engine"]
                 for record in tracer.records()
@@ -98,22 +95,43 @@ class TestLocalLoop:
         with pytest.raises(EvaluationError, match="unknown relation"):
             local_loop(closure(RelVar("missing"), var="X"), {}, paper_edges)
 
-    def test_sql_rendering_mentions_recursive_cte(self):
+
+class TestFinalUnion:
+    """``Pplw``'s final union of the workers' local fixpoints: no
+    shuffle after a stable-column split, one deduplicating shuffle
+    after a round-robin one."""
+
+    def test_disjoint_partitions_skip_the_shuffle(self, paper_database):
         term = closure(RelVar("E"), var="X")
-        sql = fixpoint_to_sql(term)
-        assert "WITH RECURSIVE" in sql
-        assert "constant_part" in sql
-
-
-class TestSetRDD:
-    def test_partition_count_matches_workers(self, paper_edges):
         cluster = SparkCluster(num_workers=3)
-        dataset = SetRDD(cluster, paper_edges.split_round_robin(3))
-        assert len(dataset.partitions) == 3
-        assert dataset.count() == len(paper_edges)
-        assert dataset.collect() == paper_edges
-        with pytest.raises(DistributionError):
-            SetRDD(cluster, paper_edges.split_round_robin(2))
+        result = make_plan(PPLW_SPARK, cluster, paper_database).execute(term)
+        metrics = cluster.metrics
+        assert result == evaluate(term, paper_database)
+        assert metrics.partitioning == "stable-column"
+        assert metrics.final_union_skipped
+        assert metrics.shuffles == metrics.tuples_shuffled == 0
+        assert metrics.duplicates_eliminated == 0
+        # Disjoint: the workers' rows add up to the result exactly.
+        assert metrics.total_tuples_processed == len(result)
+
+    @pytest.mark.parametrize("engine", ("columnar", "row"))
+    def test_overlapping_partitions_shuffle_once_and_deduplicate(
+            self, paper_database, engine):
+        term = closure(RelVar("E"), var="X")
+        cluster = SparkCluster(num_workers=3)
+        plan = ParallelLocalLoops(
+            cluster, paper_database,
+            partitioning_override=PartitioningDecision.round_robin())
+        with row_mode() if engine == "row" else nullcontext():
+            result = plan.execute(term)
+        metrics = cluster.metrics
+        assert result == evaluate(term, paper_database)
+        assert metrics.partitioning == "round-robin"
+        assert not metrics.final_union_skipped
+        assert metrics.shuffles == 1
+        assert metrics.tuples_shuffled == metrics.total_tuples_processed
+        assert metrics.duplicates_eliminated \
+            == metrics.tuples_shuffled - len(result) > 0
 
     def test_key_partitioning_is_consistent(self, paper_edges):
         """Rows or codes, a key's rows land in one partition, the same."""
@@ -126,13 +144,6 @@ class TestSetRDD:
             holders = [i for i, part in enumerate(by_rows)
                        if value in part.column_values("src")]
             assert len(holders) == 1
-
-    def test_mismatched_schemas_rejected(self, paper_edges,
-                                         paper_start_edges):
-        cluster = SparkCluster(num_workers=2)
-        with pytest.raises(DistributionError):
-            SetRDD(cluster, [paper_edges,
-                             paper_start_edges.rename("trg", "other")])
 
 
 class TestGlobalLoopAccounting:
@@ -171,23 +182,12 @@ class TestGlobalLoopAccounting:
             plan.execute(bad)
 
 
-class TestPhysicalPlanGenerator:
-    def test_generates_all_three_strategies(self, paper_database):
-        cluster = SparkCluster(num_workers=2)
-        generator = PhysicalPlanGenerator(cluster, paper_database)
-        plans = generator.generate(closure(RelVar("E"), var="X"))
-        assert sorted(plan.strategy for plan in plans) == sorted(
-            generator.candidate_strategies())
-
-    def test_heuristic_switches_on_memory_budget(self, paper_database):
-        cluster = SparkCluster(num_workers=2)
-        term = closure(RelVar("E"), var="X")
-        spacious = PhysicalPlanGenerator(cluster, paper_database,
-                                         memory_per_task=10_000)
-        cramped = PhysicalPlanGenerator(cluster, paper_database,
-                                        memory_per_task=2)
-        assert spacious.select(term).strategy == PPLW_SPARK
-        assert cramped.select(term).strategy == PPLW_POSTGRES
+class TestDistributedQueryExecutor:
+    def test_auto_resolves_to_parallel_local_loops(self, paper_database):
+        executor = DistributedQueryExecutor(SparkCluster(num_workers=2),
+                                            paper_database, strategy=AUTO)
+        outcome = executor.execute(closure(RelVar("E"), var="X"))
+        assert outcome.strategies == (PPLW_SPARK,)
 
     def test_executor_handles_terms_around_fixpoints(self, paper_database):
         cluster = SparkCluster(num_workers=2)
@@ -195,23 +195,22 @@ class TestPhysicalPlanGenerator:
         term = Filter(Eq("src", 1), closure(RelVar("E"), var="X"))
         outcome = executor.execute(term)
         assert outcome.relation == evaluate(term, paper_database)
-        assert len(outcome.physical_plans) == 1
+        assert outcome.strategies == (PPLW_SPARK,)
 
-    def test_executor_rejects_unknown_strategy(self, paper_database):
-        from repro.errors import PlanSelectionError
+    @pytest.mark.parametrize("strategy", ("not-a-plan", "plw-postgres"))
+    def test_executor_rejects_unknown_strategy(self, paper_database,
+                                               strategy):
         cluster = SparkCluster(num_workers=2)
-        executor = DistributedQueryExecutor(cluster, paper_database,
-                                            strategy="not-a-plan")
-        with pytest.raises(PlanSelectionError):
-            executor.execute(closure(RelVar("E"), var="X"))
+        with pytest.raises(PlanSelectionError, match="unknown strategy"):
+            DistributedQueryExecutor(cluster, paper_database,
+                                     strategy=strategy)
 
     def test_executor_rejects_an_analysis_of_another_term(self,
                                                           paper_database):
         from repro.distributed.partitioner import analyse_fixpoints
-        from repro.errors import PlanSelectionError
         executor = DistributedQueryExecutor(SparkCluster(num_workers=2),
                                             paper_database)
-        schemas = executor.generator.schemas
+        schemas = schemas_of_database(paper_database)
         term = closure(RelVar("E"), var="X")
         other = analyse_fixpoints(closure(RelVar("E"), var="Y"), schemas)
         with pytest.raises(PlanSelectionError):

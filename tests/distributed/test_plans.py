@@ -1,9 +1,10 @@
-"""Tests of the distributed fixpoint plans (Pgld, Pplw^s, Pplw^pg).
+"""Tests of the distributed fixpoint plans (Pgld, Pplw^s).
 
 Correctness: every plan must return exactly the relation the centralized
 evaluator returns.  Communication: Pgld must shuffle at every iteration,
 Pplw must not shuffle during the recursion (and must skip the final union
-when a stable column exists).
+when a stable column exists).  The plan matrix runs ``Pplw^s`` a second
+time split round robin, so the deduplicating final union is exercised.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from repro.algebra.builders import RIGHT_TO_LEFT, compose, swap_src_trg
 from repro.data import Eq
 from repro.data.columnar import ColumnarRelation, row_mode
 from repro.data.snapshot import DatabaseSnapshot
-from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
-                               make_plan, plan_partitioning)
+from repro.distributed import (PGLD, PPLW_SPARK, SparkCluster, make_plan,
+                               plan_partitioning)
 from repro.distributed.partitioner import analyse_fixpoint
 from repro.algebra import Filter, schemas_of_database
 from repro.algebra.fixpoint import run_seed
@@ -39,7 +40,9 @@ def seeded_term():
     return closure_from_seed(RelVar("S"), RelVar("E"), var="X")
 
 
-ALL_PLANS = [PGLD, PPLW_SPARK, PPLW_POSTGRES]
+#: ``build_plan`` (tests/conftest.py) builds this one.
+PPLW_ROUND_ROBIN = "plw-spark-round-robin"
+ALL_PLANS = [PGLD, PPLW_SPARK, PPLW_ROUND_ROBIN]
 
 
 class TestOperandsOncePerSnapshot:
@@ -52,7 +55,8 @@ class TestOperandsOncePerSnapshot:
         *(pytest.param(strategy, "join seed", id=f"{strategy}-join-seed")
           for strategy in ALL_PLANS)])
     def test_second_execution_rebuilds_nothing(self, strategy, term, database,
-                                               closure_term, monkeypatch):
+                                               closure_term, monkeypatch,
+                                               build_plan):
         """Operands, encodings and indexes: all of them found by the
         second execution — the seed's included when the kernels compute
         it (the ``(a/-a)+/b`` shape: ``E`` drives a join with the step's
@@ -71,7 +75,7 @@ class TestOperandsOncePerSnapshot:
             term = closure_term
         snapshot = DatabaseSnapshot.from_relations(database)
         first = SparkCluster(num_workers=4)
-        expected = make_plan(strategy, first, snapshot).execute(term)
+        expected = build_plan(strategy, first, snapshot).execute(term)
         with row_mode():
             assert expected == evaluate(term, database)
         assert first.metrics.index_builds == 1
@@ -93,7 +97,7 @@ class TestOperandsOncePerSnapshot:
         monkeypatch.setattr(ColumnarRelation, "_build_index",
                             recording_index)
         second = SparkCluster(num_workers=4)
-        plan = make_plan(strategy, second, snapshot)
+        plan = build_plan(strategy, second, snapshot)
         assert plan.execute(term) == expected
         assert second.metrics.index_builds == 0 and indexed == []
         assert second.metrics.index_reuses \
@@ -114,7 +118,7 @@ class TestOperandsOncePerSnapshot:
 class TestSeedPrograms:
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_a_selecting_seed_runs_on_the_kernels(self, strategy, database,
-                                                  monkeypatch):
+                                                  monkeypatch, build_plan):
         """A seed holding a join takes its seed program whether or not it
         selects: the selection becomes one of the program's operands.
         That operand is resolved on the driver but stays off the operand
@@ -130,7 +134,7 @@ class TestSeedPrograms:
             return seeds[-1]
 
         monkeypatch.setattr(plans_module, "run_seed", recording)
-        plan = make_plan(strategy, SparkCluster(num_workers=4), database)
+        plan = build_plan(strategy, SparkCluster(num_workers=4), database)
         result = plan.execute(term)
         with row_mode():
             assert result == evaluate(term, database)
@@ -141,33 +145,36 @@ class TestSeedPrograms:
 
 class TestPlanCorrectness:
     @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_closure_matches_centralized(self, strategy, database, closure_term):
+    def test_closure_matches_centralized(self, strategy, database, closure_term,
+                                         build_plan):
         cluster = SparkCluster(num_workers=4)
-        plan = make_plan(strategy, cluster, database)
+        plan = build_plan(strategy, cluster, database)
         distributed = plan.execute(closure_term)
         assert distributed == evaluate(closure_term, database)
 
     @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_seeded_closure_matches_centralized(self, strategy, database, seeded_term):
+    def test_seeded_closure_matches_centralized(self, strategy, database, seeded_term,
+                                                build_plan):
         cluster = SparkCluster(num_workers=4)
-        plan = make_plan(strategy, cluster, database)
+        plan = build_plan(strategy, cluster, database)
         distributed = plan.execute(seeded_term)
         assert distributed == evaluate(seeded_term, database)
 
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_result_is_independent_of_worker_count(self, strategy, workers,
-                                                   database, closure_term):
+                                                   database, closure_term,
+                                                   build_plan):
         cluster = SparkCluster(num_workers=workers)
-        plan = make_plan(strategy, cluster, database)
+        plan = build_plan(strategy, cluster, database)
         assert plan.execute(closure_term) == evaluate(closure_term, database)
 
     @pytest.mark.parametrize("strategy", ALL_PLANS)
-    def test_fixpoint_with_filtered_seed(self, strategy, database):
+    def test_fixpoint_with_filtered_seed(self, strategy, database, build_plan):
         term = closure_from_seed(Filter(Eq("src", 1), RelVar("E")), RelVar("E"),
                                  var="X")
         cluster = SparkCluster(num_workers=4)
-        plan = make_plan(strategy, cluster, database)
+        plan = build_plan(strategy, cluster, database)
         assert plan.execute(term) == evaluate(term, database)
 
     def test_unknown_strategy_rejected(self, database):
@@ -210,11 +217,6 @@ class TestCommunicationBehaviour:
         assert decision.strategy == "stable-column"
         assert decision.disjoint
         assert "src" in decision.key_columns
-
-    def test_pplw_postgres_reports_marshalling(self, database, closure_term):
-        cluster = SparkCluster(num_workers=4)
-        make_plan(PPLW_POSTGRES, cluster, database).execute(closure_term)
-        assert cluster.metrics.tuples_marshalled > 0
 
     def test_broadcast_recorded_for_variable_part(self, database, closure_term):
         cluster = SparkCluster(num_workers=4)

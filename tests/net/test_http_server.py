@@ -61,6 +61,16 @@ class TestQueryEndpoint:
         assert excinfo.value.payload["status"] == "failed"
         assert "nosuchlabel" in excinfo.value.payload["detail"]
 
+    def test_unknown_strategy_is_400(self, client):
+        # A non-recursive query reaches no fixpoint plan: only the check
+        # where the strategy enters can refuse it.
+        for query in (KNOWS, "?x,?y <- ?x knows ?y"):
+            with pytest.raises(ResponseError) as excinfo:
+                client.query(query, strategy="plw-postgres")
+            assert excinfo.value.status == 400
+            assert "unknown strategy 'plw-postgres'" \
+                in excinfo.value.payload["detail"]
+
     def test_validation_errors(self, client):
         for body_error in (
                 lambda: client.query(""),

@@ -18,9 +18,10 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro import (PGLD, PPLW_POSTGRES, PPLW_SPARK, QueryService, Session,
-                   SparkCluster)
+from repro import PGLD, PPLW_SPARK, QueryService, Session, SparkCluster
+from repro.algebra import RelVar, closure
 from repro.data import LabeledGraph, row_mode
+from repro.distributed import AUTO, ParallelLocalLoops, PartitioningDecision
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 
@@ -51,7 +52,7 @@ class TestClusterTasks:
     # row_mode() is context-local: the tasks run in the submitting
     # context, so they iterate on the engine it chose — in the Pgld
     # partition tasks and the Pplw local loops alike.
-    @pytest.mark.parametrize("strategy", (PGLD, PPLW_SPARK, PPLW_POSTGRES))
+    @pytest.mark.parametrize("strategy", (PGLD, PPLW_SPARK, AUTO))
     @pytest.mark.parametrize("engine", ("columnar", "row"))
     def test_fixpoint_spans_join_the_query_trace(self, engine, strategy):
         tracer = Tracer(enabled=True)
@@ -69,6 +70,27 @@ class TestClusterTasks:
             "worker-side iteration spans did not reach the submitting "
             "tracer")
         assert {attributes["engine"] for attributes in iterations} == {engine}
+
+    @pytest.mark.parametrize("engine", ("columnar", "row"))
+    def test_round_robin_local_loops_join_the_plan_trace(self, engine):
+        """``Pplw^s`` split round robin: every local loop's spans join
+        the caller's trace, on the engine the caller chose."""
+        database = _chain_graph().relations()
+        plan = ParallelLocalLoops(
+            SparkCluster(num_workers=2), database,
+            partitioning_override=PartitioningDecision.round_robin())
+        tracer = Tracer(enabled=True)
+        with tracing.activate(tracer):
+            with tracing.span("test.root"):
+                with row_mode() if engine == "row" else nullcontext():
+                    plan.execute(closure(RelVar("knows"), var="X"))
+        records = tracer.records()
+        _assert_one_connected_trace(records)
+        assert len([record for record in records
+                    if record.name == "fixpoint.local_loop"]) == 2
+        assert {dict(record.attributes)["engine"] for record in records
+                if record.name == "fixpoint.iteration"} == {engine}
+        assert not plan.cluster.metrics.final_union_skipped
 
     def test_tasks_see_the_submitting_span_as_parent(self):
         """A task of a wave run under a span nests beneath it."""

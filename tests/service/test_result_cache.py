@@ -29,7 +29,6 @@ def key_of(engine, result, snapshot=None):
     return ResultKey(plan_key=cache_key(result.selected_plan),
                      strategy=engine.strategy,
                      num_workers=engine.cluster.num_workers,
-                     memory_per_task=engine.memory_per_task,
                      fingerprint=snapshot.fingerprint(deps),
                      graph=snapshot.graph_name)
 
@@ -226,7 +225,6 @@ def edges(*pairs):
 
 def snapshot_key(snapshot, names, plan="p"):
     return ResultKey(plan_key=plan, strategy="s", num_workers=1,
-                     memory_per_task=0,
                      fingerprint=snapshot.fingerprint(names),
                      graph=snapshot.graph_name)
 

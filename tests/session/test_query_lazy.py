@@ -10,7 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro import Session
-from repro.errors import QueryParseError, TranslationError
+from repro.errors import (PlanSelectionError, QueryParseError,
+                          TranslationError)
 
 QUERY = "?x,?y <- ?x knows+ ?y"
 
@@ -180,3 +181,28 @@ class TestActions:
                      enable_result_cache=False) as uncached:
             eager = uncached.ucrpq(QUERY).collect()
         assert session.ucrpq(QUERY).collect().relation == eager.relation
+
+
+class TestUnknownStrategy:
+    """A strategy name is checked where it enters — the session and every
+    handle action — before anything is parsed, planned or cached.  The
+    non-recursive query never reaches a fixpoint plan, so nothing later
+    would reject it."""
+
+    def test_the_session_rejects_it(self, small_labeled_graph):
+        with pytest.raises(PlanSelectionError, match="plw-postgres"):
+            Session(small_labeled_graph, strategy="plw-postgres")
+
+    @pytest.mark.parametrize("text", ("?x,?y <- ?x knows ?y", QUERY),
+                             ids=("non-recursive", "recursive"))
+    def test_a_handle_rejects_it_before_planning(self, session, text):
+        with pytest.raises(PlanSelectionError, match="plw-postgres"):
+            session.ucrpq(text, strategy="plw-postgres")
+        query = session.ucrpq(text)
+        for action in (query.collect, query.run_once, query.plan,
+                       query.explain_analyze, query.count):
+            with pytest.raises(PlanSelectionError, match="unknown strategy"):
+                action("plw-postgres")
+        assert "staged=[nothing]" in repr(query)
+        assert len(session.plan_cache) == len(session.result_cache) == 0
+        assert query.collect("pgld").relation == query.collect().relation

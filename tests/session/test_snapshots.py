@@ -409,10 +409,10 @@ class TestMultiGraph:
         view = session.graph("tiny")
         session.strategy = "pgld"
         session.enable_result_cache = False
-        session.memory_per_task = 123
+        session.optimize_plans = False
         assert view.strategy == "pgld"
         assert view.enable_result_cache is False
-        assert view.memory_per_task == 123
+        assert view.optimize_plans is False
 
     def test_attaching_a_snapshot_relabels_it(self, session):
         """Attaching another graph's head under a new name must not keep

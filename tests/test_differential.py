@@ -1,7 +1,8 @@
 """Cross-front-end differential tests on seeded random graphs.
 
 One query, many ways to answer it — all through one :class:`Session`: the
-three distributed fixpoint plans (Pgld, Pplw^s, Pplw^pg), the two
+distributed fixpoint plans (Pgld, Pplw^s, and ``auto``, the default
+strategy every end-to-end benchmark query runs under), the two
 execution engines (columnar kernels, row engine), the centralized mu-RA
 evaluator, and the Datalog front-end (``session.datalog``, the same
 left-linear translation the BigDatalog baseline uses).  Every combination
@@ -22,12 +23,12 @@ from repro.data.columnar import CodeRows, ValueDictionary
 from repro.data.relation import Relation
 from repro.datasets import (erdos_renyi_graph, uniprot_graph,
                             yago_like_graph)
-from repro.distributed import PGLD, PPLW_POSTGRES, PPLW_SPARK
+from repro.distributed import AUTO, PGLD, PPLW_SPARK
 from repro.obs import tracing
 from repro.obs.tracing import Tracer
 from repro.workloads import uniprot_queries, yago_queries
 
-ALL_PLANS = (PGLD, PPLW_SPARK, PPLW_POSTGRES)
+ALL_PLANS = (PGLD, PPLW_SPARK, AUTO)
 
 #: Worker-count axis: one partition (no split), an odd split, and a split
 #: wide enough that some partitions hold only a few nodes.
@@ -320,7 +321,7 @@ RECURSIVE_COLD_SHAPES = (
 TRAFFIC_COUNTERS = (
     "shuffles", "tuples_shuffled", "broadcasts", "tuples_broadcast",
     "tasks_launched", "task_waves", "global_iterations", "local_iterations",
-    "tuples_marshalled", "duplicates_eliminated", "final_union_skipped",
+    "duplicates_eliminated", "final_union_skipped",
     "partitioning", "tuples_processed_per_worker", "index_builds",
     "index_reuses")
 

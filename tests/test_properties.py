@@ -21,8 +21,8 @@ from repro.algebra import (Literal, RelVar, Union, closure, closure_from_seed,
                            evaluate, naive_fixpoint, schemas_of_database,
                            stable_columns)
 from repro.data import Relation
-from repro.distributed import (PGLD, PPLW_POSTGRES, PPLW_SPARK, SparkCluster,
-                               make_plan)
+from repro.distributed import (PGLD, PPLW_SPARK, ParallelLocalLoops,
+                               PartitioningDecision, SparkCluster, make_plan)
 
 SETTINGS = settings(max_examples=30, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -104,9 +104,15 @@ class TestFixpointLaws:
         database = {"E": edges}
         term = closure(RelVar("E"))
         reference = evaluate(term, database)
-        for strategy in (PGLD, PPLW_SPARK, PPLW_POSTGRES):
+        for strategy in (PGLD, PPLW_SPARK):
             cluster = SparkCluster(num_workers=workers)
             assert make_plan(strategy, cluster, database).execute(term) == reference
+        # Split round robin, the local fixpoints overlap: the final union
+        # deduplicates.
+        round_robin = ParallelLocalLoops(
+            SparkCluster(num_workers=workers), database,
+            partitioning_override=PartitioningDecision.round_robin())
+        assert round_robin.execute(term) == reference
 
 
 class TestRelationAlgebraLaws:
