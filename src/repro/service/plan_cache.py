@@ -36,12 +36,14 @@ from typing import TYPE_CHECKING
 
 from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Term
+from ..algebra.variables import free_variables
 from ..rewriter.normalize import cache_key
 from .cache import CacheStats, LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..data.snapshot import DatabaseSnapshot
     from ..distributed.partitioner import FixpointAnalysis
+    from ..session.query import FrontEnd
     from ..session.session import Session
 
 #: Default number of selected plans kept.
@@ -63,16 +65,17 @@ class PlanKey:
     graph: str = ""
 
     @classmethod
-    def of(cls, engine: "Session", term: Term,
-           dependencies: frozenset[str],
-           strategy: str | None,
+    def of(cls, engine: "Session", term: Term, strategy: str | None,
            snapshot: "DatabaseSnapshot | None" = None) -> "PlanKey":
         """Build the key of ``term`` against one database snapshot.
 
         ``snapshot`` defaults to the engine's current head; pinned query
         handles pass their own, so they rank on the statistics they read.
+        The term's key and the relations it reads come from the plan
+        cache's per-term memo (:meth:`PlanCache.term_facts`).
         """
         snapshot = snapshot if snapshot is not None else engine.snapshot()
+        term_key, dependencies = engine.plan_cache.term_facts(term)
         schemas, catalog = snapshot.schemas, snapshot.catalog
         config = (
             strategy if strategy is not None else engine.strategy,
@@ -81,7 +84,7 @@ class PlanKey:
             engine.rewriter.max_rounds,
             engine.optimize_plans,
         )
-        return cls(term_key=engine.plan_cache.term_key(term),
+        return cls(term_key=term_key,
                    statistics=tuple((name, schemas.get(name),
                                      catalog.signature(name))
                                     for name in sorted(dependencies)),
@@ -138,11 +141,19 @@ class CachedPlan:
 
 
 class PlanCache:
-    """LRU-bounded mapping from :class:`PlanKey` to :class:`CachedPlan`."""
+    """LRU-bounded mapping from :class:`PlanKey` to :class:`CachedPlan`.
+
+    Two memos of pure functions ride beside the plans, with the same
+    capacity, and are cleared with them: the front end of each query
+    text (:meth:`front_end`) and the key and inputs of each term object
+    (:meth:`term_facts`).  Together they make a served hit a lookup: the
+    text's memoized term is one object, so its facts memo hits too.
+    """
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE):
         self._cache = LRUCache(capacity)
-        self._term_keys = LRUCache(capacity)
+        self._term_facts = LRUCache(capacity)
+        self._front_ends = LRUCache(capacity)
 
     def get(self, key: PlanKey) -> CachedPlan | None:
         return self._cache.get(key)
@@ -150,20 +161,32 @@ class PlanCache:
     def put(self, key: PlanKey, plan: CachedPlan) -> None:
         self._cache.put(key, plan)
 
-    def term_key(self, term: Term) -> str:
-        """``cache_key(term)``, once per term object: the one memo of a
-        term's key (a prepared template plans one object at every
-        binding; ``Query.cache_key`` reads it too).  Keyed by identity
-        through a weak reference: no tree re-hashed, no term kept alive."""
-        entry = self._term_keys.get(id(term))
+    def term_facts(self, term: Term) -> tuple[str, frozenset[str]]:
+        """``(cache_key(term), free_variables(term))``, once per term object.
+
+        The one memo of a term's key and of the relations it reads (a
+        prepared template plans one object at every binding, a text's
+        memoized front end hands out one object per text, and
+        ``Query.cache_key`` reads it too).  Keyed by identity through a
+        weak reference: no tree re-hashed, no term kept alive.
+        """
+        entry = self._term_facts.get(id(term))
         if entry is None or entry[0]() is not term:
-            entry = (weakref.ref(term), cache_key(term))
-            self._term_keys.put(id(term), entry)
-        return entry[1]
+            entry = (weakref.ref(term), cache_key(term), free_variables(term))
+            self._term_facts.put(id(term), entry)
+        return entry[1], entry[2]
+
+    def front_end(self, text: str) -> "FrontEnd | None":
+        """The memoized front end of UCRPQ ``text``, or ``None``."""
+        return self._front_ends.get(text)
+
+    def remember_front_end(self, text: str, entry: "FrontEnd") -> None:
+        self._front_ends.put(text, entry)
 
     def clear(self) -> None:
         self._cache.clear()
-        self._term_keys.clear()
+        self._term_facts.clear()
+        self._front_ends.clear()
 
     def __contains__(self, key: PlanKey) -> bool:
         """Stats-neutral membership probe (no LRU or counter side effects).

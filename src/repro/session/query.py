@@ -8,9 +8,12 @@ pipeline::
     front-end --> .ast --> .term --> .normalized --> .plan() --> action
 
 Constructing a handle performs **no work at all** — not even parsing.
-Each stage is computed on first access and memoized on the handle; the
-plan stage additionally goes through the session's shared plan cache, and
-the terminal actions go through the session's result cache.  Because
+Each stage is computed on first access and memoized on the handle; a
+handle built from text also reads its parse, translation and classes
+from the graph's per-text memo (:meth:`Session.front_end`), and checks
+the text's labels against the snapshot it reads.  The plan stage
+additionally goes through the session's shared plan cache, and the
+terminal actions go through the session's result cache.  Because
 every front-end funnels into the same :meth:`Session.resolve_plan` /
 :meth:`Session.execute_plan` pair, cache keys agree regardless of whether
 a query arrives as text, as a parsed AST, as a raw term, through the
@@ -33,8 +36,9 @@ front-end: ``.ast`` / ``.program`` stages, then ``collect()``.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..algebra.terms import Term
@@ -49,7 +53,7 @@ from .parameters import bind_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..data.snapshot import DatabaseSnapshot
-    from ..service.plan_cache import CachedPlan
+    from ..service.plan_cache import CachedPlan, PlanKey
     from .session import QueryResult, Session
 
 #: Sentinel distinguishing "not computed yet" from computed-as-None.
@@ -59,6 +63,31 @@ _UNSET = object()
 #: lock suffices: pinning happens at most once per handle and holds the
 #: lock only for a head-pointer read, so contention is negligible.
 _PIN_LOCK = ordered_lock("session.pin")
+
+
+def check_labels(labels: Iterable[str], snapshot: "DatabaseSnapshot") -> None:
+    """Raise :class:`TranslationError` naming the (sorted) ``labels``
+    that ``snapshot`` does not have."""
+    missing = [label for label in labels if label not in snapshot]
+    if missing:
+        raise TranslationError(
+            f"query references unknown edge labels {missing}")
+
+
+@dataclass(frozen=True)
+class FrontEnd:
+    """What one UCRPQ text compiles to, whatever the data holds.
+
+    Built by :meth:`Session.front_end` and memoized per graph beside the
+    plan cache.  Nothing here reads data: the labels are kept for the
+    label check each read makes against its own snapshot.
+    """
+
+    ast: UCRPQ
+    #: The edge labels the query names, sorted.
+    labels: tuple[str, ...]
+    term: Term
+    classes: frozenset[str]
 
 
 def _pin_snapshot(handle) -> "DatabaseSnapshot":
@@ -144,7 +173,7 @@ class Query:
             if self._given_ast is not None:
                 self._ast = self._given_ast
             elif self._text is not None:
-                self._ast = self.session.parse(self._text)
+                self._ast = self.session.front_end(self._text).ast
             else:
                 raise TranslationError(
                     "this query was built from a raw mu-RA term; "
@@ -163,10 +192,16 @@ class Query:
         reads the database), so memoizing under whichever snapshot ran
         first is sound; passing an explicit snapshot lets
         :meth:`run_once` keep its whole trip on the one head it captured.
+        Text reads the graph's front-end memo, whose entry says nothing
+        about data: its labels are checked against ``snapshot`` here.
         """
         if self._term is _UNSET:
             if self._given_term is not None:
                 self._term = self._given_term
+            elif self._text is not None:
+                entry = self.session.front_end(self._text)
+                check_labels(entry.labels, snapshot)
+                self._term = entry.term
             else:
                 self._term = self.session.translate(self.ast,
                                                     snapshot=snapshot)
@@ -189,7 +224,7 @@ class Query:
         head on a served handle, which plans on the service's snapshot.
         """
         term = self._term if self._term is not _UNSET else self.term
-        return self.session.plan_cache.term_key(term)
+        return self.session.plan_cache.term_facts(term)[0]
 
     @property
     def classes(self) -> frozenset[str]:
@@ -197,6 +232,8 @@ class Query:
         if self._classes is _UNSET:
             if self._given_classes is not None:
                 self._classes = self._given_classes
+            elif self._text is not None:
+                self._classes = self.session.front_end(self._text).classes
             else:
                 self._classes = classify_query(self.ast)
         return self._classes
@@ -259,7 +296,7 @@ class Query:
 
     def _admission_gate(self, effective: str | None,
                         snapshot: "DatabaseSnapshot",
-                        use_cache: bool | None) -> None:
+                        use_cache: bool | None) -> "PlanKey | None":
         """Strict-mode admission: analyze once per plan-cache fill.
 
         A cached plan proves this exact term and config were admitted
@@ -271,8 +308,9 @@ class Query:
         deeper pipeline would have raised.  When translation itself fails
         (e.g. an unknown label) the analyzer still gets a chance to
         produce the better account before the original error propagates.
+        Returns the plan key it probed with (``None`` when the plan cache
+        is not consulted), for the plan phase to look up with.
         """
-        from ..algebra.variables import free_variables
         from ..errors import ReproError
         from ..service.plan_cache import PlanKey
 
@@ -285,12 +323,13 @@ class Query:
         session = self.session
         use_cache = (session.enable_plan_cache if use_cache is None
                      else use_cache)
+        key = None
         if use_cache and session.optimize_plans:
-            key = PlanKey.of(session, base, free_variables(base), effective,
-                             snapshot=snapshot)
+            key = PlanKey.of(session, base, effective, snapshot=snapshot)
             if key in session.plan_cache:
-                return
+                return key
         self._analyze_against(snapshot).raise_if_errors()
+        return key
 
     # -- Terminal actions ------------------------------------------------------
 
@@ -335,10 +374,10 @@ class Query:
         """
         effective = self._effective(strategy)
         snapshot = self.session.snapshot()
-        if check:
-            self._admission_gate(effective, snapshot, use_plan_cache)
+        key = (self._admission_gate(effective, snapshot, use_plan_cache)
+               if check else None)
         plan, plan_hit, key = self._plan_for(effective, use_cache=use_plan_cache,
-                                             snapshot=snapshot)
+                                             snapshot=snapshot, key=key)
         result, result_hit = self.session.execute_plan(
             plan, effective, self.classes,
             use_result_cache=use_result_cache, plan_key=key,
@@ -492,12 +531,14 @@ class Query:
 
     def _plan_for(self, effective: str | None,
                   use_cache: bool | None = None,
-                  snapshot: "DatabaseSnapshot | None" = None) -> tuple:
+                  snapshot: "DatabaseSnapshot | None" = None,
+                  key: "PlanKey | None" = None) -> tuple:
         """Resolve ``(plan, cache_hit, key)`` through the session.
 
         Plans against the handle's pinned snapshot unless the caller
-        (the serving path) passes its own.  For prepared bindings the
-        plan phase runs on the shared template term and the binding's
+        (the serving path) passes its own, with the plan key when the
+        caller (the strict gate) already built it.  For prepared bindings
+        the plan phase runs on the shared template term and the binding's
         constants are substituted into the selected plan afterwards.  A
         bound plan must never be written back into the template's
         plan-cache slot (a later binding would inherit its constants),
@@ -508,7 +549,7 @@ class Query:
                 else self._term_with(snapshot))
         plan, hit, key = self.session.resolve_plan(base, effective,
                                                    use_cache=use_cache,
-                                                   snapshot=snapshot)
+                                                   snapshot=snapshot, key=key)
         if self._bindings:
             plan = bind_plan(plan, self._bindings)
             key = None

@@ -74,6 +74,7 @@ from ..obs import tracing
 from ..obs.logs import get_logger, log_event
 from ..obs.metrics import get_registry
 from ..query.ast import UCRPQ
+from ..query.classes import classify_query
 from ..query.parser import parse_query
 from ..query.translate import translate_query
 from ..rewriter.engine import MuRewriter
@@ -84,7 +85,7 @@ from ..service.result_cache import (DEFAULT_RESULT_CACHE_SIZE, ResultCache,
                                     ResultKey)
 from .builder import PathBuilder
 from .prepared import PreparedQuery
-from .query import DatalogQuery, Query
+from .query import DatalogQuery, FrontEnd, Query, check_labels
 
 #: Module logger (JSON-lines once ``repro.obs.configure_logging()`` ran).
 _LOGGER = get_logger("repro.session")
@@ -553,6 +554,26 @@ class Session:
         """Parse UCRPQ text (ASTs pass through unchanged)."""
         return parse_query(query) if isinstance(query, str) else query
 
+    def front_end(self, text: str) -> FrontEnd:
+        """Parse, translate and classify UCRPQ text once per graph.
+
+        The memoized stages that text handles read.  Each is a pure
+        function of the text, so the entry is kept in the graph's plan
+        cache (same capacity, cleared with it).  The one check that
+        reads data, the labels, is the caller's, against the snapshot it
+        reads (see :meth:`Query._term_with`).  A parse error stores
+        nothing and raises again on the next call.
+        """
+        memo = self.plan_cache
+        entry = memo.front_end(text)
+        if entry is None:
+            ast = parse_query(text)
+            entry = FrontEnd(ast=ast, labels=tuple(sorted(ast.labels())),
+                             term=translate_query(ast),
+                             classes=classify_query(ast))
+            memo.remember_front_end(text, entry)
+        return entry
+
     def analyze(self, subject, *, frontend: str = "ucrpq",
                 snapshot: DatabaseSnapshot | None = None):
         """Statically analyze a query against this session's database.
@@ -581,11 +602,7 @@ class Session:
         """
         snapshot = snapshot if snapshot is not None else self.snapshot()
         parsed = self.parse(query)
-        missing = sorted(label for label in parsed.labels()
-                         if label not in snapshot)
-        if missing:
-            raise TranslationError(
-                f"query references unknown edge labels {missing}")
+        check_labels(sorted(parsed.labels()), snapshot)
         return translate_query(parsed)
 
     def optimize(self, term: Term,
@@ -606,6 +623,7 @@ class Session:
     def resolve_plan(self, term: Term, strategy: str | None = None, *,
                      use_cache: bool | None = None,
                      snapshot: DatabaseSnapshot | None = None,
+                     key: PlanKey | None = None,
                      ) -> tuple[CachedPlan, bool | None, PlanKey | None]:
         """The shared plan phase: cache lookup, explore+rank, cache store.
 
@@ -615,7 +633,9 @@ class Session:
         single plan path for every front-end and for the serving layer, so
         their cache keys agree by construction.  It runs entirely outside
         the execution lock: the snapshot and its statistics are immutable,
-        and the cache is internally synchronized.
+        and the cache is internally synchronized.  ``key`` is the
+        ``PlanKey.of`` the caller already built for this term, strategy
+        and snapshot (the strict admission gate probes with it).
         """
         snapshot = snapshot if snapshot is not None else self.snapshot()
         if not self.optimize_plans:
@@ -629,8 +649,8 @@ class Session:
         with tracing.span("session.resolve_plan",
                           graph=snapshot.graph_name) as plan_span:
             if use_cache:
-                key = PlanKey.of(self, term, free_variables(term), strategy,
-                                 snapshot=snapshot)
+                if key is None:
+                    key = PlanKey.of(self, term, strategy, snapshot=snapshot)
                 cached = self.plan_cache.get(key)
                 if cached is not None:
                     get_registry().counter("repro_plan_cache_total",
@@ -690,12 +710,12 @@ class Session:
         with tracing.span("session.execute_plan", strategy=effective,
                           columnar=columnar_enabled(),
                           graph=snapshot.graph_name) as exec_span:
-            result_key = ResultKey(
-                plan_key=plan.term_key, strategy=effective,
-                num_workers=self.cluster.num_workers,
-                fingerprint=snapshot.fingerprint(plan.dependencies),
-                graph=snapshot.graph_name)
             if use_cache:
+                result_key = ResultKey(
+                    plan_key=plan.term_key, strategy=effective,
+                    num_workers=self.cluster.num_workers,
+                    fingerprint=snapshot.fingerprint(plan.dependencies),
+                    graph=snapshot.graph_name)
                 cached = self.result_cache.lookup(result_key)
                 if cached is not None:
                     get_registry().counter("repro_result_cache_total",

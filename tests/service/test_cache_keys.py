@@ -59,6 +59,25 @@ def test_canonical_identity_is_front_end_independent(session):
     assert by_text.cache_key == by_ast.cache_key == by_builder.cache_key
 
 
+def test_text_handles_share_the_memoized_term_and_key(session):
+    """Two handles of one text read one memoized term, hence one key;
+    the AST and builder front-ends still land on the same key."""
+    first, second = session.ucrpq(TEXT), session.ucrpq(TEXT)
+    assert first.term is second.term
+    assert first.cache_key == second.cache_key
+    by_ast = session.ucrpq(session.parse(TEXT))
+    by_builder = session.relation("knows").closure().between("?x", "?y")
+    assert by_ast.term is not first.term
+    assert by_ast.cache_key == by_builder.cache_key == second.cache_key
+    with QueryService(session, max_in_flight=1) as service:
+        assert service.submit(TEXT, block=True).result().plan_cache_hit \
+            is False
+        for handle in (first, by_ast, by_builder):
+            handle.plan()
+            assert handle.last_plan_cache_hit is True
+        assert len(service.plan_cache) == 1
+
+
 def test_foreign_handle_fails_its_future_not_the_worker(session,
                                                         small_labeled_graph):
     """A bad submission resolves as failed instead of killing the worker."""

@@ -23,7 +23,7 @@ UNCACHED = {"enable_plan_cache": False, "enable_result_cache": False}
 
 def make_key(engine, text, strategy=None):
     term = engine.translate(parse_query(text))
-    return PlanKey.of(engine, term, free_variables(term), strategy), term
+    return PlanKey.of(engine, term, strategy), term
 
 
 def make_plan(term):
@@ -221,6 +221,24 @@ class TestSelectionsAreKeyedOnStatistics:
         result, plan_hit, _ = session.ucrpq(text).run_once(check=True)
         assert plan_hit is False and len(result.relation) == 0
         assert analyzed.value == 2
+
+    def test_strict_hit_builds_its_plan_key_once(self, session, registry,
+                                                 monkeypatch):
+        session.ucrpq(QUERY).run_once(check=True)  # fills the plan cache
+        analyzed = registry.counter("repro_analyze_total", frontend="ucrpq")
+        before = analyzed.value
+        keys = []
+        original = PlanKey.of.__func__
+
+        def counting(cls, *args, **kwargs):
+            keys.append(1)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PlanKey, "of", classmethod(counting))
+        _, plan_hit, _ = session.ucrpq(QUERY).run_once(check=True)
+        assert plan_hit is True
+        assert keys == [1]
+        assert analyzed.value == before
 
     def test_pinned_handles_plan_on_their_own_statistics(self, session,
                                                          explores):

@@ -217,6 +217,25 @@ def test_commit_to_another_graph_drops_nothing(small_labeled_graph):
         assert fresh.last_result_cache_hit is True
 
 
+def test_executions_that_bypass_the_cache_build_no_key(small_labeled_graph,
+                                                       monkeypatch):
+    from repro.session import session as session_module
+    built = []
+    original = session_module.ResultKey
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "ResultKey", counting)
+    with Session(small_labeled_graph, num_workers=2) as session:
+        _, _, result_hit = session.ucrpq(KNOWS).run_once(
+            use_result_cache=False)
+        assert result_hit is None and built == []
+        session.ucrpq(KNOWS).run_once()
+        assert built == [1]
+
+
 # -- The retention rule on hand-built snapshots ------------------------------
 
 def edges(*pairs):
