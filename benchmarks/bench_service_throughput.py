@@ -13,13 +13,15 @@ in three configurations:
 
 The report shows served throughput, latency percentiles (through the
 shared :func:`repro.bench.latency_table` formatter) and the cache hit
-rates.  Headline assertion: the hot path must be at least
-``HOT_SPEEDUP_FLOOR``x faster (mean latency) than the caches-off replay —
-the ≥5x acceptance bar of the serving-layer work.
+rates, read from a fresh metrics registry installed for each replay.
+Headline assertion: the hot path must be at least ``HOT_SPEEDUP_FLOOR``x
+faster (mean latency) than the caches-off replay — the ≥5x acceptance
+bar of the serving-layer work.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
 import threading
 import time
@@ -29,6 +31,7 @@ import pytest
 from repro import QueryService, Session
 from repro.bench import latency_table
 from repro.datasets import erdos_renyi_graph, uniprot_graph, yago_like_graph
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import OK
 from repro.workloads.closures import concatenated_closure_query
 from repro.workloads.uniprot_queries import uniprot_queries
@@ -46,9 +49,41 @@ HOT_SPEEDUP_FLOOR = 5.0
 YAGO_SUBSET = ("Q1", "Q3", "Q8", "Q12", "Q16")
 UNIPROT_SUBSET = ("Q30", "Q42", "Q49")
 
-#: mode -> {"latencies": [...], "snapshot": MetricsSnapshot}, filled by the
-#: replay matrix and consumed by the assertions/report below.
+#: mode -> {"latencies": [...], "counts": serving_counts(...)}, filled by
+#: the replay matrix and consumed by the assertions/report below.
 _RESULTS: dict[str, dict] = {}
+
+
+@contextlib.contextmanager
+def fresh_registry():
+    """Install an empty process metrics registry for one measured run."""
+    registry = MetricsRegistry()
+    previous = set_registry(registry)
+    try:
+        yield registry
+    finally:
+        set_registry(previous)
+
+
+def hit_counts(registry, cache: str) -> tuple[float, float]:
+    """``(hits, misses)`` of ``repro_{cache}_cache_total``."""
+    name = f"repro_{cache}_cache_total"
+    return (registry.counter(name, outcome="hit").value,
+            registry.counter(name, outcome="miss").value)
+
+
+def hit_rate(registry, cache: str) -> float:
+    hits, misses = hit_counts(registry, cache)
+    return hits / (hits + misses) if hits + misses else 0.0
+
+
+def serving_counts(registry, seconds: float) -> dict[str, float]:
+    """Throughput and hit rates of one replay, from its registry."""
+    served = registry.counter("repro_service_requests_total",
+                              graph="default", status=OK).value
+    return {"throughput_qps": served / seconds,
+            "plan_cache_hit_rate": hit_rate(registry, "plan"),
+            "result_cache_hit_rate": hit_rate(registry, "result")}
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +123,11 @@ def trace(workload):
 
 
 def replay(service, trace):
-    """Replay the trace from NUM_CLIENTS threads; return the latencies."""
+    """Replay the trace from NUM_CLIENTS threads.
+
+    Returns the per-request latencies and the serving counts, read from
+    a fresh registry that only this replay published into.
+    """
     slices = [trace[index::NUM_CLIENTS] for index in range(NUM_CLIENTS)]
     latencies: list[list[float]] = [[] for _ in range(NUM_CLIENTS)]
     failures: list[str] = []
@@ -102,12 +141,16 @@ def replay(service, trace):
 
     threads = [threading.Thread(target=client, args=(client_id,))
                for client_id in range(NUM_CLIENTS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    with fresh_registry() as registry:
+        started = time.perf_counter()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        counts = serving_counts(registry, time.perf_counter() - started)
     assert not failures, failures[:3]
-    return [seconds for per_client in latencies for seconds in per_client]
+    return ([seconds for per_client in latencies for seconds in per_client],
+            counts)
 
 
 @pytest.mark.parametrize("mode", ["caches off", "caches cold", "caches hot"])
@@ -116,24 +159,20 @@ def test_replay_matrix(figure_report, merged_database, trace, mode):
     if mode == "caches hot":
         if "caches cold" not in _RESULTS:
             pytest.skip("needs the 'caches cold' run of the matrix")
-        # Reuse the populated service of the cold run, with fresh counters
-        # so the hot snapshot reports only the repeated-query replay.
+        # Reuse the populated service of the cold run; the replay's fresh
+        # registry reports only the repeated-query replay.
         service = _RESULTS["caches cold"]["service"]
-        service.metrics = type(service.metrics)()
-        latencies = replay(service, trace)
-        _RESULTS[mode] = {"latencies": latencies,
-                          "snapshot": service.metrics.snapshot(),
+        latencies, counts = replay(service, trace)
+        _RESULTS[mode] = {"latencies": latencies, "counts": counts,
                           "service": service}
         service.close()
         return
-    engine = Session(merged_database, num_workers=4)
+    engine = Session(merged_database, num_workers=4,
+                     enable_plan_cache=caching, enable_result_cache=caching)
     service = QueryService(engine, max_in_flight=NUM_CLIENTS,
-                           queue_capacity=REQUESTS, own_engine=True,
-                           enable_plan_cache=caching,
-                           enable_result_cache=caching)
-    latencies = replay(service, trace)
-    _RESULTS[mode] = {"latencies": latencies,
-                      "snapshot": service.metrics.snapshot(),
+                           queue_capacity=REQUESTS, own_engine=True)
+    latencies, counts = replay(service, trace)
+    _RESULTS[mode] = {"latencies": latencies, "counts": counts,
                       "service": service}
     if not caching:
         service.close()
@@ -149,11 +188,11 @@ def test_hot_path_speedup_and_report(figure_report):
     lines = [f"replay: {REQUESTS} requests, {NUM_CLIENTS} clients, "
              f"Zipf s={ZIPF_EXPONENT}"]
     for mode in ("caches off", "caches cold", "caches hot"):
-        snapshot = _RESULTS[mode]["snapshot"]
+        counts = _RESULTS[mode]["counts"]
         lines.append(
-            f"  {mode:12s} throughput {snapshot.throughput_qps:8.1f} q/s  "
-            f"plan hits {snapshot.plan_cache_hit_rate:5.1%}  "
-            f"result hits {snapshot.result_cache_hit_rate:5.1%}")
+            f"  {mode:12s} throughput {counts['throughput_qps']:8.1f} q/s  "
+            f"plan hits {counts['plan_cache_hit_rate']:5.1%}  "
+            f"result hits {counts['result_cache_hit_rate']:5.1%}")
     off_mean = _mean(_RESULTS["caches off"]["latencies"])
     hot_mean = _mean(_RESULTS["caches hot"]["latencies"])
     speedup = off_mean / hot_mean
@@ -161,8 +200,8 @@ def test_hot_path_speedup_and_report(figure_report):
                  f"(floor {HOT_SPEEDUP_FLOOR}x)")
     figure_report.add_section("\n".join(lines))
     # The second replay of the same trace hits the caches on every request.
-    hot_snapshot = _RESULTS["caches hot"]["snapshot"]
-    assert hot_snapshot.result_cache_hit_rate > 0.5
+    hot_counts = _RESULTS["caches hot"]["counts"]
+    assert hot_counts["result_cache_hit_rate"] > 0.5
     assert speedup >= HOT_SPEEDUP_FLOOR, (
         f"cache-hit hot path only {speedup:.1f}x faster than uncached "
         f"serving (floor {HOT_SPEEDUP_FLOOR}x)")
@@ -172,8 +211,8 @@ def test_cold_cache_already_helps(figure_report):
     """Even the populating replay wins: the Zipf head repeats quickly."""
     if len(_RESULTS) < 2:
         pytest.skip("replay matrix was deselected")
-    cold = _RESULTS["caches cold"]["snapshot"]
-    assert cold.result_cache_hit_rate > 0.0
+    cold = _RESULTS["caches cold"]["counts"]
+    assert cold["result_cache_hit_rate"] > 0.0
     assert _mean(_RESULTS["caches cold"]["latencies"]) <= \
         _mean(_RESULTS["caches off"]["latencies"]) * 1.5
 
@@ -192,7 +231,8 @@ def test_prepared_query_plan_cache(figure_report, merged_database):
     substitutes its constant into the selected plan, so the rewriter and
     the cost ranking run exactly once for the whole batch.
     """
-    with Session(merged_database, num_workers=4) as session:
+    with Session(merged_database, num_workers=4) as session, \
+            fresh_registry() as registry:
         explores = []
         original = session.rewriter.explore
         session.rewriter.explore = lambda *args, **kw: (
@@ -212,15 +252,15 @@ def test_prepared_query_plan_cache(figure_report, merged_database):
             result = prepared.bind(start=node).collect()
             latencies.append(time.perf_counter() - started)
             total_rows += len(result.relation)
-        stats = session.plan_cache.stats
-        hit_rate = stats.hits / (stats.hits + stats.misses)
+        hits, misses = hit_counts(registry, "plan")
+        rate = hit_rate(registry, "plan")
         first, rest = latencies[0], latencies[1:]
         lines = [
             "Prepared-query scenario - one template, "
             f"{PREPARED_BINDINGS} bindings ({PREPARED_TEMPLATE!r})",
             f"  explore+rank invocations : {len(explores)}",
-            f"  plan cache hits/misses   : {stats.hits}/{stats.misses} "
-            f"(hit rate {hit_rate:.1%}, floor {PREPARED_HIT_FLOOR:.0%})",
+            f"  plan cache hits/misses   : {hits:.0f}/{misses:.0f} "
+            f"(hit rate {rate:.1%}, floor {PREPARED_HIT_FLOOR:.0%})",
             f"  first binding latency    : {first * 1000:8.2f} ms "
             f"(pays the one explore+rank)",
             f"  later bindings (mean)    : "
@@ -231,8 +271,8 @@ def test_prepared_query_plan_cache(figure_report, merged_database):
         # Acceptance: one explore+rank for the whole batch; every binding
         # after the first is a plan-cache hit (>= 99/100).
         assert len(explores) == 1, f"template explored {len(explores)} times"
-        assert stats.hits >= PREPARED_BINDINGS - 1
-        assert hit_rate >= PREPARED_HIT_FLOOR
+        assert hits >= PREPARED_BINDINGS - 1
+        assert rate >= PREPARED_HIT_FLOOR
 
 
 def _mean(values):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from repro import LabeledGraph, Session
+from repro import LabeledGraph, Session, get_registry
 
 
 def build_graph() -> LabeledGraph:
@@ -79,8 +79,11 @@ def main() -> None:
         hit = bound.last_plan_cache_hit
         print(f"  bind(start={start}): rows={bound.count():3d} "
               f"plan-cache {'hit' if hit else 'miss'}")
-    stats = session.plan_cache.stats
-    print(f"  plan cache: {stats.hits} hits / {stats.misses} misses")
+    # The session counts every plan lookup once, in the metrics registry.
+    hits, misses = (get_registry().counter("repro_plan_cache_total",
+                                           outcome=outcome).value
+                    for outcome in ("hit", "miss"))
+    print(f"  plan cache: {hits:.0f} hits / {misses:.0f} misses")
 
     print("\n== 7. Snapshots: mutations commit new versions, never purge ==")
     pinned = session.ucrpq("?x,?y <- ?x knows ?y")

@@ -28,7 +28,7 @@ from .distributed.plans import PGLD, PPLW_SPARK
 from .errors import ReproError, ServiceError, ServiceOverloadError
 from .obs import (ExplainAnalyzeReport, MetricsRegistry, Tracer,
                   configure_logging, configure_tracing, get_registry)
-from .service import UNBOUNDED, QueryService, ServedResult, ServiceMetrics
+from .service import UNBOUNDED, QueryService, ServedResult
 
 __version__ = "1.4.0"
 
@@ -59,7 +59,6 @@ __all__ = [
     "ReproError",
     "ServedResult",
     "ServiceError",
-    "ServiceMetrics",
     "ServiceOverloadError",
     "Session",
     "SparkCluster",

@@ -1,12 +1,12 @@
 """One metrics registry for the whole pipeline.
 
-Before this module the system's telemetry was disjoint islands —
-:class:`~repro.service.metrics.ServiceMetrics` (serving counters) and
-:class:`~repro.distributed.cluster.ClusterMetrics` (per-execution
-communication counters) — each with its own ``summary()`` and no shared
-read surface.  Both still exist (their shapes are load-bearing for benchmarks and
-tests), but they now additionally *publish* into a
-:class:`MetricsRegistry` of named instruments:
+:class:`MetricsRegistry` is the one store of the system's counts and
+distributions: the serving layer records its requests, latencies and
+cache outcomes straight into it, the session its commits and cache
+lookups, the cluster each execution's communication.  (A
+:class:`~repro.distributed.cluster.ClusterMetrics` stays the per-execution
+record a :class:`~repro.session.QueryResult` carries; it publishes its
+totals here.)  The instruments are:
 
 * :class:`Counter` — monotonically increasing totals
   (``repro_queries_served_total``),
@@ -19,8 +19,7 @@ graph="yago")``), so multi-graph sessions stay distinguishable.  The
 registry is thread-safe, and has two export surfaces:
 
 * :meth:`MetricsRegistry.render_prometheus` — the text exposition format
-  every scraper understands (the precursor to ROADMAP item 5's
-  ``/metrics`` endpoint),
+  every scraper understands (what the HTTP tier's ``/metrics`` serves),
 * :meth:`MetricsRegistry.render_jsonl` — one JSON object per instrument,
   the shape the structured log pipeline ingests.
 
@@ -38,8 +37,8 @@ from dataclasses import dataclass
 from ..percentiles import DEFAULT_PERCENTILES, percentiles
 from ..check.sanitizer import ordered_lock
 
-#: Samples retained per histogram window (same bound and rationale as
-#: ServiceMetrics: long-running services must not grow without limit).
+#: Samples retained per histogram window: a long-running service must not
+#: grow its metrics without limit.
 DEFAULT_WINDOW = 8192
 
 #: A label set, normalized to a sorted tuple so it can key a dict.
@@ -100,7 +99,7 @@ class Histogram:
     """Bounded sliding window of observations with percentile snapshots.
 
     Count and sum are exact over the lifetime; percentiles describe the
-    window (the same contract ServiceMetrics always had).
+    window of the most recent :data:`DEFAULT_WINDOW` observations.
     """
 
     __slots__ = ("_window", "_count", "_sum", "_lock")

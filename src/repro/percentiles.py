@@ -1,7 +1,7 @@
-"""Percentile computation shared by the serving metrics and the reports.
+"""Percentile computation shared by the metrics registry and the reports.
 
-Kept in its own dependency-free module so both the serving layer
-(:mod:`repro.service.metrics`) and the benchmark reporting
+Kept in its own dependency-free module so both the metrics registry's
+histograms (:mod:`repro.obs.metrics`) and the benchmark reporting
 (:mod:`repro.bench.reporting`) can use one implementation without either
 package importing the other.
 """

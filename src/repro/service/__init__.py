@@ -11,30 +11,30 @@ session's shared staged pipeline:
 * :mod:`repro.service.result_cache` — memoizes whole query results keyed
   by the snapshot fingerprint of their inputs (no eager purges),
 * :mod:`repro.service.server` — admission control, scheduling, timeouts
-  and the mutation pass-through,
-* :mod:`repro.service.metrics` — throughput, latency percentiles and
-  cache hit rates.
+  and the mutation pass-through.
+
+Every serving count — requests per graph and status, latency and queue
+wait, cache hits, misses, evictions and invalidations — lives in the
+process metrics registry (:func:`repro.obs.get_registry`), the one store
+``/metrics`` renders; nothing here keeps a second copy.
 
 See the "Serving layer" section of ``DESIGN.md`` and ``examples/serve.py``.
 """
 
-from .cache import MISS, CacheStats, LRUCache
+from .cache import MISS, LRUCache
 from ..percentiles import percentile
-from .metrics import MetricsSnapshot, ServiceMetrics
 from .plan_cache import CachedPlan, PlanCache, PlanKey
 from .result_cache import ResultCache, ResultKey
 from .server import (DEFAULT_MAX_IN_FLIGHT, DEFAULT_QUEUE_CAPACITY, FAILED,
                      OK, REJECTED, UNBOUNDED, QueryService, ServedResult)
 
 __all__ = [
-    "CacheStats",
     "CachedPlan",
     "DEFAULT_MAX_IN_FLIGHT",
     "DEFAULT_QUEUE_CAPACITY",
     "FAILED",
     "LRUCache",
     "MISS",
-    "MetricsSnapshot",
     "OK",
     "PlanCache",
     "PlanKey",
@@ -43,7 +43,6 @@ __all__ = [
     "ResultCache",
     "ResultKey",
     "ServedResult",
-    "ServiceMetrics",
     "UNBOUNDED",
     "percentile",
 ]

@@ -1,17 +1,18 @@
 """Thread-safe bounded LRU cache shared by the plan and result caches.
 
 Both serving-layer caches need the same mechanics: a capacity bound with
-least-recently-used eviction, hit/miss/eviction counters, and safe access
-from the service's worker threads.  :class:`LRUCache` provides exactly
-that; the plan- and result-specific key construction and validity checks
-live in :mod:`repro.service.plan_cache` and
-:mod:`repro.service.result_cache`.
+least-recently-used eviction and safe access from the service's worker
+threads.  :class:`LRUCache` provides exactly that and counts nothing:
+:meth:`~LRUCache.put` and :meth:`~LRUCache.discard` say whether they
+dropped an entry, and the plan and result caches count those drops, like
+the session counts their hits and misses, in the metrics registry.  The
+plan- and result-specific key construction and validity checks live in
+:mod:`repro.service.plan_cache` and :mod:`repro.service.result_cache`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Hashable
 
 from ..errors import ServiceError
@@ -23,39 +24,8 @@ from ..check.sanitizer import ordered_lock
 MISS = object()
 
 
-@dataclass
-class CacheStats:
-    """Counters of one cache (returned as an independent snapshot)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    #: Entries dropped by ``discard()`` or ``clear()`` rather than by LRU
-    #: eviction (keys are snapshot-qualified, so stale entries miss
-    #: naturally; the result cache's retention rule discards them).
-    invalidations: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def summary(self) -> dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "hit_rate": round(self.hit_rate, 3),
-        }
-
-
 class LRUCache:
-    """A bounded mapping with LRU eviction and lookup counters."""
+    """A bounded mapping with LRU eviction."""
 
     def __init__(self, capacity: int):
         if capacity <= 0:
@@ -63,45 +33,43 @@ class LRUCache:
         self.capacity = capacity
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = ordered_lock("service.cache")
-        self._stats = CacheStats()
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value (marking it most recently used) or ``default``.
 
         Presence, not truthiness, decides hit vs miss: a stored ``None``
-        is returned (and counted) as a hit.  Callers that cache ``None``
-        values pass :data:`MISS` (or their own sentinel) as ``default``
-        to tell the two apart.
+        is returned as a hit.  Callers that cache ``None`` values pass
+        :data:`MISS` (or their own sentinel) as ``default`` to tell the
+        two apart.
         """
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._stats.hits += 1
                 return self._entries[key]
-            self._stats.misses += 1
             return default
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert (or refresh) an entry, evicting the LRU one when full."""
+    def put(self, key: Hashable, value: Any) -> bool:
+        """Insert (or refresh) an entry, evicting the LRU one when full.
+
+        Returns whether an entry was evicted to make room.
+        """
         with self._lock:
+            evicted = False
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._entries[key] = value
-                return
-            if len(self._entries) >= self.capacity:
+            elif len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
-                self._stats.evictions += 1
+                evicted = True
             self._entries[key] = value
+            return evicted
 
-    def discard(self, key: Hashable) -> None:
-        """Drop one entry if present (counted as an invalidation)."""
+    def discard(self, key: Hashable) -> bool:
+        """Drop one entry if present; returns whether one was dropped."""
         with self._lock:
-            if self._entries.pop(key, MISS) is not MISS:
-                self._stats.invalidations += 1
+            return self._entries.pop(key, MISS) is not MISS
 
     def clear(self) -> None:
         with self._lock:
-            self._stats.invalidations += len(self._entries)
             self._entries.clear()
 
     def __len__(self) -> int:
@@ -116,11 +84,3 @@ class LRUCache:
         """Snapshot of the keys, LRU first (an independent copy)."""
         with self._lock:
             return list(self._entries)
-
-    @property
-    def stats(self) -> CacheStats:
-        """An independent snapshot of the counters."""
-        with self._lock:
-            return CacheStats(hits=self._stats.hits, misses=self._stats.misses,
-                              evictions=self._stats.evictions,
-                              invalidations=self._stats.invalidations)

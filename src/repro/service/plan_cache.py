@@ -37,8 +37,9 @@ from typing import TYPE_CHECKING
 from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Term
 from ..algebra.variables import free_variables
+from ..obs.metrics import get_registry
 from ..rewriter.normalize import cache_key
-from .cache import CacheStats, LRUCache
+from .cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..data.snapshot import DatabaseSnapshot
@@ -148,6 +149,10 @@ class PlanCache:
     text (:meth:`front_end`) and the key and inputs of each term object
     (:meth:`term_facts`).  Together they make a served hit a lookup: the
     text's memoized term is one object, so its facts memo hits too.
+
+    The session counts the plan lookups' hits and misses in
+    ``repro_plan_cache_total``; a plan pushed out of the ring counts
+    there as ``outcome="evicted"``.  The two memos count nothing.
     """
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE):
@@ -159,7 +164,9 @@ class PlanCache:
         return self._cache.get(key)
 
     def put(self, key: PlanKey, plan: CachedPlan) -> None:
-        self._cache.put(key, plan)
+        if self._cache.put(key, plan):
+            get_registry().counter("repro_plan_cache_total",
+                                   outcome="evicted").inc()
 
     def term_facts(self, term: Term) -> tuple[str, frozenset[str]]:
         """``(cache_key(term), free_variables(term))``, once per term object.
@@ -189,18 +196,13 @@ class PlanCache:
         self._front_ends.clear()
 
     def __contains__(self, key: PlanKey) -> bool:
-        """Stats-neutral membership probe (no LRU or counter side effects).
+        """Membership probe with no LRU or counter side effects.
 
         The strict-mode admission gate uses this to decide whether a
         query was already analyzed-and-planned for the same schemas,
-        statistics and config without distorting the cache's hit-rate
-        statistics.
+        statistics and config without counting a lookup.
         """
         return key in self._cache
 
     def __len__(self) -> int:
         return len(self._cache)
-
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cache import CacheStats, LRUCache
+from ..obs.metrics import get_registry
+from .cache import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..data.snapshot import DatabaseSnapshot
@@ -59,7 +60,13 @@ class ResultKey:
 
 
 class ResultCache:
-    """LRU store of memoized executions, keyed per snapshot version."""
+    """LRU store of memoized executions, keyed per snapshot version.
+
+    The session counts the lookups' hits and misses in
+    ``repro_result_cache_total``; the cache counts what it drops there
+    too, as ``outcome="evicted"`` (LRU pressure) and
+    ``outcome="invalidated"`` (the retention rule after a commit).
+    """
 
     def __init__(self, capacity: int = DEFAULT_RESULT_CACHE_SIZE):
         self._cache = LRUCache(capacity)
@@ -74,7 +81,8 @@ class ResultCache:
 
     def store(self, key: ResultKey, result: "QueryResult") -> None:
         """Memoize ``result`` under its snapshot-qualified key."""
-        self._cache.put(key, result)
+        if self._cache.put(key, result):
+            _count("evicted")
 
     def retain_after_commit(self, old_head: "DatabaseSnapshot",
                             new_head: "DatabaseSnapshot") -> None:
@@ -87,16 +95,17 @@ class ResultCache:
         per entry; nothing is recomputed.
         """
         graph = new_head.graph_name
+        dropped = 0
         for key in self._cache.keys():
             if key.graph != graph:
                 continue
             names = [name for name, _ in key.fingerprint]
             if key.fingerprint not in (old_head.fingerprint(names),
-                                       new_head.fingerprint(names)):
-                self._cache.discard(key)
-
-    def discard(self, key: ResultKey) -> None:
-        self._cache.discard(key)
+                                       new_head.fingerprint(names)) \
+                    and self._cache.discard(key):
+                dropped += 1
+        if dropped:
+            _count("invalidated", dropped)
 
     def clear(self) -> None:
         self._cache.clear()
@@ -104,6 +113,7 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._cache)
 
-    @property
-    def stats(self) -> CacheStats:
-        return self._cache.stats
+
+def _count(outcome: str, amount: int = 1) -> None:
+    get_registry().counter("repro_result_cache_total",
+                           outcome=outcome).inc(amount)

@@ -25,8 +25,8 @@ into a serving subsystem for many concurrent clients:
   code path (and therefore the exact same cache keys) as embedded use.
 * **Caching** — the session's :class:`~repro.service.plan_cache.PlanCache`
   and :class:`~repro.service.result_cache.ResultCache` (one pair per
-  attached graph), gated by the service's ``enable_plan_cache`` /
-  ``enable_result_cache`` flags.  Result keys are
+  attached graph), consulted as the session's ``enable_plan_cache`` /
+  ``enable_result_cache`` flags say.  Result keys are
   snapshot-fingerprint-qualified and plan keys name the schemas and
   statistics they were computed from, so result-cache hits are served
   without the execution lock and mutations never purge anything.
@@ -42,6 +42,12 @@ into a serving subsystem for many concurrent clients:
   submission) maps to the benchmark harness's ``failed`` status: queries
   that exceed it while queued are not executed at all, and queries that
   exceed it during execution are reported failed.
+* **Metrics** — every admission, rejection and served request is counted
+  straight into the process registry (:func:`~repro.obs.metrics.get_registry`):
+  ``repro_service_submitted_total``, ``repro_service_rejected_total``,
+  ``repro_service_requests_total{graph,status}`` and the
+  ``repro_service_latency_seconds`` / ``repro_service_queue_wait_seconds``
+  histograms, which ``/metrics`` renders.
 
 Typical use::
 
@@ -65,11 +71,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..check.sanitizer import ordered_lock
+from ..data.snapshot import DEFAULT_GRAPH
 from ..errors import (AnalysisError, ReproError, ServiceError,
                       ServiceOverloadError)
 from ..obs import tracing
 from ..obs.metrics import get_registry
-from .metrics import ServiceMetrics
 from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from .result_cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache
 
@@ -178,8 +184,6 @@ class QueryService:
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
                  plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
                  result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
-                 enable_plan_cache: bool = True,
-                 enable_result_cache: bool = True,
                  default_timeout: float | None = None,
                  strict: bool = False,
                  own_engine: bool = False):
@@ -188,8 +192,6 @@ class QueryService:
         if queue_capacity <= 0:
             raise ServiceError("queue_capacity must be positive")
         self.session = engine
-        self.enable_plan_cache = enable_plan_cache
-        self.enable_result_cache = enable_result_cache
         self.default_timeout = default_timeout
         #: Strict mode: statically analyze each query on its first trip
         #: through the plan phase (plan-cache hits skip the analysis) and
@@ -197,7 +199,6 @@ class QueryService:
         #: REJECTED`` and structured :attr:`ServedResult.diagnostics`.
         self.strict = strict
         engine.configure_caches(plan_cache_size, result_cache_size)
-        self.metrics = ServiceMetrics()
         self._own_engine = own_engine
         self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
         self._started_at = time.monotonic()
@@ -257,7 +258,7 @@ class QueryService:
         try:
             self._queue.put(task, block=block)
         except queue.Full:
-            self.metrics.record_rejected()
+            get_registry().counter("repro_service_rejected_total").inc()
             raise ServiceOverloadError(
                 f"admission queue full ({self._queue.maxsize} queued)") from None
         depth = self._queue.qsize()
@@ -273,7 +274,7 @@ class QueryService:
                 task.future.set_exception(
                     ServiceError("the query service is closed"))
             raise ServiceError("the query service is closed")
-        self.metrics.record_submitted()
+        get_registry().counter("repro_service_submitted_total").inc()
         return task.future
 
     def batch(self, queries, strategy: str | None = None,
@@ -409,13 +410,14 @@ class QueryService:
             served.status = FAILED
             served.detail = (f"deadline exceeded: served in "
                              f"{served.latency_seconds:.3f}s")
-        self.metrics.record_served(
-            latency_seconds=served.latency_seconds,
-            queue_wait_seconds=served.queue_wait_seconds,
-            failed=not served.succeeded,
-            plan_cache_hit=served.plan_cache_hit,
-            result_cache_hit=served.result_cache_hit,
-            graph=served.graph)
+        registry = get_registry()
+        registry.counter("repro_service_requests_total",
+                         graph=served.graph or DEFAULT_GRAPH,
+                         status=served.status).inc()
+        registry.histogram("repro_service_latency_seconds") \
+            .observe(served.latency_seconds)
+        registry.histogram("repro_service_queue_wait_seconds") \
+            .observe(served.queue_wait_seconds)
         task.future.set_result(served)
 
     def _serve(self, handle, task: _Task, queue_wait: float) -> ServedResult:
@@ -434,10 +436,7 @@ class QueryService:
                           graph=handle.session.graph_name) as request_span:
             if hasattr(handle, "run_once"):
                 result, plan_hit, result_hit = handle.run_once(
-                    task.strategy,
-                    use_plan_cache=self.enable_plan_cache,
-                    use_result_cache=self.enable_result_cache,
-                    check=self.strict)
+                    task.strategy, check=self.strict)
             else:
                 # Datalog baseline handles have no serving path (and no
                 # plan/result caches); evaluate them directly.  Strict
@@ -497,5 +496,5 @@ class QueryService:
     def __repr__(self) -> str:
         return (f"QueryService(workers={len(self._workers)}, "
                 f"queue={self._queue.maxsize}, "
-                f"plan_cache={self.enable_plan_cache}, "
-                f"result_cache={self.enable_result_cache})")
+                f"plan_cache={self.session.enable_plan_cache}, "
+                f"result_cache={self.session.enable_result_cache})")

@@ -4,17 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    """Isolate the process-global metrics registry per test (the
-    analysis-count assertions read ``repro_analyze_total`` from it)."""
-    previous = set_registry(MetricsRegistry())
-    yield
-    set_registry(previous)
 
 
 @pytest.fixture

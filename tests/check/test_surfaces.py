@@ -98,9 +98,10 @@ def test_analysis_runs_once_per_plan_cache_fill(kg_session):
     """The acceptance micro-benchmark: fills analyze, hits skip."""
     kg_session.ucrpq(GOOD).run_once(check=True)
     assert _analysis_count() == 1  # the fill analyzed
-    hits_before = kg_session.plan_cache.stats.hits
+    hits = get_registry().counter("repro_plan_cache_total", outcome="hit")
+    hits_before = hits.value
     kg_session.ucrpq(GOOD).run_once(check=True)
-    assert kg_session.plan_cache.stats.hits > hits_before
+    assert hits.value > hits_before
     assert _analysis_count() == 1  # the hit did not
     # A different strategy is a different plan-cache key: a new fill,
     # and exactly one more analysis.

@@ -9,11 +9,22 @@ from repro.data import LabeledGraph, Relation, ValueDictionary
 from repro.datasets import erdos_renyi_graph, random_tree
 from repro.distributed import (ParallelLocalLoops, PartitioningDecision,
                                make_plan)
+from repro.obs.metrics import MetricsRegistry, set_registry
 
 #: The plan-level test matrices' name for ``Pplw^s`` split round robin
 #: whatever its stable columns: the one way a fixpoint with a stable
 #: column reaches the deduplicating final union (see ``build_plan``).
 PPLW_ROUND_ROBIN = "plw-spark-round-robin"
+
+
+@pytest.fixture(autouse=True)
+def registry() -> MetricsRegistry:
+    """A fresh metrics registry, installed as the process default for
+    one test: every count a test reads starts at zero."""
+    fresh = MetricsRegistry()
+    previous = set_registry(fresh)
+    yield fresh
+    set_registry(previous)
 
 
 @pytest.fixture

@@ -6,17 +6,8 @@ import pytest
 
 from repro.data import LabeledGraph
 from repro.net import HttpServer, ServerThread, ServiceClient
-from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import QueryService
 from repro.session import Session
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    """Isolate the process-global metrics registry per test."""
-    previous = set_registry(MetricsRegistry())
-    yield
-    set_registry(previous)
 
 
 def make_citations_graph() -> LabeledGraph:

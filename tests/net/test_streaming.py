@@ -165,7 +165,8 @@ def test_stream_past_its_deadline_is_504(net_session):
     assert excinfo.value.payload["status"] == "failed"
 
 
-def test_stream_is_refused_when_the_admission_queue_is_full(net_session):
+def test_stream_is_refused_when_the_admission_queue_is_full(net_session,
+                                                            registry):
     with serving(net_session, max_in_flight=1,
                  queue_capacity=1) as (service, client):
         with service.session.execution_lock:
@@ -178,17 +179,19 @@ def test_stream_is_refused_when_the_admission_queue_is_full(net_session):
         assert excinfo.value.retry_after is not None
         assert blocked.result(timeout=10).succeeded
         assert queued.result(timeout=10).succeeded
-        assert service.metrics.snapshot().rejected == 1
+        assert registry.counter("repro_service_rejected_total").value == 1
 
 
-def test_streams_are_counted_by_the_service(net_service, client):
-    before = net_service.metrics.snapshot().served
+def test_streams_are_counted_by_the_service(net_service, client, registry):
+    served = registry.counter("repro_service_requests_total",
+                              graph="default", status=OK)
+    before = served.value
     list(client.stream_query(KNOWS, batch_size=2))
-    assert net_service.metrics.snapshot().served == before + 1
+    assert served.value == before + 1
     # A cursor page slices rows already served: no second admission.
     cursor = list(client.stream_query(KNOWS, limit=2))[-1]["next_cursor"]
     list(client.stream_query(cursor=cursor))
-    assert net_service.metrics.snapshot().served == before + 2
+    assert served.value == before + 2
 
 
 def test_hot_queries_and_a_stream_share_one_canonical_order(

@@ -13,17 +13,6 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                get_registry, set_registry)
 
 
-@pytest.fixture
-def registry():
-    """A private registry installed as the process default for one test."""
-    fresh = MetricsRegistry()
-    previous = set_registry(fresh)
-    try:
-        yield fresh
-    finally:
-        set_registry(previous)
-
-
 class TestInstruments:
     def test_counter_accumulates_and_rejects_negatives(self):
         counter = Counter()

@@ -7,17 +7,9 @@ import time
 import pytest
 
 from repro import QueryService, Session, UNBOUNDED
-from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.service import FAILED, OK
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
-
-
-@pytest.fixture(autouse=True)
-def fresh_registry():
-    previous = set_registry(MetricsRegistry())
-    yield
-    set_registry(previous)
 
 
 @pytest.fixture

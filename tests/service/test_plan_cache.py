@@ -1,4 +1,4 @@
-"""Plan cache: LRU bounds, counters, key construction and stability."""
+"""Plan cache: LRU bounds, registry counts, key construction and stability."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro import Session
 from repro.algebra.terms import RelVar
 from repro.data.relation import Relation
-from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.query.parser import parse_query
 from repro.rewriter.normalize import cache_key
 from repro.service import CachedPlan, LRUCache, PlanCache, PlanKey
@@ -31,32 +30,39 @@ def make_plan(term):
                       dependencies=free_variables(term))
 
 
+def plan_outcomes(registry):
+    """``repro_plan_cache_total`` per outcome."""
+    return {outcome: registry.counter("repro_plan_cache_total",
+                                      outcome=outcome).value
+            for outcome in ("hit", "miss", "evicted")}
+
+
 class TestLRUCache:
-    def test_eviction_order_and_counters(self):
+    def test_eviction_order_and_put_result(self):
         cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        assert cache.put("a", 1) is False
+        assert cache.put("b", 2) is False
         assert cache.get("a") == 1  # refreshes 'a': 'b' becomes LRU
-        cache.put("c", 3)
+        assert cache.put("c", 3) is True  # evicted one entry: 'b'
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
-        stats = cache.stats
-        assert stats.evictions == 1
-        assert stats.hits == 3 and stats.misses == 1
-        assert 0.0 < stats.hit_rate < 1.0
+        assert cache.keys() == ["a", "c"]
 
     def test_put_refreshes_existing_key_without_evicting(self):
         cache = LRUCache(capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
-        cache.put("a", 10)
+        assert cache.put("a", 10) is False
         assert len(cache) == 2
         assert cache.get("a") == 10
-        assert cache.stats.evictions == 0
+        assert "b" in cache
 
 
 class TestPlanCache:
-    def test_roundtrip_and_hit_miss_counters(self, small_labeled_graph):
+    def test_roundtrip_and_hit_miss_counters(self, small_labeled_graph,
+                                             registry):
+        """The registry is the one count of plan lookups: the session
+        counts each outcome there, and the cache keeps no second copy."""
         engine = Session(small_labeled_graph, **UNCACHED)
         cache = PlanCache(capacity=8)
         key, term = make_key(engine, QUERY)
@@ -64,8 +70,15 @@ class TestPlanCache:
         cache.put(key, make_plan(term))
         cached = cache.get(key)
         assert cached is not None and cached.term == term
-        stats = cache.stats
-        assert stats.misses == 1 and stats.hits == 1
+        assert plan_outcomes(registry) == {"hit": 0, "miss": 0, "evicted": 0}
+        with Session(small_labeled_graph, num_workers=2) as engine:
+            term = engine.translate(parse_query(QUERY))
+            _, first_hit, _ = engine.resolve_plan(term)
+            _, second_hit, _ = engine.resolve_plan(term)
+        assert (first_hit, second_hit) == (False, True)
+        assert plan_outcomes(registry) == {"hit": 1, "miss": 1, "evicted": 0}
+        assert 'repro_plan_cache_total{outcome="hit"} 1' in \
+            registry.render_prometheus()
 
     def test_key_depends_on_strategy_and_versions(self, small_labeled_graph):
         engine = Session(small_labeled_graph, **UNCACHED)
@@ -104,7 +117,8 @@ class TestPlanCache:
         assert cache.get(old_key) is not None
         assert cache.get(new_key) is not None
 
-    def test_lru_bound_evicts_oldest_plan(self, small_labeled_graph):
+    def test_lru_bound_evicts_oldest_plan(self, small_labeled_graph,
+                                          registry):
         engine = Session(small_labeled_graph, **UNCACHED)
         cache = PlanCache(capacity=2)
         texts = [QUERY, "?x <- ?x livesIn ?y", "?x,?y <- ?x worksAt ?y"]
@@ -115,7 +129,9 @@ class TestPlanCache:
             keys.append(key)
         assert len(cache) == 2
         assert cache.get(keys[0]) is None
-        assert cache.stats.evictions == 1
+        assert plan_outcomes(registry)["evicted"] == 1
+        assert 'repro_plan_cache_total{outcome="evicted"} 1' in \
+            registry.render_prometheus()
 
 
 def count_calls(monkeypatch, owner, name):
@@ -129,15 +145,6 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counting)
     return calls
-
-
-@pytest.fixture
-def registry():
-    previous = set_registry(MetricsRegistry())
-    try:
-        yield get_registry()
-    finally:
-        set_registry(previous)
 
 
 class TestSelectionsAreKeyedOnStatistics:
@@ -164,10 +171,7 @@ class TestSelectionsAreKeyedOnStatistics:
         plan = session.ucrpq(QUERY).plan()
         assert len(explores) == 2 and len(ranks) == 2
         assert plan.term == session.optimize(session.translate(QUERY))[0].term
-        outcomes = {outcome: registry.counter("repro_plan_cache_total",
-                                              outcome=outcome).value
-                    for outcome in ("miss", "hit")}
-        assert outcomes == {"miss": 2, "hit": 0}
+        assert plan_outcomes(registry) == {"hit": 0, "miss": 2, "evicted": 0}
 
     def test_new_relation_or_schema_misses(self, session, explores):
         term = RelVar("knows").join(RelVar("cites"))

@@ -23,6 +23,13 @@ def make_engine(graph):
                    enable_result_cache=False)
 
 
+def result_outcomes(registry):
+    """``repro_result_cache_total`` per outcome."""
+    return {outcome: registry.counter("repro_result_cache_total",
+                                      outcome=outcome).value
+            for outcome in ("hit", "miss", "evicted", "invalidated")}
+
+
 def key_of(engine, result, snapshot=None):
     snapshot = snapshot if snapshot is not None else engine.snapshot()
     deps = free_variables(result.selected_plan)
@@ -46,8 +53,19 @@ def test_lookup_returns_memoized_result(small_labeled_graph):
     cache = ResultCache(capacity=8)
     key, result = run_and_store(engine, cache, "?x,?y <- ?x knows+ ?y")
     assert cache.lookup(key) is result
-    stats = cache.stats
-    assert stats.hits == 1 and stats.misses == 0
+    assert len(cache) == 1
+
+
+def test_session_counts_each_lookup_once(small_labeled_graph, registry):
+    """The registry is the one count of result lookups: the session
+    counts each outcome there, and the cache keeps no second copy."""
+    with Session(small_labeled_graph, num_workers=2) as engine:
+        first = engine.ucrpq("?x,?y <- ?x knows+ ?y").run_once()
+        second = engine.ucrpq("?x,?y <- ?x knows+ ?y").run_once()
+    assert (first[2], second[2]) == (False, True)
+    assert second[0] is first[0]
+    assert result_outcomes(registry) == {
+        "hit": 1, "miss": 1, "evicted": 0, "invalidated": 0}
 
 
 def test_mutation_of_dependency_changes_the_key(small_labeled_graph):
@@ -139,7 +157,8 @@ def test_shared_cache_never_serves_rows_across_graphs(small_labeled_graph):
         assert len(shared) == 2
 
 
-def test_superseded_entries_age_out_of_the_lru(small_labeled_graph):
+def test_superseded_entries_age_out_of_the_lru(small_labeled_graph,
+                                               registry):
     """Stale versions are reclaimed by LRU pressure, not by purges."""
     engine = make_engine(small_labeled_graph)
     cache = ResultCache(capacity=2)
@@ -149,7 +168,9 @@ def test_superseded_entries_age_out_of_the_lru(small_labeled_graph):
         run_and_store(engine, cache, "?x,?y <- ?x knows+ ?y")
     assert len(cache) == 2
     assert cache.lookup(first_key) is None
-    assert cache.stats.evictions == 1
+    assert result_outcomes(registry)["evicted"] == 1
+    assert 'repro_result_cache_total{outcome="evicted"} 1' in \
+        registry.render_prometheus()
 
 
 # -- The retention rule a commit applies ------------------------------------
@@ -172,6 +193,21 @@ def test_reader_pinned_one_commit_back_is_a_pure_hit(small_labeled_graph):
         older = old_view.ucrpq(KNOWS)
         assert older.collect().relation == before.relation
         assert older.last_result_cache_hit is False
+
+
+def test_commit_drops_count_as_invalidated(small_labeled_graph, registry):
+    """What the retention rule drops is counted once, in the registry
+    that ``/metrics`` renders, apart from LRU evictions."""
+    with Session(small_labeled_graph, num_workers=2) as session:
+        session.ucrpq(KNOWS).collect()
+        session.add_edges("knows", [("dave", "erin")])
+        assert result_outcomes(registry)["invalidated"] == 0  # old head
+        session.add_edges("knows", [("erin", "frank")])
+        assert len(session.result_cache) == 0
+    assert result_outcomes(registry) == {
+        "hit": 0, "miss": 1, "evicted": 0, "invalidated": 1}
+    assert 'repro_result_cache_total{outcome="invalidated"} 1' in \
+        registry.render_prometheus()
 
 
 def test_commits_keep_at_most_two_versions_of_a_query(small_labeled_graph):
@@ -258,7 +294,7 @@ def commit_chain(graph_name="g"):
     return v0, v1, v2
 
 
-def test_retention_keeps_entries_current_at_either_head():
+def test_retention_keeps_entries_current_at_either_head(registry):
     _, v1, v2 = commit_chain()
     cache = ResultCache(capacity=8)
     old, new = snapshot_key(v1, ["knows"]), snapshot_key(v2, ["knows"])
@@ -267,10 +303,10 @@ def test_retention_keeps_entries_current_at_either_head():
     cache.retain_after_commit(v1, v2)
     assert cache.lookup(old) == "rows@v1"
     assert cache.lookup(new) == "rows@v2"
-    assert cache.stats.invalidations == 0
+    assert result_outcomes(registry)["invalidated"] == 0
 
 
-def test_retention_drops_entries_older_than_the_old_head():
+def test_retention_drops_entries_older_than_the_old_head(registry):
     v0, v1, v2 = commit_chain()
     cache = ResultCache(capacity=8)
     stale = snapshot_key(v0, ["knows"])
@@ -281,7 +317,8 @@ def test_retention_drops_entries_older_than_the_old_head():
     assert len(cache) == 0
     assert cache.lookup(stale) is None
     # Dropped by the rule, not pushed out by LRU pressure.
-    assert cache.stats.invalidations == 1 and cache.stats.evictions == 0
+    outcomes = result_outcomes(registry)
+    assert outcomes["invalidated"] == 1 and outcomes["evicted"] == 0
 
 
 def test_retention_keeps_entries_that_do_not_read_the_commit():

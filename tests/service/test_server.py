@@ -9,7 +9,8 @@ import pytest
 
 from repro import (QueryService, ServiceError, ServiceOverloadError,
                    Session)
-from repro.service import FAILED, OK
+from repro.data import LabeledGraph
+from repro.service import FAILED, OK, REJECTED
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
 LIVES = "?x <- ?x livesIn/isLocatedIn+ europe"
@@ -24,7 +25,8 @@ def ask(service, query):
 
 @pytest.fixture
 def engine(small_labeled_graph):
-    with Session(small_labeled_graph, num_workers=2, **UNCACHED) as engine:
+    """A session with both caches on: the service serves with its policy."""
+    with Session(small_labeled_graph, num_workers=2) as engine:
         yield engine
 
 
@@ -107,7 +109,7 @@ def test_stats_and_versions_are_snapshot_atomic(engine):
     assert before.relation_version("knows") != after.relation_version("knows")
 
 
-def test_admission_control_rejects_when_queue_full(engine):
+def test_admission_control_rejects_when_queue_full(engine, registry):
     release = threading.Event()
     graph_lock_query = KNOWS
 
@@ -123,7 +125,7 @@ def test_admission_control_rejects_when_queue_full(engine):
                 service.submit(graph_lock_query)
         assert blocked.result(timeout=10).status == OK
         assert queued.result(timeout=10).status == OK
-        assert service.metrics.snapshot().rejected == 1
+        assert registry.counter("repro_service_rejected_total").value == 1
     finally:
         release.set()
         service.close()
@@ -158,22 +160,74 @@ def test_default_timeout_is_applied(engine):
         service.close()
 
 
-def test_metrics_snapshot_counts_and_percentiles(service):
+def requests(registry, status, graph="default"):
+    return registry.counter("repro_service_requests_total", graph=graph,
+                            status=status).value
+
+
+def test_metrics_snapshot_counts_and_percentiles(service, registry):
     for _ in range(4):
         ask(service, KNOWS)
-    snap = service.metrics.snapshot()
-    assert snap.submitted == 4 and snap.served == 4 and snap.failed == 0
-    assert snap.throughput_qps > 0
-    assert set(snap.latency_percentiles) == {"p50", "p95", "p99"}
-    assert snap.latency_percentiles["p50"] <= snap.latency_percentiles["p99"]
-    assert snap.result_cache_hit_rate == pytest.approx(0.75)
-    summary = snap.summary()
-    assert "latency_p95" in summary and "queue_wait_p99" in summary
+    assert registry.counter("repro_service_submitted_total").value == 4
+    assert requests(registry, OK) == 4 and requests(registry, FAILED) == 0
+    # Throughput: requests served ok over the uptime health() publishes.
+    service.health()
+    uptime = registry.gauge("repro_service_uptime_seconds").value
+    assert requests(registry, OK) / uptime > 0
+    latency = registry.histogram("repro_service_latency_seconds")
+    assert latency.count == 4
+    percentiles = latency.percentiles()
+    assert set(percentiles) == {0.50, 0.95, 0.99}
+    assert percentiles[0.50] <= percentiles[0.99]
+    hits = registry.counter("repro_result_cache_total", outcome="hit").value
+    misses = registry.counter("repro_result_cache_total", outcome="miss").value
+    assert hits / (hits + misses) == pytest.approx(0.75)
+    flat = registry.snapshot()
+    assert "repro_service_latency_seconds_p95" in flat
+    assert "repro_service_queue_wait_seconds_p99" in flat
+    assert 'repro_service_requests_total{graph="default",status="ok"} 4' \
+        in registry.render_prometheus()
 
 
-def test_caches_can_be_disabled(engine):
-    with QueryService(engine, enable_plan_cache=False,
-                      enable_result_cache=False) as service:
+def test_requests_are_counted_per_graph_and_status(small_labeled_graph,
+                                                   registry):
+    """ok, failed and strict-mode rejected requests each count under
+    their own status and the graph they addressed; a rejection is not a
+    failure, and neither is a full admission queue."""
+    second = LabeledGraph(name="second")
+    second.add_edges([("s0", "knows", "s1"), ("s1", "knows", "s2")])
+    unknown, bad = "?x,?y <- ?x nosuchlabel+ ?y", "?x,?y <- ?x nope ?y"
+    with Session(small_labeled_graph, num_workers=2) as session:
+        session.attach("second", second)
+        with QueryService(session) as lenient, \
+                QueryService(session, strict=True) as strict:
+            assert ask(lenient, KNOWS).status == OK
+            for graph in (None, "second"):
+                assert lenient.submit(unknown, block=True, graph=graph) \
+                    .result().status == FAILED
+                assert strict.submit(bad, block=True, graph=graph) \
+                    .result().status == REJECTED
+            for _ in range(2):
+                assert strict.submit(KNOWS, block=True, graph="second") \
+                    .result().status == OK
+    assert {(graph, status): requests(registry, status, graph)
+            for graph in ("default", "second")
+            for status in (OK, FAILED, REJECTED)} == {
+        ("default", OK): 1, ("default", FAILED): 1,
+        ("default", REJECTED): 1,
+        ("second", OK): 2, ("second", FAILED): 1, ("second", REJECTED): 1}
+    assert registry.counter("repro_service_rejected_total").value == 0
+    text = registry.render_prometheus()
+    assert 'repro_service_requests_total{graph="second",status="rejected"} 1' \
+        in text
+    assert 'repro_service_requests_total{graph="default",status="failed"} 1' \
+        in text
+
+
+def test_caches_can_be_disabled(small_labeled_graph):
+    with Session(small_labeled_graph, num_workers=2, **UNCACHED) as engine, \
+            QueryService(engine) as service:
+        assert repr(service).endswith("plan_cache=False, result_cache=False)")
         first = ask(service, KNOWS)
         second = ask(service, KNOWS)
         assert first.plan_cache_hit is None and first.result_cache_hit is None
@@ -197,7 +251,7 @@ def test_close_drains_queued_queries(engine):
 
 
 def test_non_optimizing_engine_is_served(small_labeled_graph):
-    with Session(small_labeled_graph, optimize=False, **UNCACHED) as engine:
+    with Session(small_labeled_graph, optimize=False) as engine:
         with QueryService(engine) as service:
             served = ask(service, KNOWS)
             assert served.status == OK and served.rows > 0

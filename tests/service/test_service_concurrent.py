@@ -89,10 +89,8 @@ def reference_answers(database):
 
 @pytest.mark.parametrize("num_workers", (1, 2))
 def test_concurrent_replay_with_mutations_is_differential(
-        small_labeled_graph, num_workers):
-    with Session(small_labeled_graph, num_workers=num_workers,
-                 enable_plan_cache=False,
-                 enable_result_cache=False) as engine:
+        small_labeled_graph, num_workers, registry):
+    with Session(small_labeled_graph, num_workers=num_workers) as engine:
         with QueryService(engine, max_in_flight=NUM_CLIENTS,
                           queue_capacity=NUM_CLIENTS * REPLAYS_PER_CLIENT) \
                 as service:
@@ -110,12 +108,23 @@ def test_concurrent_replay_with_mutations_is_differential(
                     assert outcome.result.relation == expected[text], (
                         f"round {round_index}: {text} diverged from the "
                         f"fresh single-threaded evaluation")
-            snap = service.metrics.snapshot()
             rounds = 1 + len(MUTATIONS)
-            assert snap.served == rounds * NUM_CLIENTS * REPLAYS_PER_CLIENT
+            assert registry.counter(
+                "repro_service_requests_total", graph="default",
+                status=OK).value == rounds * NUM_CLIENTS * REPLAYS_PER_CLIENT
             # The replay repeats queries heavily: caches must actually engage.
-            assert snap.result_cache_hit_rate > 0.5
-            assert snap.plan_cache_hit_rate > 0.5
+            assert hit_rate(registry, "repro_result_cache_total") > 0.5
+            assert hit_rate(registry, "repro_plan_cache_total") > 0.5
+
+
+def hit_rate(registry, name: str) -> float:
+    hits = registry.counter(name, outcome="hit").value
+    return hits / (hits + registry.counter(name, outcome="miss").value)
+
+
+def served_by(registry, graph: str) -> float:
+    return registry.counter("repro_service_requests_total", graph=graph,
+                            status=OK).value
 
 
 def second_graph() -> LabeledGraph:
@@ -192,7 +201,7 @@ def test_concurrent_mutations_match_per_snapshot_replays(small_labeled_graph):
         assert len(records) == 3 and all(len(r) == 8 for r in records.values())
 
 
-def test_service_serves_multiple_graphs(small_labeled_graph):
+def test_service_serves_multiple_graphs(small_labeled_graph, registry):
     """One service instance scopes requests and mutations per graph."""
     with Session(small_labeled_graph, num_workers=2) as session:
         session.attach("second", second_graph())
@@ -212,8 +221,8 @@ def test_service_serves_multiple_graphs(small_labeled_graph):
             replay = service.submit(text, block=True).result(timeout=30)
             assert replay.rows == default.rows
             assert replay.result_cache_hit is True
-            by_graph = service.metrics.snapshot().served_by_graph
-            assert by_graph["default"] == 2 and by_graph["second"] == 2
+            assert served_by(registry, "default") == 2
+            assert served_by(registry, "second") == 2
             # A pre-built handle scoped to one graph cannot be served
             # under another graph's name (wrong-dataset protection).
             foreign = session.ucrpq(text)  # default-graph handle
@@ -230,4 +239,4 @@ def test_service_serves_multiple_graphs(small_labeled_graph):
             bare = service.submit(session.graph("second").ucrpq(text),
                                   block=True).result(timeout=30)
             assert bare.status == OK and bare.graph == "second"
-            assert service.metrics.snapshot().served_by_graph["second"] == 4
+            assert served_by(registry, "second") == 4
