@@ -106,7 +106,16 @@ class SanitizerState:
 _local_state: ContextVar[SanitizerState | None] = ContextVar(
     "repro_sanitizer", default=None)
 _global_state: SanitizerState | None = None
-_held = threading.local()
+
+
+class _Held(threading.local):
+    """Per thread, the ordered locks it holds while tracked."""
+
+    def __init__(self) -> None:
+        self.stack: list[OrderedLock] = []
+
+
+_held = _Held()
 
 
 def _state() -> SanitizerState | None:
@@ -143,9 +152,7 @@ class OrderedLock:
         state = _state()
         if state is None:
             return
-        stack = getattr(_held, "stack", None)
-        if stack is None:
-            stack = _held.stack = []
+        stack = _held.stack
         if any(entry is self for entry in stack):
             return  # reentrant acquisition of the same lock
         state.observe_acquire(self.name,
@@ -155,26 +162,30 @@ class OrderedLock:
         self._observe()
         acquired = self._inner.acquire(blocking, timeout)
         if acquired and _state() is not None:
-            stack = getattr(_held, "stack", None)
-            if stack is None:
-                stack = _held.stack = []
-            stack.append(self)
+            _held.stack.append(self)
         return acquired
 
     def release(self) -> None:
+        self.__exit__()
+
+    def __enter__(self) -> bool:
+        # The state is read once: with no activation a ``with`` costs the
+        # inner lock and no held-stack bookkeeping.
+        if _global_state is None and _local_state.get() is None:
+            return self._inner.acquire()
+        return self.acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        # Drops the held-stack entry whatever the sanitizer says now: an
+        # acquisition made while it was on may be released after it went
+        # off, and must leave no stale entry behind.
         self._inner.release()
-        stack = getattr(_held, "stack", None)
+        stack = _held.stack
         if stack:
             for index in range(len(stack) - 1, -1, -1):
                 if stack[index] is self:
                     del stack[index]
                     break
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
 
     def locked(self) -> bool:
         locked = getattr(self._inner, "locked", None)

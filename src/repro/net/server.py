@@ -20,9 +20,11 @@ GET    ``/metrics``                 Prometheus text from the process registry
 Request handling is fully asynchronous: parsing, dispatch and
 ``/healthz`` run on the event loop; every request that returns query
 rows — buffered or streamed — is admitted through
-:meth:`QueryService.submit` and runs on the service's worker threads
-(the loop awaits the admission future), so one queue bound, deadline,
-strict-mode gate and set of service metrics covers both endpoints; the
+:meth:`QueryService.submit`, so one queue bound, deadline, strict-mode
+gate and set of service metrics covers both endpoints.  A plan + result
+cache hit is answered by ``submit`` on the loop's own thread, a lookup
+with no queue, worker or loop wake-up; any other request runs on the
+service's worker threads while the loop awaits its future.  The
 remaining blocking session calls (mutations, static analysis, EXPLAIN
 ANALYZE, the ``/metrics`` render) run on the loop's default thread-pool
 executor.  A result's rows are JSON-encoded once, in canonical order
@@ -401,12 +403,19 @@ class HttpServer:
         """The one read path: every row-returning request enters here.
 
         Admission (bounded queue), deadline, strict-mode gate and service
-        metrics are :meth:`QueryService.submit`'s; the loop only awaits
-        the :class:`~repro.service.ServedResult`.
+        metrics are :meth:`QueryService.submit`'s.  A plan + result cache
+        hit comes back already answered, on the loop's own thread, and is
+        read off at once; anything else ran on a service worker and the
+        loop awaits its :class:`~repro.service.ServedResult`.
         """
-        return await asyncio.wrap_future(self.service.submit(
+        future = self.service.submit(
             handle, strategy=body.get("strategy") or None,
-            timeout=_parse_timeout(body.get("timeout"))))
+            timeout=_parse_timeout(body.get("timeout")))
+        if future.done():
+            # Wrapping a resolved future would still wake the loop
+            # through its self-pipe for an answer already in hand.
+            return future.result()
+        return await asyncio.wrap_future(future)
 
     async def _handle_query(self, request, params, context) -> Response:
         body = request.json()

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..percentiles import DEFAULT_PERCENTILES, percentiles
 from ..check.sanitizer import ordered_lock
@@ -129,8 +129,7 @@ class Histogram:
             return percentiles(self._window, fractions)
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     name: str
     labels: LabelSet
 
@@ -162,6 +161,11 @@ class MetricsRegistry:
 
     def _get(self, kind: type, name: str, labels: dict[str, object]):
         key = _Key(name, _labels(labels))
+        # An existing instrument is read without the lock: entries are
+        # only ever added (or all cleared), and a dict read is atomic.
+        instrument = self._instruments.get(key)
+        if type(instrument) is kind:
+            return instrument
         with self._lock:
             registered = self._kinds.get(name)
             if registered is not None and registered is not kind:

@@ -3,13 +3,18 @@
 :class:`QueryService` turns a single-caller :class:`~repro.session.Session`
 into a serving subsystem for many concurrent clients:
 
-* **Admission control** — submissions go through a bounded queue; when it
-  is full, :meth:`QueryService.submit` rejects the query
-  (:class:`~repro.errors.ServiceOverloadError`) instead of letting work
-  pile up unboundedly; ``submit(block=True)`` and :meth:`~QueryService.batch`
-  apply backpressure instead.  :meth:`~QueryService.submit` is the one way
-  in: the HTTP tier routes every request that returns query rows,
-  buffered or streamed, through it.
+* **Admission control** — a submission whose plan and result are both
+  cached is answered on the calling thread (:meth:`Query.cached_result`
+  looks them up against the head); it takes no queue slot and no
+  worker, so it bypasses the queue bound and is not counted in
+  ``health()["in_flight"]``.  Every other submission goes through a
+  bounded queue; when it is full, :meth:`QueryService.submit` rejects
+  the query (:class:`~repro.errors.ServiceOverloadError`) instead of
+  letting work pile up unboundedly; ``submit(block=True)`` and
+  :meth:`~QueryService.batch` apply backpressure instead.
+  :meth:`~QueryService.submit` is the one way in: the HTTP tier routes
+  every request that returns query rows, buffered or streamed, through
+  it.
 * **Scheduling** — a configurable number of worker threads
   (``max_in_flight``) drain the queue.  The *plan phase* (translation,
   rewriting, cost ranking, cache lookups) runs concurrently across
@@ -40,8 +45,8 @@ into a serving subsystem for many concurrent clients:
   so one service instance serves many datasets.
 * **Timeouts** — a per-query deadline (``timeout`` seconds from
   submission) maps to the benchmark harness's ``failed`` status: queries
-  that exceed it while queued are not executed at all, and queries that
-  exceed it during execution are reported failed.
+  that exceed it while queued are not executed at all, and queries (hits
+  included) answered after it are reported failed.
 * **Metrics** — every admission, rejection and served request is counted
   straight into the process registry (:func:`~repro.obs.metrics.get_registry`):
   ``repro_service_submitted_total``, ``repro_service_rejected_total``,
@@ -234,11 +239,16 @@ class QueryService:
                timeout: "float | None | _Unbounded" = None,
                block: bool = False,
                graph: str | None = None) -> Future:
-        """Enqueue a query; returns a future resolving to a :class:`ServedResult`.
+        """Serve a query; returns a future resolving to a :class:`ServedResult`.
 
-        With ``block=False`` (the default) a full admission queue rejects
-        the query with :class:`ServiceOverloadError`; with ``block=True``
-        the caller waits for a slot (backpressure).  ``timeout`` starts a
+        A plan + result cache hit is answered here, on the calling
+        thread: the future comes back already resolved, with a queue
+        wait of 0.  It needs no queue slot, so a full queue never
+        refuses it, and it is not counted in ``health()["in_flight"]``.
+        Anything else is enqueued for a worker.  With ``block=False``
+        (the default) a full admission queue rejects the query with
+        :class:`ServiceOverloadError`; with ``block=True`` the caller
+        waits for a slot (backpressure).  ``timeout`` starts a
         deadline at submission time (defaults to ``default_timeout``;
         pass :data:`UNBOUNDED` to explicitly disable the deadline even
         when a default is configured).  ``graph`` scopes the query to a
@@ -252,8 +262,13 @@ class QueryService:
         elif timeout is None:
             timeout = self.default_timeout
         now = time.perf_counter()
-        task = _Task(query=query, strategy=strategy,
-                     deadline=now + timeout if timeout is not None else None,
+        deadline = now + timeout if timeout is not None else None
+        served = self._answer_hit(query, strategy, graph, now, deadline)
+        if served is not None:
+            future = Future()
+            future.set_result(served)
+            return future
+        task = _Task(query=query, strategy=strategy, deadline=deadline,
                      submitted_at=now, future=Future(), graph=graph)
         try:
             self._queue.put(task, block=block)
@@ -376,17 +391,7 @@ class QueryService:
             # session) — runs inside the guard, so a bad submission fails
             # its own future instead of killing the worker thread.
             try:
-                scope = self._scope(task.graph)
-                handle = scope.as_query(task.query)
-                if task.graph is not None \
-                        and handle.session.graph_name != scope.graph_name:
-                    # A pre-built handle carries its own graph scope; a
-                    # conflicting graph= would silently serve the wrong
-                    # dataset under the requested graph's name.
-                    raise ServiceError(
-                        f"the submitted handle is scoped to graph "
-                        f"{handle.session.graph_name!r}; it cannot be "
-                        f"served as graph {task.graph!r}")
+                handle = self._handle(task.query, task.graph)
                 served = self._serve(handle, task, queue_wait)
             except AnalysisError as error:
                 served = ServedResult(
@@ -403,22 +408,54 @@ class QueryService:
             except BaseException as error:  # pragma: no cover - defensive
                 task.future.set_exception(error)
                 return
-        served.service_seconds = time.perf_counter() - started
-        served.latency_seconds = queue_wait + served.service_seconds
-        if task.deadline is not None and served.status == OK \
-                and time.perf_counter() > task.deadline:
-            served.status = FAILED
-            served.detail = (f"deadline exceeded: served in "
-                             f"{served.latency_seconds:.3f}s")
-        registry = get_registry()
-        registry.counter("repro_service_requests_total",
-                         graph=served.graph or DEFAULT_GRAPH,
-                         status=served.status).inc()
-        registry.histogram("repro_service_latency_seconds") \
-            .observe(served.latency_seconds)
-        registry.histogram("repro_service_queue_wait_seconds") \
-            .observe(served.queue_wait_seconds)
-        task.future.set_result(served)
+        task.future.set_result(_finish(served, started, task.deadline))
+
+    def _handle(self, query, graph: str | None):
+        """The lazy handle a submission is served as, in its graph."""
+        scope = self._scope(graph)
+        handle = scope.as_query(query)
+        if graph is not None and handle.session.graph_name != scope.graph_name:
+            # A pre-built handle carries its own graph scope; a
+            # conflicting graph= would silently serve the wrong dataset
+            # under the requested graph's name.
+            raise ServiceError(
+                f"the submitted handle is scoped to graph "
+                f"{handle.session.graph_name!r}; it cannot be served as "
+                f"graph {graph!r}")
+        return handle
+
+    def _answer_hit(self, query, strategy: str | None, graph: str | None,
+                    submitted_at: float,
+                    deadline: float | None) -> ServedResult | None:
+        """Serve a plan + result cache hit on the calling thread, or ``None``.
+
+        The lookup-only probe (:meth:`Query.cached_result`) against the
+        head: a hit is answered here, without a queue slot or a worker,
+        and counted as :meth:`_process_admitted` counts a served request
+        (a queue wait of 0).  Anything else — a miss, a partial miss, a
+        Datalog or prepared handle, a conflicting ``graph=`` or any
+        :class:`ReproError` on the way — answers ``None`` and is queued,
+        so errors keep the queued path's shape.
+        """
+        try:
+            handle = self._handle(query, graph)
+            probe = getattr(handle, "cached_result", None)
+            result = probe(strategy) if probe is not None else None
+        except ReproError:
+            return None
+        if result is None:
+            return None
+        served_graph = handle.session.graph_name
+        # Opened after the probe: a miss gets its span from the worker
+        # that serves it, so every request has exactly one.
+        with tracing.span("service.request", graph=served_graph) as span:
+            if span.enabled:
+                span.set_attribute("rows", len(result.relation))
+            served = ServedResult(query_text=handle.describe(), status=OK,
+                                  result=result, plan_cache_hit=True,
+                                  result_cache_hit=True, graph=served_graph)
+        get_registry().counter("repro_service_submitted_total").inc()
+        return _finish(served, submitted_at, deadline)
 
     def _serve(self, handle, task: _Task, queue_wait: float) -> ServedResult:
         """One request through the session's shared staged pipeline.
@@ -498,3 +535,30 @@ class QueryService:
                 f"queue={self._queue.maxsize}, "
                 f"plan_cache={self.session.enable_plan_cache}, "
                 f"result_cache={self.session.enable_result_cache})")
+
+
+def _finish(served: ServedResult, started: float,
+            deadline: float | None) -> ServedResult:
+    """Time, deadline-check and count one served request.
+
+    ``started`` is when service began (a worker's dequeue, or the
+    submission for a hit answered on the calling thread).  An answer
+    ready after its deadline is reported failed: a late answer is a
+    timeout to its client.
+    """
+    finished = time.perf_counter()
+    served.service_seconds = finished - started
+    served.latency_seconds = served.queue_wait_seconds + served.service_seconds
+    if deadline is not None and served.status == OK and finished > deadline:
+        served.status = FAILED
+        served.detail = (f"deadline exceeded: served in "
+                         f"{served.latency_seconds:.3f}s")
+    registry = get_registry()
+    registry.counter("repro_service_requests_total",
+                     graph=served.graph or DEFAULT_GRAPH,
+                     status=served.status).inc()
+    registry.histogram("repro_service_latency_seconds") \
+        .observe(served.latency_seconds)
+    registry.histogram("repro_service_queue_wait_seconds") \
+        .observe(served.queue_wait_seconds)
+    return served

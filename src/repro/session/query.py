@@ -49,11 +49,12 @@ from ..obs.metrics import get_registry
 from ..query.ast import UCRPQ
 from ..query.classes import classify_query
 from ..rewriter.normalize import canonicalize
+from ..service.plan_cache import PlanKey
 from .parameters import bind_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..data.snapshot import DatabaseSnapshot
-    from ..service.plan_cache import CachedPlan, PlanKey
+    from ..service.plan_cache import CachedPlan
     from .session import QueryResult, Session
 
 #: Sentinel distinguishing "not computed yet" from computed-as-None.
@@ -312,7 +313,6 @@ class Query:
         is not consulted), for the plan phase to look up with.
         """
         from ..errors import ReproError
-        from ..service.plan_cache import PlanKey
 
         try:
             base = (self._plan_term if self._plan_term is not None
@@ -383,6 +383,49 @@ class Query:
             use_result_cache=use_result_cache, plan_key=key,
             snapshot=snapshot)
         return result, plan_hit, result_hit
+
+    def cached_result(self, strategy: str | None = None,
+                      ) -> "QueryResult | None":
+        """The cached answer :meth:`run_once` would serve, or ``None``.
+
+        A lookup-only probe of the session's head: it never parses,
+        plans or executes.  It answers ``None`` unless the handle was
+        built from text whose front end is memoized, its labels are all
+        in the head, and both the plan and the result of that head are
+        cached (with both caches and the optimizer on).  Bindings of a
+        prepared template never answer here.  Only a full hit is
+        counted, as one plan hit and one result hit, exactly as
+        :meth:`run_once` counts it; a miss leaves the handle and every
+        counter as they were.  A hit leaves the handle's term set, as
+        :meth:`run_once` would, so :attr:`cache_key` pins nothing.
+        """
+        session = self.session
+        if self._text is None or self._plan_term is not None \
+                or not (session.enable_plan_cache
+                        and session.enable_result_cache
+                        and session.optimize_plans):
+            return None
+        entry = session.plan_cache.front_end(self._text)
+        if entry is None:
+            return None
+        snapshot = session.snapshot()
+        if any(label not in snapshot for label in entry.labels):
+            return None
+        effective = self._effective(strategy)
+        plan = session.plan_cache.get(
+            PlanKey.of(session, entry.term, effective, snapshot=snapshot))
+        if plan is None:
+            return None
+        result = session.result_cache.lookup(
+            session.result_key(plan, effective, snapshot))
+        if result is None:
+            return None
+        registry = get_registry()
+        registry.counter("repro_plan_cache_total", outcome="hit").inc()
+        registry.counter("repro_result_cache_total", outcome="hit").inc()
+        if self._term is _UNSET:
+            self._term = entry.term
+        return result
 
     def explain_analyze(self, strategy: str | None = None, *,
                         use_plan_cache: bool | None = None,

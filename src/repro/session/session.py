@@ -711,11 +711,7 @@ class Session:
                           columnar=columnar_enabled(),
                           graph=snapshot.graph_name) as exec_span:
             if use_cache:
-                result_key = ResultKey(
-                    plan_key=plan.term_key, strategy=effective,
-                    num_workers=self.cluster.num_workers,
-                    fingerprint=snapshot.fingerprint(plan.dependencies),
-                    graph=snapshot.graph_name)
+                result_key = self.result_key(plan, effective, snapshot)
                 cached = self.result_cache.lookup(result_key)
                 if cached is not None:
                     get_registry().counter("repro_result_cache_total",
@@ -748,6 +744,22 @@ class Session:
                     exec_span.set_attribute("result_cache_hit", False)
                 exec_span.set_attribute("rows", len(result.relation))
             return result, (False if use_cache else None)
+
+    def result_key(self, plan: CachedPlan, strategy: str | None,
+                   snapshot: DatabaseSnapshot) -> ResultKey:
+        """The result-cache key of ``plan`` run under ``strategy``
+        (``None``: the session's) on ``snapshot``.
+
+        The one place the key is built: :meth:`execute_plan` and the
+        lookup-only probe :meth:`Query.cached_result` agree by
+        construction.
+        """
+        return ResultKey(
+            plan_key=plan.term_key,
+            strategy=strategy if strategy is not None else self.strategy,
+            num_workers=self.cluster.num_workers,
+            fingerprint=snapshot.fingerprint(plan.dependencies),
+            graph=snapshot.graph_name)
 
     # -- Execution ------------------------------------------------------------------
 

@@ -122,6 +122,29 @@ def test_ordered_locks_are_plain_locks_when_sanitizer_is_off():
     lock_a.release()
 
 
+def test_toggling_between_acquire_and_release_leaves_no_held_entry():
+    """An acquisition tracked while the sanitizer is on and released
+    after it went off (and the reverse) leaves the held stack clean, so
+    no later acquisition sees a stale holder."""
+    lock_a = ordered_lock("test.a6")
+    lock_b = ordered_lock("test.b6")
+    held = sanitizer_module._held
+    before = list(held.stack)
+    with sanitize():
+        lock_a.acquire()
+        assert held.stack[-1] is lock_a
+    lock_a.release()  # this context's activation has ended
+    assert held.stack == before
+    lock_b.acquire()
+    with sanitize() as state:
+        lock_b.release()
+        assert held.stack == before
+        with lock_b, lock_a:  # no stale holder: no edge a -> b
+            pass
+        assert state.violations == []
+        assert "test.a6" not in state._after
+
+
 # -- Snapshot immutability -----------------------------------------------------
 
 def _snapshot_relation() -> Relation:

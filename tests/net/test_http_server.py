@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.net import (HttpServer, ServerThread, ServiceClient, Tenant,
@@ -12,6 +14,7 @@ from repro.session import Session
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
 CITES = "?x,?y <- ?x cites+ ?y"
+LIVES = "?x <- ?x livesIn/isLocatedIn+ europe"
 
 
 def expected_rows(graph, query, strategy=None):
@@ -63,8 +66,10 @@ class TestQueryEndpoint:
 
     def test_unknown_strategy_is_400(self, client):
         # A non-recursive query reaches no fixpoint plan: only the check
-        # where the strategy enters can refuse it.
+        # where the strategy enters can refuse it.  Cached first, so the
+        # refusal comes through the hit probe as well.
         for query in (KNOWS, "?x,?y <- ?x knows ?y"):
+            client.query(query)
             with pytest.raises(ResponseError) as excinfo:
                 client.query(query, strategy="plw-postgres")
             assert excinfo.value.status == 400
@@ -275,3 +280,61 @@ def test_server_owns_service_when_asked(small_labeled_graph):
         assert client.query(KNOWS)["status"] == "ok"
     running.stop()
     assert service.health()["status"] == "closed"
+
+
+class TestHitsSkipTheQueue:
+    """A plan + result cache hit is answered without a queue slot."""
+
+    @pytest.fixture
+    def saturated(self, small_labeled_graph):
+        """One worker, one queue slot, both taken by blocked misses; a
+        client with the cached ``LIVES``."""
+        service = QueryService(Session(small_labeled_graph, num_workers=2),
+                               max_in_flight=1, queue_capacity=1,
+                               own_engine=True)
+        running = ServerThread(HttpServer(service)).start()
+        try:
+            with ServiceClient(port=running.port, timeout=30.0) as client:
+                client.query(LIVES)
+                with service.session.execution_lock:
+                    blocked = service.submit(KNOWS)
+                    time.sleep(0.05)  # the worker picks it up and blocks
+                    queued = service.submit(KNOWS)
+                    yield client
+                assert blocked.result(timeout=10).status == "ok"
+                assert queued.result(timeout=10).status == "ok"
+        finally:
+            running.stop()
+            service.close()
+
+    def test_a_cached_query_answers_200(self, saturated):
+        response = saturated.query(LIVES)
+        assert response["status"] == "ok"
+        assert response["cache"] == {"plan_hit": True, "result_hit": True}
+        assert response["timing"]["queue_wait_seconds"] == 0
+
+    def test_a_cached_stream_sends_its_first_page(self, saturated):
+        events = saturated.stream_query(LIVES, batch_size=1)
+        first = next(events)
+        assert first["index"] == 0 and len(first["batch"]) == 1
+        assert [event for event in events if event.get("done")]
+
+    def test_an_uncached_query_is_still_503(self, saturated):
+        with pytest.raises(ResponseError) as excinfo:
+            saturated.query("?x,?y <- ?x knows/knows ?y")
+        assert excinfo.value.status == 503
+
+
+def test_a_late_cached_query_is_504(small_labeled_graph):
+    with QueryService(Session(small_labeled_graph), default_timeout=1e-9,
+                      own_engine=True) as service:
+        running = ServerThread(HttpServer(service)).start()
+        try:
+            with ServiceClient(port=running.port) as client:
+                assert client.query(KNOWS, timeout=0)["status"] == "ok"
+                with pytest.raises(ResponseError) as excinfo:
+                    client.query(KNOWS)
+        finally:
+            running.stop()
+    assert excinfo.value.status == 504
+    assert excinfo.value.payload["detail"].startswith("deadline exceeded")

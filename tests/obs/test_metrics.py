@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -65,6 +66,38 @@ class TestRegistry:
         registry.counter("repro_thing")
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("repro_thing")
+
+    def test_concurrent_get_or_create_yields_one_instrument(self):
+        """Reads skip the lock; creation does not, so racing first
+        requests for one name and labels still agree on one instrument."""
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(8)
+        seen: list[Counter] = []
+
+        def worker() -> None:
+            barrier.wait(timeout=10)
+            for _ in range(200):
+                seen.append(registry.counter("repro_race_total",
+                                             graph="g", status="ok"))
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid get-or-create
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 1600
+        assert len({id(counter) for counter in seen}) == 1
+        assert len(registry) == 1
+        # A kind clash on an existing name still raises, labels or not.
+        for labels in ({}, {"graph": "g", "status": "ok"}):
+            with pytest.raises(ValueError, match="already registered"):
+                registry.histogram("repro_race_total", **labels)
 
     def test_snapshot_expands_histograms(self):
         registry = MetricsRegistry()

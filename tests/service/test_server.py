@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from repro import (QueryService, ServiceError, ServiceOverloadError,
-                   Session)
+from repro import (UNBOUNDED, QueryService, ServiceError,
+                   ServiceOverloadError, Session)
 from repro.data import LabeledGraph
 from repro.service import FAILED, OK, REJECTED
 
@@ -259,3 +259,98 @@ def test_non_optimizing_engine_is_served(small_labeled_graph):
             # No plan cache without optimization, but results still memoize.
             assert again.plan_cache_hit is None
             assert again.result_cache_hit is True
+
+
+def _serving_counts(registry) -> dict[str, float]:
+    """Every registry count a served request moves."""
+    counts = {f"{family}:{outcome}": registry.counter(
+                  f"repro_{family}_cache_total", outcome=outcome).value
+              for family in ("plan", "result") for outcome in ("hit", "miss")}
+    counts.update(
+        submitted=registry.counter("repro_service_submitted_total").value,
+        ok=requests(registry, OK),
+        latency=registry.histogram("repro_service_latency_seconds").count,
+        queue_wait=registry.histogram(
+            "repro_service_queue_wait_seconds").count)
+    return counts
+
+
+def test_a_cached_query_answers_while_the_queue_is_full(engine, registry):
+    """A full hit needs no queue slot and no worker: it is answered on the
+    submitting thread, while a miss is still refused."""
+    service = QueryService(engine, max_in_flight=1, queue_capacity=1)
+    try:
+        warm = ask(service, LIVES)
+        with service.session.execution_lock:
+            blocked = service.submit(KNOWS)
+            time.sleep(0.05)  # let the worker pick it up and block
+            queued = service.submit(KNOWS)
+            hit = service.submit(LIVES)
+            assert hit.done()
+            served = hit.result()
+            assert served.status == OK and served.graph == "default"
+            assert served.plan_cache_hit is True
+            assert served.result_cache_hit is True
+            assert served.queue_wait_seconds == 0
+            assert served.result.relation == warm.result.relation
+            # The hit holds no in-flight slot: only the blocked worker does.
+            assert service.health()["in_flight"] == 1
+            with pytest.raises(ServiceOverloadError):
+                service.submit("?x,?y <- ?x knows/knows ?y")
+        assert blocked.result(timeout=10).status == OK
+        assert queued.result(timeout=10).status == OK
+        assert registry.counter("repro_service_rejected_total").value == 1
+    finally:
+        service.close()
+
+
+def test_registry_counts_are_those_of_the_queued_path(engine, registry):
+    """miss, hit, hit, commit, partial miss: the probe counts a full hit
+    exactly as the worker did, and nothing on a partial miss."""
+    with QueryService(engine) as service:
+        outcomes = []
+        for _ in range(3):
+            served = ask(service, KNOWS)
+            outcomes.append((served.plan_cache_hit, served.result_cache_hit))
+        # An add undone by a remove: the statistics (so the plan key)
+        # are back where they were, the versions (so the result key) not.
+        service.add_edges("knows", [("zed", "amy")])
+        service.remove_edges("knows", [("zed", "amy")])
+        served = ask(service, KNOWS)
+        outcomes.append((served.plan_cache_hit, served.result_cache_hit))
+    assert outcomes == [(False, False), (True, True), (True, True),
+                        (True, False)]
+    assert _serving_counts(registry) == {
+        "plan:hit": 3, "plan:miss": 1, "result:hit": 2, "result:miss": 2,
+        "submitted": 4, "ok": 4, "latency": 4, "queue_wait": 4}
+
+
+def test_a_late_hit_fails_its_deadline(engine):
+    with QueryService(engine, default_timeout=1e-9) as service:
+        assert service.submit(KNOWS, timeout=UNBOUNDED,
+                              block=True).result().status == OK
+        served = service.submit(KNOWS).result(timeout=10)
+    assert served.status == FAILED
+    assert served.detail.startswith("deadline exceeded")
+
+
+def test_strict_mode_serves_hits_and_still_rejects(engine):
+    with QueryService(engine, strict=True) as service:
+        assert ask(service, KNOWS).status == OK
+        again = ask(service, KNOWS)
+        assert again.status == OK and again.result_cache_hit is True
+        for _ in range(2):
+            assert ask(service, "?x,?y <- ?x nope ?y").status == REJECTED
+
+
+def test_probe_errors_take_the_queued_path(engine):
+    """An error on the way to a hit is reported as the queued path
+    reports it: a bad strategy or graph still fails as a ServedResult."""
+    with QueryService(engine) as service:
+        ask(service, KNOWS)
+        served = service.submit(KNOWS, strategy="nope",
+                                block=True).result()
+        assert served.status == FAILED
+        assert "unknown strategy 'nope'" in served.detail
+        served = service.submit(KNOWS, graph="nope", block=True).result()
+        assert served.status == FAILED and served.graph == "nope"
