@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from repro import LabeledGraph, Session, get_registry
+from repro import LabeledGraph, QueryService, Session, get_registry
 
 
 def build_graph() -> LabeledGraph:
@@ -51,9 +51,11 @@ def main() -> None:
     batches = [len(batch) for batch in query.stream(batch_size=100)]
     print(f"  stream(batch_size=100) batch sizes: {batches}")
 
-    print("\n== 3. submit(): a future from the session's background worker ==")
-    future = session.ucrpq("?x <- ?x livesIn/isLocatedIn+ europe").submit()
-    print(f"  submitted; rows = {len(future.result().relation)}")
+    print("\n== 3. QueryService.submit: a future from a serving worker ==")
+    with QueryService(session) as service:
+        future = service.submit("?x <- ?x livesIn/isLocatedIn+ europe")
+        served = future.result()
+    print(f"  submitted; status = {served.status}, rows = {served.rows}")
 
     print("\n== 4. The programmatic builder front-end ==")
     built = (session.relation("knows").closure()

@@ -73,7 +73,6 @@ class Evaluator:
     """Evaluate mu-RA terms against a database of named relations."""
 
     def __init__(self, database: Mapping[str, Relation],
-                 max_iterations: int = DEFAULT_MAX_ITERATIONS,
                  stats: EvaluationStats | None = None,
                  kernel_cache: KernelProgramCache | None = None):
         # The shared per-snapshot value dictionary and operand memo must be
@@ -89,7 +88,6 @@ class Evaluator:
             derived(_SEED_SHAPES_KEY, lambda _: {}) if derived is not None
             else {})
         self.database = dict(database)
-        self.max_iterations = max_iterations
         self.stats = stats if stats is not None else EvaluationStats()
         # Recursion-constant subterms evaluate to the same relation on
         # every fixpoint iteration (the database is a snapshot); caching
@@ -270,9 +268,9 @@ class Evaluator:
             resolve = self.evaluate_constant
         run = run_fixpoint(
             self._kernel_cache, term.var, variable_part, constant,
-            self._dictionary, resolve, row_step, self.max_iterations,
+            self._dictionary, resolve, row_step, DEFAULT_MAX_ITERATIONS,
             f"fixpoint on {term.var!r} did not converge after "
-            f"{self.max_iterations} iterations")
+            f"{DEFAULT_MAX_ITERATIONS} iterations")
         self.stats.index_builds += run.index_builds
         self.stats.index_reuses += run.index_reuses
         self.stats.record_fixpoint(iterations=run.iterations,
@@ -303,16 +301,14 @@ class Evaluator:
 
 def evaluate(term: Term, database: Mapping[str, Relation],
              env: Mapping[str, Relation] | None = None,
-             stats: EvaluationStats | None = None,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> Relation:
+             stats: EvaluationStats | None = None) -> Relation:
     """Convenience wrapper: evaluate one term against a database."""
-    evaluator = Evaluator(database, max_iterations=max_iterations, stats=stats)
+    evaluator = Evaluator(database, stats=stats)
     return evaluator.evaluate(term, env=env)
 
 
 def naive_fixpoint(term: Fixpoint, database: Mapping[str, Relation],
-                   env: Mapping[str, Relation] | None = None,
-                   max_iterations: int = DEFAULT_MAX_ITERATIONS) -> Relation:
+                   env: Mapping[str, Relation] | None = None) -> Relation:
     """Evaluate a fixpoint with the *naive* method (re-applying phi to the
     whole accumulated result each round).
 
@@ -320,12 +316,12 @@ def naive_fixpoint(term: Fixpoint, database: Mapping[str, Relation],
     the reference implementation of the fixpoint semantics
     ``mu(X = Psi) = Psi^inf(empty)``.
     """
-    evaluator = Evaluator(database, max_iterations=max_iterations)
+    evaluator = Evaluator(database)
     decomposition = decompose(term)
     env = dict(env or {})
     current = Relation.empty(
         evaluator.evaluate(decomposition.constant_part, env=env).columns)
-    for _ in range(max_iterations):
+    for _ in range(DEFAULT_MAX_ITERATIONS):
         inner_env = dict(env)
         inner_env[term.var] = current
         next_value = evaluator.evaluate(term.body, env=inner_env)
@@ -334,5 +330,5 @@ def naive_fixpoint(term: Fixpoint, database: Mapping[str, Relation],
         current = next_value
     raise EvaluationError(
         f"naive fixpoint on {term.var!r} did not converge after "
-        f"{max_iterations} iterations"
+        f"{DEFAULT_MAX_ITERATIONS} iterations"
     )

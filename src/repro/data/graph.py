@@ -203,11 +203,6 @@ class LabeledGraph:
             return {a for a, b in pairs if b == node}
         return {b for a, b in pairs if a == node}
 
-    def out_degree(self, node: Any) -> int:
-        """Total number of outgoing edges (all labels) of ``node``."""
-        return sum(1 for label in self.labels
-                   for a, _ in self._by_label[label] if a == node)
-
     # -- Internal helpers ----------------------------------------------------
 
     @staticmethod

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from operator import itemgetter
 from typing import Any
 
@@ -390,12 +390,6 @@ class Relation:
         check = predicate.compile(self._columns)
         return Relation._from_trusted(self._columns, frozenset(
             row for row in self._rows if check(row)))
-
-    def filter_callable(self, fn: Callable[[dict[str, Any]], bool]) -> "Relation":
-        """Filter with an arbitrary Python callable over dictionary rows."""
-        columns = self._columns
-        return Relation._from_trusted(columns, frozenset(
-            row for row in self._rows if fn(dict(zip(columns, row)))))
 
     def rename(self, old: str, new: str) -> "Relation":
         """Rename column ``old`` to ``new`` (rho operator)."""

@@ -78,14 +78,6 @@ class Tup(Mapping):
         """Return the (sorted) column names of this tuple."""
         return tuple(name for name, _ in self._items)
 
-    def values_for(self, columns: tuple[str, ...]) -> tuple[Any, ...]:
-        """Return the values of the given columns, in the given order."""
-        as_dict = dict(self._items)
-        try:
-            return tuple(as_dict[c] for c in columns)
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise KeyError(f"tuple {self!r} has no column {exc.args[0]!r}") from exc
-
     def project(self, columns: tuple[str, ...]) -> "Tup":
         """Return a new tuple restricted to ``columns``."""
         as_dict = dict(self._items)

@@ -41,14 +41,14 @@ from ..errors import DistributionError
 #: Default number of workers, mirroring the 4-machine cluster of the paper.
 DEFAULT_NUM_WORKERS = 4
 
-#: Default per-tuple cost (in simulated seconds) of a network shuffle.  The
+#: Per-tuple cost (in simulated seconds) of a network shuffle.  The
 #: value is intentionally tiny: it nudges reported times in the direction a
 #: real network would, without drowning the actual computation time.  The
 #: delay is *accounted*, never slept: executions stay fast and the benchmark
 #: harness adds :attr:`SparkCluster.simulated_communication_delay` to the
 #: wall-clock time it reports.
 DEFAULT_SHUFFLE_COST_PER_TUPLE = 2e-6
-#: Default fixed cost of initiating a shuffle (barrier + scheduling).
+#: Fixed cost of initiating a shuffle (barrier + scheduling).
 DEFAULT_SHUFFLE_LATENCY = 0.02
 
 
@@ -118,12 +118,6 @@ class ClusterMetrics:
     def total_tuples_processed(self) -> int:
         return sum(self.tuples_processed_per_worker.values())
 
-    @property
-    def max_worker_load(self) -> int:
-        if not self.tuples_processed_per_worker:
-            return 0
-        return max(self.tuples_processed_per_worker.values())
-
     def skew(self) -> float:
         """Load imbalance: max worker load divided by the mean load."""
         return _max_over_mean(self.tuples_processed_per_worker.values())
@@ -143,11 +137,6 @@ class ClusterMetrics:
     def compute_skew(self) -> float:
         """Straggler factor: busiest worker's seconds over the mean."""
         return _max_over_mean(self.task_seconds_per_worker.values())
-
-    def communication_cost(self, per_tuple: float = 1.0, per_shuffle: float = 0.0) -> float:
-        """Abstract communication cost: shuffled tuples weighted by volume."""
-        return (self.tuples_shuffled + self.tuples_broadcast) * per_tuple \
-            + self.shuffles * per_shuffle
 
     def summary(self) -> dict[str, object]:
         """A dictionary view used by the benchmark reports."""
@@ -187,15 +176,11 @@ class Worker:
 class SparkCluster:
     """The simulated cluster a distributed execution runs on."""
 
-    def __init__(self, num_workers: int = DEFAULT_NUM_WORKERS,
-                 shuffle_cost_per_tuple: float = DEFAULT_SHUFFLE_COST_PER_TUPLE,
-                 shuffle_latency: float = DEFAULT_SHUFFLE_LATENCY):
+    def __init__(self, num_workers: int = DEFAULT_NUM_WORKERS):
         if num_workers <= 0:
             raise DistributionError("a cluster needs at least one worker")
         self.num_workers = num_workers
         self.workers = tuple(Worker(worker_id) for worker_id in range(num_workers))
-        self.shuffle_cost_per_tuple = shuffle_cost_per_tuple
-        self.shuffle_latency = shuffle_latency
         self.metrics = ClusterMetrics()
         self._simulated_delay = 0.0
         self._executor_adjustment = 0.0
@@ -238,8 +223,9 @@ class SparkCluster:
         with self._lock:
             self.metrics.shuffles += 1
             self.metrics.tuples_shuffled += tuple_count
-            self._simulated_delay += (self.shuffle_latency
-                                      + tuple_count * self.shuffle_cost_per_tuple)
+            self._simulated_delay += (
+                DEFAULT_SHUFFLE_LATENCY
+                + tuple_count * DEFAULT_SHUFFLE_COST_PER_TUPLE)
 
     def record_broadcast(self, tuple_count: int) -> None:
         """Record the broadcast of a relation to every worker."""
@@ -247,7 +233,7 @@ class SparkCluster:
             self.metrics.broadcasts += 1
             self.metrics.tuples_broadcast += tuple_count * self.num_workers
             self._simulated_delay += (tuple_count * self.num_workers
-                                      * self.shuffle_cost_per_tuple)
+                                      * DEFAULT_SHUFFLE_COST_PER_TUPLE)
 
     def record_tasks(self, count: int) -> None:
         with self._lock:

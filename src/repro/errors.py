@@ -152,10 +152,6 @@ class TransactionError(ReproError):
     """
 
 
-class BenchmarkError(ReproError):
-    """The benchmark harness was configured incorrectly."""
-
-
 class ServiceError(ReproError):
     """The query-serving layer was used incorrectly or is shut down."""
 

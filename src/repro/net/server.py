@@ -74,8 +74,8 @@ from ..obs.logs import get_logger, log_event
 from ..obs.metrics import get_registry
 from ..service.server import UNBOUNDED, QueryService
 from ..session.query import DatalogQuery, Query
-from .protocol import (DEFAULT_MAX_BODY_BYTES, ChunkedResponseWriter,
-                       json_body, read_request, send_response)
+from .protocol import (ChunkedResponseWriter, json_body, read_request,
+                       send_response)
 from .router import MethodNotAllowed, Router
 from .tenancy import ANONYMOUS, Tenant, TenantRegistry
 
@@ -88,9 +88,9 @@ CLOSED = "closed"
 
 #: Default bounded grace (seconds) for draining in-flight requests.
 DEFAULT_DRAIN_GRACE = 5.0
-#: Default rows per streamed batch.
+#: Rows per streamed batch when a request names no ``batch_size``.
 DEFAULT_STREAM_BATCH = 256
-#: Continuation-token registry bounds.
+#: Continuation-token registry bounds: tokens held, and seconds each lives.
 DEFAULT_CONTINUATION_CAPACITY = 256
 DEFAULT_CONTINUATION_TTL = 300.0
 
@@ -153,20 +153,12 @@ class HttpServer:
                  host: str = "127.0.0.1", port: int = 0,
                  tenants: TenantRegistry | None = None,
                  drain_grace: float = DEFAULT_DRAIN_GRACE,
-                 stream_batch_size: int = DEFAULT_STREAM_BATCH,
-                 max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-                 continuation_capacity: int = DEFAULT_CONTINUATION_CAPACITY,
-                 continuation_ttl: float = DEFAULT_CONTINUATION_TTL,
                  own_service: bool = False):
         self.service = service
         self.host = host
         self.port = port
         self.tenants = tenants
         self.drain_grace = drain_grace
-        self.stream_batch_size = stream_batch_size
-        self.max_body_bytes = max_body_bytes
-        self.continuation_capacity = continuation_capacity
-        self.continuation_ttl = continuation_ttl
         self._own_service = own_service
         self._state = SERVING
         self._server: asyncio.Server | None = None
@@ -280,8 +272,7 @@ class HttpServer:
         try:
             while True:
                 try:
-                    request = await read_request(
-                        reader, max_body_bytes=self.max_body_bytes)
+                    request = await read_request(reader)
                 except ProtocolError as error:
                     with contextlib.suppress(Exception):
                         await send_response(
@@ -426,7 +417,7 @@ class HttpServer:
                              context) -> "_Streamed | Response":
         body = request.json()
         batch_size = _positive_int(body.get("batch_size"),
-                                   self.stream_batch_size, "batch_size")
+                                   DEFAULT_STREAM_BATCH, "batch_size")
         limit = _positive_int(body.get("limit"), None, "limit")
         cursor = body.get("cursor")
         if cursor is not None:
@@ -618,10 +609,10 @@ class HttpServer:
         """A fresh token for the rest of ``continuation`` from ``offset``."""
         now = time.monotonic()
         expired = [token for token, entry in self._continuations.items()
-                   if now - entry.created > self.continuation_ttl]
+                   if now - entry.created > DEFAULT_CONTINUATION_TTL]
         for token in expired:
             del self._continuations[token]
-        while len(self._continuations) >= self.continuation_capacity:
+        while len(self._continuations) >= DEFAULT_CONTINUATION_CAPACITY:
             self._continuations.pop(next(iter(self._continuations)))
         token = secrets.token_urlsafe(16)
         self._continuations[token] = replace(continuation, offset=offset,
@@ -632,7 +623,7 @@ class HttpServer:
                              tenant: Tenant) -> _Continuation:
         continuation = self._continuations.get(token)
         if continuation is None or (time.monotonic() - continuation.created
-                                    > self.continuation_ttl):
+                                    > DEFAULT_CONTINUATION_TTL):
             self._continuations.pop(token, None)
             raise NetworkError("unknown or expired continuation token",
                                status=410)

@@ -16,9 +16,9 @@ Design constraints, in order:
    :func:`span` / :func:`current_tracer` at per-query granularity where a
    single :class:`~contextvars.ContextVar` read is noise.
 2. **Spans nest across threads.**  The active tracer and the current
-   span travel in :class:`~contextvars.ContextVar`\\ s.  Thread hand-offs
-   inside the system (the session's background worker, the service's
-   request workers) copy the submitting context with
+   span travel in :class:`~contextvars.ContextVar`\\ s.  The one thread
+   hand-off inside the system (the service's request workers) copies the
+   submitting context with
    :func:`contextvars.copy_context`, so a span opened by the submitter is
    the parent of everything the worker does — and two concurrent queries
    never adopt each other's spans, because each task runs in its own

@@ -20,8 +20,7 @@ reporting benchmark results by class, exactly as the paper does.
 
 from __future__ import annotations
 
-from .ast import (Alternation, Atom, Concat, Constant, Label, PathExpr, Plus,
-                  UCRPQ)
+from .ast import Alternation, Atom, Concat, Constant, PathExpr, Plus, UCRPQ
 
 CLASS_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 
@@ -108,7 +107,3 @@ def _strip(segment: PathExpr) -> PathExpr:
 def _has_adjacent_closures(segments: list[PathExpr]) -> bool:
     flags = [segment.contains_closure() for segment in segments]
     return any(a and b for a, b in zip(flags, flags[1:]))
-
-
-def _segment_is_plain_label(segment: PathExpr) -> bool:
-    return isinstance(segment, Label)

@@ -26,9 +26,9 @@ from .normalize import canonicalize
 from .rules import RewriteContext, RewriteRule
 
 #: Default bound on the number of equivalent plans kept.
-DEFAULT_MAX_PLANS = 160
-#: Default bound on the number of breadth-first rounds.
-DEFAULT_MAX_ROUNDS = 12
+DEFAULT_MAX_PLANS = 64
+#: Bound on the number of breadth-first rounds.
+DEFAULT_MAX_ROUNDS = 8
 
 
 def default_rules() -> list[RewriteRule]:
@@ -47,11 +47,9 @@ class MuRewriter:
     """Explore the space of plans equivalent to a mu-RA term."""
 
     def __init__(self, rules: Iterable[RewriteRule] | None = None,
-                 max_plans: int = DEFAULT_MAX_PLANS,
-                 max_rounds: int = DEFAULT_MAX_ROUNDS):
+                 max_plans: int = DEFAULT_MAX_PLANS):
         self.rules = list(rules) if rules is not None else default_rules()
         self.max_plans = max_plans
-        self.max_rounds = max_rounds
 
     # -- Public API -----------------------------------------------------------
 
@@ -66,7 +64,7 @@ class MuRewriter:
         plans: dict[Term, None] = {initial: None}
         dropped: set[Term] = set()
         frontier = [initial]
-        for _ in range(self.max_rounds):
+        for _ in range(DEFAULT_MAX_ROUNDS):
             if not frontier or len(plans) >= self.max_plans:
                 break
             next_frontier: list[Term] = []
@@ -134,8 +132,7 @@ class MuRewriter:
 
 
 def explore_plans(term: Term, base_schemas: Mapping[str, Schema],
-                  max_plans: int = DEFAULT_MAX_PLANS,
-                  max_rounds: int = DEFAULT_MAX_ROUNDS) -> list[Term]:
+                  max_plans: int = DEFAULT_MAX_PLANS) -> list[Term]:
     """Convenience wrapper around :meth:`MuRewriter.explore`."""
-    rewriter = MuRewriter(max_plans=max_plans, max_rounds=max_rounds)
+    rewriter = MuRewriter(max_plans=max_plans)
     return rewriter.explore(term, base_schemas)

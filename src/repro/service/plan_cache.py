@@ -13,7 +13,7 @@ queries.  The plan cache keys that work on what it reads:
   cardinality and per-column distinct counts (ranking reads nothing
   else of the data),
 * the **engine configuration** that shaped the decision (strategy,
-  worker count, rewriter bounds) and the graph.
+  worker count, whether the optimizer runs) and the graph.
 
 A hit skips ``MuRewriter.explore`` and ``rank_plans`` entirely and goes
 straight to execution with the previously selected plan.
@@ -81,8 +81,6 @@ class PlanKey:
         config = (
             strategy if strategy is not None else engine.strategy,
             engine.cluster.num_workers,
-            engine.rewriter.max_plans,
-            engine.rewriter.max_rounds,
             engine.optimize_plans,
         )
         return cls(term_key=term_key,

@@ -81,8 +81,8 @@ from ..errors import (AnalysisError, ReproError, ServiceError,
                       ServiceOverloadError)
 from ..obs import tracing
 from ..obs.metrics import get_registry
-from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
-from .result_cache import DEFAULT_RESULT_CACHE_SIZE, ResultCache
+from .plan_cache import PlanCache
+from .result_cache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from ..algebra.terms import Term
@@ -178,17 +178,14 @@ class QueryService:
     """A concurrent, cached, admission-controlled front end to one session.
 
     The service does not own the session unless ``own_engine=True``;
-    closing the service then also closes the session (releasing its
-    background worker).  At construction the service installs fresh plan/result
-    caches of the requested sizes on the session — the serving layer owns
-    the caching configuration of the session it fronts.
+    closing the service then also closes the session.  It serves from
+    the session's own per-graph caches as they are, so a session warmed
+    before the service was built answers its first repeat as a hit.
     """
 
     def __init__(self, engine: "Session", *,
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
                  queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-                 result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
                  default_timeout: float | None = None,
                  strict: bool = False,
                  own_engine: bool = False):
@@ -203,7 +200,6 @@ class QueryService:
         #: reject queries whose report has errors with ``status ==
         #: REJECTED`` and structured :attr:`ServedResult.diagnostics`.
         self.strict = strict
-        engine.configure_caches(plan_cache_size, result_cache_size)
         self._own_engine = own_engine
         self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
         self._started_at = time.monotonic()
@@ -225,12 +221,12 @@ class QueryService:
 
     @property
     def plan_cache(self) -> PlanCache:
-        """The session's plan cache (installed by this service)."""
+        """The plan cache of the session's default graph."""
         return self.session.plan_cache
 
     @property
     def result_cache(self) -> ResultCache:
-        """The session's result cache (installed by this service)."""
+        """The result cache of the session's default graph."""
         return self.session.result_cache
 
     # -- Client API -----------------------------------------------------------

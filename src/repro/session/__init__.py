@@ -9,8 +9,8 @@
 * :class:`Query` / :class:`DatalogQuery` — lazy, memoized, inspectable
   pipeline handles (``.ast`` / ``.term`` / ``.normalized`` / ``.plan()``
   / ``.explain()`` stages, ``collect()`` / ``count()`` / ``exists()`` /
-  ``stream()`` / ``submit()`` actions), each pinned to the snapshot of
-  its first stage run,
+  ``stream()`` actions), each pinned to the snapshot of its first stage
+  run,
 * :class:`Transaction` — a batch of edge mutations committed as one
   snapshot (or rolled back),
 * :class:`PathBuilder` — programmatic query construction,

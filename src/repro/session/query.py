@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -95,7 +94,7 @@ def _pin_snapshot(handle) -> "DatabaseSnapshot":
     """The one pin protocol shared by every handle kind.
 
     Double-checked under the shared lock so concurrent first-stage runs
-    (e.g. ``submit()`` racing a foreground ``plan()``) agree on one
+    (e.g. two threads sharing one handle) agree on one
     snapshot — a handle's pin really is set atomically, once.
     """
     if handle._snapshot is None:
@@ -425,7 +424,7 @@ class Query:
         registry.counter("repro_result_cache_total", outcome="hit").inc()
         if self._term is _UNSET:
             self._term = entry.term
-        return result
+        return result.as_of(snapshot.version)
 
     def explain_analyze(self, strategy: str | None = None, *,
                         use_plan_cache: bool | None = None,
@@ -525,13 +524,6 @@ class Query:
             raise ValueError("limit must be positive")
         rows = self.collect(strategy).relation.sorted_rows()
         return list(rows[offset:offset + limit]), len(rows)
-
-    def submit(self, strategy: str | None = None) -> Future:
-        """Run :meth:`collect` on the session's background worker.
-
-        Returns a future resolving to the :class:`QueryResult`.
-        """
-        return self.session.submit_action(lambda: self.collect(strategy))
 
     # -- Introspection ---------------------------------------------------------
 

@@ -15,8 +15,8 @@ and hands out **lazy query handles** through its front-ends:
 
 Every handle exposes the pipeline stages lazily (``.ast``, ``.term``,
 ``.normalized``, ``.plan()``, ``.explain()``) and executes only when a
-terminal action (``collect()``, ``count()``, ``exists()``, ``stream()``,
-``submit()``) is invoked::
+terminal action (``collect()``, ``count()``, ``exists()``, ``stream()``)
+is invoked::
 
     from repro import Session
     session = Session(graph, num_workers=4)
@@ -47,12 +47,10 @@ long-running analyses.
 
 from __future__ import annotations
 
-import contextvars
 import time
 from collections import ChainMap
 from collections.abc import Iterable, Mapping
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..algebra.evaluate import Evaluator
 from ..algebra.kernels import KernelProgramCache
@@ -79,10 +77,8 @@ from ..query.parser import parse_query
 from ..query.translate import translate_query
 from ..rewriter.engine import MuRewriter
 from ..rewriter.normalize import canonicalize
-from ..service.plan_cache import (DEFAULT_PLAN_CACHE_SIZE, CachedPlan,
-                                  PlanCache, PlanKey)
-from ..service.result_cache import (DEFAULT_RESULT_CACHE_SIZE, ResultCache,
-                                    ResultKey)
+from ..service.plan_cache import CachedPlan, PlanCache, PlanKey
+from ..service.result_cache import ResultCache, ResultKey
 from .builder import PathBuilder
 from .prepared import PreparedQuery
 from .query import DatalogQuery, FrontEnd, Query, check_labels
@@ -112,6 +108,18 @@ class QueryResult:
 
     def __len__(self) -> int:
         return len(self.relation)
+
+    def as_of(self, version: int) -> "QueryResult":
+        """This result served from the snapshot at ``version``.
+
+        A cached result outlives commits that leave its inputs alone, so
+        a lookup at a later head reports that head's version.  The copy
+        is shallow (relation and encoded rows shared); ``self`` when the
+        stamp already matches.
+        """
+        if self.snapshot_version == version:
+            return self
+        return replace(self, snapshot_version=version)
 
     def summary(self) -> dict[str, object]:
         """Flat dictionary used by the benchmark reports."""
@@ -263,11 +271,7 @@ class Session:
                  num_workers: int = 4,
                  optimize: bool = True,
                  strategy: str = AUTO,
-                 max_plans: int = 64,
-                 max_rounds: int = 8,
                  *,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-                 result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
                  enable_plan_cache: bool = True,
                  enable_result_cache: bool = True,
                  view_maintenance: str = "off"):
@@ -280,17 +284,13 @@ class Session:
         self.cluster = SparkCluster(num_workers=num_workers)
         self.optimize_plans = optimize
         self.strategy = check_strategy(strategy)
-        self.rewriter = MuRewriter(max_plans=max_plans, max_rounds=max_rounds)
+        self.rewriter = MuRewriter()
         self.enable_plan_cache = enable_plan_cache
         self.enable_result_cache = enable_result_cache
-        self._plan_cache_size = plan_cache_size
-        self._result_cache_size = result_cache_size
         #: Serializes physical cluster executions: the cluster's task
         #: waves and metrics are single-caller by design.  The plan
         #: phase, result-cache hits and mutations all run outside it.
         self.execution_lock = ordered_rlock("session.execution")
-        self._background: ThreadPoolExecutor | None = None
-        self._background_lock = ordered_lock("session.background")
         #: Named graphs of the session.  Every session view of a graph
         #: shares its ``GraphState`` cell (head pointer + caches).
         self._graphs: dict[str, GraphState] = {}
@@ -317,16 +317,14 @@ class Session:
         interfere.  Returns the attached snapshot.
         """
         snapshot = self._as_snapshot(name, data)
-        root = self._root
         with self._graphs_lock:
             if name in self._graphs:
                 raise DatasetError(
                     f"a graph named {name!r} is already attached; "
                     f"detach() it first")
             self._graphs[name] = GraphState(
-                name=name, head=snapshot,
-                plan_cache=PlanCache(root._plan_cache_size),
-                result_cache=ResultCache(root._result_cache_size))
+                name=name, head=snapshot, plan_cache=PlanCache(),
+                result_cache=ResultCache())
         return snapshot
 
     def detach(self, name: str) -> None:
@@ -361,8 +359,7 @@ class Session:
         front-end scope, not a copy — so ``session.graph("yago")
         .ucrpq(...)`` plans, caches and executes against the "yago"
         head.  Views are memoized per name and safe to share across
-        threads; closing a view is a no-op (the root session owns the
-        shared resources).
+        threads.
         """
         if name == self._graph_name and self._pinned is None:
             return self
@@ -450,34 +447,10 @@ class Session:
         """The plan cache of this session's graph."""
         return self._state.plan_cache
 
-    @plan_cache.setter
-    def plan_cache(self, cache: PlanCache) -> None:
-        self._state.plan_cache = cache
-
     @property
     def result_cache(self) -> ResultCache:
         """The result cache of this session's graph."""
         return self._state.result_cache
-
-    @result_cache.setter
-    def result_cache(self, cache: ResultCache) -> None:
-        self._state.result_cache = cache
-
-    def configure_caches(self, plan_cache_size: int,
-                         result_cache_size: int) -> None:
-        """Install fresh plan/result caches of the given sizes everywhere.
-
-        Replaces the caches of every attached graph and records the
-        sizes for graphs attached later.  Used by the serving layer,
-        which owns the caching configuration of the session it fronts.
-        """
-        root = self._root
-        root._plan_cache_size = plan_cache_size
-        root._result_cache_size = result_cache_size
-        with root._graphs_lock:
-            for state in root._graphs.values():
-                state.plan_cache = PlanCache(plan_cache_size)
-                state.result_cache = ResultCache(result_cache_size)
 
     @property
     def catalog(self):
@@ -719,7 +692,7 @@ class Session:
                     if exec_span.enabled:
                         exec_span.set_attribute("result_cache_hit", True)
                         exec_span.set_attribute("rows", len(cached.relation))
-                    return cached, True
+                    return cached.as_of(snapshot.version), True
             # The compiled kernel chains and the fixpoint analysis ride on
             # the plan entry: a plan cache hit re-executes with its
             # programs compiled and its fixpoints analysed.
@@ -846,27 +819,6 @@ class Session:
         snapshot = snapshot if snapshot is not None else self.snapshot()
         return snapshot.derived("datalog_edb", database_to_edb)
 
-    def submit_action(self, action) -> Future:
-        """Run a terminal action on the session's background worker.
-
-        Used by :meth:`Query.submit`; the worker is created lazily and
-        shut down by :meth:`close`.  Executions still serialize on the
-        session's execution lock, so background and foreground actions
-        never oversubscribe the cluster.
-        """
-        root = self._root
-        if root is not self:
-            return root.submit_action(action)
-        with self._background_lock:
-            if self._background is None:
-                self._background = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="session-submit")
-            # The action runs in a copy of the submitting context: the
-            # submitter's active tracer and open span travel with it, so
-            # background work traces under the query that scheduled it.
-            return self._background.submit(
-                contextvars.copy_context().run, action)
-
     # -- Mutations and versioning ---------------------------------------------------
 
     @property
@@ -877,14 +829,6 @@ class Session:
     def relation_version(self, name: str) -> int:
         """Version at which relation ``name`` last changed (0 = unchanged)."""
         return self.snapshot().relation_version(name)
-
-    def relation_versions(self, names: Iterable[str]) -> tuple[tuple[str, int], ...]:
-        """Sorted ``(name, version)`` fingerprint of the given relations.
-
-        Unknown names are included with version 0, so a cache entry built
-        before a relation existed stops matching once it appears.
-        """
-        return self.snapshot().fingerprint(names)
 
     def transaction(self) -> Transaction:
         """Start a mutation batch committed as one snapshot (see
@@ -1045,11 +989,12 @@ class Session:
     # -- Lifecycle -----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the background worker."""
-        with self._background_lock:
-            if self._background is not None:
-                self._background.shutdown(wait=True)
-                self._background = None
+        """End the session's use (``with Session(...) as session:``).
+
+        The session holds no thread or pool, so there is nothing to
+        release; a :class:`~repro.service.QueryService` built with
+        ``own_engine=True`` calls this when it closes.
+        """
 
     def __enter__(self) -> "Session":
         return self
@@ -1079,10 +1024,9 @@ class _SessionView(Session):
     A view owns only its scope (which graph it addresses, and — for read
     views — the snapshot it is pinned to); *every other attribute read
     falls through to the root session live*, so configuration changed on
-    the root after the view was created (strategy, cache flags, rewriter
-    bounds) is always observed.  Views are what :meth:`Session.graph`
-    and :meth:`Session.read_view` return; the root session owns the
-    shared resources, so closing a view is deliberately a no-op.
+    the root after the view was created (strategy, cache flags) is
+    always observed.  Views are what :meth:`Session.graph` and
+    :meth:`Session.read_view` return.
     """
 
     def __init__(self, root: Session, graph_name: str,
@@ -1100,6 +1044,3 @@ class _SessionView(Session):
         if name in ("_root", "_graph_name", "_pinned"):
             raise AttributeError(name)
         return getattr(self._root, name)
-
-    def close(self) -> None:
-        """No-op: the root session owns the background worker."""

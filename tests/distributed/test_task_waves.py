@@ -13,6 +13,8 @@ import pytest
 
 import repro
 from repro.distributed import SparkCluster
+from repro.distributed.cluster import (DEFAULT_SHUFFLE_COST_PER_TUPLE,
+                                      DEFAULT_SHUFFLE_LATENCY)
 
 
 def _square(value):
@@ -154,12 +156,12 @@ class TestRecordTaskWave:
         assert cluster.metrics.compute_skew() == pytest.approx(1.5)
 
     def test_reported_adjustment_combines_network_and_compute(self):
-        cluster = SparkCluster(num_workers=4, shuffle_latency=0.5,
-                               shuffle_cost_per_tuple=0.0)
+        cluster = SparkCluster(num_workers=4)
         cluster.record_shuffle(100)
         cluster.record_task_wave([2.0, 2.0], wave_elapsed=4.25)
+        network = DEFAULT_SHUFFLE_LATENCY + 100 * DEFAULT_SHUFFLE_COST_PER_TUPLE
         assert cluster.reported_time_adjustment \
-            == pytest.approx(0.5 + (4.0 - 4.25))
+            == pytest.approx(network + (4.0 - 4.25))
 
     def test_reset_clears_wave_accounting(self):
         cluster = SparkCluster(num_workers=4)

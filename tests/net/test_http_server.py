@@ -142,6 +142,15 @@ class TestMutationEndpoint:
         assert client.query(KNOWS)["rows"] == expected_rows(
             small_labeled_graph, KNOWS)
 
+    def test_a_hit_after_an_unrelated_commit_reports_the_head(self, client):
+        first = client.query(KNOWS)
+        assert first["snapshot_version"] == 0
+        client.add_edges("default", "worksAt", [("dave", "cnrs")])
+        again = client.query(KNOWS)
+        assert again["cache"]["result_hit"] is True
+        assert again["rows"] == first["rows"]
+        assert again["snapshot_version"] == 1
+
     def test_mixed_mutation_is_one_commit(self, client):
         response = client.mutate("default", "knows",
                                  add=[("x1", "x2")],

@@ -69,6 +69,16 @@ def test_cursor_pages_stay_pinned_across_mutations(client):
     assert rows == before["rows"]
 
 
+def test_a_cached_stream_reports_the_head_it_read(client):
+    buffered = client.query(KNOWS)
+    client.add_edges("default", "worksAt", [("dave", "cnrs")])
+    events = list(client.stream_query(KNOWS))
+    assert [row for event in events[:-1] for row in event["batch"]] \
+        == buffered["rows"]
+    assert buffered["snapshot_version"] == 0
+    assert events[-1]["snapshot_version"] == 1
+
+
 def test_stream_rows_follows_cursors_exhaustively(client):
     buffered = client.query(KNOWS)
     rows = list(client.stream_rows(KNOWS, batch_size=2, page_limit=4))

@@ -1,10 +1,9 @@
 """Trace-context propagation across every concurrency boundary.
 
 The tracer and current span live in ContextVars; cluster tasks run on the
-submitting thread, and every internal thread hand-off (the session's
-background worker, the service's request workers) copies the submitting
-context.  These tests pin the two properties that make traces
-trustworthy:
+submitting thread, and the one internal thread hand-off (the service's
+request workers) copies the submitting context.  These tests pin the
+two properties that make traces trustworthy:
 
 * **continuity** — spans produced by cluster tasks and on worker threads
   attach under the submitting query's root (one connected tree per query),
@@ -110,25 +109,6 @@ class TestClusterTasks:
         for record in task_records:
             assert record.parent_id == driver.span_id
             assert record.trace_id == driver.trace_id
-
-
-class TestBackgroundWorker:
-    def test_submitted_actions_inherit_the_submitting_context(self):
-        tracer = Tracer(enabled=True)
-
-        def action() -> str | None:
-            with tracing.span("background.action"):
-                pass
-            return tracing.current_trace_id()
-
-        with Session(_chain_graph(), num_workers=2) as session:
-            with tracing.activate(tracer):
-                with tracing.span("test.submit") as root:
-                    future = session.submit_action(action)
-                    future.result(timeout=5)
-        (record,) = [r for r in tracer.records()
-                     if r.name == "background.action"]
-        assert record.parent_id == root.span_id
 
 
 class TestServiceIsolation:

@@ -38,7 +38,7 @@ QUERIES = (
 
 @pytest.fixture(scope="module")
 def rewriter():
-    return MuRewriter(max_plans=40, max_rounds=6)
+    return MuRewriter(max_plans=40)
 
 
 def explored_plans(rewriter, database, query_text):

@@ -143,8 +143,8 @@ def test_shared_cache_never_serves_rows_across_graphs(small_labeled_graph):
     with Session(small_labeled_graph, num_workers=2) as session:
         session.attach("other", other)
         shared = ResultCache(capacity=8)
-        session.result_cache = shared
-        session.graph("other").result_cache = shared
+        session._state.result_cache = shared
+        session.graph("other")._state.result_cache = shared
         rows_a = session.ucrpq(text).collect().relation
         query_b = session.graph("other").ucrpq(text)
         rows_b = query_b.collect().relation
@@ -244,7 +244,7 @@ def test_commit_to_another_graph_drops_nothing(small_labeled_graph):
     with Session(small_labeled_graph, num_workers=2) as session:
         session.attach("other", other)
         view = session.graph("other")
-        view.result_cache = session.result_cache
+        view._state.result_cache = session.result_cache
         session.ucrpq(KNOWS).collect()
         for k in range(3):
             view.add_edges("knows", [(f"x{k + 3}", f"x{k + 4}")])

@@ -50,6 +50,16 @@ def test_query_matches_engine_and_caches_repeat(service, engine,
     fresh.close()
 
 
+def test_a_service_over_a_warmed_session_serves_its_first_repeat_as_a_hit(
+        engine):
+    engine.ucrpq(KNOWS).collect()
+    with QueryService(engine) as service:
+        served = service.submit(KNOWS).result(timeout=10)
+    assert served.status == OK
+    assert served.plan_cache_hit is True and served.result_cache_hit is True
+    assert served.queue_wait_seconds == 0.0
+
+
 def test_submit_returns_future(service):
     future = service.submit(KNOWS)
     served = future.result(timeout=10)

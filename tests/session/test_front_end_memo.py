@@ -130,8 +130,8 @@ def test_a_parse_error_raises_on_every_call(session, parses):
 
 def test_the_memo_is_bounded_by_the_plan_cache_capacity(small_labeled_graph,
                                                         parses):
-    with Session(small_labeled_graph, num_workers=2,
-                 plan_cache_size=2) as session:
+    with Session(small_labeled_graph, num_workers=2) as session:
+        session._state.plan_cache = PlanCache(capacity=2)
         for text in (QUERY, OTHER, THIRD):
             session.ucrpq(text).run_once()
         assert parses == [QUERY, OTHER, THIRD]
@@ -139,15 +139,6 @@ def test_the_memo_is_bounded_by_the_plan_cache_capacity(small_labeled_graph,
         assert parses == [QUERY, OTHER, THIRD]
         session.ucrpq(QUERY).run_once()  # evicted by THIRD
         assert parses == [QUERY, OTHER, THIRD, QUERY]
-
-
-def test_configure_caches_empties_the_memo(session, parses):
-    session.ucrpq(QUERY).run_once()
-    session.ucrpq(QUERY).run_once()
-    assert parses == [QUERY]
-    session.configure_caches(plan_cache_size=8, result_cache_size=8)
-    session.ucrpq(QUERY).run_once()
-    assert parses == [QUERY, QUERY]
 
 
 def test_clearing_the_plan_cache_empties_the_memo(session, parses):

@@ -170,11 +170,6 @@ class TestActions:
         # A fresh handle sees every interleaved commit.
         assert session.ucrpq(QUERY).count() > len(expected)
 
-    def test_submit_returns_future_with_query_result(self, session):
-        future = session.ucrpq(QUERY).submit()
-        result = future.result(timeout=30)
-        assert len(result.relation) == session.ucrpq(QUERY).count()
-
     def test_matches_an_uncached_session(self, small_labeled_graph, session):
         with Session(small_labeled_graph, num_workers=2,
                      enable_plan_cache=False,

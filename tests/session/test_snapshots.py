@@ -240,6 +240,20 @@ class TestQueryPinning:
         after, _, _ = handle.run_once()
         assert len(after.relation) > len(before.relation)
 
+    def test_a_retained_hit_reports_the_head_it_was_read_at(self, session):
+        cached = session.ucrpq(KNOWS).collect()
+        # With no commit a hit is the retained object itself.
+        assert session.ucrpq(KNOWS).collect() is cached
+        session.add_edges("worksAt", [("dave", "cnrs")])
+        handle = session.ucrpq(KNOWS)
+        served = handle.collect()
+        assert handle.last_result_cache_hit is True
+        assert served.snapshot_version == session.database_version == 1
+        assert served.relation is cached.relation
+        assert cached.snapshot_version == 0
+        probed = session.ucrpq(KNOWS).cached_result()
+        assert probed.snapshot_version == 1
+
     def test_datalog_handle_pins_too(self, session):
         handle = session.datalog("?x,?y <- ?x knows ?y")
         result = handle.collect()

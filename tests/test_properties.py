@@ -231,5 +231,5 @@ class TestRewriterEquivalence:
                      closure_from_seed(RelVar("S"), RelVar("E")))
         reference = evaluate(term, database)
         for plan in explore_plans(term, schemas_of_database(database),
-                                  max_plans=12, max_rounds=4):
+                                  max_plans=12):
             assert evaluate(plan, database) == reference
