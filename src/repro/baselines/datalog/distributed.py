@@ -58,10 +58,9 @@ class BigDatalogEngine:
     """The BigDatalog baseline bound to one graph and one simulated cluster."""
 
     def __init__(self, graph: LabeledGraph, num_workers: int = 4,
-                 use_magic: bool = True, max_facts: int | None = None):
+                 max_facts: int | None = None):
         self.graph = graph
         self.cluster = SparkCluster(num_workers=num_workers)
-        self.use_magic = use_magic
         self.max_facts = max_facts
         self._edb = graph_to_edb(graph)
 
@@ -71,10 +70,8 @@ class BigDatalogEngine:
         """Translate, optimise, distribute and evaluate one UCRPQ."""
         started = time.perf_counter()
         parsed = parse_query(query) if isinstance(query, str) else query
-        program = ucrpq_to_datalog(parsed)
-        report = SpecializationReport(specialized=[], skipped=[])
-        if self.use_magic:
-            program, report = MagicSetSpecializer().specialize(program)
+        program, report = MagicSetSpecializer().specialize(
+            ucrpq_to_datalog(parsed))
         self.cluster.reset_metrics()
         decomposable, non_decomposable = self._analyse_distribution(program)
         engine = SemiNaiveEngine(max_facts=self.max_facts)
@@ -145,7 +142,7 @@ class BigDatalogEngine:
 
     def __repr__(self) -> str:
         return (f"BigDatalogEngine(graph={self.graph.name!r}, "
-                f"workers={self.cluster.num_workers}, magic={self.use_magic})")
+                f"workers={self.cluster.num_workers})")
 
 
 def analyse_distribution(program: Program) -> tuple[list[str], list[str]]:

@@ -1,7 +1,6 @@
 """Distributed runtime: simulated cluster and physical fixpoint plans."""
 
-from .cluster import (DEFAULT_NUM_WORKERS, ClusterMetrics, SparkCluster,
-                      Worker)
+from .cluster import DEFAULT_NUM_WORKERS, ClusterMetrics, SparkCluster
 from .partitioner import (ROUND_ROBIN, STABLE_COLUMN, PartitioningDecision,
                           plan_partitioning, split_constant_part)
 from .physical import AUTO, DistributedQueryExecutor, ExecutionOutcome
@@ -24,7 +23,6 @@ __all__ = [
     "ROUND_ROBIN",
     "STABLE_COLUMN",
     "SparkCluster",
-    "Worker",
     "make_plan",
     "plan_partitioning",
     "split_constant_part",

@@ -163,16 +163,6 @@ class ClusterMetrics:
         }
 
 
-@dataclass(frozen=True)
-class Worker:
-    """One worker node of the simulated cluster."""
-
-    worker_id: int
-
-    def __repr__(self) -> str:
-        return f"Worker({self.worker_id})"
-
-
 class SparkCluster:
     """The simulated cluster a distributed execution runs on."""
 
@@ -180,7 +170,6 @@ class SparkCluster:
         if num_workers <= 0:
             raise DistributionError("a cluster needs at least one worker")
         self.num_workers = num_workers
-        self.workers = tuple(Worker(worker_id) for worker_id in range(num_workers))
         self.metrics = ClusterMetrics()
         self._simulated_delay = 0.0
         self._executor_adjustment = 0.0

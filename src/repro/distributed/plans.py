@@ -36,11 +36,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
-from ..algebra.conditions import Decomposition, decompose
 from ..algebra.evaluate import Evaluator
 from ..algebra.fixpoint import run_fixpoint, run_seed, semi_naive
-from ..algebra.kernels import (BoundKernel, KernelProgramCache, bind_program,
-                               seed_shape)
+from ..algebra.kernels import BoundKernel, KernelProgramCache, bind_program
 from ..algebra.schema import infer_schema
 from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
 from ..algebra.variables import free_variables, is_constant_in
@@ -55,7 +53,7 @@ from ..errors import DistributionError
 from ..obs import tracing
 from .cluster import SparkCluster
 from .partitioner import (FixpointAnalysis, PartitioningDecision,
-                          plan_partitioning, split_constant_part)
+                          analyse_fixpoint, split_constant_part)
 
 #: Plan identifiers used in metrics, reports and strategy names.
 PGLD = "pgld"
@@ -130,36 +128,27 @@ class DistributedFixpointPlan:
 
         ``analysis`` is the executor's analysis of this fixpoint
         (decomposition, partitioning, seed shape); a direct caller leaves
-        it out and the plan derives what it needs, once, here.
+        it out and the plan analyses the fixpoint once, here.
         """
         raise NotImplementedError
 
     # -- Shared helpers ----------------------------------------------------------
 
-    def _check_closed(self, fixpoint: Fixpoint) -> None:
+    def _analysis(self, fixpoint: Fixpoint,
+                  analysis: FixpointAnalysis | None) -> FixpointAnalysis:
+        """Raise unless ``fixpoint`` reads only known relations; return
+        ``analysis``, or the fixpoint's own when none is given."""
         unknown = free_variables(fixpoint) - set(self.database)
         if unknown:
             raise DistributionError(
                 f"fixpoint references unknown relations {sorted(unknown)}")
-
-    @staticmethod
-    def _decomposition(fixpoint: Fixpoint,
-                       analysis: FixpointAnalysis | None) -> Decomposition:
-        return (analysis.decomposition if analysis is not None
-                else decompose(fixpoint))
-
-    def _partitioning(self, fixpoint: Fixpoint, analysis: FixpointAnalysis | None,
-                      decomposition: Decomposition) -> PartitioningDecision:
-        if self.partitioning_override is not None:
-            return self.partitioning_override
-        if analysis is not None:
-            return analysis.partitioning
-        return plan_partitioning(fixpoint, database_schemas(self.database),
-                                 decomposition=decomposition)
+        if analysis is None:
+            analysis = analyse_fixpoint(fixpoint,
+                                        database_schemas(self.database))
+        return analysis
 
     def _seed_and_bind(self, cache: KernelProgramCache | None,
-                       fixpoint: Fixpoint, analysis: FixpointAnalysis | None,
-                       decomposition: Decomposition,
+                       fixpoint: Fixpoint, analysis: FixpointAnalysis,
                        ) -> tuple[Relation | CodeRows, DriverBind | None]:
         """The seed, and the step bound once on the driver.
 
@@ -186,13 +175,10 @@ class DistributedFixpointPlan:
             return relation
 
         self.operands = operands
-        constant_part = decomposition.constant_part
-        variable_part = decomposition.variable_part
-        shape = None
-        if variable_part is not None and columnar_enabled():
-            shape = (analysis.seed if analysis is not None
-                     else seed_shape(constant_part,
-                                     database_schemas(self.database)))
+        constant_part = analysis.decomposition.constant_part
+        variable_part = analysis.decomposition.variable_part
+        shape = (analysis.seed if variable_part is not None
+                 and columnar_enabled() else None)
         seed = bind = None
         if shape is not None:
             bind = self._bind_step(cache, fixpoint.var, variable_part,
@@ -274,10 +260,9 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
 
     def execute(self, fixpoint: Fixpoint,
                 analysis: FixpointAnalysis | None = None) -> Relation:
-        self._check_closed(fixpoint)
-        decomposition = self._decomposition(fixpoint, analysis)
+        analysis = self._analysis(fixpoint, analysis)
         seed, bind = self._seed_and_bind(self.kernel_cache, fixpoint,
-                                         analysis, decomposition)
+                                         analysis)
         if bind is None:
             return seed
         columns = seed.columns
@@ -453,20 +438,18 @@ class ParallelLocalLoops(DistributedFixpointPlan):
 
     def execute(self, fixpoint: Fixpoint,
                 analysis: FixpointAnalysis | None = None) -> Relation:
-        self._check_closed(fixpoint)
-        decomposition = self._decomposition(fixpoint, analysis)
+        analysis = self._analysis(fixpoint, analysis)
         # Broadcast once: the operands are resolved (and their indexes
         # built) here, and every task receives the same table.  Bound
         # through the process-default program cache, the one the tasks
         # read: in process their binds find the program compiled.
-        seed, bind = self._seed_and_bind(None, fixpoint, analysis,
-                                         decomposition)
+        seed, bind = self._seed_and_bind(None, fixpoint, analysis)
         if bind is None:
             return seed
-        variable_part = decomposition.variable_part
+        variable_part = analysis.decomposition.variable_part
         var = fixpoint.var
         metrics = self.cluster.metrics
-        decision = self._partitioning(fixpoint, analysis, decomposition)
+        decision = self.partitioning_override or analysis.partitioning
         metrics.partitioning = decision.strategy
         # On the kernels the chunks are cut from the encoded seed, so no
         # task encodes its chunk; each decodes its own result once.

@@ -644,18 +644,24 @@ def _parse_timeout(value: object):
     """Body ``timeout`` → submit's: absent = default, 0 = unbounded."""
     if value is None:
         return None
+    if isinstance(value, bool):
+        raise ProtocolError(f"bad timeout {value!r}")
     try:
         seconds = float(value)
     except (TypeError, ValueError):
         raise ProtocolError(f"bad timeout {value!r}") from None
-    if seconds < 0:
-        raise ProtocolError("timeout must be >= 0 (0 disables the deadline)")
+    if not 0 <= seconds < math.inf:  # NaN too: no deadline compares to it
+        raise ProtocolError("timeout must be finite and >= 0 "
+                            "(0 disables the deadline)")
     return UNBOUNDED if seconds == 0 else seconds
 
 
 def _positive_int(value: object, default: int | None, name: str) -> int:
     if value is None:
         return default
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ProtocolError(f"bad {name} {value!r}")
     try:
         number = int(value)
     except (TypeError, ValueError):
@@ -672,7 +678,9 @@ def _edge_pairs(value: object, name: str) -> list[tuple]:
         raise ProtocolError(f"'{name}' must be a list of [src, trg] pairs")
     pairs = []
     for item in value:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
+        # A node id is a JSON scalar: an array or object is not hashable.
+        if not isinstance(item, (list, tuple)) or len(item) != 2 \
+                or any(isinstance(node, (list, dict)) for node in item):
             raise ProtocolError(
                 f"'{name}' must be a list of [src, trg] pairs")
         pairs.append(tuple(item))

@@ -22,7 +22,7 @@ of plans to guarantee a stable column is always available for partitioning.
 from __future__ import annotations
 
 from ..algebra.builders import (LEFT_TO_RIGHT, closure, compose, fresh_column,
-                                swap_src_trg, union_all)
+                                union_all)
 from ..algebra.terms import Filter, RelVar, Term
 from ..data.graph import INVERSE_PREFIX, SRC, TRG
 from ..data.predicates import ColumnEq, Eq
@@ -31,43 +31,35 @@ from .ast import (Alternation, Atom, Concat, ConjunctiveQuery, Constant,
                   Label, PathExpr, Plus, UCRPQ, Variable)
 
 
-def translate_path(path: PathExpr, direction: str = LEFT_TO_RIGHT,
-                   use_inverse_relations: bool = True) -> Term:
+def translate_path(path: PathExpr, direction: str = LEFT_TO_RIGHT) -> Term:
     """Translate a regular path expression into a path term over (src, trg).
 
-    ``use_inverse_relations`` selects how inverse steps are translated: when
-    True (the default) they reference the materialised ``-label`` relations
-    that :meth:`LabeledGraph.relations` provides; when False they are
-    expressed by swapping the columns of the forward relation, which keeps
-    the term self-contained for databases storing only forward edges.
+    Inverse steps reference the materialised ``-label`` relations that
+    :meth:`LabeledGraph.relations` provides.
     """
     if isinstance(path, Label):
-        if not path.inverse:
-            return RelVar(path.name)
-        if use_inverse_relations:
+        if path.inverse:
             return RelVar(INVERSE_PREFIX + path.name)
-        return swap_src_trg(RelVar(path.name))
+        return RelVar(path.name)
     if isinstance(path, Concat):
-        parts = [translate_path(part, direction, use_inverse_relations)
-                 for part in path.parts]
+        parts = [translate_path(part, direction) for part in path.parts]
         result = parts[0]
         for part in parts[1:]:
             result = compose(result, part)
         return result
     if isinstance(path, Alternation):
-        options = [translate_path(option, direction, use_inverse_relations)
+        options = [translate_path(option, direction)
                    for option in path.options]
         return union_all(options)
     if isinstance(path, Plus):
-        inner = translate_path(path.inner, direction, use_inverse_relations)
+        inner = translate_path(path.inner, direction)
         return closure(inner, direction=direction)
     raise TranslationError(f"cannot translate path expression {path!r}")
 
 
-def translate_atom(atom: Atom, direction: str = LEFT_TO_RIGHT,
-                   use_inverse_relations: bool = True) -> Term:
+def translate_atom(atom: Atom, direction: str = LEFT_TO_RIGHT) -> Term:
     """Translate one atom into a term whose columns are its variable names."""
-    term = translate_path(atom.path, direction, use_inverse_relations)
+    term = translate_path(atom.path, direction)
     term, source_column = _apply_endpoint(term, atom.subject, SRC)
     term, target_column = _apply_endpoint(term, atom.obj, TRG)
     if (isinstance(atom.subject, Variable) and isinstance(atom.obj, Variable)
@@ -85,11 +77,10 @@ def translate_atom(atom: Atom, direction: str = LEFT_TO_RIGHT,
     return _rename_columns(term, renames)
 
 
-def translate_rule(rule: ConjunctiveQuery, direction: str = LEFT_TO_RIGHT,
-                   use_inverse_relations: bool = True) -> Term:
+def translate_rule(rule: ConjunctiveQuery,
+                   direction: str = LEFT_TO_RIGHT) -> Term:
     """Translate a conjunctive rule: join its atoms, keep the head columns."""
-    atom_terms = [translate_atom(atom, direction, use_inverse_relations)
-                  for atom in rule.atoms]
+    atom_terms = [translate_atom(atom, direction) for atom in rule.atoms]
     term = atom_terms[0]
     for atom_term in atom_terms[1:]:
         term = term.join(atom_term)
@@ -101,14 +92,12 @@ def translate_rule(rule: ConjunctiveQuery, direction: str = LEFT_TO_RIGHT,
     return term
 
 
-def translate_query(query: UCRPQ, direction: str = LEFT_TO_RIGHT,
-                    use_inverse_relations: bool = True) -> Term:
+def translate_query(query: UCRPQ, direction: str = LEFT_TO_RIGHT) -> Term:
     """Translate a full UCRPQ into a mu-RA term.
 
     The resulting term's columns are the names of the head variables.
     """
-    rules = [translate_rule(rule, direction, use_inverse_relations)
-             for rule in query.rules]
+    rules = [translate_rule(rule, direction) for rule in query.rules]
     return union_all(rules)
 
 

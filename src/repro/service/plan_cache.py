@@ -31,7 +31,7 @@ hitting its entries.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..algebra.kernels import KernelProgramCache
@@ -93,7 +93,8 @@ class PlanKey:
 
 @dataclass
 class CachedPlan:
-    """The decisions recorded for one optimized query."""
+    """The decisions recorded for one optimized query, by the plan phase
+    (``Session.resolve_plan``) only; no execution rewrites them."""
 
     #: The selected logical plan, in canonical form.
     term: Term
@@ -104,9 +105,6 @@ class CachedPlan:
     #: ``cache_key(term)``, precomputed so cache hits never re-canonicalize
     #: the selected plan (it is the result-cache key of every execution).
     term_key: str = ""
-    #: Physical strategy decisions observed at the first execution of the
-    #: plan (filled in lazily; purely informational).
-    physical_strategies: tuple[str, ...] = field(default=())
     #: The cost model's estimated result cardinality for the selected
     #: plan (``None`` when the optimizer was off).  EXPLAIN ANALYZE
     #: compares it against the observed row count — the drift signal of
@@ -134,9 +132,6 @@ class CachedPlan:
     def __post_init__(self) -> None:
         if not self.term_key:
             self.term_key = cache_key(self.term)
-
-    def with_strategies(self, strategies: tuple[str, ...]) -> "CachedPlan":
-        return replace(self, physical_strategies=strategies)
 
 
 class PlanCache:

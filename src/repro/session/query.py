@@ -341,9 +341,8 @@ class Query:
         """
         effective = self._effective(strategy)
         if effective not in self._results:
-            plan, hit, key = self._resolve(strategy)
             result, result_hit = self.session.execute_plan(
-                plan, effective, self.classes, plan_key=key,
+                self.plan(strategy), effective, self.classes,
                 snapshot=self._pin())
             self.last_result_cache_hit = result_hit
             self._results[effective] = result
@@ -375,12 +374,11 @@ class Query:
         snapshot = self.session.snapshot()
         key = (self._admission_gate(effective, snapshot, use_plan_cache)
                if check else None)
-        plan, plan_hit, key = self._plan_for(effective, use_cache=use_plan_cache,
-                                             snapshot=snapshot, key=key)
+        plan, plan_hit = self._plan_for(effective, use_cache=use_plan_cache,
+                                        snapshot=snapshot, key=key)
         result, result_hit = self.session.execute_plan(
             plan, effective, self.classes,
-            use_result_cache=use_result_cache, plan_key=key,
-            snapshot=snapshot)
+            use_result_cache=use_result_cache, snapshot=snapshot)
         return result, plan_hit, result_hit
 
     def cached_result(self, strategy: str | None = None,
@@ -458,13 +456,11 @@ class Query:
                         self.ast  # noqa: B018 - forces the parse stage
                 with tracing.span("query.translate"):
                     self._term_with(snapshot)
-                plan, _, key = self._plan_for(effective,
-                                              use_cache=use_plan_cache,
-                                              snapshot=snapshot)
+                plan, _ = self._plan_for(effective, use_cache=use_plan_cache,
+                                         snapshot=snapshot)
                 result, _ = self.session.execute_plan(
                     plan, effective, self.classes,
-                    use_result_cache=use_result_cache, plan_key=key,
-                    snapshot=snapshot)
+                    use_result_cache=use_result_cache, snapshot=snapshot)
         return ExplainAnalyzeReport(query_text=self.describe(),
                                     result=result,
                                     records=tracer.records())
@@ -505,25 +501,6 @@ class Query:
                 yield batch
 
         return batches()
-
-    def page(self, offset: int = 0, limit: int = 256,
-             strategy: str | None = None) -> tuple[list[tuple], int]:
-        """One page of the result under a stable total order.
-
-        Returns ``(rows, total)``, the slice taken from
-        :meth:`Relation.sorted_rows` — the canonical order, computed once
-        per relation and shared with every other reader of the same
-        (cached) result.  Because the handle pins its snapshot at the
-        first stage run and memoizes its result, every page of one
-        handle — no matter how far apart the calls — covers exactly the
-        same version.
-        """
-        if offset < 0:
-            raise ValueError("offset must be non-negative")
-        if limit <= 0:
-            raise ValueError("limit must be positive")
-        rows = self.collect(strategy).relation.sorted_rows()
-        return list(rows[offset:offset + limit]), len(rows)
 
     # -- Introspection ---------------------------------------------------------
 
@@ -568,27 +545,24 @@ class Query:
                   use_cache: bool | None = None,
                   snapshot: "DatabaseSnapshot | None" = None,
                   key: "PlanKey | None" = None) -> tuple:
-        """Resolve ``(plan, cache_hit, key)`` through the session.
+        """Resolve ``(plan, cache_hit)`` through the session.
 
         Plans against the handle's pinned snapshot unless the caller
         (the serving path) passes its own, with the plan key when the
         caller (the strict gate) already built it.  For prepared bindings
         the plan phase runs on the shared template term and the binding's
-        constants are substituted into the selected plan afterwards.  A
-        bound plan must never be written back into the template's
-        plan-cache slot (a later binding would inherit its constants),
-        so its key is dropped.
+        constants are substituted into a copy of the selected plan
+        afterwards; the cached template plan is never modified.
         """
         snapshot = snapshot if snapshot is not None else self._pin()
         base = (self._plan_term if self._plan_term is not None
                 else self._term_with(snapshot))
-        plan, hit, key = self.session.resolve_plan(base, effective,
-                                                   use_cache=use_cache,
-                                                   snapshot=snapshot, key=key)
+        plan, hit, _ = self.session.resolve_plan(base, effective,
+                                                 use_cache=use_cache,
+                                                 snapshot=snapshot, key=key)
         if self._bindings:
             plan = bind_plan(plan, self._bindings)
-            key = None
-        return plan, hit, key
+        return plan, hit
 
 
 class DatalogQuery:
@@ -603,12 +577,10 @@ class DatalogQuery:
 
     def __init__(self, session: "Session", *,
                  text: str | None = None,
-                 ast: UCRPQ | None = None,
-                 use_magic: bool = True):
+                 ast: UCRPQ | None = None):
         self.session = session
         self._text = text
         self._given_ast = ast
-        self.use_magic = use_magic
         #: Snapshot the evaluation reads; pinned at the first collect().
         self._snapshot: "DatabaseSnapshot | None" = None
         self._ast = _UNSET
@@ -640,15 +612,10 @@ class DatalogQuery:
     def program(self):
         """The (specialized) Datalog program (translates on first access)."""
         if self._program is _UNSET:
-            from ..baselines.datalog.magic import MagicSetSpecializer, \
-                SpecializationReport
+            from ..baselines.datalog.magic import MagicSetSpecializer
             from ..baselines.datalog.translate import ucrpq_to_datalog
-            program = ucrpq_to_datalog(self.ast)
-            report = SpecializationReport(specialized=[], skipped=[])
-            if self.use_magic:
-                program, report = MagicSetSpecializer().specialize(program)
-            self._program = program
-            self._specialization = report
+            self._program, self._specialization = \
+                MagicSetSpecializer().specialize(ucrpq_to_datalog(self.ast))
         return self._program
 
     @property
@@ -719,8 +686,7 @@ class DatalogQuery:
                               frontend="datalog"):
                 with tracing.span("query.parse"):
                     self.ast  # noqa: B018 - forces the parse stage
-                with tracing.span("query.translate",
-                                  magic=self.use_magic):
+                with tracing.span("query.translate"):
                     self.program  # noqa: B018 - forces the translation
                 with tracing.span("query.evaluate") as evaluate_span:
                     result = self.collect()
@@ -744,4 +710,4 @@ class DatalogQuery:
         return str(self._given_ast)
 
     def __repr__(self) -> str:
-        return f"DatalogQuery({self.describe()!r}, magic={self.use_magic})"
+        return f"DatalogQuery({self.describe()!r})"

@@ -57,7 +57,7 @@ from ..algebra.kernels import KernelProgramCache
 from ..check.sanitizer import OrderedLock, ordered_lock, ordered_rlock
 from ..algebra.terms import Term
 from ..algebra.variables import free_variables
-from ..cost.selection import RankedPlan, rank_plans
+from ..cost.selection import rank_plans
 from ..data.columnar import columnar_enabled
 from ..data.graph import INVERSE_PREFIX, PRED, SRC, TRG, LabeledGraph
 from ..data.relation import Relation
@@ -470,11 +470,11 @@ class Session:
             return Query(self, text=query, strategy=strategy)
         return Query(self, ast=query, strategy=strategy)
 
-    def datalog(self, query: str | UCRPQ, use_magic: bool = True) -> DatalogQuery:
+    def datalog(self, query: str | UCRPQ) -> DatalogQuery:
         """The same UCRPQ, compiled through the Datalog baseline front-end."""
         if isinstance(query, str):
-            return DatalogQuery(self, text=query, use_magic=use_magic)
-        return DatalogQuery(self, ast=query, use_magic=use_magic)
+            return DatalogQuery(self, text=query)
+        return DatalogQuery(self, ast=query)
 
     def term(self, term: Term,
              classes: frozenset[str] = frozenset({"C7"}),
@@ -578,33 +578,41 @@ class Session:
         check_labels(sorted(parsed.labels()), snapshot)
         return translate_query(parsed)
 
-    def optimize(self, term: Term,
-                 snapshot: DatabaseSnapshot | None = None,
-                 ) -> tuple[RankedPlan, list[RankedPlan]]:
-        """Explore equivalent plans and rank them with the cost model.
-
-        This is the raw (uncached) explore+rank; :meth:`resolve_plan` is
-        the cached entry point the pipeline uses.  Ranking reads the
-        snapshot's own statistics catalog, so the (lock-free) plan phase
-        always costs a term against the exact data version it will read.
-        """
-        snapshot = snapshot if snapshot is not None else self.snapshot()
+    def _select(self, term: Term, snapshot: DatabaseSnapshot,
+                optimize: bool) -> CachedPlan:
+        """The one builder of a :class:`CachedPlan`: the best-ranked plan
+        equivalent to ``term`` (with ``optimize``) or ``term`` in canonical
+        form, its fixpoints analysed, all against ``snapshot``."""
+        if not optimize:
+            selected = canonicalize(term)
+            return CachedPlan(term=selected, cost=float("nan"),
+                              plans_explored=1,
+                              dependencies=free_variables(selected),
+                              analysis=analyse_fixpoints(
+                                  selected, snapshot.schemas))
         plans = self.rewriter.explore(term, snapshot.schemas)
-        ranked = rank_plans(plans, catalog=snapshot.catalog)
-        return ranked[0], ranked
+        best = rank_plans(plans, catalog=snapshot.catalog)[0]
+        return CachedPlan(term=best.term, cost=best.cost,
+                          plans_explored=len(plans),
+                          dependencies=free_variables(best.term),
+                          estimated_cardinality=best.estimated_cardinality,
+                          fcond_dropped=plans.fcond_dropped,
+                          analysis=analyse_fixpoints(best.term,
+                                                     snapshot.schemas))
 
     def resolve_plan(self, term: Term, strategy: str | None = None, *,
                      use_cache: bool | None = None,
                      snapshot: DatabaseSnapshot | None = None,
                      key: PlanKey | None = None,
                      ) -> tuple[CachedPlan, bool | None, PlanKey | None]:
-        """The shared plan phase: cache lookup, explore+rank, cache store.
+        """The plan phase: cache lookup, or select and store.
 
-        Returns ``(plan, cache_hit, key)``.  ``cache_hit`` is ``None``
-        when the cache was not consulted (caching disabled, or the
-        optimizer is off and the term is used as-is).  This method is the
-        single plan path for every front-end and for the serving layer, so
-        their cache keys agree by construction.  It runs entirely outside
+        Returns ``(plan, cache_hit, key)``.  ``cache_hit`` and ``key`` are
+        ``None`` when the cache was not consulted (caching disabled, or
+        the optimizer is off and the term is used as-is).  This method is
+        the single plan path for every front-end and for the serving
+        layer, so their cache keys agree by construction, and the plan
+        cache's only writer.  It runs entirely outside
         the execution lock: the snapshot and its statistics are immutable,
         and the cache is internally synchronized.  ``key`` is the
         ``PlanKey.of`` the caller already built for this term, strategy
@@ -612,12 +620,7 @@ class Session:
         """
         snapshot = snapshot if snapshot is not None else self.snapshot()
         if not self.optimize_plans:
-            selected = canonicalize(term)
-            return CachedPlan(term=selected, cost=float("nan"),
-                              plans_explored=1,
-                              dependencies=free_variables(selected),
-                              analysis=analyse_fixpoints(
-                                  selected, snapshot.schemas)), None, None
+            return self._select(term, snapshot, optimize=False), None, None
         use_cache = self.enable_plan_cache if use_cache is None else use_cache
         with tracing.span("session.resolve_plan",
                           graph=snapshot.graph_name) as plan_span:
@@ -634,25 +637,15 @@ class Session:
                             plan_span.set_attribute(
                                 "estimated_rows", cached.estimated_cardinality)
                     return cached, True, key
-            plans = self.rewriter.explore(term, snapshot.schemas)
-            best = rank_plans(plans, catalog=snapshot.catalog)[0]
-            plan = CachedPlan(term=best.term, cost=best.cost,
-                              plans_explored=len(plans),
-                              dependencies=free_variables(best.term),
-                              estimated_cardinality=best.estimated_cardinality,
-                              fcond_dropped=plans.fcond_dropped,
-                              analysis=analyse_fixpoints(best.term,
-                                                         snapshot.schemas))
+            plan = self._select(term, snapshot, optimize=True)
             if plan_span.enabled:
                 if use_cache:
                     plan_span.set_attribute("cache_hit", False)
-                plan_span.set_attribute("plans_explored", len(plans))
-                plan_span.set_attribute("fcond_dropped", plans.fcond_dropped)
+                plan_span.set_attribute("plans_explored", plan.plans_explored)
+                plan_span.set_attribute("fcond_dropped", plan.fcond_dropped)
                 plan_span.set_attribute("estimated_rows",
-                                        best.estimated_cardinality)
+                                        plan.estimated_cardinality)
             if not use_cache:
-                # No key either: callers use it for write-backs (the physical
-                # strategies patch), which must not touch a disabled cache.
                 return plan, None, None
             get_registry().counter("repro_plan_cache_total",
                                    outcome="miss").inc()
@@ -674,7 +667,8 @@ class Session:
         lock) and the result is memoized under the same fingerprint.
         Two concurrent misses on one key may both execute; they compute
         identical results and the second store is a harmless overwrite.
-        Returns ``(result, result_cache_hit)``.
+        Returns ``(result, result_cache_hit)``.  ``plan_key`` is ignored:
+        a compatibility shim that ROADMAP item 1's benchmark change retires.
         """
         snapshot = snapshot if snapshot is not None else self.snapshot()
         use_cache = (self.enable_result_cache if use_result_cache is None
@@ -709,9 +703,6 @@ class Session:
                 get_registry().counter("repro_result_cache_total",
                                        outcome="miss").inc()
                 self.result_cache.store(result_key, result)
-            if plan_key is not None and not plan.physical_strategies:
-                self.plan_cache.put(plan_key, plan.with_strategies(
-                    result.physical_strategies))
             if exec_span.enabled:
                 if use_cache:
                     exec_span.set_attribute("result_cache_hit", False)
@@ -745,11 +736,10 @@ class Session:
                      ) -> QueryResult:
         """Optimize (optionally) and execute a mu-RA term on one snapshot.
 
-        ``optimize`` overrides the session default for this call; the
-        staged pipeline passes ``False`` when it executes a plan it
-        already selected (and cached), skipping the rewriter and ranking,
-        and passes that plan's ``analysis`` of its fixpoints.  Without
-        one the executor analyses the term itself.
+        ``optimize`` overrides the session default; on, the plan is
+        selected as :meth:`resolve_plan` selects it, uncached.  Off, the
+        term runs as given, with the ``analysis`` of its fixpoints when
+        the caller has it (the executor analyses them otherwise).
         Only the physical execution itself holds the execution lock —
         the snapshot is immutable, so concurrent commits never interfere
         with the broadcast data.
@@ -761,11 +751,9 @@ class Session:
         estimated_cost = float("nan")
         should_optimize = self.optimize_plans if optimize is None else optimize
         if should_optimize:
-            best, ranked = self.optimize(term, snapshot=snapshot)
-            term = best.term
-            analysis = None  # it described the term before optimizing
-            plans_explored = len(ranked)
-            estimated_cost = best.cost
+            plan = self._select(term, snapshot, optimize=True)
+            term, analysis = plan.term, plan.analysis
+            plans_explored, estimated_cost = plan.plans_explored, plan.cost
         effective = strategy if strategy is not None else self.strategy
         with tracing.span("execute.term", strategy=effective,
                           graph=snapshot.graph_name) as term_span:

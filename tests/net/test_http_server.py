@@ -86,6 +86,12 @@ class TestQueryEndpoint:
                 body_error()
             assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("timeout", [True, float("nan")])
+    def test_a_boolean_or_nan_timeout_is_400(self, client, timeout):
+        with pytest.raises(ResponseError) as excinfo:
+            client.query(KNOWS, timeout=timeout)
+        assert excinfo.value.status == 400
+
     def test_unknown_graph_is_404(self, client):
         with pytest.raises(ResponseError) as excinfo:
             client.query(KNOWS, graph="nope")
@@ -168,6 +174,14 @@ class TestMutationEndpoint:
             client._json(client._send(
                 "POST", "/v1/graphs/default/edges",
                 {"label": "knows", "add": [["only-one"]]}))
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("pair", [[["x"], "y"], [{"k": 1}, "y"]])
+    def test_an_array_or_object_node_id_is_400(self, client, pair):
+        with pytest.raises(ResponseError) as excinfo:
+            client._json(client._send(
+                "POST", "/v1/graphs/default/edges",
+                {"label": "knows", "add": [pair]}))
         assert excinfo.value.status == 400
 
     def test_mutation_on_unknown_graph_is_404(self, client):

@@ -85,6 +85,13 @@ def test_stream_rows_follows_cursors_exhaustively(client):
     assert rows == buffered["rows"]
 
 
+@pytest.mark.parametrize("batch_size", [True, 2.9])
+def test_a_boolean_or_fractional_batch_size_is_400(client, batch_size):
+    with pytest.raises(ResponseError) as excinfo:
+        list(client.stream_query(KNOWS, batch_size=batch_size))
+    assert excinfo.value.status == 400
+
+
 def test_unknown_cursor_is_410(client):
     with pytest.raises(ResponseError) as excinfo:
         list(client.stream_query(cursor="bogus"))

@@ -170,7 +170,8 @@ class TestSelectionsAreKeyedOnStatistics:
         session.add_edges("knows", [("dave", "erin")])
         plan = session.ucrpq(QUERY).plan()
         assert len(explores) == 2 and len(ranks) == 2
-        assert plan.term == session.optimize(session.translate(QUERY))[0].term
+        assert plan.term == session.resolve_plan(session.translate(QUERY),
+                                                 use_cache=False)[0].term
         assert plan_outcomes(registry) == {"hit": 0, "miss": 2, "evicted": 0}
 
     def test_new_relation_or_schema_misses(self, session, explores):
@@ -210,7 +211,8 @@ class TestSelectionsAreKeyedOnStatistics:
         session.add_edges("livesIn", [(f"n{i}", f"city{i % 3}")
                                       for i in range(300)])
         after = session.ucrpq(text).plan()
-        expected, _ = session.optimize(session.translate(text))
+        expected = session.resolve_plan(session.translate(text),
+                                        use_cache=False)[0]
         assert after.term == expected.term
         assert after.term != before.term
 
@@ -257,7 +259,8 @@ class TestSelectionsAreKeyedOnStatistics:
         # the snapshot it reads: the first version's selection.
         plan = pinned.plan()
         assert len(explores) == 2 and pinned.last_plan_cache_hit is True
-        assert plan.term == session.optimize(term, snapshot=old)[0].term
+        assert plan.term == session.resolve_plan(term, use_cache=False,
+                                                 snapshot=old)[0].term
         assert pinned.collect().relation == session.evaluate_centralized(
             term, snapshot=old)
         assert pinned.collect().relation != head.collect().relation
@@ -276,14 +279,44 @@ class TestSelectionsAreKeyedOnStatistics:
         assert len(explores) == 2 and len(ranks) == 2
 
 
-def test_cached_plan_with_strategies_is_nondestructive(small_labeled_graph):
-    engine = Session(small_labeled_graph, **UNCACHED)
-    _, term = make_key(engine, QUERY)
-    plan = make_plan(term)
-    updated = plan.with_strategies(("pplw^s",))
-    assert plan.physical_strategies == ()
-    assert updated.physical_strategies == ("pplw^s",)
-    assert updated.term == plan.term
+class TestThePlanPhaseIsTheOnlyWriter:
+    """A plan is decided once, at its miss: executing it stores nothing."""
+
+    @pytest.fixture
+    def session(self, small_labeled_graph):
+        with Session(small_labeled_graph, num_workers=2) as session:
+            yield session
+
+    @pytest.mark.parametrize("action", ["collect", "run_once"])
+    def test_executing_keeps_the_selected_entry(self, session, action):
+        term = session.translate(QUERY)
+        plan, hit, _ = session.resolve_plan(term)
+        assert hit is False
+        getattr(session.ucrpq(QUERY), action)()
+        again, hit, _ = session.resolve_plan(term)
+        assert hit is True and again is plan
+
+    @pytest.mark.parametrize("text", [QUERY, "?x,?y <- ?x worksAt ?y"])
+    def test_the_cache_is_written_once_per_miss(self, session, registry,
+                                                monkeypatch, text):
+        puts = count_calls(monkeypatch, PlanCache, "put")
+        session.ucrpq(text).collect()
+        session.ucrpq(text).run_once()
+        session.ucrpq(text).run_once(use_result_cache=False)
+        assert plan_outcomes(registry)["miss"] == 1
+        assert len(puts) == 1
+
+    @pytest.mark.parametrize("text", [QUERY,
+                                      "?x,?y <- ?x livesIn/knows+ ?y"])
+    def test_execute_term_selects_as_the_plan_phase_does(self, session,
+                                                         text):
+        term = session.translate(text)
+        plan, hit, key = session.resolve_plan(term, use_cache=False)
+        assert hit is None and key is None
+        result = session.execute_term(term)
+        assert result.selected_plan == plan.term
+        assert result.plans_explored == plan.plans_explored
+        assert result.estimated_cost == plan.cost
 
 
 def test_cache_key_is_a_plain_stable_string(small_labeled_graph):
