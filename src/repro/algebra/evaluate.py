@@ -18,20 +18,21 @@ which is correct for Fcond-satisfying terms thanks to Proposition 1
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 from ..data.columnar import CodeRows, columnar_enabled, snapshot_dictionary
 from ..data.relation import Relation
-from ..data.snapshot import database_schemas, operand_memo
+from ..data.snapshot import adopt_database, database_schemas, operand_memo
 from ..errors import EvaluationError
-from .conditions import decompose
-from .fixpoint import run_fixpoint, run_seed
-from .kernels import KernelProgramCache, SeedShape, seed_shape
+from .conditions import Decomposition, decompose
+from .fixpoint import FixpointBind, run_fixpoint, run_seed
+from .kernels import KernelProgramCache, SeedShape, bind_program, seed_shape
+from .schema import infer_schema
 from .terms import (AntiProject, Antijoin, Filter, Fixpoint, Join, Literal,
                     Rename, RelVar, Term, Union)
 from .variables import free_variables, is_constant_in
-from .visitors import walk
+from .visitors import transform_top_down, walk
 
 #: Safety bound on fixpoint iterations; graph reachability converges in at
 #: most |nodes| steps, so hitting this bound indicates a malformed term.
@@ -52,10 +53,11 @@ class EvaluationStats:
     fixpoints_evaluated: int = 0
     tuples_produced: int = 0
     per_fixpoint_iterations: list[int] = field(default_factory=list)
-    #: Hash-index activity of joins/antijoins against recursion-constant
-    #: operands (see :meth:`Evaluator._eval_join`): a build hashes the
-    #: constant relation, a reuse probes a table built on an earlier
-    #: iteration.  Benchmarks surface these through ClusterMetrics.
+    #: Hash-index activity of a fixpoint step's joins/antijoins against
+    #: its recursion-constant operands
+    #: (:meth:`~repro.algebra.fixpoint.FixpointBind.index_events`): a
+    #: build hashes the constant relation, a reuse probes a table built
+    #: on an earlier iteration or execution.
     index_builds: int = 0
     index_reuses: int = 0
     #: Recursion-constant operands this evaluator had to compute itself
@@ -75,24 +77,24 @@ class Evaluator:
     def __init__(self, database: Mapping[str, Relation],
                  stats: EvaluationStats | None = None,
                  kernel_cache: KernelProgramCache | None = None):
-        # The shared per-snapshot value dictionary and operand memo must be
-        # captured before the defensive dict() copy below discards the
-        # snapshot type.
-        self._dictionary = snapshot_dictionary(database)
-        self._operand_memo = operand_memo(database)
+        # A snapshot is adopted as it is (its dictionary, operand memo and
+        # seed shapes ride on it); a mutable mapping is copied.
+        self.database = adopt_database(database)
+        #: The value dictionary every bind and decode of this evaluator
+        #: shares: the snapshot's, or a private one for a plain mapping.
+        self.dictionary = snapshot_dictionary(self.database)
+        self._operand_memo = operand_memo(self.database)
         self._kernel_cache = kernel_cache
         # A snapshot's schemas never change, so it keeps the seed shapes
         # decided on it; a plain mapping gets them per evaluator.
-        derived = getattr(database, "derived", None)
+        derived = getattr(self.database, "derived", None)
         self._seed_shapes: dict[Term, SeedShape | None] = (
             derived(_SEED_SHAPES_KEY, lambda _: {}) if derived is not None
             else {})
-        self.database = dict(database)
         self.stats = stats if stats is not None else EvaluationStats()
         # Recursion-constant subterms evaluate to the same relation on
         # every fixpoint iteration (the database is a snapshot); caching
-        # them keys the join-side hash indexes to one relation object, so
-        # the index built on iteration 1 is probed on every later one —
+        # them keys the join-side hash indexes to one relation object —
         # even if the snapshot's memo evicts the operand mid-execution.
         self._constant_cache: dict[Term, Relation] = {}
 
@@ -110,9 +112,11 @@ class Evaluator:
         if isinstance(term, Union):
             return self._eval(term.left, env).union(self._eval(term.right, env))
         if isinstance(term, Join):
-            return self._eval_join(term, env)
+            return self._eval(term.left, env).natural_join(
+                self._eval(term.right, env))
         if isinstance(term, Antijoin):
-            return self._eval_antijoin(term, env)
+            return self._eval(term.left, env).antijoin(
+                self._eval(term.right, env))
         if isinstance(term, Filter):
             return self._eval(term.child, env).filter(term.predicate)
         if isinstance(term, Rename):
@@ -138,52 +142,7 @@ class Evaluator:
             f"{sorted(self.database)[:10]}..."
         )
 
-    # -- Joins against recursion-constant operands ----------------------------
-
-    def _eval_join(self, term: Join, env: dict[str, Relation]) -> Relation:
-        """Evaluate a join; inside a recursion, index the constant side.
-
-        When exactly one operand is constant in every bound recursive
-        variable, that operand has the same value on every iteration: it is
-        evaluated once (term-keyed cache) and its hash index on the common
-        columns is warmed, so every later iteration reduces to probing with
-        the delta.
-        """
-        sides = self._constant_sides(term, env)
-        if sides is None:
-            return self._eval(term.left, env).natural_join(
-                self._eval(term.right, env))
-        constant_term, variable_term = sides
-        constant = self.evaluate_constant(constant_term)
-        variable = self._eval(variable_term, env)
-        common = tuple(c for c in variable.columns if c in constant.columns)
-        if common:
-            self._warm_index(constant, common)
-        return variable.natural_join(constant)
-
-    def _eval_antijoin(self, term: Antijoin, env: dict[str, Relation]) -> Relation:
-        left = self._eval(term.left, env)
-        if env and all(is_constant_in(term.right, var) for var in env) \
-                and not all(is_constant_in(term.left, var) for var in env):
-            right = self.evaluate_constant(term.right)
-            common = tuple(c for c in left.columns if c in right.columns)
-            if common:
-                self._warm_index(right, common)
-            return left.antijoin(right)
-        return left.antijoin(self._eval(term.right, env))
-
-    def _constant_sides(self, term: Join,
-                        env: dict[str, Relation]) -> tuple[Term, Term] | None:
-        """Return ``(constant_side, variable_side)`` or None when ambiguous."""
-        if not env:
-            return None
-        left_constant = all(is_constant_in(term.left, var) for var in env)
-        right_constant = all(is_constant_in(term.right, var) for var in env)
-        if left_constant == right_constant:
-            return None
-        if left_constant:
-            return term.left, term.right
-        return term.right, term.left
+    # -- Recursion-constant operands ------------------------------------------
 
     def evaluate_constant(self, term: Term) -> Relation:
         """Evaluate a recursion-constant term, memoized.
@@ -220,42 +179,16 @@ class Evaluator:
                     isinstance(node, Fixpoint) for node in walk(term)))
         return relation
 
-    def _warm_index(self, relation: Relation, common: tuple[str, ...]) -> None:
-        if relation.has_index(common):
-            self.stats.index_reuses += 1
-        else:
-            self.stats.index_builds += 1
-            relation.index_on(common)
-
     # -- Fixpoint -------------------------------------------------------------
 
     def _eval_fixpoint(self, term: Fixpoint, env: dict[str, Relation]) -> Relation:
         decomposition = decompose(term)
         constant_part = decomposition.constant_part
-        variable_part = decomposition.variable_part
-        if variable_part is None:
-            constant = self._eval(constant_part, env)
-            self.stats.record_fixpoint(iterations=0, result_size=len(constant))
-            return constant
-        constant = self._seed_program(constant_part, env)
-        if constant is None:
-            constant = self._eval(constant_part, env)
-        columns = constant.columns
-        # One environment for the whole loop: only the delta binding
-        # changes per iteration.
-        inner_env = dict(env)
-
-        def row_step(delta: Relation) -> Relation:
-            inner_env[term.var] = delta
-            produced = self._eval(variable_part, inner_env)
-            if produced.columns != columns:
-                raise EvaluationError(
-                    f"fixpoint on {term.var!r}: the variable part "
-                    f"produced schema {produced.columns} but the "
-                    f"constant part has schema {columns}"
-                )
-            return produced
-
+        # A seed program reads no outer recursive variable.
+        shape = None
+        if decomposition.variable_part is not None and columnar_enabled() \
+                and (not env or free_variables(constant_part).isdisjoint(env)):
+            shape = self._seed_shape(constant_part)
         # Recursion-constant subterms that mention *outer* fixpoint
         # variables must resolve under the enclosing environment — and
         # must not be memoized, their value changes per outer iteration.
@@ -266,9 +199,13 @@ class Evaluator:
                 return self._eval(t, env)
         else:
             resolve = self.evaluate_constant
+        seed, bind = self.bind_fixpoint(term.var, decomposition, shape,
+                                        resolve, env)
+        if bind is None:
+            self.stats.record_fixpoint(iterations=0, result_size=len(seed))
+            return seed
         run = run_fixpoint(
-            self._kernel_cache, term.var, variable_part, constant,
-            self._dictionary, resolve, row_step, DEFAULT_MAX_ITERATIONS,
+            bind, seed, self.dictionary, DEFAULT_MAX_ITERATIONS,
             f"fixpoint on {term.var!r} did not converge after "
             f"{DEFAULT_MAX_ITERATIONS} iterations")
         self.stats.index_builds += run.index_builds
@@ -277,14 +214,9 @@ class Evaluator:
                                    result_size=len(run.relation))
         return run.relation
 
-    def _seed_program(self, constant_part: Term,
-                      env: dict[str, Relation]) -> CodeRows | None:
-        """The seed computed on the kernels, when its shape allows it and
-        it reads no outer recursive variable (see :func:`seed_shape`,
-        decided once per snapshot and constant part)."""
-        if not columnar_enabled() or \
-                env and not free_variables(constant_part).isdisjoint(env):
-            return None
+    def _seed_shape(self, constant_part: Term) -> SeedShape | None:
+        """:func:`seed_shape` of ``constant_part``, decided once per
+        snapshot (per evaluator on a plain mapping)."""
         shapes = self._seed_shapes
         shape = shapes.get(constant_part, _UNDECIDED)
         if shape is _UNDECIDED:
@@ -292,11 +224,94 @@ class Evaluator:
                 shapes.clear()
             shape = shapes[constant_part] = seed_shape(
                 constant_part, database_schemas(self.database))
-        if shape is None:
-            return None
-        return run_seed(self._kernel_cache, shape, constant_part,
-                        self.database[shape.leaf], self._dictionary,
-                        self.evaluate_constant)
+        return shape
+
+    def bind_fixpoint(self, var: str, decomposition: Decomposition,
+                      shape: SeedShape | None,
+                      resolve: Callable[[Term], Relation],
+                      env: Mapping[str, Relation] | None = None,
+                      ) -> tuple[Relation | CodeRows, FixpointBind | None]:
+        """The seed of ``mu(var = R U phi)``, and its step bound once.
+
+        When the kernels run and the seed has ``shape``, the step is
+        bound first and the seed computed on the kernels after it, as
+        code tuples: an index the two share is the step's, built (and
+        accounted) as the row engine builds it.  Otherwise the seed is
+        evaluated on rows, then the step bound to its schema.  Either
+        way ``resolve`` serves the step's operands only — the seed's
+        come from :meth:`evaluate_constant` — and ``env`` binds the
+        outer recursive variables.  The bind is None for a fixpoint
+        without a variable part: the seed is then the fixpoint.
+        """
+        env = dict(env or {})
+        constant_part = decomposition.constant_part
+        variable_part = decomposition.variable_part
+        seed = bind = None
+        if shape is not None and variable_part is not None \
+                and columnar_enabled():
+            bind = self.bind_step(var, variable_part, shape.columns,
+                                  resolve, env)
+            if bind.kernel:
+                seed = run_seed(self._kernel_cache, shape, constant_part,
+                                self.database[shape.leaf], self.dictionary,
+                                self.evaluate_constant)
+        if seed is None:
+            seed = self._eval(constant_part, env)
+        if bind is None and variable_part is not None:
+            bind = self.bind_step(var, variable_part, seed.columns, resolve,
+                                  env)
+        return seed, bind
+
+    def bind_step(self, var: str, variable_part: Term,
+                  columns: tuple[str, ...],
+                  resolve: Callable[[Term], Relation],
+                  env: Mapping[str, Relation] | None = None) -> FixpointBind:
+        """Bind ``variable_part`` — over a seed of ``columns`` — once.
+
+        Compile (into this evaluator's program cache) and bind the
+        kernels; under ``row_mode()``, and for shapes the kernels refuse,
+        freeze every recursion-constant operand into a literal instead
+        and build the index each join or antijoin will probe on it.
+        Either way ``resolve`` evaluates each operand once, here, so
+        every loop that runs the bind only reuses.
+        """
+        kernel = bind_program(self._kernel_cache, var, variable_part,
+                              columns, self.dictionary, resolve)
+        if kernel:
+            return FixpointBind(var, kernel, None, kernel.broadcast_sizes,
+                                kernel.indexed_ops, kernel.index_builds)
+        def freeze(node: Term) -> Term:
+            if is_constant_in(node, var):
+                return Literal(resolve(node))
+            return node
+
+        # Fcond: a nested fixpoint is closed in ``var``, so frozen whole.
+        row_term = transform_top_down(variable_part, freeze)
+        broadcast_sizes: list[int] = []
+        indexed_ops = builds = 0
+        for node in walk(row_term):
+            if not isinstance(node, (Join, Antijoin)):
+                continue
+            # Fcond linearity: exactly one side is a (frozen) constant.
+            frozen, recursive = ((node.left, node.right)
+                                 if isinstance(node.left, Literal)
+                                 else (node.right, node.left))
+            relation = frozen.relation
+            broadcast_sizes.append(len(relation))
+            recursive_columns = infer_schema(recursive, {}, {var: columns})
+            common = tuple(c for c in recursive_columns
+                           if c in relation.columns)
+            if common:
+                indexed_ops += 1
+                builds += not relation.has_index(common)
+                relation.index_on(common)
+        outer = dict(env or {})
+
+        def row_step(delta: Relation) -> Relation:
+            return self._eval(row_term, {**outer, var: delta})
+
+        return FixpointBind(var, None, row_step, tuple(broadcast_sizes),
+                            indexed_ops, builds)
 
 
 def evaluate(term: Term, database: Mapping[str, Relation],

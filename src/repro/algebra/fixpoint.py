@@ -15,13 +15,17 @@ evaluator, the per-worker local loops of ``Pplw`` and the driver loop of
 ``step`` callable) and *how* ``X`` is held (the accumulator); the
 iteration guard and the ``fixpoint.iteration`` span live here.
 
-:func:`run_fixpoint` adds the one engine selection the single-node callers
-share: bind the columnar kernels when they support the shape, otherwise
-run the caller's row step — and on the kernels, hold ``X`` flat or
-grouped on its stable column.  :func:`run_seed` computes ``R`` itself on
-the kernels when it holds a join (a *seed program*), so such a fixpoint
-is encoded once, where its seed's base relation was, and decoded once,
-at the end.
+``phi`` is bound once per execution, by
+:meth:`~repro.algebra.evaluate.Evaluator.bind_fixpoint`, into a
+:class:`FixpointBind`: the columnar kernels when they support the shape,
+otherwise the variable part with its operands frozen for the row engine.
+Every loop over that execution — the central one, each ``Pgld`` wave,
+each ``Pplw`` task — runs the one bind, and :meth:`FixpointBind.index_events`
+is the one index-accounting rule they share.  :func:`run_fixpoint` runs
+a bind on one node, holding ``X`` flat or grouped on its stable column on
+the kernels.  :func:`run_seed` computes ``R`` itself on the kernels when
+it holds a join (a *seed program*), so such a fixpoint is encoded once,
+where its seed's base relation was, and decoded once, at the end.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from ..data.relation import Relation
 from ..data.storage import DeltaAccumulator
 from ..errors import EvaluationError
 from ..obs import tracing
-from .kernels import KernelProgramCache, SeedShape, bind_program, bind_seed
+from .kernels import BoundKernel, KernelProgramCache, SeedShape, bind_seed
 from .terms import Term
 
-__all__ = ["FixpointRun", "run_fixpoint", "run_seed", "semi_naive"]
+__all__ = ["FixpointBind", "FixpointRun", "run_fixpoint", "run_seed",
+           "semi_naive"]
 
 #: Seed rows per distinct stable key from which the kernels run the loop
 #: grouped on the stable column (:class:`GroupedDeltaAccumulator`) rather
@@ -100,11 +105,41 @@ def semi_naive(step: Callable, accumulator, frontier, *, var: str,
 
 
 @dataclass
+class FixpointBind:
+    """One fixpoint's step, bound once per execution.
+
+    ``kernel`` is the bound columnar program; when it is None the row
+    engine runs the step, and ``row_step`` evaluates the variable part —
+    its recursion-constant operands frozen into literals that carry
+    their indexes — against one delta.  The rest is what the accounting
+    reads: one broadcast per entry of ``broadcast_sizes``, and one index
+    access per ``indexed_ops`` on every iteration, ``index_builds`` of
+    which the bind itself had to build.
+    """
+
+    var: str
+    kernel: BoundKernel | None
+    row_step: Callable[[Relation], Relation] | None
+    broadcast_sizes: tuple[int, ...]
+    indexed_ops: int
+    index_builds: int
+
+    def index_events(self, iterations: int) -> tuple[int, int]:
+        """``(builds, reuses)`` over ``iterations`` iterations in total,
+        of every loop that ran this bind: the bind's own builds, and a
+        reuse for every other access.  No iteration, no access."""
+        if not iterations:
+            return 0, 0
+        return (self.index_builds,
+                self.indexed_ops * iterations - self.index_builds)
+
+
+@dataclass
 class FixpointRun:
     """What one single-node fixpoint run reports back to its caller.
 
-    The index and probe counters cover the columnar kernels only; a row
-    step accounts its own index activity in its engine's stats.
+    The index counters are :meth:`FixpointBind.index_events` of this run
+    alone; ``probes`` counts the kernels' probe rows during the run.
     """
 
     relation: Relation
@@ -130,40 +165,46 @@ def run_seed(cache: KernelProgramCache | None, shape: SeedShape,
                     dictionary)
 
 
-def run_fixpoint(cache: KernelProgramCache | None, var: str,
-                 variable_part: Term, seed: Relation | CodeRows,
-                 dictionary: ValueDictionary,
-                 resolve: Callable[[Term], Relation],
-                 row_step: Callable[[Relation], Relation],
-                 limit: int, nonconvergence: str) -> FixpointRun:
-    """Evaluate ``mu(var = seed U variable_part)`` on the best engine.
+def run_fixpoint(bind: FixpointBind, seed: Relation | CodeRows,
+                 dictionary: ValueDictionary, limit: int,
+                 nonconvergence: str) -> FixpointRun:
+    """Evaluate ``mu(bind.var = seed U phi)``, ``phi`` being ``bind``'s step.
 
-    The columnar kernels run the loop when :func:`bind_program` accepts
-    the shape (``resolve`` evaluates the recursion-constant operands);
-    otherwise ``row_step`` — the caller's tuple-at-a-time evaluation of
-    the variable part against one delta — does.  Guard and message are
-    identical on both engines.  The kernels hold ``X`` grouped on its
-    stable column when the step offers it and the seed has
-    :data:`GROUPED_MIN_ROWS_PER_KEY` rows per key, else flat: same deltas.
-    ``seed`` may come encoded (a seed program's output, a ``Pplw``
-    chunk of it); the row engine decodes it.  An empty seed is its own
-    fixpoint: it returns after 0 iterations without binding, so it
-    touches no index on either engine.
+    Guard and message are identical on both engines.  The kernels hold
+    ``X`` grouped on its stable column when the step offers it and the
+    seed has :data:`GROUPED_MIN_ROWS_PER_KEY` rows per key, else flat:
+    same deltas.  ``seed`` may come encoded (a seed program's output, a
+    ``Pplw`` chunk of it); the row engine decodes it.  An empty seed is
+    its own fixpoint: it returns after 0 iterations, having stepped
+    nothing and touched no index.
     """
+    var = bind.var
     if not seed:
         return FixpointRun(seed if isinstance(seed, Relation) else
                            Relation._from_trusted(seed.columns, frozenset()),
                            0)
-    bound = bind_program(cache, var, variable_part, seed.columns,
-                         dictionary, resolve)
+    bound = bind.kernel
     if bound is None:
         if isinstance(seed, CodeRows):
             seed = seed.to_relation()
+        columns = seed.columns
+        row_step = bind.row_step
+
+        def step(delta: Relation) -> Relation:
+            produced = row_step(delta)
+            if produced.columns != columns:
+                raise EvaluationError(
+                    f"fixpoint on {var!r}: the variable part produced "
+                    f"schema {produced.columns} but the constant part has "
+                    f"schema {columns}")
+            return produced
+
         accumulator = DeltaAccumulator(seed)
-        iterations = semi_naive(row_step, accumulator, seed, var=var,
+        iterations = semi_naive(step, accumulator, seed, var=var,
                                 engine="row", limit=limit,
                                 nonconvergence=nonconvergence)
-        return FixpointRun(accumulator.relation(), iterations)
+        return FixpointRun(accumulator.relation(), iterations,
+                           *bind.index_events(iterations))
     # From here to the decode the frontier stays encoded: the step's
     # output goes into the accumulator, and the accumulator's fresh part
     # into the next step, as they are — grouped on the stable column
@@ -181,14 +222,12 @@ def run_fixpoint(cache: KernelProgramCache | None, var: str,
         step = bound.step
         frontier = seed.rows
         columnar = ColumnarDeltaAccumulator(seed.columns, frontier)
+    # The bound counter is shared by every run of the bind (the tasks of
+    # one Pplw execution): this run's probes are its change.
+    probes = bound.probe_counter[0]
     iterations = semi_naive(step, columnar, frontier, var=var,
                             engine="columnar", limit=limit,
                             nonconvergence=nonconvergence)
-    relation = columnar.relation(dictionary)
-    # The row engine accesses each constant-side index once per iteration
-    # (build on the first touch, reuse after); mirror that accounting so
-    # index-reuse metrics stay comparable across engines.
-    reuses = bound.index_reuses + bound.indexed_ops * (iterations - 1)
-    return FixpointRun(relation, iterations,
-                       index_builds=bound.index_builds, index_reuses=reuses,
-                       probes=bound.probe_counter[0])
+    return FixpointRun(columnar.relation(dictionary), iterations,
+                       *bind.index_events(iterations),
+                       probes=bound.probe_counter[0] - probes)

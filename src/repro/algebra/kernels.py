@@ -34,9 +34,12 @@ running each at "C speed" on columns; DESIGN.md has the measurements.
 
 Compiled programs are cached in a :class:`KernelProgramCache` — one hangs
 off every :class:`~repro.service.plan_cache.CachedPlan` (the
-``kernel_program`` slot), and a process-wide default serves the layers
-that execute without a plan cache (worker-local loops, ad-hoc
-evaluation).  Programs hold schemas and positions only; every bind asks
+``kernel_program`` slot), and a process-wide default serves execution
+given no cache (ad-hoc evaluation).  A fixpoint's step is bound once per
+execution, on the driver
+(:meth:`~repro.algebra.evaluate.Evaluator.bind_fixpoint`, through the
+executor's cache); the worker-local loops run that bind and bind
+nothing.  Programs hold schemas and positions only; every bind asks
 its ``resolve`` callback for the constant relations again, so a cached
 program can never serve stale data.  What a bind then *costs* is the
 resolver's business: on a snapshot the evaluator answers from the
@@ -85,15 +88,14 @@ class _SchemaDrift(Exception):
 class _BindContext:
     """Mutable state threaded through one bind of a program."""
 
-    __slots__ = ("dictionary", "resolve", "index_builds", "index_reuses",
-                 "indexed_ops", "broadcasts", "probe_counter", "grouped")
+    __slots__ = ("dictionary", "resolve", "index_builds", "indexed_ops",
+                 "broadcasts", "probe_counter", "grouped")
 
     def __init__(self, dictionary: ValueDictionary,
                  resolve: Callable[[Term], Relation]):
         self.dictionary = dictionary
         self.resolve = resolve
         self.index_builds = 0
-        self.index_reuses = 0
         self.indexed_ops = 0
         self.broadcasts: list[int] = []
         #: One-cell mutable counter shared with the join step closures:
@@ -125,9 +127,7 @@ class _BindContext:
         relation, encoded = self.constant(operand)
         self.indexed_ops += 1
         self.broadcasts.append(len(relation))
-        if encoded.has_index(key, payload):
-            self.index_reuses += 1
-        else:
+        if not encoded.has_index(key, payload):
             self.index_builds += 1
         return encoded.index_on(key, payload)
 
@@ -146,8 +146,9 @@ class BoundKernel:
 
     step: Step
     out_schema: tuple[str, ...]
+    #: Of the ``indexed_ops`` index accesses of one step, those this bind
+    #: had to build.
     index_builds: int
-    index_reuses: int
     indexed_ops: int
     probe_counter: list[int]
     #: Sizes of the constant relations bound into join/antijoin kernels;
@@ -183,7 +184,6 @@ class KernelProgram:
         stable, grouped = ctx.grouped.get(step, (None, None))
         return BoundKernel(step=step, out_schema=self.out_schema,
                            index_builds=ctx.index_builds,
-                           index_reuses=ctx.index_reuses,
                            indexed_ops=ctx.indexed_ops,
                            probe_counter=ctx.probe_counter,
                            broadcast_sizes=tuple(ctx.broadcasts),

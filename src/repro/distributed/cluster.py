@@ -253,14 +253,6 @@ class SparkCluster:
         with self._lock:
             self.metrics.record_worker_tuples(worker_id, count)
 
-    def record_index_event(self, built: bool) -> None:
-        """Record one storage-layer index interaction (build or cache hit)."""
-        with self._lock:
-            if built:
-                self.metrics.index_builds += 1
-            else:
-                self.metrics.index_reuses += 1
-
     @property
     def simulated_communication_delay(self) -> float:
         """Total simulated network delay accumulated so far (seconds)."""

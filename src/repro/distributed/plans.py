@@ -19,36 +19,36 @@ Spark cluster:
   engines, so there is one ``Pplw`` plan, ``Pplw^s``.
 
 The plans differ in *where* the fixpoint step runs and what it
-communicates, not in how a term is evaluated: every step is either the
-bound columnar kernels or, under :func:`~repro.data.columnar.row_mode`,
-an :class:`~repro.algebra.evaluate.Evaluator` — no plan applies a
-relational operator itself.  On the kernels a fixpoint stays in code
-space from its seed to its result: a seed holding a join is computed by
-a seed program, both plans split it (``Pplw`` into chunks, ``Pgld``'s
-loop its every delta into partitions) as code tuples with exactly the
-row engine's assignments, ``Pgld`` accumulates ``X`` as codes on the
-driver, and each result is decoded once.
+communicates, not in how a term is evaluated: each plan holds one
+:class:`~repro.algebra.evaluate.Evaluator`, which binds the step once
+per execution (:meth:`~repro.algebra.evaluate.Evaluator.bind_fixpoint`)
+— the columnar kernels or, under :func:`~repro.data.columnar.row_mode`,
+the evaluator's own row step — and every ``Pgld`` wave and every
+``Pplw`` task runs that one bind; no plan applies a relational
+operator itself, nor binds a step of its own.  On the kernels a
+fixpoint stays in code space from its seed to its result: a seed
+holding a join is computed by a seed program, both plans split it
+(``Pplw`` into chunks, ``Pgld``'s loop its every delta into partitions)
+as code tuples with exactly the row engine's assignments, ``Pgld``
+accumulates ``X`` as codes on the driver, and each result is decoded
+once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import partial
 
 from ..algebra.evaluate import Evaluator
-from ..algebra.fixpoint import run_fixpoint, run_seed, semi_naive
-from ..algebra.kernels import BoundKernel, KernelProgramCache, bind_program
-from ..algebra.schema import infer_schema
-from ..algebra.terms import Antijoin, Fixpoint, Join, Literal, Term
-from ..algebra.variables import free_variables, is_constant_in
-from ..algebra.visitors import transform_top_down, walk
+from ..algebra.fixpoint import (FixpointBind, FixpointRun, run_fixpoint,
+                                semi_naive)
+from ..algebra.kernels import KernelProgramCache
+from ..algebra.terms import Fixpoint, Term
+from ..algebra.variables import free_variables
 from ..data.columnar import (CodeRows, ColumnarDeltaAccumulator,
-                             ValueDictionary, columnar_enabled,
-                             row_repr, snapshot_dictionary,
-                             split_round_robin)
+                             ValueDictionary, row_repr, split_round_robin)
 from ..data.relation import Relation
-from ..data.snapshot import adopt_database, database_schemas
+from ..data.snapshot import database_schemas
 from ..errors import DistributionError
 from ..obs import tracing
 from .cluster import SparkCluster
@@ -65,34 +65,6 @@ MAX_GLOBAL_ITERATIONS = 1_000_000
 MAX_LOCAL_ITERATIONS = 1_000_000
 
 
-@dataclass
-class DriverBind:
-    """One variable part bound on the driver, once per execution.
-
-    ``kernel`` is None when the row engine runs the step; ``row_term`` is
-    then the variable part with its operands frozen into literals.  The
-    rest is what the accounting reads: one broadcast per entry of
-    ``broadcast_sizes`` and one index access per ``indexed_ops`` on every
-    iteration, ``index_builds`` of which the bind itself had to build.
-    """
-
-    kernel: BoundKernel | None
-    row_term: Term | None
-    broadcast_sizes: tuple[int, ...]
-    indexed_ops: int
-    index_builds: int
-
-
-def _freeze_operands(variable_part: Term, var: str, resolve) -> Term:
-    """``variable_part`` with each recursion-constant operand a literal."""
-    def freeze(node: Term) -> Term:
-        if is_constant_in(node, var):
-            return Literal(resolve(node))
-        return node
-
-    return transform_top_down(variable_part, freeze)
-
-
 class DistributedFixpointPlan:
     """Base class of the two physical fixpoint plans."""
 
@@ -102,16 +74,15 @@ class DistributedFixpointPlan:
                  partitioning_override: PartitioningDecision | None = None,
                  kernel_cache: KernelProgramCache | None = None):
         self.cluster = cluster
-        # The shared value dictionary rides on the snapshot; captured here
-        # because adopt_database may hand back a plain mapping.
-        self._dictionary = snapshot_dictionary(database)
-        #: Compiled-kernel cache shared with the plan cache entry that
-        #: selected this plan; ``None`` falls back to the process default.
-        self.kernel_cache = kernel_cache
-        # Immutable snapshots are adopted as-is (broadcasts then ship the
-        # snapshot's own relations, hash indexes included); mutable
-        # mappings are defensively copied, as before.
-        self.database = adopt_database(database)
+        #: The plan's one evaluator: it binds the step — compiling into
+        #: ``kernel_cache``, the executor's, shared with the plan cache
+        #: entry that selected this plan (``None``: the process default)
+        #: — and evaluates the seed; its row step is what the tasks run.
+        #: Its database (a snapshot adopted as is, so broadcasts ship the
+        #: snapshot's own relations, hash indexes included; a mutable
+        #: mapping copied) and its value dictionary are the plan's.
+        self.evaluator = Evaluator(database, kernel_cache=kernel_cache)
+        self.database = self.evaluator.database
         #: When set, bypass the stable-column analysis and use this decision
         #: instead (used by the partitioning ablation benchmark).
         self.partitioning_override = partitioning_override
@@ -147,95 +118,33 @@ class DistributedFixpointPlan:
                                         database_schemas(self.database))
         return analysis
 
-    def _seed_and_bind(self, cache: KernelProgramCache | None,
-                       fixpoint: Fixpoint, analysis: FixpointAnalysis,
-                       ) -> tuple[Relation | CodeRows, DriverBind | None]:
-        """The seed, and the step bound once on the driver.
+    def _seed_and_bind(self, fixpoint: Fixpoint, analysis: FixpointAnalysis,
+                       ) -> tuple[Relation | CodeRows, FixpointBind | None]:
+        """The seed, and the step bound once on the driver
+        (:meth:`~repro.algebra.evaluate.Evaluator.bind_fixpoint`).
 
-        Compile-and-bind the step's kernels (into ``cache``), or under
-        ``row_mode()`` (and for shapes the kernels refuse) freeze the
-        operands into the term the reference evaluator will run.  Either
-        way every operand is resolved here — through the snapshot's memo,
-        so a repeated execution finds relation, encoding and index
-        already built — and the indexes the step probes exist before any
-        task starts.  When the kernels run the step and the seed has a
-        :class:`~repro.algebra.kernels.SeedShape`, the seed is computed
-        on them too, as code tuples, *after* the step's bind: an index
-        the two share is the step's, built (and accounted) as the row
-        engine builds it.  Otherwise the seed is evaluated on rows.
-        Either way the seed's operands stay out of :attr:`operands`,
-        which is what the tasks receive: no step reads them.  The bind
-        is None for a fixpoint without a variable part.
+        Every operand is resolved here — through the snapshot's memo, so
+        a repeated execution finds relation, encoding and index already
+        built — and the indexes the step probes exist before any task
+        starts.  The step's operands are recorded in :attr:`operands`:
+        that is the broadcast; the seed's stay out of it, as no step
+        reads them.  The bind is None for a fixpoint without a variable
+        part.
         """
+        evaluator = self.evaluator
         operands: dict[Term, Relation] = {}
-        evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
 
         def resolve(term: Term) -> Relation:
             relation = operands[term] = evaluator.evaluate_constant(term)
             return relation
 
         self.operands = operands
-        constant_part = analysis.decomposition.constant_part
-        variable_part = analysis.decomposition.variable_part
-        shape = (analysis.seed if variable_part is not None
-                 and columnar_enabled() else None)
-        seed = bind = None
-        if shape is not None:
-            bind = self._bind_step(cache, fixpoint.var, variable_part,
-                                   shape.columns, resolve)
-            if bind.kernel:
-                seed = run_seed(self.kernel_cache, shape, constant_part,
-                                self.database[shape.leaf], self._dictionary,
-                                evaluator.evaluate_constant)
-        if seed is None:
-            seed = evaluator.evaluate(constant_part)
-        if bind is None and variable_part is not None:
-            bind = self._bind_step(cache, fixpoint.var, variable_part,
-                                   seed.columns, resolve)
-        self.operands_evaluated = evaluator.stats.operands_evaluated
+        evaluated = evaluator.stats.operands_evaluated
+        seed, bind = evaluator.bind_fixpoint(
+            fixpoint.var, analysis.decomposition, analysis.seed, resolve)
+        self.operands_evaluated = (evaluator.stats.operands_evaluated
+                                   - evaluated)
         return seed, bind
-
-    def _bind_step(self, cache: KernelProgramCache | None, var: str,
-                   variable_part: Term, seed_columns: tuple[str, ...],
-                   resolve) -> DriverBind:
-        kernel = bind_program(cache, var, variable_part, seed_columns,
-                              self._dictionary, resolve)
-        if kernel:
-            return DriverBind(kernel, None, kernel.broadcast_sizes,
-                              kernel.indexed_ops, kernel.index_builds)
-        return self._bind_rows(var, variable_part, seed_columns, resolve)
-
-    @staticmethod
-    def _bind_rows(var: str, variable_part: Term,
-                   seed_columns: tuple[str, ...], resolve) -> DriverBind:
-        """The ``row_mode()`` twin of binding the kernels.
-
-        Reads off the frozen join/antijoin operands the four things the
-        kernel path reads off its bound program, and builds the indexes
-        the row engine will probe so in-process tasks share the one table.
-        """
-        row_term = _freeze_operands(variable_part, var, resolve)
-        broadcast_sizes: list[int] = []
-        indexed_ops = builds = 0
-        for node in walk(row_term):
-            if not isinstance(node, (Join, Antijoin)):
-                continue
-            # Fcond linearity: exactly one side is a (frozen) constant.
-            frozen, recursive = ((node.left, node.right)
-                                 if isinstance(node.left, Literal)
-                                 else (node.right, node.left))
-            relation = frozen.relation
-            broadcast_sizes.append(len(relation))
-            recursive_columns = infer_schema(recursive, {},
-                                             {var: seed_columns})
-            common = tuple(c for c in recursive_columns
-                           if c in relation.columns)
-            if common:
-                indexed_ops += 1
-                builds += not relation.has_index(common)
-                relation.index_on(common)
-        return DriverBind(None, row_term, tuple(broadcast_sizes),
-                          indexed_ops, builds)
 
 
 class GlobalLoopOnDriver(DistributedFixpointPlan):
@@ -261,46 +170,35 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
     def execute(self, fixpoint: Fixpoint,
                 analysis: FixpointAnalysis | None = None) -> Relation:
         analysis = self._analysis(fixpoint, analysis)
-        seed, bind = self._seed_and_bind(self.kernel_cache, fixpoint,
-                                         analysis)
+        seed, bind = self._seed_and_bind(fixpoint, analysis)
         if bind is None:
             return seed
         columns = seed.columns
         if not bind.kernel:
-            task = partial(_evaluate_partition, bind.row_term, fixpoint.var,
-                           columns)
-            result = self._loop(fixpoint.var, bind, columns, seed.rows,
-                                task, repr)
+            task = partial(_evaluate_partition, bind.row_step, columns)
+            result = self._loop(bind, columns, seed.rows, task, repr)
             return Relation._from_trusted(columns, frozenset(result.rows))
+        dictionary = self.evaluator.dictionary
         if isinstance(seed, Relation):
-            seed = CodeRows.encode(seed, self._dictionary)
-        result = self._loop(fixpoint.var, bind, columns, seed.rows,
-                            bind.kernel.step,
-                            row_repr(self._dictionary, len(columns)))
-        return result.relation(self._dictionary)
+            seed = CodeRows.encode(seed, dictionary)
+        result = self._loop(bind, columns, seed.rows, bind.kernel.step,
+                            row_repr(dictionary, len(columns)))
+        return result.relation(dictionary)
 
-    def _loop(self, var: str, bind: DriverBind, columns: tuple[str, ...],
+    def _loop(self, bind: FixpointBind, columns: tuple[str, ...],
               seed: set, task, order) -> "_DistinctUnion":
         """Algorithm 1 with each step a wave of ``task`` over the
         partitions of the delta, dealt by ``order``."""
         cluster = self.cluster
         metrics = cluster.metrics
         parts = cluster.num_workers
-        # Per iteration the constant operands go out (broadcast), their
-        # indexes are built on the first iteration and reused after.
-        builds = bind.index_builds
         accumulator = _DistinctUnion(cluster, columns, seed)
 
         def step(delta: set) -> set:
-            nonlocal builds
             metrics.global_iterations += 1
+            # Per iteration the constant operands go out (broadcast).
             for size in bind.broadcast_sizes:
                 cluster.record_broadcast(size)
-            for _ in range(builds):
-                cluster.record_index_event(built=True)
-            for _ in range(bind.indexed_ops - builds):
-                cluster.record_index_event(built=False)
-            builds = 0
             values = cluster.run_tasks(task, [
                 (partition,)
                 for partition in split_round_robin(delta, parts, order)])
@@ -315,11 +213,16 @@ class GlobalLoopOnDriver(DistributedFixpointPlan):
             cluster.record_shuffle(moved + len(accumulator))
             return produced
 
+        var = bind.var
         limit = MAX_GLOBAL_ITERATIONS
-        semi_naive(step, accumulator, seed, var=var,
-                   engine="columnar" if bind.kernel else "row", limit=limit,
-                   nonconvergence=f"global loop on {var!r} did not converge "
-                                  f"within {limit} iterations")
+        iterations = semi_naive(
+            step, accumulator, seed, var=var,
+            engine="columnar" if bind.kernel else "row", limit=limit,
+            nonconvergence=f"global loop on {var!r} did not converge "
+                           f"within {limit} iterations")
+        builds, reuses = bind.index_events(iterations)
+        metrics.index_builds += builds
+        metrics.index_reuses += reuses
         return accumulator
 
 
@@ -346,79 +249,39 @@ class _DistinctUnion(ColumnarDeltaAccumulator):
         return fresh
 
 
-def _evaluate_partition(term: Term, var: str, columns: tuple[str, ...],
+def _evaluate_partition(row_step, columns: tuple[str, ...],
                         partition: set) -> frozenset:
-    """One partition's row step: ``term`` with ``var`` bound to it."""
-    produced = Evaluator({}).evaluate(term, env={
-        var: Relation._from_trusted(columns, frozenset(partition))})
+    """One partition's row step: the bound step over it as the delta."""
+    produced = row_step(Relation._from_trusted(columns, frozenset(partition)))
     if produced.columns != columns:
         raise DistributionError(
             f"incompatible schemas {produced.columns} and {columns}")
     return produced.rows
 
 
-@dataclass(frozen=True)
-class LocalLoopOutcome:
-    """What one worker's local fixpoint task reports back to the driver.
-
-    A task is a worker's share of the plan: everything it observes
-    (iteration count, index accesses) travels back as data instead of
-    being written into the shared
-    :class:`~repro.distributed.cluster.ClusterMetrics` mid-flight.
-    """
-
-    relation: Relation
-    iterations: int
-    index_builds: int = 0
-    index_reuses: int = 0
-
-
-def run_local_loop(var: str, variable_part: Term,
-                   operands: Mapping[Term, Relation],
-                   dictionary: ValueDictionary,
-                   chunk: Relation) -> LocalLoopOutcome:
+def run_local_loop(bind: FixpointBind, dictionary: ValueDictionary,
+                   chunk: Relation | CodeRows) -> FixpointRun:
     """One worker's ``Pplw`` local fixpoint over its chunk of the seed.
 
-    The task receives results, not recipes: ``operands`` holds every
-    recursion-constant operand of ``variable_part`` already resolved on
-    the driver (the broadcast), ``dictionary`` is the snapshot's.  The
-    relations — and the encodings and indexes memoized on them — are the
-    driver's own objects, so a task only reuses.  The engine is the
-    caller's (``row_mode()`` is a context variable), and the iteration
-    bound is :data:`MAX_LOCAL_ITERATIONS`.
+    The task receives results, not recipes: ``bind`` is the step bound
+    once on the driver — its operands resolved and indexed (the
+    broadcast), its engine chosen — and ``dictionary`` is the
+    snapshot's, so a task only reuses.  Everything it observes travels
+    back as the returned run instead of being written into the shared
+    :class:`~repro.distributed.cluster.ClusterMetrics` mid-flight.  The
+    iteration bound is :data:`MAX_LOCAL_ITERATIONS`.
     """
-    evaluator: Evaluator | None = None
-    row_term: Term | None = None
-
-    def row_step(delta: Relation) -> Relation:
-        nonlocal evaluator, row_term
-        if evaluator is None:
-            # Only the row engine pays for an evaluator and for freezing
-            # the operands in.
-            evaluator = Evaluator({})
-            row_term = _freeze_operands(variable_part, var,
-                                        operands.__getitem__)
-        return evaluator.evaluate(row_term, env={var: delta})
-
+    var = bind.var
     max_iterations = MAX_LOCAL_ITERATIONS
     with tracing.span("fixpoint.local_loop", var=var,
                       seed=len(chunk)) as loop_span:
-        # The process-default program cache gives in-process task reuse
-        # (compile once, bind per chunk).
         run = run_fixpoint(
-            None, var, variable_part, chunk, dictionary,
-            operands.__getitem__, row_step, max_iterations,
+            bind, chunk, dictionary, max_iterations,
             f"local fixpoint on {var!r} did not converge "
             f"within {max_iterations} iterations")
         loop_span.set_attribute("iterations", run.iterations)
         loop_span.set_attribute("total", len(run.relation))
-    builds, reuses = run.index_builds, run.index_reuses
-    if evaluator is not None:
-        builds += evaluator.stats.index_builds
-        reuses += evaluator.stats.index_reuses
-    return LocalLoopOutcome(
-        relation=run.relation, iterations=run.iterations,
-        index_builds=builds, index_reuses=reuses)
+    return run
 
 
 class ParallelLocalLoops(DistributedFixpointPlan):
@@ -439,41 +302,34 @@ class ParallelLocalLoops(DistributedFixpointPlan):
     def execute(self, fixpoint: Fixpoint,
                 analysis: FixpointAnalysis | None = None) -> Relation:
         analysis = self._analysis(fixpoint, analysis)
-        # Broadcast once: the operands are resolved (and their indexes
-        # built) here, and every task receives the same table.  Bound
-        # through the process-default program cache, the one the tasks
-        # read: in process their binds find the program compiled.
-        seed, bind = self._seed_and_bind(None, fixpoint, analysis)
+        # Broadcast once: the step is bound (its operands resolved, its
+        # indexes built) here, and every task runs that one bind.
+        seed, bind = self._seed_and_bind(fixpoint, analysis)
         if bind is None:
             return seed
-        variable_part = analysis.decomposition.variable_part
-        var = fixpoint.var
         metrics = self.cluster.metrics
         decision = self.partitioning_override or analysis.partitioning
         metrics.partitioning = decision.strategy
+        dictionary = self.evaluator.dictionary
         # On the kernels the chunks are cut from the encoded seed, so no
         # task encodes its chunk; each decodes its own result once.
         if bind.kernel and isinstance(seed, Relation):
-            seed = CodeRows.encode(seed, self._dictionary)
+            seed = CodeRows.encode(seed, dictionary)
         chunks = split_constant_part(seed, self.cluster, decision)
-        self._broadcast_variable_part(variable_part, var)
-        loops: list[LocalLoopOutcome] = self.cluster.run_tasks(
-            run_local_loop,
-            [(var, variable_part, self.operands, self._dictionary, chunk)
-             for chunk in chunks])
-        local_results: list[Relation] = []
-        for worker_id, loop in enumerate(loops):
-            self.cluster.record_worker_tuples(worker_id, len(loop.relation))
-            metrics.local_iterations += loop.iterations
-            metrics.index_builds += loop.index_builds
-            metrics.index_reuses += loop.index_reuses
-            local_results.append(loop.relation)
-        # The driver's bind was the first access of each index, on the
-        # tasks' behalf: what it built, some task found built and
-        # reported as a reuse.
-        metrics.index_builds += bind.index_builds
-        metrics.index_reuses -= min(bind.index_builds, metrics.index_reuses)
-        return self._final_union(local_results, seed.columns, decision)
+        self._broadcast_variable_part(analysis.decomposition.variable_part,
+                                      fixpoint.var)
+        runs: list[FixpointRun] = self.cluster.run_tasks(
+            run_local_loop, [(bind, dictionary, chunk) for chunk in chunks])
+        iterations = 0
+        for worker_id, run in enumerate(runs):
+            self.cluster.record_worker_tuples(worker_id, len(run.relation))
+            iterations += run.iterations
+        metrics.local_iterations += iterations
+        builds, reuses = bind.index_events(iterations)
+        metrics.index_builds += builds
+        metrics.index_reuses += reuses
+        return self._final_union([run.relation for run in runs],
+                                 seed.columns, decision)
 
     # -- Shared steps ----------------------------------------------------------------
 

@@ -19,12 +19,13 @@ from repro.algebra import (Evaluator, RelVar, closure, closure_from_seed,
                            decompose, filter_source, naive_fixpoint,
                            run_fixpoint)
 from repro.algebra.kernels import KernelProgramCache
-from repro.data import Relation, ValueDictionary, row_mode
+from repro.data import LabeledGraph, Relation, row_mode
 from repro.distributed import PGLD, PPLW_SPARK, SparkCluster, make_plan
 from repro.errors import EvaluationError
 from repro.obs import tracing
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import Tracer
+from repro.session import Session
 
 ENGINES = ("columnar", "row")
 
@@ -46,24 +47,24 @@ def pinned(engine):
     return row_mode() if engine == "row" else nullcontext()
 
 
+def bind(fixpoint, engine, cache=None):
+    """``fixpoint``'s step over ``CHAIN``, bound once on ``engine``; the
+    seed; and the dictionary the bind shares."""
+    evaluator = Evaluator({"E": CHAIN}, kernel_cache=cache
+                          if cache is not None else KernelProgramCache())
+    decomposition = decompose(fixpoint)
+    seed = evaluator.evaluate(decomposition.constant_part)
+    with pinned(engine):
+        bound = evaluator.bind_step(fixpoint.var, decomposition.variable_part,
+                                    seed.columns, evaluator.evaluate_constant)
+    return bound, seed, evaluator.dictionary
+
+
 def drive(fixpoint, engine, limit=100, nonconvergence="did not converge",
           cache=None):
     """Run one fixpoint over ``CHAIN`` through ``run_fixpoint``."""
-    database = {"E": CHAIN}
-    evaluator = Evaluator(database)
-    decomposition = decompose(fixpoint)
-    seed = evaluator.evaluate(decomposition.constant_part)
-
-    def row_step(delta):
-        return evaluator.evaluate(decomposition.variable_part,
-                                  env={fixpoint.var: delta})
-
-    with pinned(engine):
-        return run_fixpoint(
-            cache if cache is not None else KernelProgramCache(),
-            fixpoint.var, decomposition.variable_part,
-            seed, ValueDictionary(), evaluator.evaluate_constant, row_step,
-            limit, nonconvergence)
+    bound, seed, dictionary = bind(fixpoint, engine, cache)
+    return run_fixpoint(bound, seed, dictionary, limit, nonconvergence)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -163,58 +164,135 @@ _PGLD = {"shuffles": 8, "tuples_shuffled": 299, "broadcasts": 4,
 _PLW_ROUND_ROBIN = dict(_PLW, shuffles=1, tuples_shuffled=59,
                         local_iterations=18, index_reuses=17,
                         duplicates_eliminated=22)
+#: The shape every entry above runs: ``build_plan``'s plan over the
+#: closure of E.
+CLOSURE_OF_E = "E+"
 PARENT_COUNTERS = {
-    (PGLD, "columnar"): dict(_PGLD, tasks_launched=16, task_waves=4),
+    (CLOSURE_OF_E, PGLD, "columnar"): dict(_PGLD, tasks_launched=16,
+                                           task_waves=4),
     # One map_partitions wave per iteration on either engine (the row
     # fallback used to launch one wave per operator: 48 tasks, 12 waves).
-    (PGLD, "row"): dict(_PGLD, tasks_launched=16, task_waves=4),
-    (PPLW_SPARK, "columnar"): _PLW,
-    (PPLW_SPARK, "row"): _PLW,
-    (PPLW_ROUND_ROBIN, "columnar"): _PLW_ROUND_ROBIN,
-    (PPLW_ROUND_ROBIN, "row"): _PLW_ROUND_ROBIN,
+    (CLOSURE_OF_E, PGLD, "row"): dict(_PGLD, tasks_launched=16,
+                                      task_waves=4),
+    (CLOSURE_OF_E, PPLW_SPARK, "columnar"): _PLW,
+    (CLOSURE_OF_E, PPLW_SPARK, "row"): _PLW,
+    (CLOSURE_OF_E, PPLW_ROUND_ROBIN, "columnar"): _PLW_ROUND_ROBIN,
+    (CLOSURE_OF_E, PPLW_ROUND_ROBIN, "row"): _PLW_ROUND_ROBIN,
 }
 
+#: Two ``recursive-cold`` shapes whose fixpoint seed holds a join, so
+#: the kernels compute it with a seed program, bound after the step.
+SEED_PROGRAM_QUERIES = {
+    "-a/(b/-b)+": "?x,?y <- ?x -a/(b/-b)+ ?y",
+    "(a/-a)+/b": "?x,?y <- ?x (a/-a)+/b ?y",
+}
+#: A fixed two-label graph: each node has two ``a``- and two
+#: ``b``-successors, shared with its neighbour, so ``b/-b`` and ``a/-a``
+#: link each node to the next and their closures take several rounds.
+SEED_PROGRAM_GRAPH = LabeledGraph(name="seed-programs")
+SEED_PROGRAM_GRAPH.add_edges(
+    [(i, "a", 10 + i + d) for i in range(6) for d in (0, 1)]
+    + [(i, "b", 20 + i + d) for i in range(6) for d in (0, 1)]
+    + [(10 + i, "b", 20 + i) for i in (1, 3, 5)])
+#: Every traffic counter of the two queries on that graph (4 workers),
+#: captured before the step was bound once per execution; both engines
+#: agree.
+_SEED_PGLD = {"shuffles": 10, "broadcasts": 5, "tasks_launched": 20,
+              "task_waves": 5, "global_iterations": 5, "local_iterations": 0,
+              "duplicates_eliminated": 0, "final_union_skipped": False,
+              "partitioning": "none", "index_builds": 1, "index_reuses": 4}
+_SEED_PLW = {"shuffles": 0, "tuples_shuffled": 0, "broadcasts": 2,
+             "tasks_launched": 4, "task_waves": 1, "global_iterations": 0,
+             "local_iterations": 18, "duplicates_eliminated": 0,
+             "final_union_skipped": True, "partitioning": "stable-column",
+             "index_builds": 1, "index_reuses": 17}
+SEED_PROGRAM_COUNTERS = {
+    ("-a/(b/-b)+", PGLD): dict(
+        _SEED_PGLD, tuples_shuffled=741, tuples_broadcast=620,
+        tuples_processed_per_worker={0: 58, 1: 60, 2: 50, 3: 43}),
+    ("-a/(b/-b)+", PPLW_SPARK): dict(
+        _SEED_PLW, tuples_broadcast=120,
+        tuples_processed_per_worker={0: 18, 1: 18, 2: 18, 3: 9}),
+    ("(a/-a)+/b", PGLD): dict(
+        _SEED_PGLD, tuples_shuffled=396, tuples_broadcast=320,
+        tuples_processed_per_worker={0: 28, 1: 26, 2: 20, 3: 22}),
+    ("(a/-a)+/b", PPLW_SPARK): dict(
+        _SEED_PLW, tuples_broadcast=96,
+        tuples_processed_per_worker={0: 12, 1: 6, 2: 6, 3: 12}),
+}
+PARENT_COUNTERS.update({
+    (query, strategy, engine): counters
+    for (query, strategy), counters in SEED_PROGRAM_COUNTERS.items()
+    for engine in ENGINES})
+ROWS = {CLOSURE_OF_E: 37, "-a/(b/-b)+": 63, "(a/-a)+/b": 42}
 
-@pytest.mark.parametrize("strategy,engine", sorted(PARENT_COUNTERS))
+
+@pytest.mark.parametrize("shape,strategy,engine", [
+    pytest.param(*key, id="-".join(key[1:] if key[0] == CLOSURE_OF_E
+                                   else key))
+    for key in sorted(PARENT_COUNTERS)])
 def test_cluster_counters_match_the_hand_written_loops(paper_database,
-                                                       build_plan,
+                                                       build_plan, shape,
                                                        strategy, engine):
-    cluster = SparkCluster(num_workers=4)
-    with pinned(engine):
-        result = build_plan(strategy, cluster, paper_database).execute(
-            closure(RelVar("E"), var="X"))
-    metrics = cluster.metrics
-    assert len(result) == 37
+    if shape == CLOSURE_OF_E:
+        cluster = SparkCluster(num_workers=4)
+        with pinned(engine):
+            result = build_plan(strategy, cluster, paper_database).execute(
+                closure(RelVar("E"), var="X"))
+        metrics = cluster.metrics
+    else:
+        with pinned(engine), Session(SEED_PROGRAM_GRAPH,
+                                     num_workers=4) as session:
+            run = session.ucrpq(SEED_PROGRAM_QUERIES[shape]).run_once(
+                strategy=strategy, use_result_cache=False)[0]
+        result, metrics = run.relation, run.metrics
+    assert len(result) == ROWS[shape]
     assert {name: getattr(metrics, name)
-            for name in PARENT_COUNTERS[strategy, engine]} \
-        == PARENT_COUNTERS[strategy, engine]
+            for name in PARENT_COUNTERS[shape, strategy, engine]} \
+        == PARENT_COUNTERS[shape, strategy, engine]
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_an_empty_seed_returns_before_binding(engine):
-    """An empty seed is its own fixpoint: 0 iterations, and neither the
-    kernel program nor an operand is looked up for it."""
+def test_an_empty_seed_returns_before_stepping(engine):
+    """An empty seed is its own fixpoint: 0 iterations, no index access,
+    and neither the kernel program nor the step is touched for it."""
     fixpoint, _ = FIXPOINTS["tc"]
     cache = KernelProgramCache()
-    drive(fixpoint, engine, cache=cache)  # compiled (columnar) and cached
+    bound, _, dictionary = bind(fixpoint, engine, cache=cache)
     reuses = get_registry().counter("repro_kernel_reuses_total")
     before = reuses.value
-
-    def no_operand(term):
-        raise AssertionError(f"resolved {term} for an empty seed")
 
     def no_step(delta):
         raise AssertionError("stepped an empty seed")
 
+    if bound.kernel is None:
+        bound.row_step = no_step
+    else:
+        bound.kernel.step = bound.kernel.grouped_step = no_step
     seed = Relation(("src", "trg"), [])
-    with pinned(engine):
-        run = run_fixpoint(cache, fixpoint.var,
-                           decompose(fixpoint).variable_part, seed,
-                           ValueDictionary(), no_operand, no_step, 100,
-                           "did not converge")
+    run = run_fixpoint(bound, seed, dictionary, 100, "did not converge")
     assert run.iterations == 0 and len(run.relation) == 0
     assert (run.index_builds, run.index_reuses, run.probes) == (0, 0, 0)
     assert reuses.value == before
+
+
+@pytest.mark.parametrize("strategy", (PGLD, PPLW_SPARK, PPLW_ROUND_ROBIN))
+def test_an_empty_seed_accesses_no_index_on_either_plan(paper_database,
+                                                        build_plan,
+                                                        strategy):
+    """No iteration, no index access: the driver's bind may build an
+    index, but no loop ever probes it."""
+    fixpoint = closure_from_seed(filter_source(RelVar("S"), 99),
+                                 RelVar("E"), var="X")
+    for engine in ENGINES:
+        cluster = SparkCluster(num_workers=4)
+        with pinned(engine):
+            relation = build_plan(strategy, cluster,
+                                  paper_database).execute(fixpoint)
+        metrics = cluster.metrics
+        assert len(relation) == 0
+        assert (metrics.global_iterations, metrics.local_iterations,
+                metrics.index_builds, metrics.index_reuses) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("strategy", (PPLW_SPARK, PPLW_ROUND_ROBIN))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra import Evaluator, decompose
-from repro.data import LabeledGraph, Relation, ValueDictionary
+from repro.data import LabeledGraph, Relation
 from repro.datasets import erdos_renyi_graph, random_tree
 from repro.distributed import (ParallelLocalLoops, PartitioningDecision,
                                make_plan)
@@ -50,26 +50,20 @@ def paper_database(paper_edges, paper_start_edges) -> dict:
     return {"E": paper_edges, "S": paper_start_edges}
 
 
-class _OperandsOnDemand(dict):
-    """The operand table of a variable part, resolved when first read."""
-
-    def __init__(self, database):
-        super().__init__()
-        self._resolve = Evaluator(database).evaluate_constant
-
-    def __missing__(self, term):
-        relation = self[term] = self._resolve(term)
-        return relation
-
-
 @pytest.fixture
 def shipped():
-    """``(fixpoint, database) -> (var, variable_part, operands, dictionary)``:
-    what ``ParallelLocalLoops.execute`` ships to ``run_local_loop`` ahead
-    of the chunk, for tests that call the task directly."""
+    """``(fixpoint, database) -> (bind, dictionary)``: what
+    ``ParallelLocalLoops.execute`` ships to ``run_local_loop`` ahead of
+    the chunk — the step bound once, on the engine of the calling
+    context, and the dictionary it is bound to — for tests that call the
+    task directly."""
     def ship(fixpoint, database):
-        return (fixpoint.var, decompose(fixpoint).variable_part,
-                _OperandsOnDemand(database), ValueDictionary())
+        evaluator = Evaluator(database)
+        decomposition = decompose(fixpoint)
+        columns = evaluator.evaluate(decomposition.constant_part).columns
+        bind = evaluator.bind_step(fixpoint.var, decomposition.variable_part,
+                                   columns, evaluator.evaluate_constant)
+        return bind, evaluator.dictionary
     return ship
 
 

@@ -131,6 +131,13 @@ class TestEvaluatorAdmission:
         assert evaluator.stats.operands_evaluated == 0
         assert len(operand_memo(snapshot)) == 0
 
+    def test_a_snapshot_is_adopted_and_a_mapping_copied(self):
+        snapshot = self.snapshot()
+        assert Evaluator(snapshot).database is snapshot
+        database = {"E": edges(8)}
+        copied = Evaluator(database).database
+        assert copied == database and copied is not database
+
     def test_a_plain_mapping_keeps_operands_per_evaluator(self):
         database = {"E": edges(8)}
         assert operand_memo(database) is None

@@ -65,25 +65,24 @@ class TestLocalLoop:
         assert outcome.relation == evaluate(term, paper_database)
 
     @pytest.mark.parametrize("chunk_form", ("rows", "codes"))
-    def test_engine_choice_is_the_calling_context(self, paper_database,
-                                                  shipped, chunk_form):
-        """The task iterates on the engine its caller's ``row_mode()``
-        chose (it runs on the caller's thread), whether its chunk comes
-        as rows or, as the plan cuts it on the kernels, as code tuples
-        (the row engine then decodes it)."""
+    def test_the_task_runs_the_engine_its_bind_chose(self, paper_database,
+                                                     shipped, chunk_form):
+        """The task iterates on the engine the driver's bind chose, even
+        when it runs under the other engine's context, whether its chunk
+        comes as rows or, as the plan cuts it on the kernels, as code
+        tuples (the row engine then decodes it)."""
         term = closure(RelVar("E"), var="X")
         engines = {}
         for columnar in (True, False):
-            var, variable_part, operands, dictionary = shipped(
-                term, paper_database)
+            with nullcontext() if columnar else row_mode():
+                bind, dictionary = shipped(term, paper_database)
             chunk = paper_database["E"]
             if chunk_form == "codes":
                 chunk = CodeRows.encode(chunk, dictionary)
             tracer = Tracer(enabled=True)
             with tracing.activate(tracer), \
-                    nullcontext() if columnar else row_mode():
-                outcome = run_local_loop(var, variable_part, operands,
-                                         dictionary, chunk)
+                    row_mode() if columnar else nullcontext():
+                outcome = run_local_loop(bind, dictionary, chunk)
             assert outcome.relation == evaluate(term, paper_database)
             engines[columnar] = {
                 dict(record.attributes)["engine"]

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import gc
 
-from repro.algebra import Evaluator, Join, RelVar
+from repro.algebra import (AntiProject, Evaluator, Fixpoint, Join, Literal,
+                           RelVar, Union)
+from repro.data.columnar import row_mode
 from repro.data.relation import Relation
 from repro.data.storage import HashIndex
 
@@ -25,9 +27,17 @@ def edges(pairs):
 
 
 def join_with_delta(evaluator, delta):
-    """One recursive step's join: ``X`` (the delta) against constant ``E``."""
-    return evaluator.evaluate(Join(RelVar("X"), RelVar("E")),
-                              env={"X": delta})
+    """One recursive step's join on the row engine: ``X``, seeded with
+    the delta, against constant ``E`` — projected back onto the delta's
+    columns, so the step keeps the seed's schema.  Only a fixpoint
+    indexes its constant side: its bind does."""
+    step = Join(RelVar("X"), RelVar("E"))
+    dropped = tuple(c for c in ("src", "trg") if c not in delta.columns)
+    if dropped:
+        step = AntiProject(dropped, step)
+    with row_mode():
+        return evaluator.evaluate(
+            Fixpoint("X", Union(Literal(delta), step)))
 
 
 def test_index_is_correct_after_id_reuse():

@@ -9,6 +9,9 @@ time split round robin, so the deduplicating final union is exercised.
 
 from __future__ import annotations
 
+import importlib
+from contextlib import nullcontext
+
 import pytest
 
 from repro.algebra import RelVar, closure, closure_from_seed, evaluate
@@ -21,8 +24,12 @@ from repro.distributed import (PGLD, PPLW_SPARK, SparkCluster, make_plan,
 from repro.distributed.partitioner import analyse_fixpoint
 from repro.algebra import Filter, schemas_of_database
 from repro.algebra.fixpoint import run_seed
+from repro.algebra.kernels import KernelProgram
 from repro.algebra.variables import free_variables
-from repro.distributed import plans as plans_module
+
+
+#: The module, which ``repro.algebra``'s ``evaluate`` function shadows.
+evaluate_module = importlib.import_module("repro.algebra.evaluate")
 
 
 @pytest.fixture
@@ -115,6 +122,41 @@ class TestOperandsOncePerSnapshot:
             assert plan.operands_evaluated == len(plan.operands) == 1
 
 
+class TestOneBindPerExecution:
+    """The driver binds the step once; every task runs that one bind."""
+
+    @pytest.mark.parametrize("num_workers", (4, 8))
+    def test_pplw_binds_the_step_once(self, database, closure_term,
+                                      monkeypatch, num_workers):
+        binds, freezes = [], []
+        bind = KernelProgram.bind
+        freeze = evaluate_module.transform_top_down
+
+        def recording_bind(program, *args):
+            binds.append(program)
+            return bind(program, *args)
+
+        def recording_freeze(*args):
+            freezes.append(args)
+            return freeze(*args)
+
+        monkeypatch.setattr(KernelProgram, "bind", recording_bind)
+        monkeypatch.setattr(evaluate_module, "transform_top_down",
+                            recording_freeze)
+        expected = evaluate(closure_term, database)
+        for engine in ("columnar", "row"):
+            binds.clear()
+            freezes.clear()
+            cluster = SparkCluster(num_workers=num_workers)
+            with row_mode() if engine == "row" else nullcontext():
+                result = make_plan(PPLW_SPARK, cluster,
+                                   database).execute(closure_term)
+            assert result == expected
+            assert cluster.metrics.tasks_launched == num_workers
+            assert (len(binds), len(freezes)) == (
+                (1, 0) if engine == "columnar" else (0, 1))
+
+
 class TestSeedPrograms:
     @pytest.mark.parametrize("strategy", ALL_PLANS)
     def test_a_selecting_seed_runs_on_the_kernels(self, strategy, database,
@@ -133,7 +175,7 @@ class TestSeedPrograms:
             seeds.append(run_seed(*args))
             return seeds[-1]
 
-        monkeypatch.setattr(plans_module, "run_seed", recording)
+        monkeypatch.setattr(evaluate_module, "run_seed", recording)
         plan = build_plan(strategy, SparkCluster(num_workers=4), database)
         result = plan.execute(term)
         with row_mode():
