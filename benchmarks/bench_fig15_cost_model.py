@@ -16,6 +16,7 @@ import time
 from repro.algebra import evaluate, schemas_of_database
 from repro.bench import series_table
 from repro.cost import rank_plans
+from repro.data import StatisticsCatalog
 from repro.query import parse_query, translate_query
 from repro.rewriter import explore_plans
 
@@ -29,7 +30,7 @@ def _plan_space_measurements(graph):
     database = graph.relations()
     term = translate_query(parse_query(QUERY_TEXT))
     plans = explore_plans(term, schemas_of_database(database), max_plans=MAX_PLANS)
-    ranked = rank_plans(plans, database=database)
+    ranked = rank_plans(plans, catalog=StatisticsCatalog(database))
     measurements = []
     for position, plan in enumerate(ranked):
         started = time.perf_counter()

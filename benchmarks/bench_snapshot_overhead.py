@@ -5,9 +5,10 @@ Three acceptance properties of the snapshot-isolated Session API:
 1. **Commit overhead** — a single-label mutation through
    ``Session.add_edges`` (which builds a full successor
    :class:`~repro.data.snapshot.DatabaseSnapshot`: COW relation map,
-   per-relation versions, schemas and statistics) must cost at most 10%
-   more than the seed's in-place edit (mutate the dict, refresh the
-   catalog, recompute the schema map, bump versions).
+   per-relation versions and schemas; statistics wait for the plan
+   phase) must cost at most 10% more than the seed's in-place edit
+   (mutate the dict, summarize the touched relations, recompute the
+   schema map, bump versions).
 2. **O(touched relations)** — commit cost must track the relations a
    mutation touches, not the size of the database: growing the number of
    *untouched* relations 8x must not meaningfully change the commit time
@@ -29,14 +30,14 @@ import pytest
 
 from repro import Session
 from repro.algebra.schema import schemas_of_database
-from repro.data import LabeledGraph, Relation, StatisticsCatalog
+from repro.data import LabeledGraph, Relation, RelationStats
 from repro.datasets import erdos_renyi_graph
 
 FIGURE_TITLE = "Snapshot commit overhead and lock-free read throughput"
 
-#: Edges in the mutated label: sized so the shared per-edit work (delta
-#: union + statistics refresh over the touched relations) dominates and
-#: the whole module stays a CI-friendly smoke run.
+#: Edges in the mutated label: sized so the shared per-edit work (the
+#: delta union over the touched relations) dominates and the whole
+#: module stays a CI-friendly smoke run.
 GRAPH_EDGES = 8_000
 #: Commits measured per mode (medians over these samples).
 COMMITS = 60
@@ -57,14 +58,14 @@ def mutation_graph() -> LabeledGraph:
                              labels=("knows", "cites"), name="commit-bench")
 
 
-def _seed_inplace_edit(database: dict, catalog: StatisticsCatalog,
-                       versions: dict, version: int,
+def _seed_inplace_edit(database: dict, versions: dict, version: int,
                        label: str, pair: tuple) -> int:
     """Replay the seed mutation path: edit the dict under one lock hold.
 
     Mirrors the pre-snapshot ``Session._mutate_locked``: plan the three
-    deltas (label, inverse, facts), union them in, refresh the touched
-    statistics, recompute the schema map and bump the version counters.
+    deltas (label, inverse, facts), union them in, summarize every
+    touched relation eagerly (as the seed's statistics catalog did),
+    recompute the schema map and bump the version counters.
     (The eager cache purge is *omitted*, which only makes the baseline
     faster and this benchmark's ceiling harder to meet.)
     """
@@ -76,7 +77,7 @@ def _seed_inplace_edit(database: dict, catalog: StatisticsCatalog,
     }
     for name, delta in deltas.items():
         database[name] = database[name].union(delta)
-        catalog.refresh(name, database[name])
+        RelationStats.of(database[name])
     schemas_of_database(database)
     version += 1
     for name in deltas:
@@ -92,7 +93,6 @@ def test_commit_overhead_within_ceiling(figure_report, mutation_graph):
     both medians equally instead of biasing whichever ran second.
     """
     seed_db = dict(mutation_graph.relations())
-    seed_catalog = StatisticsCatalog(seed_db)
     seed_versions = dict.fromkeys(seed_db, 0)
     seed_samples: list[float] = []
     snapshot_samples: list[float] = []
@@ -101,8 +101,8 @@ def test_commit_overhead_within_ceiling(figure_report, mutation_graph):
         for index in range(COMMITS):
             pair = (f"seed{index}", f"seed{index + 1}")
             started = time.perf_counter()
-            version = _seed_inplace_edit(seed_db, seed_catalog, seed_versions,
-                                         version, "knows", pair)
+            version = _seed_inplace_edit(seed_db, seed_versions, version,
+                                         "knows", pair)
             seed_samples.append(time.perf_counter() - started)
 
             pair = (f"snap{index}", f"snap{index + 1}")

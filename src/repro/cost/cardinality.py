@@ -19,7 +19,6 @@ from collections.abc import Mapping
 
 from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate)
-from ..data.relation import Relation
 from ..data.stats import RelationStats, StatisticsCatalog
 from ..errors import CostEstimationError
 from ..algebra.conditions import Decomposition, decompose
@@ -35,20 +34,16 @@ MAX_SIMULATED_ITERATIONS = 64
 class CardinalityEstimator:
     """Estimate the cardinality (and per-column distinct counts) of terms."""
 
-    def __init__(self, database: Mapping[str, Relation] | None = None,
-                 catalog: StatisticsCatalog | None = None):
-        if database is None and catalog is None:
-            raise CostEstimationError(
-                "the estimator needs a database or a statistics catalog")
-        self.catalog = catalog if catalog is not None else StatisticsCatalog(database)
+    def __init__(self, catalog: StatisticsCatalog):
+        self.catalog = catalog
         #: Sub-term estimates, kept for the lifetime of the estimator (one
-        #: ``rank_plans`` call, whose plans share most of their sub-terms)
-        #: or until the catalog changes.  An estimate depends on the term
-        #: and on the statistics its environment binds, which are
-        #: identified by object: the entry keeps them alive so an ``id()``
-        #: cannot be reused under it.
+        #: ``rank_plans`` call, whose plans share most of their sub-terms).
+        #: The catalog is a view over an immutable snapshot, so they never
+        #: go stale.  An estimate depends on the term and on the
+        #: statistics its environment binds, which are identified by
+        #: object: the entry keeps them alive so an ``id()`` cannot be
+        #: reused under it.
         self._estimates: dict[tuple, tuple[tuple, RelationStats]] = {}
-        self._estimates_version = self.catalog.version
         self._decompositions: dict[Fixpoint, Decomposition] = {}
 
     # -- Public API -----------------------------------------------------------
@@ -60,9 +55,6 @@ class CardinalityEstimator:
         ``env`` binds recursive variables to the statistics assumed for them
         (used internally when simulating fixpoint growth).
         """
-        if self._estimates_version != self.catalog.version:
-            self._estimates.clear()
-            self._estimates_version = self.catalog.version
         return self._estimate(term, dict(env or {}))
 
     def cardinality(self, term: Term) -> int:

@@ -22,7 +22,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from ..data.relation import Relation
 from ..data.stats import RelationStats, StatisticsCatalog
 from ..errors import CostEstimationError
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
@@ -46,13 +45,10 @@ class CostReport:
 class CostModel:
     """Assign an abstract evaluation cost to mu-RA terms."""
 
-    def __init__(self, database: Mapping[str, Relation] | None = None,
-                 catalog: StatisticsCatalog | None = None,
+    def __init__(self, catalog: StatisticsCatalog | None = None,
                  estimator: CardinalityEstimator | None = None):
-        if estimator is not None:
-            self.estimator = estimator
-        else:
-            self.estimator = CardinalityEstimator(database=database, catalog=catalog)
+        self.estimator = estimator if estimator is not None \
+            else CardinalityEstimator(catalog)
 
     # -- Public API -----------------------------------------------------------
 

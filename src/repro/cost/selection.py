@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..data.relation import Relation
 from ..data.stats import StatisticsCatalog
 from ..errors import PlanSelectionError, ReproError
 from ..algebra.terms import Term
@@ -22,7 +21,6 @@ class RankedPlan:
 
 
 def rank_plans(plans: Iterable[Term],
-               database: Mapping[str, Relation] | None = None,
                catalog: StatisticsCatalog | None = None,
                cost_model: CostModel | None = None) -> list[RankedPlan]:
     """Cost every plan and return them sorted by increasing estimated cost.
@@ -33,8 +31,7 @@ def rank_plans(plans: Iterable[Term],
     exception is a cost-model defect, and propagates: cached, it would
     outlive commits.
     """
-    model = cost_model if cost_model is not None else CostModel(
-        database=database, catalog=catalog)
+    model = cost_model if cost_model is not None else CostModel(catalog)
     ranked: list[RankedPlan] = []
     for plan in plans:
         try:
@@ -49,12 +46,10 @@ def rank_plans(plans: Iterable[Term],
 
 
 def select_best_plan(plans: Iterable[Term],
-                     database: Mapping[str, Relation] | None = None,
                      catalog: StatisticsCatalog | None = None,
                      cost_model: CostModel | None = None) -> RankedPlan:
     """Return the cheapest plan according to the cost model."""
-    ranked = rank_plans(plans, database=database, catalog=catalog,
-                        cost_model=cost_model)
+    ranked = rank_plans(plans, catalog=catalog, cost_model=cost_model)
     if not ranked:
         raise PlanSelectionError("no plan to select from")
     return ranked[0]

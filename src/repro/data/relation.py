@@ -53,7 +53,7 @@ class Relation:
     """
 
     __slots__ = ("_columns", "_rows", "_index_cache", "_columnar_cache",
-                 "_sorted_cache", "_encoded_cache", "_frozen")
+                 "_sorted_cache", "_encoded_cache", "_stats_cache", "_frozen")
 
     def __init__(self, columns: Iterable[str], rows: Iterable[Row] = ()):  # noqa: D107
         ordered = tuple(sorted(columns))
@@ -78,6 +78,7 @@ class Relation:
         self._columnar_cache = None
         self._sorted_cache: tuple[Row, ...] | None = None
         self._encoded_cache: EncodedRows | None = None
+        self._stats_cache = None  # RelationStats.of's memo
 
     # -- Constructors -----------------------------------------------------
 
@@ -99,6 +100,7 @@ class Relation:
         relation._columnar_cache = None
         relation._sorted_cache = None
         relation._encoded_cache = None
+        relation._stats_cache = None
         return relation
 
     def _freeze(self) -> None:

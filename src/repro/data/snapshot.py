@@ -14,8 +14,9 @@ that assumption explicit and enforceable under concurrent mutation:
 * **Copy-on-write commits** — :meth:`DatabaseSnapshot.mutate` builds the
   *successor* snapshot: only the touched relations are replaced, and
   every untouched :class:`Relation` object (and therefore its memoized
-  hash indexes) is shared between the old and the new version.  Commit
-  cost is O(touched relations) plus a few dictionary copies.
+  hash indexes and statistics) is shared between the old and the new
+  version.  A commit summarizes nothing: its cost is the touched
+  relations themselves plus a few dictionary copies.
 * **Version fingerprints** — :meth:`fingerprint` returns the sorted
   ``(name, version)`` tuple of a set of relations, which is the
   database half of every result-cache key.  Because those keys are
@@ -24,10 +25,12 @@ that assumption explicit and enforceable under concurrent mutation:
   name the schemas and ``StatisticsCatalog.signature`` values of the
   relations instead — see :mod:`repro.service.plan_cache`.)
 * **Snapshot-scoped statistics and schemas** — the cost model's
-  :class:`~repro.data.stats.StatisticsCatalog` and the schema mapping
-  travel *with* the snapshot, so an unlocked plan phase can never pair a
-  new fingerprint with stale statistics (or vice versa): both come from
-  the same immutable object.
+  :class:`~repro.data.stats.StatisticsCatalog` is a read-through view
+  over the snapshot's own relations, and the schema mapping travels
+  *with* the snapshot, so an unlocked plan phase can never pair a new
+  fingerprint with stale statistics (or vice versa): both come from the
+  same immutable object.  Statistics are computed at the plan phase's
+  first read and memoized on each relation.
 
 Snapshots are plain :class:`~collections.abc.Mapping` objects, so every
 consumer that used to take a ``dict[str, Relation]`` database (the
@@ -151,7 +154,7 @@ class DatabaseSnapshot(Mapping):
 
     @property
     def catalog(self) -> StatisticsCatalog:
-        """The statistics this snapshot's data was summarized into.
+        """The statistics of this snapshot's relations (a read-through view).
 
         Reading schemas and statistics from one snapshot object is what
         lets the plan phase run without the execution lock: a plan-cache
@@ -169,12 +172,13 @@ class DatabaseSnapshot(Mapping):
     def mutate(self, changes: Mapping[str, Relation]) -> "DatabaseSnapshot":
         """Return the successor snapshot with ``changes`` applied.
 
-        Structural sharing: the relations, versions, schemas and
-        statistics of every *untouched* name are shared with this
-        snapshot (same ``Relation`` objects, so their memoized hash
-        indexes survive the commit).  Only the entries named in
-        ``changes`` are recomputed, which keeps commit cost
-        O(touched relations) + O(#names) dictionary copies.
+        Structural sharing: the relations, versions and schemas of
+        every *untouched* name are shared with this snapshot (same
+        ``Relation`` objects, so their memoized hash indexes and
+        statistics survive the commit).  Nothing is summarized here: the
+        successor's catalog is a view that computes a touched relation's
+        statistics when the plan phase first reads them.  Commit cost is
+        the touched relations plus O(#names) dictionary copies.
         """
         if not changes:
             return self
@@ -184,20 +188,19 @@ class DatabaseSnapshot(Mapping):
         successor._relations = {**self._relations, **changes}
         successor._versions = dict(self._versions)
         successor._schemas = dict(self._schemas)
-        successor._catalog = self._catalog.copy()
+        successor._catalog = StatisticsCatalog(successor._relations)
         successor._derived = {}
         for name, relation in changes.items():
             relation._freeze()
             successor._versions[name] = successor.version
             successor._schemas[name] = relation.columns
-            successor._catalog.refresh(name, relation)
         return successor
 
     def relabeled(self, graph_name: str) -> "DatabaseSnapshot":
         """This snapshot's content under another graph name.
 
-        Shares everything (relations, versions, schemas, statistics)
-        with this snapshot; only the label differs.  Used when an
+        Shares everything (relations, versions, schemas, the statistics
+        view) with this snapshot; only the label differs.  Used when an
         existing snapshot is attached to a session under a new name.
         """
         if graph_name == self.graph_name:

@@ -17,6 +17,7 @@ from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Fixpoint, Literal, Term
 from ..data.relation import Relation
 from ..data.snapshot import adopt_database, database_schemas
+from ..data.stats import StatisticsCatalog
 from ..errors import PlanSelectionError, ReproError
 from ..obs import tracing
 from .cluster import SparkCluster
@@ -139,6 +140,7 @@ class DistributedQueryExecutor:
         """
         from ..cost.cardinality import CardinalityEstimator
         try:
-            return CardinalityEstimator(self.database).cardinality(fixpoint)
+            return CardinalityEstimator(
+                StatisticsCatalog(self.database)).cardinality(fixpoint)
         except ReproError:
             return None

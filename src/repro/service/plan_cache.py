@@ -58,6 +58,9 @@ class PlanKey:
     term_key: str
     #: ``(name, columns, StatisticsCatalog.signature(name))`` of every
     #: relation the query reads: what explore and rank read of them.
+    #: A signature reads the statistics memoized on the relation, so a
+    #: relation is summarized at the first key built over it, not at
+    #: the commit that made it.
     statistics: tuple
     config: tuple
     #: Name of the graph the snapshot belongs to, so two graphs whose

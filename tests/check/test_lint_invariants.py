@@ -57,10 +57,27 @@ def payload(relation, graph):
 '''
 
 
-def lint(tmp_path: Path, relative: str, source: str) -> list[str]:
+#: One name per ``RETIRED_NAMES`` entry, in the table's order.
+RETIRED = (
+    "backend = ThreadExecutor(4)",
+    "from repro.distributed.plans import PPLW_POSTGRES",
+    "metrics = ServiceMetrics()",
+    "Session(graph, plan_cache_size=8)",
+    "term = optimizer.optimize(term)",
+    "bind = DriverBind(fixpoint)",
+    "snapshot.catalog.refresh(name, relation)",
+)
+
+
+def load_tool():
     spec = importlib.util.spec_from_file_location("lint_invariants", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def lint(tmp_path: Path, relative: str, source: str) -> list[str]:
+    tool = load_tool()
     path = tmp_path / relative
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source, encoding="utf-8")
@@ -110,3 +127,19 @@ def test_inv007_flags_an_inline_canonical_sort(tmp_path):
 def test_inv007_allows_the_owner_and_other_sorts(tmp_path):
     assert lint(tmp_path, "src/repro/net/server.py", READING) == []
     assert lint(tmp_path, "src/repro/data/relation.py", SORTING) == []
+
+
+def test_inv008_flags_one_name_of_every_retired_design(tmp_path):
+    table = load_tool().RETIRED_NAMES
+    assert len(RETIRED) == len(table)
+    for planted, (simplification, _) in zip(RETIRED, table):
+        source = f"# {simplification}\n{planted}\n"
+        assert lint(tmp_path, "examples/tour.py", source) == ["INV008"], \
+            planted
+
+
+def test_inv008_spares_the_table_itself():
+    tool = load_tool()
+    findings = tool._Findings()
+    tool.lint_file(TOOL, findings)
+    assert findings.items == []

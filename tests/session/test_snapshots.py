@@ -95,8 +95,29 @@ class TestSnapshotType:
         new = session.snapshot()
         assert new.catalog.get("knows").cardinality == before + 1
         assert old.catalog.get("knows").cardinality == before
-        # Untouched statistics objects are shared (copy-on-write catalog).
+        # Untouched relations are shared, and so are their statistics.
         assert new.catalog.get("livesIn") is old.catalog.get("livesIn")
+
+    def test_a_commit_summarizes_nothing(self, session, monkeypatch):
+        """Statistics are computed when the plan phase first reads them,
+        for the relations the plan reads: a commit summarizes neither
+        the relations it touched nor ``facts``."""
+        summarized = []
+        column_values = Relation.column_values
+
+        def counting(relation, column):
+            summarized.append(relation)
+            return column_values(relation, column)
+
+        monkeypatch.setattr(Relation, "column_values", counting)
+        session.add_edges("knows", [("dave", "erin")])
+        assert summarized == []
+        snapshot = session.snapshot()
+        assert "facts" in snapshot
+        session.ucrpq(KNOWS).plan()
+        assert summarized
+        assert {name for name, relation in snapshot.items()
+                if any(relation is seen for seen in summarized)} == {"knows"}
 
 
     def test_successor_keeps_no_relation_it_replaced(self, session):

@@ -7,7 +7,8 @@ catch its violation only when the bad path actually runs.  INV004 keeps
 the semi-naive loop from being written out a second time, INV005 does
 the same for the row interpreter, INV006 keeps task bodies from
 encoding against a dictionary nobody else shares, INV007 keeps the
-canonical row order in the one place that computes it once:
+canonical row order in the one place that computes it once, INV008
+keeps deleted designs deleted:
 
 INV001  ``Relation`` internals (``_columns`` / ``_rows``) are assigned
         only inside ``src/repro/data/`` (the owning package) and
@@ -40,23 +41,74 @@ INV007  No ``sorted(<x>.rows, key=repr)`` (or ``._rows``) under
         order belongs to ``Relation.sorted_rows()``, which memoizes it
         on the (immutable, cache-shared) relation; an inline sort pays
         it again on every call.
+INV008  No name from ``RETIRED_NAMES`` anywhere in a file's text
+        (comments and strings included), outside this module.  Each
+        entry lists the names of one deleted design next to the
+        simplification that deleted it; a match is that design coming
+        back.
 
 Usage::
 
-    python tools/lint_invariants.py src/ [more paths...]
+    python tools/lint_invariants.py [paths...]
 
-Exits 0 when clean, 1 with one ``path:line: [INVxxx] message`` per
-finding otherwise.  Stdlib only; runs as a CI step next to ruff.
+Without paths it lints ``DEFAULT_SCOPE`` (``src``, ``examples``,
+``benchmarks/bench_*.py`` and ``tools`` of this repository).  Exits 0
+when clean, 1 with one ``path:line: [INVxxx] message`` per finding
+otherwise.  Stdlib only; runs as a CI step next to ruff.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 #: Attributes of Relation that only its owning package may assign.
 RELATION_INTERNALS = frozenset({"_columns", "_rows"})
+
+ROOT = Path(__file__).resolve().parents[1]
+#: What is linted when no path is given, relative to the repository root
+#: (the tests, which plant violations on purpose, are left out).
+DEFAULT_SCOPE = ("src", "examples", "benchmarks/bench_*.py", "tools")
+
+#: INV008: ``(simplification, pattern)`` — the names each deleted design
+#: went by, as one regular expression matched against every line.
+RETIRED_NAMES: tuple[tuple[str, str], ...] = (
+    ("one task path: no executor backends, pickling or trace handoff",
+     r"ThreadExecutor|ProcessExecutor|EXECUTOR_BACKENDS|make_executor"
+     r"|cloudpickle|TraceHandoff|current_handoff|run_traced_task"
+     r"|report_unpicklable_task|executor="),
+    ("one Pplw plan: no PostgreSQL variant, memory heuristic or plan "
+     "generator",
+     r"PPLW_POSTGRES|plw-postgres|ParallelLocalLoopsPostgres"
+     r"|ParallelLocalLoopsSpark|tuples_marshalled|memory_per_task"
+     r"|MEMORY_PER_TASK|fixpoint_to_sql|local_engine"
+     r"|PhysicalPlanGenerator|SetRDD"),
+    ("one metrics store: no serving accumulator beside the registry",
+     r"ServiceMetrics|MetricsSnapshot|CacheStats|DEFAULT_SAMPLE_CAPACITY"
+     r"|served_by_graph"),
+    ("one configuration: no option that only tests set, no second async "
+     "path",
+     r"plan_cache_size=|result_cache_size=|configure_caches|submit_action"
+     r"|stream_batch_size|continuation_capacity|continuation_ttl"
+     r"|shuffle_latency=|shuffle_cost_per_tuple=|max_rounds="
+     r"|max_iterations=|\.submit\(\)"),
+    ("one plan phase: no plan write-back, second optimizer or unused "
+     "front-end switch",
+     r"with_strategies|use_magic|use_inverse_relations|\.optimize\("
+     r"|def optimize\("),
+    ("one fixpoint bind: no plan-side bind, task re-bind or evaluator "
+     "join special case",
+     r"DriverBind|LocalLoopOutcome|_bind_rows|_freeze_operands"
+     r"|_seed_program|_warm_index|_constant_sides|record_index_event"),
+    ("statistics belong to the relation: no copy-on-write statistics "
+     "catalog or estimator staleness check",
+     r"register_stats|_estimates_version|catalog\.refresh\("
+     r"|catalog\.invalidate\(|catalog\.copy\("),
+)
+_RETIRED = [(simplification, re.compile(pattern))
+            for simplification, pattern in RETIRED_NAMES]
 
 
 def _is_relation_dir(path: Path) -> bool:
@@ -226,9 +278,25 @@ def _check_canonical_order(tree: ast.AST, path: Path,
                          "canonical order once per relation")
 
 
+def _check_retired_names(source: str, path: Path,
+                         findings: _Findings) -> None:
+    """INV008: no deleted design's names come back."""
+    if path.resolve() == Path(__file__).resolve():
+        return
+    for line_number, line in enumerate(source.splitlines(), start=1):
+        for simplification, pattern in _RETIRED:
+            match = pattern.search(line)
+            if match:
+                findings.add(path, line_number, "INV008",
+                             f"retired name {match.group()!r} "
+                             f"({simplification})")
+
+
 def lint_file(path: Path, findings: _Findings) -> None:
+    source = path.read_text(encoding="utf-8")
+    _check_retired_names(source, path, findings)
     try:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tree = ast.parse(source, filename=str(path))
     except SyntaxError as error:
         findings.add(path, error.lineno or 0, "INV000",
                      f"syntax error: {error.msg}")
@@ -242,7 +310,8 @@ def lint_file(path: Path, findings: _Findings) -> None:
 
 
 def main(argv: list[str]) -> int:
-    roots = [Path(arg) for arg in argv] or [Path("src")]
+    roots = [Path(arg) for arg in argv] or [
+        path for pattern in DEFAULT_SCOPE for path in sorted(ROOT.glob(pattern))]
     findings = _Findings()
     count = 0
     for root in roots:
