@@ -47,8 +47,12 @@ class CostModel:
 
     def __init__(self, catalog: StatisticsCatalog | None = None,
                  estimator: CardinalityEstimator | None = None):
-        self.estimator = estimator if estimator is not None \
-            else CardinalityEstimator(catalog)
+        if estimator is None:
+            if catalog is None:
+                raise CostEstimationError(
+                    "the cost model needs a statistics catalog or an estimator")
+            estimator = CardinalityEstimator(catalog)
+        self.estimator = estimator
 
     # -- Public API -----------------------------------------------------------
 

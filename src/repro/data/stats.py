@@ -43,6 +43,12 @@ class RelationStats:
                 cardinality=len(relation), distinct_values=distinct)
         return stats
 
+    @staticmethod
+    def summarized(relation: Relation) -> bool:
+        """Whether :meth:`of` has summarized ``relation`` already; a read
+        that never summarizes."""
+        return relation._stats_cache is not None
+
     def distinct(self, column: str) -> int:
         """Distinct-value count of ``column`` (at least 1 to avoid div-by-zero)."""
         return max(1, self.distinct_values.get(column, 1))

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING
 
 from ..algebra.terms import Term
 from ..check.sanitizer import ordered_lock
+from ..data.stats import RelationStats
 from ..distributed.physical import check_strategy
 from ..errors import TranslationError
 from ..obs.metrics import get_registry
@@ -388,10 +389,11 @@ class Query:
         A lookup-only probe of the session's head: it never parses,
         plans or executes.  It answers ``None`` unless the handle was
         built from text whose front end is memoized, its labels are all
-        in the head, and both the plan and the result of that head are
-        cached (with both caches and the optimizer on).  Bindings of a
-        prepared template never answer here.  Only a full hit is
-        counted, as one plan hit and one result hit, exactly as
+        in the head, the relations it reads are summarized already (it
+        never computes statistics), and both the plan and the result of
+        that head are cached (with both caches and the optimizer on).
+        Bindings of a prepared template never answer here.  Only a full
+        hit is counted, as one plan hit and one result hit, exactly as
         :meth:`run_once` counts it; a miss leaves the handle and every
         counter as they were.  A hit leaves the handle's term set, as
         :meth:`run_once` would, so :attr:`cache_key` pins nothing.
@@ -407,6 +409,12 @@ class Query:
             return None
         snapshot = session.snapshot()
         if any(label not in snapshot for label in entry.labels):
+            return None
+        # A relation no plan key has read since a commit replaced it is
+        # summarized by a worker, under admission control, not here.
+        _, dependencies = session.plan_cache.term_facts(entry.term)
+        if not all(RelationStats.summarized(snapshot[name])
+                   for name in dependencies if name in snapshot):
             return None
         effective = self._effective(strategy)
         plan = session.plan_cache.get(

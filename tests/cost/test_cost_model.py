@@ -12,6 +12,7 @@ from repro.cost import (CardinalityEstimator, CostModel, rank_plans,
 from repro.cost.selection import RankedPlan
 from repro.data import Eq, Relation
 from repro.data.stats import StatisticsCatalog
+from repro.errors import CostEstimationError
 from repro.datasets import uniprot_graph, yago_like_graph
 from repro.query import parse_query, translate_query
 from repro.rewriter import explore_plans
@@ -73,6 +74,12 @@ class TestCardinalityEstimator:
 
 
 class TestCostModel:
+    def test_requires_statistics(self):
+        with pytest.raises(CostEstimationError):
+            CostModel()
+        with pytest.raises(CostEstimationError):
+            rank_plans([RelVar("knows")])
+
     def test_cost_is_positive_and_monotone_in_operators(self, catalog):
         model = CostModel(catalog)
         scan = model.cost(RelVar("knows"))

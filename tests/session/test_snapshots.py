@@ -119,6 +119,25 @@ class TestSnapshotType:
         assert {name for name, relation in snapshot.items()
                 if any(relation is seen for seen in summarized)} == {"knows"}
 
+    def test_the_cache_probe_leaves_a_new_relation_to_the_plan_phase(
+            self, session, monkeypatch):
+        """The lookup-only probe runs ahead of admission: a relation a
+        commit replaced is summarized by the next plan, not by it."""
+        session.ucrpq(KNOWS).collect()
+        session.add_edges("knows", [("dave", "erin")])
+        summarized = []
+        column_values = Relation.column_values
+
+        def counting(relation, column):
+            summarized.append(relation)
+            return column_values(relation, column)
+
+        monkeypatch.setattr(Relation, "column_values", counting)
+        assert session.ucrpq(KNOWS).cached_result() is None
+        assert summarized == []
+        served = session.ucrpq(KNOWS).collect()
+        assert summarized
+        assert session.ucrpq(KNOWS).cached_result().relation is served.relation
 
     def test_successor_keeps_no_relation_it_replaced(self, session):
         """A commit holds the new head only: the relations it replaced
