@@ -84,7 +84,7 @@ def semi_naive(step: Callable, accumulator, frontier, *, var: str,
     """
     iterations = 0
     # Hoisted once: when tracing is off the loop pays one local bool check
-    # per iteration (bench_obs_overhead.py holds this to <= 5%).
+    # per iteration (the end-to-end benchmark's untraced metrics hold it).
     traced = tracing.tracing_enabled()
     while len(frontier):
         iterations += 1

@@ -2,8 +2,8 @@
 
 from .harness import (BIG_DATALOG, DIST_MU_RA, FAILED, GRAPHX, OK, UNSUPPORTED,
                       MeasuredRun, run_bigdatalog, run_distmura, run_graphx)
-from .reporting import (comparison_table, latency_table, render_table,
-                        series_table, speedup_summary)
+from .reporting import (comparison_table, render_table, series_table,
+                        speedup_summary)
 
 __all__ = [
     "BIG_DATALOG",
@@ -14,7 +14,6 @@ __all__ = [
     "OK",
     "UNSUPPORTED",
     "comparison_table",
-    "latency_table",
     "render_table",
     "run_bigdatalog",
     "run_distmura",

@@ -6,8 +6,7 @@ one row per query (or parameter value), one column per system, each cell a
 time or a failure cross.
 
 All tables go through one shared renderer (:func:`render_table`), so the
-figure tables, the parameter sweeps and the serving-layer latency tables
-(:func:`latency_table`, with p50/p95/p99 columns) share one format.
+figure tables and the parameter sweeps share one format.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 
-from ..percentiles import DEFAULT_PERCENTILES
-from ..percentiles import percentiles as percentiles_of
 from .harness import MeasuredRun
 
 
@@ -79,36 +76,6 @@ def series_table(points: Sequence[tuple[object, dict[str, float | str]]],
             row.append(f"{value:.3f}" if isinstance(value, float) else str(value))
         rows.append(row)
     return render_table(title, [x_label] + series_names, rows)
-
-
-def latency_table(rows: Sequence[tuple[str, Sequence[float]]], title: str,
-                  row_label: str = "series",
-                  percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-                  unit: str = "s") -> str:
-    """Format latency distributions with count/mean/percentile/max columns.
-
-    ``rows`` maps a label to its raw latency samples; percentiles are
-    fractions (0.95 renders as the ``p95`` column).  Used by the serving
-    throughput benchmark and reusable by any table reporting latency
-    spreads rather than single times.
-    """
-    fractions = tuple(percentiles)
-    header = [row_label, "count", f"mean_{unit}"]
-    header += [f"p{fraction * 100:g}_{unit}" for fraction in fractions]
-    header += [f"max_{unit}"]
-    table_rows = []
-    for label, samples in rows:
-        samples = list(samples)
-        if samples:
-            mean = sum(samples) / len(samples)
-            spread = percentiles_of(samples, fractions)
-            cells = [f"{mean:.4f}"]
-            cells += [f"{spread[fraction]:.4f}" for fraction in fractions]
-            cells += [f"{max(samples):.4f}"]
-        else:
-            cells = ["-"] * (len(fractions) + 2)
-        table_rows.append([label, str(len(samples))] + cells)
-    return render_table(title, header, table_rows)
 
 
 def speedup_summary(runs: Iterable[MeasuredRun], baseline_system: str,

@@ -39,7 +39,6 @@ from .tracing import (
     current_trace_id,
     current_tracer,
     span,
-    suspended,
     tracing_enabled,
 )
 
@@ -69,6 +68,5 @@ __all__ = [
     "set_registry",
     "span",
     "span_exporter",
-    "suspended",
     "tracing_enabled",
 ]

@@ -10,8 +10,9 @@ query's time went and what each stage observed.
 Design constraints, in order:
 
 1. **Off means free.**  Tracing is disabled by default and the disabled
-   path must stay invisible on the hot fixpoint loop
-   (``benchmarks/bench_obs_overhead.py`` asserts <= 5%).  Call sites
+   path must stay invisible on the hot fixpoint loop: the end-to-end
+   benchmark (``benchmarks/e2e/run.py``) reports every metric with the
+   tracer off, so a disabled path that costs shows there.  Call sites
    either hoist ``tracer.enabled`` into a local before a loop, or call
    :func:`span` / :func:`current_tracer` at per-query granularity where a
    single :class:`~contextvars.ContextVar` read is noise.
@@ -210,30 +211,20 @@ class Tracer:
                 f"buffered={len(self)})")
 
 
-#: The disabled singleton ambient tracer: what every call site sees until
-#: someone activates a real one.
-_DISABLED_TRACER = Tracer(enabled=False)
-
 #: Process-wide default, swapped by :func:`configure_tracing`.  Contexts
 #: (and threads, which start on fresh contexts) that never called
-#: :func:`activate` fall back to it.
-_default_tracer: Tracer = _DISABLED_TRACER
+#: :func:`activate` fall back to it: a disabled tracer, until someone
+#: configures a real one.
+_default_tracer: Tracer = Tracer(enabled=False)
 
 _active_tracer: ContextVar[Tracer | None] = ContextVar("repro_active_tracer",
                                                        default=None)
 _current_span: ContextVar[Span | None] = ContextVar("repro_current_span",
                                                     default=None)
 
-#: Benchmark escape hatch (see :func:`suspended`): when set, the ambient
-#: helpers short-circuit before the ContextVar read, giving the overhead
-#: benchmark a floor to measure the disabled path against.
-_suspended = False
-
 
 def current_tracer() -> Tracer:
     """The tracer active in this context (a disabled one by default)."""
-    if _suspended:
-        return _DISABLED_TRACER
     tracer = _active_tracer.get()
     return tracer if tracer is not None else _default_tracer
 
@@ -245,8 +236,6 @@ def tracing_enabled() -> bool:
 
 def span(name: str, **attributes: object):
     """Open a span on the ambient tracer (no-op span when disabled)."""
-    if _suspended:
-        return NOOP_SPAN
     return current_tracer().span(name, **attributes)
 
 
@@ -290,19 +279,3 @@ def configure_tracing(enabled: bool = True,
     tracer = Tracer(enabled=enabled, capacity=capacity, exporter=exporter)
     _default_tracer = tracer
     return tracer
-
-
-@contextmanager
-def suspended() -> Iterator[None]:
-    """Short-circuit even the disabled-path ContextVar reads.
-
-    This exists for one caller: ``benchmarks/bench_obs_overhead.py``
-    measures the cost of the *disabled* tracing path against this floor.
-    It is not a general off switch — it is the measurement baseline.
-    """
-    global _suspended
-    _suspended = True
-    try:
-        yield
-    finally:
-        _suspended = False

@@ -1,9 +1,9 @@
 """Percentile computation shared by the metrics registry and the reports.
 
-Kept in its own dependency-free module so both the metrics registry's
-histograms (:mod:`repro.obs.metrics`) and the benchmark reporting
-(:mod:`repro.bench.reporting`) can use one implementation without either
-package importing the other.
+Kept in its own dependency-free module so the metrics registry's
+histograms (:mod:`repro.obs.metrics`) and the end-to-end benchmark's
+reports (``benchmarks/e2e/results.py``) use one implementation without
+importing the rest of the package.
 """
 
 from __future__ import annotations

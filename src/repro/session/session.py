@@ -830,9 +830,8 @@ class Session:
 
         Builds a copy-on-write successor snapshot — the inverse relation
         ``-label`` and the ``facts`` triple table (when the graph has
-        them) are kept consistent, and the successor carries refreshed
-        statistics for the touched relations — then atomically swaps the
-        graph's head.  In-flight readers keep their pinned snapshots; the
+        them) are kept consistent; statistics wait for the plan phase —
+        then atomically swaps the graph's head.  In-flight readers keep their pinned snapshots; the
         result cache keeps the entries current at the old or the new head
         (:meth:`ResultCache.retain_after_commit`) and drops the rest.  Adding
         only already-present pairs (or an empty iterable) is a **no-op**: no

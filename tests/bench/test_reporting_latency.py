@@ -1,10 +1,10 @@
-"""Latency-percentile rendering and the shared table formatter."""
+"""Percentiles and the shared table formatter."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import comparison_table, latency_table, render_table
+from repro.bench import comparison_table, render_table
 from repro.bench.harness import MeasuredRun
 from repro.service import percentile
 
@@ -28,33 +28,6 @@ class TestPercentile:
         values = list(range(101))  # 0..100
         assert percentile(values, 0.95) == pytest.approx(95.0)
         assert percentile(values, 0.99) == pytest.approx(99.0)
-
-
-class TestLatencyTable:
-    def test_columns_and_values(self):
-        table = latency_table(
-            [("caches off", [0.1, 0.2, 0.3, 0.4]),
-             ("caches on", [0.01, 0.01])],
-            title="Service latency", row_label="mode")
-        lines = table.splitlines()
-        assert lines[0] == "Service latency"
-        header = lines[2]
-        for column in ("mode", "count", "mean_s", "p50_s", "p95_s", "p99_s",
-                       "max_s"):
-            assert column in header
-        off_row = next(line for line in lines if line.startswith("caches off"))
-        assert "4" in off_row and "0.2500" in off_row and "0.4000" in off_row
-
-    def test_custom_percentiles(self):
-        table = latency_table([("s", [1.0, 2.0])], title="T",
-                              percentiles=(0.5,), unit="ms")
-        assert "p50_ms" in table and "p95" not in table
-
-    def test_empty_samples_render_dashes(self):
-        table = latency_table([("quiet", [])], title="T")
-        row = next(line for line in table.splitlines()
-                   if line.startswith("quiet"))
-        assert "-" in row and " 0 " in f" {row} "
 
 
 class TestSharedRenderer:

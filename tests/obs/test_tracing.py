@@ -6,8 +6,9 @@ import os
 
 import pytest
 
+from repro import Session
 from repro.obs import tracing
-from repro.obs.tracing import NOOP_SPAN, SpanRecord, Tracer
+from repro.obs.tracing import NOOP_SPAN, Span, SpanRecord, Tracer
 
 
 class TestDisabledPath:
@@ -27,13 +28,29 @@ class TestDisabledPath:
         assert tracing.tracing_enabled() is False
         assert tracing.span("anything") is NOOP_SPAN
 
-    def test_suspended_short_circuits_to_the_disabled_tracer(self):
-        with tracing.activate(Tracer(enabled=True)):
-            assert tracing.tracing_enabled() is True
-            with tracing.suspended():
-                assert tracing.tracing_enabled() is False
-                assert tracing.span("anything") is NOOP_SPAN
-            assert tracing.tracing_enabled() is True
+    @pytest.mark.parametrize("action", ("execute", "hit", "commit"))
+    def test_a_disabled_pipeline_opens_no_span(self, small_labeled_graph,
+                                               monkeypatch, action):
+        """Off means every call site gets ``NOOP_SPAN``: an execution,
+        a cache hit and a commit construct no :class:`Span` at all."""
+        opened = []
+        init = Span.__init__
+
+        def counting(span, *args, **kwargs):
+            opened.append(span)
+            init(span, *args, **kwargs)
+
+        query = "?x,?y <- ?x knows+ ?y"
+        with Session(small_labeled_graph, num_workers=2) as session:
+            session.ucrpq(query).collect()
+            monkeypatch.setattr(Span, "__init__", counting)
+            if action == "execute":
+                session.ucrpq(query).run_once(use_result_cache=False)
+            elif action == "hit":
+                session.ucrpq(query).collect()
+            else:
+                session.add_edges("knows", [("dave", "erin")])
+        assert opened == []
 
 
 class TestEnabledPath:

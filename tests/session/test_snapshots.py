@@ -71,6 +71,18 @@ class TestSnapshotType:
             else:
                 # Same object, not just equal: hash indexes are shared.
                 assert new[name] is old[name]
+        # Commit cost tracks the touched relations, not the database: a
+        # one-label commit over 64 relations rebuilds that label alone.
+        rows = [(f"n{i}", f"n{i + 1}") for i in range(50)]
+        database = {f"l{index}": Relation.from_pairs(rows,
+                                                     columns=("src", "trg"))
+                    for index in range(64)}
+        with Session(database, num_workers=2) as wide:
+            old = wide.snapshot()
+            assert wide.add_edges("l0", [("c0", "c1")]) == ("l0",)
+            new = wide.snapshot()
+        assert new["l0"] is not old["l0"]
+        assert all(new[name] is old[name] for name in old if name != "l0")
 
     def test_shared_relations_keep_their_memoized_indexes(self, session):
         old = session.snapshot()
@@ -525,3 +537,25 @@ class TestLockFreedom:
         assert outcomes["result"] is True
         assert outcomes["rows"] == warm.count()
         assert "worksAt" in outcomes["touched"]
+
+    def test_cache_hits_need_no_commit_lock(self, session):
+        """Reads never wait for a writer: while another thread holds the
+        graph's commit lock, the plan phase and a result-cache hit both
+        complete."""
+        warm = session.ucrpq(KNOWS)
+        warm.collect()
+        outcomes = {}
+
+        def reader():
+            handle = session.ucrpq(KNOWS)
+            outcomes["rows"] = handle.count()
+            outcomes["plan"] = handle.last_plan_cache_hit
+            outcomes["result"] = handle.last_result_cache_hit
+
+        with session._state.commit_lock:
+            thread = threading.Thread(target=reader)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "reader blocked on the commit lock"
+        assert outcomes == {"rows": warm.count(), "plan": True,
+                            "result": True}

@@ -106,6 +106,9 @@ RETIRED_NAMES: tuple[tuple[str, str], ...] = (
      "catalog or estimator staleness check",
      r"register_stats|_estimates_version|catalog\.refresh\("
      r"|catalog\.invalidate\(|catalog\.copy\("),
+    ("one serving benchmark: no micro-benchmark beside the e2e workloads",
+     r"_suspended|tracing\.suspended|latency_table|bench_service_throughput"
+     r"|bench_net_throughput|bench_obs_overhead|BENCH_net"),
 )
 _RETIRED = [(simplification, re.compile(pattern))
             for simplification, pattern in RETIRED_NAMES]
