@@ -297,10 +297,13 @@ class Evaluator:
                                  if isinstance(node.left, Literal)
                                  else (node.right, node.left))
             relation = frozen.relation
-            broadcast_sizes.append(len(relation))
             recursive_columns = infer_schema(recursive, {}, {var: columns})
             common = tuple(c for c in recursive_columns
                            if c in relation.columns)
+            # As on the kernels: an antijoin sharing no column reads only
+            # whether its side is empty, so it ships nothing to probe.
+            if common or isinstance(node, Join):
+                broadcast_sizes.append(len(relation))
             if common:
                 indexed_ops += 1
                 builds += not relation.has_index(common)

@@ -31,6 +31,9 @@ from ..errors import AlgebraError
 class Term:
     """Base class of every mu-RA term."""
 
+    #: :func:`repro.service.plan_cache.plan_facts`' memo (not a field).
+    _plan_facts = None
+
     def children(self) -> tuple["Term", ...]:
         """Return the direct sub-terms of this node."""
         raise NotImplementedError

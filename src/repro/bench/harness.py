@@ -69,14 +69,13 @@ def run_distmura(graph: LabeledGraph, query: WorkloadQuery,
 
     Every run goes through the lazy Session pipeline (a prebuilt
     ``engine``, any :class:`Session`, or a fresh one) with the plan/result
-    caches forced off *per call* — even on a prebuilt session whose caches are enabled — so measured times always
-    include the full parse + explore + rank + execute path.
+    caches skipped *per call*, so measured times always include the full
+    parse + explore + rank + execute path.
     """
     dataset = dataset or graph.name
     owns_engine = engine is None
     engine = engine if engine is not None else Session(
-        graph, num_workers=num_workers, optimize=optimize,
-        enable_plan_cache=False, enable_result_cache=False)
+        graph, num_workers=num_workers, optimize=optimize)
     started = time.perf_counter()
     try:
         result, _, _ = query.as_query(engine).run_once(

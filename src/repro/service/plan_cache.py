@@ -16,7 +16,10 @@ queries.  The plan cache keys that work on what it reads:
   worker count, whether the optimizer runs) and the graph.
 
 A hit skips ``MuRewriter.explore`` and ``rank_plans`` entirely and goes
-straight to execution with the previously selected plan.
+straight to execution with the previously selected plan.  What the key
+reads of a term — its canonical key and the relations it reads — is
+memoized on the term itself (:func:`plan_facts`), so building the key
+of a term planned before looks nothing up.
 
 The key names no version.  A commit that leaves the statistics of a
 query's inputs where they were (an edge swapped for another of the same
@@ -30,7 +33,6 @@ hitting its entries.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -49,6 +51,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 
 #: Default number of selected plans kept.
 DEFAULT_PLAN_CACHE_SIZE = 128
+
+
+def plan_facts(term: Term) -> tuple[str, frozenset[str]]:
+    """``(cache_key(term), free_variables(term))``, once per term object.
+
+    What a plan key reads of a term: its canonical key and the relations
+    it reads.  Memoized on the (immutable) term, like
+    :meth:`~repro.data.stats.RelationStats.of` on a relation: a prepared
+    template plans one object at every binding and a text's memoized
+    front end hands out one object per text, so a served hit looks
+    nothing up for them.  Concurrent first readers race benignly to
+    equal values.
+    """
+    facts = term._plan_facts
+    if facts is None:
+        facts = (cache_key(term), free_variables(term))
+        object.__setattr__(term, "_plan_facts", facts)
+    return facts
 
 
 @dataclass(frozen=True)
@@ -75,11 +95,11 @@ class PlanKey:
 
         ``snapshot`` defaults to the engine's current head; pinned query
         handles pass their own, so they rank on the statistics they read.
-        The term's key and the relations it reads come from the plan
-        cache's per-term memo (:meth:`PlanCache.term_facts`).
+        The term's key and the relations it reads are memoized on the
+        term (:func:`plan_facts`).
         """
         snapshot = snapshot if snapshot is not None else engine.snapshot()
-        term_key, dependencies = engine.plan_cache.term_facts(term)
+        term_key, dependencies = plan_facts(term)
         schemas, catalog = snapshot.schemas, snapshot.catalog
         config = (
             strategy if strategy is not None else engine.strategy,
@@ -140,20 +160,19 @@ class CachedPlan:
 class PlanCache:
     """LRU-bounded mapping from :class:`PlanKey` to :class:`CachedPlan`.
 
-    Two memos of pure functions ride beside the plans, with the same
-    capacity, and are cleared with them: the front end of each query
-    text (:meth:`front_end`) and the key and inputs of each term object
-    (:meth:`term_facts`).  Together they make a served hit a lookup: the
-    text's memoized term is one object, so its facts memo hits too.
+    One memo of a pure function rides beside the plans, with the same
+    capacity, and is cleared with them: the front end of each query text
+    (:meth:`front_end`).  Its term is one object per text, and that
+    object carries its own key and inputs (:func:`plan_facts`), so a
+    served hit of a text is three lookups: front end, plan, result.
 
     The session counts the plan lookups' hits and misses in
     ``repro_plan_cache_total``; a plan pushed out of the ring counts
-    there as ``outcome="evicted"``.  The two memos count nothing.
+    there as ``outcome="evicted"``.  The memo counts nothing.
     """
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE):
         self._cache = LRUCache(capacity)
-        self._term_facts = LRUCache(capacity)
         self._front_ends = LRUCache(capacity)
 
     def get(self, key: PlanKey) -> CachedPlan | None:
@@ -164,21 +183,6 @@ class PlanCache:
             get_registry().counter("repro_plan_cache_total",
                                    outcome="evicted").inc()
 
-    def term_facts(self, term: Term) -> tuple[str, frozenset[str]]:
-        """``(cache_key(term), free_variables(term))``, once per term object.
-
-        The one memo of a term's key and of the relations it reads (a
-        prepared template plans one object at every binding, a text's
-        memoized front end hands out one object per text, and
-        ``Query.cache_key`` reads it too).  Keyed by identity through a
-        weak reference: no tree re-hashed, no term kept alive.
-        """
-        entry = self._term_facts.get(id(term))
-        if entry is None or entry[0]() is not term:
-            entry = (weakref.ref(term), cache_key(term), free_variables(term))
-            self._term_facts.put(id(term), entry)
-        return entry[1], entry[2]
-
     def front_end(self, text: str) -> "FrontEnd | None":
         """The memoized front end of UCRPQ ``text``, or ``None``."""
         return self._front_ends.get(text)
@@ -188,7 +192,6 @@ class PlanCache:
 
     def clear(self) -> None:
         self._cache.clear()
-        self._term_facts.clear()
         self._front_ends.clear()
 
     def __contains__(self, key: PlanKey) -> bool:

@@ -30,8 +30,7 @@ into a serving subsystem for many concurrent clients:
   code path (and therefore the exact same cache keys) as embedded use.
 * **Caching** — the session's :class:`~repro.service.plan_cache.PlanCache`
   and :class:`~repro.service.result_cache.ResultCache` (one pair per
-  attached graph), consulted as the session's ``enable_plan_cache`` /
-  ``enable_result_cache`` flags say.  Result keys are
+  attached graph), consulted on every request.  Result keys are
   snapshot-fingerprint-qualified and plan keys name the schemas and
   statistics they were computed from, so result-cache hits are served
   without the execution lock and mutations never purge anything.
@@ -528,9 +527,7 @@ class QueryService:
 
     def __repr__(self) -> str:
         return (f"QueryService(workers={len(self._workers)}, "
-                f"queue={self._queue.maxsize}, "
-                f"plan_cache={self.session.enable_plan_cache}, "
-                f"result_cache={self.session.enable_result_cache})")
+                f"queue={self._queue.maxsize})")
 
 
 def _finish(served: ServedResult, started: float,

@@ -49,7 +49,7 @@ from ..obs.metrics import get_registry
 from ..query.ast import UCRPQ
 from ..query.classes import classify_query
 from ..rewriter.normalize import canonicalize
-from ..service.plan_cache import PlanKey
+from ..service.plan_cache import PlanKey, plan_facts
 from .parameters import bind_plan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
@@ -129,6 +129,8 @@ class Query:
         #: Parameter values substituted into the selected plan (prepared).
         self._bindings = dict(bindings or {})
         self._description = description
+        #: The text's memoized front end, read once per handle.
+        self._front_end: FrontEnd | None = None
         #: Snapshot the handle reads; pinned at the first stage run.
         self._snapshot: "DatabaseSnapshot | None" = None
         # Memoized stages.
@@ -167,6 +169,12 @@ class Query:
         """Pin the session's current head on first use and return it."""
         return _pin_snapshot(self)
 
+    def _front(self) -> FrontEnd:
+        """The text's front end, read from the graph's memo once."""
+        if self._front_end is None:
+            self._front_end = self.session.front_end(self._text)
+        return self._front_end
+
     @property
     def ast(self) -> UCRPQ:
         """The parsed UCRPQ (parses on first access)."""
@@ -174,7 +182,7 @@ class Query:
             if self._given_ast is not None:
                 self._ast = self._given_ast
             elif self._text is not None:
-                self._ast = self.session.front_end(self._text).ast
+                self._ast = self._front().ast
             else:
                 raise TranslationError(
                     "this query was built from a raw mu-RA term; "
@@ -200,7 +208,7 @@ class Query:
             if self._given_term is not None:
                 self._term = self._given_term
             elif self._text is not None:
-                entry = self.session.front_end(self._text)
+                entry = self._front()
                 check_labels(entry.labels, snapshot)
                 self._term = entry.term
             else:
@@ -219,13 +227,13 @@ class Query:
     def cache_key(self) -> str:
         """Stable string identity of the query (printed canonical form).
 
-        Read from the plan cache's memo of the term's key, which a plan
+        Read from the term's own memo (:func:`plan_facts`), which a plan
         of the handle's own term has already filled.  An already
         translated term is used as is: reading :attr:`term` would pin the
         head on a served handle, which plans on the service's snapshot.
         """
         term = self._term if self._term is not _UNSET else self.term
-        return self.session.plan_cache.term_facts(term)[0]
+        return plan_facts(term)[0]
 
     @property
     def classes(self) -> frozenset[str]:
@@ -234,7 +242,7 @@ class Query:
             if self._given_classes is not None:
                 self._classes = self._given_classes
             elif self._text is not None:
-                self._classes = self.session.front_end(self._text).classes
+                self._classes = self._front().classes
             else:
                 self._classes = classify_query(self.ast)
         return self._classes
@@ -297,7 +305,7 @@ class Query:
 
     def _admission_gate(self, effective: str | None,
                         snapshot: "DatabaseSnapshot",
-                        use_cache: bool | None) -> "PlanKey | None":
+                        use_cache: bool) -> "PlanKey | None":
         """Strict-mode admission: analyze once per plan-cache fill.
 
         A cached plan proves this exact term and config were admitted
@@ -321,8 +329,6 @@ class Query:
             self._analyze_against(snapshot).raise_if_errors()
             raise
         session = self.session
-        use_cache = (session.enable_plan_cache if use_cache is None
-                     else use_cache)
         key = None
         if use_cache and session.optimize_plans:
             key = PlanKey.of(session, base, effective, snapshot=snapshot)
@@ -350,8 +356,8 @@ class Query:
         return self._results[effective]
 
     def run_once(self, strategy: str | None = None, *,
-                 use_plan_cache: bool | None = None,
-                 use_result_cache: bool | None = None,
+                 use_plan_cache: bool = True,
+                 use_result_cache: bool = True,
                  check: bool = False,
                  ) -> "tuple[QueryResult, bool | None, bool | None]":
         """One un-memoized trip through the pipeline (the serving path).
@@ -391,20 +397,20 @@ class Query:
         built from text whose front end is memoized, its labels are all
         in the head, the relations it reads are summarized already (it
         never computes statistics), and both the plan and the result of
-        that head are cached (with both caches and the optimizer on).
+        that head are cached (with the optimizer on).
         Bindings of a prepared template never answer here.  Only a full
         hit is counted, as one plan hit and one result hit, exactly as
         :meth:`run_once` counts it; a miss leaves the handle and every
-        counter as they were.  A hit leaves the handle's term set, as
-        :meth:`run_once` would, so :attr:`cache_key` pins nothing.
+        counter as they were.  A hit leaves the handle's front end and term
+        set, as :meth:`run_once` would, so :attr:`cache_key` pins nothing.
+        A served hit is three lookups (front end, plan, result): the
+        term carries its own key and inputs (:func:`plan_facts`).
         """
         session = self.session
         if self._text is None or self._plan_term is not None \
-                or not (session.enable_plan_cache
-                        and session.enable_result_cache
-                        and session.optimize_plans):
+                or not session.optimize_plans:
             return None
-        entry = session.plan_cache.front_end(self._text)
+        entry = self._front_end or session.plan_cache.front_end(self._text)
         if entry is None:
             return None
         snapshot = session.snapshot()
@@ -412,7 +418,7 @@ class Query:
             return None
         # A relation no plan key has read since a commit replaced it is
         # summarized by a worker, under admission control, not here.
-        _, dependencies = session.plan_cache.term_facts(entry.term)
+        _, dependencies = plan_facts(entry.term)
         if not all(RelationStats.summarized(snapshot[name])
                    for name in dependencies if name in snapshot):
             return None
@@ -428,18 +434,18 @@ class Query:
         registry = get_registry()
         registry.counter("repro_plan_cache_total", outcome="hit").inc()
         registry.counter("repro_result_cache_total", outcome="hit").inc()
+        self._front_end = entry
         if self._term is _UNSET:
             self._term = entry.term
         return result.as_of(snapshot.version)
 
-    def explain_analyze(self, strategy: str | None = None, *,
-                        use_plan_cache: bool | None = None,
-                        use_result_cache: bool | None = None):
+    def explain_analyze(self, strategy: str | None = None):
         """Execute once under tracing and return the annotated span tree.
 
         Unlike :meth:`explain` (which only plans), this *runs* the query
         — one un-memoized trip against the current head snapshot, like
-        :meth:`run_once` — inside a private, enabled tracer, and returns
+        :meth:`run_once`, through both caches (a result hit executes
+        nothing) — inside a private, enabled tracer, and returns
         an :class:`~repro.obs.explain.ExplainAnalyzeReport`: per-stage
         wall time, plan/result cache outcomes, per-fixpoint-iteration
         delta and accumulated cardinalities, and the estimate-vs-actual
@@ -464,11 +470,9 @@ class Query:
                         self.ast  # noqa: B018 - forces the parse stage
                 with tracing.span("query.translate"):
                     self._term_with(snapshot)
-                plan, _ = self._plan_for(effective, use_cache=use_plan_cache,
-                                         snapshot=snapshot)
+                plan, _ = self._plan_for(effective, snapshot=snapshot)
                 result, _ = self.session.execute_plan(
-                    plan, effective, self.classes,
-                    use_result_cache=use_result_cache, snapshot=snapshot)
+                    plan, effective, self.classes, snapshot=snapshot)
         return ExplainAnalyzeReport(query_text=self.describe(),
                                     result=result,
                                     records=tracer.records())
@@ -550,7 +554,7 @@ class Query:
         return self._plans[effective]
 
     def _plan_for(self, effective: str | None,
-                  use_cache: bool | None = None,
+                  use_cache: bool = True,
                   snapshot: "DatabaseSnapshot | None" = None,
                   key: "PlanKey | None" = None) -> tuple:
         """Resolve ``(plan, cache_hit)`` through the session.

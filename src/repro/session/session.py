@@ -262,9 +262,9 @@ class Session:
     plan cache (rewriter + cost-ranking decisions) and the result cache
     (whole memoized executions); shared across graphs, the cluster, the
     rewriter and the execution lock that serializes physical cluster
-    use.  ``enable_plan_cache`` / ``enable_result_cache`` set the
-    session-wide defaults; callers (the serving layer, individual
-    actions) can override per call.
+    use.  Both caches are always on; a call that must pay the whole
+    pipeline skips them itself (``Query.run_once(use_plan_cache=False,
+    use_result_cache=False)``).
     """
 
     def __init__(self, data: "LabeledGraph | Mapping[str, Relation] | DatabaseSnapshot",
@@ -272,8 +272,6 @@ class Session:
                  optimize: bool = True,
                  strategy: str = AUTO,
                  *,
-                 enable_plan_cache: bool = True,
-                 enable_result_cache: bool = True,
                  view_maintenance: str = "off"):
         # Compatibility shim: commits invalidate and nothing maintains, so
         # "off" is the keyword's only value.  ROADMAP item 1(c)'s
@@ -285,8 +283,6 @@ class Session:
         self.optimize_plans = optimize
         self.strategy = check_strategy(strategy)
         self.rewriter = MuRewriter()
-        self.enable_plan_cache = enable_plan_cache
-        self.enable_result_cache = enable_result_cache
         #: Serializes physical cluster executions: the cluster's task
         #: waves and metrics are single-caller by design.  The plan
         #: phase, result-cache hits and mutations all run outside it.
@@ -601,14 +597,14 @@ class Session:
                                                      snapshot.schemas))
 
     def resolve_plan(self, term: Term, strategy: str | None = None, *,
-                     use_cache: bool | None = None,
+                     use_cache: bool = True,
                      snapshot: DatabaseSnapshot | None = None,
                      key: PlanKey | None = None,
                      ) -> tuple[CachedPlan, bool | None, PlanKey | None]:
         """The plan phase: cache lookup, or select and store.
 
         Returns ``(plan, cache_hit, key)``.  ``cache_hit`` and ``key`` are
-        ``None`` when the cache was not consulted (caching disabled, or
+        ``None`` when the cache was not consulted (``use_cache=False``, or
         the optimizer is off and the term is used as-is).  This method is
         the single plan path for every front-end and for the serving
         layer, so their cache keys agree by construction, and the plan
@@ -621,7 +617,6 @@ class Session:
         snapshot = snapshot if snapshot is not None else self.snapshot()
         if not self.optimize_plans:
             return self._select(term, snapshot, optimize=False), None, None
-        use_cache = self.enable_plan_cache if use_cache is None else use_cache
         with tracing.span("session.resolve_plan",
                           graph=snapshot.graph_name) as plan_span:
             if use_cache:
@@ -654,7 +649,7 @@ class Session:
 
     def execute_plan(self, plan: CachedPlan, strategy: str | None = None,
                      classes: frozenset[str] = frozenset(), *,
-                     use_result_cache: bool | None = None,
+                     use_result_cache: bool = True,
                      plan_key: PlanKey | None = None,
                      snapshot: DatabaseSnapshot | None = None,
                      ) -> tuple[QueryResult, bool | None]:
@@ -671,13 +666,11 @@ class Session:
         a compatibility shim that ROADMAP item 1's benchmark change retires.
         """
         snapshot = snapshot if snapshot is not None else self.snapshot()
-        use_cache = (self.enable_result_cache if use_result_cache is None
-                     else use_result_cache)
         effective = strategy if strategy is not None else self.strategy
         with tracing.span("session.execute_plan", strategy=effective,
                           columnar=columnar_enabled(),
                           graph=snapshot.graph_name) as exec_span:
-            if use_cache:
+            if use_result_cache:
                 result_key = self.result_key(plan, effective, snapshot)
                 cached = self.result_cache.lookup(result_key)
                 if cached is not None:
@@ -699,15 +692,15 @@ class Session:
             # re-execution did not (plan count, estimated selection cost).
             result.plans_explored = plan.plans_explored
             result.estimated_cost = plan.cost
-            if use_cache:
+            if use_result_cache:
                 get_registry().counter("repro_result_cache_total",
                                        outcome="miss").inc()
                 self.result_cache.store(result_key, result)
             if exec_span.enabled:
-                if use_cache:
+                if use_result_cache:
                     exec_span.set_attribute("result_cache_hit", False)
                 exec_span.set_attribute("rows", len(result.relation))
-            return result, (False if use_cache else None)
+            return result, (False if use_result_cache else None)
 
     def result_key(self, plan: CachedPlan, strategy: str | None,
                    snapshot: DatabaseSnapshot) -> ResultKey:
@@ -914,8 +907,7 @@ class Session:
                           graph=state.name, version=successor.version,
                           relations=sorted(changes))
                 # Under the commit lock, so the next writer sees a settled
-                # cache.  The session-level ``enable_result_cache`` flag is
-                # not consulted: the serving layer opts in per call.
+                # cache.
                 state.result_cache.retain_after_commit(head, successor)
             return tuple(changes)
 
@@ -1011,7 +1003,7 @@ class _SessionView(Session):
     A view owns only its scope (which graph it addresses, and — for read
     views — the snapshot it is pinned to); *every other attribute read
     falls through to the root session live*, so configuration changed on
-    the root after the view was created (strategy, cache flags) is
+    the root after the view was created (strategy, optimizer) is
     always observed.  Views are what :meth:`Session.graph` and
     :meth:`Session.read_view` return.
     """

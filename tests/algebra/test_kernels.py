@@ -329,18 +329,24 @@ SHAPES = {
 }
 
 
-def drive(fixpoint, database, engine="columnar"):
+def bind_shape(fixpoint, database, engine="columnar"):
     """Bind ``fixpoint``'s step with a private program cache and
-    evaluator, then run it through ``run_fixpoint``; a snapshot supplies
-    its own dictionary."""
+    evaluator; returns the bind, its seed and the evaluator's dictionary
+    (a snapshot supplies its own)."""
     evaluator = Evaluator(database, kernel_cache=KernelProgramCache())
     decomposition = decompose(fixpoint)
     seed = evaluator.evaluate(decomposition.constant_part)
     with row_mode() if engine == "row" else nullcontext():
         bind = evaluator.bind_step(fixpoint.var, decomposition.variable_part,
                                    seed.columns, evaluator.evaluate_constant)
-        return run_fixpoint(bind, seed, evaluator.dictionary, 100,
-                            "did not converge")
+    return bind, seed, evaluator.dictionary
+
+
+def drive(fixpoint, database, engine="columnar"):
+    """Bind ``fixpoint``'s step, then run it through ``run_fixpoint``."""
+    bind, seed, dictionary = bind_shape(fixpoint, database, engine)
+    with row_mode() if engine == "row" else nullcontext():
+        return run_fixpoint(bind, seed, dictionary, 100, "did not converge")
 
 
 def fresh_shapes_database():
@@ -365,6 +371,12 @@ class TestEveryAcceptedShape:
                 columnar.index_builds, columnar.index_reuses,
                 columnar.probes) == (row.iterations, *counters[1:]) \
             == counters
+        # A broadcast per join, and per antijoin that probes its side.
+        broadcasts = [
+            sorted(bind_shape(fixpoint, fresh_shapes_database(),
+                              engine)[0].broadcast_sizes)
+            for engine in ("columnar", "row")]
+        assert broadcasts[0] == broadcasts[1]
 
     def test_a_constant_under_a_union_is_returned_as_it_is_bound(self):
         """``decompose`` moves such a branch to the constant part, so

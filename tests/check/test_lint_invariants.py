@@ -67,6 +67,7 @@ RETIRED = (
     "bind = DriverBind(fixpoint)",
     "snapshot.catalog.refresh(name, relation)",
     "(RESULTS_DIR / \"BENCH_net.json\").write_text(report)",
+    "Session(graph, enable_result_cache=False)",
 )
 
 

@@ -58,8 +58,9 @@ class TestTree:
         assert "ms)" in text or "us)" in text
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def session():
+    """A fresh session per test: its first EXPLAIN ANALYZE executes."""
     graph = LabeledGraph(name="explain-kg")
     graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(8)]
                     + [("n0", "livesIn", "lyon")])
@@ -69,8 +70,7 @@ def session():
 
 class TestExplainAnalyze:
     def test_recursive_query_shows_iterations_and_drift(self, session):
-        report = session.ucrpq(TC_QUERY).explain_analyze(
-            use_result_cache=False)
+        report = session.ucrpq(TC_QUERY).explain_analyze()
         assert isinstance(report, ExplainAnalyzeReport)
         # The acceptance criterion: per-fixpoint-iteration spans with
         # observed cardinalities, plus estimate-vs-actual drift.
@@ -91,10 +91,10 @@ class TestExplainAnalyze:
         graph = LabeledGraph(name="explain-operands")
         graph.add_edges([(f"n{i}", "knows", f"n{i + 1}") for i in range(8)])
         with Session(graph, num_workers=2) as fresh:
-            cold, warm = (
-                fresh.ucrpq(TC_QUERY).explain_analyze(
-                    use_result_cache=False).fixpoints[0]
-                for _ in range(2))
+            cold = fresh.ucrpq(TC_QUERY).explain_analyze().fixpoints[0]
+            # Forget the answer, not the snapshot: the query runs again.
+            fresh.result_cache.clear()
+            warm = fresh.ucrpq(TC_QUERY).explain_analyze().fixpoints[0]
         assert cold.attribute("operands") == warm.attribute("operands") == 1
         assert cold.attribute("operand_rows") \
             == warm.attribute("operand_rows") == 8
@@ -104,8 +104,7 @@ class TestExplainAnalyze:
         assert warm.attribute("operands_evaluated") == 0
 
     def test_single_root_covering_every_stage(self, session):
-        report = session.ucrpq(TC_QUERY).explain_analyze(
-            use_result_cache=False)
+        report = session.ucrpq(TC_QUERY).explain_analyze()
         assert len(report.roots) == 1
         root = report.roots[0]
         assert root.name == explain.QUERY
@@ -133,17 +132,8 @@ class TestExplainAnalyze:
         assert "dropped by Fcond: 0" in str(replanned)
         assert "dropped by Fcond" not in str(hot)
 
-    def test_caches_can_be_bypassed(self, session):
-        session.ucrpq(TC_QUERY).collect()  # ensure both caches are warm
-        report = session.ucrpq(TC_QUERY).explain_analyze(
-            use_plan_cache=False, use_result_cache=False)
-        assert report.plan_cache_hit is None
-        assert report.result_cache_hit is None
-        assert report.iterations  # really re-executed
-
     def test_render_contains_summary_and_tree(self, session):
-        report = session.ucrpq(TC_QUERY).explain_analyze(
-            use_result_cache=False)
+        report = session.ucrpq(TC_QUERY).explain_analyze()
         text = str(report)
         assert text.startswith(f"EXPLAIN ANALYZE  {TC_QUERY}")
         assert f"rows: {report.actual_rows}" in text

@@ -193,9 +193,9 @@ class TestPipelinePublication:
         assert snapshot['repro_tasks_launched_total{graph="default"}'] >= 1
 
     def test_cache_off_publishes_nothing_for_that_cache(self, registry):
-        with Session(_chain_graph(), num_workers=2,
-                     enable_plan_cache=False) as session:
-            session.ucrpq("?x,?y <- ?x knows ?y").collect()
+        with Session(_chain_graph(), num_workers=2) as session:
+            session.ucrpq("?x,?y <- ?x knows ?y").run_once(
+                use_plan_cache=False)
         snapshot = registry.snapshot()
         assert not any(key.startswith("repro_plan_cache_total")
                        for key in snapshot)

@@ -25,9 +25,6 @@ from repro.query.translate import translate_query
 from repro.rewriter.engine import MuRewriter
 from repro.rewriter.normalize import cache_key, canonicalize
 
-#: Both session caches off: every call plans and executes from scratch.
-UNCACHED = {"enable_plan_cache": False, "enable_result_cache": False}
-
 QUERIES = (
     "?x,?y <- ?x knows+ ?y",
     "?x <- ?x livesIn/isLocatedIn+ europe",
@@ -90,8 +87,8 @@ def test_cache_key_stable_across_sessions(small_labeled_graph, query_text):
     erase that difference — it is what makes the serving layer's plan
     cache shareable across sessions.
     """
-    first_session = Session(small_labeled_graph, **UNCACHED)
-    second_session = Session(small_labeled_graph, **UNCACHED)
+    first_session = Session(small_labeled_graph)
+    second_session = Session(small_labeled_graph)
     first_term = first_session.translate(parse_query(query_text))
     second_term = second_session.translate(parse_query(query_text))
     # The raw terms genuinely differ (fresh names) ...
@@ -103,7 +100,7 @@ def test_cache_key_stable_across_sessions(small_labeled_graph, query_text):
 
 
 def test_cache_key_distinguishes_different_queries(small_labeled_graph):
-    engine = Session(small_labeled_graph, **UNCACHED)
+    engine = Session(small_labeled_graph)
     knows = engine.translate(parse_query("?x,?y <- ?x knows+ ?y"))
     works = engine.translate(parse_query("?x,?y <- ?x worksAt+ ?y"))
     assert cache_key(knows) != cache_key(works)
@@ -111,7 +108,7 @@ def test_cache_key_distinguishes_different_queries(small_labeled_graph):
 
 def test_cache_key_invariant_under_repeated_translation(small_labeled_graph):
     """Translating the same query many times never fragments the key."""
-    engine = Session(small_labeled_graph, **UNCACHED)
+    engine = Session(small_labeled_graph)
     text = "?x,?y <- ?x knows+/livesIn ?y"
     keys = {cache_key(engine.translate(parse_query(text))) for _ in range(5)}
     assert len(keys) == 1
@@ -119,7 +116,7 @@ def test_cache_key_invariant_under_repeated_translation(small_labeled_graph):
 
 def test_session_executes_any_explored_plan(small_labeled_graph, rewriter):
     """Exploration output is executable end to end, not only comparable."""
-    engine = Session(small_labeled_graph, optimize=False, **UNCACHED)
+    engine = Session(small_labeled_graph, optimize=False)
     database = small_labeled_graph.relations()
     term, plans = explored_plans(rewriter, database, QUERIES[0])
     reference = evaluate(term, database)

@@ -16,10 +16,6 @@ from repro.algebra.variables import free_variables
 QUERY = "?x,?y <- ?x knows+ ?y"
 
 
-#: Both session caches off: every call plans and executes from scratch.
-UNCACHED = {"enable_plan_cache": False, "enable_result_cache": False}
-
-
 def make_key(engine, text, strategy=None):
     term = engine.translate(parse_query(text))
     return PlanKey.of(engine, term, strategy), term
@@ -63,7 +59,7 @@ class TestPlanCache:
                                              registry):
         """The registry is the one count of plan lookups: the session
         counts each outcome there, and the cache keeps no second copy."""
-        engine = Session(small_labeled_graph, **UNCACHED)
+        engine = Session(small_labeled_graph)
         cache = PlanCache(capacity=8)
         key, term = make_key(engine, QUERY)
         assert cache.get(key) is None
@@ -81,7 +77,7 @@ class TestPlanCache:
             registry.render_prometheus()
 
     def test_key_depends_on_strategy_and_versions(self, small_labeled_graph):
-        engine = Session(small_labeled_graph, **UNCACHED)
+        engine = Session(small_labeled_graph)
         key_auto, _ = make_key(engine, QUERY)
         key_pgld, _ = make_key(engine, QUERY, strategy="pgld")
         assert key_auto != key_pgld
@@ -96,14 +92,14 @@ class TestPlanCache:
 
     def test_same_query_twice_shares_one_key(self, small_labeled_graph):
         """Fresh generated names must not fragment the cache."""
-        engine = Session(small_labeled_graph, **UNCACHED)
+        engine = Session(small_labeled_graph)
         first, _ = make_key(engine, QUERY)
         second, _ = make_key(engine, QUERY)
         assert first == second
 
     def test_old_and_new_snapshot_entries_coexist(self, small_labeled_graph):
         """No purge-on-mutation: version-qualified keys simply diverge."""
-        engine = Session(small_labeled_graph, **UNCACHED)
+        engine = Session(small_labeled_graph)
         cache = PlanCache(capacity=8)
         old_key, old_term = make_key(engine, QUERY)
         cache.put(old_key, make_plan(old_term))
@@ -119,7 +115,7 @@ class TestPlanCache:
 
     def test_lru_bound_evicts_oldest_plan(self, small_labeled_graph,
                                           registry):
-        engine = Session(small_labeled_graph, **UNCACHED)
+        engine = Session(small_labeled_graph)
         cache = PlanCache(capacity=2)
         texts = [QUERY, "?x <- ?x livesIn ?y", "?x,?y <- ?x worksAt ?y"]
         keys = []
@@ -319,8 +315,27 @@ class TestThePlanPhaseIsTheOnlyWriter:
         assert result.estimated_cost == plan.cost
 
 
+def test_plan_facts_live_on_the_term_and_not_in_its_identity(
+        small_labeled_graph, monkeypatch):
+    """Computed once per term object, and no field: equality, hashing
+    and printing read the term alone."""
+    from repro.service import plan_cache
+    term = Session(small_labeled_graph).translate(parse_query(QUERY))
+    twin = term.with_children(term.children())
+    keyed = []
+    original = plan_cache.cache_key
+    monkeypatch.setattr(plan_cache, "cache_key",
+                        lambda term: keyed.append(term) or original(term))
+    facts = plan_cache.plan_facts(term)
+    assert plan_cache.plan_facts(term) is facts
+    assert facts == (original(term), free_variables(term))
+    assert len(keyed) == 1
+    assert twin is not term and twin == term
+    assert hash(twin) == hash(term) and repr(twin) == repr(term)
+
+
 def test_cache_key_is_a_plain_stable_string(small_labeled_graph):
-    engine = Session(small_labeled_graph, **UNCACHED)
+    engine = Session(small_labeled_graph)
     term = engine.translate(parse_query(QUERY))
     key = cache_key(term)
     assert isinstance(key, str) and key

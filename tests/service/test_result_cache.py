@@ -19,8 +19,7 @@ from repro.service import ResultCache, ResultKey
 
 
 def make_engine(graph):
-    return Session(graph, num_workers=2, enable_plan_cache=False,
-                   enable_result_cache=False)
+    return Session(graph, num_workers=2)
 
 
 def result_outcomes(registry):

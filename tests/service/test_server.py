@@ -14,8 +14,6 @@ from repro.service import FAILED, OK, REJECTED
 
 KNOWS = "?x,?y <- ?x knows+ ?y"
 LIVES = "?x <- ?x livesIn/isLocatedIn+ europe"
-#: Both session caches off: every call plans and executes from scratch.
-UNCACHED = {"enable_plan_cache": False, "enable_result_cache": False}
 
 
 def ask(service, query):
@@ -38,7 +36,7 @@ def service(engine):
 
 def test_query_matches_engine_and_caches_repeat(service, engine,
                                                 small_labeled_graph):
-    fresh = Session(small_labeled_graph, num_workers=2, **UNCACHED)
+    fresh = Session(small_labeled_graph, num_workers=2)
     expected = fresh.ucrpq(KNOWS).collect().relation
     first = ask(service, KNOWS)
     assert first.status == OK
@@ -234,15 +232,20 @@ def test_requests_are_counted_per_graph_and_status(small_labeled_graph,
         in text
 
 
-def test_caches_can_be_disabled(small_labeled_graph):
-    with Session(small_labeled_graph, num_workers=2, **UNCACHED) as engine, \
-            QueryService(engine) as service:
-        assert repr(service).endswith("plan_cache=False, result_cache=False)")
-        first = ask(service, KNOWS)
-        second = ask(service, KNOWS)
-        assert first.plan_cache_hit is None and first.result_cache_hit is None
-        assert second.plan_cache_hit is None and second.result_cache_hit is None
-        assert second.result.relation == first.result.relation
+def test_a_served_hit_is_three_lookups(service, monkeypatch):
+    """Front end, plan, result: the text's term carries its own key and
+    inputs, so a hit looks nothing else up."""
+    from repro.service.cache import LRUCache
+    ask(service, KNOWS)
+    lookups = []
+    original = LRUCache.get
+    monkeypatch.setattr(
+        LRUCache, "get",
+        lambda cache, key, default=None:
+        lookups.append(type(key).__name__) or original(cache, key, default))
+    served = service.submit(KNOWS).result(timeout=10)
+    assert served.plan_cache_hit is True and served.result_cache_hit is True
+    assert lookups == ["str", "PlanKey", "ResultKey"]
 
 
 def test_closed_service_rejects_submissions(engine):

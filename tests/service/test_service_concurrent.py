@@ -81,8 +81,7 @@ def reference_answers(database):
     """Fresh single-threaded engine per query on a database snapshot."""
     answers = {}
     for text in QUERIES:
-        with Session(dict(database), num_workers=2, enable_plan_cache=False,
-                     enable_result_cache=False) as fresh:
+        with Session(dict(database), num_workers=2) as fresh:
             answers[text] = fresh.ucrpq(text).collect().relation
     return answers
 

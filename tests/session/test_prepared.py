@@ -76,6 +76,24 @@ class TestValueParameters:
         template = prepared.bind(start="dave")._plan_term
         assert [term for term in keyed if term is template] == [template]
 
+    def test_a_plan_hit_looks_up_the_plan_and_the_result_only(
+            self, session, monkeypatch):
+        """The template carries its own key and inputs, so a binding's
+        plan hit looks up no per-term memo."""
+        from repro.service.cache import LRUCache
+        prepared = session.prepare("?y <- :start knows+ ?y")
+        prepared.bind(start="alice").run_once()
+        lookups = []
+        original = LRUCache.get
+        monkeypatch.setattr(
+            LRUCache, "get",
+            lambda cache, key, default=None:
+            lookups.append(type(key).__name__) or original(cache, key,
+                                                           default))
+        _, plan_hit, _ = prepared.bind(start="bob").run_once()
+        assert plan_hit is True
+        assert lookups == ["PlanKey", "ResultKey"]
+
     def test_bindings_share_the_templates_compiled_kernels(self, session):
         """``bind_plan`` used to copy the template's *empty* kernel slot,
         so every binding executed under Pgld (which binds through the

@@ -105,6 +105,19 @@ class TestStages:
         assert handle.pinned_snapshot is None
         assert key == cache_key(handle.term)
 
+    def test_a_text_handle_reads_its_front_end_once(self, session,
+                                                     monkeypatch):
+        """The parse, the term and the classes come from one entry."""
+        from repro.service.plan_cache import PlanCache
+        reads = []
+        original = PlanCache.front_end
+        monkeypatch.setattr(
+            PlanCache, "front_end",
+            lambda cache, text: reads.append(text) or original(cache, text))
+        handle = session.ucrpq(QUERY)
+        assert handle.ast and handle.term and handle.classes is not None
+        assert reads == [QUERY]
+
     def test_classes_are_reported(self, session):
         assert "C2" in session.ucrpq("?x <- ?x isLocatedIn+ europe").classes
 
@@ -171,10 +184,9 @@ class TestActions:
         assert session.ucrpq(QUERY).count() > len(expected)
 
     def test_matches_an_uncached_session(self, small_labeled_graph, session):
-        with Session(small_labeled_graph, num_workers=2,
-                     enable_plan_cache=False,
-                     enable_result_cache=False) as uncached:
-            eager = uncached.ucrpq(QUERY).collect()
+        with Session(small_labeled_graph, num_workers=2) as uncached:
+            eager, _, _ = uncached.ucrpq(QUERY).run_once(
+                use_plan_cache=False, use_result_cache=False)
         assert session.ucrpq(QUERY).collect().relation == eager.relation
 
 

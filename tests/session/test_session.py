@@ -104,16 +104,6 @@ class TestSessionCaches:
         again.collect()
         assert again.last_result_cache_hit is True
 
-    def test_caches_can_be_disabled_per_session(self, small_labeled_graph):
-        with Session(small_labeled_graph, num_workers=2,
-                     enable_plan_cache=False,
-                     enable_result_cache=False) as session:
-            query = session.ucrpq("?x,?y <- ?x knows+ ?y")
-            query.collect()
-            assert query.last_plan_cache_hit is None
-            assert query.last_result_cache_hit is None
-            assert len(session.plan_cache) == 0
-
 
 class TestPlanMutationEdgeCases:
     """Unit coverage of ``Session._plan_mutation`` and batch netting."""

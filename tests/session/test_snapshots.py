@@ -474,10 +474,8 @@ class TestMultiGraph:
         session.attach("tiny", LabeledGraph.from_triples([("a", "knows", "b")]))
         view = session.graph("tiny")
         session.strategy = "pgld"
-        session.enable_result_cache = False
         session.optimize_plans = False
         assert view.strategy == "pgld"
-        assert view.enable_result_cache is False
         assert view.optimize_plans is False
 
     def test_attaching_a_snapshot_relabels_it(self, session):

@@ -1,7 +1,7 @@
-"""End to end through one uncached session: answers, metrics, mutations.
+"""End to end through fresh sessions: answers, metrics, mutations.
 
-Every query here pays the whole pipeline (both session caches are off),
-so the assertions see what one cold trip reports.
+Every query here runs once on a session of its own, so it pays the whole
+pipeline and the assertions see what one cold trip reports.
 """
 
 from __future__ import annotations
@@ -14,14 +14,9 @@ from repro import PGLD, PPLW_SPARK, Session
 from repro.errors import TranslationError
 
 
-def uncached(database, **options) -> Session:
-    return Session(database, enable_plan_cache=False,
-                   enable_result_cache=False, **options)
-
-
 @pytest.fixture
 def engine(small_labeled_graph):
-    with uncached(small_labeled_graph, num_workers=3) as session:
+    with Session(small_labeled_graph, num_workers=3) as session:
         yield session
 
 
@@ -46,15 +41,15 @@ class TestQueryExecution:
         query = "?x,?y <- ?x knows+/livesIn+ ?y"
         answers = []
         for options in ({"strategy": PGLD}, {"strategy": PPLW_SPARK}, {}):
-            with uncached(small_labeled_graph, **options) as session:
+            with Session(small_labeled_graph, **options) as session:
                 answers.append(session.ucrpq(query).collect().relation)
         assert answers[0] == answers[1] == answers[2]
 
     def test_optimizer_can_be_disabled(self, small_labeled_graph):
         query = "?x <- grenoble isLocatedIn+ ?x"
-        with uncached(small_labeled_graph, optimize=True) as session:
+        with Session(small_labeled_graph, optimize=True) as session:
             optimized = session.ucrpq(query).collect()
-        with uncached(small_labeled_graph, optimize=False) as session:
+        with Session(small_labeled_graph, optimize=False) as session:
             unoptimized = session.ucrpq(query).collect()
         assert optimized.relation == unoptimized.relation
         assert unoptimized.plans_explored == 1
@@ -81,7 +76,7 @@ class TestIntrospection:
         assert "workers=3" in repr(engine)
 
     def test_accepts_plain_database_dict(self, small_labeled_graph):
-        with uncached(small_labeled_graph.relations()) as session:
+        with Session(small_labeled_graph.relations()) as session:
             result = session.ucrpq("?x,?y <- ?x knows ?y").collect()
         assert len(result.relation) == 3
 
@@ -126,7 +121,7 @@ class TestMutations:
             "knows": Relation.from_pairs([("a", "b")], columns=("src", "trg")),
             "-knows": Relation(("x", "y"), [("b", "a")]),
         }
-        with uncached(database, num_workers=2) as engine:
+        with Session(database, num_workers=2) as engine:
             with pytest.raises(SchemaError):
                 engine.add_edges("knows", [("c", "d")])
             assert len(engine.database["knows"]) == 1

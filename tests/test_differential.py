@@ -436,8 +436,8 @@ class TestWritesAxis:
                 assert canonical(served.relation) == self.cold(triples, text)
 
 
-#: The query shapes of the benchmark's ``recursive-cold`` workload.
-RECURSIVE_COLD_SHAPES = ("YQ8", "YQ9", "YQ15", "UQ26", "UQ43", "UQ46", "TC")
+#: The query ids of the benchmark's ``recursive-cold`` workload.
+RECURSIVE_COLD_QUERIES = ("YQ8", "YQ9", "YQ15", "UQ26", "UQ43", "UQ46", "TC")
 
 
 class TestServedAxis:
@@ -472,7 +472,7 @@ class TestServedAxis:
             finally:
                 running.stop()
 
-    @pytest.mark.parametrize("shape", RECURSIVE_COLD_SHAPES)
+    @pytest.mark.parametrize("shape", RECURSIVE_COLD_QUERIES)
     def test_streamed_buffered_and_row_engine_rows(self, served, shape):
         session, client, texts = served
         text = texts[shape]

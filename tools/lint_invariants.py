@@ -109,6 +109,9 @@ RETIRED_NAMES: tuple[tuple[str, str], ...] = (
     ("one serving benchmark: no micro-benchmark beside the e2e workloads",
      r"_suspended|tracing\.suspended|latency_table|bench_service_throughput"
      r"|bench_net_throughput|bench_obs_overhead|BENCH_net"),
+    ("a term's facts live on the term: no id-keyed term memo or "
+     "session-wide cache switch",
+     r"term_facts|enable_plan_cache|enable_result_cache"),
 )
 _RETIRED = [(simplification, re.compile(pattern))
             for simplification, pattern in RETIRED_NAMES]
