@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import FixpointConditionError
-from .terms import Antijoin, Fixpoint, Join, RelVar, Term, Union
-from .variables import is_constant_in
+from .terms import Antijoin, Fixpoint, Join, Term, Union, node_fact
+from .variables import free_variables, is_constant_in
 from .visitors import walk
 
 
@@ -67,40 +67,30 @@ def satisfies_fcond(fixpoint: Fixpoint) -> bool:
 
 def fcond_holds_throughout(term: Term) -> bool:
     """:func:`satisfies_fcond` on every fixpoint inside ``term`` (binding
-    distinct variables, as in every canonical plan), in one bottom-up
-    pass: cheap enough for every plan the rewriter explores."""
-    return _free_and_breaking(term) is not None
+    distinct variables, as in every canonical plan), from facts kept on
+    the nodes: cheap enough for every plan the rewriter explores."""
+    return _breaking(term) is not None
 
 
-_NOTHING: frozenset[str] = frozenset()
-
-
-def _free_and_breaking(term: Term):
-    """``(free, breaking)``: the free variables of ``term`` and those on
-    which a binding fixpoint would break Fcond (free on both sides of a
-    join, right of an antijoin, in a nested fixpoint's body), or None."""
-    children = term.children()
-    if not children:
-        return (frozenset((term.name,)) if isinstance(term, RelVar)
-                else _NOTHING), _NOTHING
-    if len(children) == 1:
-        inner = _free_and_breaking(children[0])
-        if inner is None or not isinstance(term, Fixpoint):
-            return inner
-        free, breaking = inner
+@node_fact
+def _breaking(term: Term) -> frozenset[str] | None:
+    """The free variables of ``term`` on which a binding fixpoint would
+    break Fcond (free on both sides of a join, right of an antijoin, in a
+    nested fixpoint's body), or None if a fixpoint inside breaks it."""
+    inner = [_breaking(child) for child in term.children()]
+    if None in inner:
+        return None
+    breaking = frozenset().union(*inner)
+    if isinstance(term, Fixpoint):
         if term.var in breaking:
             return None
-        free = free - {term.var}
-        return free, (breaking - {term.var}) | free
-    left, right = map(_free_and_breaking, children)
-    if left is None or right is None:
-        return None
-    breaking = left[1] | right[1]
+        return (breaking - {term.var}) | free_variables(term)
     if isinstance(term, Join):
-        breaking |= left[0] & right[0]
-    elif isinstance(term, Antijoin):
-        breaking |= right[0]
-    return left[0] | right[0], breaking
+        return breaking | (free_variables(term.left)
+                           & free_variables(term.right))
+    if isinstance(term, Antijoin):
+        return breaking | free_variables(term.right)
+    return breaking
 
 
 def check_fcond(fixpoint: Fixpoint) -> None:
@@ -168,9 +158,13 @@ class Decomposition:
         return Fixpoint(self.var, union_of(branches), direction=self.direction)
 
 
+@node_fact
 def decompose(fixpoint: Fixpoint) -> Decomposition:
-    """Decompose a fixpoint satisfying Fcond into constant and variable parts."""
-    check_fcond(fixpoint)
+    """Decompose a fixpoint satisfying Fcond into constant and variable
+    parts; kept on the node, so Fcond is checked once per node."""
+    if _breaking(fixpoint) is None:
+        # Fcond breaks here or below: raise naming the condition, if here.
+        check_fcond(fixpoint)
     var = fixpoint.var
     branches = flatten_union(fixpoint.body)
     constant_branches = [b for b in branches if is_constant_in(b, var)]

@@ -55,13 +55,6 @@ def stable_columns(fixpoint: Fixpoint,
     return frozenset(column for column in schema if sources.get(column) == column)
 
 
-def has_stable_column(fixpoint: Fixpoint,
-                      base_schemas: Mapping[str, Schema],
-                      env: Mapping[str, Schema] | None = None) -> bool:
-    """True when the fixpoint has at least one stable column."""
-    return bool(stable_columns(fixpoint, base_schemas, env))
-
-
 def _column_sources(term: Term, var: str, x_schema: Schema,
                     schemas: Mapping[str, Schema],
                     env: dict[str, Schema]) -> dict[str, str]:

@@ -16,11 +16,21 @@ Terms are immutable, hashable dataclasses.  Every node exposes
 :meth:`Term.children` and :meth:`Term.with_children` so that generic
 traversals (rewriting, free-variable computation, printing) can be written
 once in :mod:`repro.algebra.visitors`.
+
+Planning visits each node many times, so what it reads of a node is
+computed once and kept on the node (:func:`node_fact`): the structural
+hash, built from the children's kept hashes, and the facts the analyses
+derive from the children's facts — free variables, a fixpoint's
+decomposition, the Fcond check, the names canonicalization reads, a
+template's parameters, a plan's cache key.  Equality returns at once on
+identity or on unequal hashes.  Equal terms stay distinct objects: there
+is no intern table, which would cost a lock or a race per construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterable
 
 from ..data.predicates import Predicate
@@ -28,11 +38,49 @@ from ..data.relation import Relation
 from ..errors import AlgebraError
 
 
+_UNKNOWN = object()
+
+
+def node_fact(compute):
+    """Memoize ``compute(node)`` on the node: a fact derived from it.
+
+    The value is kept in the node's ``__dict__`` beside its fields, not
+    as one: eq, repr and ``dataclasses.replace`` never read it, pickling
+    drops it, and concurrent first readers race benignly to equal
+    values.  An exception is not kept.
+    """
+    name = "_" + compute.__name__.strip("_")
+
+    def read(node):
+        facts = node.__dict__
+        value = facts.get(name, _UNKNOWN)
+        if value is _UNKNOWN:
+            value = facts[name] = compute(node)
+        return value
+
+    read.__name__, read.__doc__ = compute.__name__, compute.__doc__
+    return read
+
+
 class Term:
     """Base class of every mu-RA term."""
 
-    #: :func:`repro.service.plan_cache.plan_facts`' memo (not a field).
-    _plan_facts = None
+    @node_fact
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __eq__(self, other: object) -> bool:
+        """Structural equality; fields are compared only on equal hashes."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (hash(self) == hash(other)
+                and self._compared(self) == other._compared(other))
+
+    def __getstate__(self) -> dict:
+        """The fields only: facts, the hash among them, are recomputed."""
+        return {name: self.__dict__[name] for name in self.__dataclass_fields__}
 
     def children(self) -> tuple["Term", ...]:
         """Return the direct sub-terms of this node."""
@@ -74,7 +122,7 @@ def _as_columns(columns: Iterable[str] | str) -> tuple[str, ...]:
     return tuple(columns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelVar(Term):
     """A relation variable: either a database relation or a recursive variable."""
 
@@ -93,7 +141,7 @@ class RelVar(Term):
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Term):
     """A constant relation embedded directly in the term (``|c -> v|``)."""
 
@@ -109,7 +157,7 @@ class Literal(Term):
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Union(Term):
     """Set union of two terms (duplicate-eliminating)."""
 
@@ -124,7 +172,7 @@ class Union(Term):
         return Union(left, right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Join(Term):
     """Natural join of two terms on their common columns."""
 
@@ -139,7 +187,7 @@ class Join(Term):
         return Join(left, right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Antijoin(Term):
     """Antijoin: tuples of the left with no natural-join partner on the right."""
 
@@ -154,7 +202,7 @@ class Antijoin(Term):
         return Antijoin(left, right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filter(Term):
     """Filtering (sigma): keep tuples satisfying a predicate."""
 
@@ -169,7 +217,7 @@ class Filter(Term):
         return Filter(self.predicate, child)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rename(Term):
     """Renaming (rho): rename column ``old`` into ``new``."""
 
@@ -185,7 +233,7 @@ class Rename(Term):
         return Rename(self.old, self.new, child)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntiProject(Term):
     """Anti-projection (pi-tilde): drop the given columns."""
 
@@ -205,7 +253,7 @@ class AntiProject(Term):
         return AntiProject(self.columns, child)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fixpoint(Term):
     """The recursive operator ``mu(X = body)``.
 
@@ -243,3 +291,10 @@ NODE_TYPES = (
     AntiProject,
     Fixpoint,
 )
+
+for _type in NODE_TYPES:
+    # What eq and hash read: the compared fields' values, as a tuple.
+    _names = [item.name for item in fields(_type) if item.compare]
+    _type._compared = staticmethod(
+        attrgetter(*_names) if len(_names) > 1 else
+        lambda node, get=attrgetter(*_names): (get(node),))

@@ -13,9 +13,11 @@ These notions follow Section II of the paper:
 from __future__ import annotations
 
 from ..errors import AlgebraError
-from .terms import Fixpoint, Literal, RelVar, Term
+from .terms import Fixpoint, Literal, RelVar, Term, node_fact
+from .visitors import rebuild
 
 
+@node_fact
 def free_variables(term: Term) -> frozenset[str]:
     """Return the names of the relation variables occurring free in ``term``."""
     if isinstance(term, RelVar):
@@ -28,16 +30,6 @@ def free_variables(term: Term) -> frozenset[str]:
     for child in term.children():
         names |= free_variables(child)
     return names
-
-
-def bound_variables(term: Term) -> frozenset[str]:
-    """Return the names of variables bound by a fixpoint inside ``term``."""
-    bound: frozenset[str] = frozenset()
-    if isinstance(term, Fixpoint):
-        bound |= {term.var}
-    for child in term.children():
-        bound |= bound_variables(child)
-    return bound
 
 
 def is_constant_in(term: Term, var: str) -> bool:
@@ -59,17 +51,13 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
     an :class:`~repro.errors.AlgebraError` is raised — the library never
     generates such terms, but user-built terms might.
     """
-    if isinstance(term, RelVar):
-        return replacement if term.name == var else term
-    if isinstance(term, Literal):
+    if var not in free_variables(term):
+        # Nothing to substitute: leave the subtree untouched (below a
+        # binder, this also avoids spurious capture errors).
         return term
+    if isinstance(term, RelVar):
+        return replacement
     if isinstance(term, Fixpoint):
-        if term.var == var:
-            return term
-        if var not in free_variables(term.body):
-            # Nothing to substitute below this binder; leave it untouched
-            # (this also avoids spurious capture errors).
-            return term
         if term.var in free_variables(replacement):
             raise AlgebraError(
                 f"substituting {var!r} would capture variable {term.var!r}; "
@@ -77,31 +65,5 @@ def substitute(term: Term, var: str, replacement: Term) -> Term:
             )
         return Fixpoint(term.var, substitute(term.body, var, replacement),
                         direction=term.direction)
-    children = tuple(substitute(child, var, replacement) for child in term.children())
-    return term.with_children(children)
-
-
-def rename_recursive_variable(fixpoint: Fixpoint, new_var: str) -> Fixpoint:
-    """Return ``fixpoint`` with its recursive variable renamed to ``new_var``.
-
-    Useful to avoid variable clashes when merging or nesting fixpoints.
-    """
-    if new_var == fixpoint.var:
-        return fixpoint
-    if new_var in free_variables(fixpoint.body):
-        raise AlgebraError(
-            f"cannot rename recursive variable to {new_var!r}: it already "
-            f"occurs free in the body"
-        )
-    body = substitute(fixpoint.body, fixpoint.var, RelVar(new_var))
-    return Fixpoint(new_var, body, direction=fixpoint.direction)
-
-
-def fresh_variable(used: frozenset[str] | set[str], stem: str = "X") -> str:
-    """Return a variable name based on ``stem`` that is not in ``used``."""
-    if stem not in used:
-        return stem
-    index = 1
-    while f"{stem}{index}" in used:
-        index += 1
-    return f"{stem}{index}"
+    return rebuild(term, tuple(substitute(child, var, replacement)
+                               for child in term.children()))

@@ -8,13 +8,15 @@ traversals; this module implements them once:
   every node, children first,
 * :func:`transform_top_down` — apply a function to a node before visiting
   the (possibly new) children,
-* :func:`count_nodes`, :func:`subterms_of_type` — small conveniences used
-  by the cost model and tests.
+* :func:`rebuild` — a node over new children, or the node itself when
+  every child is the same object (a structural compare would walk them),
+* :func:`subterms_of_type` — a small convenience used by tests.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
+from operator import is_
 
 from .terms import Term
 
@@ -26,31 +28,24 @@ def walk(term: Term) -> Iterator[Term]:
         yield from walk(child)
 
 
+def rebuild(term: Term, children: tuple[Term, ...]) -> Term:
+    """``term`` over ``children``; ``term`` itself when each is its own child."""
+    if all(map(is_, children, term.children())):
+        return term
+    return term.with_children(children)
+
+
 def transform_bottom_up(term: Term, fn: Callable[[Term], Term]) -> Term:
     """Rebuild ``term`` by applying ``fn`` to every node, children first."""
-    children = term.children()
-    if children:
-        new_children = tuple(transform_bottom_up(child, fn) for child in children)
-        if new_children != children:
-            term = term.with_children(new_children)
-    return fn(term)
+    return fn(rebuild(term, tuple(transform_bottom_up(child, fn)
+                                  for child in term.children())))
 
 
 def transform_top_down(term: Term, fn: Callable[[Term], Term]) -> Term:
     """Apply ``fn`` to ``term`` first, then recurse into the result's children."""
     term = fn(term)
-    children = term.children()
-    if not children:
-        return term
-    new_children = tuple(transform_top_down(child, fn) for child in children)
-    if new_children != children:
-        term = term.with_children(new_children)
-    return term
-
-
-def count_nodes(term: Term) -> int:
-    """Return the number of nodes of the term (a rough size measure)."""
-    return sum(1 for _ in walk(term))
+    return rebuild(term, tuple(transform_top_down(child, fn)
+                               for child in term.children()))
 
 
 def subterms_of_type(term: Term, node_type: type | tuple[type, ...]) -> list[Term]:

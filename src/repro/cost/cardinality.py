@@ -21,9 +21,10 @@ from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
                                Predicate, TruePredicate)
 from ..data.stats import RelationStats, StatisticsCatalog
 from ..errors import CostEstimationError
-from ..algebra.conditions import Decomposition, decompose
+from ..algebra.conditions import decompose
 from ..algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint, Join,
                              Literal, Rename, RelVar, Term, Union)
+from ..algebra.variables import free_variables
 
 #: Default selectivity for predicates the estimator has no statistics for.
 DEFAULT_SELECTIVITY = 0.33
@@ -40,11 +41,12 @@ class CardinalityEstimator:
         #: ``rank_plans`` call, whose plans share most of their sub-terms).
         #: The catalog is a view over an immutable snapshot, so they never
         #: go stale.  An estimate depends on the term and on the
-        #: statistics its environment binds, which are identified by
-        #: object: the entry keeps them alive so an ``id()`` cannot be
-        #: reused under it.
+        #: statistics the environment binds to the term's own free
+        #: variables, identified by object: a sub-term constant in a
+        #: fixpoint's variable is estimated once, not once per simulated
+        #: round.  The entry keeps the statistics alive so an ``id()``
+        #: cannot be reused under it.
         self._estimates: dict[tuple, tuple[tuple, RelationStats]] = {}
-        self._decompositions: dict[Fixpoint, Decomposition] = {}
 
     # -- Public API -----------------------------------------------------------
 
@@ -55,18 +57,11 @@ class CardinalityEstimator:
         ``env`` binds recursive variables to the statistics assumed for them
         (used internally when simulating fixpoint growth).
         """
-        return self._estimate(term, dict(env or {}))
+        return self._estimate(term, env or {})
 
     def cardinality(self, term: Term) -> int:
         """Shortcut returning only the estimated row count."""
         return self.estimate(term).cardinality
-
-    def decomposition(self, term: Fixpoint) -> Decomposition:
-        """``decompose(term)``, computed once per estimator."""
-        decomposition = self._decompositions.get(term)
-        if decomposition is None:
-            decomposition = self._decompositions[term] = decompose(term)
-        return decomposition
 
     # -- Dispatch -------------------------------------------------------------
 
@@ -75,28 +70,31 @@ class CardinalityEstimator:
             if term.name in env:
                 return env[term.name]
             return self.catalog.get(term.name)
-        bound = tuple(env.values())
-        key = (term, *env, *map(id, bound))
+        free = free_variables(term)
+        names = [name for name in env if name in free]
+        bound = tuple(map(env.__getitem__, names))
+        key = (term, *names, *map(id, bound)) if names else term
         entry = self._estimates.get(key)
         if entry is None:
             entry = self._estimates[key] = (bound, self._compute(term, env))
         return entry[1]
 
     def _compute(self, term: Term, env: dict[str, RelationStats]) -> RelationStats:
+        # Most frequent first: a simulated fixpoint round composes.
+        if isinstance(term, Join):
+            return self._estimate_join(term, env)
+        if isinstance(term, Rename):
+            return self._estimate_rename(term, env)
+        if isinstance(term, AntiProject):
+            return self._estimate_antiproject(term, env)
         if isinstance(term, Literal):
             return RelationStats.of(term.relation)
         if isinstance(term, Filter):
             return self._estimate_filter(term, env)
         if isinstance(term, Union):
             return self._estimate_union(term, env)
-        if isinstance(term, Join):
-            return self._estimate_join(term, env)
         if isinstance(term, Antijoin):
             return self._estimate_antijoin(term, env)
-        if isinstance(term, Rename):
-            return self._estimate_rename(term, env)
-        if isinstance(term, AntiProject):
-            return self._estimate_antiproject(term, env)
         if isinstance(term, Fixpoint):
             return self._estimate_fixpoint(term, env)
         raise CostEstimationError(f"cannot estimate term of type {type(term).__name__}")
@@ -182,7 +180,7 @@ class CardinalityEstimator:
     # -- Fixpoints ---------------------------------------------------------------
 
     def _estimate_fixpoint(self, term: Fixpoint, env) -> RelationStats:
-        decomposition = self.decomposition(term)
+        decomposition = decompose(term)
         seed = self._estimate(decomposition.constant_part, env)
         if decomposition.variable_part is None:
             return seed

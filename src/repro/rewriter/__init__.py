@@ -9,7 +9,7 @@ from .engine import (DEFAULT_MAX_PLANS, DEFAULT_MAX_ROUNDS, MuRewriter,
 from .fixpoint_rules import (MergeClosures, PushAntiProjectIntoFixpoint,
                              PushFilterIntoFixpoint, PushJoinIntoClosure,
                              ReverseClosure, fixpoint_rules)
-from .normalize import canonicalize, substitute_columns
+from .normalize import canonicalize
 from .patterns import ClosureShape, ComposeShape, match_closure, match_compose
 from .rules import RewriteContext, RewriteRule
 
@@ -40,5 +40,4 @@ __all__ = [
     "fixpoint_rules",
     "match_closure",
     "match_compose",
-    "substitute_columns",
 ]

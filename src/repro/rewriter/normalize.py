@@ -13,7 +13,10 @@ plan-space exploration believe they are different plans (and explode).
 * every fixpoint variable to ``%X0``, ``%X1``, ... in pre-order.
 
 Two plans that differ only by generated names therefore normalise to the
-same term, which is what the engine uses as the plan identity.
+same term, which is what the engine uses as the plan identity.  It is one
+pre-order pass that returns a subtree as it is, without walking it, when
+the subtree is canonical already where it stands: the names it binds and
+uses, read from facts kept on its nodes (:func:`_names`), need no change.
 
 :func:`cache_key` turns that identity into a *stable string*: because the
 canonical form erases every session-specific generated name, the same query
@@ -24,14 +27,13 @@ serving layer's plan and result caches are keyed on it.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Mapping
 
 from ..algebra.printer import term_to_string
-from ..algebra.terms import (AntiProject, Filter, Fixpoint, Rename, Term)
-from ..algebra.variables import substitute
-from ..algebra.terms import RelVar
-from ..algebra.visitors import walk
+from ..algebra.terms import (AntiProject, Filter, Fixpoint, Rename, RelVar,
+                             Term, node_fact)
+from ..algebra.variables import free_variables
+from ..algebra.visitors import rebuild
 
 #: Prefix identifying machine-generated column names.
 GENERATED_COLUMN_PREFIX = "_"
@@ -39,44 +41,41 @@ GENERATED_COLUMN_PREFIX = "_"
 CANONICAL_VARIABLE_PREFIX = "%X"
 
 
-def substitute_columns(term: Term, mapping: Mapping[str, str]) -> Term:
-    """Rename column names wherever they appear syntactically in a term.
-
-    Only operator annotations are rewritten (renames, anti-projections and
-    filter predicates); relation variables and literals are left untouched
-    because generated names never appear in base relations.
-    """
-    if not mapping:
-        return term
-
-    def rename(column: str) -> str:
-        return mapping.get(column, column)
-
-    def rewrite(node: Term) -> Term:
-        if isinstance(node, Rename):
-            return Rename(rename(node.old), rename(node.new), node.child)
-        if isinstance(node, AntiProject):
-            return AntiProject(tuple(rename(c) for c in node.columns), node.child)
-        if isinstance(node, Filter):
-            # Apply the mapping simultaneously (it may contain swaps): go
-            # through unique temporaries so sequential renames cannot chain.
-            predicate = node.predicate
-            temporaries = {old: f"__tmp_subst_{index}__"
-                           for index, old in enumerate(mapping)}
-            for old, temporary in temporaries.items():
-                predicate = predicate.rename(old, temporary)
-            for old, new in mapping.items():
-                predicate = predicate.rename(temporaries[old], new)
-            return Filter(predicate, node.child)
-        return node
-
-    return _transform_bottom_up(term, rewrite)
-
-
 def canonicalize(term: Term) -> Term:
     """Return the canonical form of ``term`` (see module docstring)."""
-    term = _canonicalize_variables(term)
-    return _canonicalize_columns(term)
+    generated = [column for column in _names(term)[1]
+                 if column.startswith(GENERATED_COLUMN_PREFIX)]
+    columns = {old: new for old, new in
+               ((old, f"_n{index}") for index, old in enumerate(generated))
+               if old != new}
+    position = 0
+
+    def visit(node: Term, variables: dict[str, str]) -> Term:
+        """``node`` renamed; ``variables`` maps the fixpoint variables
+        bound above it to their canonical names (where they differ)."""
+        nonlocal position
+        bound, named = _names(node)
+        if (columns.keys().isdisjoint(named)
+                and variables.keys().isdisjoint(free_variables(node))
+                and bound == _canonical_variables(position, len(bound))):
+            # Canonical where it stands: no name below it changes.
+            position += len(bound)
+            return node
+        if isinstance(node, RelVar):
+            return RelVar(variables[node.name])
+        if isinstance(node, Fixpoint):
+            canonical = f"{CANONICAL_VARIABLE_PREFIX}{position}"
+            position += 1
+            inner = {name: new for name, new
+                     in {**variables, node.var: canonical}.items()
+                     if name != new}
+            return Fixpoint(canonical, visit(node.body, inner),
+                            direction=node.direction)
+        node = rebuild(node, tuple(visit(child, variables)
+                                   for child in node.children()))
+        return _rename_own_columns(node, columns)
+
+    return visit(term, {})
 
 
 def cache_key(term: Term) -> str:
@@ -90,53 +89,54 @@ def cache_key(term: Term) -> str:
     return term_to_string(canonicalize(term))
 
 
-def _canonicalize_variables(term: Term) -> Term:
-    counter = itertools.count()
+def _canonical_variables(start: int, count: int) -> tuple[str, ...]:
+    return tuple(f"{CANONICAL_VARIABLE_PREFIX}{index}"
+                 for index in range(start, start + count))
 
-    def rename_fixpoints(node: Term) -> Term:
-        if isinstance(node, Fixpoint):
-            canonical = f"{CANONICAL_VARIABLE_PREFIX}{next(counter)}"
-            if node.var != canonical:
-                body = substitute(node.body, node.var, RelVar(canonical))
-                node = Fixpoint(canonical, body, direction=node.direction)
-        children = node.children()
-        if not children:
-            return node
-        new_children = tuple(rename_fixpoints(child) for child in children)
-        if new_children != children:
-            node = node.with_children(new_children)
+
+@node_fact
+def _names(node: Term) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The variables the fixpoints of ``node`` bind, in pre-order, and the
+    columns its operators name, in pre-order of first use."""
+    variables = (node.var,) if isinstance(node, Fixpoint) else ()
+    columns = dict.fromkeys(_own_columns(node))
+    for child in node.children():
+        child_variables, child_columns = _names(child)
+        variables += child_variables
+        columns.update(dict.fromkeys(child_columns))
+    return variables, tuple(columns)
+
+
+def _own_columns(node: Term) -> list[str] | tuple[str, ...]:
+    if isinstance(node, Rename):
+        return [node.old, node.new]
+    if isinstance(node, AntiProject):
+        return node.columns
+    if isinstance(node, Filter):
+        return sorted(node.predicate.columns())
+    return ()
+
+
+def _rename_own_columns(node: Term, mapping: Mapping[str, str]) -> Term:
+    """``node`` with ``mapping`` applied to the columns its own operator
+    names; ``node`` itself when it names none of them."""
+    if mapping.keys().isdisjoint(_own_columns(node)):
         return node
 
-    return rename_fixpoints(term)
+    def rename(column: str) -> str:
+        return mapping.get(column, column)
 
-
-def _canonicalize_columns(term: Term) -> Term:
-    mapping: dict[str, str] = {}
-    counter = itertools.count()
-    for node in walk(term):
-        for column in _generated_columns_of(node):
-            if column not in mapping:
-                mapping[column] = f"_n{next(counter)}"
-    # Drop identity renamings to avoid useless work.
-    mapping = {old: new for old, new in mapping.items() if old != new}
-    return substitute_columns(term, mapping)
-
-
-def _generated_columns_of(node: Term) -> list[str]:
-    columns: list[str] = []
     if isinstance(node, Rename):
-        columns.extend([node.old, node.new])
-    elif isinstance(node, AntiProject):
-        columns.extend(node.columns)
-    elif isinstance(node, Filter):
-        columns.extend(sorted(node.predicate.columns()))
-    return [c for c in columns if c.startswith(GENERATED_COLUMN_PREFIX)]
-
-
-def _transform_bottom_up(term: Term, fn) -> Term:
-    children = term.children()
-    if children:
-        new_children = tuple(_transform_bottom_up(child, fn) for child in children)
-        if new_children != children:
-            term = term.with_children(new_children)
-    return fn(term)
+        return Rename(rename(node.old), rename(node.new), node.child)
+    if isinstance(node, AntiProject):
+        return AntiProject(tuple(map(rename, node.columns)), node.child)
+    # A filter: apply the mapping simultaneously (it may contain swaps): go
+    # through unique temporaries so sequential renames cannot chain.
+    predicate = node.predicate
+    temporaries = {old: f"__tmp_subst_{index}__"
+                   for index, old in enumerate(mapping)}
+    for old, temporary in temporaries.items():
+        predicate = predicate.rename(old, temporary)
+    for old, new in mapping.items():
+        predicate = predicate.rename(temporaries[old], new)
+    return Filter(predicate, node.child)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..algebra.builders import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from ..algebra.conditions import decompose
 from ..algebra.terms import (AntiProject, Fixpoint, Join, Rename, RelVar,
-                             Term)
+                             Term, node_fact)
 from ..algebra.variables import is_constant_in
 from ..data.graph import SRC, TRG
 from .normalize import canonicalize
@@ -49,10 +49,7 @@ class ClosureShape:
     seed: Term
     step: Term
     direction: str
-
-    @property
-    def is_pure(self) -> bool:
-        return canonicalize(self.seed) == canonicalize(self.step)
+    is_pure: bool
 
 
 def match_compose(term: Term, src: str = SRC, trg: str = TRG) -> ComposeShape | None:
@@ -71,8 +68,11 @@ def match_compose(term: Term, src: str = SRC, trg: str = TRG) -> ComposeShape | 
     return None
 
 
-def match_closure(fixpoint: Fixpoint, src: str = SRC, trg: str = TRG) -> ClosureShape | None:
-    """Match a fixpoint whose single variable branch composes X with a step."""
+@node_fact
+def match_closure(fixpoint: Term) -> ClosureShape | None:
+    """Match a fixpoint whose single variable branch composes X with a
+    step; kept on the node, as the rules match a plan's closures again
+    in every plan that shares them."""
     if not isinstance(fixpoint, Fixpoint):
         return None
     try:
@@ -84,7 +84,7 @@ def match_closure(fixpoint: Fixpoint, src: str = SRC, trg: str = TRG) -> Closure
     if len(decomposition.variable_branches) != 1:
         return None
     branch = decomposition.variable_branches[0]
-    compose_shape = match_compose(branch, src=src, trg=trg)
+    compose_shape = match_compose(branch)
     if compose_shape is None:
         return None
     var = fixpoint.var
@@ -102,12 +102,14 @@ def match_closure(fixpoint: Fixpoint, src: str = SRC, trg: str = TRG) -> Closure
         return None
     if not is_constant_in(decomposition.constant_part, var):
         return None
+    seed = decomposition.constant_part
     return ClosureShape(
         fixpoint=fixpoint,
         var=var,
-        seed=decomposition.constant_part,
+        seed=seed,
         step=step,
         direction=direction,
+        is_pure=seed == step or canonicalize(seed) == canonicalize(step),
     )
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..algebra.kernels import KernelProgramCache
-from ..algebra.terms import Term
+from ..algebra.terms import Term, node_fact
 from ..algebra.variables import free_variables
 from ..obs.metrics import get_registry
 from ..rewriter.normalize import cache_key
@@ -53,22 +53,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
 DEFAULT_PLAN_CACHE_SIZE = 128
 
 
+@node_fact
 def plan_facts(term: Term) -> tuple[str, frozenset[str]]:
     """``(cache_key(term), free_variables(term))``, once per term object.
 
     What a plan key reads of a term: its canonical key and the relations
-    it reads.  Memoized on the (immutable) term, like
-    :meth:`~repro.data.stats.RelationStats.of` on a relation: a prepared
-    template plans one object at every binding and a text's memoized
-    front end hands out one object per text, so a served hit looks
-    nothing up for them.  Concurrent first readers race benignly to
-    equal values.
+    it reads.  A fact kept on the (immutable) term
+    (:func:`~repro.algebra.terms.node_fact`), like its hash and free
+    variables: a prepared template plans one object at every binding and
+    a text's memoized front end hands out one object per text, so a
+    served hit looks nothing up for them.
     """
-    facts = term._plan_facts
-    if facts is None:
-        facts = (cache_key(term), free_variables(term))
-        object.__setattr__(term, "_plan_facts", facts)
-    return facts
+    return cache_key(term), free_variables(term)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 from ..algebra.conditions import union_of
-from ..algebra.terms import Filter, Term
+from ..algebra.terms import Filter, Term, node_fact
+from ..algebra.visitors import rebuild
 from ..data.predicates import (And, Compare, Eq, In, Not, Or, Predicate)
 from ..distributed.partitioner import FixpointAnalysis
 from ..errors import TranslationError
@@ -44,11 +45,14 @@ class Parameter:
     __str__ = __repr__
 
 
+@node_fact
 def parameters_of(term: Term) -> frozenset[str]:
-    """Names of the :class:`Parameter` sentinels occurring in ``term``."""
+    """Names of the :class:`Parameter` sentinels occurring in ``term``,
+    kept on the node (:func:`~repro.algebra.terms.node_fact`)."""
     names: set[str] = set()
-    _walk_parameters(term, names)
-    return frozenset(names)
+    if isinstance(term, Filter):
+        _collect_predicate_parameters(term.predicate, names)
+    return frozenset(names).union(*map(parameters_of, term.children()))
 
 
 def substitute_parameters(term: Term, values: Mapping[str, object]) -> Term:
@@ -56,14 +60,12 @@ def substitute_parameters(term: Term, values: Mapping[str, object]) -> Term:
 
     Raises :class:`~repro.errors.TranslationError` if the term mentions a
     parameter that ``values`` does not bind.  A subterm without a
-    parameter comes back as the same object.
+    parameter comes back as the same object, without a walk.
     """
-    children = term.children()
-    if children:
-        new_children = tuple(substitute_parameters(child, values)
-                             for child in children)
-        if new_children != children:
-            term = term.with_children(new_children)
+    if not parameters_of(term):
+        return term
+    term = rebuild(term, tuple(substitute_parameters(child, values)
+                               for child in term.children()))
     if isinstance(term, Filter):
         predicate = _substitute_predicate(term.predicate, values)
         if predicate is not term.predicate:
@@ -153,13 +155,6 @@ def _resolve(value: object, values: Mapping[str, object]) -> object:
                 f"before executing")
         return values[value.name]
     return value
-
-
-def _walk_parameters(term: Term, names: set[str]) -> None:
-    if isinstance(term, Filter):
-        _collect_predicate_parameters(term.predicate, names)
-    for child in term.children():
-        _walk_parameters(child, names)
 
 
 def _collect_predicate_parameters(predicate: Predicate, names: set[str]) -> None:

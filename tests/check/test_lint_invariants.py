@@ -68,6 +68,7 @@ RETIRED = (
     "snapshot.catalog.refresh(name, relation)",
     "(RESULTS_DIR / \"BENCH_net.json\").write_text(report)",
     "Session(graph, enable_result_cache=False)",
+    "self._decompositions = {}",
 )
 
 

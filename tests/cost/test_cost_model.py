@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import Session
-from repro.algebra import (Filter, RelVar, closure, compose, decompose,
-                           evaluate, schemas_of_database)
+from repro.algebra import (Filter, RelVar, closure, compose, evaluate,
+                           free_variables, schemas_of_database)
 from repro.cost import (CardinalityEstimator, CostModel, rank_plans,
                         select_best_plan)
 from repro.cost.selection import RankedPlan
@@ -156,16 +158,13 @@ class TestPlanSelection:
 
 class _Unmemoized(CardinalityEstimator):
     """The estimator as it was before sub-term estimates were memoized:
-    every ``estimate`` re-walks its whole subtree and every fixpoint is
-    decomposed where it is met.  Kept here as the reference only."""
+    every ``estimate`` re-walks its whole subtree.  Kept here as the
+    reference only."""
 
     def _estimate(self, term, env):
         if isinstance(term, RelVar):
             return super()._estimate(term, env)
         return self._compute(term, env)
-
-    def decomposition(self, term):
-        return decompose(term)
 
 
 class TestEstimatesAreMemoizedNotChanged:
@@ -209,18 +208,59 @@ class TestEstimatesAreMemoizedNotChanged:
             plans_costed += len(plans)
         assert plans_costed > 500
 
-    def test_each_sub_term_is_estimated_once_per_environment(self,
-                                                             plan_spaces):
+    def test_each_sub_term_is_estimated_once_per_binding_of_its_free_variables(
+            self, plan_spaces):
+        """Bindings of variables the sub-term does not read are not part
+        of what it is estimated under: a sub-term constant in a fixpoint's
+        variable is estimated once, not once per simulated round."""
         _, catalog, plans = max(plan_spaces, key=lambda space: len(space[2]))
         model = CostModel(catalog=catalog)
         computed = []
         compute = model.estimator._compute
 
         def counting(term, env):
-            computed.append((term, *env, *map(id, env.values())))
+            free = free_variables(term)
+            computed.append((term, *((name, id(stats))
+                                     for name, stats in env.items()
+                                     if name in free)))
             return compute(term, env)
 
         model.estimator._compute = counting
         for plan in plans:
             model.report(plan)
         assert len(computed) == len(set(computed))
+
+
+#: What ``_compute`` ran for ``recursive-cold``'s 7 distinct queries when
+#: an estimate was keyed on every binding of its environment.
+COMPUTED_KEYED_ON_THE_WHOLE_ENVIRONMENT = 2464
+
+
+def test_recursive_cold_plans_are_costed_in_1442_sub_term_estimates(
+        monkeypatch):
+    """The end-to-end benchmark's ``recursive-cold`` queries, explored and
+    ranked as its operations do (one ``CostModel`` per ``rank_plans``),
+    on its database: an exact count of the estimator's work."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[2] / "benchmarks"))
+    from e2e import workloads
+    data = workloads.build_dataset()
+    texts = list(dict.fromkeys(
+        op.text for op in workloads.recursive_cold(data, seed=7)))
+    assert len(texts) == 7
+    computed = 0
+    with Session(data.database) as session:
+        snapshot = session.snapshot()
+        for text in texts:
+            term = session.translate(session.parse(text), snapshot=snapshot)
+            plans = session.rewriter.explore(term, snapshot.schemas)
+            model = CostModel(catalog=snapshot.catalog)
+            compute = model.estimator._compute
+
+            def counting(node, env, compute=compute):
+                nonlocal computed
+                computed += 1
+                return compute(node, env)
+
+            model.estimator._compute = counting
+            rank_plans(plans, cost_model=model)
+    assert computed == 1442 < COMPUTED_KEYED_ON_THE_WHOLE_ENVIRONMENT

@@ -347,5 +347,34 @@ class TestParameterSentinels:
         # The executed plan has the concrete value substituted in.
         assert parameters_of(bound.plan().term) == frozenset()
 
+    def test_a_bind_walks_only_what_holds_a_parameter(self, session,
+                                                     monkeypatch):
+        """``parameters_of`` is a fact kept on each node, so a bind
+        returns a parameter-free subtree as it is, without walking it."""
+        from repro.session import parameters
+        prepared = session.prepare("?y <- :start (knows/livesIn)+ ?y")
+        prepared.bind(start="alice").plan()       # the template's plan
+        substitute = parameters.substitute_parameters
+        active, walked, untouched = [], [], []
+
+        def spying(term, values):
+            # Nothing is called below a subtree without a parameter.
+            assert not active or parameters_of(active[-1])
+            active.append(term)
+            try:
+                result = substitute(term, values)
+            finally:
+                active.pop()
+            (walked if parameters_of(term) else untouched).append(
+                result is term)
+            return result
+
+        monkeypatch.setattr(parameters, "substitute_parameters", spying)
+        bound = prepared.bind(start="bob").plan()
+        assert parameters_of(bound.term) == frozenset()
+        assert untouched and all(untouched)         # returned as they are
+        assert walked and not any(walked)           # rebuilt with the value
+        assert parameters_of(bound.term) is parameters_of(bound.term)
+
     def test_sentinel_repr_cannot_collide_with_parser_output(self):
         assert " " in repr(Parameter("start"))

@@ -112,6 +112,8 @@ RETIRED_NAMES: tuple[tuple[str, str], ...] = (
     ("a term's facts live on the term: no id-keyed term memo or "
      "session-wide cache switch",
      r"term_facts|enable_plan_cache|enable_result_cache"),
+    ("planning pays once per node: no estimator-side decomposition memo",
+     r"_decompositions"),
 )
 _RETIRED = [(simplification, re.compile(pattern))
             for simplification, pattern in RETIRED_NAMES]
