@@ -1,10 +1,9 @@
 """The mu-RA recursive relational algebra: terms, analyses, evaluation."""
 
 from .builders import (LEFT_TO_RIGHT, RIGHT_TO_LEFT, closure,
-                       closure_from_seed, compose, concatenate_all, edge_term,
-                       filter_source, filter_target, fresh_column,
-                       fresh_fixpoint_variable, label_edges_from_facts,
-                       labels_edges_from_facts, swap_src_trg, union_all)
+                       closure_from_seed, compose, concatenate_all,
+                       filter_source, fresh_column, fresh_fixpoint_variable,
+                       label_edges_from_facts, swap_src_trg, union_all)
 from .conditions import (Decomposition, check_fcond, decompose, flatten_union,
                          is_linear, is_non_mutually_recursive, is_positive,
                          satisfies_fcond, union_of)
@@ -18,9 +17,8 @@ from .schema import Schema, infer_schema, schemas_of_database
 from .stability import stable_columns
 from .terms import (NODE_TYPES, AntiProject, Antijoin, Filter, Fixpoint, Join,
                     Literal, Rename, RelVar, Term, Union)
-from .variables import free_variables, is_constant_in, occurs, substitute
-from .visitors import (replace_subterm, subterms_of_type, transform_bottom_up,
-                       transform_top_down, walk)
+from .variables import free_variables, is_constant_in
+from .visitors import subterms_of_type, transform_top_down, walk
 
 __all__ = [
     "AntiProject",
@@ -53,10 +51,8 @@ __all__ = [
     "concatenate_all",
     "decompose",
     "default_kernel_cache",
-    "edge_term",
     "evaluate",
     "filter_source",
-    "filter_target",
     "flatten_union",
     "free_variables",
     "fresh_column",
@@ -67,21 +63,16 @@ __all__ = [
     "is_non_mutually_recursive",
     "is_positive",
     "label_edges_from_facts",
-    "labels_edges_from_facts",
     "naive_fixpoint",
-    "occurs",
     "run_fixpoint",
-    "replace_subterm",
     "satisfies_fcond",
     "semi_naive",
     "schemas_of_database",
     "stable_columns",
-    "substitute",
     "subterms_of_type",
     "swap_src_trg",
     "term_to_indented_string",
     "term_to_string",
-    "transform_bottom_up",
     "transform_top_down",
     "union_all",
     "union_of",

@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Iterable
 
 from ..data.graph import PRED, SRC, TRG
-from ..data.predicates import Eq, In
+from ..data.predicates import Eq
 from .terms import Filter, Fixpoint, Rename, RelVar, Term, Union
 
 #: Directions a transitive closure can be evaluated in.
@@ -43,20 +43,9 @@ def fresh_fixpoint_variable(stem: str = "X") -> str:
     return f"{stem}_{next(_FRESH_COUNTER)}"
 
 
-def edge_term(label: str) -> RelVar:
-    """The binary edge relation of one label (columns ``src``/``trg``)."""
-    return RelVar(label)
-
-
 def label_edges_from_facts(label: str, facts: str = "facts") -> Term:
     """Select one predicate's edges out of a (src, pred, trg) facts table."""
     filtered = Filter(Eq(PRED, label), RelVar(facts))
-    return filtered.antiproject(PRED)
-
-
-def labels_edges_from_facts(labels: Iterable[str], facts: str = "facts") -> Term:
-    """Select the edges of several predicates out of a facts table."""
-    filtered = Filter(In(PRED, frozenset(labels)), RelVar(facts))
     return filtered.antiproject(PRED)
 
 
@@ -131,11 +120,6 @@ def closure_from_seed(seed: Term, step_edges: Term, direction: str = LEFT_TO_RIG
 def filter_source(term: Term, value, src: str = SRC) -> Term:
     """Keep the pairs whose source is ``value`` (a constant node filter)."""
     return Filter(Eq(src, value), term)
-
-
-def filter_target(term: Term, value, trg: str = TRG) -> Term:
-    """Keep the pairs whose target is ``value``."""
-    return Filter(Eq(trg, value), term)
 
 
 def union_all(terms: Iterable[Term]) -> Term:

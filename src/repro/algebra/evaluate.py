@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..data.columnar import CodeRows, columnar_enabled, snapshot_dictionary
 from ..data.relation import Relation
-from ..data.snapshot import adopt_database, database_schemas, operand_memo
+from ..data.snapshot import as_snapshot, operand_memo
 from ..errors import EvaluationError
 from .conditions import Decomposition, decompose
 from .fixpoint import FixpointBind, run_fixpoint, run_seed
@@ -77,20 +77,16 @@ class Evaluator:
     def __init__(self, database: Mapping[str, Relation],
                  stats: EvaluationStats | None = None,
                  kernel_cache: KernelProgramCache | None = None):
-        # A snapshot is adopted as it is (its dictionary, operand memo and
-        # seed shapes ride on it); a mutable mapping is copied.
-        self.database = adopt_database(database)
+        # The dictionary, operand memo and seed shapes ride on the
+        # snapshot, shared by every evaluator that reads it.
+        self.database = as_snapshot(database)
         #: The value dictionary every bind and decode of this evaluator
-        #: shares: the snapshot's, or a private one for a plain mapping.
+        #: shares: the snapshot's.
         self.dictionary = snapshot_dictionary(self.database)
         self._operand_memo = operand_memo(self.database)
         self._kernel_cache = kernel_cache
-        # A snapshot's schemas never change, so it keeps the seed shapes
-        # decided on it; a plain mapping gets them per evaluator.
-        derived = getattr(self.database, "derived", None)
-        self._seed_shapes: dict[Term, SeedShape | None] = (
-            derived(_SEED_SHAPES_KEY, lambda _: {}) if derived is not None
-            else {})
+        self._seed_shapes: dict[Term, SeedShape | None] = \
+            self.database.derived(_SEED_SHAPES_KEY, lambda _: {})
         self.stats = stats if stats is not None else EvaluationStats()
         # Recursion-constant subterms evaluate to the same relation on
         # every fixpoint iteration (the database is a snapshot); caching
@@ -152,10 +148,10 @@ class Evaluator:
         distributed plans use this so the relation they broadcast (and
         index) on iteration *n* is the same object as on iteration 1.
 
-        When the database *is* a :class:`DatabaseSnapshot` the relation
-        is also kept in the snapshot's :class:`OperandMemo`, so later
-        executions on the same version get the same object — with the
-        columnar encoding and the hash indexes already memoized on it.
+        The relation is also kept in the snapshot's :class:`OperandMemo`,
+        so later executions on the same version get the same object —
+        with the columnar encoding and the hash indexes already memoized
+        on it.
         Operands containing a fixpoint are not admitted there: the memo
         stays a function of base relations, never a second result cache.
         """
@@ -170,12 +166,11 @@ class Evaluator:
             # Already a stable object on the snapshot (or in the term).
             return self._eval(term, {})
         memo = self._operand_memo
-        relation = memo.lookup(term) if memo is not None else None
+        relation = memo.lookup(term)
         if relation is None:
             self.stats.operands_evaluated += 1
-            relation = self._eval(term, {})
-            if memo is not None:
-                relation = memo.offer(term, relation, admissible=not any(
+            relation = memo.offer(
+                term, self._eval(term, {}), admissible=not any(
                     isinstance(node, Fixpoint) for node in walk(term)))
         return relation
 
@@ -216,14 +211,14 @@ class Evaluator:
 
     def _seed_shape(self, constant_part: Term) -> SeedShape | None:
         """:func:`seed_shape` of ``constant_part``, decided once per
-        snapshot (per evaluator on a plain mapping)."""
+        snapshot."""
         shapes = self._seed_shapes
         shape = shapes.get(constant_part, _UNDECIDED)
         if shape is _UNDECIDED:
             if len(shapes) >= _MAX_SEED_SHAPES:
                 shapes.clear()
             shape = shapes[constant_part] = seed_shape(
-                constant_part, database_schemas(self.database))
+                constant_part, self.database.schemas)
         return shape
 
     def bind_fixpoint(self, var: str, decomposition: Decomposition,

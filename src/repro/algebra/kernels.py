@@ -55,8 +55,6 @@ from itertools import chain, repeat
 from operator import itemgetter
 
 from ..data.columnar import CodeGroups, ValueDictionary, columnar_enabled
-from ..data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
-                               Predicate, TruePredicate, _COMPARATORS)
 from ..data.relation import Relation
 from ..errors import EvaluationError, SchemaError
 from ..obs.metrics import get_registry
@@ -526,8 +524,8 @@ class _Planner:
 
         def bind(ctx):
             inner = child_bind(ctx)
-            check = _bind_code_check(predicate, layout, ctx.dictionary)
-            if check is None:  # TruePredicate
+            check = predicate.compile(layout, ctx.dictionary)
+            if check is None:
                 return inner
             return lambda rows: set(filter(check, inner(rows)))
         return layout, bind
@@ -572,70 +570,6 @@ def _grouped_join(groups: CodeGroups, get) -> CodeGroups:
     return CodeGroups({
         key: set(chain.from_iterable(map(get, members, repeat(()))))
         for key, members in groups.items()})
-
-
-def _bind_code_check(predicate: Predicate, schema: tuple[str, ...],
-                     dictionary: ValueDictionary):
-    """Compile a predicate into a check over a tuple of codes.
-
-    Equality-shaped predicates compare codes directly (interning the
-    constant, so a value absent from the data simply never matches).
-    Order comparisons must decode — dictionary codes reflect insertion
-    order, not value order.  Returns None for the always-true predicate.
-    """
-    if isinstance(predicate, TruePredicate):
-        return None
-    if isinstance(predicate, Eq):
-        position = schema.index(predicate.column)
-        code = dictionary.encode(predicate.value)
-        return lambda row: row[position] == code
-    if isinstance(predicate, In):
-        position = schema.index(predicate.column)
-        codes = frozenset(dictionary.encode(v) for v in predicate.values)
-        return lambda row: row[position] in codes
-    if isinstance(predicate, ColumnEq):
-        left = schema.index(predicate.left)
-        right = schema.index(predicate.right)
-        return lambda row: row[left] == row[right]
-    if isinstance(predicate, Compare):
-        position = schema.index(predicate.column)
-        if predicate.op == "==":
-            code = dictionary.encode(predicate.value)
-            return lambda row: row[position] == code
-        if predicate.op == "!=":
-            code = dictionary.encode(predicate.value)
-            return lambda row: row[position] != code
-        compare = _COMPARATORS[predicate.op]
-        value = predicate.value
-        values = dictionary.values
-        return lambda row: compare(values[row[position]], value)
-    if isinstance(predicate, And):
-        left = _bind_code_check(predicate.left, schema, dictionary)
-        right = _bind_code_check(predicate.right, schema, dictionary)
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return lambda row: left(row) and right(row)
-    if isinstance(predicate, Or):
-        left = _bind_code_check(predicate.left, schema, dictionary)
-        right = _bind_code_check(predicate.right, schema, dictionary)
-        if left is None or right is None:
-            return None
-        return lambda row: left(row) or right(row)
-    if isinstance(predicate, Not):
-        inner = _bind_code_check(predicate.inner, schema, dictionary)
-        if inner is None:
-            return lambda row: False
-        return lambda row: not inner(row)
-    # Unknown predicate type: evaluate it on the decoded row (slow but
-    # identical to the row engine).
-    check = predicate.compile(schema)
-    values = dictionary.values
-
-    def decoded(row):
-        return check(tuple(map(values.__getitem__, row)))
-    return decoded
 
 
 # -- The program cache -------------------------------------------------------

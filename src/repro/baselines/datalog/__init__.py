@@ -1,8 +1,7 @@
 """BigDatalog baseline: Datalog AST, semi-naive engine, magic sets, distribution."""
 
 from .ast import Atom, Const, Program, Rule, Var
-from .distributed import (BigDatalogEngine, BigDatalogResult,
-                          same_generation_program)
+from .distributed import BigDatalogEngine, BigDatalogResult
 from .engine import DatalogStats, SemiNaiveEngine
 from .magic import MagicSetSpecializer, SpecializationReport
 from .translate import (GOAL_PREDICATE, DatalogTranslator, graph_to_edb,
@@ -23,6 +22,5 @@ __all__ = [
     "SpecializationReport",
     "Var",
     "graph_to_edb",
-    "same_generation_program",
     "ucrpq_to_datalog",
 ]

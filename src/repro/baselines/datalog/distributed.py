@@ -188,24 +188,3 @@ def goal_relation(parsed: UCRPQ, facts, columns: tuple[str, ...]) -> Relation:
         return Relation.empty(columns)
     reordered = {tuple(row[i] for i in order) for row in rows}
     return Relation(columns, reordered)
-
-
-def same_generation_program(predicate_label: str | None = None) -> tuple[Program, tuple[str, str]]:
-    """The classic same-generation Datalog program used by the C7 workloads.
-
-    ``sg(x, y) :- e(z, x), e(z, y).``
-    ``sg(x, y) :- e(z, x), sg(z, w), e(w, y).``
-
-    When ``predicate_label`` is given the program runs over that label's
-    edges; otherwise the caller must provide an ``edge`` EDB predicate.
-    Returns the program and the output column names.
-    """
-    edge = predicate_label if predicate_label is not None else "edge"
-    from .ast import Atom, Rule
-    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
-    program = Program(goal="sg")
-    program.add(Rule(Atom("sg", (x, y)),
-                     (Atom(edge, (z, x)), Atom(edge, (z, y)))))
-    program.add(Rule(Atom("sg", (x, y)),
-                     (Atom(edge, (z, x)), Atom("sg", (z, w)), Atom(edge, (w, y)))))
-    return program, ("src", "trg")

@@ -148,19 +148,15 @@ class ValueDictionary:
         return f"ValueDictionary(values={len(self.values)})"
 
 
-def snapshot_dictionary(database) -> ValueDictionary:
-    """The shared per-snapshot dictionary, or a fresh one for plain dicts.
+def snapshot_dictionary(snapshot) -> ValueDictionary:
+    """The value dictionary of a :class:`~repro.data.snapshot.DatabaseSnapshot`.
 
-    Immutable snapshots memoize the dictionary under ``derived()``, so
-    every execution against the same snapshot (and every relation's
-    memoized columnar encoding) agrees on the codes.  A plain mutable
-    mapping has no safe place to hang shared state, so it gets a private
-    dictionary per call — correct, just without cross-execution reuse.
+    Memoized under the snapshot's ``derived()``, so every execution
+    against the same snapshot (and every relation's memoized columnar
+    encoding) agrees on the codes.
     """
-    derived = getattr(database, "derived", None)
-    if derived is not None:
-        return derived(SNAPSHOT_DICTIONARY_KEY, lambda _: ValueDictionary())
-    return ValueDictionary()
+    return snapshot.derived(SNAPSHOT_DICTIONARY_KEY,
+                            lambda _: ValueDictionary())
 
 
 def decode_rows(columns: tuple[str, ...], rows, dictionary: ValueDictionary

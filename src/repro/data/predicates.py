@@ -6,10 +6,10 @@ They expose:
 * :meth:`Predicate.columns` — the set of columns they read, used by the
   rewriter (a filter can be pushed into a fixpoint only when it touches
   stable columns) and by the cost model (selectivity estimation),
-* :meth:`Predicate.evaluate` — evaluation against a ``dict`` row,
-* :meth:`Predicate.compile` — a fast row-tuple evaluator bound to a schema,
-  used by :class:`~repro.data.relation.Relation` so filtering large
-  relations does not build a dictionary per row,
+* :meth:`Predicate.compile` — the one evaluator: a check bound to a
+  schema, over the value tuples of a :class:`~repro.data.relation.Relation`
+  or, given a :class:`~repro.data.columnar.ValueDictionary`, over the
+  code tuples the fixpoint kernels step on,
 * :meth:`Predicate.rename` — column renaming, needed when filters are moved
   across rename operators during rewriting.
 """
@@ -17,11 +17,17 @@ They expose:
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import SchemaError
+
+if TYPE_CHECKING:
+    from .columnar import ValueDictionary
+
+#: A compiled predicate: a test of one schema-aligned tuple.
+Check = Callable[[tuple[Any, ...]], bool]
 
 _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
@@ -40,12 +46,17 @@ class Predicate:
         """Return the set of column names referenced by the predicate."""
         raise NotImplementedError
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        """Evaluate the predicate against a mapping row."""
-        raise NotImplementedError
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
+        """A check of the tuples aligned with ``schema``; None when the
+        predicate always holds.
 
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
-        """Return a fast evaluator over value tuples aligned with ``schema``."""
+        The tuples hold values, or the codes of ``dictionary`` when one
+        is given.  On codes an equality interns its constant and compares
+        codes (a value absent from the data never matches), while an
+        order comparison decodes: codes follow insertion order, not
+        value order.
+        """
         raise NotImplementedError
 
     def rename(self, old: str, new: str) -> "Predicate":
@@ -82,14 +93,13 @@ class Eq(Predicate):
     def columns(self) -> frozenset[str]:
         return frozenset({self.column})
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return row[self.column] == self.value
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
         self._check_schema(schema)
         index = schema.index(self.column)
-        value = self.value
-        return lambda values: values[index] == value
+        value = self.value if dictionary is None \
+            else dictionary.encode(self.value)
+        return lambda row: row[index] == value
 
     def rename(self, old: str, new: str) -> "Predicate":
         if self.column == old:
@@ -115,15 +125,18 @@ class Compare(Predicate):
     def columns(self) -> frozenset[str]:
         return frozenset({self.column})
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return _COMPARATORS[self.op](row[self.column], self.value)
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
         self._check_schema(schema)
         index = schema.index(self.column)
         compare = _COMPARATORS[self.op]
         value = self.value
-        return lambda values: compare(values[index], value)
+        if dictionary is not None:
+            if self.op not in ("==", "!="):
+                values = dictionary.values
+                return lambda row: compare(values[row[index]], value)
+            value = dictionary.encode(value)
+        return lambda row: compare(row[index], value)
 
     def rename(self, old: str, new: str) -> "Predicate":
         if self.column == old:
@@ -144,14 +157,12 @@ class ColumnEq(Predicate):
     def columns(self) -> frozenset[str]:
         return frozenset({self.left, self.right})
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return row[self.left] == row[self.right]
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
         self._check_schema(schema)
         left = schema.index(self.left)
         right = schema.index(self.right)
-        return lambda values: values[left] == values[right]
+        return lambda row: row[left] == row[right]
 
     def rename(self, old: str, new: str) -> "Predicate":
         left = new if self.left == old else self.left
@@ -176,13 +187,12 @@ class In(Predicate):
     def columns(self) -> frozenset[str]:
         return frozenset({self.column})
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return row[self.column] in self.values
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
         self._check_schema(schema)
         index = schema.index(self.column)
-        values = self.values
+        values = self.values if dictionary is None \
+            else frozenset(map(dictionary.encode, self.values))
         return lambda row: row[index] in values
 
     def rename(self, old: str, new: str) -> "Predicate":
@@ -206,13 +216,15 @@ class And(Predicate):
     def columns(self) -> frozenset[str]:
         return self.left.columns() | self.right.columns()
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return self.left.evaluate(row) and self.right.evaluate(row)
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda values: left(values) and right(values)
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
+        left = self.left.compile(schema, dictionary)
+        right = self.right.compile(schema, dictionary)
+        if left is None:
+            return right
+        if right is None:
+            return left
+        return lambda row: left(row) and right(row)
 
     def rename(self, old: str, new: str) -> "Predicate":
         return And(self.left.rename(old, new), self.right.rename(old, new))
@@ -231,13 +243,13 @@ class Or(Predicate):
     def columns(self) -> frozenset[str]:
         return self.left.columns() | self.right.columns()
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return self.left.evaluate(row) or self.right.evaluate(row)
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
-        left = self.left.compile(schema)
-        right = self.right.compile(schema)
-        return lambda values: left(values) or right(values)
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
+        left = self.left.compile(schema, dictionary)
+        right = self.right.compile(schema, dictionary)
+        if left is None or right is None:
+            return None
+        return lambda row: left(row) or right(row)
 
     def rename(self, old: str, new: str) -> "Predicate":
         return Or(self.left.rename(old, new), self.right.rename(old, new))
@@ -255,12 +267,12 @@ class Not(Predicate):
     def columns(self) -> frozenset[str]:
         return self.inner.columns()
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return not self.inner.evaluate(row)
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
-        inner = self.inner.compile(schema)
-        return lambda values: not inner(values)
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
+        inner = self.inner.compile(schema, dictionary)
+        if inner is None:
+            return lambda row: False
+        return lambda row: not inner(row)
 
     def rename(self, old: str, new: str) -> "Predicate":
         return Not(self.inner.rename(old, new))
@@ -276,11 +288,9 @@ class TruePredicate(Predicate):
     def columns(self) -> frozenset[str]:
         return frozenset()
 
-    def evaluate(self, row: Mapping[str, Any]) -> bool:
-        return True
-
-    def compile(self, schema: tuple[str, ...]) -> Callable[[tuple[Any, ...]], bool]:
-        return lambda values: True
+    def compile(self, schema: tuple[str, ...],
+                dictionary: ValueDictionary | None = None) -> Check | None:
+        """No check: the predicate always holds."""
 
     def rename(self, old: str, new: str) -> "Predicate":
         return self

@@ -390,6 +390,8 @@ class Relation:
             return Relation._from_trusted(
                 self._columns, frozenset(index.probe((predicate.value,))))
         check = predicate.compile(self._columns)
+        if check is None:
+            return self
         return Relation._from_trusted(self._columns, frozenset(
             row for row in self._rows if check(row)))
 

@@ -32,10 +32,13 @@ that assumption explicit and enforceable under concurrent mutation:
   same immutable object.  Statistics are computed at the plan phase's
   first read and memoized on each relation.
 
-Snapshots are plain :class:`~collections.abc.Mapping` objects, so every
-consumer that used to take a ``dict[str, Relation]`` database (the
-evaluator, the physical executor, the Datalog translation) accepts a
-snapshot unchanged.
+Snapshots are plain :class:`~collections.abc.Mapping` objects, and they
+are the one database type below the session: the evaluator, the
+physical executor and the fixpoint plans take any ``name -> Relation``
+mapping and wrap a plain one once, where it enters, with
+:func:`as_snapshot`.  So the value dictionary, the operand memo and the
+seed shapes always ride on a snapshot, and nothing below asks which
+kind of database it holds.
 """
 
 from __future__ import annotations
@@ -329,33 +332,20 @@ def _new_operand_memo(snapshot: DatabaseSnapshot) -> OperandMemo:
     return OperandMemo(OPERAND_MEMO_ROWS_PER_SNAPSHOT_ROW * rows)
 
 
-def operand_memo(database: Mapping[str, Relation]) -> OperandMemo | None:
-    """The operand memo of a snapshot; None for any other mapping.
-
-    A mutable mapping has no version to key derived state on, so its
-    operands live only as long as the evaluator that resolved them.
-    """
-    if isinstance(database, DatabaseSnapshot):
-        return database.derived(_OPERAND_MEMO_KEY, _new_operand_memo)
-    return None
+def operand_memo(snapshot: DatabaseSnapshot) -> OperandMemo:
+    """The operand memo of a snapshot, created at its first use."""
+    return snapshot.derived(_OPERAND_MEMO_KEY, _new_operand_memo)
 
 
-def adopt_database(database: Mapping[str, Relation]) -> Mapping[str, Relation]:
-    """Adopt a query database without copying when it is safe to share.
+def as_snapshot(database: Mapping[str, Relation]) -> DatabaseSnapshot:
+    """The database a query reads: a snapshot as it is, any other
+    ``name -> Relation`` mapping wrapped once at version 0.
 
-    A :class:`DatabaseSnapshot` is immutable, so executors and fixpoint
-    plans (and the broadcasts they perform) can ship the snapshot itself
-    — structural sharing all the way down to the per-relation hash
-    indexes.  Mutable mappings are defensively copied, as before.
+    Everything below a session reads this one type, so a dictionary,
+    an operand memo or a seed shape always has a snapshot to live on,
+    and a broadcast ships the snapshot's own relations — structural
+    sharing all the way down to the per-relation hash indexes.
     """
     if isinstance(database, DatabaseSnapshot):
         return database
-    return dict(database)
-
-
-def database_schemas(database: Mapping[str, Relation],
-                     ) -> Mapping[str, tuple[str, ...]]:
-    """``name -> columns`` of a database; free for snapshots (precomputed)."""
-    if isinstance(database, DatabaseSnapshot):
-        return database.schemas
-    return {name: relation.columns for name, relation in database.items()}
+    return DatabaseSnapshot.from_relations(database)

@@ -1,7 +1,6 @@
 """Dataset generators: Yago-like, Uniprot-like, random graphs, social suite."""
 
-from .random_graphs import (chain_graph, erdos_renyi_graph, layered_graph,
-                            random_tree)
+from .random_graphs import chain_graph, erdos_renyi_graph, random_tree
 from .registry import available_datasets, load_dataset, register_dataset
 from .social import (preferential_attachment_graph, relabel_for_anbn,
                      social_graph_suite)
@@ -12,7 +11,6 @@ __all__ = [
     "available_datasets",
     "chain_graph",
     "erdos_renyi_graph",
-    "layered_graph",
     "load_dataset",
     "preferential_attachment_graph",
     "random_tree",

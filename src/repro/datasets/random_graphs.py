@@ -99,26 +99,3 @@ def chain_graph(length: int, label: str = DEFAULT_LABEL,
     for node in range(length):
         graph.add_edge(node, label, node + 1)
     return graph
-
-
-def layered_graph(num_layers: int, width: int, labels: tuple[str, ...],
-                  seed: int = 0, fan_out: int = 2,
-                  name: str | None = None) -> LabeledGraph:
-    """A layered DAG where edges only go from layer i to layer i+1.
-
-    Useful for the anbn workloads: labelling the first half of the layers
-    ``a`` and the second half ``b`` yields graphs with many a^n b^n paths.
-    """
-    if num_layers < 2 or width <= 0:
-        raise DatasetError("need at least two layers and a positive width")
-    rng = random.Random(seed)
-    graph = LabeledGraph(name=name or f"layered_{num_layers}x{width}")
-    for layer in range(num_layers - 1):
-        label = labels[layer * len(labels) // (num_layers - 1)] \
-            if labels else DEFAULT_LABEL
-        for position in range(width):
-            source = f"n{layer}_{position}"
-            for _ in range(fan_out):
-                target = f"n{layer + 1}_{rng.randrange(width)}"
-                graph.add_edge(source, label, target)
-    return graph

@@ -16,8 +16,7 @@ from ..algebra.evaluate import Evaluator
 from ..algebra.kernels import KernelProgramCache
 from ..algebra.terms import Fixpoint, Literal, Term
 from ..data.relation import Relation
-from ..data.snapshot import adopt_database, database_schemas
-from ..data.stats import StatisticsCatalog
+from ..data.snapshot import as_snapshot
 from ..errors import PlanSelectionError, ReproError
 from ..obs import tracing
 from .cluster import SparkCluster
@@ -57,7 +56,7 @@ class DistributedQueryExecutor:
                  kernel_cache: KernelProgramCache | None = None):
         check_strategy(strategy)
         self.cluster = cluster
-        self.database = adopt_database(database)
+        self.database = as_snapshot(database)
         self.strategy = PPLW_SPARK if strategy == AUTO else strategy
         self.kernel_cache = kernel_cache
 
@@ -71,8 +70,7 @@ class DistributedQueryExecutor:
         here, by the same function.
         """
         if analysis is None:
-            analysis = analyse_fixpoints(term,
-                                         database_schemas(self.database))
+            analysis = analyse_fixpoints(term, self.database.schemas)
         strategies: list[str] = []
         rewritten = self._execute_fixpoints(term, iter(analysis), strategies)
         evaluator = Evaluator(self.database, kernel_cache=self.kernel_cache)
@@ -141,6 +139,6 @@ class DistributedQueryExecutor:
         from ..cost.cardinality import CardinalityEstimator
         try:
             return CardinalityEstimator(
-                StatisticsCatalog(self.database)).cardinality(fixpoint)
+                self.database.catalog).cardinality(fixpoint)
         except ReproError:
             return None

@@ -48,7 +48,6 @@ from ..algebra.variables import free_variables
 from ..data.columnar import (CodeRows, ColumnarDeltaAccumulator,
                              ValueDictionary, row_repr, split_round_robin)
 from ..data.relation import Relation
-from ..data.snapshot import database_schemas
 from ..errors import DistributionError
 from ..obs import tracing
 from .cluster import SparkCluster
@@ -78,9 +77,9 @@ class DistributedFixpointPlan:
         #: ``kernel_cache``, the executor's, shared with the plan cache
         #: entry that selected this plan (``None``: the process default)
         #: — and evaluates the seed; its row step is what the tasks run.
-        #: Its database (a snapshot adopted as is, so broadcasts ship the
-        #: snapshot's own relations, hash indexes included; a mutable
-        #: mapping copied) and its value dictionary are the plan's.
+        #: Its database (a snapshot, so broadcasts ship the snapshot's own
+        #: relations, hash indexes included) and its value dictionary are
+        #: the plan's.
         self.evaluator = Evaluator(database, kernel_cache=kernel_cache)
         self.database = self.evaluator.database
         #: When set, bypass the stable-column analysis and use this decision
@@ -114,8 +113,7 @@ class DistributedFixpointPlan:
             raise DistributionError(
                 f"fixpoint references unknown relations {sorted(unknown)}")
         if analysis is None:
-            analysis = analyse_fixpoint(fixpoint,
-                                        database_schemas(self.database))
+            analysis = analyse_fixpoint(fixpoint, self.database.schemas)
         return analysis
 
     def _seed_and_bind(self, fixpoint: Fixpoint, analysis: FixpointAnalysis,

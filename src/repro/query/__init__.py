@@ -2,7 +2,7 @@
 
 from .ast import (Alternation, Atom, Concat, ConjunctiveQuery, Constant,
                   Endpoint, Label, PathExpr, Plus, UCRPQ, Variable)
-from .classes import CLASS_NAMES, classes_to_string, classify_query
+from .classes import CLASS_NAMES, classify_query
 from .parser import parse_path, parse_query
 from .translate import (output_columns, translate_atom, translate_path,
                         translate_query, translate_rule)
@@ -20,7 +20,6 @@ __all__ = [
     "Plus",
     "UCRPQ",
     "Variable",
-    "classes_to_string",
     "classify_query",
     "output_columns",
     "parse_path",

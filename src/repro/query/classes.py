@@ -75,11 +75,6 @@ def _classify_atom(atom: Atom) -> set[str]:
     return classes
 
 
-def classes_to_string(classes: frozenset[str]) -> str:
-    """Render a class set in the fixed C1..C7 order (for report tables)."""
-    return ",".join(name for name in CLASS_NAMES if name in classes)
-
-
 # -- Internal helpers ----------------------------------------------------------
 
 

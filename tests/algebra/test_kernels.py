@@ -20,7 +20,8 @@ from repro.algebra.terms import (AntiProject, Antijoin, Filter, Fixpoint,
                                  Join, Rename, RelVar, Union)
 from repro.data.columnar import (GroupedDeltaAccumulator, ValueDictionary,
                                  row_mode, snapshot_dictionary)
-from repro.data.predicates import Compare, Eq, In, TruePredicate
+from repro.data.predicates import (And, ColumnEq, Compare, Eq, In, Not, Or,
+                                   TruePredicate)
 from repro.data.relation import Relation
 from repro.data.snapshot import DatabaseSnapshot
 from repro.errors import EvaluationError
@@ -109,15 +110,44 @@ class TestCompileAndRun:
             == (1, 1, 0)
 
     def test_filter_on_codes_matches_row_engine(self):
+        """A predicate compiled over a dictionary's codes accepts exactly
+        the rows it accepts compiled over values — whether it is checked
+        directly, above a fixpoint (the row engine) or inside a
+        fixpoint's step (the kernels)."""
         from repro.algebra.evaluate import evaluate
-        database = {"E": edges([(1, 2), (2, 3), (3, 4), (4, 2)])}
+        pairs = [(1, 2), (2, 3), (3, 4), (4, 2), (3, 3)]
+        database = {"E": edges(pairs)}
+        # Interned against value order, so a comparison of raw codes
+        # would disagree with one of values.
+        dictionary = ValueDictionary()
+        dictionary.encode_column([4, 3, 2, 1])
+        coded = {tuple(map(dictionary.encode, row)): row for row in pairs}
+        absent = Eq("src", 99)
+        leaves = [Eq("src", 1), absent, In("src", {1, 3, 99}),
+                  ColumnEq("src", "trg"), Compare("src", "==", 99),
+                  *(Compare("trg", op, 3)
+                    for op in ("==", "!=", "<", "<=", ">", ">="))]
+        predicates = [*leaves, And(Eq("src", 3), Compare("trg", ">", 2)),
+                      Or(absent, ColumnEq("src", "trg")),
+                      Not(In("src", {1, 3})), TruePredicate(),
+                      And(TruePredicate(), Eq("src", 1)),
+                      Or(TruePredicate(), absent), Not(TruePredicate())]
         inner = closure(RelVar("E"), var="X")
-        for predicate in (Eq("src", 1), In("src", frozenset({1, 3})),
-                          Compare("trg", "<=", 3), Compare("src", "!=", 2)):
-            term = Filter(predicate, inner)
-            with row_mode():
-                expected = evaluate(term, database)
-            assert evaluate(term, database) == expected
+        for predicate in predicates:
+            on_values = predicate.compile(("src", "trg"))
+            on_codes = predicate.compile(("src", "trg"), dictionary)
+            assert (on_values is None) == (on_codes is None), predicate
+            expected = {row for row in pairs
+                        if on_values is None or on_values(row)}
+            assert {coded[code] for code in coded
+                    if on_codes is None or on_codes(code)} == expected, \
+                predicate
+            for term in (Filter(predicate, inner), Fixpoint("X", Union(
+                    RelVar("E"),
+                    Filter(predicate, compose(RelVar("X"), RelVar("E")))))):
+                with row_mode():
+                    expected = evaluate(term, database)
+                assert evaluate(term, database) == expected, predicate
 
 
 class TestPlannerRejections:

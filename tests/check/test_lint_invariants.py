@@ -69,6 +69,7 @@ RETIRED = (
     "(RESULTS_DIR / \"BENCH_net.json\").write_text(report)",
     "Session(graph, enable_result_cache=False)",
     "self._decompositions = {}",
+    "self.database = adopt_database(database)",
 )
 
 

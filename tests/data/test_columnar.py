@@ -65,10 +65,6 @@ class TestSnapshotDictionary:
         assert snapshot.derived(SNAPSHOT_DICTIONARY_KEY,
                                 lambda _: None) is first
 
-    def test_plain_dict_gets_fresh_dictionary(self):
-        database = {"E": edges([(1, 2)])}
-        assert snapshot_dictionary(database) is not snapshot_dictionary(database)
-
 
 class TestColumnarRelation:
     def test_round_trip_is_identity(self):

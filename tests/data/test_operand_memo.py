@@ -140,7 +140,6 @@ class TestEvaluatorAdmission:
 
     def test_a_plain_mapping_keeps_operands_per_evaluator(self):
         database = {"E": edges(8)}
-        assert operand_memo(database) is None
         evaluator = Evaluator(database)
         operand = evaluator.evaluate_constant(self.TERM)
         assert evaluator.evaluate_constant(self.TERM) is operand

@@ -14,13 +14,14 @@ from contextlib import nullcontext
 
 import pytest
 
-from repro.algebra import RelVar, closure, closure_from_seed, evaluate
+from repro.algebra import RelVar, Union, closure, closure_from_seed, evaluate
 from repro.algebra.builders import RIGHT_TO_LEFT, compose, swap_src_trg
 from repro.data import Eq
 from repro.data.columnar import ColumnarRelation, row_mode
 from repro.data.snapshot import DatabaseSnapshot
-from repro.distributed import (PGLD, PPLW_SPARK, SparkCluster, make_plan,
-                               plan_partitioning)
+from repro.distributed import (PGLD, PPLW_SPARK, DistributedQueryExecutor,
+                               SparkCluster, make_plan, plan_partitioning)
+from repro.distributed import physical
 from repro.distributed.partitioner import analyse_fixpoint
 from repro.algebra import Filter, schemas_of_database
 from repro.algebra.fixpoint import run_seed
@@ -120,6 +121,37 @@ class TestOperandsOncePerSnapshot:
             plan.execute(closure_term)
             assert cluster.metrics.index_builds == 1
             assert plan.operands_evaluated == len(plan.operands) == 1
+
+    def test_an_executor_wraps_a_plain_mapping_once_for_all_its_plans(
+            self, database, closure_term, monkeypatch):
+        """Every fixpoint plan of one execution reads the executor's own
+        snapshot, so they share its value dictionary and a base relation
+        is encoded once per execution, not once per plan."""
+        term = Union(closure_term, closure(RelVar("E"), var="Y"))
+        expected = evaluate(term, database)
+        plans, encoded = [], []
+        build = physical.make_plan
+        encode = ColumnarRelation.from_relation.__func__
+
+        def recording_plan(*args, **kwargs):
+            plans.append(build(*args, **kwargs))
+            return plans[-1]
+
+        def recording(cls, relation, dictionary):
+            encoded.append(relation)
+            return encode(cls, relation, dictionary)
+
+        monkeypatch.setattr(physical, "make_plan", recording_plan)
+        monkeypatch.setattr(ColumnarRelation, "from_relation",
+                            classmethod(recording))
+        executor = DistributedQueryExecutor(SparkCluster(num_workers=4),
+                                            dict(database))
+        assert executor.execute(term).relation == expected
+        assert len(plans) == 2
+        for plan in plans:
+            assert plan.database is executor.database
+            assert plan.evaluator.dictionary is plans[0].evaluator.dictionary
+        assert sum(r is database["E"] for r in encoded) == 1
 
 
 class TestOneBindPerExecution:

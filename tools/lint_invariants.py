@@ -31,11 +31,10 @@ INV005  No ``.natural_join(`` call under ``src/repro/`` outside
         interpreter in the making; hand the term to ``Evaluator``.
 INV006  No ``snapshot_dictionary(`` call in a module-level function
         under ``src/repro/distributed/``.  Module-level functions there
-        are task bodies, and a task sees a plain mapping, for which
-        ``snapshot_dictionary`` hands out a *private* dictionary: every
-        encoding memoized against the snapshot's would silently miss.
-        Tasks take the dictionary as an argument from the plan that
-        captured it.
+        are task bodies, and a task's codes must be the ones its plan
+        bound the step with: the dictionary belongs to the plan's
+        snapshot, which a task never holds.  Tasks take the dictionary
+        as an argument from the plan that captured it.
 INV007  No ``sorted(<x>.rows, key=repr)`` (or ``._rows``) under
         ``src/repro/`` outside ``data/relation.py``.  The canonical row
         order belongs to ``Relation.sorted_rows()``, which memoizes it
@@ -114,6 +113,10 @@ RETIRED_NAMES: tuple[tuple[str, str], ...] = (
      r"term_facts|enable_plan_cache|enable_result_cache"),
     ("planning pays once per node: no estimator-side decomposition memo",
      r"_decompositions"),
+    ("one database type and one predicate compiler: no plain-mapping path "
+     "below the session, no mapping-row or kernel-only predicate evaluator",
+     r"adopt_database|database_schemas|_bind_code_check"
+     r"|def evaluate\(self, row"),
 )
 _RETIRED = [(simplification, re.compile(pattern))
             for simplification, pattern in RETIRED_NAMES]
@@ -258,9 +261,8 @@ def _check_task_dictionaries(tree: ast.Module, path: Path,
             if name == "snapshot_dictionary":
                 findings.add(path, node.lineno, "INV006",
                              f"snapshot_dictionary() in module-level "
-                             f"function {function.name}(): a task gets a "
-                             f"private dictionary for the plain mapping it "
-                             f"sees; take the plan's dictionary as an "
+                             f"function {function.name}(): a task holds no "
+                             f"snapshot; take the plan's dictionary as an "
                              f"argument instead")
 
 
